@@ -257,8 +257,165 @@ let test_chemkin_coeff_overflow () =
         (Some "99999999999999999999")
         e.Chem.Srcloc.loc.Chem.Srcloc.token
 
+(* ---- golden bit-identity of the model and the flattener ---- *)
+
+(* A structural MD5 over every field of a prediction and of the trace it
+   was built from, floats by their bit patterns, so a rewrite of the
+   model's internals cannot move any number without this test seeing it.
+   Each field is marshalled on its own without sharing, so the digest
+   depends on values only, never on which sub-values are physically
+   shared. *)
+let add_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
+let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
+
+let add_string b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
+let add_value b v = add_string b (Marshal.to_string v [ Marshal.No_sharing ])
+
+let add_trace b (tr : Gpusim.Trace.t) =
+  let open Gpusim.Trace in
+  add_int b (Array.length tr.entries);
+  Array.iter
+    (fun e ->
+      add_value b e.instr;
+      add_int b e.addr;
+      add_value b e.srcs;
+      add_value b e.shared_srcs;
+      add_int b (Bool.to_int e.has_const);
+      add_int b e.lat_mult;
+      add_float b e.dp_slots;
+      add_int b e.flops)
+    tr.entries;
+  let ids a =
+    add_int b (Array.length a);
+    Array.iter (add_int b) a
+  in
+  add_int b (Array.length tr.prologue);
+  Array.iter ids tr.prologue;
+  add_int b (Array.length tr.body);
+  Array.iter ids tr.body;
+  add_int b tr.code_bytes;
+  add_int b tr.max_srcs
+
+let add_prediction b (p : Singe.Perf_model.prediction) =
+  let open Singe.Perf_model in
+  add_int b p.occ.Gpusim.Chip.resident_ctas;
+  add_string b p.occ.Gpusim.Chip.limited_by;
+  add_int b p.occ.Gpusim.Chip.warps_per_sm;
+  add_int b p.resident;
+  add_int b p.batches;
+  add_int b p.sim_batches;
+  List.iter (add_float b)
+    [
+      p.prologue_cycles;
+      p.batch_cycles;
+      p.throughput_cycles;
+      p.sync_cycles;
+      p.icache_cycles;
+    ];
+  add_string b p.binding;
+  add_float b p.cycles;
+  add_float b p.floor_cycles;
+  let c = p.chip in
+  add_int b (Array.length c.Gpusim.Chip.sms);
+  Array.iter
+    (fun (s : Gpusim.Chip.sm_stat) ->
+      add_int b s.sm_ctas;
+      add_int b s.sm_rounds;
+      add_float b s.sm_finish;
+      add_float b s.sm_busy)
+    c.Gpusim.Chip.sms;
+  let k = c.Gpusim.Chip.contention in
+  List.iter (add_float b)
+    [
+      k.Gpusim.Chip.dram_peak_bpc;
+      k.demand_peak_bpc;
+      k.throttle_max;
+      k.dram_util;
+    ];
+  add_int b (Bool.to_int k.spill_in_l2);
+  add_float b c.makespan_cycles;
+  add_int b c.tail_ctas;
+  add_int b c.rounds_total;
+  add_int b c.n_sms;
+  add_float b c.skew;
+  add_float b p.time_s;
+  add_float b p.points_per_sec
+
+let golden_options arch kernel n_warps =
+  let chem = kernel = Singe.Kernel_abi.Chemistry in
+  {
+    (Singe.Compile.default_options arch) with
+    Singe.Compile.n_warps;
+    max_barriers = (if chem then 16 else 8);
+    ctas_per_sm_target = (if chem then 1 else 2);
+  }
+
+(* Every partition candidate (and the hand partition) of a chemistry, a
+   transport and a stencil target, on both architectures, plus the hand
+   programs of three DME transport kernels whose constants overflow into
+   constant memory on Fermi (one of them thrashes the constant cache),
+   each at three launch sizes. A candidate that fails to compile or to
+   fit contributes a marker, so the candidate set itself is pinned too. *)
+let golden_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let programs = ref 0 in
+  let version = Singe.Compile.Warp_specialized in
+  let digest_program arch mech kernel options =
+    match Singe.Compile.compile_cached mech kernel version options with
+    | exception _ -> add_string b "compile-failed"
+    | c ->
+        incr programs;
+        let p = c.Singe.Compile.lowered.Singe.Lower.program in
+        add_trace b (Gpusim.Trace.flatten arch p);
+        List.iter
+          (fun total_points ->
+            match Singe.Perf_model.predict c ~total_points with
+            | exception _ -> add_string b "predict-failed"
+            | pred -> add_prediction b pred)
+          [ 2048; 32768; 262144 ]
+  in
+  let mech = hydrogen () in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun (kernel, n_warps) ->
+          let base = golden_options arch kernel n_warps in
+          let hand = Singe.Compile.compile_cached mech kernel version base in
+          List.iter
+            (digest_program arch mech kernel)
+            (base
+            :: Singe.Partition_search.candidate_options base
+                 hand.Singe.Compile.dfg))
+        [
+          (Singe.Kernel_abi.Chemistry, 4);
+          (Singe.Kernel_abi.Diffusion, 4);
+          (Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Edge3, 8);
+        ])
+    [ Gpusim.Arch.kepler_k20c; Gpusim.Arch.fermi_c2070 ];
+  let dme = dme () and fermi = Gpusim.Arch.fermi_c2070 in
+  List.iter
+    (fun (kernel, n_warps) ->
+      digest_program fermi dme kernel (golden_options fermi kernel n_warps))
+    [
+      (Singe.Kernel_abi.Viscosity, 4);
+      (Singe.Kernel_abi.Diffusion, 4);
+      (Singe.Kernel_abi.Diffusion, 8);
+    ];
+  (!programs, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_golden_bit_identity () =
+  let programs, digest = golden_digest () in
+  Alcotest.(check int) "programs digested" 273 programs;
+  Alcotest.(check string) "prediction and trace digest"
+    "4e31401a8c906494061f1ec37460e352" digest
+
 let tests =
   [
+    Alcotest.test_case "golden model and trace bit-identity" `Quick
+      test_golden_bit_identity;
     Alcotest.test_case "sim never beats floor or roofline" `Quick
       test_floor_and_roofline;
     Alcotest.test_case "model accuracy within 35%" `Quick test_model_accuracy;
