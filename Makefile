@@ -1,6 +1,6 @@
 .PHONY: all build test test-faults fmt fmt-check check perf perf-quick \
 	profile-smoke predict-smoke chip-smoke synth-smoke partition-smoke \
-	stencil-smoke serve-smoke serve-soak clean
+	stencil-smoke serve-smoke serve-soak perf-self-test clean
 
 all: build
 
@@ -33,9 +33,10 @@ fmt-check:
 # searcher rediscovers-or-beats the hand mapping under its deadlock gate,
 # the stencil pipelines stay bit-exact against their host oracle in both
 # tiling modes, and the serve loop answers a hostile request mix with
-# typed responses.
+# typed responses, and the benchmark driver still builds against the
+# library API and passes its own self-test.
 check: build fmt-check test perf-quick profile-smoke predict-smoke chip-smoke \
-	synth-smoke partition-smoke stencil-smoke serve-smoke
+	synth-smoke partition-smoke stencil-smoke serve-smoke perf-self-test
 
 # Machine-readable performance snapshot (see bench/main.ml).
 perf:
@@ -101,6 +102,15 @@ serve-smoke: build
 # against one warm serve process. On demand, not part of `make check`.
 serve-soak: build
 	dune exec bench/main.exe -- serve-soak
+
+# Benchmark self-test: perfbench/ calls compile_cached, the partition
+# search's candidate_options/gate/default_top_k and Perf_model.predict
+# directly, so an API change that breaks the benchmark build fails here.
+# Runs every workload briefly and checks metric names and units against
+# BENCHMARK.json, run-to-run determinism, every op's check, and the
+# traced run's span file (exit 1 on any failure).
+perf-self-test:
+	python3 perfbench/run.py --self-test
 
 clean:
 	dune clean

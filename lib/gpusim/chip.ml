@@ -153,6 +153,7 @@ let schedule ~n_sms ~skew ~resident ~ctas ~round_cycles ~round_dram_bytes
   if Float.abs skew >= 2.0 then
     invalid_arg "Chip.schedule: |skew| must be < 2 (clock factors must stay positive)";
   let remaining = ref ctas in
+  let factor = Array.init n_sms (clock_factor ~n_sms ~skew) in
   let rem_cycles = Array.make n_sms 0.0 in
   let rate_bytes = Array.make n_sms 0.0 in
   let ctas_run = Array.make n_sms 0 in
@@ -197,7 +198,7 @@ let schedule ~n_sms ~skew ~resident ~ctas ~round_cycles ~round_dram_bytes
     for i = 0 to n_sms - 1 do
       if rem_cycles.(i) > 0.0 then begin
         any := true;
-        demand := !demand +. (rate_bytes.(i) *. clock_factor ~n_sms ~skew i)
+        demand := !demand +. (rate_bytes.(i) *. factor.(i))
       end
     done;
     if not !any then running := false
@@ -211,7 +212,7 @@ let schedule ~n_sms ~skew ~resident ~ctas ~round_cycles ~round_dram_bytes
       let dt = ref infinity in
       for i = 0 to n_sms - 1 do
         if rem_cycles.(i) > 0.0 then begin
-          let rate = clock_factor ~n_sms ~skew i /. throttle in
+          let rate = factor.(i) /. throttle in
           dt := Float.min !dt (rem_cycles.(i) /. rate)
         end
       done;
@@ -219,7 +220,7 @@ let schedule ~n_sms ~skew ~resident ~ctas ~round_cycles ~round_dram_bytes
       now := !now +. dt;
       for i = 0 to n_sms - 1 do
         if rem_cycles.(i) > 0.0 then begin
-          let rate = clock_factor ~n_sms ~skew i /. throttle in
+          let rate = factor.(i) /. throttle in
           let left = rem_cycles.(i) -. (dt *. rate) in
           busy.(i) <- busy.(i) +. dt;
           if left <= 1e-9 *. (1.0 +. rem_cycles.(i)) then begin

@@ -19,6 +19,7 @@ type t = {
 
 let no_srcs : Isa.src array = [||]
 let no_shared : Isa.saddr array = [||]
+let any_saddr = Isa.sh 0
 
 (* Per-entry issue metadata, computed once here so [Sm.try_issue] does no
    per-issue pattern-matching re-work and allocates nothing: the
@@ -27,22 +28,34 @@ let no_shared : Isa.saddr array = [||]
    operand reads the constant cache, and the arith op's latency
    multiplier / DP-slot / FLOP figures. Entries are shared by every warp
    and batch, so everything here must be warp-independent (it is). *)
-let meta_of instr =
+let entry_of instr addr =
   match instr with
   | Some (Isa.Arith { op; srcs; _ }) ->
-      let shared_srcs =
-        Array.of_list
-          (List.filter_map
-             (function Isa.Sshared a -> Some a | _ -> None)
-             (Array.to_list srcs))
-      in
-      let has_const =
-        Array.exists
-          (function Isa.Sconst _ | Isa.Sconst_warp _ -> true | _ -> false)
-          srcs
-      in
-      (srcs, shared_srcs, has_const, Isa.fop_lat_mult op,
-       Isa.fop_dp_slots op, Isa.fop_flops op)
+      let n_shared = ref 0 and has_const = ref false in
+      for i = 0 to Array.length srcs - 1 do
+        match srcs.(i) with
+        | Isa.Sshared _ -> incr n_shared
+        | Isa.Sconst _ | Isa.Sconst_warp _ -> has_const := true
+        | Isa.Sreg _ | Isa.Simm _ -> ()
+      done;
+      let shared_srcs = Array.make !n_shared any_saddr and k = ref 0 in
+      for i = 0 to Array.length srcs - 1 do
+        match srcs.(i) with
+        | Isa.Sshared s ->
+            shared_srcs.(!k) <- s;
+            incr k
+        | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _ | Isa.Sconst_warp _ -> ()
+      done;
+      {
+        instr;
+        addr;
+        srcs;
+        shared_srcs;
+        has_const = !has_const;
+        lat_mult = Isa.fop_lat_mult op;
+        dp_slots = Isa.fop_dp_slots op;
+        flops = Isa.fop_flops op;
+      }
   | Some (Isa.Mov { src; _ }) | Some (Isa.St_global { src; _ })
   | Some (Isa.St_shared { src; _ }) ->
       let shared_srcs =
@@ -51,97 +64,137 @@ let meta_of instr =
       let has_const =
         match src with Isa.Sconst _ | Isa.Sconst_warp _ -> true | _ -> false
       in
-      ([| src |], shared_srcs, has_const, 1, 0.0, 0)
+      {
+        instr;
+        addr;
+        srcs = [| src |];
+        shared_srcs;
+        has_const;
+        lat_mult = 1;
+        dp_slots = 0.0;
+        flops = 0;
+      }
   | Some
       ( Isa.Ld_global _ | Isa.Ld_shared _ | Isa.Ld_local _ | Isa.St_local _
       | Isa.Ld_const_bank _ | Isa.Ld_param _ | Isa.Shfl _ | Isa.Ishfl _
       | Isa.Shfl_rot _ | Isa.Shfl_bfly _
       | Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta )
   | None ->
-      (no_srcs, no_shared, false, 1, 0.0, 0)
+      {
+        instr;
+        addr;
+        srcs = no_srcs;
+        shared_srcs = no_shared;
+        has_const = false;
+        lat_mult = 1;
+        dp_slots = 0.0;
+        flops = 0;
+      }
 
-let flatten (arch : Arch.t) (p : Isa.program) =
-  let entries = ref [] in
-  let n_entries = ref 0 in
-  let addr = ref 0 in
-  let push instr bytes =
-    let id = !n_entries in
-    let srcs, shared_srcs, has_const, lat_mult, dp_slots, flops =
-      meta_of instr
-    in
-    entries :=
-      { instr; addr = !addr; srcs; shared_srcs; has_const; lat_mult;
-        dp_slots; flops }
-      :: !entries;
-    incr n_entries;
-    addr := !addr + bytes;
-    id
-  in
-  let traces = Array.make p.Isa.n_warps [] in
-  let add_to warps id =
-    List.iter (fun w -> traces.(w) <- id :: traces.(w)) warps
-  in
+let no_entry = entry_of None 0
+
+(* Walk a block in layout order: [run warps instrs] for each straight-line
+   run and [branch warps] for each synthetic warp-id branch, where
+   [warps] is the bit set of warps that execute it (empty for the code of
+   absent [Switch_warp] arms, which still occupies address space). *)
+let walk_block ~n_warps ~run ~branch ~warps block =
   let rec walk warps block =
     match block with
-    | Isa.Instrs l ->
-        List.iter
-          (fun i -> add_to warps (push (Some i) (Isa.static_bytes arch i)))
-          l
+    | Isa.Instrs l -> run warps l
     | Isa.Seq bs -> List.iter (walk warps) bs
     | Isa.If_warps { mask; body } ->
         (* Every arriving warp executes the branch test. *)
-        add_to warps (push None arch.Arch.instr_bytes);
-        let inside = List.filter (fun w -> mask land (1 lsl w) <> 0) warps in
-        walk inside body
+        branch warps;
+        walk (warps land mask) body
     | Isa.Switch_warp bodies ->
-        add_to warps (push None arch.Arch.instr_bytes);
+        branch warps;
         Array.iteri
-          (fun w b ->
-            if List.mem w warps then walk [ w ] b
-            else
-              (* Code for absent warps still occupies address space. *)
-              walk [] b)
+          (fun w b -> walk (if w < n_warps then warps land (1 lsl w) else 0) b)
           bodies
   in
-  let all = List.init p.Isa.n_warps Fun.id in
-  walk all p.Isa.prologue;
-  let pro_marks = Array.map List.length traces in
-  walk all p.Isa.body;
-  let entries = Array.of_list (List.rev !entries) in
-  let split w =
-    let full = Array.of_list (List.rev traces.(w)) in
-    let n_pro = pro_marks.(w) in
-    ( Array.sub full 0 n_pro,
-      Array.sub full n_pro (Array.length full - n_pro) )
-  in
-  let per_warp = Array.init p.Isa.n_warps split in
-  let max_srcs =
-    Array.fold_left (fun acc e -> max acc (Array.length e.srcs)) 0 entries
-  in
-  {
-    entries;
-    prologue = Array.map fst per_warp;
-    body = Array.map snd per_warp;
-    code_bytes = !addr;
-    max_srcs;
-  }
+  walk warps block
 
+type phase = Prologue | Body
+
+let check_warps n_warps =
+  if n_warps >= Sys.int_size then
+    invalid_arg "Trace: more warps than a warp bit set holds"
+
+let iter (arch : Arch.t) (p : Isa.program) f =
+  let n_warps = p.Isa.n_warps in
+  check_warps n_warps;
+  let addr = ref 0 in
+  let emit phase warps instr bytes =
+    f phase warps (entry_of instr !addr);
+    addr := !addr + bytes
+  in
+  let walk phase block =
+    walk_block ~n_warps ~warps:((1 lsl n_warps) - 1) block
+      ~run:(fun warps l ->
+        List.iter (fun i -> emit phase warps (Some i) (Isa.static_bytes arch i)) l)
+      ~branch:(fun warps -> emit phase warps None arch.Arch.instr_bytes)
+  in
+  walk Prologue p.Isa.prologue;
+  walk Body p.Isa.body;
+  !addr
+
+(* Two walks: the first sizes every array exactly, the second ([iter])
+   fills them in place, so the trace is built with no intermediate lists
+   or copies. *)
+let flatten (arch : Arch.t) (p : Isa.program) =
+  let n_warps = p.Isa.n_warps in
+  check_warps n_warps;
+  let n_entries = ref 0 in
+  let sizes block =
+    let lens = Array.make n_warps 0 in
+    let add warps n =
+      n_entries := !n_entries + n;
+      for w = 0 to n_warps - 1 do
+        if warps land (1 lsl w) <> 0 then lens.(w) <- lens.(w) + n
+      done
+    in
+    walk_block ~n_warps ~warps:((1 lsl n_warps) - 1) block
+      ~run:(fun warps l -> add warps (List.length l))
+      ~branch:(fun warps -> add warps 1);
+    Array.map (fun n -> Array.make n 0) lens
+  in
+  let prologue = sizes p.Isa.prologue in
+  let body = sizes p.Isa.body in
+  let entries = Array.make !n_entries no_entry in
+  let next_id = ref 0 and max_srcs = ref 0 in
+  let pro_pos = Array.make n_warps 0 and body_pos = Array.make n_warps 0 in
+  let assign per_warp pos warps id =
+    for w = 0 to n_warps - 1 do
+      if warps land (1 lsl w) <> 0 then begin
+        per_warp.(w).(pos.(w)) <- id;
+        pos.(w) <- pos.(w) + 1
+      end
+    done
+  in
+  let code_bytes =
+    iter arch p (fun phase warps e ->
+        let id = !next_id in
+        entries.(id) <- e;
+        max_srcs := max !max_srcs (Array.length e.srcs);
+        incr next_id;
+        match phase with
+        | Prologue -> assign prologue pro_pos warps id
+        | Body -> assign body body_pos warps id)
+  in
+  { entries; prologue; body; code_bytes; max_srcs = !max_srcs }
+
+(* A warp's stream holds each entry at most once, and addresses increase
+   with entry ids, so every body entry adds its own span of bytes. *)
 let body_footprint_bytes t ~warp =
-  let lines = Hashtbl.create 64 in
-  let bytes = ref 0 in
-  Array.iter
-    (fun id ->
+  Array.fold_left
+    (fun bytes id ->
       let e = t.entries.(id) in
-      if not (Hashtbl.mem lines e.addr) then begin
-        Hashtbl.add lines e.addr ();
-        let next =
-          if id + 1 < Array.length t.entries then t.entries.(id + 1).addr
-          else e.addr + 8
-        in
-        bytes := !bytes + (next - e.addr)
-      end)
-    t.body.(warp);
-  !bytes
+      let next =
+        if id + 1 < Array.length t.entries then t.entries.(id + 1).addr
+        else e.addr + 8
+      in
+      bytes + (next - e.addr))
+    0 t.body.(warp)
 
 type cursor = { mutable phase : int; mutable pos : int; mutable batch : int }
 

@@ -35,6 +35,17 @@ type t = {
 
 val flatten : Arch.t -> Isa.program -> t
 
+type phase = Prologue | Body
+
+val iter : Arch.t -> Isa.program -> (phase -> int -> entry -> unit) -> int
+(** [iter arch p f] calls [f phase warps e] for every entry of
+    [flatten arch p], in address order, where [warps] is the bit set of
+    warps that execute [e] (bit [w] for warp [w]; empty for the code of
+    an absent [Switch_warp] arm). Each entry is built afresh and not
+    kept, so a consumer that drops it leaves only short-lived garbage.
+    Returns the code size in bytes. Programs of more than 62 warps are
+    rejected with [Invalid_argument], as by {!flatten}. *)
+
 val body_footprint_bytes : t -> warp:int -> int
 (** Total code bytes the given warp touches in one batch (the per-warp
     instruction-stream footprint that drives Fig. 9). *)

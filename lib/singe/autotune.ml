@@ -131,8 +131,9 @@ let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
      report where the model ranked the measured winner. A candidate that
      fails to compile or fit is a failure in either mode — the model
      never sees it. *)
+  let compile = Compile.compile_cached mech kernel version in
   let score (_idx, options) =
-    let compiled = Compile.compile_cached mech kernel version options in
+    let compiled = compile options in
     let predicted =
       Perf_model.predict ?n_sms ?skew compiled ~total_points:points
     in

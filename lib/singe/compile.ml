@@ -535,11 +535,22 @@ let memo_stats () =
   Mutex.unlock memo_mutex;
   s
 
-let memo_key mech kernel version options =
-  Digest.string (Marshal.to_string (mech, kernel, version, options) [])
+(* Digest of a value's marshalled bytes, marshalled into a per-domain
+   buffer that is reused (and grown on overflow): a mechanism marshals to
+   tens of kilobytes, which as a fresh string would go straight to the
+   major heap on every lookup. *)
+let marshal_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
-let compile_cached mech kernel version options =
-  let key = memo_key mech kernel version options in
+let rec digest_of v =
+  let buf = Domain.DLS.get marshal_buffer in
+  match Marshal.to_buffer buf 0 (Bytes.length buf) v [] with
+  | len -> Digest.subbytes buf 0 len
+  | exception Failure _ ->
+      Domain.DLS.set marshal_buffer (Bytes.create (2 * Bytes.length buf));
+      digest_of v
+
+(* Serve [key] from the memo, or compile and insert it. *)
+let memo_find_or_compile key mech kernel version options =
   let cached =
     Mutex.lock memo_mutex;
     let v =
@@ -579,6 +590,17 @@ let compile_cached mech kernel version options =
       end;
       Mutex.unlock memo_mutex;
       t
+
+(* The key is the digest of everything a compile reads: the target
+   (mechanism, kernel, version), digested once per partial application
+   so a sweep over one target marshals its mechanism once, then the
+   options and the environment switch the lowering consults. *)
+let compile_cached mech kernel version =
+  let target = digest_of (mech, kernel, version) in
+  fun options ->
+    memo_find_or_compile
+      (digest_of (target, options, Lower.list_scheduling_enabled ()))
+      mech kernel version options
 
 let memo_poison_for_test () =
   Mutex.lock memo_mutex;

@@ -153,10 +153,15 @@ val compile_checked :
 val compile_cached :
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> t
 (** {!compile} through a process-wide memo table keyed by the digest of
-    the entire (mechanism, kernel, version, options) configuration — the
-    pipeline is deterministic, so identical configurations compile once
-    per process no matter how many sweep workers ask. Thread-safe; only
-    successful compiles are cached (failures re-raise every time). *)
+    the entire (mechanism, kernel, version, options) configuration plus
+    {!Lower.list_scheduling_enabled} — the pipeline is deterministic, so
+    identical configurations compile once per process no matter how many
+    sweep workers ask. Thread-safe; only successful compiles are cached
+    (failures re-raise every time).
+
+    Partial application digests the target once: a sweep binds
+    [let compile = compile_cached mech kernel version] and each
+    [compile options] lookup then marshals only the options. *)
 
 val memo_clear : unit -> unit
 (** Drop every memoized compilation (for tests and long-lived servers). *)

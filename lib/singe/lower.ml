@@ -1160,12 +1160,16 @@ let schedule_segment (seg : (int * vinstr) array) =
     Array.of_list (List.rev !out)
   end
 
-let list_schedule (code : (int * vinstr) list) =
-  (* An empty value means unset: drivers (and tests) can only clear an
-     environment variable by [putenv "" ], not remove it. *)
+(* An empty value means unset: drivers (and tests) can only clear an
+   environment variable by [putenv "" ], not remove it. *)
+let list_scheduling_enabled () =
   match Sys.getenv_opt "SINGE_NO_SCHED" with
-  | Some s when s <> "" -> code
-  | _ ->
+  | Some s when s <> "" -> false
+  | _ -> true
+
+let list_schedule (code : (int * vinstr) list) =
+  if not (list_scheduling_enabled ()) then code
+  else
   (* Split at mask changes and barrier fences; schedule each segment. *)
   let out = ref [] in
   let seg = ref [] in

@@ -73,6 +73,12 @@ val derived_live_slack : freg_budget:int -> Dfg.t -> Mapping.t -> int
     a window proportional to it. Replaces the fixed 200-position constant
     the gate shipped with. *)
 
+val list_scheduling_enabled : unit -> bool
+(** Whether {!lower} list-schedules each straight-line segment: true
+    unless [SINGE_NO_SCHED] is set to a non-empty value (the ablation
+    switch). The compile memo keys on it, since it changes the lowered
+    program. *)
+
 val lower :
   config ->
   name:string ->

@@ -148,7 +148,10 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
     version ~base () =
   let base = { base with Compile.partition = Compile.Partition_hand } in
   match
-    let hand = Compile.compile_cached mech kernel version base in
+    (* One mechanism digest for the whole search: every lookup below keys
+       on it plus the candidate's options. *)
+    let compile = Compile.compile_cached mech kernel version in
+    let hand = compile base in
     let hand_pred = Perf_model.predict ?n_sms ?skew hand ~total_points:points in
     if version = Compile.Baseline then
       (* The data-parallel baseline maps onto a single warp; there is
@@ -160,7 +163,7 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
       (* Phase A — compile (through the shared memo) and score the whole
          population analytically. *)
       let score (_i, options) =
-        let c = Compile.compile_cached mech kernel version options in
+        let c = compile options in
         let p = Perf_model.predict ?n_sms ?skew c ~total_points:points in
         (c, p)
       in

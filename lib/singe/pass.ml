@@ -57,7 +57,7 @@ let run t ~name ?(stats = fun _ -> []) f =
       v
   | exception e ->
       record t ~name ~kind:Transform ~wall_ns:(now_ns () -. t0) ~stats:[]
-        ~ok:true;
+        ~ok:false;
       raise e
 
 let validate t ~name f =

@@ -24,7 +24,9 @@ type record = {
   runs : int;  (** executions merged into this record *)
   wall_ns : float;  (** cumulative wall-clock time over all runs *)
   stats : stat list;  (** artifact statistics of the last run *)
-  ok : bool;  (** false only for a validation pass that found problems *)
+  ok : bool;
+      (** false when a run of the pass failed: a validation pass that found
+          problems, or a transform pass that raised *)
 }
 
 type report = {
@@ -43,7 +45,7 @@ val create : string -> t
 val run : t -> name:string -> ?stats:('a -> stat list) -> (unit -> 'a) -> 'a
 (** Execute a transform pass: time [f ()], record the artifact statistics
     [stats] extracts from its result, and return the result. Exceptions
-    propagate untouched (after the timing is recorded). *)
+    propagate untouched, after the run is recorded as failed. *)
 
 val validate : t -> name:string -> (unit -> (unit, string list) result) -> unit
 (** Execute a validation pass. On [Error problems] the record is marked

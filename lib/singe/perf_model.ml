@@ -75,7 +75,9 @@ type prediction = {
 }
 
 (* Accumulated cost of a run of instructions between barrier operations —
-   also used (summed over every warp) as the per-batch resource demand. *)
+   also used (summed over every warp) as the per-batch resource demand.
+   Every field is a float (the two counts too) so OCaml stores the record
+   flat and the per-entry updates allocate nothing. *)
 type seg = {
   mutable instrs : float;  (* issue slots; also the warp's 1-IPC floor *)
   mutable dp : float;  (* DP slots, constant-operand penalty applied *)
@@ -83,8 +85,8 @@ type seg = {
   mutable lsu : float;
   mutable shared : float;  (* shared-pipe slots *)
   mutable chain : float;  (* arith+shared dependence latency, serial sum *)
-  mutable loads : int;  (* global-latency loads (global/local/const/param) *)
-  mutable n_const : int;  (* instructions with constant-memory operands *)
+  mutable loads : float;  (* global-latency loads (global/local/const/param) *)
+  mutable n_const : float;  (* instructions with constant-memory operands *)
   mutable tex_b : float;
   mutable glob_b : float;
   mutable loc_b : float;
@@ -98,25 +100,12 @@ let seg_zero () =
     lsu = 0.0;
     shared = 0.0;
     chain = 0.0;
-    loads = 0;
-    n_const = 0;
+    loads = 0.0;
+    n_const = 0.0;
     tex_b = 0.0;
     glob_b = 0.0;
     loc_b = 0.0;
   }
-
-let seg_reset s =
-  s.instrs <- 0.0;
-  s.dp <- 0.0;
-  s.alu <- 0.0;
-  s.lsu <- 0.0;
-  s.shared <- 0.0;
-  s.chain <- 0.0;
-  s.loads <- 0;
-  s.n_const <- 0;
-  s.tex_b <- 0.0;
-  s.glob_b <- 0.0;
-  s.loc_b <- 0.0
 
 let seg_add_into ~(dst : seg) (s : seg) =
   dst.instrs <- dst.instrs +. s.instrs;
@@ -125,8 +114,8 @@ let seg_add_into ~(dst : seg) (s : seg) =
   dst.lsu <- dst.lsu +. s.lsu;
   dst.shared <- dst.shared +. s.shared;
   dst.chain <- dst.chain +. s.chain;
-  dst.loads <- dst.loads + s.loads;
-  dst.n_const <- dst.n_const + s.n_const;
+  dst.loads <- dst.loads +. s.loads;
+  dst.n_const <- dst.n_const +. s.n_const;
   dst.tex_b <- dst.tex_b +. s.tex_b;
   dst.glob_b <- dst.glob_b +. s.glob_b;
   dst.loc_b <- dst.loc_b +. s.loc_b
@@ -136,25 +125,27 @@ let active_lanes = function
   | Some (I.Lane_eq _) -> 1
   | Some (I.Lane_lt n) -> n
 
+(* DP-slot multiplier of an arith op: constant operands (and Exp/Log's
+   polynomial constants, unless held in registers) go through the
+   operand-collector penalty. *)
+let[@inline] arith_penalty (arch : A.t) (p : I.program) (e : T.entry) op =
+  if
+    e.T.has_const
+    || ((op = I.Exp || op = I.Log) && not p.I.exp_consts_in_registers)
+  then arch.A.const_operand_penalty
+  else 1.0
+
 (* Mirror the simulator's issue-path charging for one trace entry
    (pipe slots, result latencies, bytes on each memory path). *)
 let charge (arch : A.t) (p : I.program) (s : seg) (e : T.entry) =
   s.instrs <- s.instrs +. 1.0;
-  if e.T.has_const then s.n_const <- s.n_const + 1;
+  if e.T.has_const then s.n_const <- s.n_const +. 1.0;
   match e.T.instr with
   | None -> s.alu <- s.alu +. 1.0 (* synthetic warp-id branch *)
   | Some instr -> (
       match instr with
       | I.Arith { op; _ } ->
-          let penalty =
-            if
-              e.T.has_const
-              || ((op = I.Exp || op = I.Log)
-                 && not p.I.exp_consts_in_registers)
-            then arch.A.const_operand_penalty
-            else 1.0
-          in
-          s.dp <- s.dp +. (e.T.dp_slots *. penalty);
+          s.dp <- s.dp +. (e.T.dp_slots *. arith_penalty arch p e op);
           s.chain <-
             s.chain +. float_of_int (arch.A.arith_latency * e.T.lat_mult);
           let n_shared = Array.length e.T.shared_srcs in
@@ -172,7 +163,7 @@ let charge (arch : A.t) (p : I.program) (s : seg) (e : T.entry) =
           end
       | I.Ld_global { via_tex; _ } ->
           s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads + 1;
+          s.loads <- s.loads +. 1.0;
           let bytes = 8.0 *. 32.0 in
           if via_tex && arch.A.has_ldg then s.tex_b <- s.tex_b +. bytes
           else s.glob_b <- s.glob_b +. bytes
@@ -188,20 +179,20 @@ let charge (arch : A.t) (p : I.program) (s : seg) (e : T.entry) =
           s.shared <- s.shared +. 1.0
       | I.Ld_local _ ->
           s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads + 1;
+          s.loads <- s.loads +. 1.0;
           s.loc_b <- s.loc_b +. (8.0 *. 32.0)
       | I.St_local _ ->
           s.lsu <- s.lsu +. 1.0;
           s.loc_b <- s.loc_b +. (8.0 *. 32.0)
       | I.Ld_const_bank _ ->
           s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads + 1;
+          s.loads <- s.loads +. 1.0;
           let bytes = 8.0 *. 32.0 in
           if arch.A.has_ldg then s.tex_b <- s.tex_b +. bytes
           else s.glob_b <- s.glob_b +. bytes
       | I.Ld_param _ ->
           s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads + 1;
+          s.loads <- s.loads +. 1.0;
           let bytes = 4.0 *. 32.0 in
           if arch.A.has_ldg then s.tex_b <- s.tex_b +. bytes
           else s.glob_b <- s.glob_b +. bytes
@@ -219,242 +210,248 @@ let charge (arch : A.t) (p : I.program) (s : seg) (e : T.entry) =
    memory-path backlog — but no cross-warp contention, which is the
    throughput term's job. This is what turns the lowered code's actual
    ILP into exposed stall cycles instead of guessing an exposure
-   scalar. *)
-type walk = {
-  freg : float array;  (* result-ready time per double register *)
-  ireg : float array;
+   scalar. The clocks are an all-float record (stored flat, so updating
+   them allocates nothing); the register scoreboards are float arrays. *)
+type clocks = {
   mutable clk : float;  (* this warp's issue clock *)
+  mutable seg_start : float;  (* [clk] when the current segment began *)
   mutable dp_free : float;  (* own next-issue time per pipe *)
   mutable alu_free : float;
   mutable lsu_free : float;
   mutable sh_free : float;
-  mutable tex_drain : float;  (* own backlog per memory path *)
-  mutable glob_drain : float;
-  mutable loc_drain : float;
+}
+
+(* The memory paths (texture, global, local spill), as indexes into
+   [drain], [rate] and the per-path user counts. *)
+let tex = 0
+let glob = 1
+let loc = 2
+
+type walk = {
+  freg : float array;  (* result-ready time per double register *)
+  ireg : float array;
+  drain : float array;  (* own backlog per memory path *)
+  c : clocks;
 }
 
 let walk_make (p : I.program) =
   {
     freg = Array.make (max 1 p.I.n_fregs) 0.0;
     ireg = Array.make (max 1 p.I.n_iregs) 0.0;
-    clk = 0.0;
-    dp_free = 0.0;
-    alu_free = 0.0;
-    lsu_free = 0.0;
-    sh_free = 0.0;
-    tex_drain = 0.0;
-    glob_drain = 0.0;
-    loc_drain = 0.0;
+    drain = Array.make 3 0.0;
+    c =
+      {
+        clk = 0.0;
+        seg_start = 0.0;
+        dp_free = 0.0;
+        alu_free = 0.0;
+        lsu_free = 0.0;
+        sh_free = 0.0;
+      };
   }
 
-(* Average queueing pressure a warp sees on a shared memory path: with S
-   co-resident warps feeding the path, a load's backlog is on average
-   half the pack's concurrent transfers. *)
-type path_mult = { tex_m : float; glob_m : float; loc_m : float }
+(* Per-walk constants of [walk_step]: each memory path's transfer rate
+   under its queueing pressure, and the per-access constant-cache stall
+   charged once the working set thrashes. *)
+type walk_rates = {
+  rate : float array;  (* bytes per cycle, per memory path *)
+  lat : float;
+  thrash : bool;
+  cc_stall : float;
+}
 
-let walk_step (arch : A.t) (p : I.program) ~ccache_thrash ~(pm : path_mult)
-    (wk : walk) (e : T.entry) =
+(* Queueing pressure per memory path: with S co-resident warps feeding a
+   path, an access waits on average behind half the pack's concurrent
+   transfers (the full simulator keeps one shared drain per path).
+   [users] counts one CTA's warps on each path. *)
+let walk_rates (arch : A.t) ~(users : int array) ~resident ~ccache_thrash =
+  let mult b =
+    let own = float_of_int users.(b) in
+    let others = cross_cta_overlap *. own *. float_of_int (resident - 1) in
+    Float.max 1.0 ((own +. others) /. 2.0)
+  in
+  {
+    rate =
+      [|
+        arch.A.tex_bytes_per_cycle /. mult tex;
+        arch.A.global_bytes_per_cycle /. mult glob;
+        arch.A.local_bytes_per_cycle /. mult loc;
+      |];
+    lat = float_of_int arch.A.global_latency;
+    thrash = ccache_thrash;
+    cc_stall = ccache_exposure *. float_of_int arch.A.global_latency;
+  }
+
+(* Pipe gate mirrors [pipe_free]: issue once the pipe's backlog is under a
+   cycle; the caller deepens the pipe to the returned time. *)
+let[@inline] gate c free slots rate =
+  c.clk <- Float.max c.clk (free -. 1.0);
+  c.clk +. (slots /. rate)
+
+(* A transfer on memory path [k]: start once the path's own backlog
+   drains, deepen it by the transfer, and return the completion delay
+   past [clk]. *)
+let[@inline] path_done wk (r : walk_rates) k bytes =
+  let transfer = bytes /. r.rate.(k) in
+  let start = Float.max wk.drain.(k) wk.c.clk in
+  wk.drain.(k) <- start +. transfer;
+  start +. transfer -. wk.c.clk
+
+let walk_step (arch : A.t) (p : I.program) (r : walk_rates) (wk : walk)
+    (e : T.entry) =
+  let c = wk.c in
   let ready = ref 0.0 in
-  Array.iter
-    (function
-      | I.Sreg r -> if wk.freg.(r) > !ready then ready := wk.freg.(r)
-      | I.Sshared { I.s_ireg = Some r; _ } ->
-          if wk.ireg.(r) > !ready then ready := wk.ireg.(r)
-      | I.Sshared _ | I.Simm _ | I.Sconst _ | I.Sconst_warp _ -> ())
-    e.T.srcs;
-  wk.clk <- Float.max (wk.clk +. 1.0) !ready;
-  if ccache_thrash && e.T.has_const then
-    wk.clk <-
-      wk.clk +. (ccache_exposure *. float_of_int arch.A.global_latency);
-  (* Pipe gate mirrors [pipe_free]: issue once the pipe's backlog is
-     under a cycle, then deepen it by the op's slots. *)
-  let gate free slots rate =
-    wk.clk <- Float.max wk.clk (free -. 1.0);
-    wk.clk +. (slots /. rate)
-  in
-  let path_done get set bytes rate =
-    let transfer = bytes /. rate in
-    let start = Float.max (get ()) wk.clk in
-    set (start +. transfer);
-    start +. transfer -. wk.clk
-  in
-  let tex_rate = arch.A.tex_bytes_per_cycle /. pm.tex_m in
-  let glob_rate = arch.A.global_bytes_per_cycle /. pm.glob_m in
-  let loc_rate = arch.A.local_bytes_per_cycle /. pm.loc_m in
-  let lat = float_of_int arch.A.global_latency in
+  let srcs = e.T.srcs in
+  for i = 0 to Array.length srcs - 1 do
+    match srcs.(i) with
+    | I.Sreg x -> if wk.freg.(x) > !ready then ready := wk.freg.(x)
+    | I.Sshared { I.s_ireg = Some x; _ } ->
+        if wk.ireg.(x) > !ready then ready := wk.ireg.(x)
+    | I.Sshared _ | I.Simm _ | I.Sconst _ | I.Sconst_warp _ -> ()
+  done;
+  c.clk <- Float.max (c.clk +. 1.0) !ready;
+  if r.thrash && e.T.has_const then c.clk <- c.clk +. r.cc_stall;
   match e.T.instr with
-  | None -> wk.alu_free <- gate wk.alu_free 1.0 arch.A.alu_issue_per_cycle
+  | None -> c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle
   | Some instr -> (
       match instr with
       | I.Arith { op; dst; _ } ->
-          let penalty =
-            if
-              e.T.has_const
-              || ((op = I.Exp || op = I.Log)
-                 && not p.I.exp_consts_in_registers)
-            then arch.A.const_operand_penalty
-            else 1.0
-          in
-          wk.dp_free <-
-            gate wk.dp_free
-              (e.T.dp_slots *. penalty)
+          c.dp_free <-
+            gate c c.dp_free
+              (e.T.dp_slots *. arith_penalty arch p e op)
               arch.A.dp_issue_per_cycle;
           let n_shared = Array.length e.T.shared_srcs in
           let extra =
             if n_shared > 0 then begin
               if not arch.A.shared_operand_collector then
-                wk.sh_free <-
-                  gate wk.sh_free (float_of_int n_shared)
+                c.sh_free <-
+                  gate c c.sh_free (float_of_int n_shared)
                     arch.A.shared_issue_per_cycle;
               float_of_int arch.A.shared_latency
             end
             else 0.0
           in
           wk.freg.(dst) <-
-            wk.clk
+            c.clk
             +. float_of_int (arch.A.arith_latency * e.T.lat_mult)
             +. extra
       | I.Mov { dst; src; _ } ->
-          wk.alu_free <- gate wk.alu_free 1.0 arch.A.alu_issue_per_cycle;
+          c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle;
           let extra =
             match src with
             | I.Sshared _ ->
-                wk.sh_free <-
-                  gate wk.sh_free 1.0 arch.A.shared_issue_per_cycle;
+                c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle;
                 float_of_int arch.A.shared_latency
             | _ -> 0.0
           in
-          wk.freg.(dst) <-
-            wk.clk +. float_of_int arch.A.arith_latency +. extra
+          wk.freg.(dst) <- c.clk +. float_of_int arch.A.arith_latency +. extra
       | I.Ld_global { dst; via_tex; _ } ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           let done_in =
-            if via_tex && arch.A.has_ldg then
-              path_done
-                (fun () -> wk.tex_drain)
-                (fun v -> wk.tex_drain <- v)
-                256.0 tex_rate
-            else
-              path_done
-                (fun () -> wk.glob_drain)
-                (fun v -> wk.glob_drain <- v)
-                256.0 glob_rate
+            path_done wk r (if via_tex && arch.A.has_ldg then tex else glob) 256.0
           in
-          wk.freg.(dst) <- wk.clk +. lat +. done_in
+          wk.freg.(dst) <- c.clk +. r.lat +. done_in
       | I.St_global { pred; _ } ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           ignore
-            (path_done
-               (fun () -> wk.glob_drain)
-               (fun v -> wk.glob_drain <- v)
-               (8.0 *. float_of_int (active_lanes pred))
-               glob_rate)
+            (path_done wk r glob (8.0 *. float_of_int (active_lanes pred)))
       | I.Ld_shared { dst; _ } ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
-          wk.sh_free <- gate wk.sh_free 1.0 arch.A.shared_issue_per_cycle;
-          wk.freg.(dst) <- wk.clk +. float_of_int arch.A.shared_latency
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
+          c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle;
+          wk.freg.(dst) <- c.clk +. float_of_int arch.A.shared_latency
       | I.St_shared _ ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
-          wk.sh_free <- gate wk.sh_free 1.0 arch.A.shared_issue_per_cycle
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
+          c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle
       | I.Ld_local { dst; _ } ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
-          let done_in =
-            path_done
-              (fun () -> wk.loc_drain)
-              (fun v -> wk.loc_drain <- v)
-              256.0 loc_rate
-          in
-          wk.freg.(dst) <- wk.clk +. lat +. done_in
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
+          let done_in = path_done wk r loc 256.0 in
+          wk.freg.(dst) <- c.clk +. r.lat +. done_in
       | I.St_local _ ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
-          ignore
-            (path_done
-               (fun () -> wk.loc_drain)
-               (fun v -> wk.loc_drain <- v)
-               256.0 loc_rate)
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
+          ignore (path_done wk r loc 256.0)
       | I.Ld_const_bank { dst; _ } ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           let done_in =
-            if arch.A.has_ldg then
-              path_done
-                (fun () -> wk.tex_drain)
-                (fun v -> wk.tex_drain <- v)
-                256.0 tex_rate
-            else
-              path_done
-                (fun () -> wk.glob_drain)
-                (fun v -> wk.glob_drain <- v)
-                256.0 glob_rate
+            path_done wk r (if arch.A.has_ldg then tex else glob) 256.0
           in
-          wk.freg.(dst) <- wk.clk +. lat +. done_in
+          wk.freg.(dst) <- c.clk +. r.lat +. done_in
       | I.Ld_param { dst_i; _ } ->
-          wk.lsu_free <- gate wk.lsu_free 1.0 1.0;
+          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           let done_in =
-            if arch.A.has_ldg then
-              path_done
-                (fun () -> wk.tex_drain)
-                (fun v -> wk.tex_drain <- v)
-                128.0 tex_rate
-            else
-              path_done
-                (fun () -> wk.glob_drain)
-                (fun v -> wk.glob_drain <- v)
-                128.0 glob_rate
+            path_done wk r (if arch.A.has_ldg then tex else glob) 128.0
           in
-          wk.ireg.(dst_i) <- wk.clk +. lat +. done_in
+          wk.ireg.(dst_i) <- c.clk +. r.lat +. done_in
       | I.Shfl { dst; _ } | I.Shfl_rot { dst; _ } | I.Shfl_bfly { dst; _ } ->
-          wk.alu_free <- gate wk.alu_free 2.0 arch.A.alu_issue_per_cycle;
-          wk.freg.(dst) <- wk.clk +. float_of_int arch.A.arith_latency
+          c.alu_free <- gate c c.alu_free 2.0 arch.A.alu_issue_per_cycle;
+          wk.freg.(dst) <- c.clk +. float_of_int arch.A.arith_latency
       | I.Ishfl { dst_i; _ } ->
-          wk.alu_free <- gate wk.alu_free 1.0 arch.A.alu_issue_per_cycle;
-          wk.ireg.(dst_i) <- wk.clk +. float_of_int arch.A.arith_latency
+          c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle;
+          wk.ireg.(dst_i) <- c.clk +. float_of_int arch.A.arith_latency
       | I.Bar_arrive _ | I.Bar_sync _ | I.Bar_cta ->
-          wk.alu_free <- gate wk.alu_free 1.0 arch.A.alu_issue_per_cycle)
+          c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle)
 
 (* One warp's stream, segmented at barrier operations. *)
 type item = Cost of float | Arrive of int * int | Syncb of int * int | Cta
 
-let items_of (arch : A.t) (p : I.program) ~ccache_thrash ~(pm : path_mult)
-    ~(agg : seg) (tr : T.t) ids =
-  let items = ref [] in
-  let s = seg_zero () in
-  let wk = walk_make p in
-  let seg_start = ref 0.0 in
-  let flush () =
-    if s.instrs > 0.0 then begin
-      seg_add_into ~dst:agg s;
-      items := Cost (wk.clk -. !seg_start) :: !items;
-      seg_reset s
-    end;
-    seg_start := wk.clk
-  in
-  Array.iter
-    (fun id ->
-      let e = tr.T.entries.(id) in
-      charge arch p s e;
-      walk_step arch p ~ccache_thrash ~pm wk e;
-      match e.T.instr with
-      | Some (I.Bar_arrive { bar; count }) ->
-          flush ();
-          items := Arrive (bar, count) :: !items
-      | Some (I.Bar_sync { bar; count }) ->
-          flush ();
-          items := Syncb (bar, count) :: !items
-      | Some I.Bar_cta ->
-          flush ();
-          items := Cta :: !items
-      | _ -> ())
-    ids;
-  flush ();
-  Array.of_list (List.rev !items)
+(* One warp's walk through one phase: its scoreboard, the open segment,
+   and the items and segments it has closed so far (both newest first). *)
+type stream = {
+  wk : walk;
+  mutable s : seg;
+  mutable items : item list;
+  mutable closed : seg list;
+}
 
-(* Abstract rendezvous execution: every warp accumulates its segment
-   costs; named and CTA barriers propagate the latest arrival time to
-   their waiters (the simulator's barrier semantics, without cycles).
-   Warps left blocked at the end (their producer's arrival lies beyond
-   the walked batches) simply keep their arrival time. Returns the
-   per-warp finish times. *)
-let rendezvous n_warps (streams : item array array) =
+let stream_make p =
+  { wk = walk_make p; s = seg_zero (); items = []; closed = [] }
+
+(* Close the open segment at a barrier operation or the stream's end. *)
+let flush st =
+  let c = st.wk.c in
+  if st.s.instrs > 0.0 then begin
+    st.closed <- st.s :: st.closed;
+    st.items <- Cost (c.clk -. c.seg_start) :: st.items;
+    st.s <- seg_zero ()
+  end;
+  c.seg_start <- c.clk
+
+let step (arch : A.t) (p : I.program) (r : walk_rates) st (e : T.entry) =
+  charge arch p st.s e;
+  walk_step arch p r st.wk e;
+  match e.T.instr with
+  | Some (I.Bar_arrive { bar; count }) ->
+      flush st;
+      st.items <- Arrive (bar, count) :: st.items
+  | Some (I.Bar_sync { bar; count }) ->
+      flush st;
+      st.items <- Syncb (bar, count) :: st.items
+  | Some I.Bar_cta ->
+      flush st;
+      st.items <- Cta :: st.items
+  | _ -> ()
+
+(* A phase's per-warp item streams, and its per-batch demand: every
+   closed segment summed warp by warp, in stream order. *)
+let finish (streams : stream array) =
+  let agg = seg_zero () in
+  let items =
+    Array.map
+      (fun st ->
+        flush st;
+        List.iter (seg_add_into ~dst:agg) (List.rev st.closed);
+        Array.of_list (List.rev st.items))
+      streams
+  in
+  (items, agg)
+
+(* Abstract rendezvous execution over [reps] back-to-back repetitions of
+   every warp's stream: every warp accumulates its segment costs; named
+   and CTA barriers propagate the latest arrival time to their waiters
+   (the simulator's barrier semantics, without cycles). Warps left
+   blocked at the end (their producer's arrival lies beyond the walked
+   batches) simply keep their arrival time. Returns the latest per-warp
+   finish time. *)
+let rendezvous ?(reps = 1) n_warps (streams : item array array) =
   let t = Array.make n_warps 0.0 in
   let pos = Array.make n_warps 0 in
   let blocked = Array.make n_warps false in
@@ -476,9 +473,11 @@ let rendezvous n_warps (streams : item array array) =
   while !progress do
     progress := false;
     for w = 0 to n_warps - 1 do
-      while (not blocked.(w)) && pos.(w) < Array.length streams.(w) do
+      let stream = streams.(w) in
+      let len = Array.length stream in
+      while (not blocked.(w)) && pos.(w) < reps * len do
         progress := true;
-        (match streams.(w).(pos.(w)) with
+        (match stream.(pos.(w) mod len) with
         | Cost c -> t.(w) <- t.(w) +. c
         | Arrive (b, count) ->
             bar_time.(b) <- Float.max bar_time.(b) t.(w);
@@ -523,11 +522,6 @@ let rendezvous n_warps (streams : item array array) =
   done;
   Array.fold_left Float.max 0.0 t
 
-let repeat_streams k streams =
-  Array.map
-    (fun (s : item array) -> Array.concat (List.init k (fun _ -> s)))
-    streams
-
 (* Per-CTA-batch demand over the shared pipes and paths, as SM cycles;
    the largest entry is the throughput floor on a batch. *)
 let demand_terms (arch : A.t) (s : seg) =
@@ -563,48 +557,107 @@ let rec long_paths (b : I.block) =
           + long_paths arm)
         0 arms
 
-let distinct_lines (arch : A.t) (tr : T.t) (per_warp : int array array) =
-  let lines = Hashtbl.create 256 in
-  let line_bytes = A.icache_line_bytes arch in
-  Array.iter
-    (Array.iter (fun id ->
-         let line = tr.T.entries.(id).T.addr / line_bytes in
-         if not (Hashtbl.mem lines line) then Hashtbl.add lines line ()))
-    per_warp;
-  Hashtbl.length lines
+(* A set of small non-negative ints — code lines and constant lines,
+   both dense and bounded by the code size or the constant memory — as a
+   byte mask indexed by the key, grown on demand, that counts its
+   members. *)
+type dense_set = { mutable mask : Bytes.t; mutable size : int }
 
-(* Does the body's constant-memory working set fit the 8 KB constant
-   cache? When it doesn't, the LRU array thrashes and every
-   constant-operand instruction re-misses each batch — the per-warp
-   stalls {!seg_cost} then charges. Line footprint is counted over the
-   body entries of every warp ([Sconst_warp] operands touch one slot per
-   warp id). *)
-let ccache_thrashes (arch : A.t) (p : I.program) (tr : T.t) =
-  let slots_per_line = arch.A.const_line_bytes / 8 in
-  let lines = Hashtbl.create 64 in
-  let add_slot slot =
-    let line = slot / slots_per_line in
-    if not (Hashtbl.mem lines line) then Hashtbl.add lines line ()
+let dense_set () = { mask = Bytes.make 64 '\000'; size = 0 }
+
+let dense_add s i =
+  let n = Bytes.length s.mask in
+  if i >= n then begin
+    let m = Bytes.make (max (i + 1) (2 * n)) '\000' in
+    Bytes.blit s.mask 0 m 0 n;
+    s.mask <- m
+  end;
+  if Bytes.get s.mask i = '\000' then begin
+    Bytes.set s.mask i '\001';
+    s.size <- s.size + 1
+  end
+
+(* Constant lines an entry's operands touch, as warp [w] runs it:
+   [Sconst_warp] reaches one slot per warp id, so [w = -1] stands for
+   every warp of the CTA. *)
+let add_const_lines (p : I.program) ~spl lines ~w (e : T.entry) =
+  if e.T.has_const then
+    for i = 0 to Array.length e.T.srcs - 1 do
+      match e.T.srcs.(i) with
+      | I.Sconst slot -> dense_add lines (slot / spl)
+      | I.Sconst_warp base ->
+          if w >= 0 then dense_add lines ((base + w) / spl)
+          else
+            for w = 0 to p.I.n_warps - 1 do
+              dense_add lines ((base + w) / spl)
+            done
+      | I.Sreg _ | I.Simm _ | I.Sshared _ -> ()
+    done
+
+(* The memory path an entry feeds, as the bit [1 lsl path] (0 for
+   none). *)
+let path_bit (arch : A.t) (e : T.entry) =
+  match e.T.instr with
+  | Some (I.Ld_global { via_tex; _ }) ->
+      1 lsl if via_tex && arch.A.has_ldg then tex else glob
+  | Some (I.St_global _) -> 1 lsl glob
+  | Some (I.Ld_local _ | I.St_local _) -> 1 lsl loc
+  | Some (I.Ld_const_bank _ | I.Ld_param _) ->
+      1 lsl if arch.A.has_ldg then tex else glob
+  | _ -> 0
+
+(* What the model needs of the program alone, from one pass over its
+   layout. *)
+type facts = {
+  path_users : int array array;
+      (* per phase (prologue, body), per path: warps using the path *)
+  ic_cold_lines : int;  (* most code lines one warp touches *)
+  body_lines : int;  (* code lines of the body, united over warps *)
+  thrash : bool;
+      (* the body's constant lines, united over warps, overflow the
+         constant cache: every constant-operand access then re-misses *)
+  cc_cold_lines : int;  (* most constant lines one warp's body touches *)
+}
+
+let facts (arch : A.t) (p : I.program) =
+  let n_warps = p.I.n_warps in
+  let line_bytes = A.icache_line_bytes arch in
+  let spl = arch.A.const_line_bytes / 8 in
+  let own_lines = Array.init n_warps (fun _ -> dense_set ()) in
+  let own_consts = Array.init n_warps (fun _ -> dense_set ()) in
+  let body_lines = dense_set () and body_consts = dense_set () in
+  let paths = Array.make_matrix 2 n_warps 0 in
+  ignore
+    (T.iter arch p (fun phase warps e ->
+         let line = e.T.addr / line_bytes in
+         let ph = match phase with T.Prologue -> 0 | T.Body -> 1 in
+         let bit = path_bit arch e in
+         for w = 0 to n_warps - 1 do
+           if warps land (1 lsl w) <> 0 then begin
+             dense_add own_lines.(w) line;
+             paths.(ph).(w) <- paths.(ph).(w) lor bit;
+             if ph = 1 then add_const_lines p ~spl own_consts.(w) ~w e
+           end
+         done;
+         if ph = 1 && warps <> 0 then begin
+           dense_add body_lines line;
+           add_const_lines p ~spl body_consts ~w:(-1) e
+         end));
+  let most sets = Array.fold_left (fun acc s -> max acc s.size) 0 sets in
+  let users ph =
+    Array.init 3 (fun b ->
+        Array.fold_left
+          (fun n used -> if used land (1 lsl b) <> 0 then n + 1 else n)
+          0 paths.(ph))
   in
-  let seen = Hashtbl.create 256 in
-  Array.iter
-    (Array.iter (fun id ->
-         if not (Hashtbl.mem seen id) then begin
-           Hashtbl.add seen id ();
-           let e = tr.T.entries.(id) in
-           if e.T.has_const then
-             Array.iter
-               (function
-                 | I.Sconst slot -> add_slot slot
-                 | I.Sconst_warp base ->
-                     for w = 0 to p.I.n_warps - 1 do
-                       add_slot (base + w)
-                     done
-                 | I.Sreg _ | I.Simm _ | I.Sshared _ -> ())
-               e.T.srcs
-         end))
-    tr.T.body;
-  Hashtbl.length lines * arch.A.const_line_bytes > arch.A.const_cache_bytes
+  {
+    path_users = [| users 0; users 1 |];
+    ic_cold_lines = most own_lines;
+    body_lines = body_lines.size;
+    thrash =
+      body_consts.size * arch.A.const_line_bytes > arch.A.const_cache_bytes;
+    cc_cold_lines = most own_consts;
+  }
 
 let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let p = t.Compile.lowered.Lower.program in
@@ -617,46 +670,31 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let resident = min occ.M.resident_ctas ctas in
   let batches = M.batches_per_cta launch in
   let sim_batches = min batches 6 in
-  let tr = T.flatten arch p in
   let n_warps = p.I.n_warps in
-  (* Queueing pressure per memory path: with S co-resident warps feeding
-     a path, an access waits on average behind half the pack's concurrent
-     transfers (the full simulator keeps one shared drain per path). *)
-  let path_mult_of per_warp =
-    let users kind =
-      let n = ref 0 in
-      for w = 0 to n_warps - 1 do
-        if
-          Array.exists
-            (fun id ->
-              match tr.T.entries.(id).T.instr with
-              | Some (I.Ld_global { via_tex; _ }) ->
-                  if via_tex && arch.A.has_ldg then kind = `Tex
-                  else kind = `Glob
-              | Some (I.St_global _) -> kind = `Glob
-              | Some (I.Ld_local _ | I.St_local _) -> kind = `Loc
-              | Some (I.Ld_const_bank _ | I.Ld_param _) ->
-                  if arch.A.has_ldg then kind = `Tex else kind = `Glob
-              | _ -> false)
-            per_warp.(w)
-        then incr n
-      done;
-      let own = float_of_int !n in
-      let others = cross_cta_overlap *. own *. float_of_int (resident - 1) in
-      Float.max 1.0 ((own +. others) /. 2.0)
-    in
-    { tex_m = users `Tex; glob_m = users `Glob; loc_m = users `Loc }
+  let f = facts arch p in
+  let pro_rates =
+    walk_rates arch ~users:f.path_users.(0) ~resident ~ccache_thrash:false
   in
+  let body_rates =
+    walk_rates arch ~users:f.path_users.(1) ~resident ~ccache_thrash:f.thrash
+  in
+  (* Walk every warp's prologue and body streams at once, in layout
+     order: each warp sees its own entries in program order. *)
+  let pro = Array.init n_warps (fun _ -> stream_make p) in
+  let body = Array.init n_warps (fun _ -> stream_make p) in
+  let step_warps streams r warps e =
+    for w = 0 to n_warps - 1 do
+      if warps land (1 lsl w) <> 0 then step arch p r streams.(w) e
+    done
+  in
+  ignore
+    (T.iter arch p (fun phase warps e ->
+         match phase with
+         | T.Prologue -> step_warps pro pro_rates warps e
+         | T.Body -> step_warps body body_rates warps e));
   (* Prologue: rendezvous over the prologue streams, plus the cold fill
      of the code both phases touch. *)
-  let thrash = ccache_thrashes arch p tr in
-  let agg_pro = seg_zero () in
-  let pro_pm = path_mult_of tr.T.prologue in
-  let pro_streams =
-    Array.init n_warps (fun w ->
-        items_of arch p ~ccache_thrash:false ~pm:pro_pm ~agg:agg_pro tr
-          tr.T.prologue.(w))
-  in
+  let pro_streams, agg_pro = finish pro in
   let pro_walk = rendezvous n_warps pro_streams in
   let pro_thr =
     float_of_int resident *. snd (max_term (demand_terms arch agg_pro))
@@ -667,58 +705,18 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
      catch-up per line; once the divergent regions outnumber the
      prefetch streams, each line costs a full miss. *)
   let line_bytes = A.icache_line_bytes arch in
-  let own_lines w =
-    let lines = Hashtbl.create 64 in
-    let add id =
-      let l = tr.T.entries.(id).T.addr / line_bytes in
-      if not (Hashtbl.mem lines l) then Hashtbl.add lines l ()
-    in
-    Array.iter add tr.T.prologue.(w);
-    Array.iter add tr.T.body.(w);
-    Hashtbl.length lines
-  in
-  let ic_cold_lines = ref 0 in
-  for w = 0 to n_warps - 1 do
-    ic_cold_lines := max !ic_cold_lines (own_lines w)
-  done;
   let per_line_cold =
     if long_paths p.I.body > Gpusim.Caches.Icache.max_streams then
       arch.A.icache_miss_latency
     else Gpusim.Caches.Icache.prefetch_fill
   in
   let cold_fill =
-    icache_cold *. float_of_int (!ic_cold_lines * per_line_cold)
+    icache_cold *. float_of_int (f.ic_cold_lines * per_line_cold)
   in
   (* Cold constant fills: the first batch misses once per constant line a
      warp touches (when the working set thrashes, the recurring per-access
      term below already charges every batch, the first included). *)
-  let cc_cold_lines =
-    if thrash then 0
-    else begin
-      let spl = arch.A.const_line_bytes / 8 in
-      let worst = ref 0 in
-      for w = 0 to n_warps - 1 do
-        let lines = Hashtbl.create 64 in
-        let add slot =
-          let l = slot / spl in
-          if not (Hashtbl.mem lines l) then Hashtbl.add lines l ()
-        in
-        Array.iter
-          (fun id ->
-            let e = tr.T.entries.(id) in
-            if e.T.has_const then
-              Array.iter
-                (function
-                  | I.Sconst slot -> add slot
-                  | I.Sconst_warp base -> add (base + w)
-                  | I.Sreg _ | I.Simm _ | I.Sshared _ -> ())
-                e.T.srcs)
-          tr.T.body.(w);
-        worst := max !worst (Hashtbl.length lines)
-      done;
-      !worst
-    end
-  in
+  let cc_cold_lines = if f.thrash then 0 else f.cc_cold_lines in
   let cold_const = ccache_cold *. float_of_int cc_cold_lines *. lat in
   let prologue_cycles =
     Float.max pro_walk pro_thr +. cold_fill +. cold_const
@@ -727,15 +725,9 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
      (cold barrier ramp included), steady state from differencing a
      multi-batch walk, and the per-batch demand aggregated over one
      batch of every warp. *)
-  let agg_body = seg_zero () in
-  let body_pm = path_mult_of tr.T.body in
-  let body_streams =
-    Array.init n_warps (fun w ->
-        items_of arch p ~ccache_thrash:thrash ~pm:body_pm ~agg:agg_body tr
-          tr.T.body.(w))
-  in
+  let body_streams, agg_body = finish body in
   let walk k =
-    if k = 0 then 0.0 else rendezvous n_warps (repeat_streams k body_streams)
+    if k = 0 then 0.0 else rendezvous ~reps:k n_warps body_streams
   in
   let sync_sim = walk sim_batches in
   (* The steady-state per-batch critical path needs two extra multi-batch
@@ -756,7 +748,7 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let throughput_cycles = float_of_int resident *. thr_batch in
   (* Body-code refetch on later batches, once the united footprint
      overflows the cache. *)
-  let body_lines = distinct_lines arch tr tr.T.body in
+  let body_lines = f.body_lines in
   let footprint = body_lines * line_bytes in
   let icache_cycles =
     if footprint <= arch.A.icache_bytes then 0.0
@@ -784,10 +776,10 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   in
   if Sys.getenv_opt "SINGE_PM_DEBUG" <> None then
     Printf.eprintf
-      "pm: %s res=%d batches=%d/%d thrash=%b n_const=%d loads=%d \
+      "pm: %s res=%d batches=%d/%d thrash=%b n_const=%.0f loads=%.0f \
        chain=%.0f pro=%.0f (ic=%.0f cc=%.0f) sync_sim=%.0f sync=%.0f \
        thr=%.0f(%s)\n"
-      p.I.name resident sim_batches batches thrash agg_body.n_const
+      p.I.name resident sim_batches batches f.thrash agg_body.n_const
       agg_body.loads agg_body.chain prologue_cycles cold_fill cold_const
       sync_sim sync_cycles throughput_cycles thr_resource;
   (* End-to-end: mirror Chip.run's extrapolation, then feed the same

@@ -765,10 +765,11 @@ let model_only_tune t mech kernel version arch =
     Autotune.candidate_options ?synth_exchange:t.t_synth ~points:t.t_points
       kernel version arch warp_candidates [ 1; 2 ]
   in
+  let compile = Compile.compile_cached mech kernel version in
   let scored =
     List.filter_map
       (fun (o : Compile.options) ->
-        match Compile.compile_cached mech kernel version o with
+        match compile o with
         | c -> Some (o, Perf_model.predict c ~total_points:t.t_points)
         | exception _ -> None)
       grid

@@ -10,6 +10,43 @@ let run_with mech kernel version arch opts_f points =
   let c = Singe.Compile.compile mech kernel version opts in
   (c, Singe.Compile.run c ~total_points:points)
 
+(* The scheduler-off ablation changes the lowered program, so the compile
+   memo must key on it: a cached lookup under SINGE_NO_SCHED=1 after a
+   cached scheduled compile misses and returns what an uncached compile
+   builds, and clearing the switch hits the scheduled artifact again. *)
+let test_memo_keys_no_sched () =
+  let mech = hydrogen () in
+  let kernel = Singe.Kernel_abi.Diffusion in
+  let version = Singe.Compile.Warp_specialized in
+  let options =
+    {
+      (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
+      Singe.Compile.n_warps = 4;
+    }
+  in
+  let scheduled = Singe.Compile.compile_cached mech kernel version options in
+  let misses () = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
+  let misses0 = misses () in
+  Unix.putenv "SINGE_NO_SCHED" "1";
+  let unscheduled =
+    match
+      let cached = Singe.Compile.compile_cached mech kernel version options in
+      let misses1 = misses () in
+      (cached, misses1, Singe.Compile.compile mech kernel version options)
+    with
+    | r -> Unix.putenv "SINGE_NO_SCHED" ""; r
+    | exception e -> Unix.putenv "SINGE_NO_SCHED" ""; raise e
+  in
+  let cached, misses1, uncached = unscheduled in
+  let program (c : Singe.Compile.t) = c.Singe.Compile.lowered.Singe.Lower.program in
+  Alcotest.(check int) "scheduler-off lookup misses" (misses0 + 1) misses1;
+  Alcotest.(check bool) "cached equals uncached" true
+    (program cached = program uncached);
+  Alcotest.(check bool) "scheduling changed the program" true
+    (program cached <> program scheduled);
+  Alcotest.(check bool) "switch cleared: the scheduled artifact hits" true
+    (Singe.Compile.compile_cached mech kernel version options == scheduled)
+
 let test_broadcast_styles_agree () =
   (* The shared-memory mirror (Fermi) and shuffle (Kepler) broadcasts must
      produce identical values. *)
@@ -226,5 +263,6 @@ let tests =
     Alcotest.test_case "parser: D exponents" `Quick test_parser_d_exponent;
     Alcotest.test_case "fence ordering" `Quick test_dfg_fence_ordering;
     Alcotest.test_case "spills exact under pressure" `Quick test_spill_roundtrip_under_interleave;
+    Alcotest.test_case "memo key covers SINGE_NO_SCHED" `Quick test_memo_keys_no_sched;
     Alcotest.test_case "dme end-to-end (slow)" `Slow test_dme_end_to_end_slow;
   ]

@@ -251,6 +251,168 @@ let test_trace_cursor () =
   Alcotest.(check bool) "footprints positive" true
     (Trace.body_footprint_bytes t ~warp:0 > 0)
 
+(* ---- Trace.flatten against a list-based reference ---- *)
+
+(* The straightforward flattener: entries and per-warp traces built as
+   lists, then copied into arrays and split at the prologue mark. Kept
+   here as the oracle for the two-walk [Trace.flatten]. *)
+let reference_flatten (arch : Arch.t) (p : Isa.program) =
+  let entries = ref [] and n_entries = ref 0 and addr = ref 0 in
+  let push instr bytes =
+    let id = !n_entries in
+    let srcs, shared_srcs, has_const, lat_mult, dp_slots, flops =
+      match instr with
+      | Some (Isa.Arith { op; srcs; _ }) ->
+          ( srcs,
+            Array.of_list
+              (List.filter_map
+                 (function Isa.Sshared a -> Some a | _ -> None)
+                 (Array.to_list srcs)),
+            Array.exists
+              (function Isa.Sconst _ | Isa.Sconst_warp _ -> true | _ -> false)
+              srcs,
+            Isa.fop_lat_mult op,
+            Isa.fop_dp_slots op,
+            Isa.fop_flops op )
+      | Some (Isa.Mov { src; _ } | Isa.St_global { src; _ } | Isa.St_shared { src; _ })
+        ->
+          ( [| src |],
+            (match src with Isa.Sshared a -> [| a |] | _ -> [||]),
+            (match src with Isa.Sconst _ | Isa.Sconst_warp _ -> true | _ -> false),
+            1,
+            0.0,
+            0 )
+      | _ -> ([||], [||], false, 1, 0.0, 0)
+    in
+    entries :=
+      { Trace.instr; addr = !addr; srcs; shared_srcs; has_const; lat_mult;
+        dp_slots; flops }
+      :: !entries;
+    incr n_entries;
+    addr := !addr + bytes;
+    id
+  in
+  let traces = Array.make p.Isa.n_warps [] in
+  let add_to warps id = List.iter (fun w -> traces.(w) <- id :: traces.(w)) warps in
+  let rec walk warps = function
+    | Isa.Instrs l ->
+        List.iter (fun i -> add_to warps (push (Some i) (Isa.static_bytes arch i))) l
+    | Isa.Seq bs -> List.iter (walk warps) bs
+    | Isa.If_warps { mask; body } ->
+        add_to warps (push None arch.Arch.instr_bytes);
+        walk (List.filter (fun w -> mask land (1 lsl w) <> 0) warps) body
+    | Isa.Switch_warp bodies ->
+        add_to warps (push None arch.Arch.instr_bytes);
+        Array.iteri (fun w b -> walk (if List.mem w warps then [ w ] else []) b) bodies
+  in
+  let all = List.init p.Isa.n_warps Fun.id in
+  walk all p.Isa.prologue;
+  let pro_marks = Array.map List.length traces in
+  walk all p.Isa.body;
+  let entries = Array.of_list (List.rev !entries) in
+  let split w =
+    let full = Array.of_list (List.rev traces.(w)) in
+    (Array.sub full 0 pro_marks.(w), Array.sub full pro_marks.(w) (Array.length full - pro_marks.(w)))
+  in
+  let per_warp = Array.init p.Isa.n_warps split in
+  {
+    Trace.entries;
+    prologue = Array.map fst per_warp;
+    body = Array.map snd per_warp;
+    code_bytes = !addr;
+    max_srcs = Array.fold_left (fun acc e -> max acc (Array.length e.Trace.srcs)) 0 entries;
+  }
+
+(* Block trees the shipped kernels may never produce: nested If_warps
+   with masks reaching past the CTA, Switch_warp arms for absent warps
+   (and more arms than warps), empty Instrs runs and empty Seqs. *)
+let gen_flatten_case =
+  let open QCheck.Gen in
+  let src =
+    oneof
+      [
+        map (fun r -> Isa.Sreg r) (int_bound 7);
+        map (fun k -> Isa.Simm (float_of_int k)) (int_bound 9);
+        map (fun c -> Isa.Sconst c) (int_bound 40);
+        map (fun c -> Isa.Sconst_warp c) (int_bound 20);
+        map (fun b -> Isa.Sshared (Isa.sh b)) (int_bound 16);
+        return (Isa.Sshared (Isa.sh_ireg ~base:2 ~ireg:0 ~mul:4 ()));
+      ]
+  in
+  let instr =
+    oneof
+      [
+        map2
+          (fun op srcs -> Isa.Arith { op; dst = 0; srcs; pred = None })
+          (oneofl Isa.[ Add; Sub; Mul; Fma; Div; Sqrt; Exp; Log; Max; Min; Neg ])
+          (array_size (int_bound 3) src);
+        map (fun src -> Isa.Mov { dst = 1; src; pred = None }) src;
+        map
+          (fun src ->
+            Isa.St_global { src; group = 1; field = Isa.F_static 0; pred = None })
+          src;
+        map (fun src -> Isa.St_shared { src; addr = Isa.sh 3; pred = None }) src;
+        oneofl
+          Isa.
+            [
+              Ld_global
+                { dst = 2; group = 0; field = F_static 1; via_tex = true; pred = None };
+              Ld_shared { dst = 3; addr = sh_lane 0; pred = Some (Lane_lt 4) };
+              Ld_local { dst = 4; slot = 0 };
+              St_local { src = 4; slot = 1 };
+              Ld_const_bank { dst = 5; slot = 0 };
+              Ld_param { dst_i = 0; slot = 0 };
+              Shfl { dst = 6; src = 5; lane = 3 };
+              Ishfl { dst_i = 0; src_i = 0; lane = 1 };
+              Shfl_rot { dst = 6; src = 5; delta = 1 };
+              Shfl_bfly { dst = 6; src = 5; xor_mask = 2 };
+              Bar_arrive { bar = 1; count = 64 };
+              Bar_sync { bar = 1; count = 64 };
+              Bar_cta;
+            ];
+      ]
+  in
+  int_range 1 9 >>= fun n_warps ->
+  let block =
+    fix
+      (fun self depth ->
+        let run = map (fun l -> Isa.Instrs l) (list_size (int_bound 4) instr) in
+        if depth = 0 then run
+        else
+          frequency
+            [
+              (2, run);
+              (2, map (fun bs -> Isa.Seq bs) (list_size (int_bound 3) (self (depth - 1))));
+              ( 1,
+                map2
+                  (fun mask body -> Isa.If_warps { mask; body })
+                  (int_bound ((1 lsl (n_warps + 2)) - 1))
+                  (self (depth - 1)) );
+              ( 1,
+                map
+                  (fun arms -> Isa.Switch_warp arms)
+                  (array_size (int_bound (n_warps + 2)) (self (depth - 1))) );
+            ])
+      4
+  in
+  map2
+    (fun prologue body ->
+      { (base_program ~n_warps ~body ()) with Isa.prologue })
+    block block
+
+let test_flatten_matches_reference =
+  QCheck_alcotest.to_alcotest ~verbose:false
+    (QCheck.Test.make ~count:300 ~name:"flatten matches the list-based reference"
+       (QCheck.make
+          ~print:(fun p ->
+            Format.asprintf "warps %d@.prologue:@.%a@.body:@.%a" p.Isa.n_warps
+              Isa.pp_block p.Isa.prologue Isa.pp_block p.Isa.body)
+          gen_flatten_case)
+       (fun p ->
+         List.for_all
+           (fun arch -> Trace.flatten arch p = reference_flatten arch p)
+           [ Arch.kepler_k20c; Arch.fermi_c2070 ]))
+
 let tests =
   [
     Alcotest.test_case "predicated store" `Quick test_predicated_store;
@@ -261,4 +423,5 @@ let tests =
     Alcotest.test_case "param-bank striping" `Quick test_param_bank_striping;
     Alcotest.test_case "memstate CTA isolation" `Quick test_memstate_isolation;
     Alcotest.test_case "trace cursor" `Quick test_trace_cursor;
+    test_flatten_matches_reference;
   ]

@@ -5,6 +5,11 @@
 
 let hydrogen = Chem.Mech_gen.hydrogen
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let all_kernels =
   [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Conductivity;
     Singe.Kernel_abi.Diffusion; Singe.Kernel_abi.Chemistry ]
@@ -66,13 +71,7 @@ let test_report_json () =
   Alcotest.(check bool) "object" true
     (String.length json > 2 && json.[0] = '{');
   List.iter
-    (fun needle ->
-      let contains hay needle =
-        let n = String.length needle and h = String.length hay in
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) needle true (contains json needle))
+    (fun needle -> Alcotest.(check bool) needle true (contains json needle))
     [ "\"passes\""; "\"dfg-build\""; "\"wall_ms\""; "\"stats\"" ]
 
 (* ---- typed option diagnostics ---- *)
@@ -278,6 +277,28 @@ let test_validator_failure_has_provenance () =
       in
       Alcotest.(check bool) "record marked failed" false rec_.Singe.Pass.ok
 
+(* A transform pass that raises is recorded as failed, and the printed
+   report says so, instead of passing for a success. *)
+let test_raising_pass_is_failed () =
+  let pm = Singe.Pass.create "raise-test" in
+  (match Singe.Pass.run pm ~name:"schedule" (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "a raising pass returned"
+  | exception Failure _ -> ());
+  let report = Singe.Pass.report pm in
+  let rec_ =
+    List.find
+      (fun (r : Singe.Pass.record) -> r.Singe.Pass.pass_name = "schedule")
+      report.Singe.Pass.records
+  in
+  Alcotest.(check bool) "record marked failed" false rec_.Singe.Pass.ok;
+  let text = Format.asprintf "@[<v>%a@]" Singe.Pass.pp_report report in
+  let failed_line =
+    List.exists
+      (fun line -> contains line "schedule" && contains line "FAILED")
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check bool) "report shows FAILED on the pass line" true failed_line
+
 let tests =
   [
     Alcotest.test_case "report covers the pipeline" `Quick
@@ -298,4 +319,6 @@ let tests =
       test_lower_overassigned_registers_is_caught;
     Alcotest.test_case "validator failures carry provenance" `Quick
       test_validator_failure_has_provenance;
+    Alcotest.test_case "raising pass reports FAILED" `Quick
+      test_raising_pass_is_failed;
   ]
