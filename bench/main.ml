@@ -11,34 +11,16 @@
    `--jobs N` (or SINGE_JOBS) bounds the domains used for the sweep
    fan-out; simulated results are identical at every job count. *)
 
-let figures =
-  [
-    ("fig3", Experiments.Figures.fig3);
-    ("fig9", Experiments.Figures.fig9);
-    ("fig10", Experiments.Figures.fig10);
-    ("fig11", Experiments.Figures.fig11);
-    ("fig12", Experiments.Figures.fig12);
-    ("fig13", Experiments.Figures.fig13);
-    ("fig14", Experiments.Figures.fig14);
-    ("fig15", Experiments.Figures.fig15);
-    ("fig16", Experiments.Figures.fig16);
-    ("stall-breakdown", Experiments.Figures.stall_breakdown);
-    ("ablation-barriers", Experiments.Figures.ablation_barriers);
-    ("ablation-exp-constants", Experiments.Figures.ablation_exp_constants);
-    ("ablation-chem-comm", Experiments.Figures.ablation_chem_comm);
-    ("ablation-weights", Experiments.Figures.ablation_weights);
-    ("ablation-batches", Experiments.Figures.ablation_batches);
-    ("ablation-exchange", Experiments.Figures.ablation_exchange);
-    ("model-accuracy", Experiments.Figures.model_accuracy);
-    ("chip-scaling", Experiments.Figures.chip_scaling);
-    ("partition-search", Experiments.Figures.partition_search);
-  ]
-
 let microbenchmarks () =
   let open Bechamel in
   let mech = Chem.Mech_gen.dme () in
   let arch = Gpusim.Arch.kepler_k20c in
-  let opts = { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = 6 } in
+  let opts =
+    Singe.Target.options ~n_warps:6 arch Singe.Kernel_abi.Viscosity
+  in
+  let chem_opts =
+    Singe.Target.options ~n_warps:4 arch Singe.Kernel_abi.Chemistry
+  in
   let grid = Chem.Grid.create mech ~points:32 ~seed:1L in
   let tests =
     [
@@ -72,9 +54,7 @@ let microbenchmarks () =
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"simulate-dme-chemistry-ws" (
         let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                  Singe.Compile.Warp_specialized
-                  { opts with Singe.Compile.n_warps = 4; max_barriers = 16;
-                    ctas_per_sm_target = 1 } in
+                  Singe.Compile.Warp_specialized chem_opts in
         Staged.stage (fun () ->
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"isa-text-roundtrip" (
@@ -92,9 +72,7 @@ let microbenchmarks () =
         Staged.stage (fun () -> ignore (Singe.Cuda_emit.emit ~arch p)));
       Test.make ~name:"roofline-analysis" (
         let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                  Singe.Compile.Warp_specialized
-                  { opts with Singe.Compile.n_warps = 4; max_barriers = 16;
-                    ctas_per_sm_target = 1 } in
+                  Singe.Compile.Warp_specialized chem_opts in
         let p = c.Singe.Compile.lowered.Singe.Lower.program in
         Staged.stage (fun () -> ignore (Gpusim.Roofline.analyze arch p)));
     ]
@@ -134,15 +112,7 @@ let perf_configs () =
     (fun kernel ->
       List.map
         (fun version ->
-          let options =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.n_warps = 8;
-              max_barriers =
-                (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target =
-                (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
-          in
-          (mech, kernel, version, options))
+          (mech, kernel, version, Singe.Target.options ~n_warps:8 arch kernel))
         [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ])
     kernels
   @ (* The stencil workload column (perf-v10): both bundled pipelines,
@@ -152,11 +122,8 @@ let perf_configs () =
     (fun id ->
       List.map
         (fun version ->
-          let options =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.n_warps = 4 }
-          in
-          (mech, Singe.Kernel_abi.Stencil id, version, options))
+          let kernel = Singe.Kernel_abi.Stencil id in
+          (mech, kernel, version, Singe.Target.options ~n_warps:4 arch kernel))
         [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ])
     [ Singe.Stencil_pipe.Edge3; Singe.Stencil_pipe.Unsharp2 ]
 
@@ -404,12 +371,10 @@ let perf ~out ?max_cycles () =
   let chip_scaling_rows =
     let mech = Chem.Mech_gen.dme () in
     let arch = Gpusim.Arch.kepler_k20c in
-    let options =
-      { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = 8 }
-    in
     let c =
       Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-        Singe.Compile.Baseline options
+        Singe.Compile.Baseline
+        (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity)
     in
     let row n_sms =
       let r =
@@ -497,12 +462,10 @@ let perf ~out ?max_cycles () =
 let chip_smoke () =
   let mech = Chem.Mech_gen.dme () in
   let arch = Gpusim.Arch.kepler_k20c in
-  let opts =
-    { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = 8 }
-  in
   let c =
     Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-      Singe.Compile.Warp_specialized opts
+      Singe.Compile.Warp_specialized
+      (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity)
   in
   let snapshot () =
     let r = Singe.Compile.run ~check:false c ~total_points:32768 ~n_sms:4 in
@@ -562,9 +525,8 @@ let synth_smoke () =
   let compile synth =
     Singe.Compile.compile_cached mech Singe.Kernel_abi.Diffusion
       Singe.Compile.Warp_specialized
-      { (Singe.Compile.default_options arch) with
-        Singe.Compile.n_warps = 8;
-        synth_exchange = Some synth }
+      { (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Diffusion) with
+        Singe.Compile.synth_exchange = Some synth }
   in
   let c_on = compile true and c_off = compile false in
   let run c = Singe.Compile.run c ~total_points:8192 in
@@ -631,13 +593,7 @@ let synth_smoke () =
 let partition_smoke () =
   let mech = Chem.Mech_gen.hydrogen () in
   let arch = Gpusim.Arch.kepler_k20c in
-  let base =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps = 8;
-      max_barriers = 8;
-      ctas_per_sm_target = 2
-    }
-  in
+  let base = Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity in
   let failed = ref false in
   let check name ok detail =
     if ok then Printf.printf "check %-32s ok\n" name
@@ -751,9 +707,9 @@ let stencil_smoke () =
               Singe.Compile.compile_cached mech
                 (Singe.Kernel_abi.Stencil id)
                 Singe.Compile.Warp_specialized
-                { (Singe.Compile.default_options arch) with
-                  Singe.Compile.n_warps = 4;
-                  stencil_overlap = overlap }
+                { (Singe.Target.options ~n_warps:4 arch
+                     (Singe.Kernel_abi.Stencil id)) with
+                  Singe.Compile.stencil_overlap = overlap }
             in
             let c_on = compile true and c_off = compile false in
             let r_on = Singe.Compile.run c_on ~total_points:points in
@@ -1191,11 +1147,12 @@ let () =
   | names ->
       List.iter
         (fun name ->
-          match List.assoc_opt name figures with
+          match List.assoc_opt name Experiments.Figures.registry with
           | Some f -> f ()
           | None ->
               Printf.eprintf "unknown figure %S; available: %s\n" name
-                (String.concat ", " (List.map fst figures));
+                (String.concat ", "
+                   (List.map fst Experiments.Figures.registry));
               exit 1)
         names);
   if args = [] || args = [ "all" ] then microbenchmarks ()

@@ -21,15 +21,27 @@ open Cmdliner
 let exit_compile_rejected = 2
 let exit_simulation_fault = 3
 
+(* Every compile-target name parses through Singe.Target, so a bad name
+   reads the same here as in serve's bad-request message. *)
+let target_conv of_string print =
+  let parse s = Result.map_error (fun m -> `Msg m) (of_string s) in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+
 let mech_term =
-  let mech_name =
-    Arg.(value & opt string "dme" & info [ "mech" ] ~docv:"NAME"
-           ~doc:"Bundled mechanism: dme, heptane, methane or hydrogen.")
+  let mech =
+    let mech_conv =
+      target_conv Singe.Target.mech_of_string (fun m -> m.Chem.Mechanism.name)
+    in
+    Arg.(value & opt (some ~none:Singe.Target.default_mech mech_conv) None
+         & info [ "mech" ] ~docv:"NAME"
+             ~doc:("Bundled mechanism: "
+                   ^ String.concat ", " (List.map fst Chem.Mech_gen.bundled)
+                   ^ "."))
   in
   let file kind =
     Arg.(value & opt (some file) None & info [ kind ] ~docv:"FILE")
   in
-  let build name chemkin thermo transport sets =
+  let build mech chemkin thermo transport sets =
     match (chemkin, thermo, transport) with
     | Some c, Some th, Some tr -> (
         match
@@ -43,54 +55,43 @@ let mech_term =
                 (Singe.Diagnostics.to_string
                    (Singe.Diagnostics.of_srcloc ~pass:"parse" e))))
     | None, None, None -> (
-        match String.lowercase_ascii name with
-        | "dme" -> Ok (Chem.Mech_gen.dme ())
-        | "heptane" -> Ok (Chem.Mech_gen.heptane ())
-        | "methane" -> Ok (Chem.Mech_gen.methane ())
-        | "hydrogen" -> Ok (Chem.Mech_gen.hydrogen ())
-        | other -> Error (`Msg ("unknown mechanism " ^ other)))
+        match mech with
+        | Some m -> Ok m
+        | None ->
+            Result.map_error
+              (fun m -> `Msg m)
+              (Singe.Target.mech_of_string Singe.Target.default_mech))
     | _ ->
         Error (`Msg "--chemkin, --thermo and --transport must be given together")
   in
   Term.term_result
-    Term.(const build $ mech_name $ file "chemkin" $ file "thermo"
+    Term.(const build $ mech $ file "chemkin" $ file "thermo"
           $ file "transport" $ file "sets")
 
+let kernel_conv =
+  target_conv Singe.Target.kernel_of_string Singe.Kernel_abi.kernel_name
+
 let kernel_term =
-  let parse s =
-    match Singe.Kernel_abi.kernel_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg ("unknown kernel " ^ s))
-  in
-  let printer ppf k = Format.pp_print_string ppf (Singe.Kernel_abi.kernel_name k) in
-  Arg.(value & opt (Arg.conv (parse, printer)) Singe.Kernel_abi.Viscosity
+  Arg.(value & opt kernel_conv Singe.Target.default_kernel
        & info [ "kernel" ] ~docv:"KERNEL"
            ~doc:"viscosity, conductivity, diffusion, chemistry, or a stencil \
                  pipeline: edge3, unsharp2.")
 
 let arch_term =
-  let parse s =
-    match Gpusim.Arch.by_name s with
-    | Some a -> Ok a
-    | None -> Error (`Msg ("unknown architecture " ^ s))
-  in
-  let printer ppf (a : Gpusim.Arch.t) = Format.pp_print_string ppf a.Gpusim.Arch.name in
-  Arg.(value & opt (Arg.conv (parse, printer)) Gpusim.Arch.kepler_k20c
+  Arg.(value
+       & opt (target_conv Singe.Target.arch_of_string Singe.Target.arch_name)
+           Singe.Target.default_arch
        & info [ "arch" ] ~docv:"ARCH" ~doc:"fermi or kepler.")
 
 let warps_term =
-  Arg.(value & opt int 8 & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
+  Arg.(value & opt int Singe.Target.default_warps & info [ "warps" ]
+         ~docv:"N" ~doc:"Warps per CTA.")
+
+let version_conv =
+  target_conv Singe.Target.version_of_string Singe.Compile.version_name
 
 let version_term =
-  let parse s =
-    match Singe.Compile.version_of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg ("unknown version " ^ s))
-  in
-  let printer ppf v =
-    Format.pp_print_string ppf (Singe.Compile.version_name v)
-  in
-  Arg.(value & opt (Arg.conv (parse, printer)) Singe.Compile.Warp_specialized
+  Arg.(value & opt version_conv Singe.Target.default_version
        & info [ "version" ] ~docv:"V" ~doc:"ws, baseline or naive.")
 
 (* Domain budget for the parallel sweep commands (tune, figures). The
@@ -274,11 +275,8 @@ let info_cmd =
     Term.(const run $ mech_term)
 
 let options_of ?synth ?(overlap = true) arch warps kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps = warps;
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2);
-    synth_exchange = synth;
+  { (Singe.Target.options ~n_warps:warps arch kernel) with
+    Singe.Compile.synth_exchange = synth;
     stencil_overlap = overlap }
 
 (* The tiling mode for stencil kernels; ignored by the combustion ones. *)
@@ -308,17 +306,11 @@ let synth_term =
    --partition auto] additionally confirms by simulation). *)
 let partition_term =
   let mode_conv =
-    let parse = function
-      | "hand" -> Ok `Hand
-      | "auto" -> Ok `Auto
-      | s -> Error (`Msg ("unknown partition mode " ^ s ^ " (hand|auto)"))
-    in
-    let print ppf m =
-      Format.pp_print_string ppf (match m with `Hand -> "hand" | `Auto -> "auto")
-    in
-    Arg.conv (parse, print)
+    target_conv Singe.Target.partition_of_string
+      Singe.Target.partition_mode_name
   in
-  Arg.(value & opt mode_conv `Hand & info [ "partition" ] ~docv:"MODE"
+  Arg.(value & opt mode_conv Singe.Target.Hand & info [ "partition" ]
+       ~docv:"MODE"
        ~doc:"Warp partition: $(b,hand) keeps the paper's fixed \
              producer/consumer split; $(b,auto) searches structure-derived \
              candidate partitions (fan-out hubs as producers, arithmetic \
@@ -332,8 +324,8 @@ let partition_term =
    a compile rejection like any other (exit code 2). *)
 let resolve_partition partition mech kernel version options =
   match partition with
-  | `Hand -> options
-  | `Auto -> (
+  | Singe.Target.Hand -> options
+  | Singe.Target.Auto -> (
       match
         Singe.Partition_search.resolve_options mech kernel version
           ~base:options
@@ -605,30 +597,10 @@ let profile_cmd =
 
 let predict_cmd =
   let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
-  let kernel_conv =
-    let parse s =
-      match Singe.Kernel_abi.kernel_of_string s with
-      | Some k -> Ok k
-      | None -> Error (`Msg ("unknown kernel " ^ s))
-    in
-    Arg.conv
-      (parse, fun ppf k ->
-        Format.pp_print_string ppf (Singe.Kernel_abi.kernel_name k))
-  in
   let kernel_opt =
     Arg.(value & opt (some kernel_conv) None & info [ "kernel" ] ~docv:"KERNEL"
          ~doc:"Restrict to one kernel (default: viscosity, diffusion, \
                chemistry, edge3 and unsharp2).")
-  in
-  let version_conv =
-    let parse s =
-      match Singe.Compile.version_of_string s with
-      | Some v -> Ok v
-      | None -> Error (`Msg ("unknown version " ^ s))
-    in
-    Arg.conv
-      (parse, fun ppf v ->
-        Format.pp_print_string ppf (Singe.Compile.version_name v))
   in
   let version_opt =
     Arg.(value & opt (some version_conv) None & info [ "version" ] ~docv:"V"
@@ -674,63 +646,63 @@ let predict_cmd =
                 (Singe.Kernel_abi.kernel_name kernel)
                 (Singe.Compile.version_name version)
             in
-            if
-              version = Singe.Compile.Baseline
-              && points mod (warps * 32) <> 0
-            then Printf.printf "%-13s skipped (points not divisible)\n" name
-            else
-              (* Resolve --partition auto per row (model-only); a base
-                 compile failure skips the row like any other, keeping
-                 predict's best-effort table semantics. *)
-              let resolved =
-                match partition with
-                | `Hand -> Ok (options_of ?synth ~overlap arch warps kernel)
-                | `Auto -> (
-                    try
-                      Ok
-                        (Singe.Partition_search.resolve_options mech kernel
-                           version
-                           ~base:(options_of ?synth ~overlap arch warps kernel))
-                    with Singe.Diagnostics.Fail d -> Error d)
-              in
-              match
-                Result.bind resolved (fun options ->
-                    Singe.Compile.compile_checked ~validate:false mech kernel
-                      version options)
-              with
-              | Error d ->
-                  Printf.printf "%-13s skipped: %s\n" name
-                    (Singe.Diagnostics.to_string d)
-              | Ok (c, _) ->
-                  let pred =
-                    Singe.Perf_model.predict ?n_sms ?skew c
-                      ~total_points:points
-                  in
-                  let r =
-                    match
-                      Singe.Compile.run c ~check:false ~total_points:points
-                        ?n_sms ?skew
-                    with
-                    | r -> r
-                    | exception Gpusim.Sm.Simulation_fault report ->
-                        Format.eprintf "singe: simulation fault@.%a@."
-                          Gpusim.Sm.pp_fault report;
-                        exit exit_simulation_fault
-                  in
-                  let measured =
-                    float_of_int
-                      r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
-                  in
-                  let err =
-                    Singe.Perf_model.rel_err
-                      ~predicted:pred.Singe.Perf_model.cycles ~measured
-                  in
-                  Printf.printf "%-13s %-9s %5d  %12.0f %12.0f %6.1f%%  %s\n"
-                    (Singe.Kernel_abi.kernel_name kernel)
-                    (Singe.Compile.version_name version)
-                    warps pred.Singe.Perf_model.cycles measured (100.0 *. err)
-                    pred.Singe.Perf_model.binding;
-                  rows := (kernel, version, pred, r, err) :: !rows)
+            (* A launch the baseline cannot size, and (with --partition
+               auto, resolved per row model-only) a base compile failure,
+               skip the row like any other, keeping predict's best-effort
+               table semantics. *)
+            let base = options_of ?synth ~overlap arch warps kernel in
+            let resolved =
+              Result.bind
+                (Singe.Compile.check_launch kernel version ~n_warps:warps
+                   ~total_points:points)
+                (fun () ->
+                  match partition with
+                  | Singe.Target.Hand -> Ok base
+                  | Singe.Target.Auto -> (
+                      try
+                        Ok
+                          (Singe.Partition_search.resolve_options mech kernel
+                             version ~base)
+                      with Singe.Diagnostics.Fail d -> Error d))
+            in
+            match
+              Result.bind resolved (fun options ->
+                  Singe.Compile.compile_checked ~validate:false mech kernel
+                    version options)
+            with
+            | Error d ->
+                Printf.printf "%-13s skipped: %s\n" name
+                  (Singe.Diagnostics.to_string d)
+            | Ok (c, _) ->
+                let pred =
+                  Singe.Perf_model.predict ?n_sms ?skew c
+                    ~total_points:points
+                in
+                let r =
+                  match
+                    Singe.Compile.run c ~check:false ~total_points:points
+                      ?n_sms ?skew
+                  with
+                  | r -> r
+                  | exception Gpusim.Sm.Simulation_fault report ->
+                      Format.eprintf "singe: simulation fault@.%a@."
+                        Gpusim.Sm.pp_fault report;
+                      exit exit_simulation_fault
+                in
+                let measured =
+                  float_of_int
+                    r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+                in
+                let err =
+                  Singe.Perf_model.rel_err
+                    ~predicted:pred.Singe.Perf_model.cycles ~measured
+                in
+                Printf.printf "%-13s %-9s %5d  %12.0f %12.0f %6.1f%%  %s\n"
+                  (Singe.Kernel_abi.kernel_name kernel)
+                  (Singe.Compile.version_name version)
+                  warps pred.Singe.Perf_model.cycles measured (100.0 *. err)
+                  pred.Singe.Perf_model.binding;
+                rows := (kernel, version, pred, r, err) :: !rows)
           versions)
       kernels;
     let rows = List.rev !rows in
@@ -760,8 +732,7 @@ let predict_cmd =
                 \"measured_points_per_sec\": %.6g, \"binding\": \"%s\"}"
                (Singe.Kernel_abi.kernel_name kernel)
                (Singe.Compile.version_name version)
-               (options_of ?synth ~overlap arch warps kernel)
-                 .Singe.Compile.n_warps
+               warps
                pred.Singe.Perf_model.cycles
                r.Singe.Compile.machine.Gpusim.Machine.sm_cycles err
                pred.Singe.Perf_model.floor_cycles
@@ -847,7 +818,7 @@ let tune_cmd =
       tune_mode top_k n_sms skew () =
     catch_occupancy @@ fun () ->
     match partition with
-    | `Auto -> (
+    | Singe.Target.Auto -> (
         (* Full three-phase partition search: model ranking, deadlock
            gate, then simulated confirmation through the autotuner with
            the hand mapping seeded into the grid. *)
@@ -873,7 +844,7 @@ let tune_cmd =
         | Error d ->
             Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
             exit exit_compile_rejected)
-    | `Hand ->
+    | Singe.Target.Hand ->
     let mode =
       match tune_mode with
       | `Exhaustive -> Singe.Autotune.Exhaustive
@@ -1018,33 +989,21 @@ let partition_cmd =
     Term.(const run $ mech_term $ kernel_term $ warps_term)
 
 let figures_cmd =
-  let names = Arg.(value & pos_all string [ "all" ] & info [] ~docv:"FIGURE") in
+  (* Names are checked at parse time: a typo is a usage error before any
+     figure runs. *)
+  let name_conv =
+    Arg.enum
+      (List.map (fun n -> (n, n))
+         ("all" :: List.map fst Experiments.Figures.registry))
+  in
+  let names =
+    Arg.(value & pos_all name_conv [ "all" ] & info [] ~docv:"FIGURE")
+  in
   let run names () =
     List.iter
-      (fun n ->
-        match n with
+      (function
         | "all" -> Experiments.Figures.all ()
-        | "fig3" -> Experiments.Figures.fig3 ()
-        | "fig9" -> Experiments.Figures.fig9 ()
-        | "fig10" -> Experiments.Figures.fig10 ()
-        | "fig11" -> Experiments.Figures.fig11 ()
-        | "fig12" -> Experiments.Figures.fig12 ()
-        | "fig13" -> Experiments.Figures.fig13 ()
-        | "fig14" -> Experiments.Figures.fig14 ()
-        | "fig15" -> Experiments.Figures.fig15 ()
-        | "fig16" -> Experiments.Figures.fig16 ()
-        | "stall-breakdown" -> Experiments.Figures.stall_breakdown ()
-        | "ablation-barriers" -> Experiments.Figures.ablation_barriers ()
-        | "ablation-exp-constants" -> Experiments.Figures.ablation_exp_constants ()
-        | "ablation-chem-comm" -> Experiments.Figures.ablation_chem_comm ()
-        | "ablation-weights" -> Experiments.Figures.ablation_weights ()
-        | "ablation-batches" -> Experiments.Figures.ablation_batches ()
-        | "ablation-exchange" -> Experiments.Figures.ablation_exchange ()
-        | "model-accuracy" -> Experiments.Figures.model_accuracy ()
-        | "chip-scaling" -> Experiments.Figures.chip_scaling ()
-        | "partition-search" -> Experiments.Figures.partition_search ()
-        | "stencil-overlap" -> Experiments.Figures.stencil_overlap ()
-        | other -> failwith ("unknown figure " ^ other))
+        | n -> List.assoc n Experiments.Figures.registry ())
       names
   in
   Cmd.v (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")

@@ -15,11 +15,8 @@ let () =
   let compile ~full =
     Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
       Singe.Compile.Warp_specialized
-      { (Singe.Compile.default_options arch) with
-        Singe.Compile.n_warps = 4;
-        max_barriers = 16;
-        ctas_per_sm_target = 1;
-        full_range_thermo = full }
+      { (Singe.Target.options ~n_warps:4 arch Singe.Kernel_abi.Chemistry) with
+        Singe.Compile.full_range_thermo = full }
   in
   let hot = (1000.0, 2500.0) and cold = (300.0, 2500.0) in
   let show label c t_range =

@@ -29,10 +29,7 @@ let () =
   Printf.printf "\nwith %d warps per CTA, %d are siphoned off for QSSA\n" n_warps
     (Singe.Chemistry_dfg.n_qssa_warps ~n_warps ~n_qssa:(Array.length g.Chem.Qssa.nodes));
   let arch = Gpusim.Arch.kepler_k20c in
-  let options =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps; max_barriers = 16; ctas_per_sm_target = 1 }
-  in
+  let options = Singe.Target.options ~n_warps arch Singe.Kernel_abi.Chemistry in
   let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
       Singe.Compile.Warp_specialized options in
   Printf.printf "compiled: %d named barriers, %d sync points, %d buffer slots, %d B spilled/thread\n"

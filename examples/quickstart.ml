@@ -33,7 +33,7 @@ let () =
   (* 3-4: compile and run. *)
   let arch = Gpusim.Arch.kepler_k20c in
   let options =
-    { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = 4 }
+    Singe.Target.options ~n_warps:4 arch Singe.Kernel_abi.Viscosity
   in
   List.iter
     (fun (version, label) ->

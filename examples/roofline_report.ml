@@ -20,12 +20,11 @@ let () =
           List.iter
             (fun (arch : Gpusim.Arch.t) ->
               let opts =
-                { (Singe.Compile.default_options arch) with
-                  Singe.Compile.n_warps =
-                    (if version = Singe.Compile.Baseline then 4 else 8);
-                  max_barriers =
-                    (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-                  ctas_per_sm_target = 1 }
+                let n_warps =
+                  if version = Singe.Compile.Baseline then 4 else 8
+                in
+                { (Singe.Target.options ~n_warps arch kernel) with
+                  Singe.Compile.ctas_per_sm_target = 1 }
               in
               match Singe.Compile.compile mech kernel version opts with
               | c ->

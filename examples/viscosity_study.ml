@@ -15,7 +15,7 @@ let () =
     (fun n_warps ->
       let run version =
         let options =
-          { (Singe.Compile.default_options arch) with Singe.Compile.n_warps }
+          Singe.Target.options ~n_warps arch Singe.Kernel_abi.Viscosity
         in
         let c =
           Singe.Compile.compile mech Singe.Kernel_abi.Viscosity version options

@@ -519,3 +519,7 @@ let hydrogen =
         ~qssa:[ "HCO"; "HO2" ]
         ~stiff:[ "H"; "OH"; "H2O2" ]
         ~n_reactions:20 ~seed:0x42L)
+
+let bundled =
+  [ ("dme", dme); ("heptane", heptane); ("methane", methane);
+    ("hydrogen", hydrogen) ]

@@ -36,6 +36,11 @@ val hydrogen : unit -> Mechanism.t
 (** A small handwritten H2/O2/CO system (13 species, ~20 reactions, 2 QSSA,
     3 stiff): fast enough for unit tests and the quickstart example. *)
 
+val bundled : (string * (unit -> Mechanism.t)) list
+(** The shipped mechanisms under the names the CLI and serve accept:
+    dme, heptane, methane and hydrogen. Each generator is memoized, so a
+    repeat lookup returns the mechanism without regenerating it. *)
+
 val generate :
   name:string ->
   species:(string * string) array ->

@@ -80,7 +80,7 @@ let fig9 () =
       (fun n_warps ->
         let run version =
           let options =
-            { (Singe.Compile.default_options arch) with Singe.Compile.n_warps }
+            Singe.Target.options ~n_warps arch Singe.Kernel_abi.Viscosity
           in
           match
             let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity version options in
@@ -111,10 +111,7 @@ let fig10 () =
       (fun (mech, vis_warps) ->
         let regs kernel n_warps =
           let options =
-            { (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
-              Singe.Compile.n_warps;
-              max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
+            Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel
           in
           let c = Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized options in
           c.Singe.Compile.lowered.Singe.Lower.n_bank_regs
@@ -448,13 +445,7 @@ let model_accuracy () =
   let rows =
     Sutil.Domain_pool.parallel_map
       (fun (mech, kernel, version) ->
-        let options =
-          { (Singe.Compile.default_options arch) with
-            Singe.Compile.max_barriers =
-              (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-            ctas_per_sm_target =
-              (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
-        in
+        let options = Singe.Target.options arch kernel in
         let c = Singe.Compile.compile_cached mech kernel version options in
         let pred = Singe.Perf_model.predict c ~total_points:points in
         let r = Singe.Compile.run c ~total_points:points in
@@ -518,12 +509,8 @@ let ablation_exchange () =
       (fun kernel ->
         let eval synth =
           let options =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.max_barriers =
-                (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target =
-                (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2);
-              synth_exchange = Some synth }
+            { (Singe.Target.options arch kernel) with
+              Singe.Compile.synth_exchange = Some synth }
           in
           let c =
             Singe.Compile.compile_cached mech kernel
@@ -570,7 +557,7 @@ let chip_scaling () =
   let c =
     Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
       Singe.Compile.Warp_specialized
-      (Singe.Compile.default_options arch)
+      (Singe.Target.options arch Singe.Kernel_abi.Viscosity)
   in
   Printf.printf "  %-6s %14s %9s %10s %10s %9s\n" "SMs" "points/s" "speedup"
     "DRAM-util" "throttle" "imbal";
@@ -616,14 +603,7 @@ let partition_search () =
     (fun mech ->
       List.iter
         (fun kernel ->
-          let base =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.n_warps = 8;
-              max_barriers =
-                (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target =
-                (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
-          in
+          let base = Singe.Target.options ~n_warps:8 arch kernel in
           match
             Singe.Partition_search.search ~simulate mech kernel
               Singe.Compile.Warp_specialized ~base ()
@@ -680,7 +660,7 @@ let stencil_overlap () =
       List.iter
         (fun overlap ->
           let base =
-            { (Singe.Compile.default_options arch) with
+            { (Singe.Target.options arch kernel) with
               Singe.Compile.stencil_overlap = overlap }
           in
           let cycles options =
@@ -717,24 +697,28 @@ let stencil_overlap () =
     Singe.Stencil_pipe.all_ids;
   print_newline ()
 
-let all () =
-  fig3 ();
-  fig9 ();
-  fig10 ();
-  fig11 ();
-  fig12 ();
-  fig13 ();
-  fig14 ();
-  fig15 ();
-  fig16 ();
-  stall_breakdown ();
-  ablation_barriers ();
-  ablation_exp_constants ();
-  ablation_chem_comm ();
-  ablation_weights ();
-  ablation_batches ();
-  ablation_exchange ();
-  model_accuracy ();
-  chip_scaling ();
-  partition_search ();
-  stencil_overlap ()
+let registry =
+  [
+    ("fig3", fig3);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("fig14", fig14);
+    ("fig15", fig15);
+    ("fig16", fig16);
+    ("stall-breakdown", stall_breakdown);
+    ("ablation-barriers", ablation_barriers);
+    ("ablation-exp-constants", ablation_exp_constants);
+    ("ablation-chem-comm", ablation_chem_comm);
+    ("ablation-weights", ablation_weights);
+    ("ablation-batches", ablation_batches);
+    ("ablation-exchange", ablation_exchange);
+    ("model-accuracy", model_accuracy);
+    ("chip-scaling", chip_scaling);
+    ("partition-search", partition_search);
+    ("stencil-overlap", stencil_overlap);
+  ]
+
+let all () = List.iter (fun (_, f) -> f ()) registry

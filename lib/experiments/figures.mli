@@ -108,5 +108,9 @@ val stencil_overlap : unit -> unit
     under both tiling modes, each with the hand band mapping and the
     searched partition ([--partition auto], model-resolved). *)
 
+val registry : (string * (unit -> unit)) list
+(** Every table, figure and ablation under its command-line name
+    ([singe figures NAME], [bench/main.exe NAME]), in order. *)
+
 val all : unit -> unit
-(** Every table, figure and ablation in order. *)
+(** Every entry of {!registry} in order. *)

@@ -646,23 +646,27 @@ let dump_ir ppf t stage =
   Format.pp_close_box ppf ();
   Format.pp_print_newline ppf ()
 
+let check_launch kernel version ~n_warps ~total_points =
+  let per_cta = n_warps * 32 in
+  match version with
+  | Baseline when total_points mod per_cta <> 0 ->
+      Error
+        (Diagnostics.errorf ~pass:"launch"
+           ~loc:(Kernel_abi.kernel_name kernel)
+           "baseline %s launches one thread per point: %d points do not \
+            divide into %d-thread CTAs (%d warps x 32); pick a multiple or \
+            pass an explicit CTA count"
+           (Kernel_abi.kernel_name kernel)
+           total_points per_cta n_warps)
+  | Baseline | Warp_specialized | Naive_warp_specialized -> Ok ()
+
 let default_ctas t ~total_points =
+  Result.iter_error
+    (fun d -> raise (Diagnostics.Fail d))
+    (check_launch t.kernel t.version ~n_warps:t.options.n_warps ~total_points);
   match t.version with
-  | Baseline ->
-      let per_cta = t.options.n_warps * 32 in
-      (* Used to be an [assert]: a stray --points on a baseline launch
-         would abort the process instead of explaining itself. *)
-      if total_points mod per_cta <> 0 then
-        Diagnostics.failf ~pass:"launch"
-          ~loc:(Kernel_abi.kernel_name t.kernel)
-          "baseline %s launches one thread per point: %d points do not \
-           divide into %d-thread CTAs (%d warps x 32); pick a multiple or \
-           pass an explicit CTA count"
-          (Kernel_abi.kernel_name t.kernel)
-          total_points per_cta t.options.n_warps;
-      total_points / per_cta
-  | Warp_specialized | Naive_warp_specialized ->
-      min 1024 (total_points / 32)
+  | Baseline -> total_points / (t.options.n_warps * 32)
+  | Warp_specialized | Naive_warp_specialized -> min 1024 (total_points / 32)
 
 type run_result = {
   machine : Gpusim.Machine.result;

@@ -206,13 +206,21 @@ val dump_ir : Format.formatter -> t -> ir_stage -> unit
     dataflow graph with its expressions, the warp mapping, the per-warp
     action schedule, or the lowered program. *)
 
+val check_launch :
+  Kernel_abi.kernel -> version -> n_warps:int -> total_points:int ->
+  (unit, Diagnostics.t) result
+(** The one baseline-launch rule: the baseline launches one thread per
+    point, so [total_points] must divide into whole [n_warps] x 32-thread
+    CTAs; otherwise a positioned diagnostic (pass ["launch"]). The
+    warp-specialized versions accept any point count. *)
+
 val default_ctas : t -> total_points:int -> int
 (** Launch-grid size: warp-specialized kernels use a fixed CTA grid (1024,
     capped so each CTA gets at least one 32-point batch) so larger problems
     amortize the constant-loading prologue over more batches (§6.2);
-    the baseline launches one thread per point and raises a positioned
-    {!Diagnostics.Fail} (pass ["launch"]) when the point count does not
-    divide into whole CTAs. *)
+    the baseline launches one thread per point and raises
+    {!check_launch}'s diagnostic as {!Diagnostics.Fail} when the point
+    count does not divide into whole CTAs. *)
 
 type run_result = {
   machine : Gpusim.Machine.result;

@@ -111,50 +111,35 @@ let pp_report ppf (r : report) =
     (fun w -> Format.fprintf ppf "  %a@," Diagnostics.pp w)
     r.warnings
 
-(* Hand-rolled JSON: the values are controlled identifiers and numbers, so
-   escaping only needs the JSON string specials. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
+(* Hand-rolled JSON: the values are controlled identifiers and numbers;
+   strings are quoted through [Sutil.Json.escape]. *)
 let json_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
 let report_to_json (r : report) =
+  let esc = Sutil.Json.escape in
   let pass_json rec_ =
     Printf.sprintf
-      "{\"name\": %s, \"kind\": %s, \"runs\": %d, \"wall_ms\": %s, \"ok\": \
-       %b, \"stats\": {%s}}"
-      (json_string rec_.pass_name)
-      (json_string
-         (match rec_.kind with Transform -> "transform" | Validate -> "validate"))
+      "{\"name\": \"%s\", \"kind\": \"%s\", \"runs\": %d, \"wall_ms\": %s, \
+       \"ok\": %b, \"stats\": {%s}}"
+      (esc rec_.pass_name)
+      (match rec_.kind with Transform -> "transform" | Validate -> "validate")
       rec_.runs
       (json_float (rec_.wall_ns /. 1e6))
       rec_.ok
       (String.concat ", "
          (List.map
-            (fun (k, v) -> Printf.sprintf "%s: %s" (json_string k) (json_float v))
+            (fun (k, v) -> Printf.sprintf "\"%s\": %s" (esc k) (json_float v))
             rec_.stats))
   in
   Printf.sprintf
-    "{\"pipeline\": %s, \"total_ms\": %s, \"passes\": [%s], \"warnings\": \
+    "{\"pipeline\": \"%s\", \"total_ms\": %s, \"passes\": [%s], \"warnings\": \
      [%s]}"
-    (json_string r.pipeline)
+    (esc r.pipeline)
     (json_float (r.total_ns /. 1e6))
     (String.concat ", " (List.map pass_json r.records))
     (String.concat ", "
-       (List.map (fun w -> json_string (Diagnostics.to_string w)) r.warnings))
+       (List.map
+          (fun w -> "\"" ^ esc (Diagnostics.to_string w) ^ "\"")
+          r.warnings))

@@ -81,11 +81,11 @@ type request = {
 
 let default_target =
   {
-    t_mech = "dme";
-    t_kernel = "viscosity";
-    t_arch = "kepler";
-    t_version = "ws";
-    t_warps = 8;
+    t_mech = Target.default_mech;
+    t_kernel = Kernel_abi.kernel_name Target.default_kernel;
+    t_arch = Target.arch_name Target.default_arch;
+    t_version = Compile.version_name Target.default_version;
+    t_warps = Target.default_warps;
     t_points = 8192;
     t_synth = None;
     t_partition = "hand";
@@ -209,11 +209,7 @@ let target_of doc =
   let* partition =
     match partition with
     | None -> Ok dflt.t_partition
-    | Some ("hand" | "auto") -> Ok (Option.get partition)
-    | Some other ->
-        Error
-          (Printf.sprintf
-             "field \"partition\" must be \"hand\" or \"auto\", got %S" other)
+    | Some p -> Result.map (fun _ -> p) (Target.partition_of_string p)
   in
   Ok
     {
@@ -488,56 +484,19 @@ let render st id doc =
 
 exception Reply of error_class * string
 
-let mech_table : (string, Chem.Mechanism.t Lazy.t) Hashtbl.t =
-  let t = Hashtbl.create 4 in
-  Hashtbl.add t "dme" (lazy (Chem.Mech_gen.dme ()));
-  Hashtbl.add t "heptane" (lazy (Chem.Mech_gen.heptane ()));
-  Hashtbl.add t "methane" (lazy (Chem.Mech_gen.methane ()));
-  Hashtbl.add t "hydrogen" (lazy (Chem.Mech_gen.hydrogen ()));
-  t
-
 let resolve_target t =
-  let mech =
-    match Hashtbl.find_opt mech_table (String.lowercase_ascii t.t_mech) with
-    | Some m -> Lazy.force m
-    | None ->
-        raise
-          (Reply
-             ( Bad_request,
-               Printf.sprintf
-                 "unknown mechanism %S (expected dme, heptane, methane or \
-                  hydrogen)"
-                 t.t_mech ))
+  let get = function
+    | Ok v -> v
+    | Error msg -> raise (Reply (Bad_request, msg))
   in
-  let kernel =
-    match Kernel_abi.kernel_of_string t.t_kernel with
-    | Some k -> k
-    | None ->
-        raise
-          (Reply (Bad_request, Printf.sprintf "unknown kernel %S" t.t_kernel))
-  in
-  let arch =
-    match Gpusim.Arch.by_name t.t_arch with
-    | Some a -> a
-    | None ->
-        raise
-          (Reply
-             (Bad_request, Printf.sprintf "unknown architecture %S" t.t_arch))
-  in
-  let version =
-    match Compile.version_of_string t.t_version with
-    | Some v -> v
-    | None ->
-        raise
-          (Reply (Bad_request, Printf.sprintf "unknown version %S" t.t_version))
-  in
+  let mech = get (Target.mech_of_string t.t_mech) in
+  let kernel = get (Target.kernel_of_string t.t_kernel) in
+  let arch = get (Target.arch_of_string t.t_arch) in
+  let version = get (Target.version_of_string t.t_version) in
   let options =
     {
-      (Compile.default_options arch) with
-      Compile.n_warps = t.t_warps;
-      max_barriers = (if kernel = Kernel_abi.Chemistry then 16 else 8);
-      ctas_per_sm_target = (if kernel = Kernel_abi.Chemistry then 1 else 2);
-      synth_exchange = t.t_synth;
+      (Target.options ~n_warps:t.t_warps arch kernel) with
+      Compile.synth_exchange = t.t_synth;
     }
   in
   let options =
@@ -545,30 +504,28 @@ let resolve_target t =
        memo shared, so a repeated target resolves from cache); pipeline
        failures of the search itself are typed rejections like any other
        compile failure. *)
-    if t.t_partition <> "auto" then options
-    else
-      match
-        Partition_search.resolve_options mech kernel version ~base:options
-      with
-      | o -> o
-      | exception Diagnostics.Fail d ->
-          raise (Reply (Rejected, Diagnostics.to_string d))
-      | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg))
+    match get (Target.partition_of_string t.t_partition) with
+    | Target.Hand -> options
+    | Target.Auto -> (
+        match
+          Partition_search.resolve_options mech kernel version ~base:options
+        with
+        | o -> o
+        | exception Diagnostics.Fail d ->
+            raise (Reply (Rejected, Diagnostics.to_string d))
+        | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg)))
   in
   (mech, kernel, arch, version, options)
 
-(* The baseline launches one thread per point; a non-divisible grid
-   would trip Compile.default_ctas' assertion mid-simulation. Reject it
-   as a configuration error up front, like the CLI's predict skip. *)
-let check_divisibility t version =
-  if version = Compile.Baseline && t.t_points mod (t.t_warps * 32) <> 0 then
-    raise
-      (Reply
-         ( Rejected,
-           Printf.sprintf
-             "baseline needs points divisible by warps*32 (%d points, %d \
-              warps)"
-             t.t_points t.t_warps ))
+(* Reject a launch the simulator cannot size up front, with the same
+   [launch] diagnostic [singe run] prints. *)
+let check_launch kernel version options t =
+  match
+    Compile.check_launch kernel version ~n_warps:options.Compile.n_warps
+      ~total_points:t.t_points
+  with
+  | Ok () -> ()
+  | Error d -> raise (Reply (Rejected, Diagnostics.to_string d))
 
 (* Compile with the shared bounded memo; pipeline failures become typed
    rejections exactly as Compile.compile_checked classifies them. *)
@@ -682,7 +639,7 @@ let handle_compile st id t =
 let handle_predict st id t =
   st.c.n_predict <- st.c.n_predict + 1;
   let mech, kernel, _arch, version, options = resolve_target t in
-  check_divisibility t version;
+  check_launch kernel version options t;
   let c = compile_target mech kernel version options in
   let pred = Perf_model.predict c ~total_points:t.t_points in
   ok_response st id "predict"
@@ -695,7 +652,7 @@ let handle_predict st id t =
 let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
   st.c.n_run <- st.c.n_run + 1;
   let mech, kernel, _arch, version, options = resolve_target t in
-  check_divisibility t version;
+  check_launch kernel version options t;
   let faults =
     List.map
       (fun spec ->

@@ -14,11 +14,8 @@ let policies =
 
 let run mech arch version nw comm =
   let opts =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps = nw;
-      max_barriers = 16;
-      ctas_per_sm_target = 1;
-      chem_comm = Some comm }
+    { (Singe.Target.options ~n_warps:nw arch Singe.Kernel_abi.Chemistry) with
+      Singe.Compile.chem_comm = Some comm }
   in
   let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts in
   (c, Singe.Compile.run c ~total_points:(32 * 32))

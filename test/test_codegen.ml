@@ -240,10 +240,8 @@ let test_dme_end_to_end_slow () =
           let nw = if version = Singe.Compile.Baseline then 8 else nw in
           let _, r =
             run_with (dme ()) kernel version Gpusim.Arch.kepler_k20c
-              (fun o ->
-                { o with Singe.Compile.n_warps = nw;
-                  max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-                  ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) })
+              (fun _ ->
+                Singe.Target.options ~n_warps:nw Gpusim.Arch.kepler_k20c kernel)
               32768
           in
           Alcotest.(check bool) "correct" true (r.Singe.Compile.max_rel_err < 1e-8))

@@ -138,12 +138,11 @@ let test_validation_clean_across_matrix () =
           List.iter
             (fun kernel ->
               let opts =
-                { (Singe.Compile.default_options arch) with
-                  Singe.Compile.n_warps =
-                    (if version = Singe.Compile.Baseline then 2 else 4);
-                  max_barriers =
-                    (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-                  ctas_per_sm_target = 1 }
+                let n_warps =
+                  if version = Singe.Compile.Baseline then 2 else 4
+                in
+                { (Singe.Target.options ~n_warps arch kernel) with
+                  Singe.Compile.ctas_per_sm_target = 1 }
               in
               match
                 Singe.Compile.compile_checked ~validate:true (hydrogen ())

@@ -7,11 +7,8 @@ let dme = Chem.Mech_gen.dme
 
 let run ?(full = true) ?(t_range = (300.0, 2500.0)) mech version nw arch =
   let opts =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps = nw;
-      max_barriers = 16;
-      ctas_per_sm_target = 1;
-      full_range_thermo = full }
+    { (Singe.Target.options ~n_warps:nw arch Singe.Kernel_abi.Chemistry) with
+      Singe.Compile.full_range_thermo = full }
   in
   let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts in
   Singe.Compile.run c ~t_range ~total_points:(32 * 32)

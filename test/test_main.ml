@@ -28,4 +28,5 @@ let () =
       ("partition", Test_partition.tests);
       ("serve", Test_serve.tests);
       ("stencil", Test_stencil.tests);
+      ("target", Test_target.tests);
     ]

@@ -62,10 +62,8 @@ let test_all_kernels_slow () =
   List.iter
     (fun (kernel, nw) ->
       let opts =
-        { (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
-          Singe.Compile.n_warps = nw;
-          max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-          ctas_per_sm_target = 1 }
+        { (Singe.Target.options ~n_warps:nw Gpusim.Arch.kepler_k20c kernel) with
+          Singe.Compile.ctas_per_sm_target = 1 }
       in
       let c =
         Singe.Compile.compile m kernel Singe.Compile.Warp_specialized opts

@@ -10,12 +10,7 @@
 let hydrogen = lazy (Chem.Mech_gen.hydrogen ())
 let arch = Gpusim.Arch.kepler_k20c
 
-let base_options kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps = 8;
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2)
-  }
+let base_options kernel = Singe.Target.options ~n_warps:8 arch kernel
 
 let compiled kernel =
   Singe.Compile.compile_cached (Lazy.force hydrogen) kernel

@@ -15,11 +15,7 @@ let all_kernels =
     Singe.Kernel_abi.Diffusion; Singe.Kernel_abi.Chemistry ]
 
 let options ?(arch = Gpusim.Arch.kepler_k20c) ?(nw = 4) kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps = nw;
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2)
-  }
+  Singe.Target.options ~n_warps:nw arch kernel
 
 let compile ?arch ?nw ?(mech = hydrogen ())
     ?(version = Singe.Compile.Warp_specialized) kernel =

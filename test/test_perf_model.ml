@@ -7,13 +7,8 @@ let dme = Chem.Mech_gen.dme
 let arch = Gpusim.Arch.kepler_k20c
 
 let compile mech kernel version =
-  let o = Singe.Compile.default_options arch in
-  let o =
-    if kernel = Singe.Kernel_abi.Chemistry then
-      { o with Singe.Compile.max_barriers = 16; ctas_per_sm_target = 1 }
-    else o
-  in
-  Singe.Compile.compile_cached mech kernel version o
+  Singe.Compile.compile_cached mech kernel version
+    (Singe.Target.options arch kernel)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -344,15 +339,6 @@ let add_prediction b (p : Singe.Perf_model.prediction) =
   add_float b p.time_s;
   add_float b p.points_per_sec
 
-let golden_options arch kernel n_warps =
-  let chem = kernel = Singe.Kernel_abi.Chemistry in
-  {
-    (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps;
-    max_barriers = (if chem then 16 else 8);
-    ctas_per_sm_target = (if chem then 1 else 2);
-  }
-
 (* Every partition candidate (and the hand partition) of a chemistry, a
    transport and a stencil target, on both architectures, plus the hand
    programs of three DME transport kernels whose constants overflow into
@@ -382,7 +368,7 @@ let golden_digest () =
     (fun arch ->
       List.iter
         (fun (kernel, n_warps) ->
-          let base = golden_options arch kernel n_warps in
+          let base = Singe.Target.options ~n_warps arch kernel in
           let hand = Singe.Compile.compile_cached mech kernel version base in
           List.iter
             (digest_program arch mech kernel)
@@ -398,7 +384,8 @@ let golden_digest () =
   let dme = dme () and fermi = Gpusim.Arch.fermi_c2070 in
   List.iter
     (fun (kernel, n_warps) ->
-      digest_program fermi dme kernel (golden_options fermi kernel n_warps))
+      digest_program fermi dme kernel
+        (Singe.Target.options ~n_warps fermi kernel))
     [
       (Singe.Kernel_abi.Viscosity, 4);
       (Singe.Kernel_abi.Diffusion, 4);

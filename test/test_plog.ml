@@ -119,10 +119,7 @@ let test_plog_end_to_end () =
   List.iter
     (fun (version, arch) ->
       let opts =
-        { (Singe.Compile.default_options arch) with
-          Singe.Compile.n_warps = 2;
-          max_barriers = 16;
-          ctas_per_sm_target = 1 }
+        Singe.Target.options ~n_warps:2 arch Singe.Kernel_abi.Chemistry
       in
       let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts in
       let r = Singe.Compile.run c ~total_points:(32 * 32) in

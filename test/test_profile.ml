@@ -10,12 +10,9 @@ let arch = Gpusim.Arch.kepler_k20c
 let points = 13 * 3 * 32
 
 let options_for kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps =
-      (if kernel = Singe.Kernel_abi.Chemistry then 4 else 6);
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2)
-  }
+  Singe.Target.options
+    ~n_warps:(if kernel = Singe.Kernel_abi.Chemistry then 4 else 6)
+    arch kernel
 
 let compiled mech kernel =
   Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized

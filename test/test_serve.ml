@@ -183,6 +183,64 @@ let test_compile_rejected_class () =
   in
   check_class resp "compile-rejected"
 
+(* Serve rejects a bad compile-target name with the message the CLI's
+   argument conv prints: both come from Singe.Target. *)
+let test_bad_names_match_target () =
+  let st = Serve.create () in
+  let error_of = function
+    | Ok _ -> Alcotest.fail "a bad name was accepted"
+    | Error msg -> msg
+  in
+  List.iter
+    (fun (field, expected) ->
+      let line =
+        if field = "mech" then {|{"kind":"compile","mech":"nope"}|}
+        else
+          Printf.sprintf {|{"kind":"compile","mech":"hydrogen",%S:"nope"}|}
+            field
+      in
+      let resp, _ = handle st line in
+      check_class resp "bad-request";
+      Alcotest.(check (option string)) field (Some expected)
+        (sfield resp "message"))
+    [
+      ("mech", error_of (Singe.Target.mech_of_string "nope"));
+      ("kernel", error_of (Singe.Target.kernel_of_string "nope"));
+      ("arch", error_of (Singe.Target.arch_of_string "nope"));
+      ("version", error_of (Singe.Target.version_of_string "nope"));
+      ("partition", error_of (Singe.Target.partition_of_string "nope"));
+    ]
+
+(* A baseline launch that does not divide into whole CTAs answers with
+   the [launch] diagnostic [singe run] prints for the same target. *)
+let test_baseline_launch_message () =
+  let st = Serve.create () in
+  let resp, _ =
+    handle st
+      {|{"kind":"run","mech":"hydrogen","version":"baseline","points":100,"warps":4}|}
+  in
+  check_class resp "compile-rejected";
+  Alcotest.(check (option int)) "exit analog" (Some 2)
+    (Option.bind (J.member "exit_analog" (parse_doc resp)) J.int);
+  let kernel = Singe.Kernel_abi.Viscosity in
+  let c =
+    Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) kernel
+      Singe.Compile.Baseline
+      (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel)
+  in
+  let cli =
+    match Singe.Compile.default_ctas c ~total_points:100 with
+    | n -> Alcotest.failf "non-divisible launch sized to %d CTAs" n
+    | exception Singe.Diagnostics.Fail d -> Singe.Diagnostics.to_string d
+  in
+  Alcotest.(check (option string)) "same as singe run" (Some cli)
+    (sfield resp "message");
+  Alcotest.(check string) "launch diagnostic"
+    "error[launch]: viscosity: baseline viscosity launches one thread per \
+     point: 100 points do not divide into 128-thread CTAs (4 warps x 32); \
+     pick a multiple or pass an explicit CTA count"
+    cli
+
 let test_simulation_fault_class () =
   let st = Serve.create () in
   let resp, _ =
@@ -409,6 +467,10 @@ let tests =
       test_nonpositive_deadline_rejected;
     Alcotest.test_case "compile-rejected class" `Quick
       test_compile_rejected_class;
+    Alcotest.test_case "bad names match Target" `Quick
+      test_bad_names_match_target;
+    Alcotest.test_case "baseline launch message" `Quick
+      test_baseline_launch_message;
     Alcotest.test_case "simulation-fault class" `Quick
       test_simulation_fault_class;
     Alcotest.test_case "busy class" `Quick test_busy_class;

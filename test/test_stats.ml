@@ -6,10 +6,8 @@ let dme = Chem.Mech_gen.dme
 
 let compile mech kernel version arch nw =
   let opts =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps = nw;
-      max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-      ctas_per_sm_target = 1 }
+    { (Singe.Target.options ~n_warps:nw arch kernel) with
+      Singe.Compile.ctas_per_sm_target = 1 }
   in
   Singe.Compile.compile mech kernel version opts
 

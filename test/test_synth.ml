@@ -243,12 +243,8 @@ let test_validate_shuffle_ranges () =
 let compile_pair arch kernel =
   let mech = Chem.Mech_gen.dme () in
   let opts synth =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps = 8;
-      max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-      ctas_per_sm_target =
-        (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2);
-      synth_exchange = Some synth }
+    { (Singe.Target.options ~n_warps:8 arch kernel) with
+      Singe.Compile.synth_exchange = Some synth }
   in
   let c b =
     Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized

@@ -1,0 +1,93 @@
+(* Singe.Target: the per-kernel launch contract every driver builds its
+   options from, the name tables the CLI and serve parse through, and the
+   defaults both start from. *)
+
+module T = Singe.Target
+
+let archs = [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ]
+
+(* Chemistry takes all 16 named barriers at one CTA per SM, every other
+   kernel (the stencils included) 8 at two; nothing else departs from
+   Compile.default_options. *)
+let test_options_rule () =
+  List.iter
+    (fun (arch : Gpusim.Arch.t) ->
+      let d = Singe.Compile.default_options arch in
+      List.iter
+        (fun kernel ->
+          let what =
+            Printf.sprintf "%s/%s" (T.arch_name arch)
+              (Singe.Kernel_abi.kernel_name kernel)
+          in
+          let chem = kernel = Singe.Kernel_abi.Chemistry in
+          let o = T.options arch kernel in
+          Alcotest.(check int) (what ^ " max_barriers")
+            (if chem then 16 else 8)
+            o.Singe.Compile.max_barriers;
+          Alcotest.(check int) (what ^ " ctas_per_sm_target")
+            (if chem then 1 else 2)
+            o.Singe.Compile.ctas_per_sm_target;
+          Alcotest.(check int) (what ^ " n_warps") 8 o.Singe.Compile.n_warps;
+          Alcotest.(check int) (what ^ " ~n_warps") 5
+            (T.options ~n_warps:5 arch kernel).Singe.Compile.n_warps;
+          Alcotest.(check bool) (what ^ " other fields are the defaults") true
+            ({
+               o with
+               Singe.Compile.max_barriers = d.Singe.Compile.max_barriers;
+               ctas_per_sm_target = d.Singe.Compile.ctas_per_sm_target;
+             }
+            = d))
+        Singe.Kernel_abi.all_kernels)
+    archs
+
+let error = Alcotest.(result reject string)
+
+let test_name_tables () =
+  let ok_name f got expect =
+    Alcotest.(check (result string reject)) expect (Ok expect)
+      (Result.map f got)
+  in
+  ok_name (fun m -> m.Chem.Mechanism.name) (T.mech_of_string "HYDROGEN")
+    "hydrogen";
+  ok_name Singe.Kernel_abi.kernel_name (T.kernel_of_string "edge3") "edge3";
+  ok_name T.arch_name (T.arch_of_string "k20c") "kepler";
+  ok_name T.arch_name (T.arch_of_string "fermi") "fermi";
+  ok_name Singe.Compile.version_name (T.version_of_string "base") "baseline";
+  ok_name T.partition_mode_name (T.partition_of_string "auto") "auto";
+  List.iter
+    (fun (got, expect) -> Alcotest.check error expect (Error expect) got)
+    [
+      ( Result.map ignore (T.mech_of_string "nope"),
+        {|unknown mechanism "nope" (expected dme, heptane, methane or hydrogen)|}
+      );
+      ( Result.map ignore (T.kernel_of_string "nope"),
+        {|unknown kernel "nope" (expected viscosity, conductivity, diffusion, chemistry, edge3 or unsharp2)|}
+      );
+      ( Result.map ignore (T.arch_of_string "nope"),
+        {|unknown architecture "nope" (expected fermi or kepler)|} );
+      ( Result.map ignore (T.version_of_string "nope"),
+        {|unknown version "nope" (expected ws, baseline or naive)|} );
+      ( Result.map ignore (T.partition_of_string "nope"),
+        {|unknown partition mode "nope" (expected hand or auto)|} );
+    ]
+
+(* Serve's wire defaults name the same target the CLI flags default to. *)
+let test_serve_defaults () =
+  let t = Singe.Serve.default_target in
+  Alcotest.(check string) "mech" T.default_mech t.Singe.Serve.t_mech;
+  Alcotest.(check bool) "kernel" true
+    (T.kernel_of_string t.Singe.Serve.t_kernel = Ok T.default_kernel);
+  Alcotest.(check bool) "arch" true
+    (T.arch_of_string t.Singe.Serve.t_arch = Ok T.default_arch);
+  Alcotest.(check bool) "version" true
+    (T.version_of_string t.Singe.Serve.t_version = Ok T.default_version);
+  Alcotest.(check int) "warps" T.default_warps t.Singe.Serve.t_warps;
+  Alcotest.(check bool) "partition" true
+    (T.partition_of_string t.Singe.Serve.t_partition = Ok T.Hand)
+
+let tests =
+  [
+    Alcotest.test_case "per-kernel options rule" `Quick test_options_rule;
+    Alcotest.test_case "name tables and messages" `Quick test_name_tables;
+    Alcotest.test_case "serve defaults" `Quick test_serve_defaults;
+  ]
