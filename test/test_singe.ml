@@ -247,6 +247,7 @@ let qcheck_random_dfg_end_to_end =
               param_stripe_threshold = 4;
               freg_budget = 24;
               synth_exchange = false;
+              list_schedule = true;
             }
           in
           let low =
