@@ -634,7 +634,7 @@ let predict_cmd =
       | Some v -> [ v ]
       | None -> [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ]
     in
-    let rows = ref [] in
+    let rows = ref [] and skipped = ref 0 in
     Printf.printf "%-13s %-9s %5s  %12s %12s %7s  %s\n" "kernel" "version"
       "warps" "predicted" "simulated" "err" "model binding";
     List.iter
@@ -671,6 +671,7 @@ let predict_cmd =
                     version options)
             with
             | Error d ->
+                incr skipped;
                 Printf.printf "%-13s skipped: %s\n" name
                   (Singe.Diagnostics.to_string d)
             | Ok (c, _) ->
@@ -706,6 +707,13 @@ let predict_cmd =
           versions)
       kernels;
     let rows = List.rev !rows in
+    (* Every row rejected (say, a --points no launch can size) is a
+       rejection of the whole command, like [run]'s. *)
+    if rows = [] && !skipped > 0 then begin
+      flush stdout;
+      prerr_endline "singe: every row was rejected; nothing to predict";
+      exit exit_compile_rejected
+    end;
     (match rows with
     | [] -> ()
     | _ ->

@@ -209,18 +209,21 @@ val dump_ir : Format.formatter -> t -> ir_stage -> unit
 val check_launch :
   Kernel_abi.kernel -> version -> n_warps:int -> total_points:int ->
   (unit, Diagnostics.t) result
-(** The one baseline-launch rule: the baseline launches one thread per
-    point, so [total_points] must divide into whole [n_warps] x 32-thread
-    CTAs; otherwise a positioned diagnostic (pass ["launch"]). The
-    warp-specialized versions accept any point count. *)
+(** The one launch rule behind {!default_ctas}, O(1) arithmetic. The
+    baseline launches one thread per point, so [total_points] must divide
+    into whole [n_warps] x 32-thread CTAs. The warp-specialized versions
+    launch [min 1024 (total_points / 32)] CTAs, and [total_points] must
+    split evenly into them in whole 32-point batches (any positive
+    multiple of 32 up to 32768, or a multiple of 32768). Otherwise a
+    positioned diagnostic (pass ["launch"]). *)
 
 val default_ctas : t -> total_points:int -> int
 (** Launch-grid size: warp-specialized kernels use a fixed CTA grid (1024,
     capped so each CTA gets at least one 32-point batch) so larger problems
     amortize the constant-loading prologue over more batches (§6.2);
-    the baseline launches one thread per point and raises
-    {!check_launch}'s diagnostic as {!Diagnostics.Fail} when the point
-    count does not divide into whole CTAs. *)
+    the baseline launches one thread per point. Raises {!check_launch}'s
+    diagnostic as {!Diagnostics.Fail} when the point count does not
+    divide into the grid. *)
 
 type run_result = {
   machine : Gpusim.Machine.result;

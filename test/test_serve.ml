@@ -241,6 +241,44 @@ let test_baseline_launch_message () =
      pick a multiple or pass an explicit CTA count"
     cli
 
+(* A warp-specialized launch whose default grid of min 1024 (points / 32)
+   CTAs cannot split the points into whole 32-point batches used to die
+   on an assertion in the chip layer and answer [internal]; run and
+   predict now reject it with [singe run]'s [launch] diagnostic. *)
+let test_ws_launch_rejected () =
+  let st = Serve.create () in
+  let kernel = Singe.Kernel_abi.Viscosity in
+  let c =
+    Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) kernel
+      Singe.Compile.Warp_specialized
+      (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel)
+  in
+  let cli =
+    match Singe.Compile.default_ctas c ~total_points:2000 with
+    | n -> Alcotest.failf "2000 points sized to %d CTAs" n
+    | exception Singe.Diagnostics.Fail d -> Singe.Diagnostics.to_string d
+  in
+  Alcotest.(check bool) "a launch diagnostic" true
+    (String.starts_with ~prefix:"error[launch]: viscosity: ws viscosity" cli);
+  List.iter
+    (fun kind ->
+      let resp, _ =
+        handle st
+          (Printf.sprintf
+             {|{"kind":"%s","mech":"hydrogen","points":2000,"warps":4}|} kind)
+      in
+      check_class resp "compile-rejected";
+      Alcotest.(check (option int)) (kind ^ " exit analog") (Some 2)
+        (Option.bind (J.member "exit_analog" (parse_doc resp)) J.int);
+      Alcotest.(check (option string)) (kind ^ ": same as singe run")
+        (Some cli) (sfield resp "message"))
+    [ "run"; "predict" ];
+  let resp, _ =
+    handle st {|{"kind":"run","mech":"hydrogen","points":2048,"warps":4}|}
+  in
+  Alcotest.(check (option string)) "a dividing launch still runs" None
+    (sfield resp "class")
+
 let test_simulation_fault_class () =
   let st = Serve.create () in
   let resp, _ =
@@ -471,6 +509,7 @@ let tests =
       test_bad_names_match_target;
     Alcotest.test_case "baseline launch message" `Quick
       test_baseline_launch_message;
+    Alcotest.test_case "ws launch rejected" `Quick test_ws_launch_rejected;
     Alcotest.test_case "simulation-fault class" `Quick
       test_simulation_fault_class;
     Alcotest.test_case "busy class" `Quick test_busy_class;
