@@ -1,5 +1,5 @@
 .PHONY: all build test test-faults fmt fmt-check check perf perf-quick \
-	profile-smoke predict-smoke chip-smoke synth-smoke partition-smoke \
+	perf-layers profile-smoke predict-smoke chip-smoke synth-smoke partition-smoke \
 	stencil-smoke serve-smoke serve-soak perf-self-test clean
 
 all: build
@@ -46,6 +46,14 @@ perf:
 # fan-out (results are identical at any --jobs value).
 perf-quick:
 	SINGE_FAST=1 dune exec bench/main.exe -- perf --jobs 2
+
+# One workload's per-layer ledger row: the benchmark run traced, at seed 1
+# for 10 s (e.g. `make perf-layers WORKLOAD=compile-cold`; the workloads
+# are compile-cold, serve-warm and partition-search).
+WORKLOAD ?= compile-cold
+
+perf-layers:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 10 --trace 1
 
 # Profiler smoke: run `singe profile` on one kernel with --check, which
 # verifies bucket conservation, Chrome-trace JSON syntax, and timestamp
