@@ -86,8 +86,12 @@ let shape e =
   let rec go = function
     | Imm v -> Buffer.add_string buf (Printf.sprintf "#%h" v)
     | C _ -> Buffer.add_char buf 'C'
-    | In i -> Buffer.add_string buf (Printf.sprintf "I%d" i)
-    | Var i -> Buffer.add_string buf (Printf.sprintf "V%d" i)
+    | In i ->
+        Buffer.add_char buf 'I';
+        Buffer.add_string buf (string_of_int i)
+    | Var i ->
+        Buffer.add_char buf 'V';
+        Buffer.add_string buf (string_of_int i)
     | Let (d, b) ->
         Buffer.add_string buf "L(";
         go d;
