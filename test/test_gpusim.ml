@@ -224,6 +224,103 @@ let test_batch_extrapolation () =
   in
   Alcotest.(check bool) "within 15%" true (rel < 0.15)
 
+
+(* Lane predicates that leave no lane or a single lane active. The
+   validator accepts [Lane_lt 0]; such an instruction still issues and
+   occupies its pipes like an unpredicated one, counts FLOPs for its
+   active lanes only, and never evaluates an operand on an inactive lane:
+   the shared addresses below are in range only on lane 31 (or on no
+   lane), and slot 1000 lies past [const_mem]. *)
+let test_empty_and_single_lane_predicates () =
+  let saddr base = { Isa.s_base = base; s_warp_mul = 0; s_lane_mul = 1; s_ireg = Some 0; s_ireg_mul = 0 } in
+  let program ~pred ~addr ~const =
+    let p =
+      base_program ~n_warps:1 ~barriers:0
+        ~body:
+          (Isa.Instrs
+             [
+               Isa.Ld_global { dst = 0; group = 0; field = Isa.F_static 0; via_tex = true; pred = None };
+               Isa.St_shared { src = Isa.Sreg 0; addr; pred };
+               Isa.Arith { op = Isa.Add; dst = 1; srcs = [| Isa.Sshared addr; Isa.Sconst const |]; pred };
+               Isa.Mov { dst = 2; src = Isa.Sshared addr; pred };
+               Isa.St_global { src = Isa.Sreg 1; group = 1; field = Isa.F_static 0; pred = None };
+               Isa.St_global { src = Isa.Sreg 2; group = 1; field = Isa.F_static 1; pred = None };
+             ])
+        ()
+    in
+    { p with Isa.groups = [| { Isa.group_name = "a"; fields = 1 }; { Isa.group_name = "out"; fields = 2 } |] }
+  in
+  let run p =
+    run_program ~points:32 p ~fill:(fun mem n ->
+        Memstate.set_field mem ~group:0 ~field:0 (Array.init n float_of_int))
+  in
+  let full = run (program ~pred:None ~addr:(saddr 0) ~const:0) in
+  let none = run (program ~pred:(Some (Isa.Lane_lt 0)) ~addr:(saddr (-1000)) ~const:1000) in
+  let one = run (program ~pred:(Some (Isa.Lane_eq 31)) ~addr:(saddr (-31)) ~const:0) in
+  let c (r : Machine.result) = r.Machine.sim.Sm.counters in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check int) (name ^ ": cycles as unpredicated") full.Machine.sm_cycles r.Machine.sm_cycles;
+      Alcotest.(check int) (name ^ ": issued") (c full).Sm.issued (c r).Sm.issued;
+      Alcotest.(check int) (name ^ ": dp instrs") 1 (c r).Sm.dp_warp_instrs;
+      Alcotest.(check int) (name ^ ": shared accesses") 3 (c r).Sm.shared_accesses;
+      Alcotest.(check int) (name ^ ": no conflicts") 0 (c r).Sm.bank_conflict_slots)
+    [ ("lane<0", none); ("lane==31", one) ];
+  Alcotest.(check int) "full warp flops" 32 (c full).Sm.flops;
+  Alcotest.(check int) "no lane, no flops" 0 (c none).Sm.flops;
+  Alcotest.(check int) "one lane, one flop" 1 (c one).Sm.flops;
+  let out (r : Machine.result) f = Memstate.get_field r.Machine.mem ~group:1 ~field:f in
+  for lane = 0 to 31 do
+    let l = float_of_int lane in
+    Alcotest.(check (float 0.0)) "full add" (l +. 3.5) (out full 0).(lane);
+    Alcotest.(check (float 0.0)) "full mov" l (out full 1).(lane);
+    Alcotest.(check (float 0.0)) "lane<0 add untouched" 0.0 (out none 0).(lane);
+    Alcotest.(check (float 0.0)) "lane<0 mov untouched" 0.0 (out none 1).(lane);
+    Alcotest.(check (float 0.0)) "lane==31 add" (if lane = 31 then 31.0 +. 3.5 else 0.0) (out one 0).(lane);
+    Alcotest.(check (float 0.0)) "lane==31 mov" (if lane = 31 then 31.0 else 0.0) (out one 1).(lane)
+  done;
+  Alcotest.(check (float 0.0)) "lane<0 stores nothing" 0.0
+    (Array.fold_left (fun a v -> a +. abs_float v) 0.0 none.Machine.mem.Memstate.shared.(0));
+  Alcotest.(check (float 0.0)) "lane==31 stores its value" 31.0 one.Machine.mem.Memstate.shared.(0).(0)
+
+(* A warp blocked on a long-latency load is not a deadlock while every
+   other warp waits on the barrier it will arrive at; the run finishes.
+   When the last warp can never arrive, the deadlock is still reported, at
+   a pinned cycle. *)
+let test_blocked_warp_not_deadlock () =
+  let program last =
+    let p =
+      base_program ~n_warps:4 ~barriers:2
+        ~body:
+          (Isa.Seq
+             [
+               Isa.If_warps { mask = 0b0111; body = Isa.Instrs [ Isa.Bar_sync { bar = 0; count = 4 } ] };
+               Isa.If_warps
+                 {
+                   mask = 0b1000;
+                   body =
+                     Isa.Instrs
+                       ([
+                          Isa.Ld_global { dst = 0; group = 0; field = Isa.F_static 0; via_tex = false; pred = None };
+                          Isa.Arith { op = Isa.Exp; dst = 1; srcs = [| Isa.Sreg 0 |]; pred = None };
+                          Isa.Arith { op = Isa.Mul; dst = 2; srcs = [| Isa.Sreg 1; Isa.Simm 2.0 |]; pred = None };
+                        ]
+                       @ last);
+                 };
+             ])
+        ()
+    in
+    { p with Isa.point_map = Isa.Coop }
+  in
+  let fill mem n = Memstate.set_field mem ~group:0 ~field:0 (Array.make n 0.5) in
+  let ok = run_program ~points:128 (program [ Isa.Bar_arrive { bar = 0; count = 4 } ]) ~fill in
+  Alcotest.(check bool) "finishes" true (ok.Machine.sm_cycles > 0);
+  match run_program ~points:128 (program [ Isa.Bar_sync { bar = 1; count = 2 } ]) ~fill with
+  | exception Sm.Simulation_fault f ->
+      Alcotest.(check string) "kind" "barrier deadlock" (Sm.fault_kind_name f.Sm.fault_kind);
+      Alcotest.(check int) "fault cycle" 633 f.Sm.fault_cycle
+  | _ -> Alcotest.fail "deadlock not detected"
+
 let tests =
   [
     Alcotest.test_case "arch peaks" `Quick test_arch_peaks;
@@ -235,4 +332,8 @@ let tests =
     Alcotest.test_case "ccache capacity" `Quick test_ccache_capacity;
     Alcotest.test_case "occupancy limits" `Quick test_occupancy_limits;
     Alcotest.test_case "batch extrapolation" `Quick test_batch_extrapolation;
+    Alcotest.test_case "empty and single-lane predicates" `Quick
+      test_empty_and_single_lane_predicates;
+    Alcotest.test_case "blocked warp is not a deadlock" `Quick
+      test_blocked_warp_not_deadlock;
   ]

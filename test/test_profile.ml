@@ -151,6 +151,48 @@ let test_profile_no_perturb () =
   Alcotest.(check int) "ccache stall cycles" cp.Gpusim.Sm.ccache_stall_cycles
     cq.Gpusim.Sm.ccache_stall_cycles
 
+(* The same on random programs: the random-DFG generator of the
+   end-to-end property, each case lowered at two warp counts (hints folded
+   into range) and simulated with and without the profiler. Cycles,
+   counters and output memory must be identical, and every warp's buckets
+   must sum to the cycle count. *)
+let qcheck_profile_no_perturb_random =
+  QCheck.Test.make ~count:30 ~name:"profiling does not perturb random programs"
+    (QCheck.make (Test_singe.gen_dfg_with (QCheck.Gen.return 4)))
+    (fun (_, n_loads, exprs, picks, hints, n_stores) ->
+      List.for_all
+        (fun n_warps ->
+          let hints = List.map (fun h -> h mod n_warps) hints in
+          let built =
+            Test_singe.build_random_dfg (n_warps, n_loads, exprs, picks, hints, n_stores)
+          in
+          let lowered =
+            Test_singe.lower_random_dfg ~strategy:Singe.Mapping.Mixed built
+          in
+          let plain = Test_singe.run_random_program lowered in
+          let profiled =
+            Test_singe.run_random_program ~profile:Gpusim.Sm.default_profile lowered
+          in
+          let sim (r : Gpusim.Machine.result) = r.Gpusim.Machine.sim in
+          let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+          let same = function
+            | true -> true
+            | false -> QCheck.Test.fail_reportf "differs at %d warps" n_warps
+          in
+          same ((sim plain).Gpusim.Sm.cycles = (sim profiled).Gpusim.Sm.cycles)
+          && same (bits (sim plain).Gpusim.Sm.counters = bits (sim profiled).Gpusim.Sm.counters)
+          && same (bits plain.Gpusim.Machine.mem = bits profiled.Gpusim.Machine.mem)
+          &&
+          match (sim profiled).Gpusim.Sm.profile with
+          | None -> QCheck.Test.fail_report "profiled run returned no profile"
+          | Some p ->
+              let cycles = (sim plain).Gpusim.Sm.cycles in
+              p.Gpusim.Profile.cycles = cycles
+              && Array.for_all
+                   (fun row -> Array.fold_left ( + ) 0 row = cycles)
+                   p.Gpusim.Profile.buckets)
+        [ 2; 4 ])
+
 (* ---- the once-per-fill counters lower-bound the per-warp buckets ----
 
    Counters charge each cache fill once; the profiler charges every warp
@@ -183,4 +225,5 @@ let tests =
       test_profile_no_perturb;
     Alcotest.test_case "fill counters lower-bound cache buckets" `Quick
       test_fill_counters_bound_buckets;
+    QCheck_alcotest.to_alcotest qcheck_profile_no_perturb_random;
   ]

@@ -184,9 +184,9 @@ let test_barrier_budget_respected () =
 (* Random DFGs: schedule + compile + simulate must terminate without
    deadlock and reproduce the interpreter exactly — Theorem 1 plus the
    epoch-based barrier allocation, end to end. *)
-let gen_dfg =
+let gen_dfg_with warps =
   QCheck.Gen.(
-    let* n_warps = int_range 2 5 in
+    let* n_warps = warps in
     let* n_loads = int_range 1 4 in
     let* n_computes = int_range 3 25 in
     let* exprs = list_repeat n_computes (gen_expr 3) in
@@ -194,6 +194,8 @@ let gen_dfg =
     let* hints = list_repeat n_computes (int_range 0 (n_warps - 1)) in
     let* n_stores = int_range 1 3 in
     return (n_warps, n_loads, exprs, input_picks, hints, n_stores))
+
+let gen_dfg = gen_dfg_with (QCheck.Gen.int_range 2 5)
 
 let build_random_dfg (n_warps, n_loads, exprs, input_picks, hints, n_stores) =
   let b = Singe.Dfg.Builder.create "random" in
@@ -220,55 +222,63 @@ let build_random_dfg (n_warps, n_loads, exprs, input_picks, hints, n_stores) =
   done;
   (Singe.Dfg.Builder.finish b, n_warps, n_loads, n_stores)
 
+(* Map, schedule and lower a random DFG; returns the program with an
+   input filler and the interpreter's input vector. *)
+let lower_random_dfg ~strategy (dfg, n_warps, n_loads, n_stores) =
+  let groups =
+    [|
+      { Gpusim.Isa.group_name = "mole_frac"; fields = max 4 n_loads };
+      { Gpusim.Isa.group_name = "out"; fields = n_stores };
+    |]
+  in
+  let m =
+    Singe.Mapping.map dfg ~n_warps ~weights:Singe.Mapping.default_weights
+      ~strategy ~respect_hints:true
+  in
+  let sched = Singe.Schedule.build ~max_barriers:4 ~buffer_slots:8 dfg m in
+  let cfg =
+    {
+      Singe.Lower.arch = Gpusim.Arch.kepler_k20c;
+      overlay = true;
+      const_policy = Singe.Lower.Bank;
+      exp_consts_in_registers = false;
+      param_stripe_threshold = 4;
+      freg_budget = 24;
+      synth_exchange = false;
+      list_schedule = true;
+    }
+  in
+  let low =
+    Singe.Lower.lower cfg ~name:"random" ~point_map:Gpusim.Isa.Coop
+      ~out_warps:n_warps ~groups dfg m sched
+  in
+  let inputs = Array.init (max 4 n_loads) (fun i -> 0.5 +. (0.25 *. float_of_int i)) in
+  let fill mem n =
+    Array.iteri
+      (fun f v -> Gpusim.Memstate.set_field mem ~group:0 ~field:f (Array.make n v))
+      inputs
+  in
+  (low.Singe.Lower.program, fill, inputs)
+
+let run_random_program ?profile (program, fill, _) =
+  Gpusim.Machine.run ?profile ~fill_inputs:fill Gpusim.Arch.kepler_k20c
+    { Gpusim.Machine.program; total_points = 64; ctas = 2 }
+
+let random_dfg_strategies =
+  [ Singe.Mapping.Store; Singe.Mapping.Buffer; Singe.Mapping.Mixed ]
+
 let qcheck_random_dfg_end_to_end =
   QCheck.Test.make ~count:60 ~name:"random DFG: schedule+codegen+simulate = interpreter"
     (QCheck.make gen_dfg)
     (fun spec ->
-      let dfg, n_warps, n_loads, n_stores = build_random_dfg spec in
-      let groups =
-        [|
-          { Gpusim.Isa.group_name = "mole_frac"; fields = max 4 n_loads };
-          { Gpusim.Isa.group_name = "out"; fields = n_stores };
-        |]
-      in
+      let ((dfg, _, _, _) as built) = build_random_dfg spec in
       List.for_all
         (fun strategy ->
-          let m =
-            Singe.Mapping.map dfg ~n_warps ~weights:Singe.Mapping.default_weights
-              ~strategy ~respect_hints:true
-          in
-          let sched = Singe.Schedule.build ~max_barriers:4 ~buffer_slots:8 dfg m in
-          let cfg =
-            {
-              Singe.Lower.arch = Gpusim.Arch.kepler_k20c;
-              overlay = true;
-              const_policy = Singe.Lower.Bank;
-              exp_consts_in_registers = false;
-              param_stripe_threshold = 4;
-              freg_budget = 24;
-              synth_exchange = false;
-              list_schedule = true;
-            }
-          in
-          let low =
-            Singe.Lower.lower cfg ~name:"random" ~point_map:Gpusim.Isa.Coop
-              ~out_warps:n_warps ~groups dfg m sched
-          in
-          (match Gpusim.Isa.validate low.Singe.Lower.program with
+          let ((program, _, inputs) as lowered) = lower_random_dfg ~strategy built in
+          (match Gpusim.Isa.validate program with
           | Ok () -> ()
           | Error l -> QCheck.Test.fail_report (String.concat "; " l));
-          let inputs = Array.init (max 4 n_loads) (fun i -> 0.5 +. (0.25 *. float_of_int i)) in
-          let fill mem n =
-            Array.iteri
-              (fun f v ->
-                Gpusim.Memstate.set_field mem ~group:0 ~field:f (Array.make n v))
-              inputs
-          in
-          let r =
-            Gpusim.Machine.run ~fill_inputs:fill Gpusim.Arch.kepler_k20c
-              { Gpusim.Machine.program = low.Singe.Lower.program;
-                total_points = 64; ctas = 2 }
-          in
+          let r = run_random_program lowered in
           let interp =
             Singe.Dfg_interp.eval dfg
               { Singe.Dfg_interp.temp = 0.0; pressure = 0.0;
@@ -288,7 +298,7 @@ let qcheck_random_dfg_end_to_end =
                      else Float.is_finite got = false)
                    (Array.sub out 0 r.Gpusim.Machine.simulated_points))
             interp true)
-        [ Singe.Mapping.Store; Singe.Mapping.Buffer; Singe.Mapping.Mixed ])
+        random_dfg_strategies)
 
 (* ---------- end-to-end kernels ---------- *)
 
