@@ -55,79 +55,83 @@ module Icache = struct
       st = { hits = 0; stream_hits = 0; misses = 0; fill_stall_cycles = 0 };
     }
 
+  (* The lookups below are plain loops, not [Array.iteri] closures, so an
+     access allocates nothing; each keeps the last match, as a full scan
+     in way order would. *)
   let insert t ~now ~fill line =
     let set = line mod t.n_sets in
-    let ways = t.sets.(set) in
+    let ways = t.sets.(set) and lru = t.lru.(set) in
     let found = ref false in
-    Array.iteri
-      (fun w tag ->
-        if tag = line then begin
-          found := true;
-          t.lru.(set).(w) <- t.stamp
-        end)
-      ways;
+    for w = 0 to Array.length ways - 1 do
+      if ways.(w) = line then begin
+        found := true;
+        lru.(w) <- t.stamp
+      end
+    done;
     if not !found then begin
       let victim = ref 0 in
-      Array.iteri
-        (fun w _ -> if t.lru.(set).(w) < t.lru.(set).(!victim) then victim := w)
-        ways;
+      for w = 0 to Array.length ways - 1 do
+        if lru.(w) < lru.(!victim) then victim := w
+      done;
       ways.(!victim) <- line;
-      t.lru.(set).(!victim) <- t.stamp;
+      lru.(!victim) <- t.stamp;
       t.ready.(set).(!victim) <- now + fill
     end
 
-  (* Residency probe; a line still being filled stalls until ready. *)
+  (* Residency probe: the stall until the line is ready (0 when it is
+     resident), or -1 when it is absent. *)
   let probe t ~now line =
     let set = line mod t.n_sets in
-    let result = ref None in
-    Array.iteri
-      (fun w tag ->
-        if tag = line then begin
-          t.lru.(set).(w) <- t.stamp;
-          result := Some (max 0 (t.ready.(set).(w) - now))
-        end)
-      t.sets.(set);
+    let ways = t.sets.(set) in
+    let result = ref (-1) in
+    for w = 0 to Array.length ways - 1 do
+      if ways.(w) = line then begin
+        t.lru.(set).(w) <- t.stamp;
+        result := max 0 (t.ready.(set).(w) - now)
+      end
+    done;
     !result
 
   let access t ~now ~line =
     t.stamp <- t.stamp + 1;
-    match probe t ~now line with
-    | Some wait ->
-        t.st.hits <- t.st.hits + 1;
-        wait
-    | None ->
-        (* Does a prefetch stream cover this line (within its run-ahead
-           window)? *)
-        let stream = ref (-1) in
-        Array.iteri
-          (fun s next ->
-            if next >= 0 && line >= next && line < next + stream_window then
-              stream := s)
-          t.streams;
-        if !stream >= 0 then begin
-          let s = !stream in
-          t.streams.(s) <- line + 1;
-          t.stream_lru.(s) <- t.stamp;
-          insert t ~now ~fill:t.prefetch_cost line;
-          t.st.stream_hits <- t.st.stream_hits + 1;
-          t.st.fill_stall_cycles <- t.st.fill_stall_cycles + t.prefetch_cost;
-          t.prefetch_cost
-        end
-        else begin
-          (* Full miss: allocate (or steal) a stream for the new
-             sequence. *)
-          let victim = ref 0 in
-          Array.iteri
-            (fun s _ ->
-              if t.stream_lru.(s) < t.stream_lru.(!victim) then victim := s)
-            t.streams;
-          t.streams.(!victim) <- line + 1;
-          t.stream_lru.(!victim) <- t.stamp;
-          insert t ~now ~fill:t.miss_latency line;
-          t.st.misses <- t.st.misses + 1;
-          t.st.fill_stall_cycles <- t.st.fill_stall_cycles + t.miss_latency;
-          t.miss_latency
-        end
+    let wait = probe t ~now line in
+    if wait >= 0 then begin
+      t.st.hits <- t.st.hits + 1;
+      wait
+    end
+    else begin
+      (* Does a prefetch stream cover this line (within its run-ahead
+         window)? *)
+      let stream = ref (-1) in
+      for s = 0 to Array.length t.streams - 1 do
+        let next = t.streams.(s) in
+        if next >= 0 && line >= next && line < next + stream_window then
+          stream := s
+      done;
+      if !stream >= 0 then begin
+        let s = !stream in
+        t.streams.(s) <- line + 1;
+        t.stream_lru.(s) <- t.stamp;
+        insert t ~now ~fill:t.prefetch_cost line;
+        t.st.stream_hits <- t.st.stream_hits + 1;
+        t.st.fill_stall_cycles <- t.st.fill_stall_cycles + t.prefetch_cost;
+        t.prefetch_cost
+      end
+      else begin
+        (* Full miss: allocate (or steal) a stream for the new
+           sequence. *)
+        let victim = ref 0 in
+        for s = 0 to Array.length t.streams - 1 do
+          if t.stream_lru.(s) < t.stream_lru.(!victim) then victim := s
+        done;
+        t.streams.(!victim) <- line + 1;
+        t.stream_lru.(!victim) <- t.stamp;
+        insert t ~now ~fill:t.miss_latency line;
+        t.st.misses <- t.st.misses + 1;
+        t.st.fill_stall_cycles <- t.st.fill_stall_cycles + t.miss_latency;
+        t.miss_latency
+      end
+    end
 
   let stats t = t.st
 
@@ -170,13 +174,12 @@ module Ccache = struct
     t.stamp <- t.stamp + 1;
     let line = slot / t.slots_per_line in
     let hit = ref (-1) in
-    Array.iteri
-      (fun i tag ->
-        if tag = line then begin
-          hit := i;
-          t.lru.(i) <- t.stamp
-        end)
-      t.lines;
+    for i = 0 to Array.length t.lines - 1 do
+      if t.lines.(i) = line then begin
+        hit := i;
+        t.lru.(i) <- t.stamp
+      end
+    done;
     if !hit >= 0 then begin
       t.st.hits <- t.st.hits + 1;
       (* A line still in flight stalls followers until the fill lands. *)
@@ -184,9 +187,9 @@ module Ccache = struct
     end
     else begin
       let victim = ref 0 in
-      Array.iteri
-        (fun i _ -> if t.lru.(i) < t.lru.(!victim) then victim := i)
-        t.lines;
+      for i = 0 to Array.length t.lines - 1 do
+        if t.lru.(i) < t.lru.(!victim) then victim := i
+      done;
       t.lines.(!victim) <- line;
       t.lru.(!victim) <- t.stamp;
       t.ready.(!victim) <- now + t.miss_latency;
