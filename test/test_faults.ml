@@ -426,6 +426,21 @@ let test_corrupt_shfl_corrupts_outputs () =
     "clean run stays clean" true
     (clean.Singe.Compile.max_rel_err < 1e-9)
 
+(* The host reference is memoized per target, but the comparison is not:
+   a corrupted run right after a clean run of the same target (a memo
+   hit) is still caught, and a clean run after it is clean again. *)
+let test_oracle_memo_still_compares () =
+  let c = compiled (Lazy.force dme) Singe.Kernel_abi.Viscosity in
+  let run faults =
+    (Singe.Compile.run c ~total_points:(13 * 3 * 32) ~faults
+       ~max_cycles:50_000_000)
+      .Singe.Compile.max_rel_err
+  in
+  let corrupt = [ Gpusim.Fault.Corrupt_shfl { warp = 0; nth = 0 } ] in
+  Alcotest.(check bool) "clean" true (run [] < 1e-9);
+  Alcotest.(check bool) "corrupted after clean" true (run corrupt > 1e-6);
+  Alcotest.(check bool) "clean after corrupted" true (run [] < 1e-9)
+
 let test_corrupt_shfl_unmatchable_rejected () =
   let c = compiled (Lazy.force dme) Singe.Kernel_abi.Viscosity in
   match
@@ -470,4 +485,6 @@ let tests =
       test_parser_positions;
     Alcotest.test_case "diagnostics carry source locations" `Quick
       test_diagnostics_carry_loc;
+    Alcotest.test_case "memoized oracle still compares every run" `Quick
+      test_oracle_memo_still_compares;
   ]
