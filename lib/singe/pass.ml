@@ -25,7 +25,7 @@ type t = {
   mutable warnings_rev : Diagnostics.t list;
 }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns = Sutil.Clock.now_ns
 
 let create pipeline =
   { pipeline; started_ns = now_ns (); records_rev = []; warnings_rev = [] }

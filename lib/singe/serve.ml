@@ -1017,7 +1017,7 @@ let id_cache_insert st key entry =
 
 let handle_line st line =
   st.c.total <- st.c.total + 1;
-  let started = Unix.gettimeofday () in
+  let started = Sutil.Clock.now_ns () in
   match J.parse line with
   | Error msg ->
       let resp =
@@ -1066,9 +1066,7 @@ let handle_line st line =
               (* The wall side of the deadline: we cannot preempt a
                  running compile, but an overrun is recorded on the
                  response and in the stats. *)
-              let elapsed_ms =
-                int_of_float ((Unix.gettimeofday () -. started) *. 1000.)
-              in
+              let elapsed_ms = int_of_float (Sutil.Clock.elapsed_ms started) in
               let resp =
                 if elapsed_ms > deadline_ms then begin
                   st.c.wall_overruns <- st.c.wall_overruns + 1;
