@@ -722,34 +722,35 @@ let predict_cmd =
         in
         Printf.printf "worst relative error: %.1f%%\n" (100.0 *. worst));
     let payload =
-      let b = Buffer.create 1024 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\n  \"schema\": \"singe-predict-v1\",\n  \"mech\": \"%s\",\n  \
-            \"arch\": \"%s\",\n  \"points\": %d,\n  \"rows\": ["
-           mech.Chem.Mechanism.name arch.Gpusim.Arch.name points);
-      List.iteri
-        (fun i (kernel, version, (pred : Singe.Perf_model.prediction), r, err) ->
-          if i > 0 then Buffer.add_string b ",";
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n    {\"kernel\": \"%s\", \"version\": \"%s\", \"warps\": %d, \
-                \"predicted_cycles\": %.0f, \"measured_cycles\": %d, \
-                \"rel_err\": %.4f, \"floor_cycles\": %.0f, \
-                \"predicted_points_per_sec\": %.6g, \
-                \"measured_points_per_sec\": %.6g, \"binding\": \"%s\"}"
-               (Singe.Kernel_abi.kernel_name kernel)
-               (Singe.Compile.version_name version)
-               warps
-               pred.Singe.Perf_model.cycles
-               r.Singe.Compile.machine.Gpusim.Machine.sm_cycles err
-               pred.Singe.Perf_model.floor_cycles
-               pred.Singe.Perf_model.points_per_sec
-               r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-               pred.Singe.Perf_model.binding))
-        rows;
-      Buffer.add_string b "\n  ]\n}\n";
-      Buffer.contents b
+      let open Sutil.Json in
+      let row (kernel, version, (pred : Singe.Perf_model.prediction), r, err) =
+        Obj
+          [
+            ("kernel", Str (Singe.Kernel_abi.kernel_name kernel));
+            ("version", Str (Singe.Compile.version_name version));
+            ("warps", of_int warps);
+            ("predicted_cycles", Num pred.Singe.Perf_model.cycles);
+            ( "measured_cycles",
+              of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles );
+            ("rel_err", Num err);
+            ("floor_cycles", Num pred.Singe.Perf_model.floor_cycles);
+            ( "predicted_points_per_sec",
+              Num pred.Singe.Perf_model.points_per_sec );
+            ( "measured_points_per_sec",
+              Num r.Singe.Compile.machine.Gpusim.Machine.points_per_sec );
+            ("binding", Str pred.Singe.Perf_model.binding);
+          ]
+      in
+      emit
+        (Obj
+           [
+             ("schema", Str "singe-predict-v1");
+             ("mech", Str mech.Chem.Mechanism.name);
+             ("arch", Str arch.Gpusim.Arch.name);
+             ("points", of_int points);
+             ("rows", List (List.map row rows));
+           ])
+      ^ "\n"
     in
     (match json with
     | Some "-" -> print_string payload

@@ -184,57 +184,70 @@ let to_chrome_trace t =
       if a.sp_start <> b.sp_start then compare a.sp_start b.sp_start
       else compare (a.sp_warp, a.sp_stop) (b.sp_warp, b.sp_stop))
     spans;
-  let buf = Buffer.create (256 + (Array.length spans * 96)) in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ns\", \"otherData\": {";
-  Printf.bprintf buf
-    "\"cycles\": %d, \"n_warps\": %d, \"dropped_spans\": %d}, " t.cycles
-    (n_warps t) t.timeline_dropped;
-  Buffer.add_string buf "\"traceEvents\": [";
-  Array.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ", ";
-      let cta, wid = t.warps.(s.sp_warp) in
-      Printf.bprintf buf
-        "{\"name\": \"%s\", \"cat\": \"warp\", \"ph\": \"X\", \"pid\": %d, \
-         \"tid\": %d, \"ts\": %d, \"dur\": %d, \"args\": {\"warp\": %d}}"
-        bucket_names.(s.sp_bucket) cta wid s.sp_start (s.sp_stop - s.sp_start)
-        s.sp_warp)
-    spans;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let open Sutil.Json in
+  let event s =
+    let cta, wid = t.warps.(s.sp_warp) in
+    Obj
+      [
+        ("name", Str bucket_names.(s.sp_bucket));
+        ("cat", Str "warp");
+        ("ph", Str "X");
+        ("pid", of_int cta);
+        ("tid", of_int wid);
+        ("ts", of_int s.sp_start);
+        ("dur", of_int (s.sp_stop - s.sp_start));
+        ("args", Obj [ ("warp", of_int s.sp_warp) ]);
+      ]
+  in
+  emit
+    (Obj
+       [
+         ("displayTimeUnit", Str "ns");
+         ( "otherData",
+           Obj
+             [
+               ("cycles", of_int t.cycles);
+               ("n_warps", of_int (n_warps t));
+               ("dropped_spans", of_int t.timeline_dropped);
+             ] );
+         ("traceEvents", List (Array.to_list (Array.map event spans)));
+       ])
+  ^ "\n"
 
 (* The perf-snapshot payload: totals plus the full per-warp breakdown
    (timeline spans are deliberately excluded — they belong in the Chrome
    trace, not a perf time series). *)
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\"cycles\": %d, \"n_warps\": %d, \"conserved\": %b"
-    t.cycles (n_warps t) (conservation_ok t);
-  let tot = bucket_totals t in
-  Buffer.add_string buf ", \"totals\": {";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "\"%s\": %d" bucket_names.(i) v)
-    tot;
-  Buffer.add_string buf "}, \"warps\": [";
-  Array.iteri
-    (fun w row ->
-      if w > 0 then Buffer.add_string buf ", ";
-      let cta, wid = t.warps.(w) in
-      Printf.bprintf buf "{\"cta\": %d, \"wid\": %d" cta wid;
-      Array.iteri
-        (fun i v -> Printf.bprintf buf ", \"%s\": %d" bucket_names.(i) v)
-        row;
-      Buffer.add_char buf '}')
-    t.buckets;
-  Buffer.add_string buf "], \"bar_waits\": [";
-  List.iteri
-    (fun i b ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf
-        "{\"bar\": %d, \"count\": %d, \"total\": %d, \"max\": %d}" b.bw_bar
-        b.bw_count b.bw_total b.bw_max)
-    t.bar_waits;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Sutil.Json in
+  let by_bucket row =
+    Array.to_list (Array.mapi (fun i v -> (bucket_names.(i), of_int v)) row)
+  in
+  Obj
+    [
+      ("cycles", of_int t.cycles);
+      ("n_warps", of_int (n_warps t));
+      ("conserved", Bool (conservation_ok t));
+      ("totals", Obj (by_bucket (bucket_totals t)));
+      ( "warps",
+        List
+          (Array.to_list
+             (Array.mapi
+                (fun w row ->
+                  let cta, wid = t.warps.(w) in
+                  Obj
+                    (("cta", of_int cta) :: ("wid", of_int wid)
+                   :: by_bucket row))
+                t.buckets)) );
+      ( "bar_waits",
+        List
+          (List.map
+             (fun b ->
+               Obj
+                 [
+                   ("bar", of_int b.bw_bar);
+                   ("count", of_int b.bw_count);
+                   ("total", of_int b.bw_total);
+                   ("max", of_int b.bw_max);
+                 ])
+             t.bar_waits) );
+    ]

@@ -116,7 +116,7 @@ val to_chrome_trace : t -> string
     pid = CTA, tid = warp id within the CTA, ts/dur in simulated cycles,
     sorted by start time so consumers see monotone timestamps. *)
 
-val to_json : t -> string
+val to_json : t -> Sutil.Json.t
 (** The perf-snapshot payload: totals plus the full per-warp breakdown
     (timeline spans are deliberately excluded — they belong in the
     Chrome trace, not a perf time series). *)

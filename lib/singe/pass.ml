@@ -111,35 +111,26 @@ let pp_report ppf (r : report) =
     (fun w -> Format.fprintf ppf "  %a@," Diagnostics.pp w)
     r.warnings
 
-(* Hand-rolled JSON: the values are controlled identifiers and numbers;
-   strings are quoted through [Sutil.Json.escape]. *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let report_to_json (r : report) =
-  let esc = Sutil.Json.escape in
+  let open Sutil.Json in
   let pass_json rec_ =
-    Printf.sprintf
-      "{\"name\": \"%s\", \"kind\": \"%s\", \"runs\": %d, \"wall_ms\": %s, \
-       \"ok\": %b, \"stats\": {%s}}"
-      (esc rec_.pass_name)
-      (match rec_.kind with Transform -> "transform" | Validate -> "validate")
-      rec_.runs
-      (json_float (rec_.wall_ns /. 1e6))
-      rec_.ok
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "\"%s\": %s" (esc k) (json_float v))
-            rec_.stats))
+    Obj
+      [
+        ("name", Str rec_.pass_name);
+        ( "kind",
+          Str
+            (match rec_.kind with
+            | Transform -> "transform"
+            | Validate -> "validate") );
+        ("runs", of_int rec_.runs);
+        ("ok", Bool rec_.ok);
+        ("stats", Obj (List.map (fun (k, v) -> (k, Num v)) rec_.stats));
+      ]
   in
-  Printf.sprintf
-    "{\"pipeline\": \"%s\", \"total_ms\": %s, \"passes\": [%s], \"warnings\": \
-     [%s]}"
-    (esc r.pipeline)
-    (json_float (r.total_ns /. 1e6))
-    (String.concat ", " (List.map pass_json r.records))
-    (String.concat ", "
-       (List.map
-          (fun w -> "\"" ^ esc (Diagnostics.to_string w) ^ "\"")
-          r.warnings))
+  Obj
+    [
+      ("pipeline", Str r.pipeline);
+      ("passes", List (List.map pass_json r.records));
+      ( "warnings",
+        List (List.map (fun w -> Str (Diagnostics.to_string w)) r.warnings) );
+    ]

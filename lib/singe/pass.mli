@@ -60,8 +60,8 @@ val report : t -> report
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable per-pass table (the CLI's [--timings] output). *)
 
-val report_to_json : report -> string
-(** Machine-readable rendering, a JSON object:
-    [{"pipeline": ..., "total_ms": ...,
-      "passes": [{"name", "kind", "runs", "wall_ms", "ok", "stats"}, ...],
-      "warnings": [...]}]. *)
+val report_to_json : report -> Sutil.Json.t
+(** The deterministic part of a report, a JSON object:
+    [{"pipeline": ..., "passes": [{"name", "kind", "runs", "ok", "stats"},
+      ...], "warnings": [...]}]. Wall times are left out: two compiles of
+    the same target render identically. *)

@@ -262,6 +262,8 @@ let num_to_string v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
+let of_int n = Num (float_of_int n)
+
 let rec emit = function
   | Null -> "null"
   | Bool b -> if b then "true" else "false"

@@ -21,6 +21,10 @@ val parse : string -> (t, string) result
     anything else after it is an error). [Error msg] pinpoints the first
     offending byte offset, like {!Json_check.validate}. *)
 
+val of_int : int -> t
+(** [Num] of an integer; every [int] the emitters write is far below
+    2{^53}, so it round-trips exactly. *)
+
 val emit : t -> string
 (** Compact single-line rendering. Always satisfies
     {!Json_check.validate}; [parse (emit v)] is [Ok v] up to the float
@@ -29,7 +33,8 @@ val emit : t -> string
 val escape : string -> string
 (** The body of a JSON string literal for [s] (no surrounding quotes):
     control characters, backslash and quote escaped, everything else
-    byte-preserved. Shared by the hand-built emitters. *)
+    byte-preserved. Used by serve's statically known-good fallback
+    response, which must not go through {!emit}. *)
 
 val member : string -> t -> t option
 (** [member k (Obj _)] is the first binding of [k]; [None] on missing

@@ -1,11 +1,11 @@
 (* A minimal JSON syntax validator (RFC 8259 grammar, no semantics).
 
-   The repository has no JSON library and its emitters build output by
-   hand ([Profile.to_chrome_trace], the perf-bench writer), so this is
-   the guard that keeps those strings machine-readable: [make
-   profile-smoke] and the profiler tests run every emitted document
-   through [validate]. Recursive descent over the byte string; no
-   values are built, so arbitrarily large documents cost no memory. *)
+   Every emitter renders through [Json.emit]; this is the independent
+   check on that rendering: serve runs each response through [validate]
+   before writing it, and the CLI's [--check] modes and the profiler
+   tests run every emitted document through it. Recursive descent over
+   the byte string; no values are built, so arbitrarily large documents
+   cost no memory. *)
 
 exception Bad of int * string
 

@@ -1,5 +1,5 @@
-(** Minimal JSON syntax validator for the repository's hand-built
-    emitters (no JSON library is vendored). Checks the full RFC 8259
+(** Minimal JSON syntax validator, the independent check on what
+    {!Json.emit} renders (no JSON library is vendored). Checks the full RFC 8259
     grammar — strings with escapes, numbers, nesting, and that nothing
     trails the document — without building any values. *)
 

@@ -61,7 +61,30 @@ let test_dispatch_conservation () =
 let test_scheduler_determinism () =
   let a = sched ~ctas:37 ~skew:0.15 () in
   let b = sched ~ctas:37 ~skew:0.15 () in
-  Alcotest.(check bool) "schedules identical" true (a = b)
+  Alcotest.(check bool) "schedules identical" true (a = b);
+  (* End to end: a real 4-SM launch (the warp-specialized grid at 32768
+     points is min 1024 (points/32) CTAs) run serially and on two
+     concurrent domains yields the same machine snapshot, and dispatches
+     every CTA. *)
+  let c =
+    Singe.Compile.compile_cached (dme ()) Singe.Kernel_abi.Viscosity
+      Singe.Compile.Warp_specialized
+      (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity)
+  in
+  let launch () =
+    (Singe.Compile.run ~check:false c ~total_points:32768 ~n_sms:4)
+      .Singe.Compile.machine
+  in
+  let serial = launch () in
+  List.iter
+    (fun m -> Alcotest.(check bool) "concurrent = serial" true (m = serial))
+    (Sutil.Domain_pool.parallel_map ~jobs:2 launch [ (); () ]);
+  let ch = serial.Gpusim.Machine.chip in
+  Alcotest.(check int) "4 SMs dispatched" 4 ch.Gpusim.Chip.n_sms;
+  Alcotest.(check int) "every CTA of the launch dispatched" 1024
+    (total_ctas ch);
+  Alcotest.(check bool) "makespan positive" true
+    (ch.Gpusim.Chip.makespan_cycles > 0.0)
 
 let test_skew_imbalance () =
   let flat = sched () in

@@ -242,7 +242,43 @@ let test_search_never_loses_to_hand () =
           | Error d ->
               Alcotest.failf "winner fails the gate: %s"
                 (Singe.Diagnostics.to_string d)))
-    [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion ]
+    [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion ];
+  (* The full search, simulation-confirmed, on viscosity: the confirmed
+     winner is still no worse than hand, recompiles cleanly and clears
+     the gate, and every gate rejection carries its diagnostic. *)
+  let kernel = Singe.Kernel_abi.Viscosity in
+  match
+    Singe.Partition_search.search ~points:8192 mech kernel
+      Singe.Compile.Warp_specialized ~base:(base_options kernel) ()
+  with
+  | Error d ->
+      Alcotest.failf "confirmed search failed: %s"
+        (Singe.Diagnostics.to_string d)
+  | Ok o -> (
+      Alcotest.(check bool) "simulation confirmed" true
+        o.Singe.Partition_search.confirmed;
+      Alcotest.(check bool) "confirmed winner <= hand" true
+        (o.Singe.Partition_search.winner_cycles
+        <= o.Singe.Partition_search.hand_cycles);
+      List.iter
+        (fun (r : Singe.Partition_search.rejection) ->
+          Alcotest.(check (option string))
+            "rejection from partition-search" (Some "partition-search")
+            r.rej_diag.Singe.Diagnostics.pass)
+        o.Singe.Partition_search.rejections;
+      match
+        Singe.Compile.compile_checked ~validate:false mech kernel
+          Singe.Compile.Warp_specialized o.Singe.Partition_search.winner
+      with
+      | Error d ->
+          Alcotest.failf "confirmed winner does not recompile: %s"
+            (Singe.Diagnostics.to_string d)
+      | Ok (c, _) -> (
+          match Singe.Partition_search.gate c with
+          | Ok () -> ()
+          | Error d ->
+              Alcotest.failf "confirmed winner fails the gate: %s"
+                (Singe.Diagnostics.to_string d)))
 
 (* ---- lowering satellites ---- *)
 

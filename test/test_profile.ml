@@ -68,7 +68,7 @@ let test_chrome_trace_valid () =
   Alcotest.(check bool) "spans recorded" true
     (Array.length p.Gpusim.Profile.timeline > 0);
   check_json "chrome trace" (Gpusim.Profile.to_chrome_trace p);
-  check_json "profile json" (Gpusim.Profile.to_json p);
+  check_json "profile json" (Sutil.Json.emit (Gpusim.Profile.to_json p));
   (* The trace emits spans sorted by start; mirror that sort and require
      non-decreasing ts with non-negative durations. *)
   let spans = Array.copy p.Gpusim.Profile.timeline in

@@ -276,7 +276,12 @@ let test_bit_identity () =
           Alcotest.(check bool)
             (label ^ ": outputs bit-identical")
             true
-            (out_bits r_on = out_bits r_off))
+            (out_bits r_on = out_bits r_off);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: reference error %.2g < 1e-9" label
+               r_on.Singe.Compile.max_rel_err)
+            true
+            (r_on.Singe.Compile.max_rel_err < 1e-9))
         [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
           Singe.Kernel_abi.Chemistry ])
     archs
