@@ -46,6 +46,15 @@ let microbenchmarks () =
         Staged.stage (fun () -> ignore (Chem.Chemkin_parser.parse text)));
       Test.make ~name:"transport-fit-dme" (Staged.stage (fun () ->
           ignore (Chem.Transport.fit mech.Chem.Mechanism.species)));
+      Test.make ~name:"mech-load-heptane" (
+        let m = Chem.Mech_gen.heptane () in
+        let chemkin = Chem.Mech_io.chemkin_of_mechanism m
+        and thermo = Chem.Mech_io.thermo_of_mechanism m
+        and transport = Chem.Mech_io.transport_of_mechanism m
+        and species_sets = Chem.Mech_io.species_sets_of_mechanism m in
+        Staged.stage (fun () ->
+            ignore (Chem.Mech_io.load_strings ~species_sets ~chemkin ~thermo
+                      ~transport ~name:"heptane" ())));
       (* Setup compiles below go through the memo cache — only the
          compile-dme-viscosity-ws benchmark above measures compilation
          itself, so it keeps calling the uncached entry point. *)

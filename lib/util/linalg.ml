@@ -39,36 +39,3 @@ let solve a b =
     x.(row) <- !s /. m.(row).(row)
   done;
   x
-
-let polyfit ~degree pts =
-  let n = degree + 1 in
-  assert (List.length pts >= n);
-  (* Normal equations: (V^T V) c = V^T y with V the Vandermonde matrix. *)
-  let ata = Array.make_matrix n n 0.0 in
-  let atb = Array.make n 0.0 in
-  let add_point (x, y) =
-    let powers = Array.make n 1.0 in
-    for i = 1 to n - 1 do
-      powers.(i) <- powers.(i - 1) *. x
-    done;
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        ata.(i).(j) <- ata.(i).(j) +. (powers.(i) *. powers.(j))
-      done;
-      atb.(i) <- atb.(i) +. (powers.(i) *. y)
-    done
-  in
-  List.iter add_point pts;
-  solve ata atb
-
-let polyval coeffs x =
-  let acc = ref 0.0 in
-  for i = Array.length coeffs - 1 downto 0 do
-    acc := (!acc *. x) +. coeffs.(i)
-  done;
-  !acc
-
-let max_abs_residual coeffs pts =
-  List.fold_left
-    (fun acc (x, y) -> Float.max acc (abs_float (polyval coeffs x -. y)))
-    0.0 pts

@@ -10,16 +10,3 @@ val solve : float array array -> float array -> float array
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting. [a] and [b] are not modified. Raises {!Singular} if no pivot
     exceeds 1e-300 in magnitude. *)
-
-val polyfit : degree:int -> (float * float) list -> float array
-(** [polyfit ~degree pts] least-squares fits a polynomial
-    [c0 + c1 x + ... + c_degree x^degree] to the sample points and returns
-    the coefficients lowest order first. Requires at least [degree + 1]
-    points. *)
-
-val polyval : float array -> float -> float
-(** [polyval coeffs x] evaluates a polynomial given coefficients lowest order
-    first (Horner). *)
-
-val max_abs_residual : float array -> (float * float) list -> float
-(** Largest absolute error of the fitted polynomial over the sample points. *)

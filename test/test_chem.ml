@@ -187,7 +187,7 @@ ELEMENTS
 H C O N
 END
 SPECIES
-CH3 H CH4 H2 OH H2O H2 M2
+CH3 H CH4 H2 OH H2O M2
 END
 REACTIONS
 !1

@@ -3,6 +3,7 @@ let () =
     [
       ("util", Test_util.tests);
       ("chem", Test_chem.tests);
+      ("mech-load", Test_mech_load.tests);
       ("gpusim", Test_gpusim.tests);
       ("singe", Test_singe.tests);
       ("codegen", Test_codegen.tests);
