@@ -27,6 +27,22 @@ let target_conv of_string print =
   let parse s = Result.map_error (fun m -> `Msg m) (of_string s) in
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
 
+(* Every count flag (warps, points, SMs, top-k, cycle budget, serve's
+   bounds) is a positive integer, rejected at parse as serve rejects a
+   count below 1. *)
+let pos_int_conv flag =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "--%s must be >= 1, got %d" flag n))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let points_term =
+  Arg.(value & opt (pos_int_conv "points") 32768
+       & info [ "points" ] ~docv:"N")
+
 let mech_term =
   let mech =
     let mech_conv =
@@ -84,8 +100,8 @@ let arch_term =
        & info [ "arch" ] ~docv:"ARCH" ~doc:"fermi or kepler.")
 
 let warps_term =
-  Arg.(value & opt int Singe.Target.default_warps & info [ "warps" ]
-         ~docv:"N" ~doc:"Warps per CTA.")
+  Arg.(value & opt (pos_int_conv "warps") Singe.Target.default_warps
+       & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
 
 let version_conv =
   target_conv Singe.Target.version_of_string Singe.Compile.version_name
@@ -187,16 +203,7 @@ let catch_occupancy f =
 (* Chip-scheduler flags shared by the simulating and predicting
    commands. *)
 let sms_term =
-  let sms_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "--sms must be >= 1, got %d" n))
-      | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some sms_conv) None & info [ "sms" ] ~docv:"N"
+  Arg.(value & opt (some (pos_int_conv "sms")) None & info [ "sms" ] ~docv:"N"
        ~doc:"Dispatch the launch over N SMs (default: the architecture's \
              SM count). With 1 the CTAs run as back-to-back rounds on a \
              single SM; with more, the chip scheduler models tail waves \
@@ -220,18 +227,9 @@ let skew_term =
              shipped machines).")
 
 (* Fault-containment flags shared by the simulating commands. *)
-let cycles_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some n ->
-        Error (`Msg (Printf.sprintf "cycle budget must be positive, got %d" n))
-    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let max_cycles_term =
-  Arg.(value & opt (some cycles_conv) None & info [ "max-cycles" ] ~docv:"N"
+  Arg.(value & opt (some (pos_int_conv "max-cycles")) None
+       & info [ "max-cycles" ] ~docv:"N"
        ~doc:"Arm the simulator watchdog: a simulation still live after N \
              cycles is aborted with a structured fault report (exit code 3) \
              instead of running forever.")
@@ -403,7 +401,6 @@ let compile_cmd =
           $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
 
 let run_cmd =
-  let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
   let run mech kernel arch warps version synth overlap partition points timings
       validate faults max_cycles n_sms skew =
     catch_occupancy @@ fun () ->
@@ -457,12 +454,11 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile, simulate and verify a kernel.")
     Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term $ points
-          $ timings_term $ validate_term $ faults_term $ max_cycles_term
-          $ sms_term $ skew_term)
+          $ version_term $ synth_term $ overlap_term $ partition_term
+          $ points_term $ timings_term $ validate_term $ faults_term
+          $ max_cycles_term $ sms_term $ skew_term)
 
 let profile_cmd =
-  let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
   let chrome =
     Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE"
          ~doc:"Write the profiler timeline as Chrome trace-event JSON to FILE \
@@ -592,11 +588,10 @@ let profile_cmd =
        ~doc:"Simulate a kernel with the per-warp cycle-attribution profiler \
              and print the stall breakdown.")
     Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ overlap_term $ points $ chrome $ top $ timeline
+          $ version_term $ overlap_term $ points_term $ chrome $ top $ timeline
           $ check_flag $ faults_term $ max_cycles_term $ sms_term $ skew_term)
 
 let predict_cmd =
-  let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
   let kernel_opt =
     Arg.(value & opt (some kernel_conv) None & info [ "kernel" ] ~docv:"KERNEL"
          ~doc:"Restrict to one kernel (default: viscosity, diffusion, \
@@ -794,8 +789,8 @@ let predict_cmd =
        ~doc:"Predict kernel cycles with the analytic performance model and \
              compare against the simulator.")
     Term.(const run $ mech_term $ arch_term $ warps_term $ synth_term
-          $ overlap_term $ partition_term $ points $ kernel_opt $ version_opt
-          $ json $ check_flag $ sms_term $ skew_term)
+          $ overlap_term $ partition_term $ points_term $ kernel_opt
+          $ version_opt $ json $ check_flag $ sms_term $ skew_term)
 
 let tune_mode_term =
   let mode_conv =
@@ -817,7 +812,7 @@ let tune_mode_term =
              predicted candidates.")
 
 let top_k_term =
-  Arg.(value & opt int Singe.Autotune.default_prune_keep
+  Arg.(value & opt (pos_int_conv "top-k") Singe.Autotune.default_prune_keep
        & info [ "top-k" ] ~docv:"K"
          ~doc:"With --tune-mode pruned: how many model-ranked candidates to \
                simulate.")
@@ -1019,39 +1014,30 @@ let figures_cmd =
     Term.(const run $ names $ jobs_term)
 
 let serve_cmd =
-  let pos_int_conv what =
-    let parse s =
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "%s must be >= 1, got %d" what n))
-      | None -> Error (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  let opt_of name what dflt doc =
-    Arg.(value & opt (pos_int_conv what) dflt & info [ name ] ~docv:"N" ~doc)
+  let opt_of name dflt doc =
+    Arg.(value & opt (pos_int_conv name) dflt & info [ name ] ~docv:"N" ~doc)
   in
   let d = Singe.Serve.default_config in
   let deadline =
-    opt_of "deadline-ms" "deadline" d.Singe.Serve.deadline_ms
+    opt_of "deadline-ms" d.Singe.Serve.deadline_ms
       "Default per-request wall budget in milliseconds; also derives the \
        simulator cycle budget. Requests may override it per line."
   in
   let cycles_per_ms =
-    opt_of "cycles-per-ms" "rate" d.Singe.Serve.cycles_per_ms
+    opt_of "cycles-per-ms" d.Singe.Serve.cycles_per_ms
       "Deadline-to-cycle-budget conversion rate."
   in
   let max_queue =
-    opt_of "max-queue" "queue bound" d.Singe.Serve.max_queue
+    opt_of "max-queue" d.Singe.Serve.max_queue
       "Admission queue bound; overflow requests get an immediate busy \
        response with a retry_after_ms hint."
   in
   let retry_after =
-    opt_of "retry-after-ms" "retry hint" d.Singe.Serve.retry_after_ms
+    opt_of "retry-after-ms" d.Singe.Serve.retry_after_ms
       "Retry hint attached to busy responses."
   in
   let cache_entries =
-    opt_of "cache-entries" "cache bound" d.Singe.Serve.cache_entries
+    opt_of "cache-entries" d.Singe.Serve.cache_entries
       "Bound on the shared compile cache (LRU eviction beyond it)."
   in
   let run deadline_ms cycles_per_ms max_queue retry_after_ms cache_entries () =

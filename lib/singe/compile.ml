@@ -24,13 +24,12 @@ type options = {
   arch : Gpusim.Arch.t;
   n_warps : int;
   weights : Mapping.weights;
-  strategy : Mapping.strategy option;
   respect_hints : bool;
   group_syncs : bool;
   buffer_slots : int;
   exp_consts_in_registers : bool;
   freg_budget : int option;
-  param_stripe_threshold : int;
+  list_schedule : bool;
   max_barriers : int;
   ctas_per_sm_target : int;
   chem_comm : chem_comm option;
@@ -55,13 +54,12 @@ let default_options arch =
     arch;
     n_warps = 8;
     weights = Mapping.default_weights;
-    strategy = None;
     respect_hints = true;
     group_syncs = true;
     buffer_slots = 48;
     exp_consts_in_registers = false;
     freg_budget = None;
-    param_stripe_threshold = 8;
+    list_schedule = true;
     max_barriers = 8;
     ctas_per_sm_target = 2;
     chem_comm = None;
@@ -115,8 +113,6 @@ let check_options_exn mech kernel version o =
   if o.ctas_per_sm_target < 1 then
     fail "ctas_per_sm_target = %d: need at least one resident CTA"
       o.ctas_per_sm_target;
-  if o.param_stripe_threshold < 0 then
-    fail "param_stripe_threshold = %d is negative" o.param_stripe_threshold;
   (match o.partition with
   | Partition_hand -> ()
   | Partition_auto s ->
@@ -188,6 +184,20 @@ let freg_budget options =
       in
       max 8 ((budget32 - 16) / 2)
 
+(* The lowering configuration of a compile: [options] decide everything
+   but the version's code shape ([overlay], [const_policy]). *)
+let lower_config options ~overlay ~const_policy =
+  {
+    Lower.arch = options.arch;
+    overlay;
+    const_policy;
+    exp_consts_in_registers = options.exp_consts_in_registers;
+    param_stripe_threshold = 8;
+    freg_budget = freg_budget options;
+    synth_exchange = synth_exchange_enabled options;
+    list_schedule = options.list_schedule;
+  }
+
 (* ---- artifact statistics attached to each pass record ---- *)
 
 let dfg_stats (dfg : Dfg.t) =
@@ -231,13 +241,8 @@ let lower_stats (l : Lower.output) =
 
 (* ---- the pipeline ---- *)
 
-let run_pipeline pm ~validate ~list_schedule mech kernel version options =
+let run_pipeline pm ~validate mech kernel version options =
   let groups = Kernel_abi.groups mech kernel in
-  let strategy =
-    match options.strategy with
-    | Some s -> s
-    | None -> default_strategy kernel
-  in
   match version with
   | Warp_specialized | Naive_warp_specialized ->
       (* Staging through shared memory wins on end-to-end throughput in
@@ -260,7 +265,7 @@ let run_pipeline pm ~validate ~list_schedule mech kernel version options =
             match options.partition with
             | Partition_hand ->
                 Mapping.map dfg ~n_warps:options.n_warps
-                  ~weights:options.weights ~strategy
+                  ~weights:options.weights ~strategy:(default_strategy kernel)
                   ~respect_hints:options.respect_hints
             | Partition_auto spec ->
                 Mapping.map_auto dfg ~n_warps:options.n_warps
@@ -270,17 +275,9 @@ let run_pipeline pm ~validate ~list_schedule mech kernel version options =
         Pass.validate pm ~name:"mapping-validate" (fun () ->
             Mapping.validate dfg mapping);
       let cfg =
-        {
-          Lower.arch = options.arch;
-          overlay = (version = Warp_specialized);
-          const_policy =
-            (if version = Warp_specialized then Lower.Bank else Lower.Immediate);
-          exp_consts_in_registers = options.exp_consts_in_registers;
-          param_stripe_threshold = options.param_stripe_threshold;
-          freg_budget = freg_budget options;
-          synth_exchange = synth_exchange_enabled options;
-          list_schedule;
-        }
+        lower_config options ~overlay:(version = Warp_specialized)
+          ~const_policy:
+            (if version = Warp_specialized then Lower.Bank else Lower.Immediate)
       in
       let name =
         Printf.sprintf "%s-%s-ws%d" mech.Chem.Mechanism.name
@@ -382,16 +379,7 @@ let run_pipeline pm ~validate ~list_schedule mech kernel version options =
             Deadlock_check.check schedule)
       end;
       let cfg =
-        {
-          Lower.arch = options.arch;
-          overlay = true;
-          const_policy = Lower.Const_mem;
-          exp_consts_in_registers = options.exp_consts_in_registers;
-          param_stripe_threshold = options.param_stripe_threshold;
-          freg_budget = freg_budget options;
-          synth_exchange = synth_exchange_enabled options;
-          list_schedule;
-        }
+        lower_config options ~overlay:true ~const_policy:Lower.Const_mem
       in
       let lowered =
         Pass.run pm ~name:"lower" ~stats:lower_stats (fun () ->
@@ -413,17 +401,11 @@ let pipeline_name mech kernel version options =
     (Kernel_abi.kernel_name kernel)
     (version_name version) options.arch.Gpusim.Arch.name options.n_warps
 
-(* [list_schedule] is the [SINGE_NO_SCHED] switch, read once per compile
-   by the caller so the memo key and the lowering see the same value. *)
-let compile_report ~validate ~list_schedule mech kernel version options =
+let compile_with_report ?(validate = true) mech kernel version options =
   check_options_exn mech kernel version options;
   let pm = Pass.create (pipeline_name mech kernel version options) in
-  let t = run_pipeline pm ~validate ~list_schedule mech kernel version options in
+  let t = run_pipeline pm ~validate mech kernel version options in
   (t, Pass.report pm)
-
-let compile_with_report ?(validate = true) mech kernel version options =
-  compile_report ~validate ~list_schedule:(Lower.list_scheduling_enabled ())
-    mech kernel version options
 
 let compile mech kernel version options =
   fst (compile_with_report ~validate:false mech kernel version options)
@@ -558,7 +540,7 @@ let rec digest_of v =
       digest_of v
 
 (* Serve [key] from the memo, or compile and insert it. *)
-let memo_find_or_compile key ~list_schedule mech kernel version options =
+let memo_find_or_compile key mech kernel version options =
   let cached =
     Mutex.lock memo_mutex;
     let v =
@@ -588,11 +570,7 @@ let memo_find_or_compile key ~list_schedule mech kernel version options =
       (* Compile outside the lock: concurrent workers may duplicate the
          work for the same key (deterministic, so either result is the
          same), but never serialize on each other. *)
-      let t =
-        fst
-          (compile_report ~validate:false ~list_schedule mech kernel version
-             options)
-      in
+      let t = compile mech kernel version options in
       Mutex.lock memo_mutex;
       if not (Hashtbl.mem memo key) then begin
         incr memo_tick;
@@ -606,14 +584,12 @@ let memo_find_or_compile key ~list_schedule mech kernel version options =
 (* The key is the digest of everything a compile reads: the target
    (mechanism, kernel, version), digested once per partial application
    so a sweep over one target marshals its mechanism once, then the
-   options and the environment switch the lowering consults. *)
+   options. *)
 let compile_cached mech kernel version =
   let target = digest_of (mech, kernel, version) in
   fun options ->
-    let list_schedule = Lower.list_scheduling_enabled () in
-    memo_find_or_compile
-      (digest_of (target, options, list_schedule))
-      ~list_schedule mech kernel version options
+    memo_find_or_compile (digest_of (target, options)) mech kernel version
+      options
 
 let memo_poison_for_test () =
   Mutex.lock memo_mutex;

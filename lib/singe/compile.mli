@@ -52,14 +52,15 @@ type options = {
   arch : Gpusim.Arch.t;
   n_warps : int;  (** warps per CTA *)
   weights : Mapping.weights;
-  strategy : Mapping.strategy option;  (** [None]: the kernel's default *)
   respect_hints : bool;
   group_syncs : bool;
   buffer_slots : int;
   exp_consts_in_registers : bool;  (** §6.1 ablation *)
   freg_budget : int option;
       (** double registers per thread; [None]: the architecture maximum *)
-  param_stripe_threshold : int;
+  list_schedule : bool;
+      (** list-schedule each straight-line segment of the lowered code
+          (default [true]); [false] is the scheduling ablation *)
   max_barriers : int;
       (** named-barrier ids per CTA (16 / target CTAs-per-SM, §4.2
           footnote) *)
@@ -153,8 +154,8 @@ val compile_checked :
 val compile_cached :
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> t
 (** {!compile} through a process-wide memo table keyed by the digest of
-    the entire (mechanism, kernel, version, options) configuration plus
-    {!Lower.list_scheduling_enabled} — the pipeline is deterministic, so
+    the entire (mechanism, kernel, version, options) configuration, which
+    is everything a compile reads. The pipeline is deterministic, so
     identical configurations compile once per process no matter how many
     sweep workers ask. Thread-safe; only successful compiles are cached
     (failures re-raise every time).

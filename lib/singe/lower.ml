@@ -180,7 +180,6 @@ type ctx = {
       (** logical constants that fit the register bank; the rest overflow
           to a per-warp shared-memory constant region *)
   overflow_base : int;  (** shared address of that region *)
-  debug_overlay : bool;  (** [SINGE_DEBUG_OVERLAY] is set *)
 }
 
 let ctx_group ctx name =
@@ -288,8 +287,6 @@ let class_values ctx (a : Schedule.action) =
   | Schedule.A_recv _ | Schedule.A_arrive _ | Schedule.A_wait _
   | Schedule.A_cta_barrier ->
       [||]
-
-let class_name c = if c < 0 then "S" else "R" ^ string_of_int c
 
 (* ---- constant materialization ---- *)
 
@@ -677,26 +674,6 @@ let run_overlay ctx (sched : Schedule.t) =
       let ws = List.filter joins (List.init n Fun.id) in
       let mask = List.fold_left (fun m w -> m lor (1 lsl w)) 0 ws in
       let actions = Array.of_list (List.map next ws) in
-      if ctx.debug_overlay then begin
-        let fronts =
-          String.concat " "
-            (List.init n (fun w ->
-                 if not (remaining w) then "-"
-                 else
-                   match next w with
-                   | Schedule.A_op o -> "o" ^ string_of_int o
-                   | Schedule.A_send _ -> "s"
-                   | Schedule.A_recv _ -> "r"
-                   | Schedule.A_arrive { bar; _ } -> "a" ^ string_of_int bar
-                   | Schedule.A_wait { bar; _ } -> "w" ^ string_of_int bar
-                   | Schedule.A_cta_barrier -> "C"))
-        in
-        let key = static_key ctx (next w0) in
-        Printf.eprintf "group mask=%x key=%s classes=[%s] fronts=[%s]\n" mask
-          (String.sub key 0 (min 30 (String.length key)))
-          (String.concat "," (Array.to_list (Array.map class_name classes0)))
-          fronts
-      end;
       lower_action_group ctx ~mask ~ws ~actions;
       List.iter (fun w -> ptr.(w) <- ptr.(w) + 1) ws
     end
@@ -1314,13 +1291,6 @@ let schedule_segment ~last_def (code : (int * vinstr) array) ~off ~n =
     done
   end
 
-(* An empty value means unset: drivers (and tests) can only clear an
-   environment variable by [putenv "" ], not remove it. *)
-let list_scheduling_enabled () =
-  match Sys.getenv_opt "SINGE_NO_SCHED" with
-  | Some s when s <> "" -> false
-  | _ -> true
-
 let is_fence = function VBarA _ | VBarW _ | VBarCta -> true | _ -> false
 
 (* Schedules each maximal run of same-mask instructions between barrier
@@ -1790,7 +1760,6 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
   let overflow_base = mirror_base + (4 * n_mapped) in
   let full_mask = (1 lsl n_mapped) - 1 in
   let tables = fresh_tables n_mapped in
-  let debug_overlay = Option.is_some (Sys.getenv_opt "SINGE_DEBUG_OVERLAY") in
   let lower_stream ~policy ~masks_full =
     (* Lower either the overlaid forest (masks_full = None) or a single
        warp's stream (Some w, naive mode). *)
@@ -1814,7 +1783,6 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         mirror_rot = 0;
         bank_cap;
         overflow_base;
-        debug_overlay;
       }
     in
     (match masks_full with

@@ -50,7 +50,8 @@ type config = {
           emitted code is not replicated across warps. *)
   list_schedule : bool;
       (** list-schedule each straight-line segment (the ptxas role);
-          [false] is the [SINGE_NO_SCHED] ablation *)
+          [false] is the scheduling ablation
+          ({!Compile.options.list_schedule}) *)
 }
 
 type output = {
@@ -81,13 +82,6 @@ val derived_live_slack : freg_budget:int -> Dfg.t -> Mapping.t -> int
     (spill-bound chemistry) gets zero slack while one with headroom keeps
     a window proportional to it. Replaces the fixed 200-position constant
     the gate shipped with. *)
-
-val list_scheduling_enabled : unit -> bool
-(** The [list_schedule] setting the environment asks for: true unless
-    [SINGE_NO_SCHED] is set to a non-empty value (the ablation switch).
-    {!Compile} reads it once per compile and hands the same boolean to
-    the lowering and to the memo key, since it changes the lowered
-    program. *)
 
 val lower :
   config ->

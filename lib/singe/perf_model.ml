@@ -9,14 +9,8 @@ module C = Gpusim.Chip
    walk cannot know — how much dependence latency the lowered code's ILP
    and the warp scheduler actually hide. Calibrated once against the
    simulator on the shipped kernels (DESIGN §12 records the measured
-   accuracy); they are not per-kernel knobs. The [SINGE_MODEL_*]
-   environment overrides exist solely to recalibrate after a simulator
-   change (sweep them with `singe predict`); nothing in the repo sets
-   them. *)
-let cal name default =
-  match Sys.getenv_opt name with
-  | Some s -> (try float_of_string s with _ -> default)
-  | None -> default
+   accuracy); they are not per-kernel knobs. A recalibration after a
+   simulator change edits them here. *)
 
 (* Exposed constant-cache fill latency per constant-operand instruction
    once the working set thrashes the 8 KB cache: most accesses then miss,
@@ -24,24 +18,24 @@ let cal name default =
    only a fraction of a full trip is exposed per access (the profiler
    measures 30-65 cycles against a 440-cycle fill on the shipped
    mechanisms). *)
-let ccache_exposure = cal "SINGE_MODEL_CCACHE" 0.15
+let ccache_exposure = 0.15
 
 (* Cold-start fills, paid once per CTA on its first batch: every warp
    marches through the same line sequence together, so each stalls for
    roughly every fill it touches (followers wait on in-flight lines). *)
-let ccache_cold = cal "SINGE_MODEL_CCACHE_COLD" 0.5
-let icache_cold = cal "SINGE_MODEL_ICACHE_COLD" 1.0
+let ccache_cold = 0.5
+let icache_cold = 1.0
 
 (* How much of the smaller of the throughput/critical-path terms still
    shows when the other binds: pipes drain while warps sit at barriers,
    so a latency-bound batch hides most (not all) of its pipe work; a
    throughput-bound batch hides none of its per-warp stalls (all warps
    stall together between their turns at the saturated pipe). *)
-let sync_overlap = cal "SINGE_MODEL_OVERLAP" 0.3
+let sync_overlap = 0.3
 
 (* Fraction of code-refetch fill time that lands on the critical path
    (fills overlap with other warps' execution). *)
-let icache_exposure = cal "SINGE_MODEL_ICACHE" 0.5
+let icache_exposure = 0.5
 
 (* Cross-CTA dilution of memory-path contention. Warps of one CTA march
    through their load phases in lockstep and genuinely collide on the
@@ -50,7 +44,7 @@ let icache_exposure = cal "SINGE_MODEL_ICACHE" 0.5
    original model charged the full pack ([resident * users / 2]), which
    was invisible while every shipped kernel ran at 1-2 resident CTAs;
    the stencil pipelines occupy 4 and exposed the overestimate. *)
-let cross_cta_overlap = cal "SINGE_MODEL_CROSS_CTA" 0.5
+let cross_cta_overlap = 0.5
 
 (* A divergent region longer than this many instructions occupies its own
    prefetch stream (two cache lines of run-ahead no longer cover it). *)
@@ -774,14 +768,6 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let floor_cycles =
     float_of_int sim_batches *. float_of_int resident *. thr_batch
   in
-  if Sys.getenv_opt "SINGE_PM_DEBUG" <> None then
-    Printf.eprintf
-      "pm: %s res=%d batches=%d/%d thrash=%b n_const=%.0f loads=%.0f \
-       chain=%.0f pro=%.0f (ic=%.0f cc=%.0f) sync_sim=%.0f sync=%.0f \
-       thr=%.0f(%s)\n"
-      p.I.name resident sim_batches batches f.thrash agg_body.n_const
-      agg_body.loads agg_body.chain prologue_cycles cold_fill cold_const
-      sync_sim sync_cycles throughput_cycles thr_resource;
   (* End-to-end: mirror Chip.run's extrapolation, then feed the same
      dispatcher/arbiter (Chip.schedule) with model-derived round costs
      instead of simulated ones, so predicted wall time carries the same

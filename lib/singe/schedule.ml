@@ -197,17 +197,6 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
          attaches after its boundary crossing instead of at a pre-wrap op,
          where its slot writes would race with the previous epoch. *)
       if producers <> [] then begin
-        (match Sys.getenv_opt "SINGE_DEBUG_SYNC" with
-        | Some _ ->
-            Printf.eprintf "sync: consumer op %s (w%d, step %d) producers=[%s]\n"
-              op.Dfg.name c step
-              (String.concat ";"
-                 (List.map
-                    (fun p ->
-                      Printf.sprintf "w%d@%d(%s)" p step_of_op.(last_op.(p))
-                        dfg.Dfg.ops.(last_op.(p)).Dfg.name)
-                    producers))
-        | None -> ());
         let anchor_of p =
           if step_of_op.(last_op.(p)) >= !last_wrap then `Op last_op.(p)
           else `Boundary !last_wrap

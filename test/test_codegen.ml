@@ -11,10 +11,10 @@ let run_with mech kernel version arch opts_f points =
   (c, Singe.Compile.run c ~total_points:points)
 
 (* The scheduler-off ablation changes the lowered program, so the compile
-   memo must key on it: a cached lookup under SINGE_NO_SCHED=1 after a
-   cached scheduled compile misses and returns what an uncached compile
-   builds, and clearing the switch hits the scheduled artifact again. *)
-let test_memo_keys_no_sched () =
+   memo must key on it: a cached lookup with [list_schedule = false] after
+   a cached scheduled compile misses and returns what an uncached compile
+   builds, and switching back hits the scheduled artifact again. *)
+let test_memo_keys_list_schedule () =
   let mech = hydrogen () in
   let kernel = Singe.Kernel_abi.Diffusion in
   let version = Singe.Compile.Warp_specialized in
@@ -27,17 +27,10 @@ let test_memo_keys_no_sched () =
   let scheduled = Singe.Compile.compile_cached mech kernel version options in
   let misses () = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
   let misses0 = misses () in
-  Unix.putenv "SINGE_NO_SCHED" "1";
-  let unscheduled =
-    match
-      let cached = Singe.Compile.compile_cached mech kernel version options in
-      let misses1 = misses () in
-      (cached, misses1, Singe.Compile.compile mech kernel version options)
-    with
-    | r -> Unix.putenv "SINGE_NO_SCHED" ""; r
-    | exception e -> Unix.putenv "SINGE_NO_SCHED" ""; raise e
-  in
-  let cached, misses1, uncached = unscheduled in
+  let off = { options with Singe.Compile.list_schedule = false } in
+  let cached = Singe.Compile.compile_cached mech kernel version off in
+  let misses1 = misses () in
+  let uncached = Singe.Compile.compile mech kernel version off in
   let program (c : Singe.Compile.t) = c.Singe.Compile.lowered.Singe.Lower.program in
   Alcotest.(check int) "scheduler-off lookup misses" (misses0 + 1) misses1;
   Alcotest.(check bool) "cached equals uncached" true
@@ -75,19 +68,16 @@ let test_broadcast_styles_agree () =
 let test_list_scheduler_preserves_values () =
   (* The static scheduler only reorders independent instructions: results
      are bit-identical with it disabled. *)
-  let out () =
+  let out list_schedule =
     let _, r =
       run_with (hydrogen ()) Singe.Kernel_abi.Diffusion
         Singe.Compile.Warp_specialized Gpusim.Arch.kepler_k20c
-        (fun o -> { o with Singe.Compile.n_warps = 4 })
+        (fun o -> { o with Singe.Compile.n_warps = 4; list_schedule })
         (32 * 32)
     in
     r.Singe.Compile.outputs
   in
-  let a = out () in
-  Unix.putenv "SINGE_NO_SCHED" "1";
-  let b = (try out () with e -> Unix.putenv "SINGE_NO_SCHED" ""; raise e) in
-  Unix.putenv "SINGE_NO_SCHED" "";
+  let a = out true and b = out false in
   Array.iteri
     (fun f fa ->
       Array.iteri
@@ -293,7 +283,7 @@ let tests =
     Alcotest.test_case "parser: D exponents" `Quick test_parser_d_exponent;
     Alcotest.test_case "fence ordering" `Quick test_dfg_fence_ordering;
     Alcotest.test_case "spills exact under pressure" `Quick test_spill_roundtrip_under_interleave;
-    Alcotest.test_case "memo key covers SINGE_NO_SCHED" `Quick test_memo_keys_no_sched;
+    Alcotest.test_case "memo key covers list_schedule" `Quick test_memo_keys_list_schedule;
     Alcotest.test_case "dme end-to-end (slow)" `Slow test_dme_end_to_end_slow;
     qcheck_const_key_matches_hex;
   ]
