@@ -190,10 +190,8 @@ let partition_json mech kernel version options =
                       ("chain_weight", J.Num s.Singe.Mapping.chain_weight);
                       ( "strategy",
                         J.Str
-                          (match s.Singe.Mapping.auto_strategy with
-                          | Singe.Mapping.Store -> "store"
-                          | Singe.Mapping.Buffer -> "buffer"
-                          | Singe.Mapping.Mixed -> "mixed") );
+                          (Singe.Mapping.strategy_name
+                             s.Singe.Mapping.auto_strategy) );
                       ( "buffer_slots",
                         J.of_int
                           o.Singe.Partition_search.winner
@@ -253,7 +251,7 @@ let perf ~out ?max_cycles () =
                  f.Gpusim.Sm.fault_cycle f.Gpusim.Sm.detail)
         | r ->
         let m = r.Singe.Compile.machine in
-        let sm_cycles = m.Gpusim.Machine.sm_cycles in
+        let sm_cycles = m.Gpusim.Chip.sm_cycles in
         (* The exchange-rewrite delta: when the shuffle-exchange
            superoptimizer touched this entry, re-simulate with the rewrite
            forced off so the snapshot records the cycles it bought. *)
@@ -273,7 +271,7 @@ let perf ~out ?max_cycles () =
                     Singe.Compile.run ~check:false c_off ~total_points:points
                       ~max_cycles
                   in
-                  r_off.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+                  r_off.Singe.Compile.machine.Gpusim.Chip.sm_cycles
             in
             J.Obj
               [
@@ -291,7 +289,7 @@ let perf ~out ?max_cycles () =
               ]
         in
         let profile =
-          match m.Gpusim.Machine.sim.Gpusim.Sm.profile with
+          match m.Gpusim.Chip.sim.Gpusim.Sm.profile with
           | Some p -> Gpusim.Profile.to_json p
           | None -> J.Null
         in
@@ -311,9 +309,9 @@ let perf ~out ?max_cycles () =
                  let o = c.Singe.Compile.options in
                  J.Str o.Singe.Compile.arch.Gpusim.Arch.name );
                ("points", J.of_int points);
-               ("points_per_sec", J.Num m.Gpusim.Machine.points_per_sec);
-               ("gflops", J.Num m.Gpusim.Machine.gflops);
-               ("dram_gbs", J.Num m.Gpusim.Machine.dram_gbs);
+               ("points_per_sec", J.Num m.Gpusim.Chip.points_per_sec);
+               ("gflops", J.Num m.Gpusim.Chip.gflops);
+               ("dram_gbs", J.Num m.Gpusim.Chip.dram_gbs);
                ("sm_cycles", J.of_int sm_cycles);
                ("max_rel_err", J.Num r.Singe.Compile.max_rel_err);
                ( "model",
@@ -329,7 +327,7 @@ let perf ~out ?max_cycles () =
                      ("binding", J.Str pred.Singe.Perf_model.binding);
                    ] );
                ("partition", partition);
-               ("chip", chip_json m.Gpusim.Machine.chip);
+               ("chip", chip_json m.Gpusim.Chip.chip);
                ("exchange", exchange);
                ("profile", profile);
                ("report", Singe.Pass.report_to_json report);
@@ -415,18 +413,18 @@ let perf ~out ?max_cycles () =
     let rows = Sutil.Domain_pool.parallel_map row sm_counts in
     let base =
       match rows with
-      | (_, m) :: _ -> m.Gpusim.Machine.points_per_sec
+      | (_, m) :: _ -> m.Gpusim.Chip.points_per_sec
       | [] -> assert false
     in
     List.map
       (fun (n_sms, m) ->
-        let pps = m.Gpusim.Machine.points_per_sec in
+        let pps = m.Gpusim.Chip.points_per_sec in
         J.Obj
           [
             ("n_sms", J.of_int n_sms);
             ("points_per_sec", J.Num pps);
             ("speedup_vs_1", J.Num (pps /. base));
-            ("chip", chip_json m.Gpusim.Machine.chip);
+            ("chip", chip_json m.Gpusim.Chip.chip);
           ])
       rows
   in
@@ -441,12 +439,11 @@ let perf ~out ?max_cycles () =
       outcomes
   in
   let count p = List.length (List.filter p outcomes) in
-  let ms = Singe.Compile.memo_stats () in
   let json =
     J.emit
       (J.Obj
          [
-           ("schema", J.Str "singe-perf-v11");
+           ("schema", J.Str "singe-perf-v12");
            ("jobs", J.of_int (Sutil.Domain_pool.default_jobs ()));
            ("max_cycles", J.of_int max_cycles);
            ( "faults_detected",
@@ -454,15 +451,7 @@ let perf ~out ?max_cycles () =
            ( "candidates_skipped",
              J.of_int (count (function P_entry _ -> false | _ -> true)) );
            ( "compile_cache",
-             J.Obj
-               [
-                 ("size", J.of_int ms.Singe.Compile.size);
-                 ("limit", J.of_int ms.Singe.Compile.limit);
-                 ("hits", J.of_int ms.Singe.Compile.hits);
-                 ("misses", J.of_int ms.Singe.Compile.misses);
-                 ("evictions", J.of_int ms.Singe.Compile.evictions);
-                 ("corruptions", J.of_int ms.Singe.Compile.corruptions);
-               ] );
+             Singe.Compile.memo_stats_to_json (Singe.Compile.memo_stats ()) );
            ("tune", J.List tune_sweeps);
            ("chip_scaling", J.List chip_scaling_rows);
            ("results", J.List entries);

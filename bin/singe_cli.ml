@@ -27,20 +27,22 @@ let target_conv of_string print =
   let parse s = Result.map_error (fun m -> `Msg m) (of_string s) in
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
 
-(* Every count flag (warps, points, SMs, top-k, cycle budget, serve's
-   bounds) is a positive integer, rejected at parse as serve rejects a
-   count below 1. *)
-let pos_int_conv flag =
+(* Every count flag is an integer with a lower bound, rejected at parse
+   as serve rejects an out-of-range count: 1 for warps, points, SMs,
+   top-k, the cycle budget and serve's bounds; 0 for the profiler's
+   counts, where 0 disables. *)
+let count_conv ?(min = 1) flag =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "--%s must be >= 1, got %d" flag n))
+    | Some n when n >= min -> Ok n
+    | Some n ->
+        Error (`Msg (Printf.sprintf "--%s must be >= %d, got %d" flag min n))
     | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
 let points_term =
-  Arg.(value & opt (pos_int_conv "points") 32768
+  Arg.(value & opt (count_conv "points") 32768
        & info [ "points" ] ~docv:"N")
 
 let mech_term =
@@ -100,7 +102,7 @@ let arch_term =
        & info [ "arch" ] ~docv:"ARCH" ~doc:"fermi or kepler.")
 
 let warps_term =
-  Arg.(value & opt (pos_int_conv "warps") Singe.Target.default_warps
+  Arg.(value & opt (count_conv "warps") Singe.Target.default_warps
        & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
 
 let version_conv =
@@ -203,7 +205,7 @@ let catch_occupancy f =
 (* Chip-scheduler flags shared by the simulating and predicting
    commands. *)
 let sms_term =
-  Arg.(value & opt (some (pos_int_conv "sms")) None & info [ "sms" ] ~docv:"N"
+  Arg.(value & opt (some (count_conv "sms")) None & info [ "sms" ] ~docv:"N"
        ~doc:"Dispatch the launch over N SMs (default: the architecture's \
              SM count). With 1 the CTAs run as back-to-back rounds on a \
              single SM; with more, the chip scheduler models tail waves \
@@ -228,7 +230,7 @@ let skew_term =
 
 (* Fault-containment flags shared by the simulating commands. *)
 let max_cycles_term =
-  Arg.(value & opt (some (pos_int_conv "max-cycles")) None
+  Arg.(value & opt (some (count_conv "max-cycles")) None
        & info [ "max-cycles" ] ~docv:"N"
        ~doc:"Arm the simulator watchdog: a simulation still live after N \
              cycles is aborted with a structured fault report (exit code 3) \
@@ -370,9 +372,9 @@ let compile_cmd =
       c.Singe.Compile.schedule.Singe.Schedule.barriers_used
       c.Singe.Compile.schedule.Singe.Schedule.n_sync_points
       c.Singe.Compile.lowered.Singe.Lower.spill_bytes_per_thread;
-    let occ = Gpusim.Machine.occupancy arch p in
+    let occ = Gpusim.Chip.occupancy arch p in
     Printf.printf "occupancy: %d CTAs/SM (limited by %s)\n"
-      occ.Gpusim.Machine.resident_ctas occ.Gpusim.Machine.limited_by;
+      occ.Gpusim.Chip.resident_ctas occ.Gpusim.Chip.limited_by;
     if timings then print_report report;
     dump_ir c dump_ir_stage;
     if dump then Format.printf "@.== prologue ==@.%a== body ==@.%a@."
@@ -431,11 +433,11 @@ let run_cmd =
        error vs host reference %.2g\n"
       (Singe.Kernel_abi.kernel_name kernel)
       arch.Gpusim.Arch.name
-      r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-      r.Singe.Compile.machine.Gpusim.Machine.gflops
-      r.Singe.Compile.machine.Gpusim.Machine.dram_gbs
+      r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+      r.Singe.Compile.machine.Gpusim.Chip.gflops
+      r.Singe.Compile.machine.Gpusim.Chip.dram_gbs
       r.Singe.Compile.max_rel_err;
-    let ch = r.Singe.Compile.machine.Gpusim.Machine.chip in
+    let ch = r.Singe.Compile.machine.Gpusim.Chip.chip in
     Printf.printf
       "chip: %d SM(s), %d round(s)%s, makespan %.0f cycles, dispatch \
        imbalance %.1f%%, DRAM util %.0f%% (throttle max %.2fx)%s\n"
@@ -466,11 +468,13 @@ let profile_cmd =
                Perfetto.")
   in
   let top =
-    Arg.(value & opt int 5 & info [ "top-stalls" ] ~docv:"N"
+    Arg.(value & opt (count_conv ~min:0 "top-stalls") 5
+         & info [ "top-stalls" ] ~docv:"N"
          ~doc:"Print the N largest per-warp stall contributors (0 disables).")
   in
   let timeline =
-    Arg.(value & opt int 65536 & info [ "timeline" ] ~docv:"SPANS"
+    Arg.(value & opt (count_conv ~min:0 "timeline") 65536
+         & info [ "timeline" ] ~docv:"SPANS"
          ~doc:"Timeline ring-buffer capacity in spans; when the simulation \
                produces more, the oldest are dropped (reported). 0 disables \
                the timeline but keeps buckets and histograms.")
@@ -504,7 +508,7 @@ let profile_cmd =
           exit exit_compile_rejected
     in
     let prof =
-      match r.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.profile with
+      match r.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile with
       | Some p -> p
       | None -> assert false
     in
@@ -687,7 +691,7 @@ let predict_cmd =
                 in
                 let measured =
                   float_of_int
-                    r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+                    r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
                 in
                 let err =
                   Singe.Perf_model.rel_err
@@ -726,13 +730,13 @@ let predict_cmd =
             ("warps", of_int warps);
             ("predicted_cycles", Num pred.Singe.Perf_model.cycles);
             ( "measured_cycles",
-              of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles );
+              of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles );
             ("rel_err", Num err);
             ("floor_cycles", Num pred.Singe.Perf_model.floor_cycles);
             ( "predicted_points_per_sec",
               Num pred.Singe.Perf_model.points_per_sec );
             ( "measured_points_per_sec",
-              Num r.Singe.Compile.machine.Gpusim.Machine.points_per_sec );
+              Num r.Singe.Compile.machine.Gpusim.Chip.points_per_sec );
             ("binding", Str pred.Singe.Perf_model.binding);
           ]
       in
@@ -771,7 +775,7 @@ let predict_cmd =
       List.iter
         (fun (kernel, version, (pred : Singe.Perf_model.prediction), r, _) ->
           let measured =
-            float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+            float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
           in
           check
             (Printf.sprintf "floor %s/%s"
@@ -812,7 +816,7 @@ let tune_mode_term =
              predicted candidates.")
 
 let top_k_term =
-  Arg.(value & opt (pos_int_conv "top-k") Singe.Autotune.default_prune_keep
+  Arg.(value & opt (count_conv "top-k") Singe.Autotune.default_prune_keep
        & info [ "top-k" ] ~docv:"K"
          ~doc:"With --tune-mode pruned: how many model-ranked candidates to \
                simulate.")
@@ -891,7 +895,11 @@ let tune_cmd =
 
 let stats_cmd =
   let run mech kernel arch warps version =
-    let c = Singe.Compile.compile mech kernel version (options_of arch warps kernel) in
+    catch_occupancy @@ fun () ->
+    let c, _ =
+      compile_or_die ~validate:false mech kernel version
+        (options_of arch warps kernel)
+    in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
       Gpusim.Isa_stats.pp
@@ -1015,7 +1023,7 @@ let figures_cmd =
 
 let serve_cmd =
   let opt_of name dflt doc =
-    Arg.(value & opt (pos_int_conv name) dflt & info [ name ] ~docv:"N" ~doc)
+    Arg.(value & opt (count_conv name) dflt & info [ name ] ~docv:"N" ~doc)
   in
   let d = Singe.Serve.default_config in
   let deadline =

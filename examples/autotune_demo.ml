@@ -17,4 +17,4 @@ let () =
     best.Singe.Autotune.options.Singe.Compile.n_warps
     best.Singe.Autotune.options.Singe.Compile.ctas_per_sm_target
     best.Singe.Autotune.throughput
-    best.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Machine.gflops
+    best.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Chip.gflops

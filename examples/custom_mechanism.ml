@@ -61,6 +61,6 @@ let () =
       let r = Singe.Compile.run c ~total_points:8192 in
       Printf.printf "%-10s: %.3g points/s, rel. error %.2g\n"
         (Singe.Kernel_abi.kernel_name kernel)
-        r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
+        r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
         r.Singe.Compile.max_rel_err)
     [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion; Singe.Kernel_abi.Chemistry ]

@@ -24,7 +24,7 @@ let () =
     | r ->
         Printf.printf "  %-34s rel. error vs reference %.2e  (%.3e points/s)\n"
           label r.Singe.Compile.max_rel_err
-          r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
+          r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
     | exception Failure msg -> Printf.printf "  %-34s %s\n" label msg
   in
   let single = compile ~full:false in

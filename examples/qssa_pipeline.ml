@@ -39,6 +39,6 @@ let () =
     c.Singe.Compile.lowered.Singe.Lower.spill_bytes_per_thread;
   let r = Singe.Compile.run c ~total_points:32768 in
   Printf.printf "ran: %.3g points/s, %.0f GFLOPS, worst rel. error %.2g\n"
-    r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-    r.Singe.Compile.machine.Gpusim.Machine.gflops
+    r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+    r.Singe.Compile.machine.Gpusim.Chip.gflops
     r.Singe.Compile.max_rel_err

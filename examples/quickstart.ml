@@ -44,8 +44,8 @@ let () =
       Printf.printf
         "%-15s: %.3g points/s, %.0f GFLOPS, worst rel. error vs reference %.2g\n"
         label
-        r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-        r.Singe.Compile.machine.Gpusim.Machine.gflops
+        r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+        r.Singe.Compile.machine.Gpusim.Chip.gflops
         r.Singe.Compile.max_rel_err)
     [
       (Singe.Compile.Baseline, "data-parallel");

@@ -32,7 +32,7 @@ let () =
                   let roof = Gpusim.Roofline.analyze arch p in
                   let r = Singe.Compile.run c ~total_points:32768 in
                   let achieved =
-                    r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
+                    r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
                   in
                   let b = roof.Gpusim.Roofline.binding in
                   Printf.printf "%-10s %-5s %-7s %-28s %12.3e %12.3e %4.0f%%\n%!"

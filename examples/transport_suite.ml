@@ -39,7 +39,7 @@ let () =
         (Singe.Kernel_abi.kernel_name kernel)
         best.Singe.Autotune.options.Singe.Compile.n_warps
         best.Singe.Autotune.throughput
-        best.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Machine.gflops
+        best.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Chip.gflops
         best.Singe.Autotune.result.Singe.Compile.max_rel_err)
     [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Conductivity;
       Singe.Kernel_abi.Diffusion ]

@@ -25,9 +25,9 @@ let () =
       match (run Singe.Compile.Naive_warp_specialized, run Singe.Compile.Warp_specialized) with
       | naive, singe ->
           Printf.printf "%-10d %14.3g %14.3g %12d\n%!" n_warps
-            naive.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-            singe.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-            naive.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.icache
+            naive.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+            singe.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+            naive.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.icache
               .Gpusim.Caches.Icache.misses
       | exception Failure msg -> Printf.printf "%-10d (%s)\n%!" n_warps msg)
     [ 2; 3; 5; 6; 10; 15 ]

@@ -34,7 +34,6 @@ let n_qssa t = Array.length t.qssa
 let n_stiff t = Array.length t.stiff
 
 let is_qssa t i = Array.exists (( = ) i) t.qssa
-let is_stiff t i = Array.exists (( = ) i) t.stiff
 
 let computed_species t =
   Array.init (n_species t) (fun i -> i)

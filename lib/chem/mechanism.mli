@@ -29,7 +29,6 @@ val n_qssa : t -> int
 val n_stiff : t -> int
 
 val is_qssa : t -> int -> bool
-val is_stiff : t -> int -> bool
 
 val computed_species : t -> int array
 (** Species actually carried by the simulation, i.e. all species minus the

@@ -67,28 +67,6 @@ let net_molecularity t =
   List.fold_left (fun acc (_, c) -> acc + c) 0 t.products
   - List.fold_left (fun acc (_, c) -> acc + c) 0 t.reactants
 
-let constant_count t =
-  let forward =
-    match t.rate with
-    | Simple _ -> 3
-    | Falloff { kind = Lindemann; _ } -> 6
-    | Falloff { kind = Troe _; _ } -> 10
-    | Falloff { kind = Sri _; _ } -> 11
-    | Landau_teller _ -> 5
-    | Plog table -> 3 * List.length table
-  in
-  let reverse =
-    match t.reverse with
-    | Irreversible -> 0
-    | Explicit _ -> 3
-    (* From_equilibrium consumes the pressure-scaling constant and delta-G
-       accumulation temporaries; 3 matches the per-reaction footprint of the
-       fused Gibbs evaluation. *)
-    | From_equilibrium -> 3
-  in
-  let third = match t.third_body with Some tb -> List.length tb.enhanced | None -> 0 in
-  forward + reverse + third
-
 let is_falloff t =
   match t.rate with
   | Falloff _ -> true

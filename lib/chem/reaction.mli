@@ -86,10 +86,6 @@ val net_molecularity : t -> int
 (** Sum of product coefficients minus sum of reactant coefficients
     (the [delta nu] used in equilibrium-constant pressure scaling). *)
 
-val constant_count : t -> int
-(** Number of double-precision constants the rate evaluation needs
-    (the paper reports 6-15 per reaction for the chemistry kernel). *)
-
 val is_falloff : t -> bool
 
 val element_balance :

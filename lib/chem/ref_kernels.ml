@@ -142,61 +142,3 @@ let chemistry_point mech ~temp ~pressure ~mole_frac ~diffusion =
       computed
   in
   { rr_f; rr_r; qssa_scales; stiff_gammas; wdot }
-
-let flop_counts mech =
-  let n = Array.length (Mechanism.computed_species mech) in
-  let nr = Mechanism.n_reactions mech in
-  let exp_cost = 14 (* ~12 DFMA Taylor + range reduction *) in
-  let viscosity =
-    (* per species: cubic poly (6) + exp; per pair: exp + 2 add + 2 mul +
-       fma; per species: divide (~8) + fma. *)
-    (n * (6 + exp_cost)) + (n * n * (exp_cost + 6)) + (n * 10)
-  in
-  let diffusion =
-    (* pair fits on the strict upper triangle + per-species divide and
-       scaling + the three shared sums. *)
-    (n * (n - 1) / 2 * (6 + exp_cost)) + (n * (n + 20)) + (6 * n)
-  in
-  let chemistry =
-    let rate_cost r =
-      (match r.Reaction.rate with
-      | Reaction.Simple _ -> 6 + exp_cost
-      | Reaction.Landau_teller _ -> 10 + (2 * exp_cost)
-      | Reaction.Falloff { kind = Reaction.Lindemann; _ } ->
-          (2 * (6 + exp_cost)) + 12
-      | Reaction.Falloff { kind = Reaction.Troe _; _ } ->
-          (2 * (6 + exp_cost)) + (3 * exp_cost) + 24
-      | Reaction.Falloff { kind = Reaction.Sri _; _ } ->
-          (2 * (6 + exp_cost)) + (4 * exp_cost) + 20
-      | Reaction.Plog table -> (List.length table * 10) + exp_cost + 8)
-      +
-      match r.Reaction.reverse with
-      | Reaction.Irreversible -> 0
-      | Reaction.Explicit _ -> 6 + exp_cost
-      | Reaction.From_equilibrium ->
-          (* Gibbs for each participant (two 7-coeff polys + log) + exp. *)
-          (List.length (Reaction.species_involved r) * 16) + exp_cost
-    in
-    let rates = Array.fold_left (fun acc r -> acc + rate_cost r) 0 mech.Mechanism.reactions in
-    let qssa =
-      Array.fold_left
-        (fun acc node -> acc + node.Qssa.flops)
-        0 (Qssa.build mech).Qssa.nodes
-    in
-    let stiff =
-      Array.fold_left (fun acc node -> acc + node.Stiffness.flops) 0
-        (Stiffness.build mech)
-    in
-    let output = 2 * 4 * nr (* ~4 species touched per reaction *) in
-    rates + qssa + stiff + output
-  in
-  let conductivity =
-    (* per species: cubic poly + exp + a multiply, a divide and two adds. *)
-    n * (6 + exp_cost + 12)
-  in
-  [
-    ("viscosity", viscosity);
-    ("conductivity", conductivity);
-    ("diffusion", diffusion);
-    ("chemistry", chemistry);
-  ]

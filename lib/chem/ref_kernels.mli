@@ -68,7 +68,3 @@ val chemistry_point :
   chemistry_result
 (** All four chemistry phases of §3.4: rates, QSSA, stiffness, output.
     [diffusion] is the full per-species diffusion input vector. *)
-
-val flop_counts : Mechanism.t -> (string * int) list
-(** Rough per-point FLOP counts of the three kernels, used by experiment
-    reporting; keys are ["viscosity"], ["diffusion"], ["chemistry"]. *)

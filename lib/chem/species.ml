@@ -135,7 +135,5 @@ let formula t =
   List.iter emit order;
   if Buffer.length buf = 0 then "(none)" else Buffer.contents buf
 
-let equal_composition a b = composition_vector a = composition_vector b
-
 let pp ppf t =
   Format.fprintf ppf "%s(%s, M=%.3f)" t.name (formula t) (molecular_mass t)

@@ -58,6 +58,4 @@ val composition_vector : t -> int array
 val formula : t -> string
 (** Conventional formula string, e.g. ["C2H6O"]. *)
 
-val equal_composition : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@ type node = {
   species : int;
   produced_by : (int * int) list;
   consumed_by : (int * int) list;
-  flops : int;
 }
 
 let tau = 1e-3
@@ -21,14 +20,10 @@ let build (mech : Mechanism.t) =
           if p > 0 then produced_by := (ri, p) :: !produced_by;
           if c > 0 then consumed_by := (ri, c) :: !consumed_by)
         mech.Mechanism.reactions;
-      let produced_by = List.rev !produced_by in
-      let consumed_by = List.rev !consumed_by in
-      let n_terms = List.length consumed_by in
       {
         species = sp;
-        produced_by;
-        consumed_by;
-        flops = (2 * n_terms) + 8 + (2 * (n_terms + List.length produced_by));
+        produced_by = List.rev !produced_by;
+        consumed_by = List.rev !consumed_by;
       })
     mech.Mechanism.stiff
 

@@ -18,7 +18,6 @@ type node = {
   species : int;
   produced_by : (int * int) list;
   consumed_by : (int * int) list;
-  flops : int;
 }
 
 val tau : float

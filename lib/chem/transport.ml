@@ -157,7 +157,3 @@ let constant_bytes ~n =
      (the k=j pair needs none: both fold to known values). This reproduces
      the paper's 13.9 KB (N=30) and 42.4 KB (N=52) exactly, in decimal KB. *)
   n * (n - 1) * 2 * 8
-
-let diffusion_constant_bytes ~n =
-  (* Four delta coefficients per strict-upper-triangle pair. *)
-  n * (n - 1) / 2 * 4 * 8

@@ -50,7 +50,3 @@ val constant_bytes : n:int -> int
     for [n] computed species: 2 per off-diagonal pair. Reproduces the
     paper's 13.9 KB (DME, N=30) and 42.4 KB (heptane, N=52) figures
     exactly (decimal KB). *)
-
-val diffusion_constant_bytes : n:int -> int
-(** Bytes of delta fit constants the *diffusion* kernel loads (4 per
-    strict-upper-triangle pair). *)

@@ -88,7 +88,7 @@ let fig9 () =
                so divergent instruction streams re-fetch every pass. *)
             Singe.Compile.run c ~total_points:32768 ~ctas:128
           with
-          | r -> Printf.sprintf "%14.3g" r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
+          | r -> Printf.sprintf "%14.3g" r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
           | exception Failure _ -> Printf.sprintf "%14s" "(won't fit)"
         in
         Printf.sprintf "%-10d %s %s\n" n_warps
@@ -140,8 +140,8 @@ let perf_figure mech kernel =
         arch.Gpusim.Arch.name
         base.Singe.Autotune.options.Singe.Compile.n_warps
         ws.Singe.Autotune.options.Singe.Compile.n_warps
-        ws.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Machine.occ
-          .Gpusim.Machine.resident_ctas;
+        ws.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Chip.occ
+          .Gpusim.Chip.resident_ctas;
       Printf.printf "  %-8s %14s %14s %9s %10s %10s\n" "size" "baseline"
         "warp-spec" "speedup" "base-GF" "ws-GF";
       (* Each size reruns the tuned programs on an already-compiled,
@@ -154,12 +154,12 @@ let perf_figure mech kernel =
               Singe.Compile.run c.Singe.Autotune.compiled ~total_points:points
             in
             let rb = rerun base and rw = rerun ws in
-            let tb = rb.Singe.Compile.machine.Gpusim.Machine.points_per_sec in
-            let tw = rw.Singe.Compile.machine.Gpusim.Machine.points_per_sec in
+            let tb = rb.Singe.Compile.machine.Gpusim.Chip.points_per_sec in
+            let tw = rw.Singe.Compile.machine.Gpusim.Chip.points_per_sec in
             Printf.sprintf "  %-8s %14.4g %14.4g %8.2fx %10.1f %10.1f\n" label tb
               tw (tw /. tb)
-              rb.Singe.Compile.machine.Gpusim.Machine.gflops
-              rw.Singe.Compile.machine.Gpusim.Machine.gflops)
+              rb.Singe.Compile.machine.Gpusim.Chip.gflops
+              rw.Singe.Compile.machine.Gpusim.Chip.gflops)
           (sizes ())
       in
       List.iter print_string rows;
@@ -170,7 +170,7 @@ let perf_figure mech kernel =
         "  spill bytes/thread: baseline %d, warp-specialized %d; baseline \
          local-memory traffic %.0f GB/s\n"
         (spill base) (spill ws)
-        base.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Machine.local_gbs)
+        base.Singe.Autotune.result.Singe.Compile.machine.Gpusim.Chip.local_gbs)
     (archs ());
   print_newline ()
 
@@ -216,7 +216,7 @@ let stall_breakdown () =
         in
         let prof =
           match
-            r.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.profile
+            r.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile
           with
           | Some p -> p
           | None -> assert false
@@ -268,7 +268,7 @@ let ablation_barriers () =
         | _ -> assert false
       in
       let stalls (r : Singe.Compile.run_result) =
-        let s = r.Singe.Compile.machine.Gpusim.Machine.sim in
+        let s = r.Singe.Compile.machine.Gpusim.Chip.sim in
         s.Gpusim.Sm.counters.Gpusim.Sm.barrier_stalls
         + s.Gpusim.Sm.counters.Gpusim.Sm.cta_barrier_stalls
       in
@@ -276,10 +276,10 @@ let ablation_barriers () =
         "%s: grouped syncs %.1f GFLOPS (%d sync points, %d warp-cycles \
          stalled); ungrouped %.1f GFLOPS (%d sync points, %d stalled)\n%!"
         arch.Gpusim.Arch.name
-        grouped.Singe.Compile.machine.Gpusim.Machine.gflops
+        grouped.Singe.Compile.machine.Gpusim.Chip.gflops
         cg.Singe.Compile.schedule.Singe.Schedule.n_sync_points
         (stalls grouped)
-        ungrouped.Singe.Compile.machine.Gpusim.Machine.gflops
+        ungrouped.Singe.Compile.machine.Gpusim.Chip.gflops
         cu.Singe.Compile.schedule.Singe.Schedule.n_sync_points
         (stalls ungrouped))
     (archs ());
@@ -304,7 +304,7 @@ let ablation_exp_constants () =
         in
         let r = Singe.Compile.run c ~total_points:32768 in
         Printf.sprintf "  %-22s %8.1f GFLOPS\n" label
-          r.Singe.Compile.machine.Gpusim.Machine.gflops)
+          r.Singe.Compile.machine.Gpusim.Chip.gflops)
       [ (false, "constant-cache-fed"); (true, "register-fed") ]
   in
   List.iter print_string rows;
@@ -344,7 +344,7 @@ let ablation_chem_comm () =
                     Printf.sprintf
                       "  %-10s %10.3e points/s, %5.1f KB shared, %5d B spilled\n"
                       label
-                      r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
+                      r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
                       (float_of_int (p.Gpusim.Isa.shared_doubles * 8) /. 1024.)
                       c.Singe.Compile.lowered.Singe.Lower.spill_bytes_per_thread
                 | exception Failure msg ->
@@ -371,7 +371,7 @@ let ablation_weights () =
   let best = tune mech Singe.Kernel_abi.Viscosity Singe.Compile.Warp_specialized arch in
   (let r = Singe.Compile.run best.Singe.Autotune.compiled ~total_points:32768 in
    Printf.printf "  %-28s %8.3e points/s\n%!" "domain hints (the DSL)"
-     r.Singe.Compile.machine.Gpusim.Machine.points_per_sec);
+     r.Singe.Compile.machine.Gpusim.Chip.points_per_sec);
   let rows =
     Sutil.Domain_pool.parallel_map
       (fun (weights, label) ->
@@ -399,7 +399,7 @@ let ablation_weights () =
               float_of_int mx /. float_of_int (max 1 mn)
             in
             Printf.sprintf "  %-28s %8.3e points/s  (max/min warp FLOPs %.2f)\n"
-              label r.Singe.Compile.machine.Gpusim.Machine.points_per_sec imb
+              label r.Singe.Compile.machine.Gpusim.Chip.points_per_sec imb
         | exception Failure msg ->
             Printf.sprintf "  %-28s does not fit (%s)\n" label msg)
       [
@@ -450,7 +450,7 @@ let model_accuracy () =
         let pred = Singe.Perf_model.predict c ~total_points:points in
         let r = Singe.Compile.run c ~total_points:points in
         let measured =
-          float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+          float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
         in
         let err =
           Singe.Perf_model.rel_err
@@ -487,8 +487,8 @@ let ablation_batches () =
           Singe.Compile.run best.Singe.Autotune.compiled ~total_points:points
         in
         Printf.sprintf "  %8d points: %10.3e points/s (%5.1f GFLOPS)\n" points
-          r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-          r.Singe.Compile.machine.Gpusim.Machine.gflops)
+          r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+          r.Singe.Compile.machine.Gpusim.Chip.gflops)
       [ 416; 832; 1664; 3328; 6656; 13312; 32768; 262144 ]
   in
   List.iter print_string rows;
@@ -521,7 +521,7 @@ let ablation_exchange () =
         let c_on, r_on = eval true in
         let _, r_off = eval false in
         let cycles (r : Singe.Compile.run_result) =
-          r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+          r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
         in
         let ex = c_on.Singe.Compile.lowered.Singe.Lower.exchange in
         let kb (c : Singe.Compile.t) =
@@ -571,9 +571,9 @@ let chip_scaling () =
       (fun n_sms ->
         let r = Singe.Compile.run c ~total_points:points ~n_sms in
         let m = r.Singe.Compile.machine in
-        let ch = m.Gpusim.Machine.chip in
+        let ch = m.Gpusim.Chip.chip in
         ( n_sms,
-          m.Gpusim.Machine.points_per_sec,
+          m.Gpusim.Chip.points_per_sec,
           ch.Gpusim.Chip.contention.Gpusim.Chip.dram_util,
           ch.Gpusim.Chip.contention.Gpusim.Chip.throttle_max,
           Gpusim.Chip.dispatch_imbalance ch ))
@@ -669,7 +669,7 @@ let stencil_overlap () =
                 Singe.Compile.Warp_specialized options
             in
             let r = Singe.Compile.run c ~total_points:points in
-            float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+            float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
           in
           let hand = cycles base in
           match

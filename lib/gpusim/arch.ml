@@ -130,9 +130,6 @@ let peak_dp_gflops t =
   t.dp_issue_per_cycle *. 64.0 *. t.clock_mhz *. 1e6 *. float_of_int t.n_sms
   /. 1e9
 
-let bw_gbs t bytes_per_cycle =
-  bytes_per_cycle *. float_of_int t.n_sms *. t.clock_mhz *. 1e6 /. 1e9
-
 let icache_line_bytes t = t.icache_line_instrs * t.instr_bytes
 
 let dram_bytes_per_chip_cycle t =

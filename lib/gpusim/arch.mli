@@ -84,9 +84,6 @@ val peak_dp_gflops : t -> float
 (** Theoretical DP peak: [dp_issue_per_cycle * 64 flops * clock * SMs]
     (513 for the C2070, 1173 for the K20c). *)
 
-val bw_gbs : t -> float -> float
-(** Convert a bytes-per-SM-cycle figure to aggregate GB/s. *)
-
 val icache_line_bytes : t -> int
 (** Instruction-cache line size in bytes
     ([icache_line_instrs * instr_bytes]). *)

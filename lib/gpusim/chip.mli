@@ -58,7 +58,12 @@ val reject_message : reject -> string
     [Printexc] printer for {!Occupancy_rejected}). *)
 
 val occupancy : Arch.t -> Isa.program -> occupancy
-(** Raises {!Occupancy_rejected} if even a single CTA does not fit. *)
+(** Resident CTAs per SM, limited as on the hardware by register-file
+    capacity (the {e maximum} per-warp register demand governs the whole
+    kernel, hence §4.1's register-balance metric), shared memory, warp
+    slots, CTA slots and named barriers (16 per SM divided by barriers
+    per CTA, the footnote of §4.2). Raises {!Occupancy_rejected} if even
+    a single CTA does not fit. *)
 
 val points_per_cta : launch -> int
 
@@ -152,10 +157,11 @@ val run :
   Arch.t ->
   launch ->
   result
-(** Same contract as the old [Machine.run] for the per-SM core:
-    [fill_inputs mem n_points] is called exactly once, for the main
-    simulation; every secondary run (pin runs and the tail round)
-    reuses a prefix of that data via {!Memstate.copy_global_prefix}.
+(** [fill_inputs mem n_points] populates the input field groups and is
+    called exactly once, for the main simulation; every secondary run
+    (pin runs and the tail round) reuses a prefix of that data via
+    {!Memstate.copy_global_prefix} (their outputs are discarded, and
+    simulated cycles never depend on float memory contents).
     Launches streaming more than [max_sim_batches] batches per CTA
     (default 6, clamped to at least 2) are extrapolated from two runs
     one batch apart: their difference is exactly one steady-state body
@@ -170,6 +176,10 @@ val run :
     on the same inputs, and the scheduler reduces to one round after
     another on SM 0.
 
-    [faults], [max_cycles] and [profile] behave as before ([profile]
-    rides the main simulation only). May raise {!Occupancy_rejected} or
-    {!Sm.Simulation_fault}. *)
+    [faults] are applied to the flattened trace before simulation
+    ({!Fault.apply}, with barrier ids range-checked against the
+    architecture's named-barrier count); [max_cycles] is forwarded to
+    {!Sm.run} as the per-simulation watchdog budget. Both default to the
+    clean, unlimited run. [profile] is forwarded to {!Sm.run} for the
+    main simulation only; the ledger is [result.sim.profile]. May raise
+    {!Occupancy_rejected} or {!Sm.Simulation_fault}. *)

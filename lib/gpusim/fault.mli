@@ -58,5 +58,5 @@ val apply : ?named_barriers:int -> t list -> Trace.t -> Trace.t
     [Corrupt_shfl]), or issues no arithmetic for [Latency] — or,
     when [named_barriers] is given, when a [Swap_barrier] id falls
     outside [\[0, named_barriers)] (instead of silently indexing past
-    the SM's barrier file). {!Machine.run} always passes the
+    the SM's barrier file). {!Chip.run} always passes the
     architecture's count. *)

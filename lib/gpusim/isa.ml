@@ -38,8 +38,6 @@ let sh base =
 
 let sh_lane ?(mul = 1) base = { (sh base) with s_lane_mul = mul }
 
-let sh_warp base = { (sh base) with s_warp_mul = 1 }
-
 let sh_ireg ?(lane_mul = 0) ~base ~ireg ~mul () =
   { s_base = base; s_warp_mul = 0; s_lane_mul = lane_mul; s_ireg = Some ireg;
     s_ireg_mul = mul }

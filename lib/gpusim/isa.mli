@@ -73,9 +73,6 @@ val sh : int -> saddr
 val sh_lane : ?mul:int -> int -> saddr
 (** [base + mul*lane] (default stride 1). *)
 
-val sh_warp : int -> saddr
-(** [base + warp]: one slot per warp (the Fermi broadcast mirror). *)
-
 val sh_ireg : ?lane_mul:int -> base:int -> ireg:int -> mul:int -> unit -> saddr
 
 type src =

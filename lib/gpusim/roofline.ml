@@ -3,7 +3,7 @@ type bound = { resource : string; points_per_sec : float }
 type t = {
   bounds : bound list;
   binding : bound;
-  occupancy : Machine.occupancy;
+  occupancy : Chip.occupancy;
 }
 
 (* Per-CTA-batch demand on each resource, from one walk of the body with
@@ -94,7 +94,7 @@ let demand_cycles (arch : Arch.t) (d : demand) =
   ]
 
 let analyze (arch : Arch.t) (p : Isa.program) =
-  let occ = Machine.occupancy arch p in
+  let occ = Chip.occupancy arch p in
   let d = demand_of arch p in
   let points_per_batch =
     float_of_int
@@ -149,4 +149,4 @@ let pp ppf t =
         (if b == t.binding then "   <- binding" else ""))
     t.bounds;
   Format.fprintf ppf "occupancy: %d CTAs/SM (limited by %s)@]"
-    t.occupancy.Machine.resident_ctas t.occupancy.Machine.limited_by
+    t.occupancy.Chip.resident_ctas t.occupancy.Chip.limited_by

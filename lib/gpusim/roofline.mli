@@ -17,7 +17,7 @@ type bound = {
 type t = {
   bounds : bound list;  (** sorted, tightest first *)
   binding : bound;  (** the minimum *)
-  occupancy : Machine.occupancy;
+  occupancy : Chip.occupancy;
 }
 
 type demand = {

@@ -60,8 +60,6 @@ let pp_fault ppf r =
         b.b_cta b.b_arrived b.b_waiters)
     r.barrier_dumps
 
-let fault_to_string r = Format.asprintf "%a" pp_fault r
-
 type counters = {
   mutable issued : int;
   mutable branch_instrs : int;

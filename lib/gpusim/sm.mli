@@ -67,8 +67,6 @@ val pp_fault : Format.formatter -> fault_report -> unit
 (** Multi-line rendering: the fault line followed by one line per warp
     and one per barrier with pending state. *)
 
-val fault_to_string : fault_report -> string
-
 type counters = {
   mutable issued : int;
   mutable branch_instrs : int;

@@ -72,24 +72,20 @@ let candidate_options ?synth_exchange ?stencil_overlap ~points kernel version
             in
             List.map
               (fun chem_comm ->
-                let defaults = Compile.default_options arch in
+                let o =
+                  Target.options ~n_warps ~ctas_per_sm:ctas_per_sm_target arch
+                    kernel
+                in
                 {
-                  defaults with
-                  Compile.n_warps;
-                  ctas_per_sm_target;
-                  chem_comm;
+                  o with
+                  Compile.chem_comm;
                   synth_exchange =
                     (match synth_exchange with
                     | Some b -> Some b
-                    | None -> defaults.Compile.synth_exchange);
+                    | None -> o.Compile.synth_exchange);
                   stencil_overlap =
-                    (match stencil_overlap with
-                    | Some b -> b
-                    | None -> defaults.Compile.stencil_overlap);
-                  max_barriers =
-                    (if kernel = Kernel_abi.Chemistry then
-                       16 / ctas_per_sm_target
-                     else 8);
+                    Option.value stencil_overlap
+                      ~default:o.Compile.stencil_overlap;
                 })
               comm_candidates)
         cta_targets)
@@ -204,7 +200,7 @@ let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
             err %.2g)"
            options.Compile.n_warps options.Compile.ctas_per_sm_target
            result.Compile.max_rel_err);
-    let throughput = result.Compile.machine.Gpusim.Machine.points_per_sec in
+    let throughput = result.Compile.machine.Gpusim.Chip.points_per_sec in
     { options; throughput; compiled; result; predicted }
   in
   let evaluated =

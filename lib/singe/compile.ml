@@ -525,6 +525,18 @@ let memo_stats () =
   Mutex.unlock memo_mutex;
   s
 
+let memo_stats_to_json s =
+  let open Sutil.Json in
+  Obj
+    [
+      ("size", of_int s.size);
+      ("limit", of_int s.limit);
+      ("hits", of_int s.hits);
+      ("misses", of_int s.misses);
+      ("evictions", of_int s.evictions);
+      ("corruptions", of_int s.corruptions);
+    ]
+
 (* Digest of a value's marshalled bytes, marshalled into a per-domain
    buffer that is reused (and grown on overflow): a mechanism marshals to
    tens of kilobytes, which as a fresh string would go straight to the
@@ -674,7 +686,7 @@ let default_ctas t ~total_points =
   launch_ctas t.version ~n_warps ~total_points
 
 type run_result = {
-  machine : Gpusim.Machine.result;
+  machine : Gpusim.Chip.result;
   max_rel_err : float;
   outputs : float array array;
 }
@@ -748,7 +760,7 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   in
   let launch =
     {
-      Gpusim.Machine.program = t.lowered.Lower.program;
+      Gpusim.Chip.program = t.lowered.Lower.program;
       total_points;
       ctas;
     }
@@ -764,17 +776,17 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
     Kernel_abi.fill_inputs t.mech g t.kernel t.lowered.Lower.program mem n
   in
   let machine =
-    Gpusim.Machine.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
+    Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
       ?skew t.options.arch launch
   in
   let outputs =
-    Kernel_abi.read_outputs t.lowered.Lower.program machine.Gpusim.Machine.mem
+    Kernel_abi.read_outputs t.lowered.Lower.program machine.Gpusim.Chip.mem
   in
   let max_rel_err =
     if not check then nan
     else begin
       let g = Option.get !grid in
-      let n = machine.Gpusim.Machine.simulated_points in
+      let n = machine.Gpusim.Chip.simulated_points in
       let reference =
         reference_outputs t.mech t.kernel g ~seed ~t_range ~points:n
       in

@@ -183,6 +183,10 @@ val memo_stats : unit -> memo_stats
     Counters are process-lifetime and survive {!memo_clear} (only the
     entries are dropped). *)
 
+val memo_stats_to_json : memo_stats -> Sutil.Json.t
+(** The six counters as one JSON object, keyed by field name: bench
+    perf's and serve's ["compile_cache"]. *)
+
 val memo_limit : unit -> int
 
 val set_memo_limit : int -> unit
@@ -227,7 +231,7 @@ val default_ctas : t -> total_points:int -> int
     divide into the grid. *)
 
 type run_result = {
-  machine : Gpusim.Machine.result;
+  machine : Gpusim.Chip.result;
   max_rel_err : float;
       (** worst relative error of the simulated points' outputs against the
           host reference *)

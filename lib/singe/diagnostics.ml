@@ -1,7 +1,4 @@
-type severity = Error | Warning
-
 type t = {
-  severity : severity;
   pass : string option;
   loc : string option;
   message : string;
@@ -9,12 +6,10 @@ type t = {
 
 exception Fail of t
 
-let error ?pass ?loc message = { severity = Error; pass; loc; message }
+let error ?pass ?loc message = { pass; loc; message }
 
 let errorf ?pass ?loc fmt =
   Printf.ksprintf (fun message -> error ?pass ?loc message) fmt
-
-let warning ?pass ?loc message = { severity = Warning; pass; loc; message }
 
 let fail ?pass ?loc message = raise (Fail (error ?pass ?loc message))
 
@@ -27,9 +22,8 @@ let of_srcloc ?pass (e : Chem.Srcloc.error) =
     (Chem.Srcloc.message_string e)
 
 let to_string d =
-  let sev = match d.severity with Error -> "error" | Warning -> "warning" in
   let head =
-    match d.pass with Some p -> Printf.sprintf "%s[%s]" sev p | None -> sev
+    match d.pass with Some p -> Printf.sprintf "error[%s]" p | None -> "error"
   in
   match d.loc with
   | Some l -> Printf.sprintf "%s: %s: %s" head l d.message

@@ -6,10 +6,7 @@
     autotuning) match on {!Fail} or use the [_checked] entry points of
     {!Compile} and render the diagnostic with {!pp}. *)
 
-type severity = Error | Warning
-
 type t = {
-  severity : severity;
   pass : string option;  (** originating pipeline pass, when known *)
   loc : string option;
       (** source position (["input.mech:12"]) when the failure points at
@@ -25,10 +22,8 @@ val error : ?pass:string -> ?loc:string -> string -> t
 
 val errorf : ?pass:string -> ?loc:string -> ('a, unit, string, t) format4 -> 'a
 
-val warning : ?pass:string -> ?loc:string -> string -> t
-
 val fail : ?pass:string -> ?loc:string -> string -> 'b
-(** [fail msg] raises {!Fail} with an [Error] diagnostic. *)
+(** [fail msg] raises {!Fail} with the diagnostic [error msg]. *)
 
 val failf : ?pass:string -> ?loc:string -> ('a, unit, string, 'b) format4 -> 'a
 
@@ -38,7 +33,7 @@ val of_srcloc : ?pass:string -> Chem.Srcloc.error -> t
     token into the message. *)
 
 val to_string : t -> string
-(** ["error: ..."] / ["warning[pass]: ..."] /
+(** ["error: ..."] / ["error[pass]: ..."] /
     ["error[parse]: input.mech:12: ..."] rendering, one line. *)
 
 val pp : Format.formatter -> t -> unit

@@ -24,10 +24,6 @@ let kernel_of_string s =
   | "chemistry" -> Some Chemistry
   | other -> Option.map (fun id -> Stencil id) (Stencil_pipe.id_of_string other)
 
-let is_stencil = function
-  | Stencil _ -> true
-  | Viscosity | Conductivity | Diffusion | Chemistry -> false
-
 let out_fields mech = function
   | Viscosity | Conductivity -> 1
   | Diffusion | Chemistry -> Array.length (Chem.Mechanism.computed_species mech)

@@ -1,5 +1,10 @@
 type strategy = Store | Buffer | Mixed
 
+let strategy_name = function
+  | Store -> "store"
+  | Buffer -> "buffer"
+  | Mixed -> "mixed"
+
 type weights = { w_flops : float; w_regs : float; w_locality : float }
 
 let default_weights = { w_flops = 1.0; w_regs = 0.25; w_locality = 0.5 }
@@ -196,10 +201,7 @@ type auto_spec = {
 let pp_auto_spec ppf s =
   Format.fprintf ppf "producers=%d hub>=%d chain=%.2g strategy=%s"
     s.producer_warps s.hub_threshold s.chain_weight
-    (match s.auto_strategy with
-    | Store -> "store"
-    | Buffer -> "buffer"
-    | Mixed -> "mixed")
+    (strategy_name s.auto_strategy)
 
 (* Derive a partition from graph shape instead of domain hints: loads and
    fan-out hubs (values feeding at least [hub_threshold] consumers) are
@@ -430,7 +432,7 @@ let pp_dump dfg ppf t =
   Format.fprintf ppf
     "mapping: %d warps, strategy %s, %d store slots, %d cross-warp edges@,"
     t.n_warps
-    (match t.strategy with Store -> "store" | Buffer -> "buffer" | Mixed -> "mixed")
+    (strategy_name t.strategy)
     t.store_slots
     (cross_warp_edges dfg t);
   for w = 0 to t.n_warps - 1 do

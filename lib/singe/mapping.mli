@@ -17,6 +17,9 @@
 
 type strategy = Store | Buffer | Mixed
 
+val strategy_name : strategy -> string
+(** ["store"], ["buffer"] or ["mixed"]. *)
+
 type weights = {
   w_flops : float;
   w_regs : float;

@@ -230,11 +230,11 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
             | Compile.Partition_hand -> None
             | Compile.Partition_auto s -> Some s);
           hand_cycles =
-            float_of_int hand_res.Compile.machine.Gpusim.Machine.sm_cycles;
+            float_of_int hand_res.Compile.machine.Gpusim.Chip.sm_cycles;
           winner_cycles =
             float_of_int
               out.Autotune.best.Autotune.result.Compile.machine
-                .Gpusim.Machine.sm_cycles;
+                .Gpusim.Chip.sm_cycles;
           searched;
           gated;
           rejections;

@@ -15,20 +15,18 @@ type report = {
   pipeline : string;
   records : record list;
   total_ns : float;
-  warnings : Diagnostics.t list;
 }
 
 type t = {
   pipeline : string;
   started_ns : float;
   mutable records_rev : record list;  (* most recent first *)
-  mutable warnings_rev : Diagnostics.t list;
 }
 
 let now_ns = Sutil.Clock.now_ns
 
 let create pipeline =
-  { pipeline; started_ns = now_ns (); records_rev = []; warnings_rev = [] }
+  { pipeline; started_ns = now_ns (); records_rev = [] }
 
 (* Merge a finished execution into the existing record of the same name, if
    any: the fitting loops rerun schedule/lower several times and should
@@ -73,15 +71,11 @@ let validate t ~name f =
       let suffix = if n > 4 then Printf.sprintf " (and %d more)" (n - 4) else "" in
       Diagnostics.failf ~pass:name "%s%s" (String.concat "; " shown) suffix
 
-let warn t ?pass message =
-  t.warnings_rev <- Diagnostics.warning ?pass message :: t.warnings_rev
-
 let report t =
   {
     pipeline = t.pipeline;
     records = List.rev t.records_rev;
     total_ns = now_ns () -. t.started_ns;
-    warnings = List.rev t.warnings_rev;
   }
 
 let pp_report ppf (r : report) =
@@ -106,10 +100,7 @@ let pp_report ppf (r : report) =
                     else Printf.sprintf "%s=%g" k v)
                   stats)));
       Format.pp_print_cut ppf ())
-    r.records;
-  List.iter
-    (fun w -> Format.fprintf ppf "  %a@," Diagnostics.pp w)
-    r.warnings
+    r.records
 
 let report_to_json (r : report) =
   let open Sutil.Json in
@@ -131,6 +122,4 @@ let report_to_json (r : report) =
     [
       ("pipeline", Str r.pipeline);
       ("passes", List (List.map pass_json r.records));
-      ( "warnings",
-        List (List.map (fun w -> Str (Diagnostics.to_string w)) r.warnings) );
     ]

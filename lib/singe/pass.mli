@@ -33,7 +33,6 @@ type report = {
   pipeline : string;
   records : record list;  (** in first-execution order *)
   total_ns : float;  (** wall-clock of the whole pipeline so far *)
-  warnings : Diagnostics.t list;
 }
 
 type t
@@ -52,9 +51,6 @@ val validate : t -> name:string -> (unit -> (unit, string list) result) -> unit
     failed and {!Diagnostics.Fail} is raised with the pass name as
     provenance and the first problems as the message. *)
 
-val warn : t -> ?pass:string -> string -> unit
-(** Attach a warning diagnostic to the report. *)
-
 val report : t -> report
 
 val pp_report : Format.formatter -> report -> unit
@@ -63,5 +59,5 @@ val pp_report : Format.formatter -> report -> unit
 val report_to_json : report -> Sutil.Json.t
 (** The deterministic part of a report, a JSON object:
     [{"pipeline": ..., "passes": [{"name", "kind", "runs", "ok", "stats"},
-      ...], "warnings": [...]}]. Wall times are left out: two compiles of
-    the same target render identically. *)
+      ...]}]. Wall times are left out: two compiles of the same target
+    render identically. *)

@@ -1,7 +1,6 @@
 module A = Gpusim.Arch
 module I = Gpusim.Isa
 module T = Gpusim.Trace
-module M = Gpusim.Machine
 module C = Gpusim.Chip
 
 (* Calibration constants. Structure comes from the machine model (pipe
@@ -51,7 +50,7 @@ let cross_cta_overlap = 0.5
 let long_path_instrs = 128
 
 type prediction = {
-  occ : M.occupancy;
+  occ : C.occupancy;
   resident : int;
   batches : int;
   sim_batches : int;
@@ -659,10 +658,10 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let ctas =
     match ctas with Some c -> c | None -> Compile.default_ctas t ~total_points
   in
-  let launch = { M.program = p; total_points; ctas } in
-  let occ = M.occupancy arch p in
-  let resident = min occ.M.resident_ctas ctas in
-  let batches = M.batches_per_cta launch in
+  let launch = { C.program = p; total_points; ctas } in
+  let occ = C.occupancy arch p in
+  let resident = min occ.C.resident_ctas ctas in
+  let batches = C.batches_per_cta launch in
   let sim_batches = min batches 6 in
   let n_warps = p.I.n_warps in
   let f = facts arch p in

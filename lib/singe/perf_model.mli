@@ -34,7 +34,7 @@
     the prologue is walked separately (cold constant loads, cold code). *)
 
 type prediction = {
-  occ : Gpusim.Machine.occupancy;
+  occ : Gpusim.Chip.occupancy;
   resident : int;  (** CTAs actually resident: [min occ ctas] *)
   batches : int;  (** full batches per CTA at this launch *)
   sim_batches : int;  (** batches the simulator would run (≤ 6) *)
@@ -48,7 +48,7 @@ type prediction = {
       (** what binds the batch: a resource name, or ["synchronization"] *)
   cycles : float;
       (** predicted SM cycles for the simulated round — directly comparable
-          to [Machine.result.sm_cycles] *)
+          to [Chip.result.sm_cycles] *)
   floor_cycles : float;
       (** provable throughput-only lower bound on the simulated round (the
           simulator never beats it: body demand over pipe rates, no

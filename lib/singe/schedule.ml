@@ -378,9 +378,6 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
     n_sync_points = !n_syncs;
   }
 
-let total_shared_doubles (m : Mapping.t) t =
-  (m.Mapping.store_slots + t.buffer_slots) * 32
-
 let well_formed t (dfg : Dfg.t) (m : Mapping.t) =
   let n_ops = Array.length dfg.Dfg.ops in
   let seen = Array.make n_ops false in

@@ -70,10 +70,6 @@ val build :
 val shared_buffer_base : Mapping.t -> int
 (** The buffer region starts right after the store region. *)
 
-val total_shared_doubles : Mapping.t -> t -> int
-(** Store region + buffer region (the Fermi broadcast mirror is added by
-    lowering). *)
-
 val well_formed : t -> Dfg.t -> Mapping.t -> (unit, string) result
 (** Structural invariants: every op appears exactly once, on its mapped
     warp, in a dependency-respecting order; every cross-warp register edge

@@ -556,12 +556,12 @@ let numi v = J.Num (float_of_int v)
 
 let finite_num v = if Float.is_finite v then J.Num v else J.Null
 
-let occupancy_json (occ : Gpusim.Machine.occupancy) =
+let occupancy_json (occ : Gpusim.Chip.occupancy) =
   J.Obj
     [
-      ("resident_ctas", numi occ.Gpusim.Machine.resident_ctas);
-      ("limited_by", J.Str occ.Gpusim.Machine.limited_by);
-      ("warps_per_sm", numi occ.Gpusim.Machine.warps_per_sm);
+      ("resident_ctas", numi occ.Gpusim.Chip.resident_ctas);
+      ("limited_by", J.Str occ.Gpusim.Chip.limited_by);
+      ("warps_per_sm", numi occ.Gpusim.Chip.warps_per_sm);
     ]
 
 let model_json (pred : Perf_model.prediction) =
@@ -573,11 +573,6 @@ let model_json (pred : Perf_model.prediction) =
       ("binding", J.Str pred.Perf_model.binding);
       ("time_s", num pred.Perf_model.time_s);
     ]
-
-let strategy_name = function
-  | Mapping.Store -> "store"
-  | Mapping.Buffer -> "buffer"
-  | Mapping.Mixed -> "mixed"
 
 (* The searched-partition payload, shaped like the perf snapshot's v9
    per-entry "partition" object. *)
@@ -605,7 +600,7 @@ let partition_json (o : Partition_search.outcome) =
           ("producer_warps", numi s.Mapping.producer_warps);
           ("hub_threshold", numi s.Mapping.hub_threshold);
           ("chain_weight", num s.Mapping.chain_weight);
-          ("strategy", J.Str (strategy_name s.Mapping.auto_strategy));
+          ("strategy", J.Str (Mapping.strategy_name s.Mapping.auto_strategy));
         ])
 
 let degraded_caveat budget =
@@ -620,7 +615,7 @@ let handle_compile st id t =
   let mech, kernel, arch, version, options = resolve_target t in
   let c = compile_target mech kernel version options in
   let p = c.Compile.lowered.Lower.program in
-  let occ = Gpusim.Machine.occupancy arch p in
+  let occ = Gpusim.Chip.occupancy arch p in
   ok_response st id "compile"
     [
       ("program", J.Str p.Gpusim.Isa.name);
@@ -671,16 +666,16 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
         [
           ("degraded", J.Bool false);
           ("budget_cycles", numi budget);
-          ("sm_cycles", numi m.Gpusim.Machine.sm_cycles);
-          ("points_per_sec", num m.Gpusim.Machine.points_per_sec);
-          ("gflops", num m.Gpusim.Machine.gflops);
-          ("dram_gbs", num m.Gpusim.Machine.dram_gbs);
+          ("sm_cycles", numi m.Gpusim.Chip.sm_cycles);
+          ("points_per_sec", num m.Gpusim.Chip.points_per_sec);
+          ("gflops", num m.Gpusim.Chip.gflops);
+          ("dram_gbs", num m.Gpusim.Chip.dram_gbs);
           ("max_rel_err", finite_num r.Compile.max_rel_err);
           ( "outputs_ok",
             J.Bool
               ((not (Float.is_nan r.Compile.max_rel_err))
               && r.Compile.max_rel_err < 1e-6) );
-          ("simulated_points", numi m.Gpusim.Machine.simulated_points);
+          ("simulated_points", numi m.Gpusim.Chip.simulated_points);
         ]
   | exception Gpusim.Sm.Simulation_fault f
     when f.Gpusim.Sm.fault_kind = Gpusim.Sm.Cycle_budget ->
@@ -874,18 +869,6 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
       Hashtbl.replace st.tune_cache key fields;
       ok_response st id "tune" fields
 
-let memo_stats_json () =
-  let ms = Compile.memo_stats () in
-  J.Obj
-    [
-      ("size", numi ms.Compile.size);
-      ("limit", numi ms.Compile.limit);
-      ("hits", numi ms.Compile.hits);
-      ("misses", numi ms.Compile.misses);
-      ("evictions", numi ms.Compile.evictions);
-      ("corruptions", numi ms.Compile.corruptions);
-    ]
-
 let handle_health st id =
   st.c.n_health <- st.c.n_health + 1;
   ok_response st id "health"
@@ -898,7 +881,7 @@ let handle_health st id =
       ("queue_depth", numi (Queue.length st.queue));
       ("queue_bound", numi st.cfg.max_queue);
       ("live_domains", numi (Sutil.Domain_pool.live_domains ()));
-      ("compile_cache", memo_stats_json ());
+      ("compile_cache", Compile.memo_stats_to_json (Compile.memo_stats ()));
     ]
 
 let handle_stats st id =
@@ -932,7 +915,7 @@ let handle_stats st id =
           ] );
       ("queue_depth", numi (Queue.length st.queue));
       ("queue_bound", numi st.cfg.max_queue);
-      ("compile_cache", memo_stats_json ());
+      ("compile_cache", Compile.memo_stats_to_json (Compile.memo_stats ()));
       ( "id_cache",
         J.Obj
           [

@@ -15,7 +15,6 @@ let sub a b = Bin (Gpusim.Isa.Sub, a, b)
 let mul a b = Bin (Gpusim.Isa.Mul, a, b)
 let fma a b c = Fma3 (a, b, c)
 let div a b = Bin (Gpusim.Isa.Div, a, b)
-let sqrt_ a = Un (Gpusim.Isa.Sqrt, a)
 let exp_ a = Un (Gpusim.Isa.Exp, a)
 let log_ a = Un (Gpusim.Isa.Log, a)
 let max_ a b = Bin (Gpusim.Isa.Max, a, b)

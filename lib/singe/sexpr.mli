@@ -30,7 +30,6 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 val fma : t -> t -> t -> t
 val div : t -> t -> t
-val sqrt_ : t -> t
 val exp_ : t -> t
 val log_ : t -> t
 val max_ : t -> t -> t

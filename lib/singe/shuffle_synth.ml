@@ -173,16 +173,6 @@ let empty_report =
     shared_bytes_freed = 0;
   }
 
-let add_report a b =
-  {
-    sites_seen = a.sites_seen + b.sites_seen;
-    sites_rewritten = a.sites_rewritten + b.sites_rewritten;
-    round_trips_removed = a.round_trips_removed + b.round_trips_removed;
-    stores_removed = a.stores_removed + b.stores_removed;
-    shuffle_steps = a.shuffle_steps + b.shuffle_steps;
-    shared_bytes_freed = a.shared_bytes_freed + b.shared_bytes_freed;
-  }
-
 let report_stats r =
   [
     ("sites", float_of_int r.sites_seen);

@@ -77,7 +77,6 @@ type report = {
 }
 
 val empty_report : report
-val add_report : report -> report -> report
 
 val report_stats : report -> (string * float) list
 (** The pass-manager stat list ([--timings] row) for a synthesis run. *)

@@ -115,8 +115,6 @@ let get = function
   | Unsharp2 ->
       { pipe_name = "unsharp2"; width; stages = [ blur_stage; sharpen_stage ] }
 
-let n_stage_inputs st = (2 * st.radius) + 1 + if st.uses_source then 1 else 0
-
 (* Deterministic, bounded source pixel for (scanline temperature, column):
    a quadratic in both so neighbouring columns differ and the stencils
    have real structure to find. Both the device fill and the host

@@ -32,9 +32,6 @@ val get : id -> t
 val width : int
 (** Columns in every bundled pipeline (= fields of the ["image"] group). *)
 
-val n_stage_inputs : stage -> int
-(** [2r + 1], plus one for the source skip. *)
-
 val source_value : temp:float -> col:int -> float
 (** Deterministic source pixel for a scanline whose grid temperature is
     [temp]. Used by both the device-side input fill and {!reference}, so

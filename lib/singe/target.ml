@@ -56,13 +56,14 @@ let default_version = Compile.Warp_specialized
 let default_warps = (Compile.default_options default_arch).Compile.n_warps
 
 (* §4.2: a CTA may hold 16 / (CTAs per SM) of the 16 hardware named
-   barriers. Chemistry's long phases want every barrier at one resident
-   CTA; the other kernels split them between two. *)
-let options ?(n_warps = default_warps) arch kernel =
+   barriers. Chemistry's long phases want every barrier, at one resident
+   CTA by default; the other kernels keep 8, at two. *)
+let options ?(n_warps = default_warps) ?ctas_per_sm arch kernel =
   let chem = kernel = Kernel_abi.Chemistry in
+  let ctas_per_sm = Option.value ctas_per_sm ~default:(if chem then 1 else 2) in
   {
     (Compile.default_options arch) with
     Compile.n_warps;
-    max_barriers = (if chem then 16 else 8);
-    ctas_per_sm_target = (if chem then 1 else 2);
+    max_barriers = (if chem then 16 / ctas_per_sm else 8);
+    ctas_per_sm_target = ctas_per_sm;
   }

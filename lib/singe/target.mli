@@ -35,9 +35,14 @@ val default_version : Compile.version
 val default_warps : int
 
 val options :
-  ?n_warps:int -> Gpusim.Arch.t -> Kernel_abi.kernel -> Compile.options
+  ?n_warps:int ->
+  ?ctas_per_sm:int ->
+  Gpusim.Arch.t ->
+  Kernel_abi.kernel ->
+  Compile.options
 (** [Compile.default_options arch] with [n_warps] (default
-    {!default_warps}) and the kernel's named-barrier budget and
-    CTAs-per-SM target: 16 barriers at one CTA for chemistry, 8 at two for
-    every other kernel. A caller that departs from the rule overrides the
-    result: [{ (Target.options arch kernel) with ... }]. *)
+    {!default_warps}), the CTAs-per-SM target [ctas_per_sm] (default 1
+    for chemistry, 2 for every other kernel) and the named-barrier budget
+    it implies: [16 / ctas_per_sm] for chemistry, 8 for every other
+    kernel. A caller that departs from the rule overrides the result:
+    [{ (Target.options arch kernel) with ... }]. *)

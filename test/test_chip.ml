@@ -1,6 +1,6 @@
 (* The Chip layer: greedy CTA dispatch, the shared DRAM arbiter, per-SM
    clock skew, the pin-run batch extrapolation, and the structured
-   occupancy rejections that replaced [Machine.occupancy]'s [failwith]. *)
+   occupancy rejections that replaced the old [failwith] paths. *)
 
 let dme = Chem.Mech_gen.dme
 let arch = Gpusim.Arch.kepler_k20c
@@ -79,7 +79,7 @@ let test_scheduler_determinism () =
   List.iter
     (fun m -> Alcotest.(check bool) "concurrent = serial" true (m = serial))
     (Sutil.Domain_pool.parallel_map ~jobs:2 launch [ (); () ]);
-  let ch = serial.Gpusim.Machine.chip in
+  let ch = serial.Gpusim.Chip.chip in
   Alcotest.(check int) "4 SMs dispatched" 4 ch.Gpusim.Chip.n_sms;
   Alcotest.(check int) "every CTA of the launch dispatched" 1024
     (total_ctas ch);
@@ -151,27 +151,27 @@ let test_single_sm_identity () =
   let r1 = Singe.Compile.run c ~total_points:8192 ~n_sms:1 in
   let r13 = Singe.Compile.run c ~total_points:8192 ~n_sms:13 in
   let m1 = r1.Singe.Compile.machine and m13 = r13.Singe.Compile.machine in
-  Alcotest.(check int) "sm_cycles identical" m1.Gpusim.Machine.sm_cycles
-    m13.Gpusim.Machine.sm_cycles;
+  Alcotest.(check int) "sm_cycles identical" m1.Gpusim.Chip.sm_cycles
+    m13.Gpusim.Chip.sm_cycles;
   Alcotest.(check bool) "sim counters identical" true
-    (m1.Gpusim.Machine.sim.Gpusim.Sm.counters
-    = m13.Gpusim.Machine.sim.Gpusim.Sm.counters);
+    (m1.Gpusim.Chip.sim.Gpusim.Sm.counters
+    = m13.Gpusim.Chip.sim.Gpusim.Sm.counters);
   Alcotest.(check (float 1e-12)) "numerical outputs identical"
     r1.Singe.Compile.max_rel_err r13.Singe.Compile.max_rel_err;
   (* And the single-SM schedule is rounds run back to back: makespan =
      rounds x the full-round cycles (no tail here: 256 CTAs divide). *)
-  let ch = m1.Gpusim.Machine.chip in
+  let ch = m1.Gpusim.Chip.chip in
   Alcotest.(check int) "one SM" 1 ch.Gpusim.Chip.n_sms;
   Alcotest.(check int) "no tail" 0 ch.Gpusim.Chip.tail_ctas;
   Alcotest.(check (float 1e-6)) "serial makespan"
     (float_of_int
-       (ch.Gpusim.Chip.rounds_total * m1.Gpusim.Machine.sm_cycles))
+       (ch.Gpusim.Chip.rounds_total * m1.Gpusim.Chip.sm_cycles))
     ch.Gpusim.Chip.makespan_cycles;
   (* Determinism of the whole path. *)
   let r1' = Singe.Compile.run c ~total_points:8192 ~n_sms:1 in
   Alcotest.(check bool) "rerun bit-identical" true
-    (r1.Singe.Compile.machine.Gpusim.Machine.chip
-    = r1'.Singe.Compile.machine.Gpusim.Machine.chip)
+    (r1.Singe.Compile.machine.Gpusim.Chip.chip
+    = r1'.Singe.Compile.machine.Gpusim.Chip.chip)
 
 let test_extrapolation_exact () =
   (* Pin-run extrapolation: for a launch streaming more batches than
@@ -181,25 +181,25 @@ let test_extrapolation_exact () =
      residual. *)
   let c = compile ~kernel:Singe.Kernel_abi.Diffusion () in
   let p = program c in
-  let occ = Gpusim.Machine.occupancy arch p in
-  let resident = occ.Gpusim.Machine.resident_ctas in
+  let occ = Gpusim.Chip.occupancy arch p in
+  let resident = occ.Gpusim.Chip.resident_ctas in
   let batches = 11 in
   let l =
     {
-      Gpusim.Machine.program = p;
+      Gpusim.Chip.program = p;
       total_points = resident * 32 * batches;
       ctas = resident;
     }
   in
   (* One round (ctas = resident), one SM: makespan IS the round cost. *)
-  let extrapolated = Gpusim.Machine.run ~n_sms:1 arch l in
-  let full = Gpusim.Machine.run ~max_sim_batches:batches ~n_sms:1 arch l in
+  let extrapolated = Gpusim.Chip.run ~n_sms:1 arch l in
+  let full = Gpusim.Chip.run ~max_sim_batches:batches ~n_sms:1 arch l in
   Alcotest.(check bool) "launch really extrapolates" true
-    (extrapolated.Gpusim.Machine.sim.Gpusim.Sm.cycles
-    < full.Gpusim.Machine.sim.Gpusim.Sm.cycles);
+    (extrapolated.Gpusim.Chip.sim.Gpusim.Sm.cycles
+    < full.Gpusim.Chip.sim.Gpusim.Sm.cycles);
   Alcotest.(check (float 0.0)) "prologue + body x batches exact"
-    (float_of_int full.Gpusim.Machine.sim.Gpusim.Sm.cycles)
-    extrapolated.Gpusim.Machine.chip.Gpusim.Chip.makespan_cycles
+    (float_of_int full.Gpusim.Chip.sim.Gpusim.Sm.cycles)
+    extrapolated.Gpusim.Chip.chip.Gpusim.Chip.makespan_cycles
 
 let test_tail_wave_regression () =
   (* A grid of 4 full waves + 1 CTA on 4 SMs. The old model charged a
@@ -208,27 +208,27 @@ let test_tail_wave_regression () =
      estimate (and the tail round is genuinely simulated). *)
   let c = compile () in
   let p = program c in
-  let occ = Gpusim.Machine.occupancy arch p in
-  let resident = occ.Gpusim.Machine.resident_ctas in
+  let occ = Gpusim.Chip.occupancy arch p in
+  let resident = occ.Gpusim.Chip.resident_ctas in
   let n_sms = 4 in
   let ctas = (resident * n_sms) + 1 in
   let batches = 2 in
   let l =
     {
-      Gpusim.Machine.program = p;
+      Gpusim.Chip.program = p;
       total_points = ctas * 32 * batches;
       ctas;
     }
   in
-  let r = Gpusim.Machine.run ~n_sms arch l in
-  let ch = r.Gpusim.Machine.chip in
+  let r = Gpusim.Chip.run ~n_sms arch l in
+  let ch = r.Gpusim.Chip.chip in
   Alcotest.(check int) "tail of one CTA" 1 ch.Gpusim.Chip.tail_ctas;
   Alcotest.(check bool) "tail round simulated" true
-    (r.Gpusim.Machine.tail_sim <> None);
+    (r.Gpusim.Chip.tail_sim <> None);
   let old_waves =
     float_of_int ctas /. float_of_int (resident * n_sms)
   in
-  let old_total = float_of_int r.Gpusim.Machine.sm_cycles *. old_waves in
+  let old_total = float_of_int r.Gpusim.Chip.sm_cycles *. old_waves in
   Alcotest.(check bool)
     (Printf.sprintf "makespan %.0f >= old fractional-waves %.0f"
        ch.Gpusim.Chip.makespan_cycles old_total)
@@ -237,7 +237,7 @@ let test_tail_wave_regression () =
   (* Sanity ceiling: the tail can cost at most one extra full round. *)
   Alcotest.(check bool) "makespan <= 2 full rounds + tail" true
     (ch.Gpusim.Chip.makespan_cycles
-    <= 2.0 *. float_of_int r.Gpusim.Machine.sm_cycles +. 1e-6)
+    <= 2.0 *. float_of_int r.Gpusim.Chip.sm_cycles +. 1e-6)
 
 (* ---- structured occupancy rejections (the old failwith paths) ---- *)
 
@@ -246,7 +246,7 @@ let test_occupancy_rejections () =
   let p = program c in
   (* Per-thread register demand above the hardware maximum. *)
   let fat = { p with Gpusim.Isa.n_fregs = 400 } in
-  (match Gpusim.Machine.occupancy arch fat with
+  (match Gpusim.Chip.occupancy arch fat with
   | _ -> Alcotest.fail "expected Occupancy_rejected (registers)"
   | exception Gpusim.Chip.Occupancy_rejected r -> (
       match r.Gpusim.Chip.kind with
@@ -260,7 +260,7 @@ let test_occupancy_rejections () =
   let hog =
     { p with Gpusim.Isa.shared_doubles = arch.Gpusim.Arch.shared_bytes_per_sm }
   in
-  (match Gpusim.Machine.occupancy arch hog with
+  (match Gpusim.Chip.occupancy arch hog with
   | _ -> Alcotest.fail "expected Occupancy_rejected (shared)"
   | exception Gpusim.Chip.Occupancy_rejected r -> (
       match r.Gpusim.Chip.kind with
@@ -268,10 +268,7 @@ let test_occupancy_rejections () =
           Alcotest.(check string) "limited by shared memory" "shared memory"
             limited_by
       | Gpusim.Chip.Regs_per_thread _ ->
-          Alcotest.fail "wrong kind: expected Does_not_fit"));
-  (* The facade re-exports are the same exception. *)
-  Alcotest.(check bool) "Machine.occupancy = Chip.occupancy" true
-    (Gpusim.Machine.occupancy arch p = Gpusim.Chip.occupancy arch p)
+          Alcotest.fail "wrong kind: expected Does_not_fit"))
 
 let tests =
   [

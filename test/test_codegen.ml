@@ -129,7 +129,7 @@ let test_icache_divergence_property () =
         (fun o -> { o with Singe.Compile.n_warps = 8 })
         32768
     in
-    r.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.icache
+    r.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.icache
       .Gpusim.Caches.Icache.misses
   in
   let naive = misses Singe.Compile.Naive_warp_specialized in
@@ -147,7 +147,7 @@ let test_exp_register_ablation_faster () =
         (fun o -> { o with Singe.Compile.n_warps = 6; exp_consts_in_registers = flag })
         32768
     in
-    r.Singe.Compile.machine.Gpusim.Machine.gflops
+    r.Singe.Compile.machine.Gpusim.Chip.gflops
   in
   Alcotest.(check bool) "register-fed exp is faster on Kepler" true
     (gf true > gf false)

@@ -144,8 +144,8 @@ let test_cycle_budget_trips () =
       ~max_cycles:200_000_000
   in
   Alcotest.(check int) "budget does not perturb the simulation"
-    clean.Singe.Compile.machine.Gpusim.Machine.sm_cycles
-    budgeted.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+    clean.Singe.Compile.machine.Gpusim.Chip.sm_cycles
+    budgeted.Singe.Compile.machine.Gpusim.Chip.sm_cycles
 
 let test_latency_fault_is_functional () =
   (* Barrier schedules are order-independent (§4.4): a latency
@@ -262,7 +262,7 @@ let fault_spec_qcheck_roundtrip =
          | Error e -> QCheck.Test.fail_report e))
 
 (* An out-of-range barrier id in Swap_barrier is rejected up front by
-   [Machine.run] (which knows the architecture's named-barrier file size)
+   [Chip.run] (which knows the architecture's named-barrier file size)
    rather than silently simulating a barrier that cannot exist. *)
 let test_swap_barrier_out_of_range_rejected () =
   let c = compiled (Lazy.force dme) Singe.Kernel_abi.Viscosity in

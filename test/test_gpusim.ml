@@ -32,8 +32,8 @@ let base_program ?(n_warps = 2) ?(barriers = 2) ~body () =
 
 let run_program ?(points = 128) p ~fill =
   let ctas = points / (p.Isa.n_warps * 32) in
-  Machine.run ~fill_inputs:fill Arch.kepler_k20c
-    { Machine.program = p; total_points = points; ctas }
+  Chip.run ~fill_inputs:fill Arch.kepler_k20c
+    { Chip.program = p; total_points = points; ctas }
 
 let test_arch_peaks () =
   Alcotest.(check (float 1.0)) "fermi peak" 513.9
@@ -82,8 +82,8 @@ let test_functional_fma () =
         Memstate.set_field mem ~group:0 ~field:0
           (Array.init n (fun i -> float_of_int i)))
   in
-  let out = Memstate.get_field r.Machine.mem ~group:1 ~field:0 in
-  for i = 0 to r.Machine.simulated_points - 1 do
+  let out = Memstate.get_field r.Chip.mem ~group:1 ~field:0 in
+  for i = 0 to r.Chip.simulated_points - 1 do
     Alcotest.(check (float 1e-12)) "fma" (Float.fma (float_of_int i) 3.5 1.0) out.(i)
   done
 
@@ -123,8 +123,8 @@ let test_barrier_producer_consumer () =
         Memstate.set_field mem ~group:0 ~field:0
           (Array.init n (fun i -> float_of_int (i + 1))))
   in
-  let out = Memstate.get_field r.Machine.mem ~group:1 ~field:0 in
-  for i = 0 to r.Machine.simulated_points - 1 do
+  let out = Memstate.get_field r.Chip.mem ~group:1 ~field:0 in
+  for i = 0 to r.Chip.simulated_points - 1 do
     Alcotest.(check (float 1e-12)) "relayed" (2.0 *. float_of_int (i + 1)) out.(i)
   done
 
@@ -189,16 +189,16 @@ let test_ccache_capacity () =
 let test_occupancy_limits () =
   let p = base_program ~n_warps:8 ~body:(Isa.Instrs []) () in
   let p = { p with Isa.n_fregs = 100; shared_doubles = 128; barriers_used = 0 } in
-  let occ = Machine.occupancy Arch.kepler_k20c p in
+  let occ = Chip.occupancy Arch.kepler_k20c p in
   (* 8 warps * 32 threads * (2*100+1+10) regs32 > 64K: register-limited. *)
-  Alcotest.(check string) "limited by registers" "registers" occ.Machine.limited_by;
+  Alcotest.(check string) "limited by registers" "registers" occ.Chip.limited_by;
   let p2 = { p with Isa.n_fregs = 8; shared_doubles = 4096 } in
-  let occ2 = Machine.occupancy Arch.kepler_k20c p2 in
-  Alcotest.(check string) "limited by shared" "shared memory" occ2.Machine.limited_by;
+  let occ2 = Chip.occupancy Arch.kepler_k20c p2 in
+  Alcotest.(check string) "limited by shared" "shared memory" occ2.Chip.limited_by;
   (* Named barriers divide occupancy (the paper's footnote). *)
   let p3 = { p with Isa.n_fregs = 8; shared_doubles = 16; barriers_used = 16 } in
-  let occ3 = Machine.occupancy Arch.kepler_k20c p3 in
-  Alcotest.(check int) "16 barriers = 1 CTA" 1 occ3.Machine.resident_ctas
+  let occ3 = Chip.occupancy Arch.kepler_k20c p3 in
+  Alcotest.(check int) "16 barriers = 1 CTA" 1 occ3.Chip.resident_ctas
 
 let test_batch_extrapolation () =
   (* A long streaming launch must agree with simulating it outright. *)
@@ -216,11 +216,11 @@ let test_batch_extrapolation () =
   let fill mem n =
     Memstate.set_field mem ~group:0 ~field:0 (Array.init n float_of_int)
   in
-  let launch = { Machine.program = p; total_points = 2048; ctas = 2 } in
-  let full = Machine.run ~fill_inputs:fill ~max_sim_batches:1000 Arch.kepler_k20c launch in
-  let extra = Machine.run ~fill_inputs:fill ~max_sim_batches:4 Arch.kepler_k20c launch in
+  let launch = { Chip.program = p; total_points = 2048; ctas = 2 } in
+  let full = Chip.run ~fill_inputs:fill ~max_sim_batches:1000 Arch.kepler_k20c launch in
+  let extra = Chip.run ~fill_inputs:fill ~max_sim_batches:4 Arch.kepler_k20c launch in
   let rel =
-    abs_float (full.Machine.time_s -. extra.Machine.time_s) /. full.Machine.time_s
+    abs_float (full.Chip.time_s -. extra.Chip.time_s) /. full.Chip.time_s
   in
   Alcotest.(check bool) "within 15%" true (rel < 0.15)
 
@@ -257,10 +257,10 @@ let test_empty_and_single_lane_predicates () =
   let full = run (program ~pred:None ~addr:(saddr 0) ~const:0) in
   let none = run (program ~pred:(Some (Isa.Lane_lt 0)) ~addr:(saddr (-1000)) ~const:1000) in
   let one = run (program ~pred:(Some (Isa.Lane_eq 31)) ~addr:(saddr (-31)) ~const:0) in
-  let c (r : Machine.result) = r.Machine.sim.Sm.counters in
+  let c (r : Chip.result) = r.Chip.sim.Sm.counters in
   List.iter
     (fun (name, r) ->
-      Alcotest.(check int) (name ^ ": cycles as unpredicated") full.Machine.sm_cycles r.Machine.sm_cycles;
+      Alcotest.(check int) (name ^ ": cycles as unpredicated") full.Chip.sm_cycles r.Chip.sm_cycles;
       Alcotest.(check int) (name ^ ": issued") (c full).Sm.issued (c r).Sm.issued;
       Alcotest.(check int) (name ^ ": dp instrs") 1 (c r).Sm.dp_warp_instrs;
       Alcotest.(check int) (name ^ ": shared accesses") 3 (c r).Sm.shared_accesses;
@@ -269,7 +269,7 @@ let test_empty_and_single_lane_predicates () =
   Alcotest.(check int) "full warp flops" 32 (c full).Sm.flops;
   Alcotest.(check int) "no lane, no flops" 0 (c none).Sm.flops;
   Alcotest.(check int) "one lane, one flop" 1 (c one).Sm.flops;
-  let out (r : Machine.result) f = Memstate.get_field r.Machine.mem ~group:1 ~field:f in
+  let out (r : Chip.result) f = Memstate.get_field r.Chip.mem ~group:1 ~field:f in
   for lane = 0 to 31 do
     let l = float_of_int lane in
     Alcotest.(check (float 0.0)) "full add" (l +. 3.5) (out full 0).(lane);
@@ -280,8 +280,8 @@ let test_empty_and_single_lane_predicates () =
     Alcotest.(check (float 0.0)) "lane==31 mov" (if lane = 31 then 31.0 else 0.0) (out one 1).(lane)
   done;
   Alcotest.(check (float 0.0)) "lane<0 stores nothing" 0.0
-    (Array.fold_left (fun a v -> a +. abs_float v) 0.0 none.Machine.mem.Memstate.shared.(0));
-  Alcotest.(check (float 0.0)) "lane==31 stores its value" 31.0 one.Machine.mem.Memstate.shared.(0).(0)
+    (Array.fold_left (fun a v -> a +. abs_float v) 0.0 none.Chip.mem.Memstate.shared.(0));
+  Alcotest.(check (float 0.0)) "lane==31 stores its value" 31.0 one.Chip.mem.Memstate.shared.(0).(0)
 
 (* A warp blocked on a long-latency load is not a deadlock while every
    other warp waits on the barrier it will arrive at; the run finishes.
@@ -314,7 +314,7 @@ let test_blocked_warp_not_deadlock () =
   in
   let fill mem n = Memstate.set_field mem ~group:0 ~field:0 (Array.make n 0.5) in
   let ok = run_program ~points:128 (program [ Isa.Bar_arrive { bar = 0; count = 4 } ]) ~fill in
-  Alcotest.(check bool) "finishes" true (ok.Machine.sm_cycles > 0);
+  Alcotest.(check bool) "finishes" true (ok.Chip.sm_cycles > 0);
   match run_program ~points:128 (program [ Isa.Bar_sync { bar = 1; count = 2 } ]) ~fill with
   | exception Sm.Simulation_fault f ->
       Alcotest.(check string) "kind" "barrier deadlock" (Sm.fault_kind_name f.Sm.fault_kind);

@@ -39,12 +39,12 @@ let base_program ?(n_warps = 2) ?(fregs = 8) ?(iregs = 1) ?(shared = 128)
 let run_program ?(points = 128) p ~fill =
   let ctas = points / (p.Isa.n_warps * 32) in
   let r =
-    Machine.run
+    Chip.run
       ~fill_inputs:(fun mem _n -> fill mem)
       Arch.kepler_k20c
-      { Machine.program = p; total_points = points; ctas }
+      { Chip.program = p; total_points = points; ctas }
   in
-  (r.Machine.sim, r.Machine.mem)
+  (r.Chip.sim, r.Chip.mem)
 
 let input_a = Array.init 128 (fun i -> float_of_int i)
 

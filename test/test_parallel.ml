@@ -112,8 +112,8 @@ let conductivity_result n_warps =
       Singe.Compile.Warp_specialized options
   in
   let r = Singe.Compile.run ~check:false c ~total_points:8192 in
-  let s = r.Singe.Compile.machine.Machine.sim in
-  ( r.Singe.Compile.machine.Machine.sm_cycles,
+  let s = r.Singe.Compile.machine.Chip.sim in
+  ( r.Singe.Compile.machine.Chip.sm_cycles,
     s.Sm.counters.Sm.issued,
     s.Sm.counters.Sm.flops,
     s.Sm.counters.Sm.barrier_stalls,
@@ -185,8 +185,8 @@ let base_program ?(n_warps = 2) ?(barriers = 2) ~body () =
 
 let run_program ?(points = 128) p ~fill =
   let ctas = points / (p.Isa.n_warps * 32) in
-  Machine.run ~fill_inputs:fill Arch.kepler_k20c
-    { Machine.program = p; total_points = points; ctas }
+  Chip.run ~fill_inputs:fill Arch.kepler_k20c
+    { Chip.program = p; total_points = points; ctas }
 
 (* A single warp whose whole body is one long-latency dependence chain:
    after each issue every warp is stalled, so the scheduler spends almost
@@ -210,7 +210,7 @@ let test_fast_forward_exact () =
   in
   let p = base_program ~n_warps:1 ~body:(Isa.Instrs chain) () in
   let r = run_program ~points:32 p ~fill:(fun _ _ -> ()) in
-  let cycles = r.Machine.sm_cycles in
+  let cycles = r.Chip.sm_cycles in
   (* Eight dependent double-precision divides dominate: each costs
      [3 * dp_latency] (the Div latency multiplier) before its consumer
      may issue, so the total must be at least that and — fast-forward
@@ -229,7 +229,7 @@ let test_fast_forward_exact () =
     true (cycles <= upper);
   (* Deterministic: a second identical run reproduces the count. *)
   let r2 = run_program ~points:32 p ~fill:(fun _ _ -> ()) in
-  Alcotest.(check int) "rerun identical" cycles r2.Machine.sm_cycles
+  Alcotest.(check int) "rerun identical" cycles r2.Chip.sm_cycles
 
 let test_deadlock_still_fires () =
   (* With the ready-bitset + event-queue loop, a cycle where no warp is

@@ -51,7 +51,7 @@ let test_floor_and_roofline () =
               let pred = Singe.Perf_model.predict c ~total_points:points in
               let r = Singe.Compile.run c ~total_points:points in
               let measured =
-                float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+                float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
               in
               Alcotest.(check bool)
                 (Printf.sprintf "%s: simulated %.0f >= model floor %.0f" name
@@ -61,7 +61,7 @@ let test_floor_and_roofline () =
               let p = c.Singe.Compile.lowered.Singe.Lower.program in
               let roof = Gpusim.Roofline.analyze arch p in
               let achieved =
-                r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
+                r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
               in
               let ceiling =
                 roof.Gpusim.Roofline.binding.Gpusim.Roofline.points_per_sec
@@ -96,7 +96,7 @@ let test_model_accuracy () =
       let err =
         Singe.Perf_model.rel_err ~predicted:pred.Singe.Perf_model.cycles
           ~measured:
-            (float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles)
+            (float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s: model off by %.1f%% (limit 35%%)"

@@ -23,7 +23,7 @@ let run_profiled ?(timeline = 0) c =
     Singe.Compile.run ~check:false c ~total_points:points
       ~profile:{ Gpusim.Sm.timeline_capacity = timeline }
   in
-  match r.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.profile with
+  match r.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile with
   | Some p -> (r, p)
   | None -> Alcotest.fail "profiled run returned no profile"
 
@@ -133,7 +133,7 @@ let test_profile_no_perturb () =
   let plain = Singe.Compile.run ~check:false c ~total_points:points in
   let profiled, _ = run_profiled ~timeline:4096 c in
   let sim (r : Singe.Compile.run_result) =
-    r.Singe.Compile.machine.Gpusim.Machine.sim
+    r.Singe.Compile.machine.Gpusim.Chip.sim
   in
   Alcotest.(check int) "cycles identical"
     (sim plain).Gpusim.Sm.cycles
@@ -173,7 +173,7 @@ let qcheck_profile_no_perturb_random =
           let profiled =
             Test_singe.run_random_program ~profile:Gpusim.Sm.default_profile lowered
           in
-          let sim (r : Gpusim.Machine.result) = r.Gpusim.Machine.sim in
+          let sim (r : Gpusim.Chip.result) = r.Gpusim.Chip.sim in
           let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
           let same = function
             | true -> true
@@ -181,7 +181,7 @@ let qcheck_profile_no_perturb_random =
           in
           same ((sim plain).Gpusim.Sm.cycles = (sim profiled).Gpusim.Sm.cycles)
           && same (bits (sim plain).Gpusim.Sm.counters = bits (sim profiled).Gpusim.Sm.counters)
-          && same (bits plain.Gpusim.Machine.mem = bits profiled.Gpusim.Machine.mem)
+          && same (bits plain.Gpusim.Chip.mem = bits profiled.Gpusim.Chip.mem)
           &&
           match (sim profiled).Gpusim.Sm.profile with
           | None -> QCheck.Test.fail_report "profiled run returned no profile"
@@ -203,7 +203,7 @@ let test_fill_counters_bound_buckets () =
   let c = compiled (Lazy.force dme) Singe.Kernel_abi.Viscosity in
   let r, p = run_profiled c in
   let counters =
-    r.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.counters
+    r.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.counters
   in
   let tot = Gpusim.Profile.bucket_totals p in
   Alcotest.(check bool) "icache bucket >= once-per-fill counter" true

@@ -261,8 +261,8 @@ let lower_random_dfg ~strategy (dfg, n_warps, n_loads, n_stores) =
   (low.Singe.Lower.program, fill, inputs)
 
 let run_random_program ?profile (program, fill, _) =
-  Gpusim.Machine.run ?profile ~fill_inputs:fill Gpusim.Arch.kepler_k20c
-    { Gpusim.Machine.program; total_points = 64; ctas = 2 }
+  Gpusim.Chip.run ?profile ~fill_inputs:fill Gpusim.Arch.kepler_k20c
+    { Gpusim.Chip.program; total_points = 64; ctas = 2 }
 
 let random_dfg_strategies =
   [ Singe.Mapping.Store; Singe.Mapping.Buffer; Singe.Mapping.Mixed ]
@@ -286,7 +286,7 @@ let qcheck_random_dfg_end_to_end =
           in
           Hashtbl.fold
             (fun f want acc ->
-              let out = Gpusim.Memstate.get_field r.Gpusim.Machine.mem ~group:1 ~field:f in
+              let out = Gpusim.Memstate.get_field r.Gpusim.Chip.mem ~group:1 ~field:f in
               (* random expressions may overflow; agreement on non-finite
                  values is checked by classification *)
               acc
@@ -296,7 +296,7 @@ let qcheck_random_dfg_end_to_end =
                        abs_float (got -. want)
                        <= 1e-9 *. Float.max 1.0 (abs_float want)
                      else Float.is_finite got = false)
-                   (Array.sub out 0 r.Gpusim.Machine.simulated_points))
+                   (Array.sub out 0 r.Gpusim.Chip.simulated_points))
             interp true)
         random_dfg_strategies)
 

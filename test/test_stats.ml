@@ -80,7 +80,7 @@ let test_roofline_bounds_simulation () =
       let p = c.Singe.Compile.lowered.Singe.Lower.program in
       let roof = Gpusim.Roofline.analyze arch p in
       let r = Singe.Compile.run c ~total_points:(32 * 32) in
-      let achieved = r.Singe.Compile.machine.Gpusim.Machine.points_per_sec in
+      let achieved = r.Singe.Compile.machine.Gpusim.Chip.points_per_sec in
       let ceiling = roof.Gpusim.Roofline.binding.Gpusim.Roofline.points_per_sec in
       Alcotest.(check bool)
         (Printf.sprintf "%s %s on %s: %.3e <= %.3e (%s)"

@@ -159,7 +159,7 @@ let test_simulation_bitexact () =
                 .Singe.Perf_model.floor_cycles
             in
             let measured =
-              r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+              r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
             in
             Alcotest.(check bool)
               (Printf.sprintf "%s floor %.0f <= measured %d" label floor
@@ -367,7 +367,7 @@ let test_model_floor_holds () =
       let p = Singe.Perf_model.predict c ~total_points:points in
       let r = Singe.Compile.run c ~total_points:points in
       let measured =
-        float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+        float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s floor %.0f <= measured %.0f" (SP.id_name id)

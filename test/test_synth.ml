@@ -64,17 +64,17 @@ let run_swizzle arch prog =
   let p = swizzle_program prog in
   let points = Array.length input_values in
   let r =
-    Machine.run
+    Chip.run
       ~fill_inputs:(fun mem _ ->
         Memstate.set_field mem
           ~group:(Memstate.group_index p "a")
           ~field:0 input_values)
       arch
-      { Machine.program = p;
+      { Chip.program = p;
         total_points = points;
         ctas = points / (p.Isa.n_warps * 32) }
   in
-  Memstate.get_field r.Machine.mem
+  Memstate.get_field r.Chip.mem
     ~group:(Memstate.group_index p "out")
     ~field:0
 
@@ -292,7 +292,7 @@ let test_diffusion_cycle_reduction () =
   let c_on, c_off = compile_pair Arch.kepler_k20c Singe.Kernel_abi.Diffusion in
   let cyc c =
     let r = Singe.Compile.run c ~total_points:2048 in
-    r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+    r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
   in
   let on = cyc c_on and off = cyc c_off in
   let ex = c_on.Singe.Compile.lowered.Singe.Lower.exchange in

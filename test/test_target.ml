@@ -38,7 +38,31 @@ let test_options_rule () =
              }
             = d))
         Singe.Kernel_abi.all_kernels)
-    archs
+    archs;
+  (* Chemistry at two CTAs per SM halves its barrier budget; the other
+     kernels keep 8 at any CTA target. *)
+  let arch = Gpusim.Arch.kepler_k20c in
+  let pair (o : Singe.Compile.options) =
+    (o.Singe.Compile.ctas_per_sm_target, o.Singe.Compile.max_barriers)
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.(check (pair int int)) "chemistry at 2 CTAs/SM" (2, 8)
+    (pair (T.options ~ctas_per_sm:2 arch Singe.Kernel_abi.Chemistry));
+  Alcotest.(check (pair int int)) "viscosity at 1 CTA/SM" (1, 8)
+    (pair (T.options ~ctas_per_sm:1 arch Singe.Kernel_abi.Viscosity));
+  (* The autotuner's grid applies the same rule to every candidate:
+     warps x CTA targets x chemistry's two communication policies. *)
+  let grid kernel =
+    List.map pair
+      (Singe.Autotune.candidate_options ~points:32768 kernel
+         Singe.Compile.Warp_specialized arch [ 4; 8 ] [ 1; 2 ])
+  in
+  Alcotest.check pairs "chemistry tune grid"
+    [ (1, 16); (1, 16); (2, 8); (2, 8); (1, 16); (1, 16); (2, 8); (2, 8) ]
+    (grid Singe.Kernel_abi.Chemistry);
+  Alcotest.check pairs "viscosity tune grid"
+    [ (1, 8); (2, 8); (1, 8); (2, 8) ]
+    (grid Singe.Kernel_abi.Viscosity)
 
 let error = Alcotest.(result reject string)
 
