@@ -21,11 +21,15 @@ open Cmdliner
 let exit_compile_rejected = 2
 let exit_simulation_fault = 3
 
-(* Every compile-target name parses through Singe.Target, so a bad name
-   reads the same here as in serve's bad-request message. *)
-let target_conv of_string print =
-  let parse s = Result.map_error (fun m -> `Msg m) (of_string s) in
-  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+(* A compile target is one Singe.Target.t, which every command resolves
+   with Singe.Target.resolve as serve does. Each target flag sets one
+   field of it and parses through Target's name tables and bounds, so a
+   bad value reads the same here as in serve's bad-request message. *)
+let name_conv of_string =
+  let parse s =
+    match of_string s with Ok _ -> Ok s | Error m -> Error (`Msg m)
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 (* Every count flag is an integer with a lower bound, rejected at parse
    as serve rejects an out-of-range count: 1 for warps, points, SMs,
@@ -34,23 +38,140 @@ let target_conv of_string print =
 let count_conv ?(min = 1) flag =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= min -> Ok n
     | Some n ->
-        Error (`Msg (Printf.sprintf "--%s must be >= %d, got %d" flag min n))
+        Result.map_error
+          (fun m -> `Msg (Printf.sprintf "--%s %s" flag m))
+          (Singe.Target.at_least min n)
     | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let points_term =
-  Arg.(value & opt (count_conv "points") 32768
-       & info [ "points" ] ~docv:"N")
+let dflt = Singe.Target.default
 
-let mech_term =
-  let mech =
-    let mech_conv =
-      target_conv Singe.Target.mech_of_string (fun m -> m.Chem.Mechanism.name)
+(* The one target field whose CLI default departs from serve's. *)
+let cli_points = 32768
+
+(* A flag that sets one field of the target. *)
+let target_flag arg set = Term.(const (fun v t -> set t v) $ arg)
+
+let kernel_conv = name_conv Singe.Target.kernel_of_string
+
+let kernel_flag =
+  target_flag
+    Arg.(value & opt kernel_conv dflt.t_kernel
+         & info [ "kernel" ] ~docv:"KERNEL"
+             ~doc:"viscosity, conductivity, diffusion, chemistry, or a \
+                   stencil pipeline: edge3, unsharp2.")
+    (fun t v -> { t with Singe.Target.t_kernel = v })
+
+let arch_flag =
+  target_flag
+    Arg.(value & opt (name_conv Singe.Target.arch_of_string) dflt.t_arch
+         & info [ "arch" ] ~docv:"ARCH" ~doc:"fermi or kepler.")
+    (fun t v -> { t with Singe.Target.t_arch = v })
+
+let warps_flag =
+  target_flag
+    Arg.(value & opt (count_conv "warps") dflt.t_warps
+         & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
+    (fun t v -> { t with Singe.Target.t_warps = v })
+
+let version_conv = name_conv Singe.Target.version_of_string
+
+let version_flag =
+  target_flag
+    Arg.(value & opt version_conv dflt.t_version
+         & info [ "version" ] ~docv:"V" ~doc:"ws, baseline or naive.")
+    (fun t v -> { t with Singe.Target.t_version = v })
+
+let points_flag =
+  target_flag
+    Arg.(value & opt (count_conv "points") cli_points
+         & info [ "points" ] ~docv:"N")
+    (fun t v -> { t with Singe.Target.t_points = v })
+
+(* The exchange-rewrite override shared by the compiling commands:
+   unset = per-architecture auto (on exactly when the broadcast style is
+   shuffle-based). *)
+let synth_flag =
+  target_flag
+    Arg.(value & opt (some bool) None & info [ "synth-exchange" ] ~docv:"BOOL"
+         ~doc:"Force the shuffle-exchange superoptimizer on or off: \
+               same-warp shared-memory round-trips are rewritten into \
+               register forwards and lane-shuffle programs, and the freed \
+               exchange slots leave the shared footprint. Default: on when \
+               the architecture broadcasts through shuffles (Kepler), off \
+               otherwise.")
+    (fun t v -> { t with Singe.Target.t_synth = v })
+
+(* The tiling mode for stencil kernels; ignored by the combustion ones. *)
+let overlap_flag =
+  target_flag
+    Arg.(value & opt bool dflt.t_overlap & info [ "stencil-overlap" ]
+         ~docv:"BOOL"
+         ~doc:"Warp-overlapped tiling for stencil pipelines: when on, \
+               upstream bands compute halo-extended tiles (redundant \
+               recompute at the seams) so every consumer warp reads from \
+               exactly one producer; when off, each column is computed once \
+               and halo taps read cross-warp through shared memory. Ignored \
+               by the combustion kernels.")
+    (fun t v -> { t with Singe.Target.t_overlap = v })
+
+(* The partition mode shared by the compiling commands: hand keeps the
+   paper's fixed producer/consumer split, auto derives one from the DFG
+   with Partition_search (model-only resolution; [singe tune
+   --partition auto] additionally confirms by simulation). *)
+let partition_flag =
+  target_flag
+    Arg.(value
+         & opt (name_conv Singe.Target.partition_of_string) dflt.t_partition
+         & info [ "partition" ] ~docv:"MODE"
+             ~doc:"Warp partition: $(b,hand) keeps the paper's fixed \
+                   producer/consumer split; $(b,auto) searches \
+                   structure-derived candidate partitions (fan-out hubs as \
+                   producers, arithmetic chains onto consumers) crossed with \
+                   pipeline depths, ranked by the analytic model and gated \
+                   by the static deadlock verifier. A candidate that fails \
+                   the gate is reported as partition-rejected and never \
+                   simulated.")
+    (fun t v -> { t with Singe.Target.t_partition = v })
+
+(* Chip-scheduler flags shared by the simulating and predicting
+   commands. *)
+let sms_flag =
+  target_flag
+    Arg.(value & opt (some (count_conv "sms")) None & info [ "sms" ] ~docv:"N"
+         ~doc:"Dispatch the launch over N SMs (default: the architecture's \
+               SM count). With 1 the CTAs run as back-to-back rounds on a \
+               single SM; with more, the chip scheduler models tail waves \
+               and shared L2/DRAM bandwidth contention.")
+    (fun t v -> { t with Singe.Target.t_sms = v })
+
+let skew_flag =
+  let skew_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some v ->
+          Result.map_error
+            (fun m -> `Msg ("--skew " ^ m))
+            (Singe.Target.skew_in_range v)
+      | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
     in
-    Arg.(value & opt (some ~none:Singe.Target.default_mech mech_conv) None
+    Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+  in
+  target_flag
+    Arg.(value & opt (some skew_conv) None & info [ "skew" ] ~docv:"S"
+         ~doc:"Relative per-SM clock spread: SM clock factors ramp linearly \
+               over [1-S/2, 1+S/2] (default: the architecture's, 0 on both \
+               shipped machines).")
+    (fun t v -> { t with Singe.Target.t_skew = v })
+
+(* [target_term flags]: the --mech flag, an optional CHEMKIN file set
+   that replaces the named mechanism (the one input serve cannot name),
+   and the target the command's other [flags] set. *)
+let target_term flags =
+  let mech =
+    Arg.(value & opt (name_conv Singe.Target.mech_of_string) dflt.t_mech
          & info [ "mech" ] ~docv:"NAME"
              ~doc:("Bundled mechanism: "
                    ^ String.concat ", " (List.map fst Chem.Mech_gen.bundled)
@@ -59,58 +180,46 @@ let mech_term =
   let file kind =
     Arg.(value & opt (some file) None & info [ kind ] ~docv:"FILE")
   in
-  let build mech chemkin thermo transport sets =
+  let load chemkin thermo transport sets =
     match (chemkin, thermo, transport) with
     | Some c, Some th, Some tr -> (
         match
           Chem.Mech_io.load_files ?species_sets_path:sets ~chemkin_path:c
             ~thermo_path:th ~transport_path:tr ~name:"user" ()
         with
-        | Ok m -> Ok m
+        | Ok m -> Ok (Some m)
         | Error e ->
             Error
               (`Msg
                 (Singe.Diagnostics.to_string
                    (Singe.Diagnostics.of_srcloc ~pass:"parse" e))))
-    | None, None, None -> (
-        match mech with
-        | Some m -> Ok m
-        | None ->
-            Result.map_error
-              (fun m -> `Msg m)
-              (Singe.Target.mech_of_string Singe.Target.default_mech))
+    | None, None, None -> Ok None
     | _ ->
         Error (`Msg "--chemkin, --thermo and --transport must be given together")
   in
-  Term.term_result
-    Term.(const build $ mech $ file "chemkin" $ file "thermo"
-          $ file "transport" $ file "sets")
+  let files =
+    Term.term_result
+      Term.(const load $ file "chemkin" $ file "thermo" $ file "transport"
+            $ file "sets")
+  in
+  let base mech =
+    { dflt with Singe.Target.t_mech = mech; t_points = cli_points }
+  in
+  Term.(
+    const (fun files t -> (files, t))
+    $ files
+    $ List.fold_left
+        (fun acc flag -> const (fun t set -> set t) $ acc $ flag)
+        (const base $ mech) flags)
 
-let kernel_conv =
-  target_conv Singe.Target.kernel_of_string Singe.Kernel_abi.kernel_name
-
-let kernel_term =
-  Arg.(value & opt kernel_conv Singe.Target.default_kernel
-       & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"viscosity, conductivity, diffusion, chemistry, or a stencil \
-                 pipeline: edge3, unsharp2.")
-
-let arch_term =
-  Arg.(value
-       & opt (target_conv Singe.Target.arch_of_string Singe.Target.arch_name)
-           Singe.Target.default_arch
-       & info [ "arch" ] ~docv:"ARCH" ~doc:"fermi or kepler.")
-
-let warps_term =
-  Arg.(value & opt (count_conv "warps") Singe.Target.default_warps
-       & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
-
-let version_conv =
-  target_conv Singe.Target.version_of_string Singe.Compile.version_name
-
-let version_term =
-  Arg.(value & opt version_conv Singe.Target.default_version
-       & info [ "version" ] ~docv:"V" ~doc:"ws, baseline or naive.")
+(* The converters above already checked every name, so this cannot fail
+   on user input; it reports a failure as the usage error it would be. *)
+let resolve (files, t) =
+  match Singe.Target.resolve ?mech:files t with
+  | Ok r -> r
+  | Error msg ->
+      Printf.eprintf "singe: %s\n" msg;
+      exit Cmd.Exit.cli_error
 
 (* Domain budget for the parallel sweep commands (tune, figures). The
    term's value is the side effect: it installs the override before the
@@ -174,14 +283,22 @@ let dump_ir_term =
        ~doc:"Dump the intermediate artifact after PASS: dfg, mapping, \
              schedule or lower.")
 
-(* Typed pipeline entry: every user-reachable failure prints one readable
-   diagnostic line instead of an exception backtrace. *)
-let compile_or_die ~validate mech kernel version options =
-  match Singe.Compile.compile_checked ~validate mech kernel version options with
-  | Ok (c, report) -> (c, report)
-  | Error d ->
-      Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
-      exit exit_compile_rejected
+(* Typed pipeline entry, shared with serve: the launch checked at the
+   target's points ([launch]), --partition auto resolved model-only (its
+   pick printed), then the compile. Every user-reachable failure raises
+   the diagnostic [catch_occupancy] prints as one line. *)
+let compile_or_die ?launch ~validate (r : Singe.Target.resolved) =
+  let get = function Ok v -> v | Error d -> raise (Singe.Diagnostics.Fail d) in
+  let options = get (Singe.Partition_search.resolve_target ?launch r) in
+  (if r.partition = Singe.Target.Auto then
+     match options.Singe.Compile.partition with
+     | Singe.Compile.Partition_auto _ ->
+         Format.printf "partition auto: %a@."
+           Singe.Partition_search.pp_candidate options
+     | Singe.Compile.Partition_hand ->
+         print_endline
+           "partition auto: hand mapping retained (no candidate beat it)");
+  get (Singe.Compile.compile_checked ~validate r.mech r.kernel r.version options)
 
 (* An occupancy rejection is a configuration error like any other compile
    rejection: render it as a diagnostic line and use the same exit code,
@@ -201,32 +318,6 @@ let catch_occupancy f =
   | Singe.Diagnostics.Fail d ->
       Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
       exit exit_compile_rejected
-
-(* Chip-scheduler flags shared by the simulating and predicting
-   commands. *)
-let sms_term =
-  Arg.(value & opt (some (count_conv "sms")) None & info [ "sms" ] ~docv:"N"
-       ~doc:"Dispatch the launch over N SMs (default: the architecture's \
-             SM count). With 1 the CTAs run as back-to-back rounds on a \
-             single SM; with more, the chip scheduler models tail waves \
-             and shared L2/DRAM bandwidth contention.")
-
-let skew_term =
-  let skew_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when Float.abs v < 2.0 -> Ok v
-      | Some v ->
-          Error
-            (`Msg (Printf.sprintf "--skew must satisfy |S| < 2, got %g" v))
-      | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
-    in
-    Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-  in
-  Arg.(value & opt (some skew_conv) None & info [ "skew" ] ~docv:"S"
-       ~doc:"Relative per-SM clock spread: SM clock factors ramp linearly \
-             over [1-S/2, 1+S/2] (default: the architecture's, 0 on both \
-             shipped machines).")
 
 (* Fault-containment flags shared by the simulating commands. *)
 let max_cycles_term =
@@ -259,7 +350,8 @@ let dump_ir c = function
   | Some stage -> Singe.Compile.dump_ir Format.std_formatter c stage
 
 let info_cmd =
-  let run mech =
+  let run target =
+    let mech = (resolve target).mech in
     Format.printf "%a@." Chem.Mechanism.pp mech;
     let g = Chem.Qssa.build mech in
     Printf.printf "QSSA phase touches %d of %d reactions\n"
@@ -272,77 +364,7 @@ let info_cmd =
       /. 1000.)
   in
   Cmd.v (Cmd.info "info" ~doc:"Describe a mechanism.")
-    Term.(const run $ mech_term)
-
-let options_of ?synth ?(overlap = true) arch warps kernel =
-  { (Singe.Target.options ~n_warps:warps arch kernel) with
-    Singe.Compile.synth_exchange = synth;
-    stencil_overlap = overlap }
-
-(* The tiling mode for stencil kernels; ignored by the combustion ones. *)
-let overlap_term =
-  Arg.(value & opt bool true & info [ "stencil-overlap" ] ~docv:"BOOL"
-       ~doc:"Warp-overlapped tiling for stencil pipelines: when on, upstream \
-             bands compute halo-extended tiles (redundant recompute at the \
-             seams) so every consumer warp reads from exactly one producer; \
-             when off, each column is computed once and halo taps read \
-             cross-warp through shared memory. Ignored by the combustion \
-             kernels.")
-
-(* The exchange-rewrite override shared by the compiling commands:
-   unset = per-architecture auto (on exactly when the broadcast style is
-   shuffle-based). *)
-let synth_term =
-  Arg.(value & opt (some bool) None & info [ "synth-exchange" ] ~docv:"BOOL"
-       ~doc:"Force the shuffle-exchange superoptimizer on or off: same-warp \
-             shared-memory round-trips are rewritten into register forwards \
-             and lane-shuffle programs, and the freed exchange slots leave \
-             the shared footprint. Default: on when the architecture \
-             broadcasts through shuffles (Kepler), off otherwise.")
-
-(* The partition mode shared by the compiling commands: hand keeps the
-   paper's fixed producer/consumer split, auto derives one from the DFG
-   with Partition_search (model-only resolution; [singe tune
-   --partition auto] additionally confirms by simulation). *)
-let partition_term =
-  let mode_conv =
-    target_conv Singe.Target.partition_of_string
-      Singe.Target.partition_mode_name
-  in
-  Arg.(value & opt mode_conv Singe.Target.Hand & info [ "partition" ]
-       ~docv:"MODE"
-       ~doc:"Warp partition: $(b,hand) keeps the paper's fixed \
-             producer/consumer split; $(b,auto) searches structure-derived \
-             candidate partitions (fan-out hubs as producers, arithmetic \
-             chains onto consumers) crossed with pipeline depths, ranked by \
-             the analytic model and gated by the static deadlock verifier. \
-             A candidate that fails the gate is reported as \
-             partition-rejected and never simulated.")
-
-(* Resolve --partition for the one-configuration commands: model-only
-   search, hand base retained when nothing beats it. A search failure is
-   a compile rejection like any other (exit code 2). *)
-let resolve_partition partition mech kernel version options =
-  match partition with
-  | Singe.Target.Hand -> options
-  | Singe.Target.Auto -> (
-      match
-        Singe.Partition_search.resolve_options mech kernel version
-          ~base:options
-      with
-      | resolved ->
-          (match resolved.Singe.Compile.partition with
-          | Singe.Compile.Partition_auto spec ->
-              Format.printf "partition auto: %a (slots %d)@."
-                Singe.Mapping.pp_auto_spec spec
-                resolved.Singe.Compile.buffer_slots
-          | Singe.Compile.Partition_hand ->
-              print_endline
-                "partition auto: hand mapping retained (no candidate beat it)");
-          resolved
-      | exception Singe.Diagnostics.Fail d ->
-          Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
-          exit exit_compile_rejected)
+    Term.(const run $ target_term [])
 
 let compile_cmd =
   let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Print the generated code.") in
@@ -350,14 +372,11 @@ let compile_cmd =
                  ~doc:"Write the program's textual assembly to FILE ('-' for stdout).") in
   let cuda = Arg.(value & opt (some string) None & info [ "emit-cuda" ] ~docv:"FILE"
                   ~doc:"Write the kernel as CUDA C source to FILE ('-' for stdout).") in
-  let run mech kernel arch warps version synth overlap partition dump asm cuda
-      timings validate dump_ir_stage =
+  let run target dump asm cuda timings validate dump_ir_stage =
     catch_occupancy @@ fun () ->
-    let options =
-      resolve_partition partition mech kernel version
-        (options_of ?synth ~overlap arch warps kernel)
-    in
-    let c, report = compile_or_die ~validate mech kernel version options in
+    let r = resolve target in
+    let arch = r.arch in
+    let c, report = compile_or_die ~launch:false ~validate r in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Printf.printf
       "%s: %d instrs, %d double regs/thread (%d of them constant bank), %d \
@@ -398,26 +417,24 @@ let compile_cmd =
     | None -> ()
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a kernel and report its resources.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term $ dump
-          $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
+    Term.(const run
+          $ target_term
+              [ kernel_flag; arch_flag; warps_flag; version_flag; synth_flag;
+                overlap_flag; partition_flag ]
+          $ dump $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
 
 let run_cmd =
-  let run mech kernel arch warps version synth overlap partition points timings
-      validate faults max_cycles n_sms skew =
+  let run target timings validate faults max_cycles =
     catch_occupancy @@ fun () ->
-    let options =
-      resolve_partition partition mech kernel version
-        (options_of ?synth ~overlap arch warps kernel)
-    in
-    let c, report = compile_or_die ~validate mech kernel version options in
+    let tgt = resolve target in
+    let c, report = compile_or_die ~validate tgt in
     let r =
       (* A contained simulation fault (injected or real) and a fault spec
          that matches nothing in the trace each get their own exit code,
          distinct from a compile-pipeline rejection. *)
       match
-        Singe.Compile.run c ~total_points:points ~faults ?max_cycles ?n_sms
-          ?skew
+        Singe.Compile.run c ~total_points:tgt.points ~faults ?max_cycles
+          ?n_sms:tgt.sms ?skew:tgt.skew
       with
       | r -> r
       | exception Gpusim.Sm.Simulation_fault report ->
@@ -431,8 +448,8 @@ let run_cmd =
     Printf.printf
       "%s on %s: %.4g points/s, %.1f GFLOPS, %.1f GB/s DRAM, worst rel. \
        error vs host reference %.2g\n"
-      (Singe.Kernel_abi.kernel_name kernel)
-      arch.Gpusim.Arch.name
+      (Singe.Kernel_abi.kernel_name tgt.kernel)
+      tgt.arch.Gpusim.Arch.name
       r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
       r.Singe.Compile.machine.Gpusim.Chip.gflops
       r.Singe.Compile.machine.Gpusim.Chip.dram_gbs
@@ -455,10 +472,12 @@ let run_cmd =
     if timings then print_report report
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile, simulate and verify a kernel.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term
-          $ points_term $ timings_term $ validate_term $ faults_term
-          $ max_cycles_term $ sms_term $ skew_term)
+    Term.(const run
+          $ target_term
+              [ kernel_flag; arch_flag; warps_flag; version_flag; synth_flag;
+                overlap_flag; partition_flag; points_flag; sms_flag;
+                skew_flag ]
+          $ timings_term $ validate_term $ faults_term $ max_cycles_term)
 
 let profile_cmd =
   let chrome =
@@ -485,18 +504,15 @@ let profile_cmd =
                warps), Chrome-trace JSON well-formedness and timestamp \
                monotonicity. Exit nonzero on any failure.")
   in
-  let run mech kernel arch warps version overlap points chrome top timeline
-      check_it faults max_cycles n_sms skew =
+  let run target chrome top timeline check_it faults max_cycles =
     catch_occupancy @@ fun () ->
-    let c, _ =
-      compile_or_die ~validate:false mech kernel version
-        (options_of ~overlap arch warps kernel)
-    in
+    let tgt = resolve target in
+    let c, _ = compile_or_die ~validate:false tgt in
     let profile = { Gpusim.Sm.timeline_capacity = timeline } in
     let r =
       match
-        Singe.Compile.run c ~check:false ~total_points:points ~faults
-          ?max_cycles ~profile ?n_sms ?skew
+        Singe.Compile.run c ~check:false ~total_points:tgt.points ~faults
+          ?max_cycles ~profile ?n_sms:tgt.sms ?skew:tgt.skew
       with
       | r -> r
       | exception Gpusim.Sm.Simulation_fault report ->
@@ -591,9 +607,12 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Simulate a kernel with the per-warp cycle-attribution profiler \
              and print the stall breakdown.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ overlap_term $ points_term $ chrome $ top $ timeline
-          $ check_flag $ faults_term $ max_cycles_term $ sms_term $ skew_term)
+    Term.(const run
+          $ target_term
+              [ kernel_flag; arch_flag; warps_flag; version_flag; overlap_flag;
+                points_flag; sms_flag; skew_flag ]
+          $ chrome $ top $ timeline $ check_flag $ faults_term
+          $ max_cycles_term)
 
 let predict_cmd =
   let kernel_opt =
@@ -616,30 +635,28 @@ let predict_cmd =
                simulator never beats the model's throughput floor. Exit \
                nonzero on any failure.")
   in
-  let run mech arch warps synth overlap partition points kernel_opt version_opt
-      json check_it n_sms skew =
+  let run (files, t) kernel_opt version_opt json check_it =
     catch_occupancy @@ fun () ->
+    let base = resolve (files, t) in
+    let mech = base.mech and arch = base.arch and points = base.points in
+    let warps = t.Singe.Target.t_warps in
     let kernels =
       match kernel_opt with
       | Some k -> [ k ]
-      | None ->
-          [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
-            Singe.Kernel_abi.Chemistry;
-            Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Edge3;
-            Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Unsharp2 ]
+      | None -> [ "viscosity"; "diffusion"; "chemistry"; "edge3"; "unsharp2" ]
     in
     let versions =
-      match version_opt with
-      | Some v -> [ v ]
-      | None -> [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ]
+      match version_opt with Some v -> [ v ] | None -> [ "ws"; "baseline" ]
     in
     let rows = ref [] and skipped = ref 0 in
     Printf.printf "%-13s %-9s %5s  %12s %12s %7s  %s\n" "kernel" "version"
       "warps" "predicted" "simulated" "err" "model binding";
     List.iter
-      (fun kernel ->
+      (fun t_kernel ->
         List.iter
-          (fun version ->
+          (fun t_version ->
+            let row = resolve (Some mech, { t with t_kernel; t_version }) in
+            let kernel = row.kernel and version = row.version in
             let name =
               Printf.sprintf "%s/%s"
                 (Singe.Kernel_abi.kernel_name kernel)
@@ -649,23 +666,9 @@ let predict_cmd =
                auto, resolved per row model-only) a base compile failure,
                skip the row like any other, keeping predict's best-effort
                table semantics. *)
-            let base = options_of ?synth ~overlap arch warps kernel in
-            let resolved =
-              Result.bind
-                (Singe.Compile.check_launch kernel version ~n_warps:warps
-                   ~total_points:points)
-                (fun () ->
-                  match partition with
-                  | Singe.Target.Hand -> Ok base
-                  | Singe.Target.Auto -> (
-                      try
-                        Ok
-                          (Singe.Partition_search.resolve_options mech kernel
-                             version ~base)
-                      with Singe.Diagnostics.Fail d -> Error d))
-            in
             match
-              Result.bind resolved (fun options ->
+              Result.bind (Singe.Partition_search.resolve_target row)
+                (fun options ->
                   Singe.Compile.compile_checked ~validate:false mech kernel
                     version options)
             with
@@ -675,13 +678,13 @@ let predict_cmd =
                   (Singe.Diagnostics.to_string d)
             | Ok (c, _) ->
                 let pred =
-                  Singe.Perf_model.predict ?n_sms ?skew c
+                  Singe.Perf_model.predict ?n_sms:row.sms ?skew:row.skew c
                     ~total_points:points
                 in
                 let r =
                   match
                     Singe.Compile.run c ~check:false ~total_points:points
-                      ?n_sms ?skew
+                      ?n_sms:row.sms ?skew:row.skew
                   with
                   | r -> r
                   | exception Gpusim.Sm.Simulation_fault report ->
@@ -792,9 +795,11 @@ let predict_cmd =
     (Cmd.info "predict"
        ~doc:"Predict kernel cycles with the analytic performance model and \
              compare against the simulator.")
-    Term.(const run $ mech_term $ arch_term $ warps_term $ synth_term
-          $ overlap_term $ partition_term $ points_term $ kernel_opt
-          $ version_opt $ json $ check_flag $ sms_term $ skew_term)
+    Term.(const run
+          $ target_term
+              [ arch_flag; warps_flag; synth_flag; overlap_flag; partition_flag;
+                points_flag; sms_flag; skew_flag ]
+          $ kernel_opt $ version_opt $ json $ check_flag)
 
 let tune_mode_term =
   let mode_conv =
@@ -822,36 +827,28 @@ let top_k_term =
                simulate.")
 
 let tune_cmd =
-  let run mech kernel arch warps version synth overlap partition max_cycles
-      tune_mode top_k n_sms skew () =
+  let run target max_cycles tune_mode top_k () =
     catch_occupancy @@ fun () ->
-    match partition with
+    let r = resolve target in
+    match r.partition with
     | Singe.Target.Auto -> (
         (* Full three-phase partition search: model ranking, deadlock
            gate, then simulated confirmation through the autotuner with
            the hand mapping seeded into the grid. *)
         match
-          Singe.Partition_search.search ~top_k ?max_cycles ?n_sms ?skew mech
-            kernel version
-            ~base:(options_of ?synth ~overlap arch warps kernel)
-            ()
+          Singe.Partition_search.search ~points:r.points ~top_k ?max_cycles
+            ?n_sms:r.sms ?skew:r.skew r.mech r.kernel r.version
+            ~base:r.options ()
         with
         | Ok o ->
             Format.printf "%a@." Singe.Partition_search.pp_outcome o;
             List.iter
-              (fun (r : Singe.Partition_search.rejection) ->
-                Printf.printf "  rejected %s: %s\n"
-                  (match r.Singe.Partition_search.rej_options
-                           .Singe.Compile.partition with
-                  | Singe.Compile.Partition_auto spec ->
-                      Format.asprintf "%a" Singe.Mapping.pp_auto_spec spec
-                  | Singe.Compile.Partition_hand -> "hand")
-                  (Singe.Diagnostics.to_string
-                     r.Singe.Partition_search.rej_diag))
+              (fun (rej : Singe.Partition_search.rejection) ->
+                Format.printf "  rejected %a: %s@."
+                  Singe.Partition_search.pp_candidate rej.rej_options
+                  (Singe.Diagnostics.to_string rej.rej_diag))
               o.Singe.Partition_search.rejections
-        | Error d ->
-            Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
-            exit exit_compile_rejected)
+        | Error d -> raise (Singe.Diagnostics.Fail d))
     | Singe.Target.Hand ->
     let mode =
       match tune_mode with
@@ -859,9 +856,10 @@ let tune_cmd =
       | `Pruned -> Singe.Autotune.Pruned top_k
     in
     let o =
-      Singe.Autotune.tune ?max_cycles ~mode ?n_sms ?skew
-        ?synth_exchange:synth ~stencil_overlap:overlap mech kernel version
-        arch
+      Singe.Autotune.tune ~points:r.points ?max_cycles ~mode ?n_sms:r.sms
+        ?skew:r.skew ?synth_exchange:r.options.Singe.Compile.synth_exchange
+        ~stencil_overlap:r.options.Singe.Compile.stencil_overlap r.mech
+        r.kernel r.version r.arch
     in
     Printf.printf "tried %d configurations (%d skipped, %d pruned by model)\n"
       o.Singe.Autotune.tried o.Singe.Autotune.skipped
@@ -888,18 +886,18 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Autotune a kernel configuration (brute-force, or pruned by the \
              analytic performance model).")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term
-          $ max_cycles_term $ tune_mode_term $ top_k_term $ sms_term
-          $ skew_term $ jobs_term)
+    Term.(const run
+          $ target_term
+              [ kernel_flag; arch_flag; warps_flag; version_flag; synth_flag;
+                overlap_flag; partition_flag; sms_flag; skew_flag ]
+          $ max_cycles_term $ tune_mode_term $ top_k_term $ jobs_term)
 
 let stats_cmd =
-  let run mech kernel arch warps version =
+  let run target =
     catch_occupancy @@ fun () ->
-    let c, _ =
-      compile_or_die ~validate:false mech kernel version
-        (options_of arch warps kernel)
-    in
+    let r = resolve target in
+    let arch = r.arch in
+    let c, _ = compile_or_die ~launch:false ~validate:false r in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
       Gpusim.Isa_stats.pp
@@ -910,13 +908,16 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Static instruction mix, code footprint and roofline bounds.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term)
+    Term.(const run
+          $ target_term [ kernel_flag; arch_flag; warps_flag; version_flag ])
 
 let partition_cmd =
   (* Dumps the paper's partition diagrams: Fig. 5 (diffusion columns) and
      Figs. 6/7 (chemistry reaction + QSSA warp assignment). *)
-  let run mech kernel warps =
+  let run target =
+    let r = resolve target in
+    let mech = r.mech and kernel = r.kernel in
+    let warps = r.options.Singe.Compile.n_warps in
     match kernel with
     | Singe.Kernel_abi.Diffusion ->
         let n = Array.length (Chem.Mechanism.computed_species mech) in
@@ -998,7 +999,7 @@ let partition_cmd =
   Cmd.v
     (Cmd.info "partition"
        ~doc:"Dump the kernel's warp partition (Figs. 5-7).")
-    Term.(const run $ mech_term $ kernel_term $ warps_term)
+    Term.(const run $ target_term [ kernel_flag; warps_flag ])
 
 let figures_cmd =
   (* Names are checked at parse time: a typo is a usage error before any

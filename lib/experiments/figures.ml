@@ -629,10 +629,9 @@ let partition_search () =
                 o.Singe.Partition_search.gated
                 (List.length o.Singe.Partition_search.rejections)
                 (match o.Singe.Partition_search.winner_spec with
-                | Some spec ->
-                    Format.asprintf "%a (slots %d)" Singe.Mapping.pp_auto_spec
-                      spec
-                      o.Singe.Partition_search.winner.Singe.Compile.buffer_slots
+                | Some _ ->
+                    Format.asprintf "%a" Singe.Partition_search.pp_candidate
+                      o.Singe.Partition_search.winner
                 | None -> "hand mapping retained"))
         [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
           Singe.Kernel_abi.Chemistry ])
@@ -673,10 +672,11 @@ let stencil_overlap () =
           in
           let hand = cycles base in
           match
-            Singe.Partition_search.resolve_options mech kernel
-              Singe.Compile.Warp_specialized ~base
+            Singe.Partition_search.search ~simulate:false mech kernel
+              Singe.Compile.Warp_specialized ~base ()
           with
-          | resolved ->
+          | Ok o ->
+              let resolved = o.Singe.Partition_search.winner in
               let auto = cycles resolved in
               let gain = 100.0 *. (hand -. auto) /. Float.max 1.0 hand in
               Printf.printf "  %-10s %-14s %12.0f %12.0f %6.1f%%  %s\n"
@@ -687,7 +687,7 @@ let stencil_overlap () =
                 | Singe.Compile.Partition_auto spec ->
                     Format.asprintf "%a" Singe.Mapping.pp_auto_spec spec
                 | Singe.Compile.Partition_hand -> "hand mapping retained")
-          | exception Singe.Diagnostics.Fail d ->
+          | Error d ->
               Printf.printf "  %-10s %-14s %12.0f %12s  search rejected: %s\n"
                 (Singe.Stencil_pipe.id_name id)
                 (if overlap then "overlapped" else "non-overlapped")

@@ -283,10 +283,27 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
   | exception Diagnostics.Fail d -> Error d
   | exception e -> Error (diag_of_exn e)
 
-let resolve_options ?points ?jobs mech kernel version ~base =
-  match search ?points ?jobs ~simulate:false mech kernel version ~base () with
-  | Ok o -> o.winner
-  | Error d -> raise (Diagnostics.Fail d)
+let resolve_target ?(launch = true) (r : Target.resolved) =
+  let ( let* ) = Result.bind in
+  let* () =
+    if launch then
+      Compile.check_launch r.kernel r.version
+        ~n_warps:r.options.Compile.n_warps ~total_points:r.points
+    else Ok ()
+  in
+  match r.partition with
+  | Target.Hand -> Ok r.options
+  | Target.Auto ->
+      Result.map
+        (fun o -> o.winner)
+        (search ~simulate:false r.mech r.kernel r.version ~base:r.options ())
+
+let pp_candidate ppf (o : Compile.options) =
+  match o.Compile.partition with
+  | Compile.Partition_auto s ->
+      Format.fprintf ppf "%a (slots %d)" Mapping.pp_auto_spec s
+        o.Compile.buffer_slots
+  | Compile.Partition_hand -> Format.pp_print_string ppf "hand"
 
 let pp_outcome ppf o =
   let verb = if o.confirmed then "simulated" else "predicted" in

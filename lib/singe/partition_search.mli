@@ -82,8 +82,8 @@ val search :
     forced to hand for the baseline comparison; all other fields — warps,
     architecture, occupancy target — frame the search space). With
     [simulate] (default) winners are confirmed through {!Autotune.tune};
-    [simulate:false] stops at the analytic ranking (the cheap mode the
-    CLI/serve [--partition auto] resolution uses) and reports model
+    [simulate:false] stops at the analytic ranking (the cheap mode
+    {!resolve_target} uses) and reports model
     cycles with [confirmed = false].
 
     Deterministic under any [jobs]: candidates are folded in index order
@@ -91,16 +91,16 @@ val search :
     partition and returns a hand-only outcome. Failures of the base
     compile itself are returned as a diagnostic. *)
 
-val resolve_options :
-  ?points:int ->
-  ?jobs:int ->
-  Chem.Mechanism.t ->
-  Kernel_abi.kernel ->
-  Compile.version ->
-  base:Compile.options ->
-  Compile.options
-(** [--partition auto] resolution: model-only search, returning the
-    winning option record (the hand base when nothing beat it). Raises
-    {!Diagnostics.Fail} when even the hand base fails to compile. *)
+val resolve_target :
+  ?launch:bool -> Target.resolved -> (Compile.options, Diagnostics.t) result
+(** The options the CLI and serve compile for a target: with [launch]
+    (default [true]) the launch is first checked at its points; then
+    [r.options] for a hand partition, or the model-only {!search}'s
+    winner for auto. *)
+
+val pp_candidate : Format.formatter -> Compile.options -> unit
+(** A candidate's label, [<spec> (slots N)] ([hand] for the hand
+    partition): {!candidate_options} crosses each spec with several
+    pipeline depths, so the spec alone does not name a candidate. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

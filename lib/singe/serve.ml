@@ -49,7 +49,9 @@ let watchdog_ceiling = 200_000_000
 
 (* ---- wire protocol ---- *)
 
-type target = {
+(* Kept for the benchmark driver, which names the type, its fields and
+   [default_target] through this module. *)
+type target = Target.t = {
   t_mech : string;
   t_kernel : string;
   t_arch : string;
@@ -57,7 +59,10 @@ type target = {
   t_warps : int;
   t_points : int;
   t_synth : bool option;
+  t_overlap : bool;
   t_partition : string;
+  t_sms : int option;
+  t_skew : float option;
 }
 
 type payload =
@@ -79,17 +84,7 @@ type request = {
   req : payload;
 }
 
-let default_target =
-  {
-    t_mech = Target.default_mech;
-    t_kernel = Kernel_abi.kernel_name Target.default_kernel;
-    t_arch = Target.arch_name Target.default_arch;
-    t_version = Compile.version_name Target.default_version;
-    t_warps = Target.default_warps;
-    t_points = 8192;
-    t_synth = None;
-    t_partition = "hand";
-  }
+let default_target = Target.default
 
 let kind_name = function
   | Compile_req _ -> "compile"
@@ -111,28 +106,11 @@ let request_to_json r =
       | None -> [])
     @ [ ("kind", Str (kind_name r.req)) ]
   in
-  let target t =
-    [
-      ("mech", Str t.t_mech);
-      ("kernel", Str t.t_kernel);
-      ("arch", Str t.t_arch);
-      ("version", Str t.t_version);
-      ("warps", Num (float_of_int t.t_warps));
-      ("points", Num (float_of_int t.t_points));
-    ]
-    @ (match t.t_synth with
-      | Some b -> [ ("synth_exchange", Bool b) ]
-      | None -> [])
-    @
-    match t.t_partition with
-    | "hand" -> []
-    | p -> [ ("partition", Str p) ]
-  in
   let rest =
     match r.req with
-    | Compile_req t | Predict_req t -> target t
+    | Compile_req t | Predict_req t -> Target.to_json t
     | Run_req { target = t; faults; max_cycles } ->
-        target t
+        Target.to_json t
         @ (match faults with
           | [] -> []
           | fs -> [ ("faults", List (Stdlib.List.map (fun f -> Str f) fs)) ])
@@ -140,7 +118,7 @@ let request_to_json r =
           | Some m -> [ ("max_cycles", Num (float_of_int m)) ]
           | None -> [])
     | Tune_req { target = t; top_k } ->
-        target t @ [ ("top_k", Num (float_of_int top_k)) ]
+        Target.to_json t @ [ ("top_k", Num (float_of_int top_k)) ]
     | Health_req | Stats_req | Shutdown_req -> []
   in
   J.emit (Obj (base @ rest))
@@ -152,76 +130,18 @@ let request_to_json r =
 let ( let* ) = Result.bind
 
 let envelope_keys = [ "id"; "deadline_ms"; "kind" ]
-let target_keys =
-  [
-    "mech";
-    "kernel";
-    "arch";
-    "version";
-    "warps";
-    "points";
-    "synth_exchange";
-    "partition";
-  ]
 
 let check_fields doc allowed =
-  match doc with
-  | J.Obj members ->
-      List.fold_left
-        (fun acc (k, _) ->
-          let* () = acc in
-          if List.mem k allowed then Ok ()
-          else
-            Error
-              (Printf.sprintf "unknown field %S (expected one of %s)" k
-                 (String.concat ", " allowed)))
-        (Ok ()) members
-  | _ -> Error "request must be a JSON object"
-
-let opt_field doc key conv what =
-  match J.member key doc with
-  | None -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None ->
-          Error
-            (Printf.sprintf "field %S must be %s, got %s" key what
-               (J.to_string_brief v)))
+  let members = match doc with J.Obj m -> m | _ -> [] in
+  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) members with
+  | None -> Ok ()
+  | Some (k, _) ->
+      Error
+        (Printf.sprintf "unknown field %S (expected one of %s)" k
+           (String.concat ", " allowed))
 
 let opt_pos_int doc key =
-  let* v = opt_field doc key J.int "a positive integer" in
-  match v with
-  | Some n when n < 1 ->
-      Error (Printf.sprintf "field %S must be >= 1, got %d" key n)
-  | v -> Ok v
-
-let target_of doc =
-  let dflt = default_target in
-  let* mech = opt_field doc "mech" J.str "a string" in
-  let* kernel = opt_field doc "kernel" J.str "a string" in
-  let* arch = opt_field doc "arch" J.str "a string" in
-  let* version = opt_field doc "version" J.str "a string" in
-  let* warps = opt_pos_int doc "warps" in
-  let* points = opt_pos_int doc "points" in
-  let* synth = opt_field doc "synth_exchange" J.bool "a boolean" in
-  let* partition = opt_field doc "partition" J.str "a string" in
-  let* partition =
-    match partition with
-    | None -> Ok dflt.t_partition
-    | Some p -> Result.map (fun _ -> p) (Target.partition_of_string p)
-  in
-  Ok
-    {
-      t_mech = Option.value mech ~default:dflt.t_mech;
-      t_kernel = Option.value kernel ~default:dflt.t_kernel;
-      t_arch = Option.value arch ~default:dflt.t_arch;
-      t_version = Option.value version ~default:dflt.t_version;
-      t_warps = Option.value warps ~default:dflt.t_warps;
-      t_points = Option.value points ~default:dflt.t_points;
-      t_synth = synth;
-      t_partition = partition;
-    }
+  J.field ~check:(Target.at_least 1) ~what:"a positive integer" J.int key doc
 
 let request_of_json doc =
   let* () =
@@ -232,64 +152,35 @@ let request_of_json doc =
           (Printf.sprintf "request must be a JSON object, got %s"
              (J.to_string_brief v))
   in
-  let* id = opt_field doc "id" J.str "a string" in
+  let* id = J.field ~what:"a string" J.str "id" doc in
   let* deadline = opt_pos_int doc "deadline_ms" in
-  let* kind =
-    match J.member "kind" doc with
-    | None -> Error "missing field \"kind\""
-    | Some v -> (
-        match J.str v with
-        | Some s -> Ok s
-        | None ->
-            Error
-              (Printf.sprintf "field \"kind\" must be a string, got %s"
-                 (J.to_string_brief v)))
+  let* kind = J.field ~what:"a string" J.str "kind" doc in
+  let* kind = Option.to_result ~none:"missing field \"kind\"" kind in
+  (* A target request takes the envelope, the target's members and its
+     kind's own [extra] members. *)
+  let target extra =
+    let* () = check_fields doc (envelope_keys @ Target.keys @ extra) in
+    Target.of_json doc
   in
   let* payload =
     match kind with
-    | "compile" ->
-        let* () = check_fields doc (envelope_keys @ target_keys) in
-        let* t = target_of doc in
-        Ok (Compile_req t)
-    | "predict" ->
-        let* () = check_fields doc (envelope_keys @ target_keys) in
-        let* t = target_of doc in
-        Ok (Predict_req t)
+    | "compile" -> Result.map (fun t -> Compile_req t) (target [])
+    | "predict" -> Result.map (fun t -> Predict_req t) (target [])
     | "run" ->
-        let* () =
-          check_fields doc
-            (envelope_keys @ target_keys @ [ "faults"; "max_cycles" ])
+        let* t = target [ "faults"; "max_cycles" ] in
+        let strings items =
+          match List.find_opt (fun i -> J.str i = None) items with
+          | Some i -> Error ("must contain strings, got " ^ J.to_string_brief i)
+          | None -> Ok items
         in
-        let* t = target_of doc in
         let* faults =
-          match J.member "faults" doc with
-          | None -> Ok []
-          | Some v -> (
-              match J.list v with
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "field \"faults\" must be an array of strings, got %s"
-                       (J.to_string_brief v))
-              | Some items ->
-                  List.fold_left
-                    (fun acc item ->
-                      let* fs = acc in
-                      match J.str item with
-                      | Some s -> Ok (s :: fs)
-                      | None ->
-                          Error
-                            (Printf.sprintf
-                               "field \"faults\" must contain strings, got %s"
-                               (J.to_string_brief item)))
-                    (Ok []) items
-                  |> Result.map List.rev)
+          J.field ~check:strings ~what:"an array of strings" J.list "faults" doc
         in
+        let faults = List.filter_map J.str (Option.value faults ~default:[]) in
         let* max_cycles = opt_pos_int doc "max_cycles" in
         Ok (Run_req { target = t; faults; max_cycles })
     | "tune" ->
-        let* () = check_fields doc (envelope_keys @ target_keys @ [ "top_k" ]) in
-        let* t = target_of doc in
+        let* t = target [ "top_k" ] in
         let* top_k = opt_pos_int doc "top_k" in
         Ok
           (Tune_req
@@ -484,55 +375,26 @@ let render st id doc =
 
 exception Reply of error_class * string
 
-let resolve_target t =
-  let get = function
-    | Ok v -> v
-    | Error msg -> raise (Reply (Bad_request, msg))
-  in
-  let mech = get (Target.mech_of_string t.t_mech) in
-  let kernel = get (Target.kernel_of_string t.t_kernel) in
-  let arch = get (Target.arch_of_string t.t_arch) in
-  let version = get (Target.version_of_string t.t_version) in
-  let options =
-    {
-      (Target.options ~n_warps:t.t_warps arch kernel) with
-      Compile.synth_exchange = t.t_synth;
-    }
-  in
-  let options =
-    (* "auto" resolves through the model-only partition search (compile
-       memo shared, so a repeated target resolves from cache); pipeline
-       failures of the search itself are typed rejections like any other
-       compile failure. *)
-    match get (Target.partition_of_string t.t_partition) with
-    | Target.Hand -> options
-    | Target.Auto -> (
-        match
-          Partition_search.resolve_options mech kernel version ~base:options
-        with
-        | o -> o
-        | exception Diagnostics.Fail d ->
-            raise (Reply (Rejected, Diagnostics.to_string d))
-        | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg)))
-  in
-  (mech, kernel, arch, version, options)
+(* A bad name is the client's error; a launch or partition-search
+   failure is a compile rejection ([contained] answers a diagnostic so),
+   as in the CLI. *)
+let resolve_names t =
+  match Target.resolve t with
+  | Ok r -> r
+  | Error msg -> raise (Reply (Bad_request, msg))
 
-(* Reject a launch the simulator cannot size up front, with the same
-   [launch] diagnostic [singe run] prints. *)
-let check_launch kernel version options t =
-  match
-    Compile.check_launch kernel version ~n_warps:options.Compile.n_warps
-      ~total_points:t.t_points
-  with
-  | Ok () -> ()
-  | Error d -> raise (Reply (Rejected, Diagnostics.to_string d))
+let resolve ?launch t =
+  let r = resolve_names t in
+  match Partition_search.resolve_target ?launch r with
+  | Ok options -> (r, options)
+  | Error d -> raise (Diagnostics.Fail d)
 
 (* Compile with the shared bounded memo; pipeline failures become typed
-   rejections exactly as Compile.compile_checked classifies them. *)
-let compile_target mech kernel version options =
-  match Compile.compile_cached mech kernel version options with
+   rejections exactly as Compile.compile_checked classifies them (a
+   diagnostic reaches [contained] as one). *)
+let compile_target (r : Target.resolved) options =
+  match Compile.compile_cached r.mech r.kernel r.version options with
   | c -> c
-  | exception Diagnostics.Fail d -> raise (Reply (Rejected, Diagnostics.to_string d))
   | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg))
 
 (* deadline_ms -> simulator cycle budget, saturating at the watchdog
@@ -612,10 +474,10 @@ let degraded_caveat budget =
 
 let handle_compile st id t =
   st.c.n_compile <- st.c.n_compile + 1;
-  let mech, kernel, arch, version, options = resolve_target t in
-  let c = compile_target mech kernel version options in
+  let r, options = resolve ~launch:false t in
+  let c = compile_target r options in
   let p = c.Compile.lowered.Lower.program in
-  let occ = Gpusim.Chip.occupancy arch p in
+  let occ = Gpusim.Chip.occupancy r.arch p in
   ok_response st id "compile"
     [
       ("program", J.Str p.Gpusim.Isa.name);
@@ -633,21 +495,21 @@ let handle_compile st id t =
 
 let handle_predict st id t =
   st.c.n_predict <- st.c.n_predict + 1;
-  let mech, kernel, _arch, version, options = resolve_target t in
-  check_launch kernel version options t;
-  let c = compile_target mech kernel version options in
-  let pred = Perf_model.predict c ~total_points:t.t_points in
+  let r, options = resolve t in
+  let c = compile_target r options in
+  let pred =
+    Perf_model.predict ?n_sms:r.sms ?skew:r.skew c ~total_points:r.points
+  in
   ok_response st id "predict"
     [
-      ("points", numi t.t_points);
+      ("points", numi r.points);
       ("model", model_json pred);
       ("partition", J.Str (Compile.partition_name options.Compile.partition));
     ]
 
 let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
   st.c.n_run <- st.c.n_run + 1;
-  let mech, kernel, _arch, version, options = resolve_target t in
-  check_launch kernel version options t;
+  let r, options = resolve t in
   let faults =
     List.map
       (fun spec ->
@@ -656,12 +518,15 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
         | Error msg -> raise (Reply (Bad_request, msg)))
       faults
   in
-  let c = compile_target mech kernel version options in
+  let c = compile_target r options in
   let derived = budget_cycles st.cfg deadline_ms in
   let budget = match max_cycles with Some m -> min m derived | None -> derived in
-  match Compile.run c ~total_points:t.t_points ~faults ~max_cycles:budget with
-  | r ->
-      let m = r.Compile.machine in
+  match
+    Compile.run c ~total_points:r.points ~faults ~max_cycles:budget
+      ?n_sms:r.sms ?skew:r.skew
+  with
+  | res ->
+      let m = res.Compile.machine in
       ok_response st id "run"
         [
           ("degraded", J.Bool false);
@@ -670,11 +535,11 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
           ("points_per_sec", num m.Gpusim.Chip.points_per_sec);
           ("gflops", num m.Gpusim.Chip.gflops);
           ("dram_gbs", num m.Gpusim.Chip.dram_gbs);
-          ("max_rel_err", finite_num r.Compile.max_rel_err);
+          ("max_rel_err", finite_num res.Compile.max_rel_err);
           ( "outputs_ok",
             J.Bool
-              ((not (Float.is_nan r.Compile.max_rel_err))
-              && r.Compile.max_rel_err < 1e-6) );
+              ((not (Float.is_nan res.Compile.max_rel_err))
+              && res.Compile.max_rel_err < 1e-6) );
           ("simulated_points", numi m.Gpusim.Chip.simulated_points);
         ]
   | exception Gpusim.Sm.Simulation_fault f
@@ -682,7 +547,9 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
       (* The deadline fired, not a detector: answer from the model with
          the caveat instead of making the client wait out a hang. *)
       st.c.degraded <- st.c.degraded + 1;
-      let pred = Perf_model.predict c ~total_points:t.t_points in
+      let pred =
+        Perf_model.predict ?n_sms:r.sms ?skew:r.skew c ~total_points:r.points
+      in
       ok_response st id "run"
         [
           ("degraded", J.Bool true);
@@ -711,18 +578,25 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
 (* Model-only tune: rank the compilable grid purely with Perf_model.
    This is both the degraded path (when every simulated candidate died
    inside the deadline budget) and deliberately cheap — no simulation. *)
-let model_only_tune t mech kernel version arch =
-  let warp_candidates = Autotune.default_warp_candidates mech kernel version in
-  let grid =
-    Autotune.candidate_options ?synth_exchange:t.t_synth ~points:t.t_points
-      kernel version arch warp_candidates [ 1; 2 ]
+let model_only_tune (r : Target.resolved) =
+  let warp_candidates =
+    Autotune.default_warp_candidates r.mech r.kernel r.version
   in
-  let compile = Compile.compile_cached mech kernel version in
+  let grid =
+    Autotune.candidate_options ?synth_exchange:r.options.Compile.synth_exchange
+      ~stencil_overlap:r.options.Compile.stencil_overlap ~points:r.points
+      r.kernel r.version r.arch warp_candidates [ 1; 2 ]
+  in
+  let compile = Compile.compile_cached r.mech r.kernel r.version in
   let scored =
     List.filter_map
       (fun (o : Compile.options) ->
         match compile o with
-        | c -> Some (o, Perf_model.predict c ~total_points:t.t_points)
+        | c ->
+            Some
+              ( o,
+                Perf_model.predict ?n_sms:r.sms ?skew:r.skew c
+                  ~total_points:r.points )
         | exception _ -> None)
       grid
   in
@@ -749,11 +623,9 @@ let tune_key r = Digest.to_hex (Digest.string (request_to_json r))
 
 let handle_tune st id deadline_ms ~target:t ~top_k =
   st.c.n_tune <- st.c.n_tune + 1;
-  (* Resolve the hand base even for partition:"auto" — the search wants
-     the un-searched options as its baseline, not a pre-resolved winner. *)
-  let mech, kernel, arch, version, base =
-    resolve_target { t with t_partition = "hand" }
-  in
+  (* Names only: for partition "auto" the search wants the hand options
+     as its baseline, not a pre-resolved winner. *)
+  let r = resolve_names t in
   let key =
     tune_key
       {
@@ -766,103 +638,101 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
   | Some fields ->
       st.c.tune_cache_hits <- st.c.tune_cache_hits + 1;
       ok_response st id "tune" fields
-  | None when t.t_partition = "auto" ->
-      (* Partition-search tune: score/gate the structural candidates and
-         confirm survivors by simulation (through Autotune's grid mode),
-         degrading to the model-only ranking when the deadline budget
-         kills every simulation. *)
-      let budget = budget_cycles st.cfg deadline_ms in
-      let searched ~simulate =
-        Partition_search.search ~points:t.t_points ~top_k ~max_cycles:budget
-          ~simulate mech kernel version ~base ()
-      in
-      let fields =
-        match searched ~simulate:true with
-        | Ok o ->
-            [
-              ("degraded", J.Bool false);
-              ("budget_cycles", numi budget);
-              ("partition", partition_json o);
-              ( "best",
-                J.Obj
-                  [
-                    ("warps", numi o.Partition_search.winner.Compile.n_warps);
-                    ( "ctas_per_sm",
-                      numi
-                        o.Partition_search.winner.Compile.ctas_per_sm_target
-                    );
-                    ( "buffer_slots",
-                      numi o.Partition_search.winner.Compile.buffer_slots );
-                  ] );
-            ]
-        | Error _ -> (
-            match searched ~simulate:false with
-            | Ok o ->
-                st.c.degraded <- st.c.degraded + 1;
-                [
-                  ("degraded", J.Bool true);
-                  ("budget_cycles", numi budget);
-                  ("partition", partition_json o);
-                  ("caveat", J.Str (degraded_caveat budget));
-                ]
-            | Error d -> raise (Reply (Rejected, Diagnostics.to_string d)))
-      in
-      if Hashtbl.length st.tune_cache >= 64 then Hashtbl.reset st.tune_cache;
-      Hashtbl.replace st.tune_cache key fields;
-      ok_response st id "tune" fields
   | None ->
       let budget = budget_cycles st.cfg deadline_ms in
       let fields =
-        match
-          Autotune.tune ~points:t.t_points ~max_cycles:budget
-            ~mode:(Autotune.Pruned top_k) ?synth_exchange:t.t_synth mech kernel
-            version arch
-        with
-        | o ->
-            let b = o.Autotune.best in
-            [
-              ("degraded", J.Bool false);
-              ("budget_cycles", numi budget);
-              ("tried", numi o.Autotune.tried);
-              ("skipped", numi o.Autotune.skipped);
-              ("candidates_pruned", numi o.Autotune.candidates_pruned);
-              ("model_rank_of_winner", numi o.Autotune.model_rank_of_winner);
-              ( "best",
-                J.Obj
-                  [
-                    ("warps", numi b.Autotune.options.Compile.n_warps);
-                    ( "ctas_per_sm",
-                      numi b.Autotune.options.Compile.ctas_per_sm_target );
-                    ("points_per_sec", num b.Autotune.throughput);
-                    ( "predicted_points_per_sec",
-                      num b.Autotune.predicted.Perf_model.points_per_sec );
-                  ] );
-            ]
-        | exception Failure _ -> (
-            (* Every candidate died inside the deadline budget (or
-               nothing ran at all): degrade to a model-only ranking. *)
-            match model_only_tune t mech kernel version arch with
-            | None ->
-                raise
-                  (Reply
-                     ( Rejected,
-                       "no tuning candidate compiles for this configuration" ))
-            | Some ((o, pred), ranked) ->
-                st.c.degraded <- st.c.degraded + 1;
+        match r.partition with
+        | Target.Auto -> (
+            (* Partition-search tune: score/gate the structural candidates
+               and confirm survivors by simulation (through Autotune's grid
+               mode), degrading to the model-only ranking when the deadline
+               budget kills every simulation. *)
+            let searched ~simulate =
+              Partition_search.search ~points:r.points ~top_k
+                ~max_cycles:budget ~simulate ?n_sms:r.sms ?skew:r.skew r.mech
+                r.kernel r.version ~base:r.options ()
+            in
+            match searched ~simulate:true with
+            | Ok o ->
+                let w = o.Partition_search.winner in
                 [
-                  ("degraded", J.Bool true);
+                  ("degraded", J.Bool false);
                   ("budget_cycles", numi budget);
-                  ("candidates_ranked", numi ranked);
+                  ("partition", partition_json o);
                   ( "best",
                     J.Obj
                       [
-                        ("warps", numi o.Compile.n_warps);
-                        ("ctas_per_sm", numi o.Compile.ctas_per_sm_target);
-                        ( "predicted_points_per_sec",
-                          num pred.Perf_model.points_per_sec );
+                        ("warps", numi w.Compile.n_warps);
+                        ("ctas_per_sm", numi w.Compile.ctas_per_sm_target);
+                        ("buffer_slots", numi w.Compile.buffer_slots);
                       ] );
-                  ("caveat", J.Str (degraded_caveat budget));
-                ])
+                ]
+            | Error _ -> (
+                match searched ~simulate:false with
+                | Ok o ->
+                    st.c.degraded <- st.c.degraded + 1;
+                    [
+                      ("degraded", J.Bool true);
+                      ("budget_cycles", numi budget);
+                      ("partition", partition_json o);
+                      ("caveat", J.Str (degraded_caveat budget));
+                    ]
+                | Error d -> raise (Diagnostics.Fail d)))
+        | Target.Hand -> (
+            match
+              Autotune.tune ~points:r.points ~max_cycles:budget
+                ~mode:(Autotune.Pruned top_k) ?n_sms:r.sms ?skew:r.skew
+                ?synth_exchange:r.options.Compile.synth_exchange
+                ~stencil_overlap:r.options.Compile.stencil_overlap r.mech
+                r.kernel r.version r.arch
+            with
+            | o ->
+                let b = o.Autotune.best in
+                [
+                  ("degraded", J.Bool false);
+                  ("budget_cycles", numi budget);
+                  ("tried", numi o.Autotune.tried);
+                  ("skipped", numi o.Autotune.skipped);
+                  ("candidates_pruned", numi o.Autotune.candidates_pruned);
+                  ( "model_rank_of_winner",
+                    numi o.Autotune.model_rank_of_winner );
+                  ( "best",
+                    J.Obj
+                      [
+                        ("warps", numi b.Autotune.options.Compile.n_warps);
+                        ( "ctas_per_sm",
+                          numi b.Autotune.options.Compile.ctas_per_sm_target );
+                        ("points_per_sec", num b.Autotune.throughput);
+                        ( "predicted_points_per_sec",
+                          num b.Autotune.predicted.Perf_model.points_per_sec );
+                      ] );
+                ]
+            | exception Failure _ -> (
+                (* Every candidate died inside the deadline budget (or
+                   nothing ran at all): degrade to a model-only ranking. *)
+                match model_only_tune r with
+                | None ->
+                    raise
+                      (Reply
+                         ( Rejected,
+                           "no tuning candidate compiles for this \
+                            configuration" ))
+                | Some ((o, pred), ranked) ->
+                    st.c.degraded <- st.c.degraded + 1;
+                    [
+                      ("degraded", J.Bool true);
+                      ("budget_cycles", numi budget);
+                      ("candidates_ranked", numi ranked);
+                      ( "best",
+                        J.Obj
+                          [
+                            ("warps", numi o.Compile.n_warps);
+                            ("ctas_per_sm", numi o.Compile.ctas_per_sm_target);
+                            ( "predicted_points_per_sec",
+                              num pred.Perf_model.points_per_sec );
+                          ] );
+                      ("caveat", J.Str (degraded_caveat budget));
+                    ]))
       in
       (* Bound the tuned-config cache like everything else long-lived. *)
       if Hashtbl.length st.tune_cache >= 64 then Hashtbl.reset st.tune_cache;

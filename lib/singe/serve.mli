@@ -59,20 +59,21 @@ val default_config : config
 
 (** {1 Wire protocol} *)
 
-type target = {
-  t_mech : string;  (** bundled mechanism name (dme, heptane, ...) *)
+type target = Target.t = {
+  t_mech : string;
   t_kernel : string;
   t_arch : string;
   t_version : string;
   t_warps : int;
   t_points : int;
-  t_synth : bool option;  (** [--synth-exchange] override *)
+  t_synth : bool option;
+  t_overlap : bool;
   t_partition : string;
-      (** ["hand"] (default) or ["auto"]: auto resolves the warp
-          partition through {!Partition_search} (model-only for
-          compile/run/predict; a [tune] request confirms by simulation
-          and reports the search outcome in a ["partition"] object) *)
+  t_sms : int option;
+  t_skew : float option;
 }
+(** {!Target.t}, re-exported with its fields for the benchmark driver
+    alone. *)
 
 type payload =
   | Compile_req of target
@@ -94,18 +95,20 @@ type request = {
 }
 
 val default_target : target
-(** dme viscosity on kepler, ws, 8 warps, 8192 points — the fields a
-    request may omit. *)
+(** {!Target.default}, under the name the benchmark driver uses. *)
 
 val request_to_json : request -> string
-(** Canonical one-line encoding (optional fields omitted when [None]).
+(** Canonical one-line encoding (optional fields omitted when [None],
+    the target's as {!Target.to_json} omits them).
     [parse_request (request_to_json r)] returns [Ok r] — the qcheck
     round-trip property of the wire protocol. *)
 
 val parse_request : string -> (request, string) result
 (** Parse and validate one request line: well-formed JSON, a known
-    ["kind"], correctly typed fields, positive integer budgets. The
-    error string is the [bad-request] response's message. *)
+    ["kind"], no member the kind does not take, the target by
+    {!Target.of_json}, positive integer budgets. The error string is the
+    [bad-request] response's message; a bad name answers [bad-request]
+    when the request runs ({!Target.resolve}). *)
 
 (** {1 The serving state} *)
 

@@ -23,14 +23,8 @@ let kernel_of_string =
   lookup "kernel" Kernel_abi.kernel_of_string
     (List.map Kernel_abi.kernel_name Kernel_abi.all_kernels)
 
-let archs =
-  [ ("fermi", Gpusim.Arch.fermi_c2070); ("kepler", Gpusim.Arch.kepler_k20c) ]
-
 let arch_of_string =
-  lookup "architecture" Gpusim.Arch.by_name (List.map fst archs)
-
-let arch_name (arch : Gpusim.Arch.t) =
-  fst (List.find (fun (_, (a : Gpusim.Arch.t)) -> a.name = arch.name) archs)
+  lookup "architecture" Gpusim.Arch.by_name [ "fermi"; "kepler" ]
 
 let version_of_string =
   lookup "version" Compile.version_of_string
@@ -46,24 +40,162 @@ let partition_of_string =
     (fun s -> List.assoc_opt s partition_modes)
     (List.map fst partition_modes)
 
-let partition_mode_name m =
-  fst (List.find (fun (_, m') -> m' = m) partition_modes)
-
-let default_mech = "dme"
-let default_kernel = Kernel_abi.Viscosity
-let default_arch = Gpusim.Arch.kepler_k20c
-let default_version = Compile.Warp_specialized
-let default_warps = (Compile.default_options default_arch).Compile.n_warps
-
 (* §4.2: a CTA may hold 16 / (CTAs per SM) of the 16 hardware named
    barriers. Chemistry's long phases want every barrier, at one resident
    CTA by default; the other kernels keep 8, at two. *)
-let options ?(n_warps = default_warps) ?ctas_per_sm arch kernel =
+let options ?n_warps ?ctas_per_sm arch kernel =
   let chem = kernel = Kernel_abi.Chemistry in
   let ctas_per_sm = Option.value ctas_per_sm ~default:(if chem then 1 else 2) in
+  let d = Compile.default_options arch in
   {
-    (Compile.default_options arch) with
-    Compile.n_warps;
+    d with
+    Compile.n_warps = Option.value n_warps ~default:d.Compile.n_warps;
     max_barriers = (if chem then 16 / ctas_per_sm else 8);
     ctas_per_sm_target = ctas_per_sm;
   }
+
+(* The bounds the CLI's flag converters and [of_json] share. *)
+let at_least min n =
+  if n >= min then Ok n
+  else Error (Printf.sprintf "must be >= %d, got %d" min n)
+
+let skew_in_range s =
+  if Float.abs s < 2.0 then Ok s
+  else Error (Printf.sprintf "must satisfy |S| < 2, got %g" s)
+
+type t = {
+  t_mech : string;
+  t_kernel : string;
+  t_arch : string;
+  t_version : string;
+  t_warps : int;
+  t_points : int;
+  t_synth : bool option;
+  t_overlap : bool;
+  t_partition : string;
+  t_sms : int option;
+  t_skew : float option;
+}
+
+let default =
+  {
+    t_mech = "dme";
+    t_kernel = "viscosity";
+    t_arch = "kepler";
+    t_version = "ws";
+    t_warps = 8;
+    t_points = 8192;
+    t_synth = None;
+    t_overlap = true;
+    t_partition = "hand";
+    t_sms = None;
+    t_skew = None;
+  }
+
+module J = Sutil.Json
+
+(* One row per JSON member, in wire order. An [always] member is always
+   written; any other only when it differs from [default], so a request
+   that leaves the later members alone encodes as it did before they
+   existed. *)
+type field = {
+  key : string;
+  always : bool;
+  get : t -> J.t option;
+  decode : J.t -> t -> (t, string) result;
+}
+
+let field ?(always = false) ?check ~what conv key set get =
+  let decode doc t =
+    Result.map
+      (Option.fold ~none:t ~some:(set t))
+      (J.field ?check ~what conv key doc)
+  in
+  { key; always; get; decode }
+
+let str key set get =
+  field ~always:true ~what:"a string" J.str key set (fun t ->
+      Some (J.Str (get t)))
+
+let count ?(always = true) key set get =
+  field ~always ~check:(at_least 1) ~what:"a positive integer" J.int key set
+    (fun t -> Option.map J.of_int (get t))
+
+let fields =
+  [
+    str "mech" (fun t v -> { t with t_mech = v }) (fun t -> t.t_mech);
+    str "kernel" (fun t v -> { t with t_kernel = v }) (fun t -> t.t_kernel);
+    str "arch" (fun t v -> { t with t_arch = v }) (fun t -> t.t_arch);
+    str "version" (fun t v -> { t with t_version = v }) (fun t -> t.t_version);
+    count "warps" (fun t v -> { t with t_warps = v }) (fun t -> Some t.t_warps);
+    count "points" (fun t v -> { t with t_points = v }) (fun t -> Some t.t_points);
+    field ~what:"a boolean" J.bool "synth_exchange"
+      (fun t v -> { t with t_synth = Some v })
+      (fun t -> Option.map (fun b -> J.Bool b) t.t_synth);
+    field ~what:"a string" J.str "partition"
+      (fun t v -> { t with t_partition = v })
+      (fun t -> Some (J.Str t.t_partition));
+    field ~what:"a boolean" J.bool "stencil_overlap"
+      (fun t v -> { t with t_overlap = v })
+      (fun t -> Some (J.Bool t.t_overlap));
+    count ~always:false "sms"
+      (fun t v -> { t with t_sms = Some v })
+      (fun t -> t.t_sms);
+    field ~check:skew_in_range ~what:"a number" J.num "skew"
+      (fun t v -> { t with t_skew = Some v })
+      (fun t -> Option.map (fun s -> J.Num s) t.t_skew);
+  ]
+
+let keys = List.map (fun f -> f.key) fields
+
+let of_json doc =
+  List.fold_left
+    (fun acc f -> Result.bind acc (f.decode doc))
+    (Ok default) fields
+
+let to_json t =
+  List.filter_map
+    (fun f ->
+      match f.get t with
+      | Some v when f.always || f.get t <> f.get default -> Some (f.key, v)
+      | _ -> None)
+    fields
+
+type resolved = {
+  mech : Chem.Mechanism.t;
+  kernel : Kernel_abi.kernel;
+  arch : Gpusim.Arch.t;
+  version : Compile.version;
+  options : Compile.options;
+  partition : partition_mode;
+  points : int;
+  sms : int option;
+  skew : float option;
+}
+
+let resolve ?mech t =
+  let ( let* ) = Result.bind in
+  let* mech =
+    match mech with Some m -> Ok m | None -> mech_of_string t.t_mech
+  in
+  let* kernel = kernel_of_string t.t_kernel in
+  let* arch = arch_of_string t.t_arch in
+  let* version = version_of_string t.t_version in
+  let* partition = partition_of_string t.t_partition in
+  Ok
+    {
+      mech;
+      kernel;
+      arch;
+      version;
+      options =
+        {
+          (options ~n_warps:t.t_warps arch kernel) with
+          Compile.synth_exchange = t.t_synth;
+          stencil_overlap = t.t_overlap;
+        };
+      partition;
+      points = t.t_points;
+      sms = t.t_sms;
+      skew = t.t_skew;
+    }

@@ -255,8 +255,8 @@ let escape s =
   Buffer.contents buf
 
 (* Integral floats print as integers so protocol counters round-trip
-   textually; everything else uses OCaml's shortest round-trip float
-   format (%.17g would be exact but noisy; %h is not JSON). *)
+   textually; everything else prints with %.17g, which is not the
+   shortest form but reads back as the same double (%h is not JSON). *)
 let num_to_string v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
@@ -300,3 +300,17 @@ let to_string_brief = function
   | Str _ -> "string"
   | List _ -> "array"
   | Obj _ -> "object"
+
+let field ?(check = Result.ok) ~what conv key doc =
+  match member key doc with
+  | None -> Ok None
+  | Some v -> (
+      match conv v with
+      | None ->
+          Error
+            (Printf.sprintf "field %S must be %s, got %s" key what
+               (to_string_brief v))
+      | Some x -> (
+          match check x with
+          | Ok x -> Ok (Some x)
+          | Error m -> Error (Printf.sprintf "field %S %s" key m)))

@@ -48,6 +48,18 @@ val int : t -> int option
 val bool : t -> bool option
 val list : t -> t list option
 
+val field :
+  ?check:('a -> ('a, string) result) ->
+  what:string ->
+  (t -> 'a option) ->
+  string ->
+  t ->
+  ('a option, string) result
+(** [field ~what conv key doc] decodes the optional member [key]
+    strictly: absent is [Ok None]; a value [conv] refuses, or one [check]
+    answers [Error m] for, is an error naming the field
+    ([field "key" must be <what>, got <shape>] / [field "key" <m>]). *)
+
 val to_string_brief : t -> string
 (** One-line description of a value's shape for error messages
     (["string"], ["number"], ["object"], ...). *)

@@ -333,6 +333,28 @@ let test_striped_param_temps_accounted () =
     (Float.is_finite pred.Singe.Perf_model.cycles
     && pred.Singe.Perf_model.cycles > 0.0)
 
+(* Regression: [tune --partition auto] listed hydrogen viscosity's 24
+   rejected candidates under 12 labels, because a label named the spec
+   but not the pipeline depth [candidate_options] crosses it with. *)
+let test_rejection_labels_distinct () =
+  match
+    Singe.Partition_search.search ~simulate:false (Lazy.force hydrogen)
+      Singe.Kernel_abi.Viscosity Singe.Compile.Warp_specialized
+      ~base:(base_options Singe.Kernel_abi.Viscosity) ()
+  with
+  | Error d -> Alcotest.fail (Singe.Diagnostics.to_string d)
+  | Ok o ->
+      let labels =
+        List.map
+          (fun (r : Singe.Partition_search.rejection) ->
+            Format.asprintf "%a" Singe.Partition_search.pp_candidate
+              r.rej_options)
+          o.Singe.Partition_search.rejections
+      in
+      Alcotest.(check int) "rejections" 24 (List.length labels);
+      Alcotest.(check int) "distinct labels" 24
+        (List.length (List.sort_uniq compare labels))
+
 let tests =
   [
     Alcotest.test_case "degenerate warp count diagnosed" `Quick
@@ -353,4 +375,6 @@ let tests =
       test_derived_live_slack_tracks_budget;
     Alcotest.test_case "striped param temps accounted" `Quick
       test_striped_param_temps_accounted;
+    Alcotest.test_case "rejection labels distinct" `Quick
+      test_rejection_labels_distinct;
   ]

@@ -48,27 +48,39 @@ let request_roundtrip_qcheck =
         Gen.string_size ~gen:Gen.printable (Gen.int_bound 12);
       ]
   in
+  (* Every target member, at any in-bounds value: the skew is any float
+     with |S| < 2, which %.17g prints exactly. *)
   let target_gen =
-    Gen.map
-      (fun ((((mech, kernel), (arch, version)), (warps, points, synth)),
-            partition) ->
-        {
-          Serve.t_mech = mech;
-          t_kernel = kernel;
-          t_arch = arch;
-          t_version = version;
-          t_warps = warps;
-          t_points = points;
-          t_synth = synth;
-          t_partition = partition;
-        })
-      Gen.(
-        pair
-          (pair
-             (pair (pair str_gen str_gen) (pair str_gen str_gen))
-             (triple (int_range 1 1024) (int_range 1 1_000_000)
-                (opt Gen.bool)))
-          (oneofl [ "hand"; "auto" ]))
+    let open Gen in
+    let+ t_mech = str_gen
+    and+ t_kernel = str_gen
+    and+ t_arch = str_gen
+    and+ t_version = str_gen
+    and+ t_warps = int_range 1 1024
+    and+ t_points = int_range 1 1_000_000
+    and+ t_synth = opt bool
+    and+ t_overlap = bool
+    and+ t_partition = oneof [ oneofl [ "hand"; "auto" ]; str_gen ]
+    and+ t_sms = opt (int_range 1 1024)
+    and+ t_skew =
+      opt
+        (map2
+           (fun neg s -> if neg then -.s else s)
+           bool (float_bound_exclusive 2.0))
+    in
+    {
+      Singe.Target.t_mech;
+      t_kernel;
+      t_arch;
+      t_version;
+      t_warps;
+      t_points;
+      t_synth;
+      t_overlap;
+      t_partition;
+      t_sms;
+      t_skew;
+    }
   in
   let payload_gen =
     Gen.oneof
@@ -497,6 +509,129 @@ let test_memo_reverification () =
         "recompiled artifact verifies" true
         (r.Singe.Compile.max_rel_err < 1e-9))
 
+(* ---- the target members CLI and serve share ---- *)
+
+let stats_int st path =
+  let resp, _ = handle st {|{"kind":"stats"}|} in
+  let v =
+    List.fold_left
+      (fun v key -> Option.bind v (J.member key))
+      (Some (parse_doc resp)) path
+  in
+  Option.bind v J.int
+
+(* The digest an idempotent retry is checked against covers the new
+   members: an id reused with another sms is a different request, and a
+   tune differing only in skew is not answered from the tune cache. *)
+let test_cache_keys_cover_target () =
+  let st = Serve.create () in
+  let line = {|{"id":"k1","kind":"predict","mech":"hydrogen","points":2048,"warps":4}|} in
+  let first, _ = handle st line in
+  Alcotest.(check (option string)) "first answer" (Some "ok")
+    (sfield first "status");
+  let resp, _ =
+    handle st
+      {|{"id":"k1","kind":"predict","mech":"hydrogen","points":2048,"warps":4,"sms":2}|}
+  in
+  check_class resp "bad-request";
+  let st = Serve.create ~config:tight_config () in
+  let tune skew =
+    ignore
+      (handle st
+         (Printf.sprintf
+            {|{"kind":"tune","mech":"hydrogen","points":2048,"top_k":2,"deadline_ms":1%s}|}
+            skew))
+  in
+  tune "";
+  tune "";
+  Alcotest.(check (option int)) "a repeat hits" (Some 1)
+    (stats_int st [ "tune_cache"; "hits" ]);
+  tune {|,"skew":0.5|};
+  Alcotest.(check (option int)) "another skew misses" (Some 1)
+    (stats_int st [ "tune_cache"; "hits" ]);
+  Alcotest.(check (option int)) "and is cached apart" (Some 2)
+    (stats_int st [ "tune_cache"; "size" ])
+
+(* Run the CLI and reduce its stderr to the message: cmdliner's usage
+   lines, its line wrapping, and the "singe: " and "option '--x': --x "
+   prefixes go. *)
+let cli_rejection args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/singe_cli.exe"
+  in
+  let out, inp, err =
+    Unix.open_process_args_full exe
+      (Array.of_list (exe :: args))
+      (Unix.environment ())
+  in
+  close_out inp;
+  let stderr = In_channel.input_all err in
+  ignore (In_channel.input_all out);
+  let code =
+    match Unix.close_process_full (out, inp, err) with
+    | Unix.WEXITED c -> c
+    | _ -> -1
+  in
+  let rec message = function
+    | l :: _ when String.starts_with ~prefix:"Usage:" l -> []
+    | l :: rest -> l :: message rest
+    | [] -> []
+  in
+  let words =
+    String.split_on_char '\n' stderr
+    |> message |> String.concat " " |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+  in
+  let words =
+    match words with
+    | "singe:" :: "option" :: _quoted :: flag :: rest
+      when String.starts_with ~prefix:"--" flag ->
+        rest
+    | "singe:" :: "option" :: _quoted :: rest -> rest
+    | "singe:" :: rest -> rest
+    | rest -> rest
+  in
+  (code, String.concat " " words)
+
+(* Serve's answer to the same target: exit analog and message, minus its
+   [field "x"] prefix. *)
+let serve_rejection st members =
+  let resp, _ = handle st (Printf.sprintf {|{"kind":"run",%s}|} members) in
+  let doc = parse_doc resp in
+  let msg = Option.value ~default:"" (sfield resp "message") in
+  let msg =
+    match String.split_on_char ' ' msg with
+    | "field" :: _key :: rest -> String.concat " " rest
+    | _ -> msg
+  in
+  (Option.value ~default:0 (Option.bind (J.member "exit_analog" doc) J.int), msg)
+
+let test_cli_serve_parity () =
+  let st = Serve.create () in
+  let h args = "--mech" :: "hydrogen" :: args in
+  let hj members = {|"mech":"hydrogen",|} ^ members in
+  List.iter
+    (fun (what, cli, serve) ->
+      let code, cli_msg = cli_rejection ("run" :: cli) in
+      let analog, serve_msg = serve_rejection st serve in
+      Alcotest.(check string) (what ^ ": message") cli_msg serve_msg;
+      Alcotest.(check int) (what ^ ": exit code") code analog)
+    [
+      ("mech", [ "--mech"; "nope" ], {|"mech":"nope"|});
+      ("kernel", h [ "--kernel"; "nope" ], hj {|"kernel":"nope"|});
+      ("arch", h [ "--arch"; "nope" ], hj {|"arch":"nope"|});
+      ("version", h [ "--version"; "nope" ], hj {|"version":"nope"|});
+      ("partition", h [ "--partition"; "nope" ], hj {|"partition":"nope"|});
+      ("warps 1", h [ "--warps"; "1" ], hj {|"warps":1|});
+      ("warps 64", h [ "--warps"; "64" ], hj {|"warps":64|});
+      ( "baseline points",
+        h [ "--version"; "baseline"; "--points"; "1000" ],
+        hj {|"version":"baseline","points":1000|} );
+      ("sms 0", h [ "--sms"; "0" ], hj {|"sms":0|});
+      ("skew 2.5", h [ "--skew"; "2.5" ], hj {|"skew":2.5|});
+    ]
+
 let tests =
   [
     request_roundtrip_qcheck;
@@ -529,4 +664,8 @@ let tests =
     Alcotest.test_case "compile memo LRU bound" `Quick test_memo_lru_bound;
     Alcotest.test_case "compile memo re-verification" `Quick
       test_memo_reverification;
+    Alcotest.test_case "cache keys cover the target" `Quick
+      test_cache_keys_cover_target;
+    Alcotest.test_case "CLI and serve reject alike" `Quick
+      test_cli_serve_parity;
   ]

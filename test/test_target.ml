@@ -16,7 +16,7 @@ let test_options_rule () =
       List.iter
         (fun kernel ->
           let what =
-            Printf.sprintf "%s/%s" (T.arch_name arch)
+            Printf.sprintf "%s/%s" arch.Gpusim.Arch.name
               (Singe.Kernel_abi.kernel_name kernel)
           in
           let chem = kernel = Singe.Kernel_abi.Chemistry in
@@ -74,10 +74,11 @@ let test_name_tables () =
   ok_name (fun m -> m.Chem.Mechanism.name) (T.mech_of_string "HYDROGEN")
     "hydrogen";
   ok_name Singe.Kernel_abi.kernel_name (T.kernel_of_string "edge3") "edge3";
-  ok_name T.arch_name (T.arch_of_string "k20c") "kepler";
-  ok_name T.arch_name (T.arch_of_string "fermi") "fermi";
+  let arch_name (a : Gpusim.Arch.t) = a.name in
+  ok_name arch_name (T.arch_of_string "k20c") Gpusim.Arch.kepler_k20c.name;
+  ok_name arch_name (T.arch_of_string "fermi") Gpusim.Arch.fermi_c2070.name;
   ok_name Singe.Compile.version_name (T.version_of_string "base") "baseline";
-  ok_name T.partition_mode_name (T.partition_of_string "auto") "auto";
+  Alcotest.(check bool) "auto" true (T.partition_of_string "auto" = Ok T.Auto);
   List.iter
     (fun (got, expect) -> Alcotest.check error expect (Error expect) got)
     [
@@ -95,23 +96,39 @@ let test_name_tables () =
         {|unknown partition mode "nope" (expected hand or auto)|} );
     ]
 
-(* Serve's wire defaults name the same target the CLI flags default to. *)
-let test_serve_defaults () =
-  let t = Singe.Serve.default_target in
-  Alcotest.(check string) "mech" T.default_mech t.Singe.Serve.t_mech;
-  Alcotest.(check bool) "kernel" true
-    (T.kernel_of_string t.Singe.Serve.t_kernel = Ok T.default_kernel);
-  Alcotest.(check bool) "arch" true
-    (T.arch_of_string t.Singe.Serve.t_arch = Ok T.default_arch);
-  Alcotest.(check bool) "version" true
-    (T.version_of_string t.Singe.Serve.t_version = Ok T.default_version);
-  Alcotest.(check int) "warps" T.default_warps t.Singe.Serve.t_warps;
-  Alcotest.(check bool) "partition" true
-    (T.partition_of_string t.Singe.Serve.t_partition = Ok T.Hand)
+(* The default target names the same target the CLI flags default to,
+   with 8192 points where the CLI's --points says 32768. *)
+let test_default () =
+  Alcotest.(check bool) "default" true
+    (T.default
+    = {
+        T.t_mech = "dme";
+        t_kernel = "viscosity";
+        t_arch = "kepler";
+        t_version = "ws";
+        t_warps = 8;
+        t_points = 8192;
+        t_synth = None;
+        t_overlap = true;
+        t_partition = "hand";
+        t_sms = None;
+        t_skew = None;
+      });
+  match T.resolve T.default with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+      let kepler = Gpusim.Arch.kepler_k20c and kernel = Singe.Kernel_abi.Viscosity in
+      Alcotest.(check string) "mech" "dme" r.mech.Chem.Mechanism.name;
+      Alcotest.(check bool) "kernel" true (r.kernel = kernel);
+      Alcotest.(check string) "arch" kepler.name r.arch.name;
+      Alcotest.(check bool) "version" true
+        (r.version = Singe.Compile.Warp_specialized);
+      Alcotest.(check bool) "partition" true (r.partition = T.Hand);
+      Alcotest.(check bool) "options" true (r.options = T.options kepler kernel)
 
 let tests =
   [
     Alcotest.test_case "per-kernel options rule" `Quick test_options_rule;
     Alcotest.test_case "name tables and messages" `Quick test_name_tables;
-    Alcotest.test_case "serve defaults" `Quick test_serve_defaults;
+    Alcotest.test_case "serve defaults" `Quick test_default;
   ]
