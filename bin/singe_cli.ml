@@ -24,27 +24,37 @@ let exit_simulation_fault = 3
 (* A compile target is one Singe.Target.t, which every command resolves
    with Singe.Target.resolve as serve does. Each target flag sets one
    field of it and parses through Target's name tables and bounds, so a
-   bad value reads the same here as in serve's bad-request message. *)
+   bad value reads the same here as in serve's bad-request message. A
+   name is looked up here, at parse, as well as by [resolve], so that
+   cmdliner reports it as the [option '--x'] usage error (exit 124). *)
 let name_conv of_string =
   let parse s =
     match of_string s with Ok _ -> Ok s | Error m -> Error (`Msg m)
   in
   Arg.conv (parse, Format.pp_print_string)
 
-(* Every count flag is an integer with a lower bound, rejected at parse
-   as serve rejects an out-of-range count: 1 for warps, points, SMs,
-   top-k, the cycle budget and serve's bounds; 0 for the profiler's
-   counts, where 0 disables. *)
-let count_conv ?(min = 1) flag =
+(* A number flag checked by one of Target's bounds, rejected at parse as
+   serve rejects the same member. *)
+let bounded_conv of_string what print check flag =
   let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n ->
+    match of_string s with
+    | Some v ->
         Result.map_error
           (fun m -> `Msg (Printf.sprintf "--%s %s" flag m))
-          (Singe.Target.at_least min n)
-    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+          (check v)
+    | None -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, print)
+
+(* Count flags: --sms takes Target's SM range; every other count has
+   only a lower bound, 1 for warps, points, top-k, the cycle budget and
+   serve's bounds, 0 for the profiler's counts, where 0 disables. *)
+let int_conv =
+  bounded_conv
+    (fun s -> int_of_string_opt (String.trim s))
+    "an integer" Format.pp_print_int
+
+let count_conv ?(min = 1) flag = int_conv (Singe.Target.at_least min) flag
 
 let dflt = Singe.Target.default
 
@@ -140,7 +150,8 @@ let partition_flag =
    commands. *)
 let sms_flag =
   target_flag
-    Arg.(value & opt (some (count_conv "sms")) None & info [ "sms" ] ~docv:"N"
+    Arg.(value & opt (some (int_conv Singe.Target.sms_in_range "sms")) None
+         & info [ "sms" ] ~docv:"N"
          ~doc:"Dispatch the launch over N SMs (default: the architecture's \
                SM count). With 1 the CTAs run as back-to-back rounds on a \
                single SM; with more, the chip scheduler models tail waves \
@@ -149,15 +160,9 @@ let sms_flag =
 
 let skew_flag =
   let skew_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v ->
-          Result.map_error
-            (fun m -> `Msg ("--skew " ^ m))
-            (Singe.Target.skew_in_range v)
-      | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
-    in
-    Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+    bounded_conv float_of_string_opt "a number"
+      (fun ppf v -> Format.fprintf ppf "%g" v)
+      Singe.Target.skew_in_range "skew"
   in
   target_flag
     Arg.(value & opt (some skew_conv) None & info [ "skew" ] ~docv:"S"
@@ -212,14 +217,9 @@ let target_term flags =
         (fun acc flag -> const (fun t set -> set t) $ acc $ flag)
         (const base $ mech) flags)
 
-(* The converters above already checked every name, so this cannot fail
-   on user input; it reports a failure as the usage error it would be. *)
-let resolve (files, t) =
-  match Singe.Target.resolve ?mech:files t with
-  | Ok r -> r
-  | Error msg ->
-      Printf.eprintf "singe: %s\n" msg;
-      exit Cmd.Exit.cli_error
+(* The converters above already checked every name, so this cannot
+   fail. *)
+let resolve (files, t) = Result.get_ok (Singe.Target.resolve ?mech:files t)
 
 (* Domain budget for the parallel sweep commands (tune, figures). The
    term's value is the side effect: it installs the override before the
@@ -283,13 +283,16 @@ let dump_ir_term =
        ~doc:"Dump the intermediate artifact after PASS: dfg, mapping, \
              schedule or lower.")
 
-(* Typed pipeline entry, shared with serve: the launch checked at the
-   target's points ([launch]), --partition auto resolved model-only (its
-   pick printed), then the compile. Every user-reachable failure raises
-   the diagnostic [catch_occupancy] prints as one line. *)
-let compile_or_die ?launch ~validate (r : Singe.Target.resolved) =
+(* Typed pipeline entry, shared with serve: the target resolved, its
+   launch checked at its points ([launch], default true), --partition
+   auto resolved model-only (its pick printed), then the compile. Every
+   user-reachable failure raises the diagnostic [catch_occupancy] prints
+   as one line. *)
+let compile_or_die ?(launch = true) ~validate ((_, t) as target) =
+  let r = resolve target in
   let get = function Ok v -> v | Error d -> raise (Singe.Diagnostics.Fail d) in
-  let options = get (Singe.Partition_search.resolve_target ?launch r) in
+  let points = if launch then Some t.Singe.Target.t_points else None in
+  let options = get (Singe.Partition_search.resolve_target ?points r) in
   (if r.partition = Singe.Target.Auto then
      match options.Singe.Compile.partition with
      | Singe.Compile.Partition_auto _ ->
@@ -298,7 +301,10 @@ let compile_or_die ?launch ~validate (r : Singe.Target.resolved) =
      | Singe.Compile.Partition_hand ->
          print_endline
            "partition auto: hand mapping retained (no candidate beat it)");
-  get (Singe.Compile.compile_checked ~validate r.mech r.kernel r.version options)
+  let compiled =
+    Singe.Compile.compile_checked ~validate r.mech r.kernel r.version options
+  in
+  (r, get compiled)
 
 (* An occupancy rejection is a configuration error like any other compile
    rejection: render it as a diagnostic line and use the same exit code,
@@ -374,9 +380,8 @@ let compile_cmd =
                   ~doc:"Write the kernel as CUDA C source to FILE ('-' for stdout).") in
   let run target dump asm cuda timings validate dump_ir_stage =
     catch_occupancy @@ fun () ->
-    let r = resolve target in
+    let r, (c, report) = compile_or_die ~launch:false ~validate target in
     let arch = r.arch in
-    let c, report = compile_or_die ~launch:false ~validate r in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Printf.printf
       "%s: %d instrs, %d double regs/thread (%d of them constant bank), %d \
@@ -424,17 +429,16 @@ let compile_cmd =
           $ dump $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
 
 let run_cmd =
-  let run target timings validate faults max_cycles =
+  let run ((_, t) as target) timings validate faults max_cycles =
     catch_occupancy @@ fun () ->
-    let tgt = resolve target in
-    let c, report = compile_or_die ~validate tgt in
+    let tgt, (c, report) = compile_or_die ~validate target in
     let r =
       (* A contained simulation fault (injected or real) and a fault spec
          that matches nothing in the trace each get their own exit code,
          distinct from a compile-pipeline rejection. *)
       match
-        Singe.Compile.run c ~total_points:tgt.points ~faults ?max_cycles
-          ?n_sms:tgt.sms ?skew:tgt.skew
+        Singe.Compile.run c ~total_points:t.t_points ~faults ?max_cycles
+          ?n_sms:t.t_sms ?skew:t.t_skew
       with
       | r -> r
       | exception Gpusim.Sm.Simulation_fault report ->
@@ -504,15 +508,14 @@ let profile_cmd =
                warps), Chrome-trace JSON well-formedness and timestamp \
                monotonicity. Exit nonzero on any failure.")
   in
-  let run target chrome top timeline check_it faults max_cycles =
+  let run ((_, t) as target) chrome top timeline check_it faults max_cycles =
     catch_occupancy @@ fun () ->
-    let tgt = resolve target in
-    let c, _ = compile_or_die ~validate:false tgt in
+    let _, (c, _) = compile_or_die ~validate:false target in
     let profile = { Gpusim.Sm.timeline_capacity = timeline } in
     let r =
       match
-        Singe.Compile.run c ~check:false ~total_points:tgt.points ~faults
-          ?max_cycles ~profile ?n_sms:tgt.sms ?skew:tgt.skew
+        Singe.Compile.run c ~check:false ~total_points:t.t_points ~faults
+          ?max_cycles ~profile ?n_sms:t.t_sms ?skew:t.t_skew
       with
       | r -> r
       | exception Gpusim.Sm.Simulation_fault report ->
@@ -638,8 +641,8 @@ let predict_cmd =
   let run (files, t) kernel_opt version_opt json check_it =
     catch_occupancy @@ fun () ->
     let base = resolve (files, t) in
-    let mech = base.mech and arch = base.arch and points = base.points in
-    let warps = t.Singe.Target.t_warps in
+    let mech = base.mech and arch = base.arch in
+    let points = t.Singe.Target.t_points and warps = t.t_warps in
     let kernels =
       match kernel_opt with
       | Some k -> [ k ]
@@ -667,7 +670,8 @@ let predict_cmd =
                skip the row like any other, keeping predict's best-effort
                table semantics. *)
             match
-              Result.bind (Singe.Partition_search.resolve_target row)
+              Result.bind
+                (Singe.Partition_search.resolve_target ~points row)
                 (fun options ->
                   Singe.Compile.compile_checked ~validate:false mech kernel
                     version options)
@@ -678,13 +682,13 @@ let predict_cmd =
                   (Singe.Diagnostics.to_string d)
             | Ok (c, _) ->
                 let pred =
-                  Singe.Perf_model.predict ?n_sms:row.sms ?skew:row.skew c
+                  Singe.Perf_model.predict ?n_sms:t.t_sms ?skew:t.t_skew c
                     ~total_points:points
                 in
                 let r =
                   match
                     Singe.Compile.run c ~check:false ~total_points:points
-                      ?n_sms:row.sms ?skew:row.skew
+                      ?n_sms:t.t_sms ?skew:t.t_skew
                   with
                   | r -> r
                   | exception Gpusim.Sm.Simulation_fault report ->
@@ -827,17 +831,18 @@ let top_k_term =
                simulate.")
 
 let tune_cmd =
-  let run target max_cycles tune_mode top_k () =
+  let run ((_, t) as target) max_cycles tune_mode top_k () =
     catch_occupancy @@ fun () ->
     let r = resolve target in
+    let points = t.Singe.Target.t_points in
     match r.partition with
     | Singe.Target.Auto -> (
         (* Full three-phase partition search: model ranking, deadlock
            gate, then simulated confirmation through the autotuner with
            the hand mapping seeded into the grid. *)
         match
-          Singe.Partition_search.search ~points:r.points ~top_k ?max_cycles
-            ?n_sms:r.sms ?skew:r.skew r.mech r.kernel r.version
+          Singe.Partition_search.search ~points ~top_k ?max_cycles
+            ?n_sms:t.t_sms ?skew:t.t_skew r.mech r.kernel r.version
             ~base:r.options ()
         with
         | Ok o ->
@@ -856,8 +861,8 @@ let tune_cmd =
       | `Pruned -> Singe.Autotune.Pruned top_k
     in
     let o =
-      Singe.Autotune.tune ~points:r.points ?max_cycles ~mode ?n_sms:r.sms
-        ?skew:r.skew ?synth_exchange:r.options.Singe.Compile.synth_exchange
+      Singe.Autotune.tune ~points ?max_cycles ~mode ?n_sms:t.t_sms
+        ?skew:t.t_skew ?synth_exchange:r.options.Singe.Compile.synth_exchange
         ~stencil_overlap:r.options.Singe.Compile.stencil_overlap r.mech
         r.kernel r.version r.arch
     in
@@ -895,9 +900,8 @@ let tune_cmd =
 let stats_cmd =
   let run target =
     catch_occupancy @@ fun () ->
-    let r = resolve target in
+    let r, (c, _) = compile_or_die ~launch:false ~validate:false target in
     let arch = r.arch in
-    let c, _ = compile_or_die ~launch:false ~validate:false r in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
       Gpusim.Isa_stats.pp

@@ -283,13 +283,14 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
   | exception Diagnostics.Fail d -> Error d
   | exception e -> Error (diag_of_exn e)
 
-let resolve_target ?(launch = true) (r : Target.resolved) =
+let resolve_target ?points (r : Target.resolved) =
   let ( let* ) = Result.bind in
   let* () =
-    if launch then
-      Compile.check_launch r.kernel r.version
-        ~n_warps:r.options.Compile.n_warps ~total_points:r.points
-    else Ok ()
+    match points with
+    | Some total_points ->
+        Compile.check_launch r.kernel r.version
+          ~n_warps:r.options.Compile.n_warps ~total_points
+    | None -> Ok ()
   in
   match r.partition with
   | Target.Hand -> Ok r.options

@@ -92,9 +92,9 @@ val search :
     compile itself are returned as a diagnostic. *)
 
 val resolve_target :
-  ?launch:bool -> Target.resolved -> (Compile.options, Diagnostics.t) result
-(** The options the CLI and serve compile for a target: with [launch]
-    (default [true]) the launch is first checked at its points; then
+  ?points:int -> Target.resolved -> (Compile.options, Diagnostics.t) result
+(** The options the CLI and serve compile for a target: with [points]
+    the launch is first checked at that many points; then
     [r.options] for a hand partition, or the model-only {!search}'s
     winner for auto. *)
 

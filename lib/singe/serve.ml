@@ -383,9 +383,10 @@ let resolve_names t =
   | Ok r -> r
   | Error msg -> raise (Reply (Bad_request, msg))
 
-let resolve ?launch t =
+let resolve ?(launch = true) t =
   let r = resolve_names t in
-  match Partition_search.resolve_target ?launch r with
+  let points = if launch then Some t.t_points else None in
+  match Partition_search.resolve_target ?points r with
   | Ok options -> (r, options)
   | Error d -> raise (Diagnostics.Fail d)
 
@@ -498,11 +499,11 @@ let handle_predict st id t =
   let r, options = resolve t in
   let c = compile_target r options in
   let pred =
-    Perf_model.predict ?n_sms:r.sms ?skew:r.skew c ~total_points:r.points
+    Perf_model.predict ?n_sms:t.t_sms ?skew:t.t_skew c ~total_points:t.t_points
   in
   ok_response st id "predict"
     [
-      ("points", numi r.points);
+      ("points", numi t.t_points);
       ("model", model_json pred);
       ("partition", J.Str (Compile.partition_name options.Compile.partition));
     ]
@@ -522,8 +523,8 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
   let derived = budget_cycles st.cfg deadline_ms in
   let budget = match max_cycles with Some m -> min m derived | None -> derived in
   match
-    Compile.run c ~total_points:r.points ~faults ~max_cycles:budget
-      ?n_sms:r.sms ?skew:r.skew
+    Compile.run c ~total_points:t.t_points ~faults ~max_cycles:budget
+      ?n_sms:t.t_sms ?skew:t.t_skew
   with
   | res ->
       let m = res.Compile.machine in
@@ -548,7 +549,8 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
          the caveat instead of making the client wait out a hang. *)
       st.c.degraded <- st.c.degraded + 1;
       let pred =
-        Perf_model.predict ?n_sms:r.sms ?skew:r.skew c ~total_points:r.points
+        Perf_model.predict ?n_sms:t.t_sms ?skew:t.t_skew c
+          ~total_points:t.t_points
       in
       ok_response st id "run"
         [
@@ -578,13 +580,13 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
 (* Model-only tune: rank the compilable grid purely with Perf_model.
    This is both the degraded path (when every simulated candidate died
    inside the deadline budget) and deliberately cheap — no simulation. *)
-let model_only_tune (r : Target.resolved) =
+let model_only_tune t (r : Target.resolved) =
   let warp_candidates =
     Autotune.default_warp_candidates r.mech r.kernel r.version
   in
   let grid =
     Autotune.candidate_options ?synth_exchange:r.options.Compile.synth_exchange
-      ~stencil_overlap:r.options.Compile.stencil_overlap ~points:r.points
+      ~stencil_overlap:r.options.Compile.stencil_overlap ~points:t.t_points
       r.kernel r.version r.arch warp_candidates [ 1; 2 ]
   in
   let compile = Compile.compile_cached r.mech r.kernel r.version in
@@ -595,8 +597,8 @@ let model_only_tune (r : Target.resolved) =
         | c ->
             Some
               ( o,
-                Perf_model.predict ?n_sms:r.sms ?skew:r.skew c
-                  ~total_points:r.points )
+                Perf_model.predict ?n_sms:t.t_sms ?skew:t.t_skew c
+                  ~total_points:t.t_points )
         | exception _ -> None)
       grid
   in
@@ -648,9 +650,9 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                mode), degrading to the model-only ranking when the deadline
                budget kills every simulation. *)
             let searched ~simulate =
-              Partition_search.search ~points:r.points ~top_k
-                ~max_cycles:budget ~simulate ?n_sms:r.sms ?skew:r.skew r.mech
-                r.kernel r.version ~base:r.options ()
+              Partition_search.search ~points:t.t_points ~top_k
+                ~max_cycles:budget ~simulate ?n_sms:t.t_sms ?skew:t.t_skew
+                r.mech r.kernel r.version ~base:r.options ()
             in
             match searched ~simulate:true with
             | Ok o ->
@@ -680,8 +682,8 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                 | Error d -> raise (Diagnostics.Fail d)))
         | Target.Hand -> (
             match
-              Autotune.tune ~points:r.points ~max_cycles:budget
-                ~mode:(Autotune.Pruned top_k) ?n_sms:r.sms ?skew:r.skew
+              Autotune.tune ~points:t.t_points ~max_cycles:budget
+                ~mode:(Autotune.Pruned top_k) ?n_sms:t.t_sms ?skew:t.t_skew
                 ?synth_exchange:r.options.Compile.synth_exchange
                 ~stencil_overlap:r.options.Compile.stencil_overlap r.mech
                 r.kernel r.version r.arch
@@ -710,7 +712,7 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
             | exception Failure _ -> (
                 (* Every candidate died inside the deadline budget (or
                    nothing ran at all): degrade to a model-only ranking. *)
-                match model_only_tune r with
+                match model_only_tune t r with
                 | None ->
                     raise
                       (Reply

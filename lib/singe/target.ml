@@ -59,6 +59,11 @@ let at_least min n =
   if n >= min then Ok n
   else Error (Printf.sprintf "must be >= %d, got %d" min n)
 
+let sms_in_range n =
+  Result.bind (at_least 1 n) (fun n ->
+      if n <= 1024 then Ok n
+      else Error (Printf.sprintf "must be <= 1024, got %d" n))
+
 let skew_in_range s =
   if Float.abs s < 2.0 then Ok s
   else Error (Printf.sprintf "must satisfy |S| < 2, got %g" s)
@@ -94,51 +99,55 @@ let default =
 
 module J = Sutil.Json
 
-(* One row per JSON member, in wire order. An [always] member is always
-   written; any other only when it differs from [default], so a request
-   that leaves the later members alone encodes as it did before they
-   existed. *)
+(* One row per JSON member, in wire order. *)
 type field = {
   key : string;
-  always : bool;
   get : t -> J.t option;
   decode : J.t -> t -> (t, string) result;
 }
 
-let field ?(always = false) ?check ~what conv key set get =
+let field ?check ~what conv key set get =
   let decode doc t =
     Result.map
       (Option.fold ~none:t ~some:(set t))
       (J.field ?check ~what conv key doc)
   in
-  { key; always; get; decode }
+  { key; get; decode }
 
 let str key set get =
-  field ~always:true ~what:"a string" J.str key set (fun t ->
-      Some (J.Str (get t)))
+  field ~what:"a string" J.str key set (fun t -> Some (J.Str (get t)))
 
-let count ?(always = true) key set get =
-  field ~always ~check:(at_least 1) ~what:"a positive integer" J.int key set
-    (fun t -> Option.map J.of_int (get t))
+let count ?(check = at_least 1) key set get =
+  field ~check ~what:"a positive integer" J.int key set (fun t ->
+      Option.map J.of_int (get t))
 
-let fields =
+(* The members every request names, always written... *)
+let named =
   [
     str "mech" (fun t v -> { t with t_mech = v }) (fun t -> t.t_mech);
     str "kernel" (fun t v -> { t with t_kernel = v }) (fun t -> t.t_kernel);
     str "arch" (fun t v -> { t with t_arch = v }) (fun t -> t.t_arch);
     str "version" (fun t v -> { t with t_version = v }) (fun t -> t.t_version);
     count "warps" (fun t v -> { t with t_warps = v }) (fun t -> Some t.t_warps);
-    count "points" (fun t v -> { t with t_points = v }) (fun t -> Some t.t_points);
+    count "points"
+      (fun t v -> { t with t_points = v })
+      (fun t -> Some t.t_points);
+  ]
+
+(* ...and the ones written only when they differ from [default], so a
+   request that leaves them alone encodes as it did before they
+   existed. *)
+let overrides =
+  [
     field ~what:"a boolean" J.bool "synth_exchange"
       (fun t v -> { t with t_synth = Some v })
       (fun t -> Option.map (fun b -> J.Bool b) t.t_synth);
-    field ~what:"a string" J.str "partition"
-      (fun t v -> { t with t_partition = v })
-      (fun t -> Some (J.Str t.t_partition));
+    str "partition" (fun t v -> { t with t_partition = v }) (fun t ->
+        t.t_partition);
     field ~what:"a boolean" J.bool "stencil_overlap"
       (fun t v -> { t with t_overlap = v })
       (fun t -> Some (J.Bool t.t_overlap));
-    count ~always:false "sms"
+    count ~check:sms_in_range "sms"
       (fun t v -> { t with t_sms = Some v })
       (fun t -> t.t_sms);
     field ~check:skew_in_range ~what:"a number" J.num "skew"
@@ -146,6 +155,7 @@ let fields =
       (fun t -> Option.map (fun s -> J.Num s) t.t_skew);
   ]
 
+let fields = named @ overrides
 let keys = List.map (fun f -> f.key) fields
 
 let of_json doc =
@@ -154,12 +164,11 @@ let of_json doc =
     (Ok default) fields
 
 let to_json t =
-  List.filter_map
-    (fun f ->
-      match f.get t with
-      | Some v when f.always || f.get t <> f.get default -> Some (f.key, v)
-      | _ -> None)
-    fields
+  let member f = Option.map (fun v -> (f.key, v)) (f.get t) in
+  List.filter_map member named
+  @ List.filter_map
+      (fun f -> if f.get t = f.get default then None else member f)
+      overrides
 
 type resolved = {
   mech : Chem.Mechanism.t;
@@ -168,9 +177,6 @@ type resolved = {
   version : Compile.version;
   options : Compile.options;
   partition : partition_mode;
-  points : int;
-  sms : int option;
-  skew : float option;
 }
 
 let resolve ?mech t =
@@ -195,7 +201,4 @@ let resolve ?mech t =
           stencil_overlap = t.t_overlap;
         };
       partition;
-      points = t.t_points;
-      sms = t.t_sms;
-      skew = t.t_skew;
     }

@@ -1,11 +1,12 @@
 (** The one description of a compile target: the record {!t} that the
     CLI builds from its flags and serve decodes from a request
     ({!of_json}), and the {!resolve} both front ends turn it into a
-    compile-ready value with. The name tables, {!at_least} and
-    {!skew_in_range} reject bad input with one message each, so a CLI
-    argument error and serve's [bad-request] message are the same text.
-    {!options} is the paper's per-kernel launch contract (§4.2), shared
-    with the bench harness, the figures, the examples and the tests. *)
+    compile-ready value with. The name tables and the bounds
+    ({!at_least}, {!sms_in_range}, {!skew_in_range}) reject bad input
+    with one message each, so a CLI argument error and serve's
+    [bad-request] message are the same text. {!options} is the paper's
+    per-kernel launch contract (§4.2), shared with the bench harness, the
+    figures, the examples and the tests. *)
 
 val mech_of_string : string -> (Chem.Mechanism.t, string) result
 (** A bundled mechanism ({!Chem.Mech_gen.bundled}), case-insensitive.
@@ -37,6 +38,11 @@ val options :
 val at_least : int -> int -> (int, string) result
 (** [at_least min n] accepts [n >= min], else [must be >= min, got n]
     (the CLI prefixes [--flag], serve [field "key"]). *)
+
+val sms_in_range : int -> (int, string) result
+(** Accepts an SM count in [1, 1024], else [at_least]'s message or [must
+    be <= 1024, got n]: the chip scheduler and the model allocate per-SM
+    arrays, so no request may size them without limit. *)
 
 val skew_in_range : float -> (float, string) result
 (** Accepts a clock skew with [|S| < 2], else [must satisfy |S| < 2, got
@@ -84,10 +90,9 @@ type resolved = {
       (** {!options} with the warps, exchange and tiling fields, and the
           hand partition *)
   partition : partition_mode;
-  points : int;
-  sms : int option;
-  skew : float option;
 }
+(** The typed names of a target; its points and chip overrides are read
+    from the {!t} it came from. *)
 
 val resolve : ?mech:Chem.Mechanism.t -> t -> (resolved, string) result
 (** Look the names up in the order mechanism, kernel, architecture,

@@ -629,6 +629,9 @@ let test_cli_serve_parity () =
         h [ "--version"; "baseline"; "--points"; "1000" ],
         hj {|"version":"baseline","points":1000|} );
       ("sms 0", h [ "--sms"; "0" ], hj {|"sms":0|});
+      ( "sms 10^9",
+        h [ "--sms"; "1000000000" ],
+        hj {|"sms":1000000000|} );
       ("skew 2.5", h [ "--skew"; "2.5" ], hj {|"skew":2.5|});
     ]
 
