@@ -825,10 +825,16 @@ let tune_mode_term =
              predicted candidates.")
 
 let top_k_term =
-  Arg.(value & opt (count_conv "top-k") Singe.Autotune.default_prune_keep
+  Arg.(value & opt (some (count_conv "top-k")) None
        & info [ "top-k" ] ~docv:"K"
-         ~doc:"With --tune-mode pruned: how many model-ranked candidates to \
-               simulate.")
+         ~doc:
+           (Printf.sprintf
+              "How many model-ranked candidates to simulate: with \
+               --tune-mode pruned, the top $(docv) of the grid (default \
+               %d); with --partition auto, the top $(docv) searched \
+               partitions, which reach the safety gate (default %d)."
+              Singe.Autotune.default_prune_keep
+              Singe.Partition_search.default_top_k))
 
 let tune_cmd =
   let run ((_, t) as target) max_cycles tune_mode top_k () =
@@ -838,10 +844,10 @@ let tune_cmd =
     match r.partition with
     | Singe.Target.Auto -> (
         (* Full three-phase partition search: model ranking, deadlock
-           gate, then simulated confirmation through the autotuner with
-           the hand mapping seeded into the grid. *)
+           gate, then one simulation each of the hand mapping and the
+           gate's survivors. *)
         match
-          Singe.Partition_search.search ~points ~top_k ?max_cycles
+          Singe.Partition_search.search ~points ?top_k ?max_cycles
             ?n_sms:t.t_sms ?skew:t.t_skew r.mech r.kernel r.version
             ~base:r.options ()
         with
@@ -858,7 +864,9 @@ let tune_cmd =
     let mode =
       match tune_mode with
       | `Exhaustive -> Singe.Autotune.Exhaustive
-      | `Pruned -> Singe.Autotune.Pruned top_k
+      | `Pruned ->
+          Singe.Autotune.Pruned
+            (Option.value top_k ~default:Singe.Autotune.default_prune_keep)
     in
     let o =
       Singe.Autotune.tune ~points ?max_cycles ~mode ?n_sms:t.t_sms

@@ -595,7 +595,7 @@ let partition_search () =
      warp-specialized kernels on Kepler; SM cycles at 32^3 points";
   let arch = Gpusim.Arch.kepler_k20c in
   (* Fast mode stops at the analytic ranking; the full figure confirms
-     every winner by simulation through the autotuner. *)
+     every winner by simulation. *)
   let simulate = not (fast ()) in
   Printf.printf "  %-8s %-10s %12s %12s %7s %9s  %s\n" "mech" "kernel" "hand"
     "searched" "gain" "gate" "winner";
@@ -637,7 +637,7 @@ let partition_search () =
           Singe.Kernel_abi.Chemistry ])
     [ Chem.Mech_gen.dme (); Chem.Mech_gen.heptane () ];
   Printf.printf
-    "  (gate column: candidates scored / gate survivors / rejected; every \
+    "  (gate column: candidates scored / reached the gate / rejected; every \
      winner passed the static deadlock verifier%s)\n"
     (if simulate then " and was confirmed by simulation" else "");
   print_newline ()

@@ -106,91 +106,48 @@ let classify_exn = function
   | Invalid_argument msg -> ("invalid argument: " ^ msg, None)
   | e -> (Printexc.to_string e, None)
 
-let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
-    ?(max_cycles = 200_000_000) ?inject ?(mode = Exhaustive) ?n_sms ?skew
-    ?synth_exchange ?stencil_overlap ?grid mech kernel version arch =
-  let candidates =
-    match grid with
-    | Some g -> g
-    | None ->
-        let warp_candidates =
-          match warp_candidates with
-          | Some l -> l
-          | None -> default_warp_candidates mech kernel version
-        in
-        candidate_options ?synth_exchange ?stencil_overlap ~points kernel
-          version arch warp_candidates cta_targets
-  in
+type scored = {
+  s_index : int;
+  s_options : Compile.options;
+  s_compiled : Compile.t;
+  s_prediction : Perf_model.prediction;
+}
+
+(* Compile (through the caller's memo lookup) and predict every
+   candidate; a candidate that fails to compile or fit never reaches the
+   model. [List.stable_sort] over the index-ordered survivors breaks key
+   ties towards the lower index, so the order is total and independent of
+   [jobs]. *)
+let rank ?jobs ?n_sms ?skew ~points ~key compile candidates =
   let indexed = List.mapi (fun i o -> (i, o)) candidates in
-  (* Phase 1 — compile and score every candidate analytically. This runs
-     in both modes (it is cheap: {!Compile.compile_cached} plus
-     {!Perf_model.predict}, no simulation), so the outcome can always
-     report where the model ranked the measured winner. A candidate that
-     fails to compile or fit is a failure in either mode — the model
-     never sees it. *)
-  let compile = Compile.compile_cached mech kernel version in
-  let score (_idx, options) =
-    let compiled = compile options in
-    let predicted =
-      Perf_model.predict ?n_sms ?skew compiled ~total_points:points
+  let score (s_index, s_options) =
+    let s_compiled = compile s_options in
+    let s_prediction =
+      Perf_model.predict ?n_sms ?skew s_compiled ~total_points:points
     in
-    (compiled, predicted)
+    { s_index; s_options; s_compiled; s_prediction }
   in
   let scored = Sutil.Domain_pool.parallel_map_result ?jobs score indexed in
-  let compile_failures = ref [] in
-  let compiled_ok = ref [] in
-  List.iter2
-    (fun (idx, options) outcome ->
-      match outcome with
-      | Error e ->
-          let reason, fault = classify_exn e in
-          compile_failures :=
-            (idx, { failed_options = options; reason; fault })
-            :: !compile_failures
-      | Ok (compiled, predicted) ->
-          compiled_ok := (idx, options, compiled, predicted) :: !compiled_ok)
-    indexed scored;
-  (* Rank the compilable candidates by predicted throughput; ties break
-     towards the lower candidate index so the order is total and
-     deterministic. [rank_of] maps a candidate index to its 1-based model
-     rank. *)
-  let ranked =
-    List.sort
-      (fun (i1, _, _, (p1 : Perf_model.prediction)) (i2, _, _, p2) ->
-        match
-          compare p2.Perf_model.points_per_sec p1.Perf_model.points_per_sec
-        with
-        | 0 -> compare i1 i2
-        | c -> c)
-      !compiled_ok
+  let ok, failed =
+    List.partition_map
+      (fun ((i, o), r) ->
+        match r with Ok s -> Left s | Error e -> Right (i, o, e))
+      (List.combine indexed scored)
   in
-  let rank_of = Hashtbl.create 64 in
-  List.iteri
-    (fun r (idx, _, _, _) -> Hashtbl.replace rank_of idx (r + 1))
-    ranked;
-  let selected, candidates_pruned =
-    match mode with
-    | Exhaustive -> (ranked, 0)
-    | Pruned keep ->
-        let keep = max 1 keep in
-        let sel = List.filteri (fun r _ -> r < keep) ranked in
-        (sel, List.length ranked - List.length sel)
-  in
-  (* Simulate in candidate-index order: the fold below then reproduces the
-     serial sweep's [skipped]/[failures] bookkeeping and winner exactly,
-     no matter which worker evaluated what. *)
-  let selected =
-    List.sort (fun (i1, _, _, _) (i2, _, _, _) -> compare i1 i2) selected
-  in
-  (* Phase 2 — simulate the surviving candidates (all of them when
-     exhaustive, the model's top picks when pruned) with per-item failure
-     capture. A faulty candidate — one that deadlocks, exhausts the
-     [max_cycles] watchdog budget, or computes wrong results — is
-     recorded and skipped; the sweep completes on the survivors. *)
-  let eval (idx, options, compiled, predicted) =
-    let faults = match inject with None -> [] | Some f -> f idx in
+  ( List.stable_sort
+      (fun a b -> compare (key a.s_prediction) (key b.s_prediction))
+      ok,
+    failed )
+
+(* Simulate with per-item failure capture: a candidate that deadlocks,
+   exhausts the [max_cycles] watchdog budget, or computes wrong results
+   is an [Error], and the rest still run. *)
+let confirm ?jobs ?(max_cycles = 200_000_000) ?inject ?n_sms ?skew ~points
+    scored =
+  let eval s =
+    let faults = match inject with None -> [] | Some f -> f s.s_index in
     let result =
-      Compile.run compiled ~total_points:points ~faults ~max_cycles ?n_sms
+      Compile.run s.s_compiled ~total_points:points ~faults ~max_cycles ?n_sms
         ?skew
     in
     if result.Compile.max_rel_err > 1e-6 then
@@ -198,56 +155,95 @@ let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
         (Printf.sprintf
            "autotune: config warps=%d ctas=%d produced wrong results (rel \
             err %.2g)"
-           options.Compile.n_warps options.Compile.ctas_per_sm_target
+           s.s_options.Compile.n_warps s.s_options.Compile.ctas_per_sm_target
            result.Compile.max_rel_err);
-    let throughput = result.Compile.machine.Gpusim.Chip.points_per_sec in
-    { options; throughput; compiled; result; predicted }
+    {
+      options = s.s_options;
+      throughput = result.Compile.machine.Gpusim.Chip.points_per_sec;
+      compiled = s.s_compiled;
+      result;
+      predicted = s.s_prediction;
+    }
   in
-  let evaluated =
-    Sutil.Domain_pool.parallel_map_result ?jobs eval selected
+  let results =
+    List.combine scored
+      (Sutil.Domain_pool.parallel_map_result ?jobs eval scored)
   in
-  let tried = List.length candidates in
-  let sim_failures, best =
-    List.fold_left2
-      (fun (failures, best) (idx, options, _, _) outcome ->
-        match outcome with
-        | Error e ->
-            let reason, fault = classify_exn e in
-            ( (idx, { failed_options = options; reason; fault }) :: failures,
-              best )
-        | Ok cand -> (
-            match best with
-            (* Winner tie-break is pinned: on equal throughput the earlier
-               candidate index wins ([>=] keeps the incumbent and the fold
-               visits candidates in index order), so the reported best
-               cannot depend on [jobs] or worker scheduling. *)
-            | Some (_, b) when b.throughput >= cand.throughput ->
-                (failures, best)
-            | Some _ | None -> (failures, Some (idx, cand))))
-      ([], None) selected evaluated
+  (* Winner tie-break is pinned: on equal throughput the earlier entry
+     wins ([>=] keeps the incumbent), so the winner cannot depend on
+     [jobs] or worker scheduling. *)
+  let best =
+    List.fold_left
+      (fun best (s, r) ->
+        match (r, best) with
+        | Ok c, Some (_, b) when b.throughput >= c.throughput -> best
+        | Ok c, _ -> Some (s.s_index, c)
+        | Error _, _ -> best)
+      None results
+  in
+  (results, best)
+
+let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
+    ?max_cycles ?inject ?(mode = Exhaustive) ?n_sms ?skew ?synth_exchange
+    ?stencil_overlap mech kernel version arch =
+  let warp_candidates =
+    match warp_candidates with
+    | Some l -> l
+    | None -> default_warp_candidates mech kernel version
+  in
+  let candidates =
+    candidate_options ?synth_exchange ?stencil_overlap ~points kernel version
+      arch warp_candidates cta_targets
+  in
+  (* The whole grid is scored in both modes (no simulation), so the
+     outcome can always report where the model ranked the winner. *)
+  let ranked, compile_failures =
+    rank ?jobs ?n_sms ?skew ~points
+      ~key:(fun p -> -.p.Perf_model.points_per_sec)
+      (Compile.compile_cached mech kernel version)
+      candidates
+  in
+  let selected =
+    match mode with
+    | Exhaustive -> ranked
+    | Pruned keep -> List.filteri (fun r _ -> r < max 1 keep) ranked
+  in
+  (* Simulated in candidate-index order, so the winner's tie-break is the
+     serial sweep's. *)
+  let results, best =
+    confirm ?jobs ?max_cycles ?inject ?n_sms ?skew ~points
+      (List.sort (fun a b -> compare a.s_index b.s_index) selected)
+  in
+  let failure i failed_options e =
+    let reason, fault = classify_exn e in
+    (i, { failed_options; reason; fault })
   in
   let failures =
-    List.sort
-      (fun (i1, _) (i2, _) -> compare i1 i2)
-      (!compile_failures @ sim_failures)
+    List.map (fun (i, o, e) -> failure i o e) compile_failures
+    @ List.filter_map
+        (fun (s, r) ->
+          match r with
+          | Error e -> Some (failure s.s_index s.s_options e)
+          | Ok _ -> None)
+        results
+    |> List.sort (fun (i1, _) (i2, _) -> compare i1 i2)
+    |> List.map snd
   in
   let skipped = List.length failures in
-  let failures = List.map snd failures in
   match best with
   | Some (best_idx, best) ->
-      let model_rank_of_winner =
-        match Hashtbl.find_opt rank_of best_idx with
-        | Some r -> r
-        | None -> 0
-      in
       {
         best;
-        tried;
+        tried = List.length candidates;
         skipped;
         failures;
         mode;
-        candidates_pruned;
-        model_rank_of_winner;
+        candidates_pruned = List.length ranked - List.length selected;
+        (* the winner was confirmed, so it was ranked *)
+        model_rank_of_winner =
+          1
+          + Option.get
+              (List.find_index (fun s -> s.s_index = best_idx) ranked);
       }
   | None ->
       failwith

@@ -11,7 +11,16 @@
     {!Perf_model} makes a cheaper sweep possible: every candidate is
     scored analytically first (static prediction, no simulation), and in
     {!Pruned} mode only the model's top picks are actually simulated. The
-    exhaustive mode stays the default and the reference. *)
+    exhaustive mode stays the default and the reference.
+
+    Every search over a candidate population goes through the same two
+    steps: {!rank} compiles and predicts the population and orders it by
+    a caller-given key, and {!confirm} simulates a chosen list of scored
+    candidates and picks the measured winner. {!tune} is rank, select
+    (every candidate, or the top [k]), confirm; {!Partition_search} ranks
+    its structural partitions by model cycles and confirms the hand
+    mapping plus the gated top picks; serve's degraded tune answers with
+    the head of {!rank}. *)
 
 type mode =
   | Exhaustive  (** simulate every candidate (the paper's sweep) *)
@@ -50,8 +59,7 @@ type outcome = {
           (always 0 when exhaustive) *)
   model_rank_of_winner : int;
       (** 1-based rank {!Perf_model} gave the measured winner over the
-          compilable grid (1 = the model's own first pick; 0 only if the
-          winner was somehow unranked) *)
+          compilable grid (1 = the model's own first pick) *)
 }
 
 val classify_exn : exn -> string * Gpusim.Sm.fault_kind option
@@ -61,7 +69,7 @@ val classify_exn : exn -> string * Gpusim.Sm.fault_kind option
 
 val default_prune_keep : int
 (** How many model-ranked candidates a pruned sweep simulates by default
-    (8) — the [--tune-mode pruned] CLI default. *)
+    (8) — the [--tune-mode pruned] default when no [--top-k] is given. *)
 
 val default_warp_candidates :
   Chem.Mechanism.t -> Kernel_abi.kernel -> Compile.version -> int list
@@ -88,6 +96,52 @@ val candidate_options :
     [stencil_overlap] fixes the stencil tiling mode across the grid
     (default: the overlapped default; ignored by combustion kernels). *)
 
+type scored = {
+  s_index : int;
+      (** position in the list given to {!rank} (a caller confirming a
+          candidate from outside a ranked population picks its own) *)
+  s_options : Compile.options;
+  s_compiled : Compile.t;
+  s_prediction : Perf_model.prediction;
+}
+(** A compiled candidate with the model's static score. *)
+
+val rank :
+  ?jobs:int ->
+  ?n_sms:int ->
+  ?skew:float ->
+  points:int ->
+  key:(Perf_model.prediction -> float) ->
+  (Compile.options -> Compile.t) ->
+  Compile.options list ->
+  scored list * (int * Compile.options * exn) list
+(** [rank ~points ~key compile candidates] compiles every candidate with
+    [compile] — an already-bound [Compile.compile_cached mech kernel
+    version], so a search digests the mechanism once — and predicts it at
+    [points] with {!Perf_model.predict} ([n_sms]/[skew] forwarded), on up
+    to [jobs] domains. Returns the compilable candidates sorted ascending
+    by [key] of their prediction, ties to the lower index, and the
+    candidates whose compile or prediction raised, with the raw
+    exception, in index order. Deterministic under any [jobs]. *)
+
+val confirm :
+  ?jobs:int ->
+  ?max_cycles:int ->
+  ?inject:(int -> Gpusim.Fault.t list) ->
+  ?n_sms:int ->
+  ?skew:float ->
+  points:int ->
+  scored list ->
+  (scored * (candidate, exn) result) list * (int * candidate) option
+(** Simulate each scored candidate at [points] with {!Compile.run}, on up
+    to [jobs] domains, under the watchdog [max_cycles] (default 2e8) and
+    the faults [inject] maps its [s_index] to (default none). Returns
+    every entry with its result, in list order — a simulation fault,
+    wrong results (max relative error above 1e-6) or any other exception
+    is that entry's [Error] — and the winner with its [s_index]: the
+    highest measured throughput, the earliest entry on a tie, [None] if
+    nothing ran. Deterministic under any [jobs]. *)
+
 val tune :
   ?points:int ->
   ?warp_candidates:int list ->
@@ -100,23 +154,14 @@ val tune :
   ?skew:float ->
   ?synth_exchange:bool ->
   ?stencil_overlap:bool ->
-  ?grid:Compile.options list ->
   Chem.Mechanism.t ->
   Kernel_abi.kernel ->
   Compile.version ->
   Gpusim.Arch.t ->
   outcome
-(** Evaluates the candidate grid at the (small) tuning size (default
-    32768 points = 32^3) and returns the fastest configuration. Raises
-    [Failure] if no candidate ran.
-
-    [grid] replaces the built-in warp x CTA x policy candidate grid with
-    an explicit list of option records, evaluated in list order under the
-    same two-phase machinery (model scoring, then simulation with fault
-    containment and the index-ordered deterministic winner fold) —
-    {!Partition_search} confirms its searched partitions through this.
-    [warp_candidates]/[cta_targets]/[synth_exchange] are ignored when
-    [grid] is given.
+(** Evaluates the candidate grid ({!candidate_options}) at the (small)
+    tuning size (default 32768 points = 32^3) and returns the fastest
+    configuration. Raises [Failure] if no candidate ran.
 
     [n_sms]/[skew] are forwarded to both {!Perf_model.predict} (model
     scoring) and {!Compile.run} (simulation), so a sweep tunes for the
@@ -124,19 +169,19 @@ val tune :
     the exchange rewrite on or off across the whole grid (default: the
     per-architecture auto setting).
 
-    Every candidate is first compiled ({!Compile.compile_cached}, so a
-    configuration revisited across kernels/figures compiles once) and
-    scored with {!Perf_model.predict}. Under [?mode] (default
-    {!Exhaustive}) either the whole compilable grid or only the model's
-    top-[k] picks are then simulated; [candidates_pruned] and
+    The whole grid is {!rank}ed by predicted throughput (compiled through
+    {!Compile.compile_cached}, so a configuration revisited across
+    kernels/figures compiles once). Under [?mode] (default {!Exhaustive})
+    either every ranked candidate or only the model's top-[k] picks are
+    then {!confirm}ed in candidate-index order; [candidates_pruned] and
     [model_rank_of_winner] record what the model did either way.
 
-    Candidates are independent jobs and are evaluated on up to [jobs]
-    domains ({!Sutil.Domain_pool.default_jobs} when omitted);
-    [tried]/[skipped]/[failures] and the winner are folded from the
-    results in candidate order, so the outcome is identical to the serial
-    sweep's. The winner tie-break is pinned: on equal measured
-    throughput the lowest candidate index wins, independent of [jobs].
+    Both steps run on up to [jobs] domains
+    ({!Sutil.Domain_pool.default_jobs} when omitted);
+    [tried]/[skipped]/[failures] are folded in candidate order, so the
+    outcome is identical to the serial sweep's. The winner tie-break is
+    pinned: on equal measured throughput the lowest candidate index
+    wins, independent of [jobs].
 
     {b Fault containment.} Every candidate runs under the simulator
     watchdog ([max_cycles], default 2e8 — far beyond any legitimate

@@ -10,9 +10,9 @@
     [deadlock-check], [lower-validate]) that re-check each stage's
     invariants on the artifact actually handed to the next stage
     ([deadlock-check] is {!Deadlock_check.check}, the executable form of
-    the §4.4 deadlock-freedom theorem). {!compile_with_report}
-    exposes the resulting per-pass timings and artifact statistics;
-    {!compile} is a thin wrapper that discards them.
+    the §4.4 deadlock-freedom theorem). {!compile_checked} returns the
+    resulting per-pass timings and artifact statistics; {!compile} runs
+    the same pipeline without validation and discards them.
 
     Three code-generation versions reproduce the paper's comparisons:
     {ul
@@ -128,28 +128,22 @@ type t = {
 
 val compile :
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> t
-(** Thin wrapper over {!compile_with_report} without validation passes.
+(** The pass pipeline without validation passes, report discarded.
     Raises {!Diagnostics.Fail} on invalid options and [Failure] when a
     stage cannot fit the configuration (as before the pass refactor). *)
-
-val compile_with_report :
-  ?validate:bool ->
-  Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options ->
-  t * Pass.report
-(** Run the pipeline under the pass manager and return the artifact
-    together with per-pass wall-clock timings and artifact statistics.
-    With [validate] (default [true]) the four inter-pass validation passes
-    run after their producing stage; a failed validation raises
-    {!Diagnostics.Fail} carrying the pass name. *)
 
 val compile_checked :
   ?validate:bool ->
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options ->
   (t * Pass.report, Diagnostics.t) result
-(** {!compile_with_report} with every user-reachable failure — invalid
+(** Run the pipeline under the pass manager and return the artifact
+    together with per-pass wall-clock timings and artifact statistics.
+    With [validate] (default [true]) the inter-pass validation passes run
+    after their producing stage. Every user-reachable failure — invalid
     options, validation-pass rejections, and a stage's inability to fit
-    the configuration — returned as a typed diagnostic instead of an
-    exception. The entry point drivers should use. *)
+    the configuration — is returned as a typed diagnostic (a failed
+    validation carries the pass name) instead of an exception. The entry
+    point drivers should use. *)
 
 val compile_cached :
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> t

@@ -5,15 +5,14 @@
    [Mapping.auto_spec]s proposed from the DFG's shape — fan-out hubs and
    loads become producer warps, long arithmetic chains follow locality
    onto consumer warps — crossed with pipeline depths (the transport
-   ring's slot count). The whole population is scored analytically with
-   [Perf_model.predict] (compile + static model, no simulation), the top
-   candidates pass through the safety gate ([Mapping.validate] +
+   ring's slot count). The whole population is ranked by predicted
+   cycles with [Autotune.rank] (compile + static model, no simulation),
+   the top candidates pass through the safety gate ([Mapping.validate] +
    [Deadlock_check.check] — compile_cached runs with validation off, so
    the gate here is the only thing standing between a searched partition
-   and the simulator), and the survivors are confirmed by simulation
-   through [Autotune.tune]'s two-phase machinery with the hand mapping
-   seeded into the grid, so the returned winner is never worse than the
-   paper's partition. *)
+   and the simulator), and [Autotune.confirm] simulates the hand mapping
+   followed by the survivors, so the returned winner is never worse than
+   the paper's partition. *)
 
 type rejection = { rej_options : Compile.options; rej_diag : Diagnostics.t }
 
@@ -129,154 +128,108 @@ let diag_of_exn e =
       let reason, _ = Autotune.classify_exn e in
       Diagnostics.error ~pass:"partition-search" reason
 
-let hand_only ~base ~confirmed ~cycles =
-  {
-    base;
-    winner = base;
-    winner_spec = None;
-    hand_cycles = cycles;
-    winner_cycles = cycles;
-    searched = 0;
-    gated = 0;
-    rejections = [];
-    simulated = (if confirmed then 1 else 0);
-    confirmed;
-  }
+let spec_of (o : Compile.options) =
+  match o.Compile.partition with
+  | Compile.Partition_auto s -> Some s
+  | Compile.Partition_hand -> None
 
-let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
-    ?(max_cycles = 200_000_000) ?(simulate = true) ?n_sms ?skew mech kernel
-    version ~base () =
+let search ?(points = 32768) ?jobs ?(top_k = default_top_k) ?max_cycles
+    ?(simulate = true) ?n_sms ?skew mech kernel version ~base () =
   let base = { base with Compile.partition = Compile.Partition_hand } in
   match
     (* One mechanism digest for the whole search: every lookup below keys
        on it plus the candidate's options. *)
     let compile = Compile.compile_cached mech kernel version in
-    let hand = compile base in
-    let hand_pred = Perf_model.predict ?n_sms ?skew hand ~total_points:points in
+    let hand =
+      let s_compiled = compile base in
+      {
+        Autotune.s_index = -1;
+        s_options = base;
+        s_compiled;
+        s_prediction =
+          Perf_model.predict ?n_sms ?skew s_compiled ~total_points:points;
+      }
+    in
+    let hand_pred = hand.Autotune.s_prediction.Perf_model.cycles in
+    let outcome ?(searched = 0) ?(gated = 0) ?(rejections = [])
+        ?(simulated = 0) ~confirmed ~hand_cycles (winner, winner_cycles) =
+      {
+        base;
+        winner;
+        winner_spec = spec_of winner;
+        hand_cycles;
+        winner_cycles;
+        searched;
+        gated;
+        rejections;
+        simulated;
+        confirmed;
+      }
+    in
     if version = Compile.Baseline then
       (* The data-parallel baseline maps onto a single warp; there is
          nothing to partition. *)
-      hand_only ~base ~confirmed:false ~cycles:hand_pred.Perf_model.cycles
+      outcome ~confirmed:false ~hand_cycles:hand_pred (base, hand_pred)
     else begin
-      let cands = candidate_options base hand.Compile.dfg in
-      let indexed = List.mapi (fun i o -> (i, o)) cands in
-      (* Phase A — compile (through the shared memo) and score the whole
-         population analytically. *)
-      let score (_i, options) =
-        let c = compile options in
-        let p = Perf_model.predict ?n_sms ?skew c ~total_points:points in
-        (c, p)
-      in
-      let scored = Sutil.Domain_pool.parallel_map_result ?jobs score indexed in
-      let rejections = ref [] in
-      let ok = ref [] in
-      (* Folded in candidate-index order so rejections and ranking are
-         independent of [jobs]. *)
-      List.iter2
-        (fun (i, options) res ->
-          match res with
-          | Error e ->
-              rejections :=
-                (i, { rej_options = options; rej_diag = diag_of_exn e })
-                :: !rejections
-          | Ok (c, p) -> ok := (i, options, c, p) :: !ok)
-        indexed scored;
-      let ranked =
-        List.sort
-          (fun (i1, _, _, (p1 : Perf_model.prediction)) (i2, _, _, p2) ->
-            match compare p1.Perf_model.cycles p2.Perf_model.cycles with
-            | 0 -> compare i1 i2
-            | c -> c)
-          !ok
+      let cands = candidate_options base hand.Autotune.s_compiled.Compile.dfg in
+      (* Phase A — score the whole population analytically. *)
+      let ranked, failed =
+        Autotune.rank ?jobs ?n_sms ?skew ~points
+          ~key:(fun p -> p.Perf_model.cycles)
+          compile cands
       in
       let top = List.filteri (fun r _ -> r < max 1 top_k) ranked in
-      (* Phase B — the safety gate on the model's picks. *)
-      let survivors =
-        List.filter_map
-          (fun (i, options, c, p) ->
-            match gate c with
-            | Ok () -> Some (i, options, p)
+      (* Phase B — the safety gate on the model's picks; survivors stay in
+         model order. *)
+      let survivors, gate_rejections =
+        List.partition_map
+          (fun (s : Autotune.scored) ->
+            match gate s.s_compiled with
+            | Ok () -> Left s
             | Error d ->
-                rejections :=
-                  (i, { rej_options = options; rej_diag = d }) :: !rejections;
-                None)
+                Right (s.s_index, { rej_options = s.s_options; rej_diag = d }))
           top
       in
-      let gated = List.length top in
       let rejections =
-        List.sort (fun (i1, _) (i2, _) -> compare i1 i2) !rejections
+        List.map
+          (fun (i, o, e) -> (i, { rej_options = o; rej_diag = diag_of_exn e }))
+          failed
+        @ gate_rejections
+        |> List.sort (fun (i1, _) (i2, _) -> compare i1 i2)
         |> List.map snd
       in
-      let searched = List.length cands in
-      (* Phase C — confirm by simulation through Autotune's two-phase
-         machinery, hand seeded first so ties keep the paper's mapping. *)
+      let outcome =
+        outcome ~searched:(List.length cands) ~gated:(List.length top)
+          ~rejections
+      in
       if simulate then begin
-        let grid =
-          base :: List.map (fun (_, options, _) -> options) survivors
+        (* Phase C — confirm by simulation, hand first so ties keep the
+           paper's mapping. A hand mapping that cannot run is the
+           search's failure. *)
+        let results, best =
+          Autotune.confirm ?jobs ?max_cycles ?n_sms ?skew ~points
+            (hand :: survivors)
         in
-        let out =
-          Autotune.tune ~points ?jobs ~max_cycles ?n_sms ?skew ~grid mech
-            kernel version base.Compile.arch
+        let cycles (c : Autotune.candidate) =
+          float_of_int c.Autotune.result.Compile.machine.Gpusim.Chip.sm_cycles
         in
-        let hand_res =
-          Compile.run hand ~total_points:points ~max_cycles ?n_sms ?skew
-        in
-        let winner = out.Autotune.best.Autotune.options in
-        {
-          base;
-          winner;
-          winner_spec =
-            (match winner.Compile.partition with
-            | Compile.Partition_hand -> None
-            | Compile.Partition_auto s -> Some s);
-          hand_cycles =
-            float_of_int hand_res.Compile.machine.Gpusim.Chip.sm_cycles;
-          winner_cycles =
-            float_of_int
-              out.Autotune.best.Autotune.result.Compile.machine
-                .Gpusim.Chip.sm_cycles;
-          searched;
-          gated;
-          rejections;
-          simulated = out.Autotune.tried - out.Autotune.skipped;
-          confirmed = true;
-        }
+        match List.hd results with
+        | _, Error e -> raise e
+        | _, Ok h ->
+            let _, w = Option.get best in
+            let ran = List.filter (fun (_, r) -> Result.is_ok r) results in
+            outcome ~confirmed:true ~simulated:(List.length ran)
+              ~hand_cycles:(cycles h)
+              (w.Autotune.options, cycles w)
       end
-      else begin
-        let best_auto =
-          List.fold_left
-            (fun acc (i, options, (p : Perf_model.prediction)) ->
-              match acc with
-              | Some (_, _, (pb : Perf_model.prediction))
-                when pb.Perf_model.cycles <= p.Perf_model.cycles ->
-                  acc
-              | _ -> Some (i, options, p))
-            None survivors
-        in
-        let winner, winner_spec, winner_cycles =
-          match best_auto with
-          | Some (_, options, p)
-            when p.Perf_model.cycles < hand_pred.Perf_model.cycles -> (
-              ( options,
-                (match options.Compile.partition with
-                | Compile.Partition_auto s -> Some s
-                | Compile.Partition_hand -> None),
-                p.Perf_model.cycles ))
-          | Some _ | None -> (base, None, hand_pred.Perf_model.cycles)
-        in
-        {
-          base;
-          winner;
-          winner_spec;
-          hand_cycles = hand_pred.Perf_model.cycles;
-          winner_cycles;
-          searched;
-          gated;
-          rejections;
-          simulated = 0;
-          confirmed = false;
-        }
-      end
+      else
+        (* The model's pick is the head of the survivors, kept only when
+           it beats the hand mapping. *)
+        outcome ~confirmed:false ~hand_cycles:hand_pred
+          (match survivors with
+          | s :: _ when s.s_prediction.Perf_model.cycles < hand_pred ->
+              (s.s_options, s.s_prediction.Perf_model.cycles)
+          | _ -> (base, hand_pred))
     end
   with
   | o -> Ok o

@@ -7,17 +7,21 @@
     transport ring's slot count). The search runs in three phases:
 
     {ol
-    {- {b score}: every candidate compiles through the shared memo and is
-       ranked by {!Perf_model.predict} — static, cheap, no simulation;}
+    {- {b score}: {!Autotune.rank} compiles every candidate through the
+       shared memo and orders it by {!Perf_model.predict}'s cycles —
+       static, cheap, no simulation;}
     {- {b gate}: the model's top picks pass {!Mapping.validate} and
        {!Deadlock_check.check}. The memoized compile path runs with
        validation off, so this gate is what keeps an unsound searched
        partition away from the simulator — failures surface as
        [partition-rejected] diagnostics;}
-    {- {b confirm}: survivors are simulated through {!Autotune.tune}'s
-       two-phase machinery with the hand mapping seeded into the grid
-       (first, so ties keep the paper's partition) — the returned winner
-       is never worse than the hand mapping.}} *)
+    {- {b confirm}: {!Autotune.confirm} simulates the hand mapping and
+       then the survivors in model order, each once (hand first, so ties
+       keep the paper's partition) — the returned winner is never worse
+       than the hand mapping, whose cycles are read from its own entry.}}
+
+    Without simulation the answer is the model's: the first survivor
+    when its predicted cycles beat the hand mapping's, else the hand. *)
 
 type rejection = {
   rej_options : Compile.options;  (** the rejected candidate *)
@@ -80,16 +84,19 @@ val search :
   (outcome, Diagnostics.t) result
 (** Run the three-phase search against [base] (its [partition] field is
     forced to hand for the baseline comparison; all other fields — warps,
-    architecture, occupancy target — frame the search space). With
-    [simulate] (default) winners are confirmed through {!Autotune.tune};
-    [simulate:false] stops at the analytic ranking (the cheap mode
-    {!resolve_target} uses) and reports model
-    cycles with [confirmed = false].
+    architecture, occupancy target — frame the search space). [top_k]
+    (default {!default_top_k}) model picks reach the gate. With
+    [simulate] (default) the hand mapping and the gate's survivors are
+    confirmed through {!Autotune.confirm} under the watchdog
+    [max_cycles]; [simulate:false] stops at the analytic ranking (the
+    cheap mode {!resolve_target} uses) and reports model cycles with
+    [confirmed = false].
 
     Deterministic under any [jobs]: candidates are folded in index order
     and every tie-break is pinned. The [Baseline] version has nothing to
-    partition and returns a hand-only outcome. Failures of the base
-    compile itself are returned as a diagnostic. *)
+    partition and returns a hand-only outcome. A failure of the hand
+    mapping itself — its compile, or, when simulating, its run (a
+    fault, or wrong results) — is returned as a diagnostic. *)
 
 val resolve_target :
   ?points:int -> Target.resolved -> (Compile.options, Diagnostics.t) result

@@ -73,7 +73,7 @@ type payload =
       max_cycles : int option;
     }
   | Predict_req of target
-  | Tune_req of { target : target; top_k : int }
+  | Tune_req of { target : target; top_k : int option }
   | Health_req
   | Stats_req
   | Shutdown_req
@@ -118,7 +118,10 @@ let request_to_json r =
           | Some m -> [ ("max_cycles", Num (float_of_int m)) ]
           | None -> [])
     | Tune_req { target = t; top_k } ->
-        Target.to_json t @ [ ("top_k", Num (float_of_int top_k)) ]
+        Target.to_json t
+        @ (match top_k with
+          | Some k -> [ ("top_k", Num (float_of_int k)) ]
+          | None -> [])
     | Health_req | Stats_req | Shutdown_req -> []
   in
   J.emit (Obj (base @ rest))
@@ -182,9 +185,7 @@ let request_of_json doc =
     | "tune" ->
         let* t = target [ "top_k" ] in
         let* top_k = opt_pos_int doc "top_k" in
-        Ok
-          (Tune_req
-             { target = t; top_k = Option.value top_k ~default:Autotune.default_prune_keep })
+        Ok (Tune_req { target = t; top_k })
     | "health" ->
         let* () = check_fields doc envelope_keys in
         Ok Health_req
@@ -577,50 +578,6 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
               ] );
         ]
 
-(* Model-only tune: rank the compilable grid purely with Perf_model.
-   This is both the degraded path (when every simulated candidate died
-   inside the deadline budget) and deliberately cheap — no simulation. *)
-let model_only_tune t (r : Target.resolved) =
-  let warp_candidates =
-    Autotune.default_warp_candidates r.mech r.kernel r.version
-  in
-  let grid =
-    Autotune.candidate_options ?synth_exchange:r.options.Compile.synth_exchange
-      ~stencil_overlap:r.options.Compile.stencil_overlap ~points:t.t_points
-      r.kernel r.version r.arch warp_candidates [ 1; 2 ]
-  in
-  let compile = Compile.compile_cached r.mech r.kernel r.version in
-  let scored =
-    List.filter_map
-      (fun (o : Compile.options) ->
-        match compile o with
-        | c ->
-            Some
-              ( o,
-                Perf_model.predict ?n_sms:t.t_sms ?skew:t.t_skew c
-                  ~total_points:t.t_points )
-        | exception _ -> None)
-      grid
-  in
-  match scored with
-  | [] -> None
-  | _ ->
-      let best =
-        List.fold_left
-          (fun acc cand ->
-            match acc with
-            | None -> Some cand
-            | Some (_, bp) ->
-                let _, cp = cand in
-                (* strict >: ties keep the earlier (lower-index) candidate *)
-                if
-                  cp.Perf_model.points_per_sec > bp.Perf_model.points_per_sec
-                then Some cand
-                else acc)
-          None scored
-      in
-      Option.map (fun b -> (b, List.length scored)) best
-
 let tune_key r = Digest.to_hex (Digest.string (request_to_json r))
 
 let handle_tune st id deadline_ms ~target:t ~top_k =
@@ -646,11 +603,11 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
         match r.partition with
         | Target.Auto -> (
             (* Partition-search tune: score/gate the structural candidates
-               and confirm survivors by simulation (through Autotune's grid
-               mode), degrading to the model-only ranking when the deadline
-               budget kills every simulation. *)
+               and confirm the hand mapping and the survivors by
+               simulation, degrading to the model-only pick when the
+               deadline budget kills the hand mapping's run. *)
             let searched ~simulate =
-              Partition_search.search ~points:t.t_points ~top_k
+              Partition_search.search ~points:t.t_points ?top_k
                 ~max_cycles:budget ~simulate ?n_sms:t.t_sms ?skew:t.t_skew
                 r.mech r.kernel r.version ~base:r.options ()
             in
@@ -683,7 +640,10 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
         | Target.Hand -> (
             match
               Autotune.tune ~points:t.t_points ~max_cycles:budget
-                ~mode:(Autotune.Pruned top_k) ?n_sms:t.t_sms ?skew:t.t_skew
+                ~mode:
+                  (Autotune.Pruned
+                     (Option.value top_k ~default:Autotune.default_prune_keep))
+                ?n_sms:t.t_sms ?skew:t.t_skew
                 ?synth_exchange:r.options.Compile.synth_exchange
                 ~stencil_overlap:r.options.Compile.stencil_overlap r.mech
                 r.kernel r.version r.arch
@@ -711,20 +671,34 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                 ]
             | exception Failure _ -> (
                 (* Every candidate died inside the deadline budget (or
-                   nothing ran at all): degrade to a model-only ranking. *)
-                match model_only_tune t r with
-                | None ->
+                   nothing ran at all): degrade to the model's first pick
+                   over the same grid. *)
+                let ranked, _ =
+                  Autotune.rank ?n_sms:t.t_sms ?skew:t.t_skew
+                    ~points:t.t_points
+                    ~key:(fun p -> -.p.Perf_model.points_per_sec)
+                    (Compile.compile_cached r.mech r.kernel r.version)
+                    (Autotune.candidate_options
+                       ?synth_exchange:r.options.Compile.synth_exchange
+                       ~stencil_overlap:r.options.Compile.stencil_overlap
+                       ~points:t.t_points r.kernel r.version r.arch
+                       (Autotune.default_warp_candidates r.mech r.kernel
+                          r.version)
+                       [ 1; 2 ])
+                in
+                match ranked with
+                | [] ->
                     raise
                       (Reply
                          ( Rejected,
                            "no tuning candidate compiles for this \
                             configuration" ))
-                | Some ((o, pred), ranked) ->
+                | { Autotune.s_options = o; s_prediction = pred; _ } :: _ ->
                     st.c.degraded <- st.c.degraded + 1;
                     [
                       ("degraded", J.Bool true);
                       ("budget_cycles", numi budget);
-                      ("candidates_ranked", numi ranked);
+                      ("candidates_ranked", numi (List.length ranked));
                       ( "best",
                         J.Obj
                           [

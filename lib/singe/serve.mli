@@ -83,7 +83,10 @@ type payload =
       max_cycles : int option;  (** explicit watchdog budget *)
     }
   | Predict_req of target
-  | Tune_req of { target : target; top_k : int }
+  | Tune_req of { target : target; top_k : int option }
+      (** [top_k]: the pruned sweep's ({!Autotune.default_prune_keep}) or
+          the partition search's ({!Partition_search.default_top_k})
+          width when [None] *)
   | Health_req
   | Stats_req
   | Shutdown_req

@@ -190,13 +190,14 @@ let test_gate_rejects_every_mutant () =
 (* ---- search determinism and the never-worse guarantee ---- *)
 
 let outcome_fingerprint (o : Singe.Partition_search.outcome) =
-  Format.asprintf "%s|%.3f|%.3f|%d|%d|%s"
+  Format.asprintf "%s|%.3f|%.3f|%d|%d|%d|%b|%s"
     (match o.Singe.Partition_search.winner_spec with
     | None -> "hand"
     | Some s -> Format.asprintf "%a" Singe.Mapping.pp_auto_spec s)
     o.Singe.Partition_search.hand_cycles
     o.Singe.Partition_search.winner_cycles o.Singe.Partition_search.searched
-    o.Singe.Partition_search.gated
+    o.Singe.Partition_search.gated o.Singe.Partition_search.simulated
+    o.Singe.Partition_search.confirmed
     (String.concat ";"
        (List.map
           (fun (r : Singe.Partition_search.rejection) ->
@@ -215,6 +216,33 @@ let test_search_deterministic_across_jobs () =
     | Error d -> Alcotest.failf "search failed: %s" (Singe.Diagnostics.to_string d)
   in
   Alcotest.(check string) "--jobs 1 vs --jobs 4" (run 1) (run 4)
+
+(* The simulation-confirmed search is as deterministic as the model-only
+   one, and the hand cycles it reports are the hand mapping's own run at
+   the search size. *)
+let test_confirmed_search_deterministic_across_jobs () =
+  let mech = Lazy.force hydrogen in
+  let kernel = Singe.Kernel_abi.Viscosity in
+  let version = Singe.Compile.Warp_specialized in
+  let base = base_options kernel in
+  let search jobs =
+    match Singe.Partition_search.search ~points:8192 ~jobs mech kernel version
+            ~base ()
+    with
+    | Ok o -> o
+    | Error d -> Alcotest.failf "search failed: %s" (Singe.Diagnostics.to_string d)
+  in
+  let o = search 1 in
+  Alcotest.(check string) "--jobs 1 vs --jobs 4" (outcome_fingerprint o)
+    (outcome_fingerprint (search 4));
+  let hand =
+    Singe.Compile.run
+      (Singe.Compile.compile_cached mech kernel version base)
+      ~total_points:8192
+  in
+  Alcotest.(check (float 0.0)) "hand cycles = a direct run of hand"
+    (float_of_int hand.Singe.Compile.machine.Gpusim.Chip.sm_cycles)
+    o.Singe.Partition_search.hand_cycles
 
 let test_search_never_loses_to_hand () =
   let mech = Lazy.force hydrogen in
@@ -369,6 +397,8 @@ let tests =
       test_gate_rejects_every_mutant;
     Alcotest.test_case "search deterministic across jobs" `Quick
       test_search_deterministic_across_jobs;
+    Alcotest.test_case "confirmed search deterministic across jobs" `Quick
+      test_confirmed_search_deterministic_across_jobs;
     Alcotest.test_case "search never loses to hand" `Quick
       test_search_never_loses_to_hand;
     Alcotest.test_case "derived live slack tracks budget" `Quick

@@ -19,8 +19,9 @@ let options ?(arch = Gpusim.Arch.kepler_k20c) ?(nw = 4) kernel =
 
 let compile ?arch ?nw ?(mech = hydrogen ())
     ?(version = Singe.Compile.Warp_specialized) kernel =
-  Singe.Compile.compile_with_report ~validate:true mech kernel version
+  Singe.Compile.compile_checked ~validate:true mech kernel version
     (options ?arch ?nw kernel)
+  |> Result.get_ok
 
 (* ---- report structure ---- *)
 

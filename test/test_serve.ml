@@ -96,7 +96,7 @@ let request_roundtrip_qcheck =
               (opt (int_range 1 1_000_000_000)));
         Gen.map
           (fun (t, top_k) -> Serve.Tune_req { target = t; top_k })
-          Gen.(pair target_gen (int_range 1 64));
+          Gen.(pair target_gen (opt (int_range 1 64)));
         Gen.return Serve.Health_req;
         Gen.return Serve.Stats_req;
         Gen.return Serve.Shutdown_req;
@@ -382,11 +382,33 @@ let test_tune_degrades_to_model_ranking () =
   | v ->
       Alcotest.failf "candidates_ranked = %s"
         (match v with Some n -> string_of_int n | None -> "<missing>"));
+  (* The degraded answer is the model's first pick: the candidate a
+     pruned sweep that keeps one pick would simulate. *)
+  let r =
+    Result.get_ok
+      (Singe.Target.resolve
+         {
+           Singe.Target.default with
+           t_mech = "hydrogen";
+           t_kernel = "viscosity";
+           t_points = 2048;
+         })
+  in
+  let first_pick =
+    (Singe.Autotune.tune ~points:2048 ~mode:(Singe.Autotune.Pruned 1)
+       ?synth_exchange:r.options.Singe.Compile.synth_exchange
+       ~stencil_overlap:r.options.Singe.Compile.stencil_overlap r.mech
+       r.kernel r.version r.arch)
+      .Singe.Autotune.best.Singe.Autotune.options
+  in
   match J.member "best" doc with
   | Some b ->
-      (match Option.bind (J.member "warps" b) J.int with
-      | Some w when w >= 2 -> ()
-      | _ -> Alcotest.fail "degraded best has no warp count")
+      Alcotest.(check (option int))
+        "warps" (Some first_pick.Singe.Compile.n_warps)
+        (Option.bind (J.member "warps" b) J.int);
+      Alcotest.(check (option int))
+        "ctas_per_sm" (Some first_pick.Singe.Compile.ctas_per_sm_target)
+        (Option.bind (J.member "ctas_per_sm" b) J.int)
   | None -> Alcotest.fail "no best candidate"
 
 (* hard deadlocks must NOT degrade — wrong is worse than slow *)
