@@ -138,15 +138,19 @@ let regs32_per_thread p = (2 * p.n_fregs) + p.n_iregs + 10
 
 let validate p =
   let problems = ref [] in
-  (* [where] carries the position of the instruction being checked
-     ("body[17]"), so per-instruction diagnostics point at the offending
-     site; program-level checks leave it empty. *)
-  let where = ref "" in
+  (* [section] and [index] carry the position of the instruction being
+     checked ("body", 17), so per-instruction diagnostics point at the
+     offending site ("body[17]: ..."); program-level checks leave
+     [section] empty. The position is formatted only when a problem is
+     recorded. *)
+  let section = ref "" and index = ref 0 in
   let err fmt =
     Printf.ksprintf
       (fun s ->
         problems :=
-          (if !where = "" then s else !where ^ ": " ^ s) :: !problems)
+          (if !section = "" then s
+           else Printf.sprintf "%s[%d]: %s" !section !index s)
+          :: !problems)
       fmt
   in
   let check_freg tag r =
@@ -292,16 +296,16 @@ let validate p =
   in
   walk_shape p.prologue;
   walk_shape p.body;
-  let check_at section =
-    let idx = ref 0 in
-    fun instr ->
-      where := Printf.sprintf "%s[%d]" section !idx;
-      incr idx;
-      check instr
+  let check_section name block =
+    section := name;
+    index := 0;
+    iter_instrs block (fun instr ->
+        check instr;
+        incr index)
   in
-  iter_instrs p.prologue (check_at "prologue");
-  iter_instrs p.body (check_at "body");
-  where := "";
+  check_section "prologue" p.prologue;
+  check_section "body" p.body;
+  section := "";
   if p.n_warps < 1 || p.n_warps > 32 then err "n_warps %d out of range" p.n_warps;
   if Array.length p.const_bank <> p.n_warps then err "const_bank warp dim";
   if Array.length p.param_bank <> p.n_warps then err "param_bank warp dim";

@@ -87,6 +87,7 @@ type t = {
   mapping : Mapping.t;
   schedule : Schedule.t;
   lowered : Lower.output;
+  facts : Model_facts.t;
 }
 
 (* ---- typed option checking (the [options] pseudo-pass) ---- *)
@@ -241,7 +242,9 @@ let lower_stats (l : Lower.output) =
 
 (* ---- the pipeline ---- *)
 
-let run_pipeline pm ~validate mech kernel version options =
+(* The passes proper: the dataflow graph, mapping, schedule and lowered
+   program of a compile. *)
+let run_passes pm ~validate mech kernel version options =
   let groups = Kernel_abi.groups mech kernel in
   match version with
   | Warp_specialized | Naive_warp_specialized ->
@@ -346,7 +349,7 @@ let run_pipeline pm ~validate mech kernel version options =
             Lower.validate_output ~arch:options.arch
               ~max_barriers:options.max_barriers lowered)
       end;
-      { mech; kernel; version; options; dfg; mapping; schedule; lowered }
+      (dfg, mapping, schedule, lowered)
   | Baseline ->
       (* One thread per point: every thread runs the whole dataflow graph,
          so map onto a single logical warp and emit warp-independent code. *)
@@ -394,7 +397,18 @@ let run_pipeline pm ~validate mech kernel version options =
         Pass.validate pm ~name:"lower-validate" (fun () ->
             Lower.validate_output ~arch:options.arch
               ~max_barriers:options.max_barriers lowered);
-      { mech; kernel; version; options; dfg; mapping; schedule; lowered }
+      (dfg, mapping, schedule, lowered)
+
+(* The model's program-only facts are a compile output like the lowered
+   program they describe: computed once here, eagerly (a [Lazy.t] forced
+   by two sweep workers at once raises), with no pass record of their
+   own, so the pass report is unchanged. *)
+let run_pipeline pm ~validate mech kernel version options =
+  let dfg, mapping, schedule, lowered =
+    run_passes pm ~validate mech kernel version options
+  in
+  let facts = Model_facts.of_layout options.arch lowered.Lower.program in
+  { mech; kernel; version; options; dfg; mapping; schedule; lowered; facts }
 
 let pipeline_name mech kernel version options =
   Printf.sprintf "%s/%s/%s/%s/ws%d" mech.Chem.Mechanism.name

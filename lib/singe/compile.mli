@@ -124,6 +124,15 @@ type t = {
   mapping : Mapping.t;
   schedule : Schedule.t;
   lowered : Lower.output;
+  facts : Model_facts.t;
+      (** what {!Perf_model.predict} needs of [lowered]'s program alone
+          (DESIGN §12.5), computed once per compile on the final lowered
+          program of every version, so a prediction keeps only the
+          launch-dependent work. A compile output, not a cache: no key,
+          no eviction, it lives and dies with the artifact. It holds only
+          immutable ints and a bool, so {!compile_cached}'s fingerprint
+          re-verification need not cover it: a memo hit cannot serve
+          facts that drifted from the program. It adds no pass record. *)
 }
 
 val compile :

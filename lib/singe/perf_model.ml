@@ -2,6 +2,7 @@ module A = Gpusim.Arch
 module I = Gpusim.Isa
 module T = Gpusim.Trace
 module C = Gpusim.Chip
+module F = Model_facts
 
 (* Calibration constants. Structure comes from the machine model (pipe
    rates, latencies, cache geometry); these scalars absorb what a static
@@ -44,10 +45,6 @@ let icache_exposure = 0.5
    was invisible while every shipped kernel ran at 1-2 resident CTAs;
    the stencil pipelines occupy 4 and exposed the overestimate. *)
 let cross_cta_overlap = 0.5
-
-(* A divergent region longer than this many instructions occupies its own
-   prefetch stream (two cache lines of run-ahead no longer cover it). *)
-let long_path_instrs = 128
 
 type prediction = {
   occ : C.occupancy;
@@ -214,12 +211,6 @@ type clocks = {
   mutable sh_free : float;
 }
 
-(* The memory paths (texture, global, local spill), as indexes into
-   [drain], [rate] and the per-path user counts. *)
-let tex = 0
-let glob = 1
-let loc = 2
-
 type walk = {
   freg : float array;  (* result-ready time per double register *)
   ireg : float array;
@@ -257,18 +248,18 @@ type walk_rates = {
    path, an access waits on average behind half the pack's concurrent
    transfers (the full simulator keeps one shared drain per path).
    [users] counts one CTA's warps on each path. *)
-let walk_rates (arch : A.t) ~(users : int array) ~resident ~ccache_thrash =
-  let mult b =
-    let own = float_of_int users.(b) in
+let walk_rates (arch : A.t) ~(users : F.path_users) ~resident ~ccache_thrash =
+  let mult n =
+    let own = float_of_int n in
     let others = cross_cta_overlap *. own *. float_of_int (resident - 1) in
     Float.max 1.0 ((own +. others) /. 2.0)
   in
   {
     rate =
       [|
-        arch.A.tex_bytes_per_cycle /. mult tex;
-        arch.A.global_bytes_per_cycle /. mult glob;
-        arch.A.local_bytes_per_cycle /. mult loc;
+        arch.A.tex_bytes_per_cycle /. mult users.F.on_tex;
+        arch.A.global_bytes_per_cycle /. mult users.F.on_glob;
+        arch.A.local_bytes_per_cycle /. mult users.F.on_loc;
       |];
     lat = float_of_int arch.A.global_latency;
     thrash = ccache_thrash;
@@ -341,13 +332,15 @@ let walk_step (arch : A.t) (p : I.program) (r : walk_rates) (wk : walk)
       | I.Ld_global { dst; via_tex; _ } ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           let done_in =
-            path_done wk r (if via_tex && arch.A.has_ldg then tex else glob) 256.0
+            path_done wk r
+              (if via_tex && arch.A.has_ldg then F.tex else F.glob)
+              256.0
           in
           wk.freg.(dst) <- c.clk +. r.lat +. done_in
       | I.St_global { pred; _ } ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           ignore
-            (path_done wk r glob (8.0 *. float_of_int (active_lanes pred)))
+            (path_done wk r F.glob (8.0 *. float_of_int (active_lanes pred)))
       | I.Ld_shared { dst; _ } ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle;
@@ -357,21 +350,21 @@ let walk_step (arch : A.t) (p : I.program) (r : walk_rates) (wk : walk)
           c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle
       | I.Ld_local { dst; _ } ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          let done_in = path_done wk r loc 256.0 in
+          let done_in = path_done wk r F.loc 256.0 in
           wk.freg.(dst) <- c.clk +. r.lat +. done_in
       | I.St_local _ ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          ignore (path_done wk r loc 256.0)
+          ignore (path_done wk r F.loc 256.0)
       | I.Ld_const_bank { dst; _ } ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           let done_in =
-            path_done wk r (if arch.A.has_ldg then tex else glob) 256.0
+            path_done wk r (if arch.A.has_ldg then F.tex else F.glob) 256.0
           in
           wk.freg.(dst) <- c.clk +. r.lat +. done_in
       | I.Ld_param { dst_i; _ } ->
           c.lsu_free <- gate c c.lsu_free 1.0 1.0;
           let done_in =
-            path_done wk r (if arch.A.has_ldg then tex else glob) 128.0
+            path_done wk r (if arch.A.has_ldg then F.tex else F.glob) 128.0
           in
           wk.ireg.(dst_i) <- c.clk +. r.lat +. done_in
       | I.Shfl { dst; _ } | I.Shfl_rot { dst; _ } | I.Shfl_bfly { dst; _ } ->
@@ -534,124 +527,6 @@ let max_term terms =
     (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv))
     ("none", 0.0) terms
 
-(* Divergent regions long enough to need their own prefetch stream. *)
-let rec long_paths (b : I.block) =
-  match b with
-  | I.Instrs _ -> 0
-  | I.Seq bs -> List.fold_left (fun acc b -> acc + long_paths b) 0 bs
-  | I.If_warps { body; _ } ->
-      (if I.static_instr_count body > long_path_instrs then 1 else 0)
-      + long_paths body
-  | I.Switch_warp arms ->
-      Array.fold_left
-        (fun acc arm ->
-          acc
-          + (if I.static_instr_count arm > long_path_instrs then 1 else 0)
-          + long_paths arm)
-        0 arms
-
-(* A set of small non-negative ints — code lines and constant lines,
-   both dense and bounded by the code size or the constant memory — as a
-   byte mask indexed by the key, grown on demand, that counts its
-   members. *)
-type dense_set = { mutable mask : Bytes.t; mutable size : int }
-
-let dense_set () = { mask = Bytes.make 64 '\000'; size = 0 }
-
-let dense_add s i =
-  let n = Bytes.length s.mask in
-  if i >= n then begin
-    let m = Bytes.make (max (i + 1) (2 * n)) '\000' in
-    Bytes.blit s.mask 0 m 0 n;
-    s.mask <- m
-  end;
-  if Bytes.get s.mask i = '\000' then begin
-    Bytes.set s.mask i '\001';
-    s.size <- s.size + 1
-  end
-
-(* Constant lines an entry's operands touch, as warp [w] runs it:
-   [Sconst_warp] reaches one slot per warp id, so [w = -1] stands for
-   every warp of the CTA. *)
-let add_const_lines (p : I.program) ~spl lines ~w (e : T.entry) =
-  if e.T.has_const then
-    for i = 0 to Array.length e.T.srcs - 1 do
-      match e.T.srcs.(i) with
-      | I.Sconst slot -> dense_add lines (slot / spl)
-      | I.Sconst_warp base ->
-          if w >= 0 then dense_add lines ((base + w) / spl)
-          else
-            for w = 0 to p.I.n_warps - 1 do
-              dense_add lines ((base + w) / spl)
-            done
-      | I.Sreg _ | I.Simm _ | I.Sshared _ -> ()
-    done
-
-(* The memory path an entry feeds, as the bit [1 lsl path] (0 for
-   none). *)
-let path_bit (arch : A.t) (e : T.entry) =
-  match e.T.instr with
-  | Some (I.Ld_global { via_tex; _ }) ->
-      1 lsl if via_tex && arch.A.has_ldg then tex else glob
-  | Some (I.St_global _) -> 1 lsl glob
-  | Some (I.Ld_local _ | I.St_local _) -> 1 lsl loc
-  | Some (I.Ld_const_bank _ | I.Ld_param _) ->
-      1 lsl if arch.A.has_ldg then tex else glob
-  | _ -> 0
-
-(* What the model needs of the program alone, from one pass over its
-   layout. *)
-type facts = {
-  path_users : int array array;
-      (* per phase (prologue, body), per path: warps using the path *)
-  ic_cold_lines : int;  (* most code lines one warp touches *)
-  body_lines : int;  (* code lines of the body, united over warps *)
-  thrash : bool;
-      (* the body's constant lines, united over warps, overflow the
-         constant cache: every constant-operand access then re-misses *)
-  cc_cold_lines : int;  (* most constant lines one warp's body touches *)
-}
-
-let facts (arch : A.t) (p : I.program) =
-  let n_warps = p.I.n_warps in
-  let line_bytes = A.icache_line_bytes arch in
-  let spl = arch.A.const_line_bytes / 8 in
-  let own_lines = Array.init n_warps (fun _ -> dense_set ()) in
-  let own_consts = Array.init n_warps (fun _ -> dense_set ()) in
-  let body_lines = dense_set () and body_consts = dense_set () in
-  let paths = Array.make_matrix 2 n_warps 0 in
-  ignore
-    (T.iter arch p (fun phase warps e ->
-         let line = e.T.addr / line_bytes in
-         let ph = match phase with T.Prologue -> 0 | T.Body -> 1 in
-         let bit = path_bit arch e in
-         for w = 0 to n_warps - 1 do
-           if warps land (1 lsl w) <> 0 then begin
-             dense_add own_lines.(w) line;
-             paths.(ph).(w) <- paths.(ph).(w) lor bit;
-             if ph = 1 then add_const_lines p ~spl own_consts.(w) ~w e
-           end
-         done;
-         if ph = 1 && warps <> 0 then begin
-           dense_add body_lines line;
-           add_const_lines p ~spl body_consts ~w:(-1) e
-         end));
-  let most sets = Array.fold_left (fun acc s -> max acc s.size) 0 sets in
-  let users ph =
-    Array.init 3 (fun b ->
-        Array.fold_left
-          (fun n used -> if used land (1 lsl b) <> 0 then n + 1 else n)
-          0 paths.(ph))
-  in
-  {
-    path_users = [| users 0; users 1 |];
-    ic_cold_lines = most own_lines;
-    body_lines = body_lines.size;
-    thrash =
-      body_consts.size * arch.A.const_line_bytes > arch.A.const_cache_bytes;
-    cc_cold_lines = most own_consts;
-  }
-
 let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let p = t.Compile.lowered.Lower.program in
   let arch = t.Compile.options.Compile.arch in
@@ -664,12 +539,12 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let batches = C.batches_per_cta launch in
   let sim_batches = min batches 6 in
   let n_warps = p.I.n_warps in
-  let f = facts arch p in
+  let f = t.Compile.facts in
   let pro_rates =
-    walk_rates arch ~users:f.path_users.(0) ~resident ~ccache_thrash:false
+    walk_rates arch ~users:f.F.prologue_users ~resident ~ccache_thrash:false
   in
   let body_rates =
-    walk_rates arch ~users:f.path_users.(1) ~resident ~ccache_thrash:f.thrash
+    walk_rates arch ~users:f.F.body_users ~resident ~ccache_thrash:f.F.thrash
   in
   (* Walk every warp's prologue and body streams at once, in layout
      order: each warp sees its own entries in program order. *)
@@ -699,17 +574,17 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
      prefetch streams, each line costs a full miss. *)
   let line_bytes = A.icache_line_bytes arch in
   let per_line_cold =
-    if long_paths p.I.body > Gpusim.Caches.Icache.max_streams then
+    if f.F.n_long_paths > Gpusim.Caches.Icache.max_streams then
       arch.A.icache_miss_latency
     else Gpusim.Caches.Icache.prefetch_fill
   in
   let cold_fill =
-    icache_cold *. float_of_int (f.ic_cold_lines * per_line_cold)
+    icache_cold *. float_of_int (f.F.ic_cold_lines * per_line_cold)
   in
   (* Cold constant fills: the first batch misses once per constant line a
      warp touches (when the working set thrashes, the recurring per-access
      term below already charges every batch, the first included). *)
-  let cc_cold_lines = if f.thrash then 0 else f.cc_cold_lines in
+  let cc_cold_lines = if f.F.thrash then 0 else f.F.cc_cold_lines in
   let cold_const = ccache_cold *. float_of_int cc_cold_lines *. lat in
   let prologue_cycles =
     Float.max pro_walk pro_thr +. cold_fill +. cold_const
@@ -741,7 +616,7 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let throughput_cycles = float_of_int resident *. thr_batch in
   (* Body-code refetch on later batches, once the united footprint
      overflows the cache. *)
-  let body_lines = f.body_lines in
+  let body_lines = f.F.body_lines in
   let footprint = body_lines * line_bytes in
   let icache_cycles =
     if footprint <= arch.A.icache_bytes then 0.0

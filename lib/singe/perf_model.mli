@@ -31,7 +31,15 @@
       beyond {!Gpusim.Caches.Icache.max_streams} of them.
 
     Per-batch predicted cycles are [max(sync, R * throughput) + icache];
-    the prologue is walked separately (cold constant loads, cold code). *)
+    the prologue is walked separately (cold constant loads, cold code).
+
+    What depends on the program alone (the constant-cache thrash verdict,
+    cold code and constant lines, the body's united footprint, memory-path
+    users, the long-path count) is a compile output, {!Compile.t}'s
+    [facts] field ({!Model_facts}), computed once per compile. A
+    prediction reads it and does only the launch-dependent work: one
+    streamed scoreboard walk of the layout, the rendezvous walks and
+    {!Gpusim.Chip.schedule}. *)
 
 type prediction = {
   occ : Gpusim.Chip.occupancy;

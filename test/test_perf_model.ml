@@ -369,29 +369,19 @@ let add_prediction b (p : Singe.Perf_model.prediction) =
   add_float b p.time_s;
   add_float b p.points_per_sec
 
-(* Every partition candidate (and the hand partition) of a chemistry, a
-   transport and a stencil target, on both architectures, plus the hand
-   programs of three DME transport kernels whose constants overflow into
-   constant memory on Fermi (one of them thrashes the constant cache),
-   each at three launch sizes. A candidate that fails to compile or to
-   fit contributes a marker, so the candidate set itself is pinned too. *)
-let golden_digest () =
-  let b = Buffer.create (1 lsl 20) in
-  let programs = ref 0 in
+(* The golden prediction set: every partition candidate (and the hand
+   partition) of a chemistry, a transport and a stencil target, on both
+   architectures, plus the hand programs of three DME transport kernels
+   whose constants overflow into constant memory on Fermi (one of them
+   thrashes the constant cache). Calls [f arch c] on each compiled
+   program in a fixed order, and [on_fail ()] for a candidate that fails
+   to compile or to fit. *)
+let iter_golden_set ~on_fail f =
   let version = Singe.Compile.Warp_specialized in
-  let digest_program arch mech kernel options =
+  let visit arch mech kernel options =
     match Singe.Compile.compile_cached mech kernel version options with
-    | exception _ -> add_string b "compile-failed"
-    | c ->
-        incr programs;
-        let p = c.Singe.Compile.lowered.Singe.Lower.program in
-        add_trace b (Gpusim.Trace.flatten arch p);
-        List.iter
-          (fun total_points ->
-            match Singe.Perf_model.predict c ~total_points with
-            | exception _ -> add_string b "predict-failed"
-            | pred -> add_prediction b pred)
-          [ 2048; 32768; 262144 ]
+    | exception _ -> on_fail ()
+    | c -> f arch c
   in
   let mech = hydrogen () in
   List.iter
@@ -401,7 +391,7 @@ let golden_digest () =
           let base = Singe.Target.options ~n_warps arch kernel in
           let hand = Singe.Compile.compile_cached mech kernel version base in
           List.iter
-            (digest_program arch mech kernel)
+            (visit arch mech kernel)
             (base
             :: Singe.Partition_search.candidate_options base
                  hand.Singe.Compile.dfg))
@@ -414,13 +404,31 @@ let golden_digest () =
   let dme = dme () and fermi = Gpusim.Arch.fermi_c2070 in
   List.iter
     (fun (kernel, n_warps) ->
-      digest_program fermi dme kernel
-        (Singe.Target.options ~n_warps fermi kernel))
+      visit fermi dme kernel (Singe.Target.options ~n_warps fermi kernel))
     [
       (Singe.Kernel_abi.Viscosity, 4);
       (Singe.Kernel_abi.Diffusion, 4);
       (Singe.Kernel_abi.Diffusion, 8);
-    ];
+    ]
+
+(* Each program of the golden set with its trace and its predictions at
+   three launch sizes; a failed candidate contributes a marker, so the
+   candidate set itself is pinned too. *)
+let golden_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  let programs = ref 0 in
+  iter_golden_set
+    ~on_fail:(fun () -> add_string b "compile-failed")
+    (fun arch c ->
+      incr programs;
+      let p = c.Singe.Compile.lowered.Singe.Lower.program in
+      add_trace b (Gpusim.Trace.flatten arch p);
+      List.iter
+        (fun total_points ->
+          match Singe.Perf_model.predict c ~total_points with
+          | exception _ -> add_string b "predict-failed"
+          | pred -> add_prediction b pred)
+        [ 2048; 32768; 262144 ]);
   (!programs, Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_golden_bit_identity () =
@@ -428,6 +436,58 @@ let test_golden_bit_identity () =
   Alcotest.(check int) "programs digested" 273 programs;
   Alcotest.(check string) "prediction and trace digest"
     "4e31401a8c906494061f1ec37460e352" digest
+
+(* ---- the model's program-only facts are a compile output ---- *)
+
+let facts_name (c : Singe.Compile.t) =
+  Printf.sprintf "%s on %s"
+    c.Singe.Compile.lowered.Singe.Lower.program.Gpusim.Isa.name
+    c.Singe.Compile.options.Singe.Compile.arch.Gpusim.Arch.name
+
+(* What a prediction reads from the artifact is exactly what the program
+   it describes yields, on every program the golden digest predicts. *)
+let test_facts_match_program () =
+  let programs = ref 0 in
+  iter_golden_set ~on_fail:ignore (fun _ c ->
+      incr programs;
+      let recomputed =
+        Singe.Model_facts.of_layout c.Singe.Compile.options.Singe.Compile.arch
+          c.Singe.Compile.lowered.Singe.Lower.program
+      in
+      if c.Singe.Compile.facts <> recomputed then
+        Alcotest.failf "%s: stored facts differ from the program's"
+          (facts_name c));
+  Alcotest.(check int) "programs checked" 273 !programs
+
+(* A cached compile equals an uncached one, facts included. *)
+let test_facts_cached_equal_uncached () =
+  let arch = Gpusim.Arch.kepler_k20c in
+  let versions =
+    Singe.Compile.[ Warp_specialized; Baseline; Naive_warp_specialized ]
+  in
+  List.iter
+    (fun (mech, kernels) ->
+      List.iter
+        (fun kernel ->
+          let options = Singe.Target.options ~n_warps:4 arch kernel in
+          List.iter
+            (fun version ->
+              let c = Singe.Compile.compile mech kernel version options in
+              let cached =
+                Singe.Compile.compile_cached mech kernel version options
+              in
+              if c.Singe.Compile.facts <> cached.Singe.Compile.facts then
+                Alcotest.failf "%s: cached facts differ from uncached"
+                  (facts_name c))
+            versions)
+        kernels)
+    [
+      ( hydrogen (),
+        Singe.Kernel_abi.
+          [ Viscosity; Diffusion; Chemistry; Stencil Singe.Stencil_pipe.Edge3 ]
+      );
+      (dme (), Singe.Kernel_abi.[ Viscosity; Diffusion ]);
+    ]
 
 (* ---- golden bit-identity of lowering ---- *)
 
@@ -640,6 +700,10 @@ let tests =
       test_lowering_bit_identity;
     Alcotest.test_case "golden simulation bit-identity" `Quick
       test_simulation_bit_identity;
+    Alcotest.test_case "stored facts match the program" `Quick
+      test_facts_match_program;
+    Alcotest.test_case "cached facts equal uncached" `Quick
+      test_facts_cached_equal_uncached;
     Alcotest.test_case "sim never beats floor or roofline" `Quick
       test_floor_and_roofline;
     Alcotest.test_case "model accuracy within 35%" `Quick test_model_accuracy;

@@ -203,16 +203,22 @@ let test_synthesize_units () =
 
 (* ---------- validator range checks on the shuffle instructions ---------- *)
 
-let expect_invalid name instr needle =
+(* [instr] follows [loads] global loads in the body, or in the prologue
+   when [in_prologue], so the diagnostic must name that position. *)
+let expect_invalid ?(in_prologue = false) ?(loads = 1) name instr needle =
   let p = swizzle_program [] in
+  let ld =
+    Isa.Ld_global
+      { dst = 0; group = 0; field = Isa.F_static 0; via_tex = false;
+        pred = None }
+  in
+  let block = Isa.Instrs (List.init loads (fun _ -> ld) @ [ instr ]) in
   let p =
-    { p with
-      Isa.body =
-        Isa.Instrs
-          [ Isa.Ld_global
-              { dst = 0; group = 0; field = Isa.F_static 0; via_tex = false;
-                pred = None };
-            instr ] }
+    if in_prologue then { p with Isa.prologue = block }
+    else { p with Isa.body = block }
+  in
+  let site =
+    Printf.sprintf "%s[%d]" (if in_prologue then "prologue" else "body") loads
   in
   match Isa.validate p with
   | Ok () -> Alcotest.fail (name ^ ": validator accepted an invalid program")
@@ -220,9 +226,7 @@ let expect_invalid name instr needle =
       Alcotest.(check bool)
         (name ^ " diagnostic is positioned and specific")
         true
-        (List.exists
-           (fun m -> contains m "body[1]" && contains m needle)
-           msgs)
+        (List.exists (fun m -> contains m site && contains m needle) msgs)
 
 let test_validate_shuffle_ranges () =
   expect_invalid "shfl lane 32"
@@ -236,7 +240,10 @@ let test_validate_shuffle_ranges () =
     "outside [0, 32)";
   expect_invalid "shfl.bfly mask -1"
     (Isa.Shfl_bfly { dst = 0; src = 0; xor_mask = -1 })
-    "outside [0, 32)"
+    "outside [0, 32)";
+  expect_invalid ~in_prologue:true ~loads:2 "prologue shfl lane 32"
+    (Isa.Shfl { dst = 0; src = 0; lane = 32 })
+    "prologue[2]: shfl: lane 32 outside [0, 32)"
 
 (* ---------- end-to-end: the Lower rewrite is bit-exact ---------- *)
 
