@@ -399,10 +399,11 @@ let run_passes pm ~validate mech kernel version options =
               ~max_barriers:options.max_barriers lowered);
       (dfg, mapping, schedule, lowered)
 
-(* The model's program-only facts are a compile output like the lowered
-   program they describe: computed once here, eagerly (a [Lazy.t] forced
-   by two sweep workers at once raises), with no pass record of their
-   own, so the pass report is unchanged. *)
+(* The model's program-only facts, and its scoreboard walk at the
+   program's occupancy, are a compile output like the lowered program
+   they describe: computed once here, eagerly (a [Lazy.t] forced by two
+   sweep workers at once raises), with no pass record of their own, so
+   the pass report is unchanged. *)
 let run_pipeline pm ~validate mech kernel version options =
   let dfg, mapping, schedule, lowered =
     run_passes pm ~validate mech kernel version options
@@ -480,23 +481,36 @@ let memo_evictions = ref 0
 let memo_corruptions = ref 0
 
 (* Cheap structural checksum of a compiled artifact: program-level
-   resource counts plus schedule/DFG shape. Any in-place mutation of the
-   cached artifact that matters to simulation shows up here. *)
+   resource counts plus schedule/DFG shape, and the length of each warp's
+   item stream in the model's stored walk (arrays, unlike the rest of
+   the facts). Any in-place mutation of the cached artifact that matters
+   to simulation or to a prediction at occupancy shows up here. *)
 let fingerprint (t : t) =
   let p = t.lowered.Lower.program in
-  [|
-    Gpusim.Isa.static_instr_count p.Gpusim.Isa.body;
-    Gpusim.Isa.static_instr_count p.Gpusim.Isa.prologue;
-    p.Gpusim.Isa.n_fregs;
-    p.Gpusim.Isa.n_iregs;
-    p.Gpusim.Isa.shared_doubles;
-    p.Gpusim.Isa.local_doubles;
-    p.Gpusim.Isa.barriers_used;
-    t.schedule.Schedule.n_sync_points;
-    t.schedule.Schedule.buffer_slots;
-    Array.length t.dfg.Dfg.ops;
-    Array.length t.dfg.Dfg.values;
-  |]
+  let shape =
+    [|
+      Gpusim.Isa.static_instr_count p.Gpusim.Isa.body;
+      Gpusim.Isa.static_instr_count p.Gpusim.Isa.prologue;
+      p.Gpusim.Isa.n_fregs;
+      p.Gpusim.Isa.n_iregs;
+      p.Gpusim.Isa.shared_doubles;
+      p.Gpusim.Isa.local_doubles;
+      p.Gpusim.Isa.barriers_used;
+      t.schedule.Schedule.n_sync_points;
+      t.schedule.Schedule.buffer_slots;
+      Array.length t.dfg.Dfg.ops;
+      Array.length t.dfg.Dfg.values;
+    |]
+  in
+  match t.facts.Model_facts.own_walk with
+  | None -> shape
+  | Some w ->
+      Array.concat
+        [
+          shape;
+          Array.map Array.length w.Model_facts.prologue;
+          Array.map Array.length w.Model_facts.body;
+        ]
 
 (* Callers hold [memo_mutex]. *)
 let evict_down_to limit =

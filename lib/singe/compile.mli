@@ -127,12 +127,13 @@ type t = {
   facts : Model_facts.t;
       (** what {!Perf_model.predict} needs of [lowered]'s program alone
           (DESIGN §12.5), computed once per compile on the final lowered
-          program of every version, so a prediction keeps only the
+          program of every version, with its scoreboard walk at the
+          program's own occupancy, so a prediction keeps only the
           launch-dependent work. A compile output, not a cache: no key,
-          no eviction, it lives and dies with the artifact. It holds only
-          immutable ints and a bool, so {!compile_cached}'s fingerprint
-          re-verification need not cover it: a memo hit cannot serve
-          facts that drifted from the program. It adds no pass record. *)
+          no eviction, it lives and dies with the artifact. Its walk
+          holds arrays, so {!compile_cached}'s fingerprint
+          re-verification covers each warp's item count. It adds no pass
+          record. *)
 }
 
 val compile :

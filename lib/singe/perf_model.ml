@@ -1,24 +1,20 @@
 module A = Gpusim.Arch
 module I = Gpusim.Isa
-module T = Gpusim.Trace
 module C = Gpusim.Chip
 module F = Model_facts
 
 (* Calibration constants. Structure comes from the machine model (pipe
-   rates, latencies, cache geometry); these scalars absorb what a static
+   rates, latencies, cache geometry); six scalars absorb what a static
    walk cannot know — how much dependence latency the lowered code's ILP
    and the warp scheduler actually hide. Calibrated once against the
    simulator on the shipped kernels (DESIGN §12 records the measured
-   accuracy); they are not per-kernel knobs. A recalibration after a
-   simulator change edits them here. *)
-
-(* Exposed constant-cache fill latency per constant-operand instruction
-   once the working set thrashes the 8 KB cache: most accesses then miss,
-   but adjacent slots share lines and followers ride in-flight fills, so
-   only a fraction of a full trip is exposed per access (the profiler
-   measures 30-65 cycles against a 440-cycle fill on the shipped
-   mechanisms). *)
-let ccache_exposure = 0.15
+   accuracy); they are not per-kernel knobs. The four below shape a
+   prediction from the walk; the two the scoreboard walk itself reads,
+   [ccache_exposure] (the per-access stall once the constant cache
+   thrashes) and [cross_cta_overlap] (how much co-resident CTAs' traffic
+   collides on a memory path), live in model_facts.ml next to the walk.
+   A recalibration after a simulator change edits them where they live;
+   editing either of the two moves every compile's stored walk. *)
 
 (* Cold-start fills, paid once per CTA on its first batch: every warp
    marches through the same line sequence together, so each stalls for
@@ -36,15 +32,6 @@ let sync_overlap = 0.3
 (* Fraction of code-refetch fill time that lands on the critical path
    (fills overlap with other warps' execution). *)
 let icache_exposure = 0.5
-
-(* Cross-CTA dilution of memory-path contention. Warps of one CTA march
-   through their load phases in lockstep and genuinely collide on the
-   path, but co-resident CTAs drift apart (staggered launch, divergent
-   stalls), so only part of their traffic lands in the same window. The
-   original model charged the full pack ([resident * users / 2]), which
-   was invisible while every shipped kernel ran at 1-2 resident CTAs;
-   the stencil pipelines occupy 4 and exposed the overestimate. *)
-let cross_cta_overlap = 0.5
 
 type prediction = {
   occ : C.occupancy;
@@ -64,372 +51,6 @@ type prediction = {
   points_per_sec : float;
 }
 
-(* Accumulated cost of a run of instructions between barrier operations —
-   also used (summed over every warp) as the per-batch resource demand.
-   Every field is a float (the two counts too) so OCaml stores the record
-   flat and the per-entry updates allocate nothing. *)
-type seg = {
-  mutable instrs : float;  (* issue slots; also the warp's 1-IPC floor *)
-  mutable dp : float;  (* DP slots, constant-operand penalty applied *)
-  mutable alu : float;
-  mutable lsu : float;
-  mutable shared : float;  (* shared-pipe slots *)
-  mutable chain : float;  (* arith+shared dependence latency, serial sum *)
-  mutable loads : float;  (* global-latency loads (global/local/const/param) *)
-  mutable n_const : float;  (* instructions with constant-memory operands *)
-  mutable tex_b : float;
-  mutable glob_b : float;
-  mutable loc_b : float;
-}
-
-let seg_zero () =
-  {
-    instrs = 0.0;
-    dp = 0.0;
-    alu = 0.0;
-    lsu = 0.0;
-    shared = 0.0;
-    chain = 0.0;
-    loads = 0.0;
-    n_const = 0.0;
-    tex_b = 0.0;
-    glob_b = 0.0;
-    loc_b = 0.0;
-  }
-
-let seg_add_into ~(dst : seg) (s : seg) =
-  dst.instrs <- dst.instrs +. s.instrs;
-  dst.dp <- dst.dp +. s.dp;
-  dst.alu <- dst.alu +. s.alu;
-  dst.lsu <- dst.lsu +. s.lsu;
-  dst.shared <- dst.shared +. s.shared;
-  dst.chain <- dst.chain +. s.chain;
-  dst.loads <- dst.loads +. s.loads;
-  dst.n_const <- dst.n_const +. s.n_const;
-  dst.tex_b <- dst.tex_b +. s.tex_b;
-  dst.glob_b <- dst.glob_b +. s.glob_b;
-  dst.loc_b <- dst.loc_b +. s.loc_b
-
-let active_lanes = function
-  | None -> 32
-  | Some (I.Lane_eq _) -> 1
-  | Some (I.Lane_lt n) -> n
-
-(* DP-slot multiplier of an arith op: constant operands (and Exp/Log's
-   polynomial constants, unless held in registers) go through the
-   operand-collector penalty. *)
-let[@inline] arith_penalty (arch : A.t) (p : I.program) (e : T.entry) op =
-  if
-    e.T.has_const
-    || ((op = I.Exp || op = I.Log) && not p.I.exp_consts_in_registers)
-  then arch.A.const_operand_penalty
-  else 1.0
-
-(* Mirror the simulator's issue-path charging for one trace entry
-   (pipe slots, result latencies, bytes on each memory path). *)
-let charge (arch : A.t) (p : I.program) (s : seg) (e : T.entry) =
-  s.instrs <- s.instrs +. 1.0;
-  if e.T.has_const then s.n_const <- s.n_const +. 1.0;
-  match e.T.instr with
-  | None -> s.alu <- s.alu +. 1.0 (* synthetic warp-id branch *)
-  | Some instr -> (
-      match instr with
-      | I.Arith { op; _ } ->
-          s.dp <- s.dp +. (e.T.dp_slots *. arith_penalty arch p e op);
-          s.chain <-
-            s.chain +. float_of_int (arch.A.arith_latency * e.T.lat_mult);
-          let n_shared = Array.length e.T.shared_srcs in
-          if n_shared > 0 then begin
-            if not arch.A.shared_operand_collector then
-              s.shared <- s.shared +. float_of_int n_shared;
-            s.chain <- s.chain +. float_of_int arch.A.shared_latency
-          end
-      | I.Mov { src; _ } ->
-          s.alu <- s.alu +. 1.0;
-          s.chain <- s.chain +. float_of_int arch.A.arith_latency;
-          if match src with I.Sshared _ -> true | _ -> false then begin
-            s.shared <- s.shared +. 1.0;
-            s.chain <- s.chain +. float_of_int arch.A.shared_latency
-          end
-      | I.Ld_global { via_tex; _ } ->
-          s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads +. 1.0;
-          let bytes = 8.0 *. 32.0 in
-          if via_tex && arch.A.has_ldg then s.tex_b <- s.tex_b +. bytes
-          else s.glob_b <- s.glob_b +. bytes
-      | I.St_global { pred; _ } ->
-          s.lsu <- s.lsu +. 1.0;
-          s.glob_b <- s.glob_b +. (8.0 *. float_of_int (active_lanes pred))
-      | I.Ld_shared _ ->
-          s.lsu <- s.lsu +. 1.0;
-          s.shared <- s.shared +. 1.0;
-          s.chain <- s.chain +. float_of_int arch.A.shared_latency
-      | I.St_shared _ ->
-          s.lsu <- s.lsu +. 1.0;
-          s.shared <- s.shared +. 1.0
-      | I.Ld_local _ ->
-          s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads +. 1.0;
-          s.loc_b <- s.loc_b +. (8.0 *. 32.0)
-      | I.St_local _ ->
-          s.lsu <- s.lsu +. 1.0;
-          s.loc_b <- s.loc_b +. (8.0 *. 32.0)
-      | I.Ld_const_bank _ ->
-          s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads +. 1.0;
-          let bytes = 8.0 *. 32.0 in
-          if arch.A.has_ldg then s.tex_b <- s.tex_b +. bytes
-          else s.glob_b <- s.glob_b +. bytes
-      | I.Ld_param _ ->
-          s.lsu <- s.lsu +. 1.0;
-          s.loads <- s.loads +. 1.0;
-          let bytes = 4.0 *. 32.0 in
-          if arch.A.has_ldg then s.tex_b <- s.tex_b +. bytes
-          else s.glob_b <- s.glob_b +. bytes
-      | I.Shfl _ | I.Shfl_rot _ | I.Shfl_bfly _ ->
-          s.alu <- s.alu +. 2.0;
-          s.chain <- s.chain +. float_of_int arch.A.arith_latency
-      | I.Ishfl _ ->
-          s.alu <- s.alu +. 1.0;
-          s.chain <- s.chain +. float_of_int arch.A.arith_latency
-      | I.Bar_arrive _ | I.Bar_sync _ | I.Bar_cta -> s.alu <- s.alu +. 1.0)
-
-(* Per-warp abstract scoreboard: the simulator's in-order issue
-   discipline (issue at [max(prev + 1, operands ready, own pipe free)])
-   with the warp's own pipe serialization, dependence latencies, and
-   memory-path backlog — but no cross-warp contention, which is the
-   throughput term's job. This is what turns the lowered code's actual
-   ILP into exposed stall cycles instead of guessing an exposure
-   scalar. The clocks are an all-float record (stored flat, so updating
-   them allocates nothing); the register scoreboards are float arrays. *)
-type clocks = {
-  mutable clk : float;  (* this warp's issue clock *)
-  mutable seg_start : float;  (* [clk] when the current segment began *)
-  mutable dp_free : float;  (* own next-issue time per pipe *)
-  mutable alu_free : float;
-  mutable lsu_free : float;
-  mutable sh_free : float;
-}
-
-type walk = {
-  freg : float array;  (* result-ready time per double register *)
-  ireg : float array;
-  drain : float array;  (* own backlog per memory path *)
-  c : clocks;
-}
-
-let walk_make (p : I.program) =
-  {
-    freg = Array.make (max 1 p.I.n_fregs) 0.0;
-    ireg = Array.make (max 1 p.I.n_iregs) 0.0;
-    drain = Array.make 3 0.0;
-    c =
-      {
-        clk = 0.0;
-        seg_start = 0.0;
-        dp_free = 0.0;
-        alu_free = 0.0;
-        lsu_free = 0.0;
-        sh_free = 0.0;
-      };
-  }
-
-(* Per-walk constants of [walk_step]: each memory path's transfer rate
-   under its queueing pressure, and the per-access constant-cache stall
-   charged once the working set thrashes. *)
-type walk_rates = {
-  rate : float array;  (* bytes per cycle, per memory path *)
-  lat : float;
-  thrash : bool;
-  cc_stall : float;
-}
-
-(* Queueing pressure per memory path: with S co-resident warps feeding a
-   path, an access waits on average behind half the pack's concurrent
-   transfers (the full simulator keeps one shared drain per path).
-   [users] counts one CTA's warps on each path. *)
-let walk_rates (arch : A.t) ~(users : F.path_users) ~resident ~ccache_thrash =
-  let mult n =
-    let own = float_of_int n in
-    let others = cross_cta_overlap *. own *. float_of_int (resident - 1) in
-    Float.max 1.0 ((own +. others) /. 2.0)
-  in
-  {
-    rate =
-      [|
-        arch.A.tex_bytes_per_cycle /. mult users.F.on_tex;
-        arch.A.global_bytes_per_cycle /. mult users.F.on_glob;
-        arch.A.local_bytes_per_cycle /. mult users.F.on_loc;
-      |];
-    lat = float_of_int arch.A.global_latency;
-    thrash = ccache_thrash;
-    cc_stall = ccache_exposure *. float_of_int arch.A.global_latency;
-  }
-
-(* Pipe gate mirrors [pipe_free]: issue once the pipe's backlog is under a
-   cycle; the caller deepens the pipe to the returned time. *)
-let[@inline] gate c free slots rate =
-  c.clk <- Float.max c.clk (free -. 1.0);
-  c.clk +. (slots /. rate)
-
-(* A transfer on memory path [k]: start once the path's own backlog
-   drains, deepen it by the transfer, and return the completion delay
-   past [clk]. *)
-let[@inline] path_done wk (r : walk_rates) k bytes =
-  let transfer = bytes /. r.rate.(k) in
-  let start = Float.max wk.drain.(k) wk.c.clk in
-  wk.drain.(k) <- start +. transfer;
-  start +. transfer -. wk.c.clk
-
-let walk_step (arch : A.t) (p : I.program) (r : walk_rates) (wk : walk)
-    (e : T.entry) =
-  let c = wk.c in
-  let ready = ref 0.0 in
-  let srcs = e.T.srcs in
-  for i = 0 to Array.length srcs - 1 do
-    match srcs.(i) with
-    | I.Sreg x -> if wk.freg.(x) > !ready then ready := wk.freg.(x)
-    | I.Sshared { I.s_ireg = Some x; _ } ->
-        if wk.ireg.(x) > !ready then ready := wk.ireg.(x)
-    | I.Sshared _ | I.Simm _ | I.Sconst _ | I.Sconst_warp _ -> ()
-  done;
-  c.clk <- Float.max (c.clk +. 1.0) !ready;
-  if r.thrash && e.T.has_const then c.clk <- c.clk +. r.cc_stall;
-  match e.T.instr with
-  | None -> c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle
-  | Some instr -> (
-      match instr with
-      | I.Arith { op; dst; _ } ->
-          c.dp_free <-
-            gate c c.dp_free
-              (e.T.dp_slots *. arith_penalty arch p e op)
-              arch.A.dp_issue_per_cycle;
-          let n_shared = Array.length e.T.shared_srcs in
-          let extra =
-            if n_shared > 0 then begin
-              if not arch.A.shared_operand_collector then
-                c.sh_free <-
-                  gate c c.sh_free (float_of_int n_shared)
-                    arch.A.shared_issue_per_cycle;
-              float_of_int arch.A.shared_latency
-            end
-            else 0.0
-          in
-          wk.freg.(dst) <-
-            c.clk
-            +. float_of_int (arch.A.arith_latency * e.T.lat_mult)
-            +. extra
-      | I.Mov { dst; src; _ } ->
-          c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle;
-          let extra =
-            match src with
-            | I.Sshared _ ->
-                c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle;
-                float_of_int arch.A.shared_latency
-            | _ -> 0.0
-          in
-          wk.freg.(dst) <- c.clk +. float_of_int arch.A.arith_latency +. extra
-      | I.Ld_global { dst; via_tex; _ } ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          let done_in =
-            path_done wk r
-              (if via_tex && arch.A.has_ldg then F.tex else F.glob)
-              256.0
-          in
-          wk.freg.(dst) <- c.clk +. r.lat +. done_in
-      | I.St_global { pred; _ } ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          ignore
-            (path_done wk r F.glob (8.0 *. float_of_int (active_lanes pred)))
-      | I.Ld_shared { dst; _ } ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle;
-          wk.freg.(dst) <- c.clk +. float_of_int arch.A.shared_latency
-      | I.St_shared _ ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          c.sh_free <- gate c c.sh_free 1.0 arch.A.shared_issue_per_cycle
-      | I.Ld_local { dst; _ } ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          let done_in = path_done wk r F.loc 256.0 in
-          wk.freg.(dst) <- c.clk +. r.lat +. done_in
-      | I.St_local _ ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          ignore (path_done wk r F.loc 256.0)
-      | I.Ld_const_bank { dst; _ } ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          let done_in =
-            path_done wk r (if arch.A.has_ldg then F.tex else F.glob) 256.0
-          in
-          wk.freg.(dst) <- c.clk +. r.lat +. done_in
-      | I.Ld_param { dst_i; _ } ->
-          c.lsu_free <- gate c c.lsu_free 1.0 1.0;
-          let done_in =
-            path_done wk r (if arch.A.has_ldg then F.tex else F.glob) 128.0
-          in
-          wk.ireg.(dst_i) <- c.clk +. r.lat +. done_in
-      | I.Shfl { dst; _ } | I.Shfl_rot { dst; _ } | I.Shfl_bfly { dst; _ } ->
-          c.alu_free <- gate c c.alu_free 2.0 arch.A.alu_issue_per_cycle;
-          wk.freg.(dst) <- c.clk +. float_of_int arch.A.arith_latency
-      | I.Ishfl { dst_i; _ } ->
-          c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle;
-          wk.ireg.(dst_i) <- c.clk +. float_of_int arch.A.arith_latency
-      | I.Bar_arrive _ | I.Bar_sync _ | I.Bar_cta ->
-          c.alu_free <- gate c c.alu_free 1.0 arch.A.alu_issue_per_cycle)
-
-(* One warp's stream, segmented at barrier operations. *)
-type item = Cost of float | Arrive of int * int | Syncb of int * int | Cta
-
-(* One warp's walk through one phase: its scoreboard, the open segment,
-   and the items and segments it has closed so far (both newest first). *)
-type stream = {
-  wk : walk;
-  mutable s : seg;
-  mutable items : item list;
-  mutable closed : seg list;
-}
-
-let stream_make p =
-  { wk = walk_make p; s = seg_zero (); items = []; closed = [] }
-
-(* Close the open segment at a barrier operation or the stream's end. *)
-let flush st =
-  let c = st.wk.c in
-  if st.s.instrs > 0.0 then begin
-    st.closed <- st.s :: st.closed;
-    st.items <- Cost (c.clk -. c.seg_start) :: st.items;
-    st.s <- seg_zero ()
-  end;
-  c.seg_start <- c.clk
-
-let step (arch : A.t) (p : I.program) (r : walk_rates) st (e : T.entry) =
-  charge arch p st.s e;
-  walk_step arch p r st.wk e;
-  match e.T.instr with
-  | Some (I.Bar_arrive { bar; count }) ->
-      flush st;
-      st.items <- Arrive (bar, count) :: st.items
-  | Some (I.Bar_sync { bar; count }) ->
-      flush st;
-      st.items <- Syncb (bar, count) :: st.items
-  | Some I.Bar_cta ->
-      flush st;
-      st.items <- Cta :: st.items
-  | _ -> ()
-
-(* A phase's per-warp item streams, and its per-batch demand: every
-   closed segment summed warp by warp, in stream order. *)
-let finish (streams : stream array) =
-  let agg = seg_zero () in
-  let items =
-    Array.map
-      (fun st ->
-        flush st;
-        List.iter (seg_add_into ~dst:agg) (List.rev st.closed);
-        Array.of_list (List.rev st.items))
-      streams
-  in
-  (items, agg)
-
 (* Abstract rendezvous execution over [reps] back-to-back repetitions of
    every warp's stream: every warp accumulates its segment costs; named
    and CTA barriers propagate the latest arrival time to their waiters
@@ -437,7 +58,7 @@ let finish (streams : stream array) =
    blocked at the end (their producer's arrival lies beyond the walked
    batches) simply keep their arrival time. Returns the latest per-warp
    finish time. *)
-let rendezvous ?(reps = 1) n_warps (streams : item array array) =
+let rendezvous ?(reps = 1) n_warps (streams : F.item array array) =
   let t = Array.make n_warps 0.0 in
   let pos = Array.make n_warps 0 in
   let blocked = Array.make n_warps false in
@@ -464,8 +85,8 @@ let rendezvous ?(reps = 1) n_warps (streams : item array array) =
       while (not blocked.(w)) && pos.(w) < reps * len do
         progress := true;
         (match stream.(pos.(w) mod len) with
-        | Cost c -> t.(w) <- t.(w) +. c
-        | Arrive (b, count) ->
+        | F.Cost c -> t.(w) <- t.(w) +. c
+        | F.Arrive (b, count) ->
             bar_time.(b) <- Float.max bar_time.(b) t.(w);
             bar_arrived.(b) <- bar_arrived.(b) + 1;
             if bar_arrived.(b) >= count then begin
@@ -474,7 +95,7 @@ let rendezvous ?(reps = 1) n_warps (streams : item array array) =
               bar_waiters.(b) <- [];
               bar_time.(b) <- 0.0
             end
-        | Syncb (b, count) ->
+        | F.Syncb (b, count) ->
             bar_time.(b) <- Float.max bar_time.(b) t.(w);
             bar_arrived.(b) <- bar_arrived.(b) + 1;
             if bar_arrived.(b) >= count then begin
@@ -488,7 +109,7 @@ let rendezvous ?(reps = 1) n_warps (streams : item array array) =
               blocked.(w) <- true;
               bar_waiters.(b) <- w :: bar_waiters.(b)
             end
-        | Cta ->
+        | F.Cta ->
             cta_time := Float.max !cta_time t.(w);
             incr cta_arrived;
             if !cta_arrived >= n_warps then begin
@@ -510,16 +131,16 @@ let rendezvous ?(reps = 1) n_warps (streams : item array array) =
 
 (* Per-CTA-batch demand over the shared pipes and paths, as SM cycles;
    the largest entry is the throughput floor on a batch. *)
-let demand_terms (arch : A.t) (s : seg) =
+let demand_terms (arch : A.t) (s : F.seg) =
   [
-    ("warp-instruction issue", s.instrs /. float_of_int arch.A.schedulers);
-    ("DP pipe", s.dp /. arch.A.dp_issue_per_cycle);
-    ("integer/branch pipe", s.alu /. arch.A.alu_issue_per_cycle);
-    ("LSU issue", s.lsu);
-    ("shared-memory pipe", s.shared /. arch.A.shared_issue_per_cycle);
-    ("texture path", s.tex_b /. arch.A.tex_bytes_per_cycle);
-    ("global-memory path", s.glob_b /. arch.A.global_bytes_per_cycle);
-    ("local-memory (spill) path", s.loc_b /. arch.A.local_bytes_per_cycle);
+    ("warp-instruction issue", s.F.instrs /. float_of_int arch.A.schedulers);
+    ("DP pipe", s.F.dp /. arch.A.dp_issue_per_cycle);
+    ("integer/branch pipe", s.F.alu /. arch.A.alu_issue_per_cycle);
+    ("LSU issue", s.F.lsu);
+    ("shared-memory pipe", s.F.shared /. arch.A.shared_issue_per_cycle);
+    ("texture path", s.F.tex_b /. arch.A.tex_bytes_per_cycle);
+    ("global-memory path", s.F.glob_b /. arch.A.global_bytes_per_cycle);
+    ("local-memory (spill) path", s.F.loc_b /. arch.A.local_bytes_per_cycle);
   ]
 
 let max_term terms =
@@ -540,32 +161,19 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   let sim_batches = min batches 6 in
   let n_warps = p.I.n_warps in
   let f = t.Compile.facts in
-  let pro_rates =
-    walk_rates arch ~users:f.F.prologue_users ~resident ~ccache_thrash:false
+  (* The walk at the program's own occupancy is a compile output; a
+     launch with fewer CTAs than that walks at its own residency. *)
+  let w =
+    match f.F.own_walk with
+    | Some w when w.F.resident = resident -> w
+    | _ -> F.walk arch p f ~resident
   in
-  let body_rates =
-    walk_rates arch ~users:f.F.body_users ~resident ~ccache_thrash:f.F.thrash
-  in
-  (* Walk every warp's prologue and body streams at once, in layout
-     order: each warp sees its own entries in program order. *)
-  let pro = Array.init n_warps (fun _ -> stream_make p) in
-  let body = Array.init n_warps (fun _ -> stream_make p) in
-  let step_warps streams r warps e =
-    for w = 0 to n_warps - 1 do
-      if warps land (1 lsl w) <> 0 then step arch p r streams.(w) e
-    done
-  in
-  ignore
-    (T.iter arch p (fun phase warps e ->
-         match phase with
-         | T.Prologue -> step_warps pro pro_rates warps e
-         | T.Body -> step_warps body body_rates warps e));
   (* Prologue: rendezvous over the prologue streams, plus the cold fill
      of the code both phases touch. *)
-  let pro_streams, agg_pro = finish pro in
-  let pro_walk = rendezvous n_warps pro_streams in
+  let pro_walk = rendezvous n_warps w.F.prologue in
   let pro_thr =
-    float_of_int resident *. snd (max_term (demand_terms arch agg_pro))
+    float_of_int resident
+    *. snd (max_term (demand_terms arch w.F.prologue_demand))
   in
   let lat = float_of_int arch.A.global_latency in
   (* Cold code fetch: on its first pass every warp misses each line of
@@ -593,7 +201,7 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
      (cold barrier ramp included), steady state from differencing a
      multi-batch walk, and the per-batch demand aggregated over one
      batch of every warp. *)
-  let body_streams, agg_body = finish body in
+  let body_streams = w.F.body and agg_body = w.F.body_demand in
   let walk k =
     if k = 0 then 0.0 else rendezvous ~reps:k n_warps body_streams
   in
@@ -671,8 +279,8 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
   (* [agg_body] holds one batch of every warp in one CTA; spill traffic
      whose aggregate working set fits in L2 never reaches DRAM. *)
   let batch_dram_b =
-    agg_body.tex_b +. agg_body.glob_b
-    +. (if spill_in_l2 then 0.0 else agg_body.loc_b)
+    agg_body.F.tex_b +. agg_body.F.glob_b
+    +. (if spill_in_l2 then 0.0 else agg_body.F.loc_b)
   in
   let round_cycles k =
     if k = resident then cycles_full else cycles_full_of k

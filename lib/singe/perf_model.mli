@@ -36,10 +36,13 @@
     What depends on the program alone (the constant-cache thrash verdict,
     cold code and constant lines, the body's united footprint, memory-path
     users, the long-path count) is a compile output, {!Compile.t}'s
-    [facts] field ({!Model_facts}), computed once per compile. A
-    prediction reads it and does only the launch-dependent work: one
-    streamed scoreboard walk of the layout, the rendezvous walks and
-    {!Gpusim.Chip.schedule}. *)
+    [facts] field ({!Model_facts}), computed once per compile, and so is
+    the per-warp scoreboard walk at the program's own occupancy, which
+    every launch of at least that many CTAs runs resident. A prediction
+    reads both and does only the launch-dependent work: the rendezvous
+    walks, the demand terms and {!Gpusim.Chip.schedule}. A launch with
+    fewer CTAs than the occupancy walks the program at its own resident
+    count. *)
 
 type prediction = {
   occ : Gpusim.Chip.occupancy;

@@ -437,6 +437,48 @@ let test_golden_bit_identity () =
   Alcotest.(check string) "prediction and trace digest"
     "4e31401a8c906494061f1ec37460e352" digest
 
+(* The same programs launched with fewer CTAs than their occupancy: one
+   CTA, and one short of the occupancy, at 2 and 8 batches per CTA (the
+   second past the simulated rounds, so the steady-state walks run too).
+   Only these predictions walk the program themselves instead of reading
+   the walk stored at its occupancy; a one-CTA launch of a program whose
+   occupancy is one reads the stored walk, and is digested all the same. *)
+let below_occupancy_digest () =
+  let b = Buffer.create (1 lsl 18) in
+  let launches = ref 0 and below = ref 0 in
+  iter_golden_set
+    ~on_fail:(fun () -> add_string b "compile-failed")
+    (fun arch c ->
+      let p = c.Singe.Compile.lowered.Singe.Lower.program in
+      match Gpusim.Chip.occupancy arch p with
+      | exception Gpusim.Chip.Occupancy_rejected _ ->
+          add_string b "occupancy-rejected"
+      | occ ->
+          let occupancy = occ.Gpusim.Chip.resident_ctas in
+          add_int b occupancy;
+          List.iter
+            (fun ctas ->
+              if ctas < occupancy then below := !below + 2;
+              List.iter
+                (fun per_cta ->
+                  incr launches;
+                  match
+                    Singe.Perf_model.predict ~ctas c
+                      ~total_points:(ctas * per_cta)
+                  with
+                  | exception _ -> add_string b "predict-failed"
+                  | pred -> add_prediction b pred)
+                [ 64; 256 ])
+            (if occupancy > 2 then [ 1; occupancy - 1 ] else [ 1 ]));
+  (!launches, !below, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_below_occupancy_bit_identity () =
+  let launches, below, digest = below_occupancy_digest () in
+  Alcotest.(check int) "launches digested" 506 launches;
+  Alcotest.(check int) "launches below occupancy" 430 below;
+  Alcotest.(check string) "below-occupancy prediction digest"
+    "0ceaf0c50d9b4b8f50ecefd1bf74dfa8" digest
+
 (* ---- the model's program-only facts are a compile output ---- *)
 
 let facts_name (c : Singe.Compile.t) =
@@ -445,21 +487,36 @@ let facts_name (c : Singe.Compile.t) =
     c.Singe.Compile.options.Singe.Compile.arch.Gpusim.Arch.name
 
 (* What a prediction reads from the artifact is exactly what the program
-   it describes yields, on every program the golden digest predicts. *)
+   it describes yields, on every program the golden digest predicts: the
+   facts, and the walk at the program's occupancy (none for a program no
+   CTA of which fits). *)
 let test_facts_match_program () =
-  let programs = ref 0 in
+  let programs = ref 0 and walked = ref 0 in
   iter_golden_set ~on_fail:ignore (fun _ c ->
       incr programs;
-      let recomputed =
-        Singe.Model_facts.of_layout c.Singe.Compile.options.Singe.Compile.arch
-          c.Singe.Compile.lowered.Singe.Lower.program
-      in
-      if c.Singe.Compile.facts <> recomputed then
+      let arch = c.Singe.Compile.options.Singe.Compile.arch in
+      let p = c.Singe.Compile.lowered.Singe.Lower.program in
+      let facts = c.Singe.Compile.facts in
+      if facts <> Singe.Model_facts.of_layout arch p then
         Alcotest.failf "%s: stored facts differ from the program's"
+          (facts_name c);
+      let expected =
+        match Gpusim.Chip.occupancy arch p with
+        | exception Gpusim.Chip.Occupancy_rejected _ -> None
+        | occ ->
+            incr walked;
+            Some
+              (Singe.Model_facts.walk arch p facts
+                 ~resident:occ.Gpusim.Chip.resident_ctas)
+      in
+      if facts.Singe.Model_facts.own_walk <> expected then
+        Alcotest.failf "%s: stored walk differs from the walk at occupancy"
           (facts_name c));
-  Alcotest.(check int) "programs checked" 273 !programs
+  Alcotest.(check int) "programs checked" 273 !programs;
+  Alcotest.(check int) "programs walked" 249 !walked
 
-(* A cached compile equals an uncached one, facts included. *)
+(* A cached compile equals an uncached one, facts and stored walk
+   included, and every one of these targets fits, so stores a walk. *)
 let test_facts_cached_equal_uncached () =
   let arch = Gpusim.Arch.kepler_k20c in
   let versions =
@@ -478,7 +535,9 @@ let test_facts_cached_equal_uncached () =
               in
               if c.Singe.Compile.facts <> cached.Singe.Compile.facts then
                 Alcotest.failf "%s: cached facts differ from uncached"
-                  (facts_name c))
+                  (facts_name c);
+              if cached.Singe.Compile.facts.Singe.Model_facts.own_walk = None
+              then Alcotest.failf "%s: no stored walk" (facts_name c))
             versions)
         kernels)
     [
@@ -700,6 +759,8 @@ let tests =
       test_lowering_bit_identity;
     Alcotest.test_case "golden simulation bit-identity" `Quick
       test_simulation_bit_identity;
+    Alcotest.test_case "golden below-occupancy predictions" `Quick
+      test_below_occupancy_bit_identity;
     Alcotest.test_case "stored facts match the program" `Quick
       test_facts_match_program;
     Alcotest.test_case "cached facts equal uncached" `Quick

@@ -529,7 +529,19 @@ let test_memo_reverification () =
       let r = Singe.Compile.run c ~total_points:2048 ~max_cycles:50_000_000 in
       Alcotest.(check bool)
         "recompiled artifact verifies" true
-        (r.Singe.Compile.max_rel_err < 1e-9))
+        (r.Singe.Compile.max_rel_err < 1e-9);
+      (* the model's stored walk is re-verified too: a warp's item stream
+         dropped in place is a corruption, not a served artifact *)
+      (match c.Singe.Compile.facts.Singe.Model_facts.own_walk with
+      | None -> Alcotest.fail "no stored walk"
+      | Some w -> w.Singe.Model_facts.body.(0) <- [||]);
+      let before = Singe.Compile.memo_stats () in
+      let c' = compile () in
+      let after = Singe.Compile.memo_stats () in
+      Alcotest.(check int)
+        "walk corruption detected" (before.Singe.Compile.corruptions + 1)
+        after.Singe.Compile.corruptions;
+      Alcotest.(check bool) "recompiled, not served" true (c' != c))
 
 (* ---- the target members CLI and serve share ---- *)
 
