@@ -116,10 +116,12 @@ let rec iter_instrs block f =
   | If_warps { body; _ } -> iter_instrs body f
   | Switch_warp bodies -> Array.iter (fun b -> iter_instrs b f) bodies
 
-let static_instr_count block =
-  let n = ref 0 in
-  iter_instrs block (fun _ -> incr n);
-  !n
+let rec static_instr_count = function
+  | Instrs l -> List.length l
+  | Seq bs -> List.fold_left (fun n b -> n + static_instr_count b) 0 bs
+  | If_warps { body; _ } -> static_instr_count body
+  | Switch_warp bodies ->
+      Array.fold_left (fun n b -> n + static_instr_count b) 0 bodies
 
 let static_bytes (arch : Arch.t) instr =
   let slots =

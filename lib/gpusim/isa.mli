@@ -168,6 +168,7 @@ type program = {
 val iter_instrs : block -> (instr -> unit) -> unit
 
 val static_instr_count : block -> int
+(** The instructions {!iter_instrs} visits, counted per [Instrs] list. *)
 
 val static_bytes : Arch.t -> instr -> int
 (** Code footprint: multi-slot ops (Exp, Div...) occupy their expanded

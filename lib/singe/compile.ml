@@ -88,6 +88,7 @@ type t = {
   schedule : Schedule.t;
   lowered : Lower.output;
   facts : Model_facts.t;
+  safety : (unit, string * string list) result;
 }
 
 (* ---- typed option checking (the [options] pseudo-pass) ---- *)
@@ -242,8 +243,25 @@ let lower_stats (l : Lower.output) =
 
 (* ---- the pipeline ---- *)
 
+(* One half of a compile's safety verdict ([t.safety]): [check] runs once,
+   whatever [validate] says. Under [validate] it runs inside its pass
+   record, which times it and raises its failure. *)
+let safety_check pm ~validate ~name check =
+  let verdict =
+    if validate then begin
+      let v = ref (Ok ()) in
+      Pass.validate pm ~name (fun () ->
+          v := check ();
+          !v);
+      !v
+    end
+    else check ()
+  in
+  Result.map_error (fun msgs -> (name, msgs)) verdict
+
 (* The passes proper: the dataflow graph, mapping, schedule and lowered
-   program of a compile. *)
+   program of a compile, and its safety verdict: [Mapping.validate], then,
+   only if that passes, [Deadlock_check.check] on the final schedule. *)
 let run_passes pm ~validate mech kernel version options =
   let groups = Kernel_abi.groups mech kernel in
   match version with
@@ -274,9 +292,10 @@ let run_passes pm ~validate mech kernel version options =
                 Mapping.map_auto dfg ~n_warps:options.n_warps
                   ~weights:options.weights ~spec)
       in
-      if validate then
-        Pass.validate pm ~name:"mapping-validate" (fun () ->
-            Mapping.validate dfg mapping);
+      let mapping_safe =
+        safety_check pm ~validate ~name:"mapping-validate" (fun () ->
+            Mapping.validate dfg mapping)
+      in
       let cfg =
         lower_config options ~overlay:(version = Warp_specialized)
           ~const_policy:
@@ -339,17 +358,20 @@ let run_passes pm ~validate mech kernel version options =
         ignore
           (Pass.run pm ~name:"synth-exchange" ~stats:Shuffle_synth.report_stats
              (fun () -> lowered.Lower.exchange));
-      if validate then begin
+      if validate then
         Pass.validate pm ~name:"schedule-validate" (fun () ->
             Schedule.validate ~max_barriers:options.max_barriers schedule dfg
               mapping);
-        Pass.validate pm ~name:"deadlock-check" (fun () ->
-            Deadlock_check.check schedule);
+      let safety =
+        Result.bind mapping_safe (fun () ->
+            safety_check pm ~validate ~name:"deadlock-check" (fun () ->
+                Deadlock_check.check schedule))
+      in
+      if validate then
         Pass.validate pm ~name:"lower-validate" (fun () ->
             Lower.validate_output ~arch:options.arch
-              ~max_barriers:options.max_barriers lowered)
-      end;
-      (dfg, mapping, schedule, lowered)
+              ~max_barriers:options.max_barriers lowered);
+      (dfg, mapping, schedule, lowered, safety)
   | Baseline ->
       (* One thread per point: every thread runs the whole dataflow graph,
          so map onto a single logical warp and emit warp-independent code. *)
@@ -366,21 +388,24 @@ let run_passes pm ~validate mech kernel version options =
             Mapping.map dfg ~n_warps:1 ~weights:options.weights
               ~strategy:Mapping.Buffer ~respect_hints:false)
       in
-      if validate then
-        Pass.validate pm ~name:"mapping-validate" (fun () ->
-            Mapping.validate dfg mapping);
+      let mapping_safe =
+        safety_check pm ~validate ~name:"mapping-validate" (fun () ->
+            Mapping.validate dfg mapping)
+      in
       let schedule =
         Pass.run pm ~name:"schedule" ~stats:schedule_stats (fun () ->
             Schedule.build ~buffer_slots:options.buffer_slots ~group_syncs:true
               dfg mapping)
       in
-      if validate then begin
+      if validate then
         Pass.validate pm ~name:"schedule-validate" (fun () ->
             Schedule.validate ~max_barriers:options.max_barriers schedule dfg
               mapping);
-        Pass.validate pm ~name:"deadlock-check" (fun () ->
-            Deadlock_check.check schedule)
-      end;
+      let safety =
+        Result.bind mapping_safe (fun () ->
+            safety_check pm ~validate ~name:"deadlock-check" (fun () ->
+                Deadlock_check.check schedule))
+      in
       let cfg =
         lower_config options ~overlay:true ~const_policy:Lower.Const_mem
       in
@@ -397,7 +422,7 @@ let run_passes pm ~validate mech kernel version options =
         Pass.validate pm ~name:"lower-validate" (fun () ->
             Lower.validate_output ~arch:options.arch
               ~max_barriers:options.max_barriers lowered);
-      (dfg, mapping, schedule, lowered)
+      (dfg, mapping, schedule, lowered, safety)
 
 (* The model's program-only facts, and its scoreboard walk at the
    program's occupancy, are a compile output like the lowered program
@@ -405,11 +430,22 @@ let run_passes pm ~validate mech kernel version options =
    sweep workers at once raises), with no pass record of their own, so
    the pass report is unchanged. *)
 let run_pipeline pm ~validate mech kernel version options =
-  let dfg, mapping, schedule, lowered =
+  let dfg, mapping, schedule, lowered, safety =
     run_passes pm ~validate mech kernel version options
   in
   let facts = Model_facts.of_layout options.arch lowered.Lower.program in
-  { mech; kernel; version; options; dfg; mapping; schedule; lowered; facts }
+  {
+    mech;
+    kernel;
+    version;
+    options;
+    dfg;
+    mapping;
+    schedule;
+    lowered;
+    facts;
+    safety;
+  }
 
 let pipeline_name mech kernel version options =
   Printf.sprintf "%s/%s/%s/%s/ws%d" mech.Chem.Mechanism.name
@@ -449,10 +485,9 @@ let compile_checked ?validate mech kernel version options =
    configurations would otherwise grow it without limit (each entry
    holds a whole lowered program). Eviction is LRU on a logical clock
    bumped at every hit, and every hit re-verifies the stored artifact
-   against the structural fingerprint recorded at insertion — a
-   mismatch (memory corruption, or a bug mutating a "immutable"
-   artifact) drops the entry, recompiles, and is counted rather than
-   silently served. *)
+   against the snapshot taken at insertion — a mismatch (a bug
+   mutating an "immutable" artifact) drops the entry, recompiles, and is
+   counted rather than silently served. *)
 
 type memo_stats = {
   size : int;
@@ -463,9 +498,14 @@ type memo_stats = {
   corruptions : int;
 }
 
+(* A mutable array of a stored artifact, with the shallow copy taken at
+   insertion. Only arrays of boxed values (blocks, item streams), whose
+   slots [==] compares by identity. *)
+type slots = Slots : 'a array * 'a array -> slots
+
 type memo_entry = {
   value : t;
-  mutable fingerprint : int array;
+  mutable snapshot : slots list;
       (* mutable only so tests can poison an entry to exercise the
          corruption path; the cache itself never writes it after insert *)
   mutable last_use : int;
@@ -480,37 +520,35 @@ let memo_misses = ref 0
 let memo_evictions = ref 0
 let memo_corruptions = ref 0
 
-(* Cheap structural checksum of a compiled artifact: program-level
-   resource counts plus schedule/DFG shape, and the length of each warp's
-   item stream in the model's stored walk (arrays, unlike the rest of
-   the facts). Any in-place mutation of the cached artifact that matters
-   to simulation or to a prediction at occupancy shows up here. *)
-let fingerprint (t : t) =
+(* What a hit re-verifies: each [Switch_warp] arm array of the lowered
+   program (naive programs have one; [Instrs], [Seq] and [If_warps] are
+   immutable, so these arrays are the only place its code can be
+   rewritten in place) and the per-warp item-stream arrays of the
+   model's stored walk. A hit compares each slot with [==], O(warps):
+   replacing an arm or a warp's stream is caught, whatever its size.
+   The artifact's other arrays (constant banks, graph, mapping and
+   schedule tables) are not covered. *)
+let snapshot (t : t) =
   let p = t.lowered.Lower.program in
-  let shape =
-    [|
-      Gpusim.Isa.static_instr_count p.Gpusim.Isa.body;
-      Gpusim.Isa.static_instr_count p.Gpusim.Isa.prologue;
-      p.Gpusim.Isa.n_fregs;
-      p.Gpusim.Isa.n_iregs;
-      p.Gpusim.Isa.shared_doubles;
-      p.Gpusim.Isa.local_doubles;
-      p.Gpusim.Isa.barriers_used;
-      t.schedule.Schedule.n_sync_points;
-      t.schedule.Schedule.buffer_slots;
-      Array.length t.dfg.Dfg.ops;
-      Array.length t.dfg.Dfg.values;
-    |]
+  let rec arms acc = function
+    | Gpusim.Isa.Instrs _ -> acc
+    | Gpusim.Isa.Seq bs -> List.fold_left arms acc bs
+    | Gpusim.Isa.If_warps { body; _ } -> arms acc body
+    | Gpusim.Isa.Switch_warp bodies ->
+        Array.fold_left arms (Slots (bodies, Array.copy bodies) :: acc) bodies
   in
+  let program = arms (arms [] p.Gpusim.Isa.prologue) p.Gpusim.Isa.body in
   match t.facts.Model_facts.own_walk with
-  | None -> shape
+  | None -> program
   | Some w ->
-      Array.concat
-        [
-          shape;
-          Array.map Array.length w.Model_facts.prologue;
-          Array.map Array.length w.Model_facts.body;
-        ]
+      Slots (w.Model_facts.prologue, Array.copy w.Model_facts.prologue)
+      :: Slots (w.Model_facts.body, Array.copy w.Model_facts.body)
+      :: program
+
+let intact snapshot =
+  List.for_all
+    (fun (Slots (live, copy)) -> Array.for_all2 ( == ) live copy)
+    snapshot
 
 (* Callers hold [memo_mutex]. *)
 let evict_down_to limit =
@@ -588,7 +626,7 @@ let memo_find_or_compile key mech kernel version options =
       | None ->
           incr memo_misses;
           None
-      | Some e when e.fingerprint = fingerprint e.value ->
+      | Some e when intact e.snapshot ->
           incr memo_hits;
           incr memo_tick;
           e.last_use <- !memo_tick;
@@ -615,7 +653,7 @@ let memo_find_or_compile key mech kernel version options =
       if not (Hashtbl.mem memo key) then begin
         incr memo_tick;
         Hashtbl.add memo key
-          { value = t; fingerprint = fingerprint t; last_use = !memo_tick };
+          { value = t; snapshot = snapshot t; last_use = !memo_tick };
         evict_down_to !memo_max
       end;
       Mutex.unlock memo_mutex;
@@ -634,7 +672,9 @@ let compile_cached mech kernel version =
 let memo_poison_for_test () =
   Mutex.lock memo_mutex;
   let victim = Hashtbl.fold (fun _ e _ -> Some e) memo None in
-  (match victim with Some e -> e.fingerprint <- [||] | None -> ());
+  (match victim with
+  | Some e -> e.snapshot <- Slots ([| 0 |], [| 1 |]) :: e.snapshot
+  | None -> ());
   Mutex.unlock memo_mutex;
   victim <> None
 

@@ -131,9 +131,17 @@ type t = {
           program's own occupancy, so a prediction keeps only the
           launch-dependent work. A compile output, not a cache: no key,
           no eviction, it lives and dies with the artifact. Its walk
-          holds arrays, so {!compile_cached}'s fingerprint
-          re-verification covers each warp's item count. It adds no pass
-          record. *)
+          holds per-warp arrays, so a {!compile_cached} hit re-verifies
+          that each is the one stored. It adds no pass record. *)
+  safety : (unit, string * string list) result;
+      (** the safety verdict on [mapping] and [schedule]: [Error (check,
+          problems)] from the first of {!Mapping.validate} and
+          {!Deadlock_check.check} (["mapping-validate"] or
+          ["deadlock-check"]) that fails; the second runs only if the
+          first passes. Computed once per compile, with or without
+          validation: the [mapping-validate] and [deadlock-check] pass
+          records of {!compile_checked} time and raise this same
+          computation. {!Partition_search.gate} reads it. *)
 }
 
 val compile :
@@ -162,7 +170,12 @@ val compile_cached :
     is everything a compile reads. The pipeline is deterministic, so
     identical configurations compile once per process no matter how many
     sweep workers ask. Thread-safe; only successful compiles are cached
-    (failures re-raise every time).
+    (failures re-raise every time). A hit re-verifies the artifact in
+    O(warps): the arrays that hold its code (each [Switch_warp] arm
+    array) and its stored walk (the per-warp streams) must still hold,
+    slot for slot and by identity, what they held at insertion;
+    otherwise the entry is dropped, counted as a corruption and
+    recompiled.
 
     Partial application digests the target once: a sweep binds
     [let compile = compile_cached mech kernel version] and each
@@ -178,8 +191,9 @@ type memo_stats = {
   misses : int;  (** lookups that had to compile *)
   evictions : int;  (** entries dropped by the LRU bound *)
   corruptions : int;
-      (** hits whose stored artifact failed fingerprint re-verification
-          and were dropped + recompiled instead of served *)
+      (** hits whose stored artifact failed re-verification against its
+          insertion snapshot and were dropped + recompiled instead of
+          served *)
 }
 
 val memo_stats : unit -> memo_stats
@@ -200,8 +214,8 @@ val set_memo_limit : int -> unit
     it ever saw. *)
 
 val memo_poison_for_test : unit -> bool
-(** Corrupt the stored fingerprint of one cached entry (test hook for
-    the re-verification path); [false] when the cache is empty. *)
+(** Corrupt the stored snapshot of one cached entry (test hook for the
+    re-verification path); [false] when the cache is empty. *)
 
 type ir_stage = Ir_dfg | Ir_mapping | Ir_schedule | Ir_lower
 

@@ -6,9 +6,8 @@
     program and stores it in {!Compile.t}'s [facts] field; a prediction
     reads that field and keeps only the launch-dependent work. Nothing
     writes the value after {!of_layout} returns. Its walk holds arrays,
-    so {!Compile.compile_cached}'s fingerprint covers each warp's item
-    count: a memo hit re-verifies the walk's shape with the rest of the
-    artifact. *)
+    so a {!Compile.compile_cached} hit checks, by identity, that each
+    warp's item streams are still the ones stored. *)
 
 (** The memory paths (texture, global, local spill), as indexes into the
     model's per-path arrays. *)

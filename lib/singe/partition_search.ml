@@ -7,12 +7,13 @@
    onto consumer warps — crossed with pipeline depths (the transport
    ring's slot count). The whole population is ranked by predicted
    cycles with [Autotune.rank] (compile + static model, no simulation),
-   the top candidates pass through the safety gate ([Mapping.validate] +
-   [Deadlock_check.check] — compile_cached runs with validation off, so
-   the gate here is the only thing standing between a searched partition
-   and the simulator), and [Autotune.confirm] simulates the hand mapping
-   followed by the survivors, so the returned winner is never worse than
-   the paper's partition. *)
+   the top candidates pass through the safety gate (the verdict of the
+   mapping validator and the deadlock checker that every compile
+   computes once and stores in [Compile.t.safety]: compile_cached runs
+   with validation off, so reading it here is what keeps an unsound
+   searched partition from the simulator), and [Autotune.confirm]
+   simulates the hand mapping followed by the survivors, so the returned
+   winner is never worse than the paper's partition. *)
 
 type rejection = { rej_options : Compile.options; rej_diag : Diagnostics.t }
 
@@ -115,9 +116,7 @@ let gate_schedule schedule =
   | Error msgs -> Error (reject "deadlock-check" msgs)
 
 let gate (c : Compile.t) =
-  match Mapping.validate c.Compile.dfg c.Compile.mapping with
-  | Error msgs -> Error (reject "mapping-validate" msgs)
-  | Ok () -> gate_schedule c.Compile.schedule
+  Result.map_error (fun (what, msgs) -> reject what msgs) c.Compile.safety
 
 (* ---- the search ---- *)
 

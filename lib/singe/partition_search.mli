@@ -10,11 +10,12 @@
     {- {b score}: {!Autotune.rank} compiles every candidate through the
        shared memo and orders it by {!Perf_model.predict}'s cycles —
        static, cheap, no simulation;}
-    {- {b gate}: the model's top picks pass {!Mapping.validate} and
-       {!Deadlock_check.check}. The memoized compile path runs with
-       validation off, so this gate is what keeps an unsound searched
-       partition away from the simulator — failures surface as
-       [partition-rejected] diagnostics;}
+    {- {b gate}: the model's top picks must carry a passing safety
+       verdict ({!Compile.t}'s [safety]: {!Mapping.validate} then
+       {!Deadlock_check.check}, computed once per compile). The memoized
+       compile path runs with validation off, so this gate is what keeps
+       an unsound searched partition away from the simulator — failures
+       surface as [partition-rejected] diagnostics;}
     {- {b confirm}: {!Autotune.confirm} simulates the hand mapping and
        then the survivors in model order, each once (hand first, so ties
        keep the paper's partition) — the returned winner is never worse
@@ -61,12 +62,15 @@ val candidate_options : Compile.options -> Dfg.t -> Compile.options list
     exact population {!search} scores, in evaluation order). *)
 
 val gate : Compile.t -> (unit, Diagnostics.t) result
-(** The phase-2 safety gate: {!Mapping.validate} then
-    {!Deadlock_check.check} on a compiled candidate. *)
+(** The phase-2 safety gate on a compiled candidate: its stored
+    [safety] verdict ({!Mapping.validate} then {!Deadlock_check.check},
+    run once by the compile), as a [partition-rejected] diagnostic. O(1):
+    it re-runs neither check. *)
 
 val gate_schedule : Schedule.t -> (unit, Diagnostics.t) result
-(** The deadlock half of {!gate} alone — what the seeded mutation tests
-    drive against {!Deadlock_check.mutants}. *)
+(** {!Deadlock_check.check} on a raw schedule, with {!gate}'s diagnostic
+    — what the seeded mutation tests drive against
+    {!Deadlock_check.mutants}. *)
 
 val search :
   ?points:int ->

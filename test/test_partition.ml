@@ -187,6 +187,86 @@ let test_gate_rejects_every_mutant () =
         muts)
     [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion ]
 
+(* ---- the gate reads the compile's safety verdict ---- *)
+
+(* What the gate used to compute per call: the mapping validator, then,
+   only if it passes, the deadlock checker. *)
+let fresh_verdict (c : Singe.Compile.t) =
+  match Singe.Mapping.validate c.Singe.Compile.dfg c.Singe.Compile.mapping with
+  | Error msgs -> Error ("mapping-validate", msgs)
+  | Ok () -> (
+      match Singe.Deadlock_check.check c.Singe.Compile.schedule with
+      | Ok () -> Ok ()
+      | Error msgs -> Error ("deadlock-check", msgs))
+
+let gate_text c =
+  match Singe.Partition_search.gate c with
+  | Ok () -> "ok"
+  | Error d -> Singe.Diagnostics.to_string d
+
+(* The diagnostic the gate gave when it re-ran both checks itself. *)
+let fresh_gate_text c =
+  match fresh_verdict c with
+  | Ok () -> "ok"
+  | Error (what, msgs) ->
+      Printf.sprintf "error[partition-search]: partition-rejected: %s: %s" what
+        (String.concat "; " msgs)
+
+(* A cached compile's stored verdict equals a fresh check's and an
+   uncached compile's, and the gate turns it into the diagnostic a fresh
+   check gives. *)
+let check_verdict what kernel options (cached : Singe.Compile.t) =
+  if cached.Singe.Compile.safety <> fresh_verdict cached then
+    Alcotest.failf "%s: stored verdict differs from a fresh check" what;
+  let uncached =
+    Singe.Compile.compile (Lazy.force hydrogen) kernel
+      Singe.Compile.Warp_specialized options
+  in
+  if uncached.Singe.Compile.safety <> cached.Singe.Compile.safety then
+    Alcotest.failf "%s: cached verdict differs from uncached" what;
+  Alcotest.(check string) (what ^ ": gate text") (fresh_gate_text cached)
+    (gate_text cached)
+
+(* Every candidate of hydrogen viscosity's search (and its hand mapping)
+   carries the verdict a fresh check gives; so does a compile whose
+   mapping the validator rejects (zero mapping weights without the
+   domain hints pile every op onto warp 0). *)
+let test_gate_reads_stored_verdict () =
+  let mech = Lazy.force hydrogen and kernel = Singe.Kernel_abi.Viscosity in
+  let version = Singe.Compile.Warp_specialized in
+  let base = base_options kernel in
+  let hand = compiled kernel and n_compiled = ref 0 in
+  List.iter
+    (fun options ->
+      match Singe.Compile.compile_cached mech kernel version options with
+      | exception _ -> ()
+      | cached ->
+          incr n_compiled;
+          check_verdict
+            (Format.asprintf "%a" Singe.Partition_search.pp_candidate options)
+            kernel options cached)
+    (base :: Singe.Partition_search.candidate_options base hand.Singe.Compile.dfg);
+  Alcotest.(check int) "candidates compiled" 73 !n_compiled;
+  let kernel = Singe.Kernel_abi.Conductivity in
+  let options =
+    {
+      (Singe.Target.options ~n_warps:16 arch kernel) with
+      Singe.Compile.respect_hints = false;
+      weights = { Singe.Mapping.w_flops = 0.; w_regs = 0.; w_locality = 0. };
+    }
+  in
+  let c = Singe.Compile.compile_cached mech kernel version options in
+  (match c.Singe.Compile.safety with
+  | Error ("mapping-validate", _ :: _) -> ()
+  | Ok () | Error _ -> Alcotest.fail "overloaded mapping not rejected");
+  check_verdict "overloaded mapping" kernel options c;
+  (* Validating, the same single check fails the mapping-validate pass. *)
+  match Singe.Compile.compile_checked ~validate:true mech kernel version options with
+  | Ok _ -> Alcotest.fail "validating compile accepted the overloaded mapping"
+  | Error d ->
+      Alcotest.(check (option string))
+        "failing pass" (Some "mapping-validate") d.Singe.Diagnostics.pass
+
 (* ---- search determinism and the never-worse guarantee ---- *)
 
 let outcome_fingerprint (o : Singe.Partition_search.outcome) =
@@ -395,6 +475,8 @@ let tests =
       test_proposed_specs_map_validly;
     Alcotest.test_case "gate rejects every mutant" `Quick
       test_gate_rejects_every_mutant;
+    Alcotest.test_case "gate reads the stored verdict" `Quick
+      test_gate_reads_stored_verdict;
     Alcotest.test_case "search deterministic across jobs" `Quick
       test_search_deterministic_across_jobs;
     Alcotest.test_case "confirmed search deterministic across jobs" `Quick

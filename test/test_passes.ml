@@ -302,11 +302,36 @@ let test_raising_pass_is_failed () =
   in
   Alcotest.(check bool) "report shows FAILED on the pass line" true failed_line
 
+(* A validating compile's report is unchanged by the safety verdict
+   moving into the compile: [mapping-validate] and [deadlock-check] keep
+   their place, runs and [ok] flags. The digest of the JSON reports of
+   three targets in all three versions was computed before the move. *)
+let test_validating_reports_pinned () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (mech, kernel) ->
+      List.iter
+        (fun version ->
+          let _, report = compile ~mech ~version kernel in
+          Buffer.add_string b
+            (Sutil.Json.emit (Singe.Pass.report_to_json report));
+          Buffer.add_char b '\n')
+        Singe.Compile.[ Warp_specialized; Naive_warp_specialized; Baseline ])
+    [
+      (hydrogen (), Singe.Kernel_abi.Viscosity);
+      (hydrogen (), Singe.Kernel_abi.Chemistry);
+      (Chem.Mech_gen.dme (), Singe.Kernel_abi.Diffusion);
+    ];
+  Alcotest.(check string) "report digest" "f21e41f5b3c672e0a2adc6653615d1d9"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let tests =
   [
     Alcotest.test_case "report covers the pipeline" `Quick
       test_report_covers_pipeline;
     Alcotest.test_case "report serializes to JSON" `Quick test_report_json;
+    Alcotest.test_case "validating reports pinned" `Quick
+      test_validating_reports_pinned;
     Alcotest.test_case "invalid options are typed errors" `Quick
       test_invalid_options_are_typed;
     Alcotest.test_case "mutation: dfg cycle" `Quick test_dfg_cycle_is_caught;

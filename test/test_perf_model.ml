@@ -515,8 +515,9 @@ let test_facts_match_program () =
   Alcotest.(check int) "programs checked" 273 !programs;
   Alcotest.(check int) "programs walked" 249 !walked
 
-(* A cached compile equals an uncached one, facts and stored walk
-   included, and every one of these targets fits, so stores a walk. *)
+(* A cached compile equals an uncached one, facts, stored walk and
+   safety verdict included, and every one of these targets fits, so
+   stores a walk. *)
 let test_facts_cached_equal_uncached () =
   let arch = Gpusim.Arch.kepler_k20c in
   let versions =
@@ -536,6 +537,9 @@ let test_facts_cached_equal_uncached () =
               if c.Singe.Compile.facts <> cached.Singe.Compile.facts then
                 Alcotest.failf "%s: cached facts differ from uncached"
                   (facts_name c);
+              if c.Singe.Compile.safety <> cached.Singe.Compile.safety then
+                Alcotest.failf "%s: cached safety verdict differs from uncached"
+                  (facts_name c);
               if cached.Singe.Compile.facts.Singe.Model_facts.own_walk = None
               then Alcotest.failf "%s: no stored walk" (facts_name c))
             versions)
@@ -547,6 +551,37 @@ let test_facts_cached_equal_uncached () =
       );
       (dme (), Singe.Kernel_abi.[ Viscosity; Diffusion ]);
     ]
+
+(* [Isa.static_instr_count] sums list lengths; it counts exactly the
+   instructions [iter_instrs] visits, on both phases of every golden
+   program and of two naive programs (whose bodies are warp switches). *)
+let test_static_instr_count () =
+  let visited block =
+    let n = ref 0 in
+    Gpusim.Isa.iter_instrs block (fun _ -> incr n);
+    !n
+  in
+  let programs = ref 0 in
+  let check (c : Singe.Compile.t) =
+    incr programs;
+    let p = c.Singe.Compile.lowered.Singe.Lower.program in
+    List.iter
+      (fun (phase, block) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s" (facts_name c) phase)
+          (visited block)
+          (Gpusim.Isa.static_instr_count block))
+      [ ("prologue", p.Gpusim.Isa.prologue); ("body", p.Gpusim.Isa.body) ]
+  in
+  iter_golden_set ~on_fail:ignore (fun _ c -> check c);
+  List.iter
+    (fun kernel ->
+      check
+        (Singe.Compile.compile_cached (hydrogen ()) kernel
+           Singe.Compile.Naive_warp_specialized
+           (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel)))
+    Singe.Kernel_abi.[ Viscosity; Chemistry ];
+  Alcotest.(check int) "programs counted" 275 !programs
 
 (* ---- golden bit-identity of lowering ---- *)
 
@@ -765,6 +800,8 @@ let tests =
       test_facts_match_program;
     Alcotest.test_case "cached facts equal uncached" `Quick
       test_facts_cached_equal_uncached;
+    Alcotest.test_case "static instruction count matches iter_instrs" `Quick
+      test_static_instr_count;
     Alcotest.test_case "sim never beats floor or roofline" `Quick
       test_floor_and_roofline;
     Alcotest.test_case "model accuracy within 35%" `Quick test_model_accuracy;

@@ -543,6 +543,52 @@ let test_memo_reverification () =
         after.Singe.Compile.corruptions;
       Alcotest.(check bool) "recompiled, not served" true (c' != c))
 
+(* A naive program switches on the warp id at top level: its
+   [Switch_warp] arm array is the one slot of a lowered program a bug
+   could rewrite in place. A hit checks each arm by identity, so an arm
+   swapped for a block of the same instruction count, which no count of
+   instructions can see, is caught, and so is an arm swapped for a
+   shorter one. *)
+let test_memo_catches_arm_swaps () =
+  Singe.Compile.memo_clear ();
+  let mech = Chem.Mech_gen.hydrogen () in
+  let compile () =
+    Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
+      Singe.Compile.Naive_warp_specialized
+      (Singe.Compile.default_options Gpusim.Arch.kepler_k20c)
+  in
+  let rec arms = function
+    | Gpusim.Isa.Switch_warp a -> Some a
+    | Gpusim.Isa.Seq bs -> List.find_map arms bs
+    | Gpusim.Isa.If_warps { body; _ } -> arms body
+    | Gpusim.Isa.Instrs _ -> None
+  in
+  let swap what ~same_size replace =
+    let c = compile () in
+    let p = c.Singe.Compile.lowered.Singe.Lower.program in
+    let a =
+      match arms p.Gpusim.Isa.body with
+      | Some a -> a
+      | None -> Alcotest.fail "naive body has no warp switch"
+    in
+    let count = Gpusim.Isa.static_instr_count a.(0) in
+    a.(0) <- replace a.(0);
+    Alcotest.(check bool)
+      (what ^ ": instruction count kept") same_size
+      (Gpusim.Isa.static_instr_count a.(0) = count);
+    let before = Singe.Compile.memo_stats () in
+    let c' = compile () in
+    let after = Singe.Compile.memo_stats () in
+    Alcotest.(check int)
+      (what ^ ": corruption detected")
+      (before.Singe.Compile.corruptions + 1)
+      after.Singe.Compile.corruptions;
+    Alcotest.(check bool) (what ^ ": recompiled, not served") true (c' != c)
+  in
+  ignore (compile ());
+  swap "same-size swap" ~same_size:true (fun arm -> Gpusim.Isa.Seq [ arm ]);
+  swap "shorter swap" ~same_size:false (fun _ -> Gpusim.Isa.Instrs [])
+
 (* ---- the target members CLI and serve share ---- *)
 
 let stats_int st path =
@@ -701,6 +747,8 @@ let tests =
     Alcotest.test_case "compile memo LRU bound" `Quick test_memo_lru_bound;
     Alcotest.test_case "compile memo re-verification" `Quick
       test_memo_reverification;
+    Alcotest.test_case "compile memo catches arm swaps" `Quick
+      test_memo_catches_arm_swaps;
     Alcotest.test_case "cache keys cover the target" `Quick
       test_cache_keys_cover_target;
     Alcotest.test_case "CLI and serve reject alike" `Quick
