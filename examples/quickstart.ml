@@ -1,7 +1,8 @@
 (* Quickstart: the full Singe workflow on a small hydrogen/CO mechanism.
 
-   1. write the four CHEMKIN-standard input files,
-   2. load them back through the parsers,
+   1. write the four CHEMKIN-standard input files to a temporary
+      directory,
+   2. load them back through the parsers (then remove the directory),
    3. compile the viscosity kernel both ways (warp-specialized and
       data-parallel baseline),
    4. run both on the simulated Kepler K20c and check them against the
@@ -29,6 +30,8 @@ let () =
     | Error e -> failwith (Chem.Srcloc.to_string e)
   in
   Format.printf "loaded %a@." Chem.Mechanism.pp mech;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
 
   (* 3-4: compile and run. *)
   let arch = Gpusim.Arch.kepler_k20c in

@@ -407,32 +407,6 @@ let run ?max_cycles ?profile (job : job) =
       decr ready_count
     end
   in
-  (* Smallest ready warp index at or circularly after [pos]; -1 if none. *)
-  let next_ready pos =
-    if !ready_count = 0 then -1
-    else begin
-      let wd0 = pos lsr 5 and b0 = pos land 31 in
-      let m0 = ready_bits.(wd0) land ((-1) lsl b0) in
-      if m0 <> 0 then (wd0 lsl 5) + lowest_bit_index m0
-      else begin
-        let res = ref (-1) in
-        let step = ref 1 in
-        while !res < 0 && !step <= n_words do
-          let wi =
-            let wi = wd0 + !step in
-            if wi >= n_words then wi - n_words else wi
-          in
-          let m =
-            if !step = n_words then ready_bits.(wd0) land ((1 lsl b0) - 1)
-            else ready_bits.(wi)
-          in
-          if m <> 0 then res := (wi lsl 5) + lowest_bit_index m;
-          incr step
-        done;
-        !res
-      end
-    end
-  in
   Array.iter (fun w -> set_ready w.index) warps;
   (* --- optional per-warp cycle-attribution ledger (see Profile) ---
      Each warp carries the start cycle and bucket of its current span;
@@ -528,15 +502,18 @@ let run ?max_cycles ?profile (job : job) =
      can next succeed, instead of failing again every cycle:
      - scoreboard: until the cycle its operands are ready, a fixed time,
        since a warp's register ready times change only when it issues;
-     - busy pipe: until the start of the first cycle the pipe is free
-       (a pipe's [busy] never shrinks, so no earlier attempt in between
-       could pass it).
+     - busy pipe: in its wait class's bitset (laid out like [ready_bits])
+       until the scheduler scan reaches it while the class's pipes are
+       free. A pipe's [busy] never shrinks, so a pipe free at that moment
+       was free at cycle start, and a pipe busy then stays busy for the
+       rest of the cycle: every skipped attempt would have failed.
      Both checks come before any cache access, so the skipped attempts
      had no effect but the profiler classification they repeat. *)
   let scoreboard = heap_create n_warps_total in
   let waiting =
-    Array.init n_wait_classes (fun _ -> Array.make (max 1 n_warps_total) 0)
+    Array.init n_wait_classes (fun _ -> Array.make (max 1 n_words) 0)
   in
+  let no_waiting = Array.make (max 1 n_words) 0 in
   let n_waiting = Array.make n_wait_classes 0 in
   let pipe_parked = ref 0 in
   (* Every Stalled transition goes through here so the heap invariant
@@ -554,9 +531,65 @@ let run ?max_cycles ?profile (job : job) =
   in
   let park_pipe w cls =
     clear_ready w.index;
-    waiting.(cls).(n_waiting.(cls)) <- w.index;
+    let wd = w.index lsr 5 in
+    waiting.(cls).(wd) <- waiting.(cls).(wd) lor (1 lsl (w.index land 31));
     n_waiting.(cls) <- n_waiting.(cls) + 1;
     incr pipe_parked
+  in
+  (* Move a pipe-parked warp from its wait class back to the ready set. *)
+  let unpark_pipe i =
+    let wd = i lsr 5 and m = 1 lsl (i land 31) in
+    let cls = ref 0 in
+    while waiting.(!cls).(wd) land m = 0 do
+      incr cls
+    done;
+    waiting.(!cls).(wd) <- waiting.(!cls).(wd) land lnot m;
+    n_waiting.(!cls) <- n_waiting.(!cls) - 1;
+    decr pipe_parked;
+    set_ready i
+  in
+  (* The bitset of wait class [cls] if it has waiters and [free] says its
+     pipes are free now, else the empty bitset. *)
+  let retry_bits cls free =
+    if n_waiting.(cls) > 0 && free then waiting.(cls) else no_waiting
+  in
+  (* Smallest warp index at or circularly after [pos] that is ready or
+     parked in a wait class whose pipes are free now; -1 if none. *)
+  let next_candidate pos =
+    let dp_w = retry_bits wait_dp (pipe_free dp !now) in
+    let alu_w = retry_bits wait_alu (pipe_free alu !now) in
+    let lsu_w = retry_bits wait_lsu (pipe_free lsu !now) in
+    let lsu_shared_w =
+      retry_bits wait_lsu_shared
+        (pipe_free lsu !now && pipe_free shared_pipe !now)
+    in
+    if
+      !ready_count = 0 && dp_w == no_waiting && alu_w == no_waiting
+      && lsu_w == no_waiting && lsu_shared_w == no_waiting
+    then -1
+    else begin
+      let wd0 = pos lsr 5 and b0 = pos land 31 in
+      let res = ref (-1) in
+      let step = ref 0 in
+      while !res < 0 && !step <= n_words do
+        let wi =
+          let wi = wd0 + !step in
+          if wi >= n_words then wi - n_words else wi
+        in
+        let m =
+          ready_bits.(wi) lor dp_w.(wi) lor alu_w.(wi) lor lsu_w.(wi)
+          lor lsu_shared_w.(wi)
+        in
+        let m =
+          if !step = 0 then m land ((-1) lsl b0)
+          else if !step = n_words then m land ((1 lsl b0) - 1)
+          else m
+        in
+        if m <> 0 then res := (wi lsl 5) + lowest_bit_index m;
+        incr step
+      done;
+      !res
+    end
   in
   (* --- functional helpers ---
      Lanes execute over a predicate's [lo..hi] range with the operation
@@ -691,15 +724,8 @@ let run ?max_cycles ?profile (job : job) =
       !ways
     end
   in
-  (* A pipe wait class can issue again once its pipes are free at the
-     start of a cycle; until then its waiters' earliest retry is the
-     cycle the busiest of them frees up. *)
-  let wait_class_free cls =
-    if cls = wait_dp then pipe_free dp !now
-    else if cls = wait_alu then pipe_free alu !now
-    else if cls = wait_lsu then pipe_free lsu !now
-    else pipe_free lsu !now && pipe_free shared_pipe !now
-  in
+  (* A pipe wait class's earliest retry is the cycle the busiest of its
+     pipes frees up. *)
   let wait_class_hint cls =
     int_of_float
       (Float.ceil
@@ -732,8 +758,9 @@ let run ?max_cycles ?profile (job : job) =
     b.n_waiters <- 0
   in
   (* Earliest retry cycle of the warps that failed to issue this cycle
-     but stay in the ready set (only the dual-pipe arith below); parked
-     warps keep theirs in the scoreboard heap and the wait lists. *)
+     but stay in the ready set (only a shared-operand arith blocked on the
+     shared pipe, below); parked warps keep theirs in the scoreboard heap
+     and the wait classes. *)
   let min_hint = ref max_int in
   let hintf t =
     let t = int_of_float (Float.ceil t) in
@@ -845,8 +872,8 @@ let run ?max_cycles ?profile (job : job) =
   let set_isrc w r cls = if prof_on then ireg_src.(w.index).(r) <- cls in
   (* Attempt to issue the next instruction of warp [w]; true if issued.
      A failed attempt either changes the warp's state (stall, retire) or
-     parks it (see above); only the dual-pipe arith stays in the ready
-     set. *)
+     parks it (see above); only a shared-operand arith blocked on the
+     shared pipe stays in the ready set. *)
   let try_issue w =
     let entry_id = Trace.peek tr ~warp:w.wid ~batches:job.batches w.cur in
     if entry_id < 0 then begin
@@ -881,9 +908,10 @@ let run ?max_cycles ?profile (job : job) =
               let n_shared = Array.length shared_ops in
               let collector = arch.Arch.shared_operand_collector in
               (* Without the operand collector a shared operand needs the
-                 shared pipe after the DP pipe, and a failed attempt's
-                 profiler bucket depends on which of the two is busy: such
-                 a warp is retried every cycle, never parked on a pipe. *)
+                 shared pipe after the DP pipe. Blocked on the DP pipe the
+                 warp parks like any arith; blocked on the shared pipe it
+                 stays ready, since its next attempt's profiler bucket
+                 flips to arith as soon as the DP pipe is taken. *)
               let dual = n_shared > 0 && not collector in
               if ready > !now then begin
                 set_block_sb w srcs;
@@ -892,7 +920,7 @@ let run ?max_cycles ?profile (job : job) =
               end
               else if not (pipe_free dp !now) then begin
                 block := Profile.arith;
-                if dual then hintf dp.busy else park_pipe w wait_dp;
+                park_pipe w wait_dp;
                 false
               end
               else if dual && not (pipe_free shared_pipe !now) then begin
@@ -1396,9 +1424,11 @@ let run ?max_cycles ?profile (job : job) =
      The scan visits the same position sequence as the original
      full-array round-robin — positions [(rr + k) mod n] for k = 0.. with
      [rr] re-based past a warp that issues — but skips runs of non-ready
-     positions through the bitset, stall wake-ups come from the event
+     positions through the bitsets, stall wake-ups come from the event
      queue instead of re-testing every warp each cycle, and parked warps
-     rejoin the ready set only when their retry can succeed. *)
+     rejoin the ready set only when their retry can succeed: a
+     scoreboard-parked warp at the cycle its operands are ready, a
+     pipe-parked one when the scan reaches it while its pipes are free. *)
   let rr = ref 0 in
   let idle_streak = ref 0 in
   while !live > 0 do
@@ -1415,17 +1445,6 @@ let run ?max_cycles ?profile (job : job) =
     while heap_min scoreboard <= !now do
       set_ready (heap_pop scoreboard)
     done;
-    if !pipe_parked > 0 then
-      for cls = 0 to n_wait_classes - 1 do
-        let n = n_waiting.(cls) in
-        if n > 0 && wait_class_free cls then begin
-          for i = 0 to n - 1 do
-            set_ready waiting.(cls).(i)
-          done;
-          n_waiting.(cls) <- 0;
-          pipe_parked := !pipe_parked - n
-        end
-      done;
     (* Wake-ups pushed *during* this cycle's scan must not shorten the
        fast-forward: the original scan only hinted warps that were already
        stalled when their position was visited, so a warp stalling
@@ -1435,14 +1454,14 @@ let run ?max_cycles ?profile (job : job) =
     min_hint := max_int;
     let issued_this_cycle = ref 0 in
     let k = ref 0 in
-    let scanning = ref (!ready_count > 0) in
+    let scanning = ref (!ready_count > 0 || !pipe_parked > 0) in
     while
       !scanning
       && !issued_this_cycle < arch.Arch.schedulers
       && !k < n_warps_total
     do
       let pos = (!rr + !k) mod n_warps_total in
-      let j = next_ready pos in
+      let j = next_candidate pos in
       if j < 0 then scanning := false
       else begin
         let d = (j - pos + n_warps_total) mod n_warps_total in
@@ -1452,6 +1471,8 @@ let run ?max_cycles ?profile (job : job) =
         else begin
           k := !k + d;
           let w = warps.(j) in
+          if ready_bits.(j lsr 5) land (1 lsl (j land 31)) = 0 then
+            unpark_pipe j;
           if try_issue w then begin
             incr issued_this_cycle;
             rr := w.index + 1;
@@ -1483,7 +1504,9 @@ let run ?max_cycles ?profile (job : job) =
              !live);
       (* Every parked warp would have failed this cycle's attempt: its
          retry cycle joins the hints, as the attempt's hint would have.
-         Nothing issued, so no pipe moved since the warps parked. *)
+         Nothing issued, so no pipe moved this cycle, and the scan tried
+         every warp of a class whose pipes were free: each class left
+         holds warps on busy pipes. *)
       min_hint := min !min_hint (heap_min scoreboard);
       if !pipe_parked > 0 then
         for cls = 0 to n_wait_classes - 1 do

@@ -115,6 +115,15 @@ let check_options_exn mech kernel version o =
   if o.ctas_per_sm_target < 1 then
     fail "ctas_per_sm_target = %d: need at least one resident CTA"
       o.ctas_per_sm_target;
+  (let w = o.weights in
+   let ws = [ w.Mapping.w_flops; w.Mapping.w_regs; w.Mapping.w_locality ] in
+   if not (List.for_all (fun x -> Float.is_finite x && x >= 0.0) ws) then
+     fail
+       "mapping weights (flops %g, regs %g, locality %g) must be finite and \
+        non-negative"
+       w.Mapping.w_flops w.Mapping.w_regs w.Mapping.w_locality;
+   if List.for_all (fun x -> x = 0.0) ws then
+     fail "mapping weights are all zero: the mapping would balance nothing");
   (match o.partition with
   | Partition_hand -> ()
   | Partition_auto s ->

@@ -105,8 +105,9 @@ val check_options :
     [n_warps] below the version's minimum (warp specialization needs at
     least a producer and a consumer warp) or beyond what the architecture
     can host in one CTA, an empty transport ring ([buffer_slots = 0]), a
-    barrier budget outside the 16 hardware ids, a zero occupancy target, or
-    a register budget too small to lower any expression. *)
+    barrier budget outside the 16 hardware ids, a zero occupancy target,
+    mapping [weights] that are negative, non-finite or all zero, or a
+    register budget too small to lower any expression. *)
 
 val default_strategy : Kernel_abi.kernel -> Mapping.strategy
 (** Store for viscosity, Mixed for diffusion, Buffer for chemistry: its

@@ -247,12 +247,14 @@ let test_gate_reads_stored_verdict () =
             kernel options cached)
     (base :: Singe.Partition_search.candidate_options base hand.Singe.Compile.dfg);
   Alcotest.(check int) "candidates compiled" 73 !n_compiled;
+  (* Locality alone glues every op to warp 0 (all-zero weights, which did
+     the same, are now an options error: see the test below). *)
   let kernel = Singe.Kernel_abi.Conductivity in
   let options =
     {
       (Singe.Target.options ~n_warps:16 arch kernel) with
       Singe.Compile.respect_hints = false;
-      weights = { Singe.Mapping.w_flops = 0.; w_regs = 0.; w_locality = 0. };
+      weights = { Singe.Mapping.w_flops = 0.; w_regs = 0.; w_locality = 1. };
     }
   in
   let c = Singe.Compile.compile_cached mech kernel version options in
@@ -266,6 +268,55 @@ let test_gate_reads_stored_verdict () =
   | Error d ->
       Alcotest.(check (option string))
         "failing pass" (Some "mapping-validate") d.Singe.Diagnostics.pass
+
+(* Mapping weights that balance nothing are rejected up front: the
+   all-zero reproduction (hydrogen conductivity, 16 warps, hints off) gets
+   the [options] diagnostic from every entry point instead of a compile
+   whose stored verdict is an error, and so do negative and non-finite
+   weights. *)
+let test_bad_weights_rejected () =
+  let mech = Lazy.force hydrogen and kernel = Singe.Kernel_abi.Conductivity in
+  let version = Singe.Compile.Warp_specialized in
+  let with_weights w_flops w_regs w_locality =
+    {
+      (Singe.Target.options ~n_warps:16 arch kernel) with
+      Singe.Compile.respect_hints = false;
+      weights = { Singe.Mapping.w_flops; w_regs; w_locality };
+    }
+  in
+  let is_options_error label = function
+    | Error (d : Singe.Diagnostics.t) ->
+        Alcotest.(check (option string))
+          (label ^ ": failing pass") (Some "options") d.Singe.Diagnostics.pass
+    | Ok () -> Alcotest.failf "%s accepted" label
+  in
+  List.iter
+    (fun (label, options) ->
+      is_options_error label
+        (Singe.Compile.check_options mech kernel version options);
+      is_options_error (label ^ ", validating compile")
+        (Result.map ignore
+           (Singe.Compile.compile_checked ~validate:true mech kernel version
+              options));
+      match Singe.Compile.compile_cached mech kernel version options with
+      | exception Singe.Diagnostics.Fail d ->
+          Alcotest.(check (option string))
+            (label ^ ": cached compile pass") (Some "options")
+            d.Singe.Diagnostics.pass
+      | _ -> Alcotest.failf "%s: cached compile returned an artifact" label)
+    [
+      ("all-zero weights", with_weights 0. 0. 0.);
+      ("negative weight", with_weights 1. (-0.25) 0.5);
+      ("NaN weight", with_weights Float.nan 0.25 0.5);
+      ("infinite weight", with_weights 1. 0.25 Float.infinity);
+    ];
+  match
+    Singe.Compile.check_options mech kernel version (with_weights 0. 0. 1.)
+  with
+  | Ok () -> ()
+  | Error d ->
+      Alcotest.failf "one non-zero weight rejected: %s"
+        (Singe.Diagnostics.to_string d)
 
 (* ---- search determinism and the never-worse guarantee ---- *)
 
@@ -477,6 +528,8 @@ let tests =
       test_gate_rejects_every_mutant;
     Alcotest.test_case "gate reads the stored verdict" `Quick
       test_gate_reads_stored_verdict;
+    Alcotest.test_case "bad mapping weights rejected" `Quick
+      test_bad_weights_rejected;
     Alcotest.test_case "search deterministic across jobs" `Quick
       test_search_deterministic_across_jobs;
     Alcotest.test_case "confirmed search deterministic across jobs" `Quick

@@ -786,6 +786,250 @@ let test_simulation_bit_identity () =
   Alcotest.(check string) "simulation digest"
     "05731a07faa951774dcca46ea28413f4" digest
 
+(* ---- golden bit-identity under pipe contention ---- *)
+
+(* Hand-built programs whose 16-64 warps pile onto one pipe wait class
+   each: the DP pipe (with multi-slot Div/Sqrt/Exp and constant
+   operands), the ALU (shuffles, synthetic warp branches, barriers), the
+   load-store pipe (global, local, parameter and constant-bank loads),
+   load-store plus shared (shared loads and stores with bank conflicts)
+   and arith with shared-memory operands, which on Kepler needs the DP
+   and then the shared pipe. The compiled golden set reaches some of
+   these classes only rarely, so a change to how the issue loop retries
+   parked warps is pinned here on Kepler and Fermi, with and without the
+   profiler. *)
+let contention_program ~name ~n_warps ?(local_doubles = 0) body =
+  let open Gpusim in
+  {
+    Isa.name;
+    n_warps;
+    n_fregs = 16;
+    n_iregs = 2;
+    shared_doubles = 4096;
+    local_doubles;
+    barriers_used = 1;
+    point_map = Isa.Thread_per_point;
+    prologue = Isa.Instrs [];
+    body;
+    const_bank =
+      Array.init n_warps (fun w ->
+          Array.init 32 (fun l ->
+              [| float_of_int ((w * 32) + l) *. 0.25; float_of_int l |]));
+    param_bank =
+      Array.init n_warps (fun w ->
+          Array.init 32 (fun l -> [| (w + l) land 1; (w * 64) + (l * 2) |]));
+    const_mem = Array.init 80 (fun i -> 1.0 +. (float_of_int i /. 8.0));
+    groups =
+      [|
+        { Isa.group_name = "a"; fields = 3 };
+        { Isa.group_name = "out"; fields = 2 };
+      |];
+    exp_consts_in_registers = false;
+  }
+
+let contention_programs () =
+  let open Gpusim.Isa in
+  let ld dst f = Ld_global { dst; group = 0; field = F_static f; via_tex = true; pred = None } in
+  let st src f = St_global { src = Sreg src; group = 1; field = F_static f; pred = None } in
+  let ar ?pred op dst srcs = Arith { op; dst; srcs; pred } in
+  let warp_lane ?(mul = 1) base =
+    { s_base = base; s_warp_mul = 64; s_lane_mul = mul; s_ireg = None; s_ireg_mul = 0 }
+  in
+  let dp =
+    Instrs
+      [
+        ld 0 0;
+        ar Mul 1 [| Simm 1.5; Simm 2.5 |];
+        ar Add 2 [| Simm 0.25; Sconst 0 |];
+        ar Div 3 [| Simm 1.0; Simm 3.0 |];
+        ar Fma 4 [| Sreg 1; Sreg 2; Simm 0.5 |];
+        ar Sqrt 5 [| Sreg 1 |];
+        ar Fma 6 [| Sreg 0; Sconst_warp 1; Sreg 3 |];
+        ar Exp 7 [| Simm 0.125 |];
+        ar ~pred:(Lane_lt 16) Mul 8 [| Sreg 4; Sreg 5 |];
+        ar Div 9 [| Sreg 6; Sreg 7 |];
+        ar ~pred:(Lane_eq 3) Sub 10 [| Sreg 8; Sreg 9 |];
+        ar Max 11 [| Sreg 10; Sreg 2 |];
+        ar Min 12 [| Sreg 11; Sconst 2 |];
+        ar Neg 13 [| Sreg 12 |];
+        ar Log 14 [| Simm 2.0 |];
+        ar Fma 15 [| Sreg 13; Sreg 14; Sreg 0 |];
+        st 15 0;
+      ]
+  in
+  let alu n_warps =
+    let arm w =
+      match w mod 3 with
+      | 0 ->
+          Instrs
+            [
+              Mov { dst = 0; src = Simm 0.5; pred = None };
+              Shfl { dst = 1; src = 0; lane = 3 };
+              Shfl_rot { dst = 2; src = 0; delta = 5 };
+              Shfl_bfly { dst = 3; src = 0; xor_mask = 7 };
+              Shfl { dst = 4; src = 0; lane = 30 };
+              Shfl_rot { dst = 5; src = 0; delta = 31 };
+              Shfl_bfly { dst = 6; src = 0; xor_mask = 1 };
+              Shfl_rot { dst = 7; src = 3; delta = 2 };
+              Mov { dst = 8; src = Sreg 7; pred = None };
+              st 8 0;
+            ]
+      | 1 ->
+          Instrs
+            [
+              Ld_param { dst_i = 0; slot = 0 };
+              Mov { dst = 1; src = Simm 0.5; pred = Some (Lane_lt 20) };
+              Shfl_bfly { dst = 2; src = 1; xor_mask = 1 };
+              Shfl_rot { dst = 3; src = 1; delta = 31 };
+              Shfl { dst = 4; src = 1; lane = 19 };
+              Shfl_bfly { dst = 5; src = 1; xor_mask = 16 };
+              Ishfl { dst_i = 1; src_i = 0; lane = 2 };
+              Shfl_rot { dst = 6; src = 5; delta = 7 };
+              st 6 1;
+            ]
+      | _ ->
+          Instrs
+            [
+              Mov { dst = 0; src = Sconst 3; pred = None };
+              Shfl { dst = 1; src = 0; lane = 0 };
+              Shfl_rot { dst = 2; src = 0; delta = 1 };
+              Shfl { dst = 3; src = 0; lane = 31 };
+              Shfl_bfly { dst = 4; src = 0; xor_mask = 3 };
+              Shfl_rot { dst = 5; src = 4; delta = 9 };
+              st 5 0;
+            ]
+    in
+    let even = ref 0 in
+    for w = 0 to n_warps - 1 do
+      if w land 1 = 0 then even := !even lor (1 lsl w)
+    done;
+    Seq
+      [
+        Switch_warp (Array.init n_warps arm);
+        If_warps { mask = !even; body = Instrs [ Bar_arrive { bar = 0; count = n_warps } ] };
+        If_warps
+          {
+            mask = lnot !even land ((1 lsl n_warps) - 1);
+            body = Instrs [ Bar_sync { bar = 0; count = n_warps } ];
+          };
+        Instrs [ Shfl_bfly { dst = 5; src = 0; xor_mask = 16 }; Bar_cta ];
+      ]
+  in
+  let lsu =
+    Instrs
+      [
+        Ld_param { dst_i = 0; slot = 0 };
+        Ld_global { dst = 0; group = 0; field = F_ireg 0; via_tex = false; pred = None };
+        ld 1 1;
+        Ld_const_bank { dst = 2; slot = 0 };
+        St_local { src = 2; slot = 0 };
+        Ld_local { dst = 3; slot = 1 };
+        Ld_global { dst = 4; group = 0; field = F_static 2; via_tex = false; pred = Some (Lane_lt 8) };
+        St_local { src = 1; slot = 1 };
+        Ld_local { dst = 5; slot = 0 };
+        Ld_const_bank { dst = 6; slot = 1 };
+        St_global { src = Sreg 0; group = 1; field = F_static 0; pred = None };
+        St_global { src = Sreg 5; group = 1; field = F_ireg 0; pred = None };
+        St_global { src = Sreg 3; group = 1; field = F_static 1; pred = Some (Lane_eq 5) };
+        St_global { src = Sreg 6; group = 1; field = F_static 1; pred = Some (Lane_lt 3) };
+      ]
+  in
+  let shared =
+    Instrs
+      [
+        St_shared { src = Simm 1.0; addr = warp_lane ~mul:2 0; pred = None };
+        Ld_shared { dst = 1; addr = warp_lane 1; pred = None };
+        Ld_shared { dst = 2; addr = sh 5; pred = None };
+        Ld_shared { dst = 7; addr = sh_lane ~mul:2 0; pred = None };
+        Ld_shared { dst = 8; addr = sh_lane ~mul:4 3; pred = Some (Lane_lt 24) };
+        St_shared { src = Simm 2.0; addr = warp_lane ~mul:0 3; pred = Some (Lane_lt 4) };
+        Ld_shared { dst = 9; addr = warp_lane ~mul:8 0; pred = None };
+        Ld_param { dst_i = 0; slot = 1 };
+        ld 0 0;
+        Ld_shared { dst = 3; addr = sh_ireg ~lane_mul:3 ~base:0 ~ireg:0 ~mul:1 (); pred = None };
+        St_shared { src = Sreg 0; addr = warp_lane ~mul:2 0; pred = None };
+        St_shared { src = Sshared (sh_lane 7); addr = warp_lane 32; pred = None };
+        Mov { dst = 4; src = Sshared (sh_lane ~mul:4 16); pred = None };
+        ar Add 5 [| Sreg 1; Sreg 2 |];
+        ar Fma 6 [| Sreg 3; Sreg 4; Sreg 7 |];
+        ar Fma 10 [| Sreg 8; Sreg 9; Sreg 6 |];
+        st 5 0;
+        st 10 1;
+      ]
+  in
+  let shared_operand =
+    Instrs
+      [
+        ld 0 0;
+        St_shared { src = Sreg 0; addr = warp_lane 0; pred = None };
+        ar Fma 1 [| Sreg 0; Sshared (sh_lane ~mul:2 0); Simm 1.0 |];
+        ar Mul 2 [| Sshared (sh 3); Sshared (warp_lane 1) |];
+        ar Add 3 [| Simm 1.0; Simm 2.0 |];
+        ar Div 4 [| Sshared (sh_lane ~mul:8 0); Simm 3.0 |];
+        Ld_shared { dst = 5; addr = sh_lane ~mul:2 1; pred = None };
+        ar ~pred:(Lane_lt 12) Sqrt 6 [| Sshared (warp_lane 2) |];
+        ar Sub 7 [| Sreg 1; Sreg 2 |];
+        ar Fma 8 [| Sreg 4; Sreg 5; Sshared (sh_ireg ~base:0 ~ireg:0 ~mul:0 ()) |];
+        ar Add 9 [| Sreg 7; Sreg 8 |];
+        st 9 0;
+        st 6 1;
+      ]
+  in
+  [
+    (contention_program ~name:"dp" ~n_warps:24 dp, 2);
+    (contention_program ~name:"alu" ~n_warps:32 (alu 32), 1);
+    (contention_program ~name:"lsu" ~n_warps:32 ~local_doubles:2 lsu, 2);
+    (contention_program ~name:"shared" ~n_warps:16 shared, 2);
+    (contention_program ~name:"shared-operand" ~n_warps:32 shared_operand, 1);
+  ]
+
+let contention_digest () =
+  let open Gpusim in
+  let b = Buffer.create (1 lsl 20) in
+  let runs = ref 0 in
+  let batches = 3 in
+  let digest_run arch (p, resident_ctas) profile =
+    incr runs;
+    let per_cta = batches * p.Isa.n_warps * 32 in
+    let n_points = resident_ctas * per_cta in
+    let mem = Memstate.create p ~n_points ~resident_ctas in
+    for f = 0 to 2 do
+      Memstate.set_field mem ~group:0 ~field:f
+        (Array.init n_points (fun i -> float_of_int ((i * 7) + f) /. 16.0))
+    done;
+    let job =
+      {
+        Sm.arch;
+        program = p;
+        trace = Trace.flatten arch p;
+        mem;
+        resident_ctas;
+        batches;
+        cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
+      }
+    in
+    add_sm_result b (Sm.run ?profile job);
+    add_value b mem
+  in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun ((p, _) as prog) ->
+          (match Isa.validate p with
+          | Ok () -> ()
+          | Error es -> Alcotest.fail (String.concat "; " es));
+          digest_run arch prog (Some Sm.default_profile);
+          digest_run arch prog None)
+        (contention_programs ()))
+    [ Arch.kepler_k20c; Arch.fermi_c2070 ];
+  (!runs, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_contention_bit_identity () =
+  let runs, digest = contention_digest () in
+  Alcotest.(check int) "runs digested" 20 runs;
+  Alcotest.(check string) "contention digest"
+    "7e5662e49cf7bae16b3750d6b98e0228" digest
+
 let tests =
   [
     Alcotest.test_case "golden model and trace bit-identity" `Quick
@@ -815,4 +1059,6 @@ let tests =
       test_sexpr_var_diagnostic;
     Alcotest.test_case "chemkin coefficient overflow positioned" `Quick
       test_chemkin_coeff_overflow;
+    Alcotest.test_case "golden simulation under pipe contention" `Quick
+      test_contention_bit_identity;
   ]
