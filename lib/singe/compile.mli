@@ -116,6 +116,12 @@ val default_strategy : Kernel_abi.kernel -> Mapping.strategy
     [scratch]) live in shared memory (§4.1). Stencil kernels use Store:
     tile handoffs are static single-writer values read at known offsets. *)
 
+val build_dfg :
+  ?chem_comm:chem_comm -> ?full_range_thermo:bool -> ?stencil_overlap:bool ->
+  Chem.Mechanism.t -> Kernel_abi.kernel -> n_warps:int -> Dfg.t
+(** The [dfg-build] pass, the kernel's partitioner. Defaults: [Chem_staged],
+    no full-range thermodynamics, overlapped stencil tiles. *)
+
 type t = {
   mech : Chem.Mechanism.t;
   kernel : Kernel_abi.kernel;

@@ -55,11 +55,21 @@ module Builder = struct
         output = Some vid; hint; shared_hint; align };
     vid
 
+  (* Dependence order: every input names a value an earlier op produced. *)
+  let check_inputs b what name inputs =
+    for i = 0 to Array.length inputs - 1 do
+      if inputs.(i) < 0 || inputs.(i) >= b.n_vals then
+        invalid_arg
+          (Printf.sprintf "%s %s: input %d is not a value yet" what name
+             inputs.(i))
+    done
+
   let compute b ?hint ?align ?(shared_hint = false) ~name ~inputs expr =
     if Sexpr.n_inputs expr > Array.length inputs then
       invalid_arg
         (Printf.sprintf "compute %s: expression uses %d inputs, %d given" name
            (Sexpr.n_inputs expr) (Array.length inputs));
+    check_inputs b "compute" name inputs;
     let id = b.n_ops in
     let vid = new_value b name id in
     add_op b
@@ -69,11 +79,14 @@ module Builder = struct
 
   let fence b ~inputs =
     let id = b.n_ops in
+    let name = Printf.sprintf "fence%d" id in
+    check_inputs b "fence" name inputs;
     add_op b
-      { id; name = Printf.sprintf "fence%d" id; kind = Fence; inputs;
-        output = None; hint = Some 0; shared_hint = false; align = None }
+      { id; name; kind = Fence; inputs; output = None; hint = Some 0;
+        shared_hint = false; align = None }
 
   let store b ?hint ?align ~name ~group ~field input =
+    check_inputs b "store" name [| input |];
     let id = b.n_ops in
     add_op b
       { id; name; kind = Store { group; field }; inputs = [| input |];
@@ -82,17 +95,21 @@ module Builder = struct
   let finish b =
     let ops = Array.of_list (List.rev b.ops_rev) in
     let vals = Array.of_list (List.rev b.vals_rev) in
+    (* Walking the ops backwards leaves each consumer list ascending; an
+       op reading one value twice meets it adjacently. *)
     let consumers = Array.make b.n_vals [] in
-    Array.iter
-      (fun op ->
-        Array.iter
-          (fun v -> consumers.(v) <- op.id :: consumers.(v))
-          op.inputs)
-      ops;
+    for i = Array.length ops - 1 downto 0 do
+      Array.iter
+        (fun v ->
+          match consumers.(v) with
+          | c :: _ when c = i -> ()
+          | l -> consumers.(v) <- i :: l)
+        ops.(i).inputs
+    done;
     let values =
       Array.mapi
         (fun vid (vname, producer) ->
-          { vid; vname; producer; consumers = List.sort_uniq compare consumers.(vid) })
+          { vid; vname; producer; consumers = consumers.(vid) })
         vals
     in
     { graph_name = b.bname; ops; values }
@@ -110,51 +127,24 @@ let op_constants op =
   | Compute e -> Sexpr.constants e
   | Load _ | Store _ | Fence -> []
 
+(* The emission order is the topological order unless an op reads a value
+   produced at or after itself; every cycle contains such a back edge. *)
 let topo_order t =
-  let n = Array.length t.ops in
-  let indegree = Array.make n 0 in
-  let succs = Array.make n [] in
-  Array.iter
-    (fun op ->
-      Array.iter
-        (fun v ->
-          let p = t.values.(v).producer in
-          succs.(p) <- op.id :: succs.(p);
-          indegree.(op.id) <- indegree.(op.id) + 1)
-        op.inputs)
+  let nv = Array.length t.values in
+  let late = ref [] in
+  Array.iteri
+    (fun i op ->
+      let reads_late v = v < 0 || v >= nv || t.values.(v).producer >= i in
+      if Array.exists reads_late op.inputs then late := op.name :: !late)
     t.ops;
-  (* Priority queue on op id: the walk follows the builder's emission
-     order whenever dependences allow, which keeps the per-warp streams of
-     round-robin-emitted graphs symmetric (fences land between rounds). *)
-  let module IS = Set.Make (Int) in
-  let ready = ref IS.empty in
-  Array.iteri (fun i d -> if d = 0 then ready := IS.add i !ready) indegree;
-  let order = Array.make n (-1) in
-  let k = ref 0 in
-  while not (IS.is_empty !ready) do
-    let i = IS.min_elt !ready in
-    ready := IS.remove i !ready;
-    order.(!k) <- i;
-    incr k;
-    List.iter
-      (fun s ->
-        indegree.(s) <- indegree.(s) - 1;
-        if indegree.(s) = 0 then ready := IS.add s !ready)
-      (List.rev succs.(i))
-  done;
-  if !k <> n then begin
-    (* Name a stuck op so a frontend author can find the back edge. *)
-    let stuck = ref [] in
-    Array.iteri
-      (fun i d -> if d > 0 && List.length !stuck < 4 then stuck := i :: !stuck)
-      indegree;
+  if !late <> [] then
     Diagnostics.failf ~pass:"dfg-build" ~loc:t.graph_name
-      "dataflow graph %s has a cycle through %d op(s), e.g. %s" t.graph_name
-      (n - !k)
-      (String.concat ", "
-         (List.rev_map (fun i -> t.ops.(i).name) !stuck))
-  end;
-  order
+      "dataflow graph %s is out of dependence order (a cycle or a forward \
+       reference): %d op(s) read a value produced at or after themselves, \
+       e.g. %s"
+      t.graph_name (List.length !late)
+      (String.concat ", " (List.filteri (fun i _ -> i < 4) (List.rev !late)));
+  Array.init (Array.length t.ops) Fun.id
 
 let validate ?n_warps t =
   let problems = ref [] in

@@ -40,10 +40,12 @@ type value = {
   vid : int;
   vname : string;
   producer : int;  (** op id *)
-  consumers : int list;  (** op ids, sorted *)
+  consumers : int list;  (** op ids, ascending, without duplicates *)
 }
 
 type t = { graph_name : string; ops : op array; values : value array }
+(** [ops] are in dependence order: each op reads only values produced by
+    earlier ops, so the emission order is a topological order. *)
 
 (** Imperative builder. *)
 module Builder : sig
@@ -58,7 +60,8 @@ module Builder : sig
     b -> ?hint:int -> ?align:string -> ?shared_hint:bool -> name:string ->
     inputs:int array -> Sexpr.t -> int
   (** Returns the defined value's id. Raises [Invalid_argument] if the
-      expression references more inputs than provided. *)
+      expression references more inputs than provided, or if an input
+      (here and in {!fence}/{!store}) is not a value produced yet. *)
 
   val fence : b -> inputs:int array -> unit
   (** Sequenced after the producers of [inputs] by ordinary dataflow. *)
@@ -76,15 +79,16 @@ val op_constants : op -> float list
 (** Bankable constants of the op's expression (empty for loads/stores). *)
 
 val validate : ?n_warps:int -> t -> (unit, string list) result
-(** Checks: acyclicity (producer id < consumer id is NOT required, real
-    topological check is run), positional input arities, single producer
+(** Checks: dependence order (every op reads only values produced by
+    earlier ops, {!topo_order}), positional input arities, single producer
     per value. With [n_warps], partitioner warp hints must also lie in
     [\[0, n_warps)] (the mapper would silently ignore a stray one). *)
 
 val topo_order : t -> int array
-(** Operation ids in a dependency-respecting order. Raises a positioned
-    {!Diagnostics.Fail} (pass ["dfg-build"]) naming stuck operations on a
-    cycle. *)
+(** The emission order, checked in O(ops + edges). Raises a positioned
+    {!Diagnostics.Fail} (pass ["dfg-build"]) naming ops that read a value
+    produced at or after themselves: every cycle, and any graph listed
+    out of dependence order (rejected, not reordered). *)
 
 val pp_stats : Format.formatter -> t -> unit
 

@@ -88,8 +88,7 @@ let fresh_tables n_warps =
 
 (* Dedup keys are packed 64-bit words, so building one costs no
    formatting. A constant vector groups exactly as its ["%h"] rendering
-   used to: bit patterns are exact, except that every NaN of one sign
-   shares a key ("nan" / "-nan"); [-0.0] stays apart from [0.0]. *)
+   used to: values compare by {!Sexpr.canonical_bits}. *)
 let pack_ints n f =
   let b = Bytes.create (8 * n) in
   for i = 0 to n - 1 do
@@ -98,10 +97,7 @@ let pack_ints n f =
   Bytes.unsafe_to_string b
 
 let const_key (values : float array) =
-  pack_ints (Array.length values) (fun i ->
-      let v = values.(i) in
-      if Float.is_nan v then if Float.sign_bit v then -1L else Int64.max_int
-      else Int64.bits_of_float v)
+  pack_ints (Array.length values) (fun i -> Sexpr.canonical_bits values.(i))
 
 let alloc_const tables (values : float array) =
   let key = const_key values in
@@ -244,8 +240,9 @@ let src_class ctx warp v =
 (* The grouping key of an action is its static key — everything but the
    source classes, fixed per op — plus the source classes of its register
    inputs as the warp sees them. Two warps' actions overlay into one
-   instruction sequence exactly when both parts agree. *)
-let static_key ctx (a : Schedule.action) =
+   instruction sequence exactly when both parts agree. A compute op's
+   expression enters the static key as its [shape_id]. *)
+let static_key ctx ~shape_id (a : Schedule.action) =
   match a with
   | Schedule.A_op op_id -> (
       let op = ctx.dfg.Dfg.ops.(op_id) in
@@ -267,7 +264,7 @@ let static_key ctx (a : Schedule.action) =
           Printf.sprintf "%sld:%s:%b:%s" tag group via_tex out_place
       | Dfg.Store { group; _ } -> Printf.sprintf "%sst:%s" tag group
       | Dfg.Compute e ->
-          Printf.sprintf "%sc:%s:%s" tag (Sexpr.shape e) out_place)
+          Printf.sprintf "%sc:%d:%s" tag (shape_id e) out_place)
   | Schedule.A_send _ -> "snd"
   | Schedule.A_recv _ -> "rcv"
   | Schedule.A_arrive { bar; count } -> Printf.sprintf "ba:%d:%d" bar count
@@ -584,7 +581,17 @@ let run_overlay ctx (sched : Schedule.t) =
   let n = ctx.mapping.Mapping.n_warps in
   let per_warp = sched.Schedule.per_warp in
   (* Static keys are interned once per op and once per distinct sync
-     action, so each step compares ints. *)
+     action, so each step compares ints. Expressions get dense shape ids
+     from a table local to this call (sweeps lower on several domains). *)
+  let shapes = Sexpr.Shape_tbl.create 64 in
+  let shape_id e =
+    match Sexpr.Shape_tbl.find_opt shapes e with
+    | Some id -> id
+    | None ->
+        let id = Sexpr.Shape_tbl.length shapes in
+        Sexpr.Shape_tbl.add shapes e id;
+        id
+  in
   let interned = Hashtbl.create 256 in
   let intern key =
     match Hashtbl.find_opt interned key with
@@ -599,13 +606,14 @@ let run_overlay ctx (sched : Schedule.t) =
   let sid_of (a : Schedule.action) =
     match a with
     | Schedule.A_op o ->
-        if op_sid.(o) < 0 then op_sid.(o) <- intern (static_key ctx a);
+        if op_sid.(o) < 0 then
+          op_sid.(o) <- intern (static_key ctx ~shape_id a);
         op_sid.(o)
     | _ -> (
         match Hashtbl.find_opt sync_sid a with
         | Some id -> id
         | None ->
-            let id = intern (static_key ctx a) in
+            let id = intern (static_key ctx ~shape_id a) in
             Hashtbl.add sync_sid a id;
             id)
   in

@@ -39,10 +39,10 @@ let shared_buffer_base (m : Mapping.t) = m.Mapping.store_slots * 32
 let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
     (dfg : Dfg.t) (m : Mapping.t) =
   assert (max_barriers >= 1 && max_barriers <= 16);
+  (* The ops are in dependence order ({!Dfg.t}), so the order walked below
+     is the ids in sequence and an op's planning step is its id. *)
   let order = Dfg.topo_order dfg in
   let n_ops = Array.length dfg.Dfg.ops in
-  let step_of_op = Array.make n_ops 0 in
-  Array.iteri (fun step op_id -> step_of_op.(op_id) <- step) order;
   let warp_of op_id = m.Mapping.op_warp.(op_id) in
   let attach_before = Array.make n_ops [] in
   (* After-lists are split so a send can be attached retroactively and
@@ -161,16 +161,13 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
         (fun v ->
           let value = dfg.Dfg.values.(v) in
           let p = warp_of value.Dfg.producer in
-          let prod_step = step_of_op.(value.Dfg.producer) in
           let anchor = synced.(p).(c) in
-          let covered =
-            group_syncs && anchor >= 0 && step_of_op.(anchor) >= prod_step
-          in
+          let covered = group_syncs && anchor >= value.Dfg.producer in
           match m.Mapping.value_place.(v) with
           | Mapping.P_shared -> if p <> c && not covered then add_need p
           | Mapping.P_reg ->
               if p <> c && not (Hashtbl.mem copies (c, v)) then
-                if covered && step_of_op.(anchor) >= !last_wrap then begin
+                if covered && anchor >= !last_wrap then begin
                   (* Ride an existing sync: the send slips in before the
                      already-planned arrive at the same anchor, which the
                      consumer has already waited on. The anchor is at or
@@ -198,14 +195,14 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
          where its slot writes would race with the previous epoch. *)
       if producers <> [] then begin
         let anchor_of p =
-          if step_of_op.(last_op.(p)) >= !last_wrap then `Op last_op.(p)
+          if last_op.(p) >= !last_wrap then `Op last_op.(p)
           else `Boundary !last_wrap
         in
         let arrive_pos =
           List.map
             (fun p ->
               match anchor_of p with
-              | `Op o -> step_of_op.(o)
+              | `Op o -> o
               | `Boundary b -> b)
             producers
         in

@@ -66,60 +66,43 @@ let constants e =
 
 let n_constants e = List.length (constants e)
 
-let shape e =
-  let buf = Buffer.create 64 in
-  let op_code (op : Gpusim.Isa.fop) =
-    match op with
-    | Gpusim.Isa.Add -> '+'
-    | Gpusim.Isa.Sub -> '-'
-    | Gpusim.Isa.Mul -> '*'
-    | Gpusim.Isa.Fma -> 'f'
-    | Gpusim.Isa.Div -> '/'
-    | Gpusim.Isa.Sqrt -> 'q'
-    | Gpusim.Isa.Exp -> 'e'
-    | Gpusim.Isa.Log -> 'l'
-    | Gpusim.Isa.Max -> 'M'
-    | Gpusim.Isa.Min -> 'm'
-    | Gpusim.Isa.Neg -> 'n'
+let canonical_bits v =
+  if Float.is_nan v then if Float.sign_bit v then -1L else Int64.max_int
+  else Int64.bits_of_float v
+
+let rec same_shape a b =
+  match (a, b) with
+  | Imm x, Imm y -> Int64.equal (canonical_bits x) (canonical_bits y)
+  | C _, C _ -> true
+  | In i, In j | Var i, Var j -> i = j
+  | Un (o, a), Un (p, b) -> o = p && same_shape a b
+  | Bin (o, a1, a2), Bin (p, b1, b2) ->
+      o = p && same_shape a1 b1 && same_shape a2 b2
+  | Fma3 (a1, a2, a3), Fma3 (b1, b2, b3) ->
+      same_shape a1 b1 && same_shape a2 b2 && same_shape a3 b3
+  | Let (a1, a2), Let (b1, b2) -> same_shape a1 b1 && same_shape a2 b2
+  | (Imm _ | C _ | In _ | Var _ | Un _ | Bin _ | Fma3 _ | Let _), _ -> false
+
+let shape_hash e =
+  let mix h x = ((h * 65599) + x) land max_int in
+  let rec go h = function
+    | Imm v -> mix (mix h 1) (Int64.to_int (canonical_bits v))
+    | C _ -> mix h 2
+    | In i -> mix (mix h 3) i
+    | Var i -> mix (mix h 4) i
+    | Un (op, a) -> go (mix (mix h 5) (Hashtbl.hash op)) a
+    | Bin (op, a, b) -> go (go (mix (mix h 6) (Hashtbl.hash op)) a) b
+    | Fma3 (a, b, c) -> go (go (go (mix h 7) a) b) c
+    | Let (d, b) -> go (go (mix h 8) d) b
   in
-  let rec go = function
-    | Imm v -> Buffer.add_string buf (Printf.sprintf "#%h" v)
-    | C _ -> Buffer.add_char buf 'C'
-    | In i ->
-        Buffer.add_char buf 'I';
-        Buffer.add_string buf (string_of_int i)
-    | Var i ->
-        Buffer.add_char buf 'V';
-        Buffer.add_string buf (string_of_int i)
-    | Let (d, b) ->
-        Buffer.add_string buf "L(";
-        go d;
-        Buffer.add_char buf ',';
-        go b;
-        Buffer.add_char buf ')'
-    | Un (op, a) ->
-        Buffer.add_char buf (op_code op);
-        Buffer.add_char buf '(';
-        go a;
-        Buffer.add_char buf ')'
-    | Bin (op, a, b) ->
-        Buffer.add_char buf (op_code op);
-        Buffer.add_char buf '(';
-        go a;
-        Buffer.add_char buf ',';
-        go b;
-        Buffer.add_char buf ')'
-    | Fma3 (a, b, c) ->
-        Buffer.add_string buf "F(";
-        go a;
-        Buffer.add_char buf ',';
-        go b;
-        Buffer.add_char buf ',';
-        go c;
-        Buffer.add_char buf ')'
-  in
-  go e;
-  Buffer.contents buf
+  go 0 e
+
+module Shape_tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = same_shape
+  let hash = shape_hash
+end)
 
 let rec flops = function
   | Imm _ | C _ | In _ | Var _ -> 0

@@ -55,11 +55,21 @@ val constants : t -> float list
 
 val n_constants : t -> int
 
-val shape : t -> string
-(** Structural fingerprint: equal shapes mean the expressions lower to
+val canonical_bits : float -> int64
+(** The bits an immediate compares by: exact, but all NaNs of one sign
+    agree; [-0.0] stays apart from [0.0]. *)
+
+val same_shape : t -> t -> bool
+(** Structural shape equality: equal shapes mean the expressions lower to
     identical instruction sequences up to constant values, and can be
-    overlaid across warps (§5.1). [C] nodes are wildcards; [Imm], [In] and
-    operators must match exactly. *)
+    overlaid across warps (§5.1). [C] nodes are wildcards; [Imm] values
+    compare by {!canonical_bits}; [In]/[Var] indices and operators must
+    match exactly. *)
+
+val shape_hash : t -> int
+(** A hash consistent with {!same_shape}, which keys [Shape_tbl]. *)
+
+module Shape_tbl : Hashtbl.S with type key = t
 
 val flops : t -> int
 (** Per-point FLOPs, counted like {!Gpusim.Isa.fop_flops}. *)

@@ -191,7 +191,7 @@ let test_parser_d_exponent () =
   | Error e -> Alcotest.fail (Chem.Srcloc.to_string e)
 
 let test_dfg_fence_ordering () =
-  (* Fences sequence after their inputs in the priority topological walk. *)
+  (* Fences sequence after their inputs in the dependence order. *)
   let b = Singe.Dfg.Builder.create "f" in
   let a = Singe.Dfg.Builder.load b ~name:"a" ~group:"mole_frac" ~field:0 () in
   Singe.Dfg.Builder.fence b ~inputs:[| a |];

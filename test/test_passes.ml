@@ -170,6 +170,120 @@ let test_dfg_cycle_is_caught () =
   let mutant = { dfg with Singe.Dfg.ops } in
   expect_rejected "self-cycle" (Singe.Dfg.validate mutant)
 
+(* Every partitioner emits its graph in dependence order, so the order
+   check returns the identity and validation passes; each value's
+   consumers are the ops reading it, ascending and distinct. *)
+let test_dfg_dependence_order () =
+  let check name dfg =
+    let n = Array.length dfg.Singe.Dfg.ops in
+    Alcotest.(check (array int))
+      (name ^ ": topo_order is the identity")
+      (Array.init n Fun.id) (Singe.Dfg.topo_order dfg);
+    let readers = Array.make (Array.length dfg.Singe.Dfg.values) [] in
+    Array.iter
+      (fun (op : Singe.Dfg.op) ->
+        Array.iter
+          (fun v -> readers.(v) <- op.Singe.Dfg.id :: readers.(v))
+          op.Singe.Dfg.inputs)
+      dfg.Singe.Dfg.ops;
+    Array.iter
+      (fun (v : Singe.Dfg.value) ->
+        Alcotest.(check (list int))
+          (name ^ ": consumers of " ^ v.Singe.Dfg.vname)
+          (List.sort_uniq compare readers.(v.Singe.Dfg.vid))
+          v.Singe.Dfg.consumers)
+      dfg.Singe.Dfg.values;
+    match Singe.Dfg.validate dfg with
+    | Ok () -> ()
+    | Error es -> Alcotest.failf "%s: %s" name (String.concat "; " es)
+  in
+  let build ?chem_comm mech kernel n_warps =
+    Singe.Compile.build_dfg ?chem_comm mech kernel ~n_warps
+  in
+  List.iter
+    (fun n_warps ->
+      List.iter
+        (fun (mech_name, mechf) ->
+          let mech = mechf () in
+          let tag k = Printf.sprintf "%s %s w%d" mech_name k n_warps in
+          List.iter
+            (fun kernel ->
+              check
+                (tag (Singe.Kernel_abi.kernel_name kernel))
+                (build mech kernel n_warps))
+            Singe.Kernel_abi.[ Viscosity; Conductivity; Diffusion ];
+          List.iter
+            (fun (cname, chem_comm) ->
+              check
+                (tag ("chemistry " ^ cname))
+                (build ~chem_comm mech Singe.Kernel_abi.Chemistry n_warps))
+            Singe.Compile.
+              [ ("staged", Chem_staged); ("recompute", Chem_recompute);
+                ("mixed", Chem_mixed) ])
+        Chem.Mech_gen.bundled;
+      List.iter
+        (fun id ->
+          let kernel = Singe.Kernel_abi.Stencil id in
+          check
+            (Printf.sprintf "%s w%d" (Singe.Kernel_abi.kernel_name kernel)
+               n_warps)
+            (build (hydrogen ()) kernel n_warps))
+        Singe.Stencil_pipe.all_ids)
+    [ 1; 4; 8; 16 ]
+
+(* An acyclic graph whose op 0 reads op 1's value is out of dependence
+   order: rejected with the positioned diagnostic, not reordered. *)
+let test_dfg_forward_reference_is_rejected () =
+  let op id name inputs kind output =
+    { Singe.Dfg.id; name; kind; inputs; output; hint = None;
+      shared_hint = false; align = None }
+  in
+  let dfg =
+    {
+      Singe.Dfg.graph_name = "forward";
+      ops =
+        [|
+          op 0 "use" [| 0 |]
+            (Singe.Dfg.Store { group = "out"; field = 0 }) None;
+          op 1 "def" [||]
+            (Singe.Dfg.Load
+               { group = "temperature"; field = 0; via_tex = true })
+            (Some 0);
+        |];
+      values =
+        [|
+          { Singe.Dfg.vid = 0; vname = "def"; producer = 1; consumers = [ 0 ] };
+        |];
+    }
+  in
+  (match Singe.Dfg.topo_order dfg with
+  | exception Singe.Diagnostics.Fail d ->
+      Alcotest.(check (option string))
+        "pass" (Some "dfg-build") d.Singe.Diagnostics.pass;
+      Alcotest.(check (option string))
+        "position" (Some "forward") d.Singe.Diagnostics.loc;
+      Alcotest.(check bool)
+        "names the op" true
+        (contains d.Singe.Diagnostics.message "use")
+  | _ -> Alcotest.fail "out-of-order graph accepted by topo_order");
+  expect_rejected "forward reference" (Singe.Dfg.validate dfg)
+
+let test_builder_rejects_future_input () =
+  let b = Singe.Dfg.Builder.create "future" in
+  let a = Singe.Dfg.Builder.load b ~name:"a" ~group:"temperature" ~field:0 () in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: input %d accepted before it exists" name (a + 1)
+  in
+  raises "compute" (fun () ->
+      ignore
+        (Singe.Dfg.Builder.compute b ~name:"c" ~inputs:[| a; a + 1 |]
+           (Singe.Sexpr.add (Singe.Sexpr.In 0) (Singe.Sexpr.In 1))));
+  raises "store" (fun () ->
+      Singe.Dfg.Builder.store b ~name:"s" ~group:"out" ~field:0 (a + 1));
+  raises "fence" (fun () -> Singe.Dfg.Builder.fence b ~inputs:[| a + 1 |])
+
 let test_dfg_broken_producer_is_caught () =
   let c, _ = compile Singe.Kernel_abi.Conductivity in
   let dfg = c.Singe.Compile.dfg in
@@ -335,6 +449,12 @@ let tests =
     Alcotest.test_case "invalid options are typed errors" `Quick
       test_invalid_options_are_typed;
     Alcotest.test_case "mutation: dfg cycle" `Quick test_dfg_cycle_is_caught;
+    Alcotest.test_case "dfg: built graphs in dependence order" `Quick
+      test_dfg_dependence_order;
+    Alcotest.test_case "dfg: forward reference rejected" `Quick
+      test_dfg_forward_reference_is_rejected;
+    Alcotest.test_case "dfg: builder rejects future inputs" `Quick
+      test_builder_rejects_future_input;
     Alcotest.test_case "mutation: broken producer edge" `Quick
       test_dfg_broken_producer_is_caught;
     Alcotest.test_case "mutation: unmapped op" `Quick

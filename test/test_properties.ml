@@ -96,7 +96,198 @@ let test_shape_blind_to_constants =
         | Singe.Sexpr.Fma3 (a, b, c) -> Singe.Sexpr.Fma3 (bump a, bump b, bump c)
         | Singe.Sexpr.Let (d, b) -> Singe.Sexpr.Let (bump d, bump b)
       in
-      Singe.Sexpr.shape e = Singe.Sexpr.shape (bump e))
+      Singe.Sexpr.same_shape e (bump e))
+
+(* The string fingerprint overlay grouping used to key on, kept here as
+   the reference for the structural relation: two expressions share a
+   shape exactly when these renderings are equal. *)
+let ref_shape e =
+  let buf = Buffer.create 64 in
+  let op_code (op : Gpusim.Isa.fop) =
+    match op with
+    | Gpusim.Isa.Add -> '+'
+    | Gpusim.Isa.Sub -> '-'
+    | Gpusim.Isa.Mul -> '*'
+    | Gpusim.Isa.Fma -> 'f'
+    | Gpusim.Isa.Div -> '/'
+    | Gpusim.Isa.Sqrt -> 'q'
+    | Gpusim.Isa.Exp -> 'e'
+    | Gpusim.Isa.Log -> 'l'
+    | Gpusim.Isa.Max -> 'M'
+    | Gpusim.Isa.Min -> 'm'
+    | Gpusim.Isa.Neg -> 'n'
+  in
+  let rec go = function
+    | Singe.Sexpr.Imm v -> Buffer.add_string buf (Printf.sprintf "#%h" v)
+    | Singe.Sexpr.C _ -> Buffer.add_char buf 'C'
+    | Singe.Sexpr.In i ->
+        Buffer.add_char buf 'I';
+        Buffer.add_string buf (string_of_int i)
+    | Singe.Sexpr.Var i ->
+        Buffer.add_char buf 'V';
+        Buffer.add_string buf (string_of_int i)
+    | Singe.Sexpr.Let (d, b) ->
+        Buffer.add_string buf "L(";
+        go d;
+        Buffer.add_char buf ',';
+        go b;
+        Buffer.add_char buf ')'
+    | Singe.Sexpr.Un (op, a) ->
+        Buffer.add_char buf (op_code op);
+        Buffer.add_char buf '(';
+        go a;
+        Buffer.add_char buf ')'
+    | Singe.Sexpr.Bin (op, a, b) ->
+        Buffer.add_char buf (op_code op);
+        Buffer.add_char buf '(';
+        go a;
+        Buffer.add_char buf ',';
+        go b;
+        Buffer.add_char buf ')'
+    | Singe.Sexpr.Fma3 (a, b, c) ->
+        Buffer.add_string buf "F(";
+        go a;
+        Buffer.add_char buf ',';
+        go b;
+        Buffer.add_char buf ',';
+        go c;
+        Buffer.add_char buf ')'
+  in
+  go e;
+  Buffer.contents buf
+
+(* [same_shape] holds exactly when the reference strings are equal, and
+   equal shapes hash alike. *)
+let shape_agrees a b =
+  let same = Singe.Sexpr.same_shape a b in
+  same = (ref_shape a = ref_shape b)
+  && ((not same) || Singe.Sexpr.shape_hash a = Singe.Sexpr.shape_hash b)
+
+let test_same_shape_random_pairs =
+  qtest ~count:500 "sexpr: same_shape agrees with reference on pairs"
+    (QCheck.pair gen_expr gen_expr)
+    (fun (a, b) -> shape_agrees a b && shape_agrees a a)
+
+type mutation =
+  | Imm_to of float  (** rewrite an immediate *)
+  | Bump_index  (** an [In] or [Var] index + 1 *)
+  | Swap_op
+  | Change_c of float  (** add to a constant *)
+
+let swap_op (op : Gpusim.Isa.fop) : Gpusim.Isa.fop =
+  match op with
+  | Add -> Sub
+  | Sub -> Mul
+  | Mul -> Max
+  | Max -> Min
+  | Min -> Add
+  | Div | Fma -> Add
+  | Neg -> Exp
+  | Exp -> Log
+  | Log -> Sqrt
+  | Sqrt -> Neg
+
+(* Applies [m] to the [k mod n]-th of the [n] nodes it fits, counted in
+   pre-order; the identity when it fits none. *)
+let mutate m k e =
+  let open Singe.Sexpr in
+  let fits = function
+    | Imm _ -> ( match m with Imm_to _ -> true | _ -> false)
+    | In _ | Var _ -> ( match m with Bump_index -> true | _ -> false)
+    | Un _ | Bin _ -> ( match m with Swap_op -> true | _ -> false)
+    | C _ -> ( match m with Change_c _ -> true | _ -> false)
+    | Fma3 _ | Let _ -> false
+  in
+  let rec count e =
+    (if fits e then 1 else 0)
+    +
+    match e with
+    | Imm _ | C _ | In _ | Var _ -> 0
+    | Un (_, a) -> count a
+    | Bin (_, a, b) | Let (a, b) -> count a + count b
+    | Fma3 (a, b, c) -> count a + count b + count c
+  in
+  let n = count e in
+  if n = 0 then e
+  else
+    let target = k mod n and seen = ref 0 in
+    let rec go e =
+      let hit = fits e && !seen = target in
+      if fits e then incr seen;
+      match e with
+      | Imm _ when hit -> (
+          match m with Imm_to v -> Imm v | _ -> e)
+      | C v when hit -> ( match m with Change_c d -> C (v +. d) | _ -> e)
+      | In i when hit -> In (i + 1)
+      | Var i when hit -> Var (i + 1)
+      | Imm _ | C _ | In _ | Var _ -> e
+      | Un (op, a) ->
+          let op = if hit then swap_op op else op in
+          Un (op, go a)
+      | Bin (op, a, b) ->
+          let op = if hit then swap_op op else op in
+          let a = go a in
+          Bin (op, a, go b)
+      | Fma3 (a, b, c) ->
+          let a = go a in
+          let b = go b in
+          Fma3 (a, b, go c)
+      | Let (d, b) ->
+          let d = go d in
+          Let (d, go b)
+    in
+    go e
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let bits = Int64.float_of_bits in
+  pair
+    (frequency
+       [
+         ( 3,
+           map
+             (fun v -> Imm_to v)
+             (oneofl
+                [
+                  0.0;
+                  -0.0;
+                  Float.nan;
+                  -.Float.nan;
+                  bits 0x7FF0000000000001L;
+                  bits 0x7FF8000000000123L;
+                  bits 0xFFF0000000000001L;
+                  bits 0xFFF8000000000123L;
+                  Float.infinity;
+                  1.0;
+                ]) );
+         (1, return Bump_index);
+         (1, return Swap_op);
+         (1, map (fun d -> Change_c d) (float_range (-9.0) 9.0));
+       ])
+    (int_bound 64)
+
+(* [a] and [c] rewrite the same node, so two immediates (NaNs of one sign
+   with different payloads, or [0.0] and [-0.0]) meet head to head. *)
+let test_same_shape_mutants =
+  (* Wrapping in a [Let] puts [Var] nodes in reach of [Bump_index]. *)
+  let gen =
+    QCheck.Gen.(
+      triple
+        (map2
+           (fun d b ->
+             Singe.Sexpr.Let
+               (d, Singe.Sexpr.Bin (Gpusim.Isa.Mul, Singe.Sexpr.Var 0, b)))
+           (QCheck.gen gen_expr) (QCheck.gen gen_expr))
+        gen_mutation gen_mutation)
+  in
+  qtest ~count:1000 "sexpr: same_shape agrees with reference on mutants"
+    (QCheck.make
+       ~print:(fun (e, _, _) -> Format.asprintf "%a" Singe.Sexpr.pp e)
+       gen)
+    (fun (e, (m1, k1), (m2, k2)) ->
+      let a = mutate m1 k1 e and b = mutate m2 k2 e and c = mutate m2 k1 e in
+      shape_agrees e a && shape_agrees e b && shape_agrees a b
+      && shape_agrees a c)
 
 let test_constants_count =
   qtest "sexpr: n_constants = length (constants)" gen_expr (fun e ->
@@ -340,6 +531,8 @@ let tests =
     test_prng_int_bounds;
     test_prng_split_independent;
     test_shape_blind_to_constants;
+    test_same_shape_random_pairs;
+    test_same_shape_mutants;
     test_constants_count;
     test_eval_matches_naive;
     test_flops_positive_on_ops;
