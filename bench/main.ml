@@ -59,31 +59,36 @@ let microbenchmarks () =
          compile-dme-viscosity-ws benchmark above measures compilation
          itself, so it keeps calling the uncached entry point. *)
       Test.make ~name:"simulate-dme-viscosity-1batch" (
-        let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-                  Singe.Compile.Warp_specialized opts in
+        let c = Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+                     Singe.Compile.Warp_specialized opts) in
         Staged.stage (fun () ->
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"simulate-dme-chemistry-ws" (
-        let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                  Singe.Compile.Warp_specialized chem_opts in
+        let c = Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Chemistry
+                     Singe.Compile.Warp_specialized chem_opts) in
         Staged.stage (fun () ->
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"isa-text-roundtrip" (
-        let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-                  Singe.Compile.Warp_specialized opts in
+        let c = Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+                     Singe.Compile.Warp_specialized opts) in
         let p = c.Singe.Compile.lowered.Singe.Lower.program in
         Staged.stage (fun () ->
             match Gpusim.Isa_text.parse (Gpusim.Isa_text.emit p) with
             | Ok _ -> ()
             | Error e -> failwith e));
       Test.make ~name:"cuda-emit-viscosity" (
-        let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-                  Singe.Compile.Warp_specialized opts in
+        let c = Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+                     Singe.Compile.Warp_specialized opts) in
         let p = c.Singe.Compile.lowered.Singe.Lower.program in
         Staged.stage (fun () -> ignore (Singe.Cuda_emit.emit ~arch p)));
       Test.make ~name:"roofline-analysis" (
-        let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                  Singe.Compile.Warp_specialized chem_opts in
+        let c = Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Chemistry
+                     Singe.Compile.Warp_specialized chem_opts) in
         let p = c.Singe.Compile.lowered.Singe.Lower.program in
         Staged.stage (fun () -> ignore (Gpusim.Roofline.analyze arch p)));
     ]
@@ -230,14 +235,18 @@ let perf ~out ?max_cycles () =
         (Singe.Kernel_abi.kernel_name kernel)
         (Singe.Compile.version_name version)
     in
+    let report = ref None in
     match
-      Singe.Compile.compile_checked ~validate:true mech kernel version options
+      Singe.Compile.compile ~validate:true
+        ~report:(fun p -> report := Some p)
+        mech kernel version options
     with
     | Error d ->
         P_skip
           (Printf.sprintf "perf: skipping %s: %s\n" label
              (Singe.Diagnostics.to_string d))
-    | Ok (c, report) -> (
+    | Ok c -> (
+        let report = Option.get !report in
         let pred = Singe.Perf_model.predict c ~total_points:points in
         match
           Singe.Compile.run c ~total_points:points ~max_cycles
@@ -261,12 +270,11 @@ let perf ~out ?max_cycles () =
           else
             let off_cycles =
               match
-                Singe.Compile.compile_checked ~validate:false mech kernel
-                  version
+                Singe.Compile.compile mech kernel version
                   { options with Singe.Compile.synth_exchange = Some false }
               with
               | Error _ -> sm_cycles
-              | Ok (c_off, _) ->
+              | Ok c_off ->
                   let r_off =
                     Singe.Compile.run ~check:false c_off ~total_points:points
                       ~max_cycles
@@ -344,8 +352,7 @@ let perf ~out ?max_cycles () =
     let version = Singe.Compile.Warp_specialized in
     ignore
       (Sutil.Domain_pool.parallel_map_result
-         (fun options ->
-           Singe.Compile.compile_cached mech kernel version options)
+         (Singe.Compile.compile ~memo:true mech kernel version)
          (Singe.Autotune.candidate_options ~points:32768 kernel version arch
             (Singe.Autotune.default_warp_candidates mech kernel version)
             [ 1; 2 ]));
@@ -393,9 +400,10 @@ let perf ~out ?max_cycles () =
     let mech = Chem.Mech_gen.dme () in
     let arch = Gpusim.Arch.kepler_k20c in
     let c =
-      Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-        Singe.Compile.Baseline
-        (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity)
+      Singe.Diagnostics.ok_exn
+        (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+           Singe.Compile.Baseline
+           (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity))
     in
     let row n_sms =
       let r =

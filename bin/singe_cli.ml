@@ -285,14 +285,15 @@ let dump_ir_term =
 
 (* Typed pipeline entry, shared with serve: the target resolved, its
    launch checked at its points ([launch], default true), --partition
-   auto resolved model-only (its pick printed), then the compile. Every
-   user-reachable failure raises the diagnostic [catch_occupancy] prints
-   as one line. *)
+   auto resolved model-only (its pick printed), then the compile, with
+   its pass report. Every user-reachable failure raises the diagnostic
+   [catch_failures] prints as one line. *)
 let compile_or_die ?(launch = true) ~validate ((_, t) as target) =
   let r = resolve target in
-  let get = function Ok v -> v | Error d -> raise (Singe.Diagnostics.Fail d) in
   let points = if launch then Some t.Singe.Target.t_points else None in
-  let options = get (Singe.Partition_search.resolve_target ?points r) in
+  let options =
+    Singe.Diagnostics.ok_exn (Singe.Partition_search.resolve_target ?points r)
+  in
   (if r.partition = Singe.Target.Auto then
      match options.Singe.Compile.partition with
      | Singe.Compile.Partition_auto _ ->
@@ -301,19 +302,21 @@ let compile_or_die ?(launch = true) ~validate ((_, t) as target) =
      | Singe.Compile.Partition_hand ->
          print_endline
            "partition auto: hand mapping retained (no candidate beat it)");
-  let compiled =
-    Singe.Compile.compile_checked ~validate r.mech r.kernel r.version options
+  let report = ref None in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~validate ~report:(fun p -> report := Some p)
+         r.mech r.kernel r.version options)
   in
-  (r, get compiled)
+  (r, c, Option.get !report)
 
-(* An occupancy rejection is a configuration error like any other compile
-   rejection: render it as a diagnostic line and use the same exit code,
-   keeping the 0/2/3 contract (it is neither unexpected nor a contained
-   simulation fault). Positioned diagnostics raised after the compile
-   boundary (e.g. the launch-grid divisibility check inside
-   [Compile.run]) are configuration errors too — render them the same
-   way instead of letting them escape as an uncaught exception. *)
-let catch_occupancy f =
+(* Every command's failure contract, in one place: a compile diagnostic,
+   an occupancy rejection, a launch the chip cannot size (including the
+   launch-grid check and the safety refusal inside [Compile.run]) and a
+   fault spec matching nothing in the trace are configuration errors,
+   one diagnostic line and exit 2; a contained simulation fault (injected
+   or real) prints its report and exits 3. *)
+let catch_failures f =
   try f () with
   | Gpusim.Chip.Occupancy_rejected r ->
       Printf.eprintf "singe: %s\n"
@@ -324,6 +327,12 @@ let catch_occupancy f =
   | Singe.Diagnostics.Fail d ->
       Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
       exit exit_compile_rejected
+  | Invalid_argument msg ->
+      Printf.eprintf "singe: %s\n" msg;
+      exit exit_compile_rejected
+  | Gpusim.Sm.Simulation_fault report ->
+      Format.eprintf "singe: simulation fault@.%a@." Gpusim.Sm.pp_fault report;
+      exit exit_simulation_fault
 
 (* Fault-containment flags shared by the simulating commands. *)
 let max_cycles_term =
@@ -379,8 +388,8 @@ let compile_cmd =
   let cuda = Arg.(value & opt (some string) None & info [ "emit-cuda" ] ~docv:"FILE"
                   ~doc:"Write the kernel as CUDA C source to FILE ('-' for stdout).") in
   let run target dump asm cuda timings validate dump_ir_stage =
-    catch_occupancy @@ fun () ->
-    let r, (c, report) = compile_or_die ~launch:false ~validate target in
+    catch_failures @@ fun () ->
+    let r, c, report = compile_or_die ~launch:false ~validate target in
     let arch = r.arch in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Printf.printf
@@ -430,24 +439,11 @@ let compile_cmd =
 
 let run_cmd =
   let run ((_, t) as target) timings validate faults max_cycles =
-    catch_occupancy @@ fun () ->
-    let tgt, (c, report) = compile_or_die ~validate target in
+    catch_failures @@ fun () ->
+    let tgt, c, report = compile_or_die ~validate target in
     let r =
-      (* A contained simulation fault (injected or real) and a fault spec
-         that matches nothing in the trace each get their own exit code,
-         distinct from a compile-pipeline rejection. *)
-      match
-        Singe.Compile.run c ~total_points:t.t_points ~faults ?max_cycles
-          ?n_sms:t.t_sms ?skew:t.t_skew
-      with
-      | r -> r
-      | exception Gpusim.Sm.Simulation_fault report ->
-          Format.eprintf "singe: simulation fault@.%a@." Gpusim.Sm.pp_fault
-            report;
-          exit exit_simulation_fault
-      | exception Invalid_argument msg ->
-          Printf.eprintf "singe: %s\n" msg;
-          exit exit_compile_rejected
+      Singe.Compile.run c ~total_points:t.t_points ~faults ?max_cycles
+        ?n_sms:t.t_sms ?skew:t.t_skew
     in
     Printf.printf
       "%s on %s: %.4g points/s, %.1f GFLOPS, %.1f GB/s DRAM, worst rel. \
@@ -509,22 +505,12 @@ let profile_cmd =
                monotonicity. Exit nonzero on any failure.")
   in
   let run ((_, t) as target) chrome top timeline check_it faults max_cycles =
-    catch_occupancy @@ fun () ->
-    let _, (c, _) = compile_or_die ~validate:false target in
+    catch_failures @@ fun () ->
+    let _, c, _ = compile_or_die ~validate:false target in
     let profile = { Gpusim.Sm.timeline_capacity = timeline } in
     let r =
-      match
-        Singe.Compile.run c ~check:false ~total_points:t.t_points ~faults
-          ?max_cycles ~profile ?n_sms:t.t_sms ?skew:t.t_skew
-      with
-      | r -> r
-      | exception Gpusim.Sm.Simulation_fault report ->
-          Format.eprintf "singe: simulation fault@.%a@." Gpusim.Sm.pp_fault
-            report;
-          exit exit_simulation_fault
-      | exception Invalid_argument msg ->
-          Printf.eprintf "singe: %s\n" msg;
-          exit exit_compile_rejected
+      Singe.Compile.run c ~check:false ~total_points:t.t_points ~faults
+        ?max_cycles ~profile ?n_sms:t.t_sms ?skew:t.t_skew
     in
     let prof =
       match r.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile with
@@ -639,7 +625,7 @@ let predict_cmd =
                nonzero on any failure.")
   in
   let run (files, t) kernel_opt version_opt json check_it =
-    catch_occupancy @@ fun () ->
+    catch_failures @@ fun () ->
     let base = resolve (files, t) in
     let mech = base.mech and arch = base.arch in
     let points = t.Singe.Target.t_points and warps = t.t_warps in
@@ -672,29 +658,20 @@ let predict_cmd =
             match
               Result.bind
                 (Singe.Partition_search.resolve_target ~points row)
-                (fun options ->
-                  Singe.Compile.compile_checked ~validate:false mech kernel
-                    version options)
+                (Singe.Compile.compile mech kernel version)
             with
             | Error d ->
                 incr skipped;
                 Printf.printf "%-13s skipped: %s\n" name
                   (Singe.Diagnostics.to_string d)
-            | Ok (c, _) ->
+            | Ok c ->
                 let pred =
                   Singe.Perf_model.predict ?n_sms:t.t_sms ?skew:t.t_skew c
                     ~total_points:points
                 in
                 let r =
-                  match
-                    Singe.Compile.run c ~check:false ~total_points:points
-                      ?n_sms:t.t_sms ?skew:t.t_skew
-                  with
-                  | r -> r
-                  | exception Gpusim.Sm.Simulation_fault report ->
-                      Format.eprintf "singe: simulation fault@.%a@."
-                        Gpusim.Sm.pp_fault report;
-                      exit exit_simulation_fault
+                  Singe.Compile.run c ~check:false ~total_points:points
+                    ?n_sms:t.t_sms ?skew:t.t_skew
                 in
                 let measured =
                   float_of_int
@@ -838,7 +815,7 @@ let top_k_term =
 
 let tune_cmd =
   let run ((_, t) as target) max_cycles tune_mode top_k () =
-    catch_occupancy @@ fun () ->
+    catch_failures @@ fun () ->
     let r = resolve target in
     let points = t.Singe.Target.t_points in
     match r.partition with
@@ -846,20 +823,19 @@ let tune_cmd =
         (* Full three-phase partition search: model ranking, deadlock
            gate, then one simulation each of the hand mapping and the
            gate's survivors. *)
-        match
-          Singe.Partition_search.search ~points ?top_k ?max_cycles
-            ?n_sms:t.t_sms ?skew:t.t_skew r.mech r.kernel r.version
-            ~base:r.options ()
-        with
-        | Ok o ->
-            Format.printf "%a@." Singe.Partition_search.pp_outcome o;
-            List.iter
-              (fun (rej : Singe.Partition_search.rejection) ->
-                Format.printf "  rejected %a: %s@."
-                  Singe.Partition_search.pp_candidate rej.rej_options
-                  (Singe.Diagnostics.to_string rej.rej_diag))
-              o.Singe.Partition_search.rejections
-        | Error d -> raise (Singe.Diagnostics.Fail d))
+        let o =
+          Singe.Diagnostics.ok_exn
+            (Singe.Partition_search.search ~points ?top_k ?max_cycles
+               ?n_sms:t.t_sms ?skew:t.t_skew r.mech r.kernel r.version
+               ~base:r.options ())
+        in
+        Format.printf "%a@." Singe.Partition_search.pp_outcome o;
+        List.iter
+          (fun (rej : Singe.Partition_search.rejection) ->
+            Format.printf "  rejected %a: %s@."
+              Singe.Partition_search.pp_candidate rej.rej_options
+              (Singe.Diagnostics.to_string rej.rej_diag))
+          o.Singe.Partition_search.rejections)
     | Singe.Target.Hand ->
     let mode =
       match tune_mode with
@@ -907,8 +883,8 @@ let tune_cmd =
 
 let stats_cmd =
   let run target =
-    catch_occupancy @@ fun () ->
-    let r, (c, _) = compile_or_die ~launch:false ~validate:false target in
+    catch_failures @@ fun () ->
+    let r, c, _ = compile_or_die ~launch:false ~validate:false target in
     let arch = r.arch in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name

@@ -57,7 +57,11 @@ let () =
   in
   List.iter
     (fun kernel ->
-      let c = Singe.Compile.compile mech kernel Singe.Compile.Warp_specialized options in
+      let c =
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile mech kernel Singe.Compile.Warp_specialized
+             options)
+      in
       let r = Singe.Compile.run c ~total_points:8192 in
       Printf.printf "%-10s: %.3g points/s, rel. error %.2g\n"
         (Singe.Kernel_abi.kernel_name kernel)

@@ -13,10 +13,11 @@ let () =
   let mech = Chem.Mech_gen.dme () in
   let arch = Gpusim.Arch.kepler_k20c in
   let compile ~full =
-    Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
-      Singe.Compile.Warp_specialized
-      { (Singe.Target.options ~n_warps:4 arch Singe.Kernel_abi.Chemistry) with
-        Singe.Compile.full_range_thermo = full }
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
+         Singe.Compile.Warp_specialized
+         { (Singe.Target.options ~n_warps:4 arch Singe.Kernel_abi.Chemistry) with
+           Singe.Compile.full_range_thermo = full })
   in
   let hot = (1000.0, 2500.0) and cold = (300.0, 2500.0) in
   let show label c t_range =

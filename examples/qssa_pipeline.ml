@@ -30,8 +30,11 @@ let () =
     (Singe.Chemistry_dfg.n_qssa_warps ~n_warps ~n_qssa:(Array.length g.Chem.Qssa.nodes));
   let arch = Gpusim.Arch.kepler_k20c in
   let options = Singe.Target.options ~n_warps arch Singe.Kernel_abi.Chemistry in
-  let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
-      Singe.Compile.Warp_specialized options in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
+         Singe.Compile.Warp_specialized options)
+  in
   Printf.printf "compiled: %d named barriers, %d sync points, %d buffer slots, %d B spilled/thread\n"
     c.Singe.Compile.schedule.Singe.Schedule.barriers_used
     c.Singe.Compile.schedule.Singe.Schedule.n_sync_points

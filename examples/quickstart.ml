@@ -41,7 +41,9 @@ let () =
   List.iter
     (fun (version, label) ->
       let compiled =
-        Singe.Compile.compile mech Singe.Kernel_abi.Viscosity version options
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile mech Singe.Kernel_abi.Viscosity version
+             options)
       in
       let r = Singe.Compile.run compiled ~total_points:32768 in
       Printf.printf

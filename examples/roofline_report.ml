@@ -27,7 +27,7 @@ let () =
                   Singe.Compile.ctas_per_sm_target = 1 }
               in
               match Singe.Compile.compile mech kernel version opts with
-              | c ->
+              | Ok c ->
                   let p = c.Singe.Compile.lowered.Singe.Lower.program in
                   let roof = Gpusim.Roofline.analyze arch p in
                   let r = Singe.Compile.run c ~total_points:32768 in
@@ -42,10 +42,10 @@ let () =
                     b.Gpusim.Roofline.resource
                     b.Gpusim.Roofline.points_per_sec achieved
                     (100.0 *. achieved /. b.Gpusim.Roofline.points_per_sec)
-              | exception Failure msg ->
+              | Error d ->
                   Printf.printf "%-10s %-5s: %s\n%!"
                     (Singe.Kernel_abi.kernel_name kernel)
-                    vname msg)
+                    vname (Singe.Diagnostics.to_string d))
             [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ])
         [ (Singe.Compile.Baseline, "base"); (Singe.Compile.Warp_specialized, "ws") ])
     [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion; Singe.Kernel_abi.Chemistry ]

@@ -18,7 +18,9 @@ let () =
           Singe.Target.options ~n_warps arch Singe.Kernel_abi.Viscosity
         in
         let c =
-          Singe.Compile.compile mech Singe.Kernel_abi.Viscosity version options
+          Singe.Diagnostics.ok_exn
+            (Singe.Compile.compile mech Singe.Kernel_abi.Viscosity version
+               options)
         in
         Singe.Compile.run c ~total_points:32768 ~ctas:128
       in
@@ -29,5 +31,6 @@ let () =
             singe.Singe.Compile.machine.Gpusim.Chip.points_per_sec
             naive.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.icache
               .Gpusim.Caches.Icache.misses
-      | exception Failure msg -> Printf.printf "%-10d (%s)\n%!" n_warps msg)
+      | exception Singe.Diagnostics.Fail d ->
+          Printf.printf "%-10d (%s)\n%!" n_warps (Singe.Diagnostics.to_string d))
     [ 2; 3; 5; 6; 10; 15 ]

@@ -8,6 +8,12 @@ let sizes () =
 
 let line () = print_endline (String.make 78 '-')
 
+(* Every figure compiles through the shared memo, and fails with its
+   diagnostic on a configuration that does not compile. *)
+let compiled mech kernel version options =
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo:true mech kernel version options)
+
 let header title =
   line ();
   Printf.printf "%s\n" title;
@@ -33,10 +39,7 @@ let tune mech kernel version arch =
   let key =
     Printf.sprintf "%s/%s/%s/%s" mech.Chem.Mechanism.name
       (Singe.Kernel_abi.kernel_name kernel)
-      (match version with
-      | Singe.Compile.Warp_specialized -> "ws"
-      | Singe.Compile.Baseline -> "base"
-      | Singe.Compile.Naive_warp_specialized -> "naive")
+      (Singe.Compile.version_name version)
       arch.Gpusim.Arch.name
   in
   let cached =
@@ -83,13 +86,16 @@ let fig9 () =
             Singe.Target.options ~n_warps arch Singe.Kernel_abi.Viscosity
           in
           match
-            let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity version options in
-            (* 8 point batches per CTA: the loop re-executes the kernel body,
-               so divergent instruction streams re-fetch every pass. *)
-            Singe.Compile.run c ~total_points:32768 ~ctas:128
+            Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+              version options
           with
-          | r -> Printf.sprintf "%14.3g" r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
-          | exception Failure _ -> Printf.sprintf "%14s" "(won't fit)"
+          | Ok c ->
+              (* 8 point batches per CTA: the loop re-executes the kernel
+                 body, so divergent instruction streams re-fetch every
+                 pass. *)
+              let r = Singe.Compile.run c ~total_points:32768 ~ctas:128 in
+              Printf.sprintf "%14.3g" r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
+          | Error _ -> Printf.sprintf "%14s" "(won't fit)"
         in
         Printf.sprintf "%-10d %s %s\n" n_warps
           (run Singe.Compile.Naive_warp_specialized)
@@ -113,7 +119,7 @@ let fig10 () =
           let options =
             Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel
           in
-          let c = Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized options in
+          let c = compiled mech kernel Singe.Compile.Warp_specialized options in
           c.Singe.Compile.lowered.Singe.Lower.n_bank_regs
         in
         Printf.sprintf "%-10s %10d %10d %10d\n" mech.Chem.Mechanism.name
@@ -256,7 +262,7 @@ let ablation_barriers () =
           { best.Singe.Autotune.options with Singe.Compile.group_syncs }
         in
         let c =
-          Singe.Compile.compile_cached mech Singe.Kernel_abi.Diffusion
+          compiled mech Singe.Kernel_abi.Diffusion
             Singe.Compile.Warp_specialized options
         in
         let r = Singe.Compile.run c ~total_points:32768 in
@@ -299,7 +305,7 @@ let ablation_exp_constants () =
           { best.Singe.Autotune.options with Singe.Compile.exp_consts_in_registers = flag }
         in
         let c =
-          Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
+          compiled mech Singe.Kernel_abi.Viscosity
             Singe.Compile.Warp_specialized options
         in
         let r = Singe.Compile.run c ~total_points:32768 in
@@ -333,13 +339,12 @@ let ablation_chem_comm () =
                   { best.Singe.Autotune.options with Singe.Compile.chem_comm = Some comm }
                 in
                 match
-                  let c =
-                    Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                      Singe.Compile.Warp_specialized options
-                  in
-                  (c, Singe.Compile.run c ~total_points:32768)
+                  Singe.Compile.compile ~memo:true mech
+                    Singe.Kernel_abi.Chemistry Singe.Compile.Warp_specialized
+                    options
                 with
-                | c, r ->
+                | Ok c ->
+                    let r = Singe.Compile.run c ~total_points:32768 in
                     let p = c.Singe.Compile.lowered.Singe.Lower.program in
                     Printf.sprintf
                       "  %-10s %10.3e points/s, %5.1f KB shared, %5d B spilled\n"
@@ -347,8 +352,9 @@ let ablation_chem_comm () =
                       r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
                       (float_of_int (p.Gpusim.Isa.shared_doubles * 8) /. 1024.)
                       c.Singe.Compile.lowered.Singe.Lower.spill_bytes_per_thread
-                | exception Failure msg ->
-                    Printf.sprintf "  %-10s does not fit (%s)\n" label msg)
+                | Error d ->
+                    Printf.sprintf "  %-10s does not fit (%s)\n" label
+                      d.Singe.Diagnostics.message)
               [
                 (Singe.Compile.Chem_staged, "staged");
                 (Singe.Compile.Chem_mixed, "mixed");
@@ -383,13 +389,11 @@ let ablation_weights () =
             respect_hints = false }
         in
         match
-          let c =
-            Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-              Singe.Compile.Warp_specialized options
-          in
-          (c, Singe.Compile.run c ~total_points:32768)
+          Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+            Singe.Compile.Warp_specialized options
         with
-        | c, r ->
+        | Ok c ->
+            let r = Singe.Compile.run c ~total_points:32768 in
             let imb =
               let loads =
                 Singe.Mapping.warp_flops c.Singe.Compile.dfg c.Singe.Compile.mapping
@@ -400,8 +404,9 @@ let ablation_weights () =
             in
             Printf.sprintf "  %-28s %8.3e points/s  (max/min warp FLOPs %.2f)\n"
               label r.Singe.Compile.machine.Gpusim.Chip.points_per_sec imb
-        | exception Failure msg ->
-            Printf.sprintf "  %-28s does not fit (%s)\n" label msg)
+        | Error d ->
+            Printf.sprintf "  %-28s does not fit (%s)\n" label
+              d.Singe.Diagnostics.message)
       [
       (Singe.Mapping.default_weights, "default (1.0/0.25/0.5)");
       ({ Singe.Mapping.w_flops = 1.0; w_regs = 0.0; w_locality = 0.0 }, "flops only");
@@ -446,7 +451,7 @@ let model_accuracy () =
     Sutil.Domain_pool.parallel_map
       (fun (mech, kernel, version) ->
         let options = Singe.Target.options arch kernel in
-        let c = Singe.Compile.compile_cached mech kernel version options in
+        let c = compiled mech kernel version options in
         let pred = Singe.Perf_model.predict c ~total_points:points in
         let r = Singe.Compile.run c ~total_points:points in
         let measured =
@@ -512,10 +517,7 @@ let ablation_exchange () =
             { (Singe.Target.options arch kernel) with
               Singe.Compile.synth_exchange = Some synth }
           in
-          let c =
-            Singe.Compile.compile_cached mech kernel
-              Singe.Compile.Warp_specialized options
-          in
+          let c = compiled mech kernel Singe.Compile.Warp_specialized options in
           (c, Singe.Compile.run c ~total_points:32768)
         in
         let c_on, r_on = eval true in
@@ -555,8 +557,7 @@ let chip_scaling () =
   let arch = Gpusim.Arch.kepler_k20c in
   let points = if fast () then 262144 else 2097152 in
   let c =
-    Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-      Singe.Compile.Warp_specialized
+    compiled mech Singe.Kernel_abi.Viscosity Singe.Compile.Warp_specialized
       (Singe.Target.options arch Singe.Kernel_abi.Viscosity)
   in
   Printf.printf "  %-6s %14s %9s %10s %10s %9s\n" "SMs" "points/s" "speedup"
@@ -663,10 +664,7 @@ let stencil_overlap () =
               Singe.Compile.stencil_overlap = overlap }
           in
           let cycles options =
-            let c =
-              Singe.Compile.compile_cached mech kernel
-                Singe.Compile.Warp_specialized options
-            in
+            let c = compiled mech kernel Singe.Compile.Warp_specialized options in
             let r = Singe.Compile.run c ~total_points:points in
             float_of_int r.Singe.Compile.machine.Gpusim.Chip.sm_cycles
           in

@@ -106,6 +106,10 @@ let classify_exn = function
   | Invalid_argument msg -> ("invalid argument: " ^ msg, None)
   | e -> (Printexc.to_string e, None)
 
+let diagnostic_of_exn ~pass = function
+  | Diagnostics.Fail d -> d
+  | e -> Diagnostics.error ~pass (fst (classify_exn e))
+
 type scored = {
   s_index : int;
   s_options : Compile.options;
@@ -118,10 +122,10 @@ type scored = {
    model. [List.stable_sort] over the index-ordered survivors breaks key
    ties towards the lower index, so the order is total and independent of
    [jobs]. *)
-let rank ?jobs ?n_sms ?skew ~points ~key compile candidates =
+let rank ?jobs ?n_sms ?skew ~points ~key ~pass compile candidates =
   let indexed = List.mapi (fun i o -> (i, o)) candidates in
   let score (s_index, s_options) =
-    let s_compiled = compile s_options in
+    let s_compiled = Diagnostics.ok_exn (compile s_options) in
     let s_prediction =
       Perf_model.predict ?n_sms ?skew s_compiled ~total_points:points
     in
@@ -131,7 +135,9 @@ let rank ?jobs ?n_sms ?skew ~points ~key compile candidates =
   let ok, failed =
     List.partition_map
       (fun ((i, o), r) ->
-        match r with Ok s -> Left s | Error e -> Right (i, o, e))
+        match r with
+        | Ok s -> Left s
+        | Error e -> Right (i, o, diagnostic_of_exn ~pass e))
       (List.combine indexed scored)
   in
   ( List.stable_sort
@@ -200,7 +206,8 @@ let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
   let ranked, compile_failures =
     rank ?jobs ?n_sms ?skew ~points
       ~key:(fun p -> -.p.Perf_model.points_per_sec)
-      (Compile.compile_cached mech kernel version)
+      ~pass:"autotune"
+      (Compile.compile ~memo:true mech kernel version)
       candidates
   in
   let selected =
@@ -214,16 +221,17 @@ let tune ?(points = 32768) ?warp_candidates ?(cta_targets = [ 1; 2 ]) ?jobs
     confirm ?jobs ?max_cycles ?inject ?n_sms ?skew ~points
       (List.sort (fun a b -> compare a.s_index b.s_index) selected)
   in
-  let failure i failed_options e =
-    let reason, fault = classify_exn e in
-    (i, { failed_options; reason; fault })
-  in
   let failures =
-    List.map (fun (i, o, e) -> failure i o e) compile_failures
+    List.map
+      (fun (i, failed_options, d) ->
+        (i, { failed_options; reason = Diagnostics.to_string d; fault = None }))
+      compile_failures
     @ List.filter_map
         (fun (s, r) ->
           match r with
-          | Error e -> Some (failure s.s_index s.s_options e)
+          | Error e ->
+              let reason, fault = classify_exn e in
+              Some (s.s_index, { failed_options = s.s_options; reason; fault })
           | Ok _ -> None)
         results
     |> List.sort (fun (i1, _) (i2, _) -> compare i1 i2)

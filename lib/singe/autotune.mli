@@ -62,10 +62,10 @@ type outcome = {
           compilable grid (1 = the model's own first pick) *)
 }
 
-val classify_exn : exn -> string * Gpusim.Sm.fault_kind option
-(** Render a per-candidate failure one-line ([Simulation_fault]s keep
-    their structured kind); shared with {!Partition_search}'s rejection
-    bookkeeping. *)
+val diagnostic_of_exn : pass:string -> exn -> Diagnostics.t
+(** A captured failure as a diagnostic: a {!Diagnostics.Fail} carries its
+    own, anything else (an occupancy rejection, a simulation fault) is
+    rendered one-line under [pass]. *)
 
 val default_prune_keep : int
 (** How many model-ranked candidates a pruned sweep simulates by default
@@ -112,17 +112,20 @@ val rank :
   ?skew:float ->
   points:int ->
   key:(Perf_model.prediction -> float) ->
-  (Compile.options -> Compile.t) ->
+  pass:string ->
+  (Compile.options -> (Compile.t, Diagnostics.t) result) ->
   Compile.options list ->
-  scored list * (int * Compile.options * exn) list
-(** [rank ~points ~key compile candidates] compiles every candidate with
-    [compile] — an already-bound [Compile.compile_cached mech kernel
-    version], so a search digests the mechanism once — and predicts it at
-    [points] with {!Perf_model.predict} ([n_sms]/[skew] forwarded), on up
-    to [jobs] domains. Returns the compilable candidates sorted ascending
-    by [key] of their prediction, ties to the lower index, and the
-    candidates whose compile or prediction raised, with the raw
-    exception, in index order. Deterministic under any [jobs]. *)
+  scored list * (int * Compile.options * Diagnostics.t) list
+(** [rank ~points ~key ~pass compile candidates] compiles every candidate
+    with [compile] — an already-bound [Compile.compile ~memo:true mech
+    kernel version], so a search digests the mechanism once — and
+    predicts it at [points] with {!Perf_model.predict} ([n_sms]/[skew]
+    forwarded), on up to [jobs] domains. Returns the compilable
+    candidates sorted ascending by [key] of their prediction, ties to the
+    lower index, and the candidates that failed, in index order, each
+    with its diagnostic: the compile's own, or a prediction's failure
+    under [pass] (the caller's search, via {!diagnostic_of_exn}).
+    Deterministic under any [jobs]. *)
 
 val confirm :
   ?jobs:int ->
@@ -170,7 +173,7 @@ val tune :
     per-architecture auto setting).
 
     The whole grid is {!rank}ed by predicted throughput (compiled through
-    {!Compile.compile_cached}, so a configuration revisited across
+    the memo of {!Compile.compile}, so a configuration revisited across
     kernels/figures compiles once). Under [?mode] (default {!Exhaustive})
     either every ranked candidate or only the model's top-[k] picks are
     then {!confirm}ed in candidate-index order; [candidates_pruned] and

@@ -329,13 +329,16 @@ let run_passes pm ~validate mech kernel version options =
                 ~out_warps:options.n_warps ~groups dfg mapping schedule)
         in
         let used = Gpusim.Isa.regs32_per_thread lowered.Lower.program in
+        let budget = cfg.Lower.freg_budget - (((used - cap32) + 1) / 2) - 1 in
         if used <= cap32 || tries = 0 then lowered
-        else
-          fit schedule
-            { cfg with
-              Lower.freg_budget =
-                cfg.Lower.freg_budget - (((used - cap32) + 1) / 2) - 1 }
-            (tries - 1)
+        else if budget < 4 (* [check_options]' floor *) then
+          Diagnostics.failf ~pass:"lower"
+            "%s needs %d 32-bit registers per thread at %d double \
+             registers, over the per-thread cap of %d at %d warps x %d \
+             CTA(s) per SM on %s, and the budget cannot shrink below 4"
+            name used cfg.Lower.freg_budget cap32 options.n_warps
+            options.ctas_per_sm_target options.arch.Gpusim.Arch.name
+        else fit schedule { cfg with Lower.freg_budget = budget } (tries - 1)
       in
       (* Shared memory must leave room for the target CTAs per SM. If the
          store slots plus the buffer ring overshoot, rebuild the schedule
@@ -461,21 +464,21 @@ let pipeline_name mech kernel version options =
     (Kernel_abi.kernel_name kernel)
     (version_name version) options.arch.Gpusim.Arch.name options.n_warps
 
-let compile_with_report ?(validate = true) mech kernel version options =
-  check_options_exn mech kernel version options;
-  let pm = Pass.create (pipeline_name mech kernel version options) in
-  let t = run_pipeline pm ~validate mech kernel version options in
-  (t, Pass.report pm)
-
-let compile mech kernel version options =
-  fst (compile_with_report ~validate:false mech kernel version options)
-
-let compile_checked ?validate mech kernel version options =
-  match compile_with_report ?validate mech kernel version options with
-  | v -> Ok v
+(* A fresh compile, every failure a diagnostic: invalid options and
+   validation passes raise [Diagnostics.Fail]; a stage that cannot fit the
+   configuration raises [Failure] or [Invalid_argument]. *)
+let compile_fresh ?report ~validate mech kernel version options =
+  match
+    check_options_exn mech kernel version options;
+    let pm = Pass.create (pipeline_name mech kernel version options) in
+    let t = run_pipeline pm ~validate mech kernel version options in
+    (t, Pass.report pm)
+  with
+  | t, r ->
+      Option.iter (fun f -> f r) report;
+      Ok t
   | exception Diagnostics.Fail d -> Error d
-  | exception Failure msg -> Error (Diagnostics.error ~pass:"pipeline" msg)
-  | exception Invalid_argument msg ->
+  | exception (Failure msg | Invalid_argument msg) ->
       Error (Diagnostics.error ~pass:"pipeline" msg)
 
 (* ---- compile memoization -------------------------------------------
@@ -488,7 +491,7 @@ let compile_checked ?validate mech kernel version options =
    artifacts are immutable after the pipeline returns (simulation state
    lives in [Memstate.t] / trace cursors), making a shared [t] safe to
    hand to concurrent sweep workers. Only successful compiles are
-   cached; failures re-raise so callers see the exception every time.
+   cached; a failure is compiled, and returned, every time.
 
    The table is bounded: a long-lived server streaming distinct
    configurations would otherwise grow it without limit (each entry
@@ -627,7 +630,7 @@ let rec digest_of v =
       digest_of v
 
 (* Serve [key] from the memo, or compile and insert it. *)
-let memo_find_or_compile key mech kernel version options =
+let memo_find_or_compile ?report key mech kernel version options =
   let cached =
     Mutex.lock memo_mutex;
     let v =
@@ -652,31 +655,40 @@ let memo_find_or_compile key mech kernel version options =
     v
   in
   match cached with
-  | Some t -> t
+  | Some t -> Ok t
   | None ->
       (* Compile outside the lock: concurrent workers may duplicate the
          work for the same key (deterministic, so either result is the
          same), but never serialize on each other. *)
-      let t = compile mech kernel version options in
-      Mutex.lock memo_mutex;
-      if not (Hashtbl.mem memo key) then begin
-        incr memo_tick;
-        Hashtbl.add memo key
-          { value = t; snapshot = snapshot t; last_use = !memo_tick };
-        evict_down_to !memo_max
-      end;
-      Mutex.unlock memo_mutex;
-      t
+      let r = compile_fresh ?report ~validate:false mech kernel version options in
+      Result.iter
+        (fun t ->
+          Mutex.lock memo_mutex;
+          if not (Hashtbl.mem memo key) then begin
+            incr memo_tick;
+            Hashtbl.add memo key
+              { value = t; snapshot = snapshot t; last_use = !memo_tick };
+            evict_down_to !memo_max
+          end;
+          Mutex.unlock memo_mutex)
+        r;
+      r
 
-(* The key is the digest of everything a compile reads: the target
+(* The memo key is the digest of everything a compile reads: the target
    (mechanism, kernel, version), digested once per partial application
    so a sweep over one target marshals its mechanism once, then the
    options. *)
-let compile_cached mech kernel version =
-  let target = digest_of (mech, kernel, version) in
-  fun options ->
-    memo_find_or_compile (digest_of (target, options)) mech kernel version
-      options
+let compile ?(memo = false) ?(validate = false) ?report mech kernel version =
+  if memo && not validate then
+    let target = digest_of (mech, kernel, version) in
+    fun options ->
+      memo_find_or_compile ?report (digest_of (target, options)) mech kernel
+        version options
+  else compile_fresh ?report ~validate mech kernel version
+
+(* Kept only for the benchmark driver, which names them. *)
+let compile_checked ?(validate = true) m k v o = let r = ref None in Result.map (fun t -> (t, Option.get !r)) (compile ~validate ~report:(fun p -> r := Some p) m k v o)
+let compile_cached m k v = let c = compile ~memo:true m k v in fun o -> Diagnostics.ok_exn (c o)
 
 let memo_poison_for_test () =
   Mutex.lock memo_mutex;
@@ -757,9 +769,7 @@ let check_launch kernel version ~n_warps ~total_points =
 
 let default_ctas t ~total_points =
   let n_warps = t.options.n_warps in
-  Result.iter_error
-    (fun d -> raise (Diagnostics.Fail d))
-    (check_launch t.kernel t.version ~n_warps ~total_points);
+  Diagnostics.ok_exn (check_launch t.kernel t.version ~n_warps ~total_points);
   launch_ctas t.version ~n_warps ~total_points
 
 type run_result = {
@@ -832,6 +842,8 @@ let reference_outputs mech kernel (grid : Chem.Grid.t) ~seed ~t_range ~points
 
 let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
     ?max_cycles ?profile ?n_sms ?skew t ~total_points =
+  Diagnostics.ok_exn
+    (Result.map_error (fun (pass, p) -> Diagnostics.of_problems ~pass p) t.safety);
   let ctas =
     match ctas with Some c -> c | None -> default_ctas t ~total_points
   in

@@ -10,9 +10,8 @@
     [deadlock-check], [lower-validate]) that re-check each stage's
     invariants on the artifact actually handed to the next stage
     ([deadlock-check] is {!Deadlock_check.check}, the executable form of
-    the §4.4 deadlock-freedom theorem). {!compile_checked} returns the
-    resulting per-pass timings and artifact statistics; {!compile} runs
-    the same pipeline without validation and discards them.
+    the §4.4 deadlock-freedom theorem). {!compile} is the one entry
+    point, and returns every failure as a typed diagnostic.
 
     Three code-generation versions reproduce the paper's comparisons:
     {ul
@@ -138,7 +137,7 @@ type t = {
           program's own occupancy, so a prediction keeps only the
           launch-dependent work. A compile output, not a cache: no key,
           no eviction, it lives and dies with the artifact. Its walk
-          holds per-warp arrays, so a {!compile_cached} hit re-verifies
+          holds per-warp arrays, so a memo hit of {!compile} re-verifies
           that each is the one stored. It adds no pass record. *)
   safety : (unit, string * string list) result;
       (** the safety verdict on [mapping] and [schedule]: [Error (check,
@@ -146,47 +145,50 @@ type t = {
           {!Deadlock_check.check} (["mapping-validate"] or
           ["deadlock-check"]) that fails; the second runs only if the
           first passes. Computed once per compile, with or without
-          validation: the [mapping-validate] and [deadlock-check] pass
-          records of {!compile_checked} time and raise this same
-          computation. {!Partition_search.gate} reads it. *)
+          validation: a validating {!compile}'s [mapping-validate] and
+          [deadlock-check] pass records time and reject this same
+          computation. {!Partition_search.gate} reads it, and {!run}
+          refuses to simulate an artifact whose verdict is an [Error]. *)
 }
 
 val compile :
-  Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> t
-(** The pass pipeline without validation passes, report discarded.
-    Raises {!Diagnostics.Fail} on invalid options and [Failure] when a
-    stage cannot fit the configuration (as before the pass refactor). *)
+  ?memo:bool ->
+  ?validate:bool ->
+  ?report:(Pass.report -> unit) ->
+  Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options ->
+  (t, Diagnostics.t) result
+(** The one compile entry point. Every user-reachable failure is a
+    diagnostic: invalid options, a validation pass's rejection (carrying
+    the pass name), and a stage that cannot fit the configuration (pass
+    ["pipeline"], or ["lower"] when no register budget fits the cap).
+
+    [validate] (default [false]) runs the inter-pass validation passes; a
+    validating compile always compiles afresh, touching neither the memo
+    nor its counters. [report] receives the pass report (per-pass
+    timings and artifact statistics) of a successful fresh compile; a
+    memo hit reports nothing.
+
+    [memo] (default [false]) serves the compile from a process-wide,
+    thread-safe, LRU-bounded table keyed by the digest of the whole
+    (mechanism, kernel, version, options) configuration, everything a
+    compile reads; only successes are cached. A hit re-verifies the
+    artifact in O(warps): each [Switch_warp] arm array of its code and
+    each per-warp stream of its stored walk must still hold, by identity,
+    what it held at insertion, or the entry is dropped, counted as a
+    corruption and recompiled. Partial application digests the target
+    once: a sweep binds [let compile = compile ~memo:true mech kernel
+    version] and each lookup then marshals only the options. *)
 
 val compile_checked :
   ?validate:bool ->
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options ->
   (t * Pass.report, Diagnostics.t) result
-(** Run the pipeline under the pass manager and return the artifact
-    together with per-pass wall-clock timings and artifact statistics.
-    With [validate] (default [true]) the inter-pass validation passes run
-    after their producing stage. Every user-reachable failure — invalid
-    options, validation-pass rejections, and a stage's inability to fit
-    the configuration — is returned as a typed diagnostic (a failed
-    validation carries the pass name) instead of an exception. The entry
-    point drivers should use. *)
+(** [compile ~validate] (default [true]) paired with its report. *)
 
 val compile_cached :
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> t
-(** {!compile} through a process-wide memo table keyed by the digest of
-    the entire (mechanism, kernel, version, options) configuration, which
-    is everything a compile reads. The pipeline is deterministic, so
-    identical configurations compile once per process no matter how many
-    sweep workers ask. Thread-safe; only successful compiles are cached
-    (failures re-raise every time). A hit re-verifies the artifact in
-    O(warps): the arrays that hold its code (each [Switch_warp] arm
-    array) and its stored walk (the per-warp streams) must still hold,
-    slot for slot and by identity, what they held at insertion;
-    otherwise the entry is dropped, counted as a corruption and
-    recompiled.
-
-    Partial application digests the target once: a sweep binds
-    [let compile = compile_cached mech kernel version] and each
-    [compile options] lookup then marshals only the options. *)
+(** [compile ~memo:true], raising {!Diagnostics.Fail}. Both shims are
+    kept for the benchmark driver alone, which names them. *)
 
 val memo_clear : unit -> unit
 (** Drop every memoized compilation (for tests and long-lived servers). *)
@@ -278,7 +280,12 @@ val run :
   run_result
 (** Simulates the kernel on a reproducible random grid; when [check] (the
     default) the functional outputs of all simulated points are compared
-    against {!Chem.Ref_kernels}. [t_range] overrides the grid's temperature
+    against {!Chem.Ref_kernels}. An artifact whose [safety] verdict is an
+    [Error] is refused before anything is simulated: [run] raises that
+    verdict as {!Diagnostics.Fail} (pass ["mapping-validate"] or
+    ["deadlock-check"], the same diagnostic a validating {!compile}
+    returns), as it raises a launch that {!check_launch} rejects.
+    [t_range] overrides the grid's temperature
     interval (pair it with {!options.full_range_thermo} when going below
     the NASA mid temperature).
 

@@ -6,7 +6,7 @@
     program and stores it in {!Compile.t}'s [facts] field; a prediction
     reads that field and keeps only the launch-dependent work. Nothing
     writes the value after {!of_layout} returns. Its walk holds arrays,
-    so a {!Compile.compile_cached} hit checks, by identity, that each
+    so a memo hit of {!Compile.compile} checks, by identity, that each
     warp's item streams are still the ones stored. *)
 
 (** The memory paths (texture, global, local spill), as indexes into the

@@ -9,11 +9,12 @@
    cycles with [Autotune.rank] (compile + static model, no simulation),
    the top candidates pass through the safety gate (the verdict of the
    mapping validator and the deadlock checker that every compile
-   computes once and stores in [Compile.t.safety]: compile_cached runs
-   with validation off, so reading it here is what keeps an unsound
-   searched partition from the simulator), and [Autotune.confirm]
-   simulates the hand mapping followed by the survivors, so the returned
-   winner is never worse than the paper's partition. *)
+   computes once and stores in [Compile.t.safety]; the memoized compile
+   runs with validation off, so the gate is where an unsound searched
+   partition becomes a rejection the search can count, before
+   [Compile.run] would refuse it), and [Autotune.confirm] simulates the
+   hand mapping followed by the survivors, so the returned winner is
+   never worse than the paper's partition. *)
 
 type rejection = { rej_options : Compile.options; rej_diag : Diagnostics.t }
 
@@ -106,26 +107,14 @@ let candidate_options (base : Compile.options) (dfg : Dfg.t) =
 
 (* ---- the safety gate ---- *)
 
-let reject what msgs =
-  Diagnostics.error ~pass:"partition-search"
-    (Printf.sprintf "partition-rejected: %s: %s" what (String.concat "; " msgs))
-
-let gate_schedule schedule =
-  match Deadlock_check.check schedule with
-  | Ok () -> Ok ()
-  | Error msgs -> Error (reject "deadlock-check" msgs)
-
 let gate (c : Compile.t) =
-  Result.map_error (fun (what, msgs) -> reject what msgs) c.Compile.safety
+  Result.map_error
+    (fun (what, msgs) ->
+      Diagnostics.errorf ~pass:"partition-search" "partition-rejected: %s: %s"
+        what (String.concat "; " msgs))
+    c.Compile.safety
 
 (* ---- the search ---- *)
-
-let diag_of_exn e =
-  match e with
-  | Diagnostics.Fail d -> d
-  | e ->
-      let reason, _ = Autotune.classify_exn e in
-      Diagnostics.error ~pass:"partition-search" reason
 
 let spec_of (o : Compile.options) =
   match o.Compile.partition with
@@ -138,9 +127,9 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k) ?max_cycles
   match
     (* One mechanism digest for the whole search: every lookup below keys
        on it plus the candidate's options. *)
-    let compile = Compile.compile_cached mech kernel version in
+    let compile = Compile.compile ~memo:true mech kernel version in
     let hand =
-      let s_compiled = compile base in
+      let s_compiled = Diagnostics.ok_exn (compile base) in
       {
         Autotune.s_index = -1;
         s_options = base;
@@ -175,7 +164,7 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k) ?max_cycles
       let ranked, failed =
         Autotune.rank ?jobs ?n_sms ?skew ~points
           ~key:(fun p -> p.Perf_model.cycles)
-          compile cands
+          ~pass:"partition-search" compile cands
       in
       let top = List.filteri (fun r _ -> r < max 1 top_k) ranked in
       (* Phase B — the safety gate on the model's picks; survivors stay in
@@ -190,9 +179,7 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k) ?max_cycles
           top
       in
       let rejections =
-        List.map
-          (fun (i, o, e) -> (i, { rej_options = o; rej_diag = diag_of_exn e }))
-          failed
+        List.map (fun (i, o, d) -> (i, { rej_options = o; rej_diag = d })) failed
         @ gate_rejections
         |> List.sort (fun (i1, _) (i2, _) -> compare i1 i2)
         |> List.map snd
@@ -232,8 +219,7 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k) ?max_cycles
     end
   with
   | o -> Ok o
-  | exception Diagnostics.Fail d -> Error d
-  | exception e -> Error (diag_of_exn e)
+  | exception e -> Error (Autotune.diagnostic_of_exn ~pass:"partition-search" e)
 
 let resolve_target ?points (r : Target.resolved) =
   let ( let* ) = Result.bind in

@@ -13,9 +13,10 @@
     {- {b gate}: the model's top picks must carry a passing safety
        verdict ({!Compile.t}'s [safety]: {!Mapping.validate} then
        {!Deadlock_check.check}, computed once per compile). The memoized
-       compile path runs with validation off, so this gate is what keeps
-       an unsound searched partition away from the simulator — failures
-       surface as [partition-rejected] diagnostics;}
+       compile runs with validation off, so this gate is where an unsound
+       searched partition is counted and reported, as a
+       [partition-rejected] diagnostic, before {!Compile.run} would
+       refuse to simulate it;}
     {- {b confirm}: {!Autotune.confirm} simulates the hand mapping and
        then the survivors in model order, each once (hand first, so ties
        keep the paper's partition) — the returned winner is never worse
@@ -66,11 +67,6 @@ val gate : Compile.t -> (unit, Diagnostics.t) result
     [safety] verdict ({!Mapping.validate} then {!Deadlock_check.check},
     run once by the compile), as a [partition-rejected] diagnostic. O(1):
     it re-runs neither check. *)
-
-val gate_schedule : Schedule.t -> (unit, Diagnostics.t) result
-(** {!Deadlock_check.check} on a raw schedule, with {!gate}'s diagnostic
-    — what the seeded mutation tests drive against
-    {!Deadlock_check.mutants}. *)
 
 val search :
   ?points:int ->

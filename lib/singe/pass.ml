@@ -66,10 +66,7 @@ let validate t ~name f =
   | Ok () -> record t ~name ~kind:Validate ~wall_ns ~stats:[] ~ok:true
   | Error problems ->
       record t ~name ~kind:Validate ~wall_ns ~stats:[] ~ok:false;
-      let n = List.length problems in
-      let shown = List.filteri (fun i _ -> i < 4) problems in
-      let suffix = if n > 4 then Printf.sprintf " (and %d more)" (n - 4) else "" in
-      Diagnostics.failf ~pass:name "%s%s" (String.concat "; " shown) suffix
+      raise (Diagnostics.Fail (Diagnostics.of_problems ~pass:name problems))
 
 let report t =
   {

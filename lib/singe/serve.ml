@@ -387,17 +387,13 @@ let resolve_names t =
 let resolve ?(launch = true) t =
   let r = resolve_names t in
   let points = if launch then Some t.t_points else None in
-  match Partition_search.resolve_target ?points r with
-  | Ok options -> (r, options)
-  | Error d -> raise (Diagnostics.Fail d)
+  (r, Diagnostics.ok_exn (Partition_search.resolve_target ?points r))
 
-(* Compile with the shared bounded memo; pipeline failures become typed
-   rejections exactly as Compile.compile_checked classifies them (a
-   diagnostic reaches [contained] as one). *)
+(* Compile with the shared bounded memo; a failure's diagnostic reaches
+   [contained] as a rejection, rendered as the CLI renders it. *)
 let compile_target (r : Target.resolved) options =
-  match Compile.compile_cached r.mech r.kernel r.version options with
-  | c -> c
-  | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg))
+  Diagnostics.ok_exn
+    (Compile.compile ~memo:true r.mech r.kernel r.version options)
 
 (* deadline_ms -> simulator cycle budget, saturating at the watchdog
    ceiling (no deadline may disarm containment) with a floor that keeps
@@ -626,17 +622,15 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                         ("buffer_slots", numi w.Compile.buffer_slots);
                       ] );
                 ]
-            | Error _ -> (
-                match searched ~simulate:false with
-                | Ok o ->
-                    st.c.degraded <- st.c.degraded + 1;
-                    [
-                      ("degraded", J.Bool true);
-                      ("budget_cycles", numi budget);
-                      ("partition", partition_json o);
-                      ("caveat", J.Str (degraded_caveat budget));
-                    ]
-                | Error d -> raise (Diagnostics.Fail d)))
+            | Error _ ->
+                let o = Diagnostics.ok_exn (searched ~simulate:false) in
+                st.c.degraded <- st.c.degraded + 1;
+                [
+                  ("degraded", J.Bool true);
+                  ("budget_cycles", numi budget);
+                  ("partition", partition_json o);
+                  ("caveat", J.Str (degraded_caveat budget));
+                ])
         | Target.Hand -> (
             match
               Autotune.tune ~points:t.t_points ~max_cycles:budget
@@ -677,7 +671,8 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                   Autotune.rank ?n_sms:t.t_sms ?skew:t.t_skew
                     ~points:t.t_points
                     ~key:(fun p -> -.p.Perf_model.points_per_sec)
-                    (Compile.compile_cached r.mech r.kernel r.version)
+                    ~pass:"autotune"
+                    (Compile.compile ~memo:true r.mech r.kernel r.version)
                     (Autotune.candidate_options
                        ?synth_exchange:r.options.Compile.synth_exchange
                        ~stencil_overlap:r.options.Compile.stencil_overlap

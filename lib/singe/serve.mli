@@ -3,7 +3,7 @@
     One warm process answers many [compile] / [run] / [predict] /
     [tune] / [health] / [stats] requests over newline-delimited JSON
     (one request object per line in, one response object per line out),
-    sharing the digest-keyed compile cache ({!Compile.compile_cached},
+    sharing the digest-keyed compile memo ([Compile.compile ~memo:true],
     bounded LRU) and a tuned-configuration cache across requests and
     fanning simulation sweeps onto {!Sutil.Domain_pool}.
 
@@ -49,7 +49,7 @@ type config = {
   max_queue : int;  (** admission queue bound *)
   retry_after_ms : int;  (** hint attached to [busy] responses *)
   cache_entries : int;
-      (** bound installed on {!Compile.compile_cached}'s memo table *)
+      (** bound installed on {!Compile.compile}'s memo table *)
   id_cache_entries : int;  (** idempotency-cache bound *)
 }
 

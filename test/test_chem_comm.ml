@@ -17,7 +17,10 @@ let run mech arch version nw comm =
     { (Singe.Target.options ~n_warps:nw arch Singe.Kernel_abi.Chemistry) with
       Singe.Compile.chem_comm = Some comm }
   in
-  let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts)
+  in
   (c, Singe.Compile.run c ~total_points:(32 * 32))
 
 let test_policies_match_reference () =

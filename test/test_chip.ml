@@ -6,9 +6,10 @@ let dme = Chem.Mech_gen.dme
 let arch = Gpusim.Arch.kepler_k20c
 
 let compile ?(kernel = Singe.Kernel_abi.Viscosity) () =
-  Singe.Compile.compile_cached (dme ()) kernel
-    Singe.Compile.Warp_specialized
-    (Singe.Compile.default_options arch)
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo:true (dme ()) kernel
+       Singe.Compile.Warp_specialized
+       (Singe.Compile.default_options arch))
 
 let program c = c.Singe.Compile.lowered.Singe.Lower.program
 
@@ -67,9 +68,10 @@ let test_scheduler_determinism () =
      concurrent domains yields the same machine snapshot, and dispatches
      every CTA. *)
   let c =
-    Singe.Compile.compile_cached (dme ()) Singe.Kernel_abi.Viscosity
-      Singe.Compile.Warp_specialized
-      (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true (dme ()) Singe.Kernel_abi.Viscosity
+         Singe.Compile.Warp_specialized
+         (Singe.Target.options ~n_warps:8 arch Singe.Kernel_abi.Viscosity))
   in
   let launch () =
     (Singe.Compile.run ~check:false c ~total_points:32768 ~n_sms:4)

@@ -7,7 +7,7 @@ let dme = Chem.Mech_gen.dme
 
 let run_with mech kernel version arch opts_f points =
   let opts = opts_f (Singe.Compile.default_options arch) in
-  let c = Singe.Compile.compile mech kernel version opts in
+  let c = Singe.Diagnostics.ok_exn (Singe.Compile.compile mech kernel version opts) in
   (c, Singe.Compile.run c ~total_points:points)
 
 (* The scheduler-off ablation changes the lowered program, so the compile
@@ -24,13 +24,16 @@ let test_memo_keys_list_schedule () =
       Singe.Compile.n_warps = 4;
     }
   in
-  let scheduled = Singe.Compile.compile_cached mech kernel version options in
+  let compile ?memo options =
+    Singe.Diagnostics.ok_exn (Singe.Compile.compile ?memo mech kernel version options)
+  in
+  let scheduled = compile ~memo:true options in
   let misses () = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
   let misses0 = misses () in
   let off = { options with Singe.Compile.list_schedule = false } in
-  let cached = Singe.Compile.compile_cached mech kernel version off in
+  let cached = compile ~memo:true off in
   let misses1 = misses () in
-  let uncached = Singe.Compile.compile mech kernel version off in
+  let uncached = compile off in
   let program (c : Singe.Compile.t) = c.Singe.Compile.lowered.Singe.Lower.program in
   Alcotest.(check int) "scheduler-off lookup misses" (misses0 + 1) misses1;
   Alcotest.(check bool) "cached equals uncached" true
@@ -38,7 +41,7 @@ let test_memo_keys_list_schedule () =
   Alcotest.(check bool) "scheduling changed the program" true
     (program cached <> program scheduled);
   Alcotest.(check bool) "switch cleared: the scheduled artifact hits" true
-    (Singe.Compile.compile_cached mech kernel version options == scheduled)
+    (compile ~memo:true options == scheduled)
 
 let test_broadcast_styles_agree () =
   (* The shared-memory mirror (Fermi) and shuffle (Kepler) broadcasts must

@@ -14,7 +14,8 @@ let compile ?(mech = hydrogen ()) ?(kernel = Singe.Kernel_abi.Chemistry)
       freg_budget;
       ctas_per_sm_target = 1 }
   in
-  Singe.Compile.compile mech kernel Singe.Compile.Warp_specialized opts
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile mech kernel Singe.Compile.Warp_specialized opts)
 
 let test_schedule_well_formed_everywhere () =
   List.iter
@@ -145,8 +146,8 @@ let test_validation_clean_across_matrix () =
                   Singe.Compile.ctas_per_sm_target = 1 }
               in
               match
-                Singe.Compile.compile_checked ~validate:true (hydrogen ())
-                  kernel version opts
+                Singe.Compile.compile ~validate:true (hydrogen ()) kernel
+                  version opts
               with
               | Ok _ -> ()
               | Error d ->
@@ -162,6 +163,93 @@ let test_validation_clean_across_matrix () =
           Singe.Compile.Naive_warp_specialized ])
     [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ]
 
+(* Generated targets (a slice of the whole-pipeline fuzzing): hydrogen
+   viscosity, conductivity or diffusion at 2-16 warps on either
+   architecture, hints on or off, finite non-negative mapping weights
+   not all zero. The memoized and the fresh compile agree on the safety
+   verdict and the program (or on the failure); an artifact whose
+   verdict is an [Error] is refused by [Compile.run] with that
+   diagnostic; any other runs 2,048 points without a simulation fault
+   and matches the host oracle, unless the chip rejects the launch with
+   its typed occupancy error (a program whose shared footprint leaves
+   no room for one CTA, which the CLI reports with exit 2). Warps lean
+   towards 16, where the greedy mapping overloads a warp without the
+   hints. *)
+let generated_targets_run_or_refuse =
+  let kernels =
+    Singe.Kernel_abi.[ Viscosity; Conductivity; Diffusion ]
+  in
+  let weight = QCheck.Gen.(oneof [ return 0.; return 1.; float_bound_inclusive 2. ]) in
+  let gen =
+    QCheck.Gen.(
+      let* kernel = oneofl kernels in
+      let* n_warps = oneof [ int_range 2 16; return 16 ] in
+      let* arch = oneofl [ Gpusim.Arch.kepler_k20c; Gpusim.Arch.fermi_c2070 ] in
+      let* respect_hints = bool in
+      let* w_flops = weight and* w_regs = weight and* w_locality = weight in
+      let w_locality =
+        if w_flops = 0. && w_regs = 0. && w_locality = 0. then 1. else w_locality
+      in
+      return
+        ( kernel,
+          {
+            (Singe.Target.options ~n_warps arch kernel) with
+            Singe.Compile.respect_hints;
+            weights = { Singe.Mapping.w_flops; w_regs; w_locality };
+          } ))
+  in
+  let print (kernel, (o : Singe.Compile.options)) =
+    Printf.sprintf "%s %d warps on %s, hints %b, weights %g/%g/%g"
+      (Singe.Kernel_abi.kernel_name kernel)
+      o.Singe.Compile.n_warps o.Singe.Compile.arch.Gpusim.Arch.name
+      o.Singe.Compile.respect_hints o.Singe.Compile.weights.Singe.Mapping.w_flops
+      o.Singe.Compile.weights.Singe.Mapping.w_regs
+      o.Singe.Compile.weights.Singe.Mapping.w_locality
+  in
+  let mech = hydrogen () in
+  let prop (kernel, options) =
+    let compile ?memo () =
+      Singe.Compile.compile ?memo mech kernel Singe.Compile.Warp_specialized
+        options
+    in
+    match (compile ~memo:true (), compile ()) with
+    | Error a, Error b -> a = b || QCheck.Test.fail_report "failures differ"
+    | Ok _, Error d | Error d, Ok _ ->
+        QCheck.Test.fail_reportf "only one path failed: %s"
+          (Singe.Diagnostics.to_string d)
+    | Ok cached, Ok fresh -> (
+        let program (c : Singe.Compile.t) =
+          c.Singe.Compile.lowered.Singe.Lower.program
+        in
+        if cached.Singe.Compile.safety <> fresh.Singe.Compile.safety then
+          QCheck.Test.fail_report "memo and fresh verdicts differ";
+        if program cached <> program fresh then
+          QCheck.Test.fail_report "memo and fresh programs differ";
+        let safety = cached.Singe.Compile.safety in
+        match Singe.Compile.run cached ~total_points:2048 with
+        | _ when Result.is_error safety ->
+            QCheck.Test.fail_report "an unsafe artifact was simulated"
+        | r ->
+            r.Singe.Compile.max_rel_err <= 1e-6
+            || QCheck.Test.fail_reportf "oracle error %g"
+                 r.Singe.Compile.max_rel_err
+        | exception Singe.Diagnostics.Fail d -> (
+            match safety with
+            | Error (pass, problems) ->
+                d = Singe.Diagnostics.of_problems ~pass problems
+                || QCheck.Test.fail_report "refused with another diagnostic"
+            | Ok () ->
+                QCheck.Test.fail_reportf "a safe artifact was refused: %s"
+                  (Singe.Diagnostics.to_string d))
+        | exception Gpusim.Chip.Occupancy_rejected _ -> true
+        | exception Gpusim.Sm.Simulation_fault f ->
+            QCheck.Test.fail_reportf "simulation fault: %s"
+              (Gpusim.Sm.fault_kind_name f.Gpusim.Sm.fault_kind))
+  in
+  QCheck_alcotest.to_alcotest ~verbose:false
+    (QCheck.Test.make ~count:40 ~name:"generated targets run or are refused"
+       (QCheck.make ~print gen) prop)
+
 let tests =
   [
     Alcotest.test_case "schedules well-formed" `Quick test_schedule_well_formed_everywhere;
@@ -174,4 +262,5 @@ let tests =
     Alcotest.test_case "regs within arch cap" `Quick test_regs_within_arch_cap;
     Alcotest.test_case "shared within cap" `Quick test_shared_within_cap;
     Alcotest.test_case "generated code validates" `Quick test_generated_code_always_validates;
+    generated_targets_run_or_refuse;
   ]

@@ -10,7 +10,8 @@ let run mech version arch nw =
     { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = nw }
   in
   let c =
-    Singe.Compile.compile mech Singe.Kernel_abi.Conductivity version opts
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile mech Singe.Kernel_abi.Conductivity version opts)
   in
   Singe.Compile.run c ~total_points:(32 * 32)
 
@@ -93,7 +94,8 @@ let test_naive_equals_overlay () =
       { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = nw }
     in
     let c =
-      Singe.Compile.compile mech Singe.Kernel_abi.Conductivity version opts
+      Singe.Diagnostics.ok_exn
+        (Singe.Compile.compile mech Singe.Kernel_abi.Conductivity version opts)
     in
     Singe.Compile.run c ~ctas:1 ~total_points:(32 * 32)
   in

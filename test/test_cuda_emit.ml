@@ -7,7 +7,7 @@ let emit mech kernel version arch nw =
     { (Singe.Target.options ~n_warps:nw arch kernel) with
       Singe.Compile.ctas_per_sm_target = 1 }
   in
-  let c = Singe.Compile.compile mech kernel version opts in
+  let c = Singe.Diagnostics.ok_exn (Singe.Compile.compile mech kernel version opts) in
   Singe.Cuda_emit.emit ~arch c.Singe.Compile.lowered.Singe.Lower.program
 
 let contains hay needle =

@@ -14,8 +14,9 @@ let options_for kernel =
     arch kernel
 
 let compiled mech kernel =
-  Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized
-    (options_for kernel)
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo:true mech kernel
+       Singe.Compile.Warp_specialized (options_for kernel))
 
 (* ---- static verifier: positive on everything we ship ---- *)
 
@@ -307,7 +308,10 @@ let test_poisoned_sweep_same_winner () =
     | None -> Alcotest.fail "grid has a single candidate"
   in
   let bad_options = List.nth grid bad_idx in
-  let bad_c = Singe.Compile.compile_cached mech kernel version bad_options in
+  let bad_c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true mech kernel version bad_options)
+  in
   let warp = arriving_warp bad_c in
   let inject i =
     if i = bad_idx then [ Gpusim.Fault.Drop_arrive { warp; nth = 0 } ] else []

@@ -10,7 +10,10 @@ let run ?(full = true) ?(t_range = (300.0, 2500.0)) mech version nw arch =
     { (Singe.Target.options ~n_warps:nw arch Singe.Kernel_abi.Chemistry) with
       Singe.Compile.full_range_thermo = full }
   in
-  let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts)
+  in
   Singe.Compile.run c ~t_range ~total_points:(32 * 32)
 
 let test_cold_grid_matches_reference () =

@@ -6,8 +6,8 @@ let compile mech kernel version arch nw =
     { (Singe.Target.options ~n_warps:nw arch kernel) with
       Singe.Compile.ctas_per_sm_target = 1 }
   in
-  (Singe.Compile.compile mech kernel version opts).Singe.Compile.lowered
-    .Singe.Lower.program
+  (Singe.Diagnostics.ok_exn (Singe.Compile.compile mech kernel version opts))
+    .Singe.Compile.lowered.Singe.Lower.program
 
 let test_roundtrip_exact () =
   let mech = Chem.Mech_gen.hydrogen () in

@@ -66,7 +66,8 @@ let test_all_kernels_slow () =
           Singe.Compile.ctas_per_sm_target = 1 }
       in
       let c =
-        Singe.Compile.compile m kernel Singe.Compile.Warp_specialized opts
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile m kernel Singe.Compile.Warp_specialized opts)
       in
       let r = Singe.Compile.run c ~total_points:(32 * 32) in
       Alcotest.(check bool)

@@ -108,8 +108,9 @@ let conductivity_result n_warps =
     { (Singe.Compile.default_options arch) with Singe.Compile.n_warps }
   in
   let c =
-    Singe.Compile.compile_cached mech Singe.Kernel_abi.Conductivity
-      Singe.Compile.Warp_specialized options
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Conductivity
+         Singe.Compile.Warp_specialized options)
   in
   let r = Singe.Compile.run ~check:false c ~total_points:8192 in
   let s = r.Singe.Compile.machine.Chip.sim in

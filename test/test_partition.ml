@@ -12,9 +12,12 @@ let arch = Gpusim.Arch.kepler_k20c
 
 let base_options kernel = Singe.Target.options ~n_warps:8 arch kernel
 
+let compile ?memo ?validate ?(kernel = Singe.Kernel_abi.Viscosity) options =
+  Singe.Compile.compile ?memo ?validate (Lazy.force hydrogen) kernel
+    Singe.Compile.Warp_specialized options
+
 let compiled kernel =
-  Singe.Compile.compile_cached (Lazy.force hydrogen) kernel
-    Singe.Compile.Warp_specialized (base_options kernel)
+  Singe.Diagnostics.ok_exn (compile ~memo:true ~kernel (base_options kernel))
 
 (* A four-op graph — two loads, one add, one store — small enough that
    every warp count above it exercises the degenerate surplus-warp path. *)
@@ -145,17 +148,19 @@ let test_proposed_specs_map_validly () =
             (String.concat "; " p))
     specs
 
-(* ---- the safety gate vs the 11 seeded mutation operators ---- *)
+(* ---- the deadlock checker vs the 11 seeded mutation operators ---- *)
 
+(* The checker rejects every mutant, and an artifact carrying a mutant's
+   [deadlock-check] verdict is refused by [Compile.run] with that
+   diagnostic before anything is simulated. *)
 let test_gate_rejects_every_mutant () =
   List.iter
     (fun kernel ->
       let c = compiled kernel in
       let schedule = c.Singe.Compile.schedule in
-      (match Singe.Partition_search.gate_schedule schedule with
+      (match Singe.Deadlock_check.check schedule with
       | Ok () -> ()
-      | Error d ->
-          Alcotest.failf "original gated: %s" (Singe.Diagnostics.to_string d));
+      | Error p -> Alcotest.failf "original rejected: %s" (String.concat "; " p));
       let muts = Singe.Deadlock_check.mutants ~seed:42 schedule in
       (* hydrogen viscosity is sync-rich enough that every one of the 11
          operators applies; diffusion's sparse schedule yields fewer *)
@@ -165,25 +170,26 @@ let test_gate_rejects_every_mutant () =
         (List.length muts);
       List.iter
         (fun (m : Singe.Deadlock_check.mutant) ->
-          match
-            Singe.Partition_search.gate_schedule m.Singe.Deadlock_check.schedule
-          with
-          | Ok () ->
-              Alcotest.failf "mutant %s slipped the gate"
-                m.Singe.Deadlock_check.label
-          | Error d ->
-              let msg = Singe.Diagnostics.to_string d in
-              let contains hay needle =
-                let nh = String.length hay and nn = String.length needle in
-                let rec go i =
-                  i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-                in
-                go 0
+          let label = m.Singe.Deadlock_check.label in
+          match Singe.Deadlock_check.check m.Singe.Deadlock_check.schedule with
+          | Ok () -> Alcotest.failf "mutant %s slipped the checker" label
+          | Error problems -> (
+              let mutant =
+                {
+                  c with
+                  Singe.Compile.schedule = m.Singe.Deadlock_check.schedule;
+                  safety = Error ("deadlock-check", problems);
+                }
               in
-              Alcotest.(check bool)
-                (m.Singe.Deadlock_check.label ^ " tagged partition-rejected")
-                true
-                (contains msg "partition-rejected"))
+              match Singe.Compile.run mutant ~total_points:2048 with
+              | _ -> Alcotest.failf "mutant %s was simulated" label
+              | exception Singe.Diagnostics.Fail d ->
+                  Alcotest.(check string)
+                    (label ^ ": run refuses with the verdict")
+                    (Singe.Diagnostics.to_string
+                       (Singe.Diagnostics.of_problems ~pass:"deadlock-check"
+                          problems))
+                    (Singe.Diagnostics.to_string d)))
         muts)
     [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion ]
 
@@ -218,10 +224,7 @@ let fresh_gate_text c =
 let check_verdict what kernel options (cached : Singe.Compile.t) =
   if cached.Singe.Compile.safety <> fresh_verdict cached then
     Alcotest.failf "%s: stored verdict differs from a fresh check" what;
-  let uncached =
-    Singe.Compile.compile (Lazy.force hydrogen) kernel
-      Singe.Compile.Warp_specialized options
-  in
+  let uncached = Singe.Diagnostics.ok_exn (compile ~kernel options) in
   if uncached.Singe.Compile.safety <> cached.Singe.Compile.safety then
     Alcotest.failf "%s: cached verdict differs from uncached" what;
   Alcotest.(check string) (what ^ ": gate text") (fresh_gate_text cached)
@@ -232,15 +235,14 @@ let check_verdict what kernel options (cached : Singe.Compile.t) =
    mapping the validator rejects (zero mapping weights without the
    domain hints pile every op onto warp 0). *)
 let test_gate_reads_stored_verdict () =
-  let mech = Lazy.force hydrogen and kernel = Singe.Kernel_abi.Viscosity in
-  let version = Singe.Compile.Warp_specialized in
+  let kernel = Singe.Kernel_abi.Viscosity in
   let base = base_options kernel in
   let hand = compiled kernel and n_compiled = ref 0 in
   List.iter
     (fun options ->
-      match Singe.Compile.compile_cached mech kernel version options with
-      | exception _ -> ()
-      | cached ->
+      match compile ~memo:true ~kernel options with
+      | Error _ -> ()
+      | Ok cached ->
           incr n_compiled;
           check_verdict
             (Format.asprintf "%a" Singe.Partition_search.pp_candidate options)
@@ -257,17 +259,26 @@ let test_gate_reads_stored_verdict () =
       weights = { Singe.Mapping.w_flops = 0.; w_regs = 0.; w_locality = 1. };
     }
   in
-  let c = Singe.Compile.compile_cached mech kernel version options in
+  let c = Singe.Diagnostics.ok_exn (compile ~memo:true ~kernel options) in
   (match c.Singe.Compile.safety with
   | Error ("mapping-validate", _ :: _) -> ()
   | Ok () | Error _ -> Alcotest.fail "overloaded mapping not rejected");
   check_verdict "overloaded mapping" kernel options c;
-  (* Validating, the same single check fails the mapping-validate pass. *)
-  match Singe.Compile.compile_checked ~validate:true mech kernel version options with
+  (* Validating, the same single check fails the mapping-validate pass,
+     and [Compile.run] refuses the memoized artifact with that
+     diagnostic: both paths give one answer. *)
+  match compile ~validate:true ~kernel options with
   | Ok _ -> Alcotest.fail "validating compile accepted the overloaded mapping"
-  | Error d ->
+  | Error d -> (
       Alcotest.(check (option string))
-        "failing pass" (Some "mapping-validate") d.Singe.Diagnostics.pass
+        "failing pass" (Some "mapping-validate") d.Singe.Diagnostics.pass;
+      match Singe.Compile.run c ~total_points:2048 with
+      | _ -> Alcotest.fail "run simulated the overloaded mapping"
+      | exception Singe.Diagnostics.Fail r ->
+          Alcotest.(check string)
+            "run refuses with the validating compile's diagnostic"
+            (Singe.Diagnostics.to_string d)
+            (Singe.Diagnostics.to_string r))
 
 (* Mapping weights that balance nothing are rejected up front: the
    all-zero reproduction (hydrogen conductivity, 16 warps, hints off) gets
@@ -295,15 +306,9 @@ let test_bad_weights_rejected () =
       is_options_error label
         (Singe.Compile.check_options mech kernel version options);
       is_options_error (label ^ ", validating compile")
-        (Result.map ignore
-           (Singe.Compile.compile_checked ~validate:true mech kernel version
-              options));
-      match Singe.Compile.compile_cached mech kernel version options with
-      | exception Singe.Diagnostics.Fail d ->
-          Alcotest.(check (option string))
-            (label ^ ": cached compile pass") (Some "options")
-            d.Singe.Diagnostics.pass
-      | _ -> Alcotest.failf "%s: cached compile returned an artifact" label)
+        (Result.map ignore (compile ~validate:true ~kernel options));
+      is_options_error (label ^ ", cached compile")
+        (Result.map ignore (compile ~memo:true ~kernel options)))
     [
       ("all-zero weights", with_weights 0. 0. 0.);
       ("negative weight", with_weights 1. (-0.25) 0.5);
@@ -368,7 +373,7 @@ let test_confirmed_search_deterministic_across_jobs () =
     (outcome_fingerprint (search 4));
   let hand =
     Singe.Compile.run
-      (Singe.Compile.compile_cached mech kernel version base)
+      (Singe.Diagnostics.ok_exn (compile ~memo:true ~kernel base))
       ~total_points:8192
   in
   Alcotest.(check (float 0.0)) "hand cycles = a direct run of hand"
@@ -393,8 +398,8 @@ let test_search_never_loses_to_hand () =
             <= o.Singe.Partition_search.hand_cycles);
           (* whatever won must itself clear the safety gate *)
           let c =
-            Singe.Compile.compile_cached mech kernel
-              Singe.Compile.Warp_specialized o.Singe.Partition_search.winner
+            Singe.Diagnostics.ok_exn
+              (compile ~memo:true ~kernel o.Singe.Partition_search.winner)
           in
           (match Singe.Partition_search.gate c with
           | Ok () -> ()
@@ -425,14 +430,11 @@ let test_search_never_loses_to_hand () =
             "rejection from partition-search" (Some "partition-search")
             r.rej_diag.Singe.Diagnostics.pass)
         o.Singe.Partition_search.rejections;
-      match
-        Singe.Compile.compile_checked ~validate:false mech kernel
-          Singe.Compile.Warp_specialized o.Singe.Partition_search.winner
-      with
+      match compile ~kernel o.Singe.Partition_search.winner with
       | Error d ->
           Alcotest.failf "confirmed winner does not recompile: %s"
             (Singe.Diagnostics.to_string d)
-      | Ok (c, _) -> (
+      | Ok c -> (
           match Singe.Partition_search.gate c with
           | Ok () -> ()
           | Error d ->
@@ -468,7 +470,6 @@ let test_derived_live_slack_tracks_budget () =
    then faulted inside [Perf_model.walk_step]. Compile such a candidate
    and predict it — both used to throw. *)
 let test_striped_param_temps_accounted () =
-  let mech = Lazy.force hydrogen in
   let spec =
     {
       Singe.Mapping.producer_warps = 1;
@@ -483,8 +484,7 @@ let test_striped_param_temps_accounted () =
     }
   in
   let c =
-    Singe.Compile.compile mech Singe.Kernel_abi.Diffusion
-      Singe.Compile.Warp_specialized o
+    Singe.Diagnostics.ok_exn (compile ~kernel:Singe.Kernel_abi.Diffusion o)
   in
   let pred = Singe.Perf_model.predict c ~total_points:4096 in
   Alcotest.(check bool)

@@ -19,9 +19,14 @@ let options ?(arch = Gpusim.Arch.kepler_k20c) ?(nw = 4) kernel =
 
 let compile ?arch ?nw ?(mech = hydrogen ())
     ?(version = Singe.Compile.Warp_specialized) kernel =
-  Singe.Compile.compile_checked ~validate:true mech kernel version
-    (options ?arch ?nw kernel)
-  |> Result.get_ok
+  let report = ref None in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~validate:true
+         ~report:(fun r -> report := Some r)
+         mech kernel version (options ?arch ?nw kernel))
+  in
+  (c, Option.get !report)
 
 (* ---- report structure ---- *)
 
@@ -81,7 +86,7 @@ let test_report_json () =
 
 let check_rejected name opts kernel version =
   match
-    Singe.Compile.compile_checked (hydrogen ()) kernel version opts
+    Singe.Compile.compile ~validate:true (hydrogen ()) kernel version opts
   with
   | Ok _ -> Alcotest.fail (name ^ ": accepted invalid options")
   | Error d ->
@@ -118,16 +123,19 @@ let test_invalid_options_are_typed () =
   check_rejected "unloweable register budget"
     { base with Singe.Compile.freg_budget = Some 2 }
     k Singe.Compile.Warp_specialized;
-  (* The same options go through as an exception on the thin wrapper... *)
+  (* The same options get the same diagnostic through the memo... *)
   (match
-     Singe.Compile.compile (hydrogen ()) k Singe.Compile.Warp_specialized
+     Singe.Compile.compile ~memo:true (hydrogen ()) k
+       Singe.Compile.Warp_specialized
        { base with Singe.Compile.n_warps = 0 }
    with
-  | _ -> Alcotest.fail "compile accepted n_warps = 0"
-  | exception Singe.Diagnostics.Fail _ -> ());
+  | Ok _ -> Alcotest.fail "memoized compile accepted n_warps = 0"
+  | Error d ->
+      Alcotest.(check (option string))
+        "memoized provenance" (Some "options") d.Singe.Diagnostics.pass);
   (* ...and valid options still compile. *)
   match
-    Singe.Compile.compile_checked (hydrogen ()) k
+    Singe.Compile.compile ~validate:true (hydrogen ()) k
       Singe.Compile.Warp_specialized base
   with
   | Ok _ -> ()
@@ -439,6 +447,34 @@ let test_validating_reports_pinned () =
   Alcotest.(check string) "report digest" "f21e41f5b3c672e0a2adc6653615d1d9"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* The register-fit loop shrinks the double-register budget until the
+   32-bit total fits the per-thread cap, but not below [check_options]'
+   floor of 4. 32 warps of hydrogen diffusion at 2 CTAs per SM on Fermi
+   leave a cap of 16 registers that no budget meets: one diagnostic
+   naming the cap, where the loop used to lower at a budget of -1 and
+   report the register allocator's failure. *)
+let test_register_fit_names_cap () =
+  let kernel = Singe.Kernel_abi.Diffusion in
+  let opts = options ~arch:Gpusim.Arch.fermi_c2070 ~nw:32 kernel in
+  List.iter
+    (fun (label, validate) ->
+      match
+        Singe.Compile.compile ~validate (hydrogen ()) kernel
+          Singe.Compile.Warp_specialized opts
+      with
+      | Ok _ -> Alcotest.failf "%s: 32 warps of diffusion fit on Fermi" label
+      | Error d ->
+          Alcotest.(check (option string))
+            (label ^ ": failing pass") (Some "lower") d.Singe.Diagnostics.pass;
+          List.iter
+            (fun needle ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: names %S" label needle)
+                true
+                (contains d.Singe.Diagnostics.message needle))
+            [ "cap of 16"; "32 warps x 2 CTA(s) per SM"; "Fermi C2070" ])
+    [ ("plain", false); ("validating", true) ]
+
 let tests =
   [
     Alcotest.test_case "report covers the pipeline" `Quick
@@ -448,6 +484,8 @@ let tests =
       test_validating_reports_pinned;
     Alcotest.test_case "invalid options are typed errors" `Quick
       test_invalid_options_are_typed;
+    Alcotest.test_case "register fit names the cap" `Quick
+      test_register_fit_names_cap;
     Alcotest.test_case "mutation: dfg cycle" `Quick test_dfg_cycle_is_caught;
     Alcotest.test_case "dfg: built graphs in dependence order" `Quick
       test_dfg_dependence_order;

@@ -7,8 +7,9 @@ let dme = Chem.Mech_gen.dme
 let arch = Gpusim.Arch.kepler_k20c
 
 let compile mech kernel version =
-  Singe.Compile.compile_cached mech kernel version
-    (Singe.Target.options arch kernel)
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo:true mech kernel version
+       (Singe.Target.options arch kernel))
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -379,9 +380,9 @@ let add_prediction b (p : Singe.Perf_model.prediction) =
 let iter_golden_set ~on_fail f =
   let version = Singe.Compile.Warp_specialized in
   let visit arch mech kernel options =
-    match Singe.Compile.compile_cached mech kernel version options with
-    | exception _ -> on_fail ()
-    | c -> f arch c
+    match Singe.Compile.compile ~memo:true mech kernel version options with
+    | Error _ -> on_fail ()
+    | Ok c -> f arch c
   in
   let mech = hydrogen () in
   List.iter
@@ -389,7 +390,10 @@ let iter_golden_set ~on_fail f =
       List.iter
         (fun (kernel, n_warps) ->
           let base = Singe.Target.options ~n_warps arch kernel in
-          let hand = Singe.Compile.compile_cached mech kernel version base in
+          let hand =
+            Singe.Diagnostics.ok_exn
+              (Singe.Compile.compile ~memo:true mech kernel version base)
+          in
           List.iter
             (visit arch mech kernel)
             (base
@@ -530,10 +534,11 @@ let test_facts_cached_equal_uncached () =
           let options = Singe.Target.options ~n_warps:4 arch kernel in
           List.iter
             (fun version ->
-              let c = Singe.Compile.compile mech kernel version options in
-              let cached =
-                Singe.Compile.compile_cached mech kernel version options
+              let compile ?memo () =
+                Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ?memo mech kernel version options)
               in
+              let c = compile () and cached = compile ~memo:true () in
               if c.Singe.Compile.facts <> cached.Singe.Compile.facts then
                 Alcotest.failf "%s: cached facts differ from uncached"
                   (facts_name c);
@@ -577,9 +582,10 @@ let test_static_instr_count () =
   List.iter
     (fun kernel ->
       check
-        (Singe.Compile.compile_cached (hydrogen ()) kernel
-           Singe.Compile.Naive_warp_specialized
-           (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel)))
+        (Singe.Diagnostics.ok_exn
+           (Singe.Compile.compile ~memo:true (hydrogen ()) kernel
+              Singe.Compile.Naive_warp_specialized
+              (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel))))
     Singe.Kernel_abi.[ Viscosity; Chemistry ];
   Alcotest.(check int) "programs counted" 275 !programs
 
@@ -641,9 +647,8 @@ let lowering_digest () =
   in
   let digest_compile mech kernel version options =
     match Singe.Compile.compile mech kernel version options with
-    | exception Singe.Diagnostics.Fail d ->
-        add_string b ("failed: " ^ Singe.Diagnostics.to_string d)
-    | c ->
+    | Error d -> add_string b ("failed: " ^ Singe.Diagnostics.to_string d)
+    | Ok c ->
         incr programs;
         add_lowered b c.Singe.Compile.lowered
   in
@@ -741,9 +746,10 @@ let simulation_digest () =
   let mechs = [ ("hydrogen", hydrogen ()); ("dme", dme ()) ] in
   let compile arch (m, k, v, n_warps, _) =
     let kernel = Result.get_ok (Singe.Target.kernel_of_string k) in
-    Singe.Compile.compile_cached (List.assoc m mechs) kernel
-      (Result.get_ok (Singe.Target.version_of_string v))
-      (Singe.Target.options ~n_warps arch kernel)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true (List.assoc m mechs) kernel
+         (Result.get_ok (Singe.Target.version_of_string v))
+         (Singe.Target.options ~n_warps arch kernel))
   in
   let digest_run ?faults ?max_cycles ?profile c total_points =
     incr runs;

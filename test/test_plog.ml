@@ -121,7 +121,10 @@ let test_plog_end_to_end () =
       let opts =
         Singe.Target.options ~n_warps:2 arch Singe.Kernel_abi.Chemistry
       in
-      let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts in
+      let c =
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile mech Singe.Kernel_abi.Chemistry version opts)
+      in
       let r = Singe.Compile.run c ~total_points:(32 * 32) in
       Alcotest.(check bool)
         (Printf.sprintf "PLOG kernel correct (%.2g)" r.Singe.Compile.max_rel_err)

@@ -15,8 +15,9 @@ let options_for kernel =
     arch kernel
 
 let compiled mech kernel =
-  Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized
-    (options_for kernel)
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo:true mech kernel
+       Singe.Compile.Warp_specialized (options_for kernel))
 
 let run_profiled ?(timeline = 0) c =
   let r =

@@ -490,10 +490,11 @@ let test_grid_range_respected =
 
 let valid_base_program () =
   let c =
-    Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) Singe.Kernel_abi.Viscosity
-      Singe.Compile.Warp_specialized
-      { (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
-        Singe.Compile.n_warps = 4 }
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile (Chem.Mech_gen.hydrogen ())
+         Singe.Kernel_abi.Viscosity Singe.Compile.Warp_specialized
+         { (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
+           Singe.Compile.n_warps = 4 })
   in
   c.Singe.Compile.lowered.Singe.Lower.program
 

@@ -236,9 +236,10 @@ let test_baseline_launch_message () =
     (Option.bind (J.member "exit_analog" (parse_doc resp)) J.int);
   let kernel = Singe.Kernel_abi.Viscosity in
   let c =
-    Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) kernel
-      Singe.Compile.Baseline
-      (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) kernel
+         Singe.Compile.Baseline
+         (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel))
   in
   let cli =
     match Singe.Compile.default_ctas c ~total_points:100 with
@@ -261,9 +262,10 @@ let test_ws_launch_rejected () =
   let st = Serve.create () in
   let kernel = Singe.Kernel_abi.Viscosity in
   let c =
-    Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) kernel
-      Singe.Compile.Warp_specialized
-      (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile (Chem.Mech_gen.hydrogen ()) kernel
+         Singe.Compile.Warp_specialized
+         (Singe.Target.options ~n_warps:4 Gpusim.Arch.kepler_k20c kernel))
   in
   let cli =
     match Singe.Compile.default_ctas c ~total_points:2000 with
@@ -472,12 +474,13 @@ let test_memo_lru_bound () =
       let arch = Gpusim.Arch.kepler_k20c in
       let compile warps =
         ignore
-          (Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-             Singe.Compile.Warp_specialized
-             {
-               (Singe.Compile.default_options arch) with
-               Singe.Compile.n_warps = warps;
-             })
+          (Singe.Diagnostics.ok_exn
+             (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+                Singe.Compile.Warp_specialized
+                {
+                  (Singe.Compile.default_options arch) with
+                  Singe.Compile.n_warps = warps;
+                }))
       in
       let before = Singe.Compile.memo_stats () in
       compile 2;
@@ -511,9 +514,10 @@ let test_memo_reverification () =
       let mech = Chem.Mech_gen.hydrogen () in
       let arch = Gpusim.Arch.kepler_k20c in
       let compile () =
-        Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-          Singe.Compile.Warp_specialized
-          (Singe.Compile.default_options arch)
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+             Singe.Compile.Warp_specialized
+             (Singe.Compile.default_options arch))
       in
       ignore (compile ());
       Alcotest.(check bool)
@@ -553,9 +557,10 @@ let test_memo_catches_arm_swaps () =
   Singe.Compile.memo_clear ();
   let mech = Chem.Mech_gen.hydrogen () in
   let compile () =
-    Singe.Compile.compile_cached mech Singe.Kernel_abi.Viscosity
-      Singe.Compile.Naive_warp_specialized
-      (Singe.Compile.default_options Gpusim.Arch.kepler_k20c)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
+         Singe.Compile.Naive_warp_specialized
+         (Singe.Compile.default_options Gpusim.Arch.kepler_k20c))
   in
   let rec arms = function
     | Gpusim.Isa.Switch_warp a -> Some a
@@ -713,6 +718,9 @@ let test_cli_serve_parity () =
         h [ "--sms"; "1000000000" ],
         hj {|"sms":1000000000|} );
       ("skew 2.5", h [ "--skew"; "2.5" ], hj {|"skew":2.5|});
+      ( "register fit",
+        h [ "--arch"; "fermi"; "--warps"; "32" ],
+        hj {|"arch":"fermi","warps":32|} );
     ]
 
 let tests =

@@ -314,7 +314,7 @@ let end_to_end mechf kernel version arch warps tol () =
   let opts =
     { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = warps }
   in
-  let c = Singe.Compile.compile mech kernel version opts in
+  let c = Singe.Diagnostics.ok_exn (Singe.Compile.compile mech kernel version opts) in
   (match Gpusim.Isa.validate c.Singe.Compile.lowered.Singe.Lower.program with
   | Ok () -> ()
   | Error l -> Alcotest.fail (String.concat "; " l));
@@ -331,8 +331,11 @@ let test_regalloc_budget () =
     { (Singe.Compile.default_options arch) with
       Singe.Compile.n_warps = 4; freg_budget = Some 14 }
   in
-  let c = Singe.Compile.compile mech Singe.Kernel_abi.Viscosity
-      Singe.Compile.Warp_specialized opts in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile mech Singe.Kernel_abi.Viscosity
+         Singe.Compile.Warp_specialized opts)
+  in
   Alcotest.(check bool) "spilled" true
     (c.Singe.Compile.lowered.Singe.Lower.n_spill_slots > 0);
   Alcotest.(check bool) "within budget" true
@@ -353,7 +356,10 @@ let test_naive_equals_overlay () =
   let arch = Gpusim.Arch.kepler_k20c in
   let opts = { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = 4 } in
   let out version =
-    let c = Singe.Compile.compile mech Singe.Kernel_abi.Diffusion version opts in
+    let c =
+      Singe.Diagnostics.ok_exn
+        (Singe.Compile.compile mech Singe.Kernel_abi.Diffusion version opts)
+    in
     let r = Singe.Compile.run c ~total_points:(32 * 32) ~ctas:4 in
     r.Singe.Compile.outputs
   in

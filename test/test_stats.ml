@@ -9,7 +9,7 @@ let compile mech kernel version arch nw =
     { (Singe.Target.options ~n_warps:nw arch kernel) with
       Singe.Compile.ctas_per_sm_target = 1 }
   in
-  Singe.Compile.compile mech kernel version opts
+  Singe.Diagnostics.ok_exn (Singe.Compile.compile mech kernel version opts)
 
 let test_mix_totals () =
   let c =

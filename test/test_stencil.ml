@@ -142,10 +142,11 @@ let test_simulation_bitexact () =
         (fun arch ->
           let run overlap =
             let c =
-              Singe.Compile.compile (hydrogen ())
-                (Singe.Kernel_abi.Stencil id)
-                Singe.Compile.Warp_specialized
-                (options_for ~overlap arch)
+              Singe.Diagnostics.ok_exn
+                (Singe.Compile.compile (hydrogen ())
+                   (Singe.Kernel_abi.Stencil id)
+                   Singe.Compile.Warp_specialized
+                   (options_for ~overlap arch))
             in
             let r = Singe.Compile.run c ~total_points:points in
             let label =
@@ -185,9 +186,10 @@ let test_simulation_bitexact () =
 
 let test_baseline_bitexact () =
   let c =
-    Singe.Compile.compile (hydrogen ())
-      (Singe.Kernel_abi.Stencil SP.Edge3) Singe.Compile.Baseline
-      (options_for kepler)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile (hydrogen ())
+         (Singe.Kernel_abi.Stencil SP.Edge3) Singe.Compile.Baseline
+         (options_for kepler))
   in
   let r = Singe.Compile.run c ~total_points:8192 in
   Alcotest.(check (float 0.0)) "baseline bit-exact" 0.0
@@ -199,9 +201,10 @@ let test_deadlock_mutants () =
   List.iter
     (fun id ->
       let c =
-        Singe.Compile.compile (hydrogen ())
-          (Singe.Kernel_abi.Stencil id) Singe.Compile.Warp_specialized
-          (options_for kepler)
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile (hydrogen ())
+             (Singe.Kernel_abi.Stencil id) Singe.Compile.Warp_specialized
+             (options_for kepler))
       in
       let schedule = c.Singe.Compile.schedule in
       (match Singe.Deadlock_check.check schedule with
@@ -337,9 +340,10 @@ let test_interp_group_diagnostic () =
    evenly; a non-divisible point count must be a [launch] diagnostic. *)
 let test_baseline_launch_diagnostic () =
   let c =
-    Singe.Compile.compile (hydrogen ())
-      (Singe.Kernel_abi.Stencil SP.Edge3) Singe.Compile.Baseline
-      (options_for kepler)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile (hydrogen ())
+         (Singe.Kernel_abi.Stencil SP.Edge3) Singe.Compile.Baseline
+         (options_for kepler))
   in
   match Singe.Compile.default_ctas c ~total_points:1000 with
   | exception Singe.Diagnostics.Fail d ->
@@ -359,9 +363,10 @@ let test_model_floor_holds () =
   List.iter
     (fun id ->
       let c =
-        Singe.Compile.compile (hydrogen ())
-          (Singe.Kernel_abi.Stencil id) Singe.Compile.Warp_specialized
-          (options_for kepler)
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile (hydrogen ())
+             (Singe.Kernel_abi.Stencil id) Singe.Compile.Warp_specialized
+             (options_for kepler))
       in
       let points = 32768 in
       let p = Singe.Perf_model.predict c ~total_points:points in

@@ -254,8 +254,9 @@ let compile_pair arch kernel =
       Singe.Compile.synth_exchange = Some synth }
   in
   let c b =
-    Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized
-      (opts b)
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true mech kernel
+         Singe.Compile.Warp_specialized (opts b))
   in
   (c true, c false)
 
