@@ -152,6 +152,9 @@ module Ccache = struct
     lines : int array;
     lru : int array;
     ready : int array;
+    mutable slot_of_line : int array;
+        (** [slot_of_line.(line)]: the index in [lines] holding [line], -1
+            when absent; grown on a miss, so a hit allocates nothing *)
     mutable stamp : int;
     slots_per_line : int;
     miss_latency : int;
@@ -164,6 +167,7 @@ module Ccache = struct
       lines = Array.make n_lines (-1);
       lru = Array.make n_lines 0;
       ready = Array.make n_lines 0;
+      slot_of_line = Array.make n_lines (-1);
       stamp = 0;
       slots_per_line = arch.Arch.const_line_bytes / 8;
       miss_latency = arch.Arch.global_latency;
@@ -173,23 +177,29 @@ module Ccache = struct
   let access t ~now ~slot =
     t.stamp <- t.stamp + 1;
     let line = slot / t.slots_per_line in
-    let hit = ref (-1) in
-    for i = 0 to Array.length t.lines - 1 do
-      if t.lines.(i) = line then begin
-        hit := i;
-        t.lru.(i) <- t.stamp
-      end
-    done;
-    if !hit >= 0 then begin
+    let hit =
+      if line < Array.length t.slot_of_line then t.slot_of_line.(line) else -1
+    in
+    if hit >= 0 then begin
+      t.lru.(hit) <- t.stamp;
       t.st.hits <- t.st.hits + 1;
       (* A line still in flight stalls followers until the fill lands. *)
-      max 0 (t.ready.(!hit) - now)
+      max 0 (t.ready.(hit) - now)
     end
     else begin
+      (* Least recently used, ties to the lowest index. *)
       let victim = ref 0 in
       for i = 0 to Array.length t.lines - 1 do
         if t.lru.(i) < t.lru.(!victim) then victim := i
       done;
+      let old = t.lines.(!victim) and n = Array.length t.slot_of_line in
+      if old >= 0 then t.slot_of_line.(old) <- -1;
+      if line >= n then begin
+        let grown = Array.make (max (line + 1) (2 * n)) (-1) in
+        Array.blit t.slot_of_line 0 grown 0 n;
+        t.slot_of_line <- grown
+      end;
+      t.slot_of_line.(line) <- !victim;
       t.lines.(!victim) <- line;
       t.lru.(!victim) <- t.stamp;
       t.ready.(!victim) <- now + t.miss_latency;

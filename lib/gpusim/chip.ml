@@ -352,40 +352,12 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     Memstate.create l.program ~n_points:simulated_points ~resident_ctas:resident
   in
   fill_inputs mem simulated_points;
-  (* All secondary simulations (the 1-batch pin runs and the tail round)
-     reuse a prefix of the inputs just filled instead of calling
-     [fill_inputs] again: simulated cycles and counters are independent
-     of float memory contents (addresses and stall times only ever
-     derive from static program data), and secondary functional outputs
-     are discarded. Snapshot the prefixes now, before the main
-     simulation overwrites output fields. *)
-  let prefix_mem ~n_points ~resident_ctas =
-    let m = Memstate.create l.program ~n_points ~resident_ctas in
-    Memstate.copy_global_prefix ~src:mem ~dst:m;
-    m
-  in
+  (* The secondary simulations (the pin runs and the tail round) are
+     timing-only: their outputs would be discarded, and simulated cycles
+     and counters never depend on float values (DESIGN §9.1). *)
   let pin_batches = sim_batches - 2 in
-  let pin_mem =
-    if batches <= sim_batches then None
-    else
-      Some
-        (prefix_mem
-           ~n_points:(resident * per_batch * pin_batches)
-           ~resident_ctas:resident)
-  in
+  let pinned = batches > sim_batches in
   let tail = if l.ctas > resident then l.ctas mod resident else 0 in
-  let tail_mem =
-    if tail = 0 then None
-    else Some (prefix_mem ~n_points:(tail * per_batch * sim_batches) ~resident_ctas:tail)
-  in
-  let tail_pin_mem =
-    if tail = 0 || batches <= sim_batches then None
-    else
-      Some
-        (prefix_mem
-           ~n_points:(tail * per_batch * pin_batches)
-           ~resident_ctas:tail)
-  in
   let trace =
     Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
       (Trace.flatten arch l.program)
@@ -402,40 +374,34 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
         Array.init resident_ctas (fun c -> c * per_batch * batches);
     }
   in
-  (* The profiler rides only the main simulation; the pin and tail runs
-     exist purely to extrapolate cycle counts and pin tail-round cost. *)
+  (* The profiler rides only the main simulation. *)
   let sim =
     Sm.run ?max_cycles ?profile
-      (job_of ~mem ~resident_ctas:resident ~batches:sim_batches)
+      (job_of ~mem:(Some mem) ~resident_ctas:resident ~batches:sim_batches)
   in
-  let cycles_full =
-    match pin_mem with
-    | None -> float_of_int sim.Sm.cycles
-    | Some mem1 ->
-        let sim_prev =
-          Sm.run ?max_cycles
-            (job_of ~mem:mem1 ~resident_ctas:resident ~batches:pin_batches)
-        in
-        extrapolate ~batches ~sim_batches ~sim ~sim_prev
+  (* The full-round cycles of [resident_ctas] CTAs, extrapolated from a
+     timing-only pin run when the launch streams more batches. *)
+  let extrapolated ~resident_ctas (s : Sm.result) =
+    if not pinned then float_of_int s.Sm.cycles
+    else
+      let sim_prev =
+        Sm.run ?max_cycles
+          (job_of ~mem:None ~resident_ctas ~batches:pin_batches)
+      in
+      extrapolate ~batches ~sim_batches ~sim:s ~sim_prev
   in
-  let tail_sim, tail_cycles_full =
-    match tail_mem with
-    | None -> (None, 0.0)
-    | Some tmem ->
-        let ts =
-          Sm.run ?max_cycles (job_of ~mem:tmem ~resident_ctas:tail ~batches:sim_batches)
-        in
-        let tc =
-          match tail_pin_mem with
-          | None -> float_of_int ts.Sm.cycles
-          | Some tm1 ->
-              let ts1 =
-                Sm.run ?max_cycles
-                  (job_of ~mem:tm1 ~resident_ctas:tail ~batches:pin_batches)
-              in
-              extrapolate ~batches ~sim_batches ~sim:ts ~sim_prev:ts1
-        in
-        (Some ts, tc)
+  let cycles_full = extrapolated ~resident_ctas:resident sim in
+  let tail_sim =
+    if tail = 0 then None
+    else
+      Some
+        (Sm.run ?max_cycles
+           (job_of ~mem:None ~resident_ctas:tail ~batches:sim_batches))
+  in
+  let tail_cycles_full =
+    match tail_sim with
+    | None -> 0.0
+    | Some ts -> extrapolated ~resident_ctas:tail ts
   in
   (* Shared-resource model: spill (local-memory) traffic is
      re-referenced every batch, so when the aggregate spill working set

@@ -158,16 +158,16 @@ val run :
   launch ->
   result
 (** [fill_inputs mem n_points] populates the input field groups and is
-    called exactly once, for the main simulation; every secondary run
-    (pin runs and the tail round) reuses a prefix of that data via
-    {!Memstate.copy_global_prefix} (their outputs are discarded, and
-    simulated cycles never depend on float memory contents).
+    called exactly once, for the main simulation, the only one that
+    computes values; every secondary run (pin runs and the tail round)
+    is timing-only ([Sm.job.mem = None]): its outputs would be discarded,
+    and simulated cycles never depend on float values.
     Launches streaming more than [max_sim_batches] batches per CTA
     (default 6, clamped to at least 2) are extrapolated from two runs
-    one batch apart: their difference is exactly one steady-state body
-    batch, so once the per-batch cost has settled the extrapolation
-    reproduces a full simulation exactly (the tail round gets its own
-    pin pair).
+    two batches apart: their difference is one full period of the
+    steady-state body cost, so once the per-batch cost has settled the
+    extrapolation reproduces a full simulation exactly (the tail round
+    gets its own pin pair).
 
     [n_sms] (default [arch.n_sms]) and [skew] (default
     [arch.sm_clock_skew]) control the chip the scheduler sees. With

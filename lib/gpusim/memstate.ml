@@ -21,16 +21,6 @@ let create (p : Isa.program) ~n_points ~resident_ctas =
   in
   { globals; shared; local; n_points }
 
-let copy_global_prefix ~src ~dst =
-  let n = dst.n_points in
-  assert (n <= src.n_points);
-  Array.iteri
-    (fun g fields ->
-      Array.iteri
-        (fun f field -> Array.blit src.globals.(g).(f) 0 field 0 n)
-        fields)
-    dst.globals
-
 let group_index (p : Isa.program) name =
   let found = ref None in
   Array.iteri

@@ -15,12 +15,6 @@ val create :
   Isa.program -> n_points:int -> resident_ctas:int -> t
 (** Global arrays are zero-initialized; the harness fills input groups. *)
 
-val copy_global_prefix : src:t -> dst:t -> unit
-(** Copy the first [dst.n_points] points of every global field from
-    [src] into [dst] ([dst] must not cover more points than [src]).
-    Lets a short pin run reuse the data an earlier [fill_inputs] already
-    produced instead of regenerating it. *)
-
 val group_index : Isa.program -> string -> int
 (** Index of a named field group. Raises [Not_found]. *)
 

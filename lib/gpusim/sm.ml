@@ -103,7 +103,7 @@ type job = {
   arch : Arch.t;
   program : Isa.program;
   trace : Trace.t;
-  mem : Memstate.t;
+  mem : Memstate.t option;
   resident_ctas : int;
   batches : int;
   cta_point_base : int array;
@@ -278,6 +278,9 @@ let run ?max_cycles ?profile (job : job) =
   in
   let arch = job.arch and p = job.program in
   let tr = job.trace and mem = job.mem in
+  (* Without memory the run is timing-only: no float value is computed,
+     loaded or stored (DESIGN §9.1). *)
+  let values = mem <> None in
   let n_warps_total = job.resident_ctas * p.Isa.n_warps in
   let warps =
     Array.init n_warps_total (fun i ->
@@ -286,7 +289,10 @@ let run ?max_cycles ?profile (job : job) =
           wid = i mod p.Isa.n_warps;
           index = i;
           cur = Trace.cursor ();
-          fregs = Array.init (max 1 p.Isa.n_fregs) (fun _ -> Array.make 32 0.0);
+          fregs =
+            (if values then
+               Array.init (max 1 p.Isa.n_fregs) (fun _ -> Array.make 32 0.0)
+             else [||]);
           iregs = Array.init (max 1 p.Isa.n_iregs) (fun _ -> Array.make 32 0);
           freg_ready = Array.make (max 1 p.Isa.n_fregs) 0;
           ireg_ready = Array.make (max 1 p.Isa.n_iregs) 0;
@@ -613,7 +619,7 @@ let run ?max_cycles ?profile (job : job) =
   let cols = Array.init 3 (fun _ -> Array.make 32 0.0) in
   (* The values of [src] on lanes [lo..hi] (non-empty): a register's own
      row, or column [k] filled for those lanes only. *)
-  let load_src w src k lo hi =
+  let load_src (mem : Memstate.t) w src k lo hi =
     match src with
     | Isa.Sreg r -> w.fregs.(r)
     | Isa.Simm f ->
@@ -641,9 +647,9 @@ let run ?max_cycles ?profile (job : job) =
         done;
         col
   in
-  let exec_arith w op dst (srcs : Isa.src array) lo hi =
+  let exec_arith mem w op dst (srcs : Isa.src array) lo hi =
     let d = w.fregs.(dst) in
-    let a = load_src w srcs.(0) 0 lo hi in
+    let a = load_src mem w srcs.(0) 0 lo hi in
     match op with
     | Isa.Sqrt ->
         for l = lo to hi do
@@ -662,7 +668,7 @@ let run ?max_cycles ?profile (job : job) =
           d.(l) <- -.a.(l)
         done
     | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Div | Isa.Max | Isa.Min -> (
-        let b = load_src w srcs.(1) 1 lo hi in
+        let b = load_src mem w srcs.(1) 1 lo hi in
         match op with
         | Isa.Add ->
             for l = lo to hi do
@@ -689,7 +695,7 @@ let run ?max_cycles ?profile (job : job) =
               d.(l) <- Float.min a.(l) b.(l)
             done
         | Isa.Fma ->
-            let c = load_src w srcs.(2) 2 lo hi in
+            let c = load_src mem w srcs.(2) 2 lo hi in
             for l = lo to hi do
               d.(l) <- Float.fma a.(l) b.(l) c.(l)
             done
@@ -956,7 +962,9 @@ let run ?max_cycles ?profile (job : job) =
                   + !extra;
                 set_fsrc w dst Profile.arith;
                 (* Functional execution at issue. *)
-                if lo <= hi then exec_arith w op dst srcs lo hi;
+                (match mem with
+                | Some mem when lo <= hi -> exec_arith mem w op dst srcs lo hi
+                | _ -> ());
                 c.flops <- c.flops + (entry.Trace.flops * active_lanes pred);
                 finish_issue w;
                 true
@@ -992,12 +1000,13 @@ let run ?max_cycles ?profile (job : job) =
                   (match src with
                   | Isa.Sshared _ -> Profile.mem
                   | _ -> Profile.arith);
-                if lo <= hi then begin
-                  let d = w.fregs.(dst) and v = load_src w src 0 lo hi in
-                  for l = lo to hi do
-                    d.(l) <- v.(l)
-                  done
-                end;
+                (match mem with
+                | Some mem when lo <= hi ->
+                    let d = w.fregs.(dst) and v = load_src mem w src 0 lo hi in
+                    for l = lo to hi do
+                      d.(l) <- v.(l)
+                    done
+                | _ -> ());
                 finish_issue w;
                 true
               end
@@ -1020,21 +1029,22 @@ let run ?max_cycles ?profile (job : job) =
                   !now + arch.Arch.global_latency + done_in;
                 set_fsrc w dst Profile.mem;
                 let lo = lane_lo pred and hi = lane_hi pred in
-                if lo <= hi then begin
-                  let d = w.fregs.(dst) and g = mem.Memstate.globals.(group) in
-                  let pt = point_base w batch in
-                  match field with
-                  | Isa.F_static f ->
-                      let col = g.(f) in
-                      for l = lo to hi do
-                        d.(l) <- col.(pt + l)
-                      done
-                  | Isa.F_ireg r ->
-                      let fr = w.iregs.(r) in
-                      for l = lo to hi do
-                        d.(l) <- g.(fr.(l)).(pt + l)
-                      done
-                end;
+                (match mem with
+                | Some mem when lo <= hi -> (
+                    let d = w.fregs.(dst) and g = mem.Memstate.globals.(group) in
+                    let pt = point_base w batch in
+                    match field with
+                    | Isa.F_static f ->
+                        let col = g.(f) in
+                        for l = lo to hi do
+                          d.(l) <- col.(pt + l)
+                        done
+                    | Isa.F_ireg r ->
+                        let fr = w.iregs.(r) in
+                        for l = lo to hi do
+                          d.(l) <- g.(fr.(l)).(pt + l)
+                        done)
+                | _ -> ());
                 finish_issue w;
                 true
               end
@@ -1057,22 +1067,23 @@ let run ?max_cycles ?profile (job : job) =
                 c.global_bytes <- c.global_bytes + bytes;
                 ignore (path_transfer globalp !now bytes);
                 let lo = lane_lo pred and hi = lane_hi pred in
-                if lo <= hi then begin
-                  let v = load_src w src 0 lo hi in
-                  let g = mem.Memstate.globals.(group) in
-                  let pt = point_base w batch in
-                  match field with
-                  | Isa.F_static f ->
-                      let col = g.(f) in
-                      for l = lo to hi do
-                        col.(pt + l) <- v.(l)
-                      done
-                  | Isa.F_ireg r ->
-                      let fr = w.iregs.(r) in
-                      for l = lo to hi do
-                        g.(fr.(l)).(pt + l) <- v.(l)
-                      done
-                end;
+                (match mem with
+                | Some mem when lo <= hi -> (
+                    let v = load_src mem w src 0 lo hi in
+                    let g = mem.Memstate.globals.(group) in
+                    let pt = point_base w batch in
+                    match field with
+                    | Isa.F_static f ->
+                        let col = g.(f) in
+                        for l = lo to hi do
+                          col.(pt + l) <- v.(l)
+                        done
+                    | Isa.F_ireg r ->
+                        let fr = w.iregs.(r) in
+                        for l = lo to hi do
+                          g.(fr.(l)).(pt + l) <- v.(l)
+                        done)
+                | _ -> ());
                 finish_issue w;
                 true
               end
@@ -1106,12 +1117,13 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue shared_pipe !now (float_of_int ways);
                 w.freg_ready.(dst) <- !now + arch.Arch.shared_latency;
                 set_fsrc w dst Profile.mem;
-                if lo <= hi then begin
-                  let d = w.fregs.(dst) and sh = mem.Memstate.shared.(w.cta) in
-                  for l = lo to hi do
-                    d.(l) <- sh.(saddr_eval addr w l)
-                  done
-                end;
+                (match mem with
+                | Some mem when lo <= hi ->
+                    let d = w.fregs.(dst) and sh = mem.Memstate.shared.(w.cta) in
+                    for l = lo to hi do
+                      d.(l) <- sh.(saddr_eval addr w l)
+                    done
+                | _ -> ());
                 finish_issue w;
                 true
               end
@@ -1142,21 +1154,23 @@ let run ?max_cycles ?profile (job : job) =
                 c.shared_accesses <- c.shared_accesses + 1;
                 c.bank_conflict_slots <- c.bank_conflict_slots + ways - 1;
                 pipe_issue shared_pipe !now (float_of_int ways);
-                (if lo <= hi then
-                   let sh = mem.Memstate.shared.(w.cta) in
-                   match src with
-                   | Isa.Sshared a ->
-                       (* Shared to shared: a lane may read what a lower
-                          lane just wrote, so go lane by lane. *)
-                       for l = lo to hi do
-                         sh.(saddr_eval addr w l) <- sh.(saddr_eval a w l)
-                       done
-                   | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _ | Isa.Sconst_warp _
-                     ->
-                       let v = load_src w src 0 lo hi in
-                       for l = lo to hi do
-                         sh.(saddr_eval addr w l) <- v.(l)
-                       done);
+                (match mem with
+                | Some mem when lo <= hi -> (
+                    let sh = mem.Memstate.shared.(w.cta) in
+                    match src with
+                    | Isa.Sshared a ->
+                        (* Shared to shared: a lane may read what a lower
+                           lane just wrote, so go lane by lane. *)
+                        for l = lo to hi do
+                          sh.(saddr_eval addr w l) <- sh.(saddr_eval a w l)
+                        done
+                    | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _
+                    | Isa.Sconst_warp _ ->
+                        let v = load_src mem w src 0 lo hi in
+                        for l = lo to hi do
+                          sh.(saddr_eval addr w l) <- v.(l)
+                        done)
+                | _ -> ());
                 finish_issue w;
                 true
               end
@@ -1174,11 +1188,14 @@ let run ?max_cycles ?profile (job : job) =
                 let done_in = path_transfer localp !now bytes in
                 w.freg_ready.(dst) <- !now + arch.Arch.global_latency + done_in;
                 set_fsrc w dst Profile.mem;
-                let d = w.fregs.(dst) and loc = mem.Memstate.local.(w.cta) in
-                for lane = 0 to 31 do
-                  d.(lane) <-
-                    loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot)
-                done;
+                (match mem with
+                | Some mem ->
+                    let d = w.fregs.(dst) and loc = mem.Memstate.local.(w.cta) in
+                    for lane = 0 to 31 do
+                      d.(lane) <-
+                        loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot)
+                    done
+                | None -> ());
                 finish_issue w;
                 true
               end
@@ -1199,11 +1216,14 @@ let run ?max_cycles ?profile (job : job) =
                 let bytes = 8 * 32 in
                 c.local_bytes <- c.local_bytes + bytes;
                 ignore (path_transfer localp !now bytes);
-                let v = w.fregs.(src) and loc = mem.Memstate.local.(w.cta) in
-                for lane = 0 to 31 do
-                  loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot) <-
-                    v.(lane)
-                done;
+                (match mem with
+                | Some mem ->
+                    let v = w.fregs.(src) and loc = mem.Memstate.local.(w.cta) in
+                    for lane = 0 to 31 do
+                      loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot) <-
+                        v.(lane)
+                    done
+                | None -> ());
                 finish_issue w;
                 true
               end
@@ -1223,10 +1243,12 @@ let run ?max_cycles ?profile (job : job) =
                 let done_in = path_transfer path !now bytes in
                 w.freg_ready.(dst) <- !now + arch.Arch.global_latency + done_in;
                 set_fsrc w dst Profile.mem;
-                let d = w.fregs.(dst) and bank = p.Isa.const_bank.(w.wid) in
-                for lane = 0 to 31 do
-                  d.(lane) <- bank.(lane).(slot)
-                done;
+                if values then begin
+                  let d = w.fregs.(dst) and bank = p.Isa.const_bank.(w.wid) in
+                  for lane = 0 to 31 do
+                    d.(lane) <- bank.(lane).(slot)
+                  done
+                end;
                 finish_issue w;
                 true
               end
@@ -1269,10 +1291,12 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue alu !now 2.0 (* two 32-bit shuffles per double *);
                 w.freg_ready.(dst) <- !now + arch.Arch.arith_latency;
                 set_fsrc w dst Profile.arith;
-                let d = w.fregs.(dst) and v = w.fregs.(src).(lane) in
-                for l = 0 to 31 do
-                  d.(l) <- v
-                done;
+                if values then begin
+                  let d = w.fregs.(dst) and v = w.fregs.(src).(lane) in
+                  for l = 0 to 31 do
+                    d.(l) <- v
+                  done
+                end;
                 finish_issue w;
                 true
               end
@@ -1296,17 +1320,18 @@ let run ?max_cycles ?profile (job : job) =
                 (* Snapshot the source row first: after register
                    allocation [dst] may alias [src], and every lane
                    reads another lane's pre-shuffle value. *)
-                let prev = cols.(0) and d = w.fregs.(dst) in
-                Array.blit w.fregs.(src) 0 prev 0 32;
-                (match instr with
-                | Isa.Shfl_rot _ ->
-                    for l = 0 to 31 do
-                      d.(l) <- prev.((l + delta) land 31)
-                    done
-                | _ ->
-                    for l = 0 to 31 do
-                      d.(l) <- prev.(l lxor delta)
-                    done);
+                (if values then
+                   let prev = cols.(0) and d = w.fregs.(dst) in
+                   Array.blit w.fregs.(src) 0 prev 0 32;
+                   match instr with
+                   | Isa.Shfl_rot _ ->
+                       for l = 0 to 31 do
+                         d.(l) <- prev.((l + delta) land 31)
+                       done
+                   | _ ->
+                       for l = 0 to 31 do
+                         d.(l) <- prev.(l lxor delta)
+                       done);
                 finish_issue w;
                 true
               end

@@ -16,6 +16,8 @@
 
     Instructions are executed functionally at issue; the scoreboard
     prevents premature reads, so results equal a sequential execution.
+    A job without memory is timing-only: it computes, loads and stores no
+    float value, and its result is identical to the run with memory.
 
     {b Fault containment.} The scheduler never loops forever: a barrier
     deadlock, a no-progress livelock, or an exhausted [max_cycles] budget
@@ -108,15 +110,21 @@ type job = {
   arch : Arch.t;
   program : Isa.program;
   trace : Trace.t;
-  mem : Memstate.t;
+  mem : Memstate.t option;
+      (** [None] runs timing-only: integer registers (parameter loads,
+          [Ishfl]) still execute, since they feed shared addresses and
+          field selectors *)
   resident_ctas : int;
   batches : int;  (** point batches per CTA *)
   cta_point_base : int array;  (** first grid point of each resident CTA *)
 }
 
 val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result
-(** Simulates until every warp of every resident CTA retires; [job.mem] is
-    mutated with the kernel's global stores.
+(** Simulates until every warp of every resident CTA retires; [job.mem],
+    when present, is mutated with the kernel's stores. Cycles, counters,
+    cache stats, the profile and any {!Simulation_fault} are the same
+    with [job.mem = None]: no float value reaches control flow, an
+    address, a pipe, a cache or a barrier.
 
     [max_cycles] is the watchdog budget: if the simulated clock reaches it
     with warps still live, the run aborts with a {!Simulation_fault} of

@@ -140,8 +140,9 @@ let check_options_exn mech kernel version o =
         fail "partition: chain_weight = %g must be positive"
           s.Mapping.chain_weight);
   match o.freg_budget with
-  | Some b when b < 4 ->
-      fail "freg_budget = %d: lowering needs at least 4 double registers" b
+  | Some b when b < Lower.min_fregs ->
+      fail "freg_budget = %d: lowering needs at least %d double registers" b
+        Lower.min_fregs
   | Some _ | None -> ()
 
 (* The [--synth-exchange] default: non-identity swizzle programs are
@@ -329,16 +330,25 @@ let run_passes pm ~validate mech kernel version options =
                 ~out_warps:options.n_warps ~groups dfg mapping schedule)
         in
         let used = Gpusim.Isa.regs32_per_thread lowered.Lower.program in
-        let budget = cfg.Lower.freg_budget - (((used - cap32) + 1) / 2) - 1 in
         if used <= cap32 || tries = 0 then lowered
-        else if budget < 4 (* [check_options]' floor *) then
-          Diagnostics.failf ~pass:"lower"
-            "%s needs %d 32-bit registers per thread at %d double \
-             registers, over the per-thread cap of %d at %d warps x %d \
-             CTA(s) per SM on %s, and the budget cannot shrink below 4"
-            name used cfg.Lower.freg_budget cap32 options.n_warps
-            options.ctas_per_sm_target options.arch.Gpusim.Arch.name
-        else fit schedule { cfg with Lower.freg_budget = budget } (tries - 1)
+        else
+          let budget = cfg.Lower.freg_budget - (((used - cap32) + 1) / 2) - 1 in
+          let cfg' = { cfg with Lower.freg_budget = budget } in
+          let floor =
+            Lower.freg_floor cfg'
+              ~n_logical_consts:lowered.Lower.n_logical_consts
+          in
+          if budget < floor then
+            Diagnostics.failf ~pass:"lower"
+              "%s needs %d 32-bit registers per thread at %d double \
+               registers, over the per-thread cap of %d at %d warps x %d \
+               CTA(s) per SM on %s, and shrinking the budget to %d would \
+               fall below the register allocator's floor of %d \
+               (constant-bank registers + %d)"
+              name used cfg.Lower.freg_budget cap32 options.n_warps
+              options.ctas_per_sm_target options.arch.Gpusim.Arch.name budget
+              floor Lower.min_fregs
+          else fit schedule cfg' (tries - 1)
       in
       (* Shared memory must leave room for the target CTAs per SM. If the
          store slots plus the buffer ring overshoot, rebuild the schedule
@@ -699,10 +709,126 @@ let memo_poison_for_test () =
   Mutex.unlock memo_mutex;
   victim <> None
 
+(* ---- launch-inputs memo ----
+   A launch's input grid is a pure function of the mechanism, the point
+   count, the seed and the temperature range, and the oracle's reference
+   outputs are a pure function of that grid and the kernel; a server
+   re-runs the same targets again and again. An entry holds one grid and
+   the references computed from it. Entries match the mechanism by
+   physical identity (a memoized compile keeps its own), hold at most
+   [inputs_memo_budget] doubles in all (grids and references), and leave
+   least recently used first. Both are read-only: every run copies the
+   grid into its own memory, simulates, and compares with the reference. *)
+type inputs_entry = {
+  i_mech : Chem.Mechanism.t;
+  i_key : int * int64 * (float * float) option;
+  i_grid : Chem.Grid.t;
+  mutable i_refs : (Kernel_abi.kernel * float array array) list;
+  mutable i_doubles : int;
+  mutable i_last_use : int;
+}
+
+let inputs_memo_budget = 1 lsl 18
+let inputs_memo : inputs_entry list ref = ref []
+let inputs_memo_mutex = Mutex.create ()
+let inputs_memo_tick = ref 0
+let grids_built = Atomic.make 0
+let n_doubles rows = Array.fold_left (fun n r -> n + Array.length r) 0 rows
+
+(* Keep the most recently used entries that fit the budget. Callers hold
+   [inputs_memo_mutex]. *)
+let inputs_evict () =
+  let used = ref 0 in
+  inputs_memo :=
+    List.filter
+      (fun e ->
+        used := !used + e.i_doubles;
+        !used <= inputs_memo_budget)
+      (List.sort (fun a b -> compare b.i_last_use a.i_last_use) !inputs_memo)
+
+let with_inputs_memo f =
+  Mutex.lock inputs_memo_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock inputs_memo_mutex) f
+
+let launch_inputs mech ~seed ~t_range ~points =
+  let key = (points, seed, t_range) in
+  let same e = e.i_mech == mech && e.i_key = key in
+  let hit =
+    with_inputs_memo (fun () ->
+        incr inputs_memo_tick;
+        let hit = List.find_opt same !inputs_memo in
+        Option.iter (fun e -> e.i_last_use <- !inputs_memo_tick) hit;
+        hit)
+  in
+  match hit with
+  | Some e -> e
+  | None ->
+      let g = Chem.Grid.create ?t_range mech ~points ~seed in
+      Atomic.incr grids_built;
+      let e =
+        {
+          i_mech = mech;
+          i_key = key;
+          i_grid = g;
+          i_refs = [];
+          i_doubles =
+            points * 2 + n_doubles g.Chem.Grid.mole_frac
+            + n_doubles g.Chem.Grid.diffusion_in;
+          i_last_use = 0;
+        }
+      in
+      if e.i_doubles > inputs_memo_budget then e
+      else
+        with_inputs_memo (fun () ->
+            match List.find_opt same !inputs_memo with
+            | Some winner -> winner
+            | None ->
+                incr inputs_memo_tick;
+                e.i_last_use <- !inputs_memo_tick;
+                inputs_memo := e :: !inputs_memo;
+                inputs_evict ();
+                e)
+
+let reference_outputs e kernel =
+  match with_inputs_memo (fun () -> List.assoc_opt kernel e.i_refs) with
+  | Some r -> r
+  | None ->
+      let g = e.i_grid in
+      let r =
+        Kernel_abi.reference_outputs e.i_mech g kernel ~points:g.Chem.Grid.points
+      in
+      with_inputs_memo (fun () ->
+          if
+            (not (List.mem_assoc kernel e.i_refs))
+            && e.i_doubles + n_doubles r <= inputs_memo_budget
+          then begin
+            e.i_refs <- (kernel, r) :: e.i_refs;
+            e.i_doubles <- e.i_doubles + n_doubles r;
+            inputs_evict ()
+          end);
+      r
+
+type inputs_memo_stats = {
+  entries : int;
+  doubles : int;
+  budget : int;
+  grids_built : int;
+}
+
+let inputs_memo_stats () =
+  with_inputs_memo (fun () ->
+      {
+        entries = List.length !inputs_memo;
+        doubles = List.fold_left (fun n e -> n + e.i_doubles) 0 !inputs_memo;
+        budget = inputs_memo_budget;
+        grids_built = Atomic.get grids_built;
+      })
+
 let memo_clear () =
   Mutex.lock memo_mutex;
   Hashtbl.reset memo;
-  Mutex.unlock memo_mutex
+  Mutex.unlock memo_mutex;
+  with_inputs_memo (fun () -> inputs_memo := [])
 
 (* ---- IR dumping (the CLI's --dump-ir) ---- *)
 
@@ -778,68 +904,6 @@ type run_result = {
   outputs : float array array;
 }
 
-(* ---- host-reference memo ----
-   The oracle's reference outputs are a pure function of the mechanism,
-   the kernel, the grid (size, seed, temperature range) and the number of
-   points checked, and a server re-checks the same targets again and
-   again. Entries match the mechanism by physical identity (a memoized
-   compile keeps its own), hold at most [reference_memo_budget] doubles
-   in all, and leave least recently used first. Only the reference is
-   shared: the comparison with the simulated outputs runs every time. *)
-type reference_entry = {
-  r_mech : Chem.Mechanism.t;
-  r_key : Kernel_abi.kernel * int * int * int64 * (float * float) option;
-  r_outputs : float array array;
-  r_doubles : int;
-  mutable r_last_use : int;
-}
-
-let reference_memo_budget = 1 lsl 18
-let reference_memo : reference_entry list ref = ref []
-let reference_memo_mutex = Mutex.create ()
-let reference_memo_tick = ref 0
-
-let reference_outputs mech kernel (grid : Chem.Grid.t) ~seed ~t_range ~points
-    =
-  let key = (kernel, grid.Chem.Grid.points, points, seed, t_range) in
-  let same e = e.r_mech == mech && e.r_key = key in
-  Mutex.lock reference_memo_mutex;
-  incr reference_memo_tick;
-  let hit = List.find_opt same !reference_memo in
-  Option.iter (fun e -> e.r_last_use <- !reference_memo_tick) hit;
-  Mutex.unlock reference_memo_mutex;
-  match hit with
-  | Some e -> e.r_outputs
-  | None ->
-      let outputs = Kernel_abi.reference_outputs mech grid kernel ~points in
-      let doubles = Array.fold_left (fun n f -> n + Array.length f) 0 outputs in
-      if doubles <= reference_memo_budget then begin
-        Mutex.lock reference_memo_mutex;
-        if not (List.exists same !reference_memo) then begin
-          let entries =
-            List.sort
-              (fun a b -> compare b.r_last_use a.r_last_use)
-              ({
-                 r_mech = mech;
-                 r_key = key;
-                 r_outputs = outputs;
-                 r_doubles = doubles;
-                 r_last_use = !reference_memo_tick;
-               }
-              :: !reference_memo)
-          in
-          let used = ref 0 in
-          reference_memo :=
-            List.filter
-              (fun e ->
-                used := !used + e.r_doubles;
-                !used <= reference_memo_budget)
-              entries
-        end;
-        Mutex.unlock reference_memo_mutex
-      end;
-      outputs
-
 let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
     ?max_cycles ?profile ?n_sms ?skew t ~total_points =
   Diagnostics.ok_exn
@@ -854,15 +918,14 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
       ctas;
     }
   in
-  let grid = ref None in
-  (* The machine model may simulate twice (batch extrapolation); keep the
-     grid matching the run whose outputs are checked (the largest). *)
+  (* [Chip.run] fills only the main simulation, whose outputs are
+     checked: one call, for [simulated_points]. *)
+  let inputs = ref None in
   let fill mem n =
-    let g = Chem.Grid.create ?t_range t.mech ~points:n ~seed in
-    (match !grid with
-    | Some g0 when g0.Chem.Grid.points >= n -> ()
-    | Some _ | None -> grid := Some g);
-    Kernel_abi.fill_inputs t.mech g t.kernel t.lowered.Lower.program mem n
+    let e = launch_inputs t.mech ~seed ~t_range ~points:n in
+    inputs := Some e;
+    Kernel_abi.fill_inputs t.mech e.i_grid t.kernel t.lowered.Lower.program
+      mem n
   in
   let machine =
     Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
@@ -874,11 +937,7 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   let max_rel_err =
     if not check then nan
     else begin
-      let g = Option.get !grid in
-      let n = machine.Gpusim.Chip.simulated_points in
-      let reference =
-        reference_outputs t.mech t.kernel g ~seed ~t_range ~points:n
-      in
+      let reference = reference_outputs (Option.get !inputs) t.kernel in
       let worst = ref 0.0 in
       (* Output sums can cancel (wdot is a difference of large rates), so
          the tolerance floor scales with the field's magnitude. *)

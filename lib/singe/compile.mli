@@ -106,7 +106,7 @@ val check_options :
     can host in one CTA, an empty transport ring ([buffer_slots = 0]), a
     barrier budget outside the 16 hardware ids, a zero occupancy target,
     mapping [weights] that are negative, non-finite or all zero, or a
-    register budget too small to lower any expression. *)
+    register budget below {!Lower.min_fregs}. *)
 
 val default_strategy : Kernel_abi.kernel -> Mapping.strategy
 (** Store for viscosity, Mixed for diffusion, Buffer for chemistry: its
@@ -191,7 +191,8 @@ val compile_cached :
     kept for the benchmark driver alone, which names them. *)
 
 val memo_clear : unit -> unit
-(** Drop every memoized compilation (for tests and long-lived servers). *)
+(** Drop every memoized compilation and every memoized launch input (for
+    tests and long-lived servers). *)
 
 type memo_stats = {
   size : int;  (** entries currently cached *)
@@ -225,6 +226,20 @@ val set_memo_limit : int -> unit
 val memo_poison_for_test : unit -> bool
 (** Corrupt the stored snapshot of one cached entry (test hook for the
     re-verification path); [false] when the cache is empty. *)
+
+type inputs_memo_stats = {
+  entries : int;  (** launch grids currently memoized *)
+  doubles : int;  (** their doubles, grids and references together *)
+  budget : int;  (** the bound on [doubles] *)
+  grids_built : int;  (** grids generated since the process started *)
+}
+
+val inputs_memo_stats : unit -> inputs_memo_stats
+(** The launch-inputs memo {!run} reads: each entry holds one input grid
+    (keyed by the mechanism's identity, the simulated point count, the
+    seed and the temperature range) and the host references computed
+    from it, per kernel. Entries leave least recently used first once
+    [doubles] would pass [budget]. *)
 
 type ir_stage = Ir_dfg | Ir_mapping | Ir_schedule | Ir_lower
 
@@ -280,7 +295,9 @@ val run :
   run_result
 (** Simulates the kernel on a reproducible random grid; when [check] (the
     default) the functional outputs of all simulated points are compared
-    against {!Chem.Ref_kernels}. An artifact whose [safety] verdict is an
+    against {!Chem.Ref_kernels}. The grid and the reference come from the
+    launch-inputs memo ({!inputs_memo_stats}), so a warm run generates
+    neither; the simulation and the comparison run every time. An artifact whose [safety] verdict is an
     [Error] is refused before anything is simulated: [run] raises that
     verdict as {!Diagnostics.Fail} (pass ["mapping-validate"] or
     ["deadlock-check"], the same diagnostic a validating {!compile}

@@ -1356,11 +1356,30 @@ let rewrite_regs ins ~src_phys ~dst =
   | VStS r -> VStS { r with src = rw r.src }
   | (VBarA _ | VBarW _ | VBarCta) as b -> b
 
+(* Double registers the allocator needs above the constant-bank
+   registers. *)
+let min_fregs = 6
+
+(* A bit over half the register budget may hold banked constants; the
+   rest overflow to shared memory (kept after the broadcast mirror). *)
+let bank_reg_cap freg_budget = max 1 (freg_budget * 11 / 20)
+
+(* The constant-bank registers [build_const_bank] fills at [cfg] plus
+   [min_fregs]: the smallest budget [regalloc] accepts. *)
+let freg_floor cfg ~n_logical_consts =
+  let bank_regs =
+    if cfg.overlay then
+      min ((n_logical_consts + 31) / 32) (bank_reg_cap cfg.freg_budget)
+    else 0
+  in
+  bank_regs + min_fregs
+
 let regalloc ~first_phys ~budget ~spill_mask (code : (int * vinstr) array) =
-  if budget < first_phys + 6 then
-    failwith
-      (Printf.sprintf "regalloc: budget of %d double registers is too small"
-         budget);
+  if budget < first_phys + min_fregs then
+    Diagnostics.failf ~pass:"lower"
+      "register budget of %d double registers is below the allocator's \
+       floor of %d (%d constant-bank register(s) + %d)"
+      budget (first_phys + min_fregs) first_phys min_fregs;
   (* Registers are per thread: two virtual registers whose warp masks are
      disjoint may occupy the same physical register (each warp's lanes see
      their own value). Liveness and Belady eviction therefore track, per
@@ -1761,10 +1780,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
     cfg.const_policy = Bank
     && cfg.arch.Gpusim.Arch.broadcast = Gpusim.Arch.Shared_mirror
   in
-  (* A bit over half the register budget may hold banked constants; the
-     rest overflow to shared memory (kept after the broadcast mirror). *)
-  let bank_reg_cap = max 1 (cfg.freg_budget * 11 / 20) in
-  let bank_cap = bank_reg_cap * 32 in
+  let bank_cap = bank_reg_cap cfg.freg_budget * 32 in
   let overflow_base = mirror_base + (4 * n_mapped) in
   let full_mask = (1 lsl n_mapped) - 1 in
   let tables = fresh_tables n_mapped in

@@ -66,6 +66,17 @@ type output = {
           when disabled or inapplicable) *)
 }
 
+val min_fregs : int
+(** Double registers the register allocator needs above the
+    constant-bank registers (6): no budget below this lowers. *)
+
+val freg_floor : config -> n_logical_consts:int -> int
+(** The allocator's floor at [config.freg_budget]: {!min_fregs} plus the
+    constant-bank registers a program with [n_logical_consts] distinct
+    per-warp constants gets at that budget (a bit over half the budget at
+    most; none without [overlay]). Lowering raises an [error[lower]]
+    diagnostic naming this floor when the budget is below it. *)
+
 val const_key : float array -> string
 (** The dedup key of a per-warp constant vector: two vectors share one
     constant-bank slot iff their keys are equal, which holds iff their

@@ -135,6 +135,38 @@ let test_sim_identical_across_jobs () =
       Alcotest.(check int) "icache stalls" ic1 ic2)
     serial parallel
 
+(* The launch-inputs memo is shared across domains: runs racing to
+   insert the same grid, at --jobs 2, check the same outputs with the
+   same oracle error as one domain does. *)
+let checked_result (kernel, seed) =
+  let mech = Lazy.force dme in
+  let options =
+    Singe.Target.options ~n_warps:4 Arch.kepler_k20c kernel
+  in
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true mech kernel
+         Singe.Compile.Warp_specialized options)
+  in
+  let r = Singe.Compile.run ~seed c ~total_points:4096 in
+  ( Array.map (Array.map Int64.bits_of_float) r.Singe.Compile.outputs,
+    Int64.bits_of_float r.Singe.Compile.max_rel_err )
+
+let test_oracle_identical_across_jobs () =
+  let targets =
+    Singe.Kernel_abi.
+      [
+        (Viscosity, 1L); (Viscosity, 1L); (Diffusion, 2L); (Diffusion, 2L);
+        (Viscosity, 2L); (Conductivity, 1L);
+      ]
+  in
+  let at jobs =
+    Singe.Compile.memo_clear ();
+    Sutil.Domain_pool.parallel_map ~jobs checked_result targets
+  in
+  let serial = at 1 in
+  Alcotest.(check bool) "jobs 1 = jobs 2" true (serial = at 2)
+
 let test_autotune_winner_across_jobs () =
   let mech = Lazy.force dme in
   let tune jobs =
@@ -263,4 +295,6 @@ let tests =
       test_autotune_winner_across_jobs;
     Alcotest.test_case "fast-forward exact" `Quick test_fast_forward_exact;
     Alcotest.test_case "deadlock still fires" `Quick test_deadlock_still_fires;
+    Alcotest.test_case "oracle identical across jobs" `Quick
+      test_oracle_identical_across_jobs;
   ]

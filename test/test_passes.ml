@@ -123,6 +123,9 @@ let test_invalid_options_are_typed () =
   check_rejected "unloweable register budget"
     { base with Singe.Compile.freg_budget = Some 2 }
     k Singe.Compile.Warp_specialized;
+  check_rejected "register budget below the allocator's floor"
+    { base with Singe.Compile.freg_budget = Some (Singe.Lower.min_fregs - 1) }
+    k Singe.Compile.Warp_specialized;
   (* The same options get the same diagnostic through the memo... *)
   (match
      Singe.Compile.compile ~memo:true (hydrogen ()) k
@@ -448,11 +451,12 @@ let test_validating_reports_pinned () =
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* The register-fit loop shrinks the double-register budget until the
-   32-bit total fits the per-thread cap, but not below [check_options]'
-   floor of 4. 32 warps of hydrogen diffusion at 2 CTAs per SM on Fermi
-   leave a cap of 16 registers that no budget meets: one diagnostic
-   naming the cap, where the loop used to lower at a budget of -1 and
-   report the register allocator's failure. *)
+   32-bit total fits the per-thread cap, but not below the register
+   allocator's floor ([Lower.freg_floor]). 32 warps of hydrogen diffusion
+   at 2 CTAs per SM on Fermi leave a cap of 16 registers that no budget
+   meets: one diagnostic naming the cap and the floor, where the loop
+   used to lower at a budget of -1 and report the register allocator's
+   failure. *)
 let test_register_fit_names_cap () =
   let kernel = Singe.Kernel_abi.Diffusion in
   let opts = options ~arch:Gpusim.Arch.fermi_c2070 ~nw:32 kernel in
@@ -472,8 +476,30 @@ let test_register_fit_names_cap () =
                 (Printf.sprintf "%s: names %S" label needle)
                 true
                 (contains d.Singe.Diagnostics.message needle))
-            [ "cap of 16"; "32 warps x 2 CTA(s) per SM"; "Fermi C2070" ])
-    [ ("plain", false); ("validating", true) ]
+            [
+              "cap of 16";
+              "32 warps x 2 CTA(s) per SM";
+              "Fermi C2070";
+              "allocator's floor of 7";
+            ])
+    [ ("plain", false); ("validating", true) ];
+  (* A budget [check_options] accepts but the constant bank leaves below
+     the floor fails inside lowering, naming that floor. *)
+  match
+    Singe.Compile.compile (hydrogen ()) Singe.Kernel_abi.Viscosity
+      Singe.Compile.Warp_specialized
+      {
+        (options ~nw:4 Singe.Kernel_abi.Viscosity) with
+        Singe.Compile.freg_budget = Some Singe.Lower.min_fregs;
+      }
+  with
+  | Ok _ -> Alcotest.fail "a budget of min_fregs left room for the bank"
+  | Error d ->
+      Alcotest.(check (option string))
+        "floor: failing pass" (Some "lower") d.Singe.Diagnostics.pass;
+      Alcotest.(check bool)
+        "floor: named" true
+        (contains d.Singe.Diagnostics.message "allocator's floor of")
 
 let tests =
   [

@@ -740,17 +740,21 @@ let serve_warm_targets =
     ("hydrogen", "unsharp2", "ws", 4, 4096);
   ]
 
+let compile_target =
+  let mechs = lazy [ ("hydrogen", hydrogen ()); ("dme", dme ()) ] in
+  fun arch (m, k, v, n_warps, _) ->
+    let kernel = Result.get_ok (Singe.Target.kernel_of_string k) in
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true
+         (List.assoc m (Lazy.force mechs))
+         kernel
+         (Result.get_ok (Singe.Target.version_of_string v))
+         (Singe.Target.options ~n_warps arch kernel))
+
 let simulation_digest () =
   let b = Buffer.create (1 lsl 22) in
   let runs = ref 0 in
-  let mechs = [ ("hydrogen", hydrogen ()); ("dme", dme ()) ] in
-  let compile arch (m, k, v, n_warps, _) =
-    let kernel = Result.get_ok (Singe.Target.kernel_of_string k) in
-    Singe.Diagnostics.ok_exn
-      (Singe.Compile.compile ~memo:true (List.assoc m mechs) kernel
-         (Result.get_ok (Singe.Target.version_of_string v))
-         (Singe.Target.options ~n_warps arch kernel))
-  in
+  let compile = compile_target in
   let digest_run ?faults ?max_cycles ?profile c total_points =
     incr runs;
     match
@@ -989,33 +993,36 @@ let contention_programs () =
     (contention_program ~name:"shared-operand" ~n_warps:32 shared_operand, 1);
   ]
 
+(* A three-batch job of one contention program, its inputs filled. *)
+let contention_job arch ((p : Gpusim.Isa.program), resident_ctas) =
+  let open Gpusim in
+  let batches = 3 in
+  let per_cta = batches * p.Isa.n_warps * 32 in
+  let n_points = resident_ctas * per_cta in
+  let mem = Memstate.create p ~n_points ~resident_ctas in
+  for f = 0 to 2 do
+    Memstate.set_field mem ~group:0 ~field:f
+      (Array.init n_points (fun i -> float_of_int ((i * 7) + f) /. 16.0))
+  done;
+  {
+    Sm.arch;
+    program = p;
+    trace = Trace.flatten arch p;
+    mem = Some mem;
+    resident_ctas;
+    batches;
+    cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
+  }
+
 let contention_digest () =
   let open Gpusim in
   let b = Buffer.create (1 lsl 20) in
   let runs = ref 0 in
-  let batches = 3 in
-  let digest_run arch (p, resident_ctas) profile =
+  let digest_run arch prog profile =
     incr runs;
-    let per_cta = batches * p.Isa.n_warps * 32 in
-    let n_points = resident_ctas * per_cta in
-    let mem = Memstate.create p ~n_points ~resident_ctas in
-    for f = 0 to 2 do
-      Memstate.set_field mem ~group:0 ~field:f
-        (Array.init n_points (fun i -> float_of_int ((i * 7) + f) /. 16.0))
-    done;
-    let job =
-      {
-        Sm.arch;
-        program = p;
-        trace = Trace.flatten arch p;
-        mem;
-        resident_ctas;
-        batches;
-        cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
-      }
-    in
+    let job = contention_job arch prog in
     add_sm_result b (Sm.run ?profile job);
-    add_value b mem
+    add_value b (Option.get job.Sm.mem)
   in
   List.iter
     (fun arch ->
@@ -1035,6 +1042,99 @@ let test_contention_bit_identity () =
   Alcotest.(check int) "runs digested" 20 runs;
   Alcotest.(check string) "contention digest"
     "7e5662e49cf7bae16b3750d6b98e0228" digest
+
+(* ---- timing-only simulation ---- *)
+
+(* A job without memory computes no float value, and everything else
+   [Sm.run] reports must equal the run with memory: cycles, counters,
+   cache stats, the profile, or the fault report of a run that aborts.
+   Checked with and without the profiler on the serve-warm targets
+   (Kepler) and three Fermi ones, at their resident CTA count and at one
+   CTA (a tail round's shape), on the contention programs, under two
+   barrier fault injections and under an exhausted cycle budget. *)
+let compiled_job ?(faults = []) arch ((_, _, _, _, total_points) as t) =
+  let open Gpusim in
+  let c = compile_target arch t in
+  let mech = c.Singe.Compile.mech and kernel = c.Singe.Compile.kernel in
+  let p = c.Singe.Compile.lowered.Singe.Lower.program in
+  let ctas = Singe.Compile.default_ctas c ~total_points in
+  let launch = { Chip.program = p; total_points; ctas } in
+  let resident_ctas = min (Chip.occupancy arch p).Chip.resident_ctas ctas in
+  let all_batches = Chip.batches_per_cta launch in
+  let batches = min 3 all_batches in
+  let per_cta = batches * (Chip.points_per_cta launch / all_batches) in
+  let n_points = resident_ctas * per_cta in
+  let mem = Memstate.create p ~n_points ~resident_ctas in
+  Singe.Kernel_abi.fill_inputs mech
+    (Chem.Grid.create mech ~points:n_points ~seed:0x5EEDL)
+    kernel p mem n_points;
+  {
+    Sm.arch;
+    program = p;
+    trace =
+      Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
+        (Trace.flatten arch p);
+    mem = Some mem;
+    resident_ctas;
+    batches;
+    cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
+  }
+
+let test_timing_only_equals_full () =
+  let open Gpusim in
+  let runs = ref 0 in
+  let outcome ?max_cycles ?profile job =
+    match Sm.run ?max_cycles ?profile job with
+    | r -> Marshal.to_string (Ok r) [ Marshal.No_sharing ]
+    | exception Sm.Simulation_fault f ->
+        Marshal.to_string (Error f) [ Marshal.No_sharing ]
+  in
+  let check ?max_cycles label job =
+    List.iter
+      (fun profile ->
+        incr runs;
+        let full = outcome ?max_cycles ?profile job in
+        let timing = outcome ?max_cycles ?profile { job with Sm.mem = None } in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s (profile %b)" label (profile <> None))
+          true (full = timing))
+      [ Some Sm.default_profile; None ]
+  in
+  let check_target arch ((m, k, v, w, n) as t) =
+    let label = Printf.sprintf "%s %s %s %s w%d %d" arch.Arch.name m k v w n in
+    let job = compiled_job arch t in
+    check label job;
+    check (label ^ " one CTA")
+      { job with Sm.resident_ctas = 1; cta_point_base = [| 0 |] }
+  in
+  let kepler = Arch.kepler_k20c and fermi = Arch.fermi_c2070 in
+  List.iter (check_target kepler) serve_warm_targets;
+  List.iter (check_target fermi)
+    [
+      ("hydrogen", "viscosity", "ws", 4, 4096);
+      ("dme", "diffusion", "ws", 4, 8192);
+      ("hydrogen", "chemistry", "baseline", 8, 2048);
+    ];
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun ((p, _) as prog) ->
+          check
+            (Printf.sprintf "%s contention %s" arch.Arch.name p.Isa.name)
+            (contention_job arch prog))
+        (contention_programs ()))
+    [ kepler; fermi ];
+  List.iter
+    (fun spec ->
+      check spec
+        (compiled_job
+           ~faults:[ Result.get_ok (Fault.of_string spec) ]
+           kepler
+           ("dme", "viscosity", "ws", 6, 2048)))
+    [ "drop-arrive:warp=1,nth=0"; "extra-arrive:warp=1,nth=0" ];
+  check ~max_cycles:3000 "cycle budget"
+    (compiled_job kepler ("hydrogen", "viscosity", "ws", 4, 4096));
+  Alcotest.(check int) "runs compared" 106 !runs
 
 let tests =
   [
@@ -1067,4 +1167,6 @@ let tests =
       test_chemkin_coeff_overflow;
     Alcotest.test_case "golden simulation under pipe contention" `Quick
       test_contention_bit_identity;
+    Alcotest.test_case "timing-only runs equal full runs" `Quick
+      test_timing_only_equals_full;
   ]

@@ -723,6 +723,66 @@ let test_cli_serve_parity () =
         hj {|"arch":"fermi","warps":32|} );
     ]
 
+(* ---- the launch-inputs memo ---- *)
+
+let bits rows = Array.map (Array.map Int64.bits_of_float) rows
+
+(* [Compile.run] takes its input grid and host reference from a memo: a
+   warm run builds no grid, its outputs and oracle error are bit-identical
+   to a cold run's, and the memo keeps grids and references together
+   within its budget. *)
+let test_inputs_memo () =
+  Singe.Compile.memo_clear ();
+  let mech = Chem.Mech_gen.hydrogen () in
+  let arch = Gpusim.Arch.kepler_k20c in
+  let compile kernel version =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true mech kernel version
+         (Singe.Target.options ~n_warps:4 arch kernel))
+  in
+  let stats = Singe.Compile.inputs_memo_stats in
+  let built () = (stats ()).Singe.Compile.grids_built in
+  let visc =
+    compile Singe.Kernel_abi.Viscosity Singe.Compile.Warp_specialized
+  in
+  let run ?seed c = Singe.Compile.run ?seed c ~total_points:4096 in
+  let same label (a : Singe.Compile.run_result) (b : Singe.Compile.run_result) =
+    Alcotest.(check bool)
+      (label ^ ": outputs bit-identical")
+      true
+      (bits a.Singe.Compile.outputs = bits b.Singe.Compile.outputs);
+    Alcotest.(check int64)
+      (label ^ ": max_rel_err bit-identical")
+      (Int64.bits_of_float a.Singe.Compile.max_rel_err)
+      (Int64.bits_of_float b.Singe.Compile.max_rel_err)
+  in
+  let b0 = built () in
+  let cold = run visc in
+  Alcotest.(check int) "a cold run builds its grid" (b0 + 1) (built ());
+  let warm = run visc in
+  Alcotest.(check int) "a warm run builds none" (b0 + 1) (built ());
+  same "cold vs warm" cold warm;
+  let edge3 =
+    compile (Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Edge3)
+      Singe.Compile.Baseline
+  in
+  for seed = 1 to 16 do
+    ignore (run ~seed:(Int64.of_int seed) edge3);
+    let s = stats () in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: %d doubles within the budget of %d" seed
+         s.Singe.Compile.doubles s.Singe.Compile.budget)
+      true
+      (s.Singe.Compile.doubles <= s.Singe.Compile.budget)
+  done;
+  Alcotest.(check bool)
+    "the budget evicted grids" true
+    ((stats ()).Singe.Compile.entries < 17);
+  Singe.Compile.memo_clear ();
+  Alcotest.(check int) "memo_clear drops every grid" 0
+    (stats ()).Singe.Compile.entries;
+  same "cold again" cold (run visc)
+
 let tests =
   [
     request_roundtrip_qcheck;
@@ -761,4 +821,5 @@ let tests =
       test_cache_keys_cover_target;
     Alcotest.test_case "CLI and serve reject alike" `Quick
       test_cli_serve_parity;
+    Alcotest.test_case "launch-inputs memo" `Quick test_inputs_memo;
   ]
