@@ -319,8 +319,95 @@ let extrapolate ~batches ~sim_batches ~(sim : Sm.result)
   float_of_int sim.Sm.cycles
   +. (body2 *. float_of_int ((batches - sim_batches) / 2))
 
+(* ---- launch-shape store ----
+   A launch shape's simulated cycles, counters and cache stats never
+   depend on float values, and every value effect happens at issue, so
+   one simulation of a shape with its issue order recorded stands for
+   every later run of it: the results are returned again and the order
+   is replayed into the later launch's memory (DESIGN §9.1). A store
+   serves one program on one architecture, keyed by resident CTAs and
+   simulated batches. Callers get copies: a stored result's counters and
+   cache stats are mutable records. *)
+
+type store_counters = {
+  shapes_stored : int Atomic.t;
+  order_bytes_stored : int Atomic.t;
+  runs_served : int Atomic.t;
+}
+
+let store_counters () =
+  {
+    shapes_stored = Atomic.make 0;
+    order_bytes_stored = Atomic.make 0;
+    runs_served = Atomic.make 0;
+  }
+
+type shape = {
+  sim : Sm.result;
+  order : Sm.order option;  (** recorded by a run with memory *)
+}
+
+type store = {
+  mutex : Mutex.t;
+  shapes : (int * int, shape) Hashtbl.t;
+  counters : store_counters;
+}
+
+let create_store counters =
+  { mutex = Mutex.create (); shapes = Hashtbl.create 4; counters }
+
+let locked s f =
+  Mutex.lock s.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
+
+let copy_result (r : Sm.result) =
+  let i = r.Sm.icache and c = r.Sm.ccache in
+  {
+    r with
+    Sm.counters = { r.Sm.counters with Sm.issued = r.Sm.counters.Sm.issued };
+    icache = { i with Caches.Icache.hits = i.Caches.Icache.hits };
+    ccache = { c with Caches.Ccache.hits = c.Caches.Ccache.hits };
+  }
+
+(* [job] from the store when its shape is there and finishes within the
+   budget (a run of [cycles] cycles passes any budget >= [cycles]), with
+   the order replayed into [job.mem]; otherwise simulated, and stored if
+   it completes. *)
+let stored_run s ?max_cycles (job : Sm.job) =
+  let key = (job.Sm.resident_ctas, job.Sm.batches) in
+  let values = job.Sm.mem <> None in
+  let within (r : Sm.result) =
+    match max_cycles with None -> true | Some b -> r.Sm.cycles <= b
+  in
+  match locked s (fun () -> Hashtbl.find_opt s.shapes key) with
+  | Some { sim; order } when within sim && ((not values) || order <> None) ->
+      if values then Option.iter (Sm.replay job) order;
+      Atomic.incr s.counters.runs_served;
+      copy_result sim
+  | Some _ | None ->
+      let sim, order =
+        if values then
+          let sim, order = Sm.record ?max_cycles job in
+          (sim, Some order)
+        else (Sm.run ?max_cycles job, None)
+      in
+      locked s (fun () ->
+          match Hashtbl.find_opt s.shapes key with
+          | Some { order = Some _; _ } -> ()
+          | Some { order = None; _ } when Option.is_none order -> ()
+          | known ->
+              Hashtbl.replace s.shapes key { sim; order };
+              if Option.is_none known then Atomic.incr s.counters.shapes_stored;
+              Option.iter
+                (fun o ->
+                  ignore
+                    (Atomic.fetch_and_add s.counters.order_bytes_stored
+                       (Sm.order_bytes o)))
+                order);
+      copy_result sim
+
 let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
-    ?max_cycles ?profile ?n_sms ?skew (arch : Arch.t) (l : launch) =
+    ?max_cycles ?profile ?n_sms ?skew ?store (arch : Arch.t) (l : launch) =
   let occ = occupancy arch l.program in
   let n_sms = match n_sms with Some n -> n | None -> arch.Arch.n_sms in
   let skew = match skew with Some s -> s | None -> arch.Arch.sm_clock_skew in
@@ -374,9 +461,16 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
         Array.init resident_ctas (fun c -> c * per_batch * batches);
     }
   in
+  (* A clean, unprofiled launch takes each shape from the store. *)
+  let store = if faults = [] && profile = None then store else None in
+  let simulate ?profile job =
+    match store with
+    | Some s -> stored_run s ?max_cycles job
+    | None -> Sm.run ?max_cycles ?profile job
+  in
   (* The profiler rides only the main simulation. *)
   let sim =
-    Sm.run ?max_cycles ?profile
+    simulate ?profile
       (job_of ~mem:(Some mem) ~resident_ctas:resident ~batches:sim_batches)
   in
   (* The full-round cycles of [resident_ctas] CTAs, extrapolated from a
@@ -385,8 +479,7 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     if not pinned then float_of_int s.Sm.cycles
     else
       let sim_prev =
-        Sm.run ?max_cycles
-          (job_of ~mem:None ~resident_ctas ~batches:pin_batches)
+        simulate (job_of ~mem:None ~resident_ctas ~batches:pin_batches)
       in
       extrapolate ~batches ~sim_batches ~sim:s ~sim_prev
   in
@@ -395,8 +488,7 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     if tail = 0 then None
     else
       Some
-        (Sm.run ?max_cycles
-           (job_of ~mem:None ~resident_ctas:tail ~batches:sim_batches))
+        (simulate (job_of ~mem:None ~resident_ctas:tail ~batches:sim_batches))
   in
   let tail_cycles_full =
     match tail_sim with

@@ -146,6 +146,32 @@ type result = {
   chip : schedule;  (** dispatcher/arbiter outcome *)
 }
 
+(** {1 Launch-shape store}
+
+    A launch's simulated cycles, counters and cache stats depend only on
+    its program, architecture and shape, never on float values, and
+    every value effect happens at issue. A store keeps, per shape (resident
+    CTAs, simulated batches), one simulation's {!Sm.result} and, for a
+    run with memory, its recorded {!Sm.order}; a later {!run} of the same
+    shape returns copies of the results and replays the order into its
+    own memory ({!Sm.replay}) instead of simulating. *)
+
+type store_counters = {
+  shapes_stored : int Atomic.t;  (** shapes simulated and stored *)
+  order_bytes_stored : int Atomic.t;  (** bytes of issue order stored *)
+  runs_served : int Atomic.t;  (** simulations answered from a store *)
+}
+
+val store_counters : unit -> store_counters
+(** Fresh counters, all zero; any number of stores may share them. *)
+
+type store
+(** The shapes of one program on one architecture; safe to share between
+    domains. *)
+
+val create_store : store_counters -> store
+(** An empty store that counts into the given counters. *)
+
 val run :
   ?fill_inputs:(Memstate.t -> int -> unit) ->
   ?max_sim_batches:int ->
@@ -154,6 +180,7 @@ val run :
   ?profile:Sm.profile_spec ->
   ?n_sms:int ->
   ?skew:float ->
+  ?store:store ->
   Arch.t ->
   launch ->
   result
@@ -182,4 +209,14 @@ val run :
     {!Sm.run} as the per-simulation watchdog budget. Both default to the
     clean, unlimited run. [profile] is forwarded to {!Sm.run} for the
     main simulation only; the ledger is [result.sim.profile]. May raise
-    {!Occupancy_rejected} or {!Sm.Simulation_fault}. *)
+    {!Occupancy_rejected} or {!Sm.Simulation_fault}.
+
+    [store] must only ever be given runs of one program on one
+    architecture. It is used only when [faults = []] and [profile] is
+    absent, and a stored shape only when its cycles are [<= max_cycles];
+    every other simulation runs as without a store (a budget fault is
+    raised by a fresh simulation, with its own report), and one that
+    completes is stored. The main simulation, the pin runs and the tail
+    round each go through the store; the result is bit-identical to a
+    run without it, [sim] and [tail_sim] are fresh copies and [mem] is
+    this run's own. *)

@@ -268,7 +268,266 @@ let wait_lsu = 2
 let wait_lsu_shared = 3
 let n_wait_classes = 4
 
-let run ?max_cycles ?profile (job : job) =
+(* --- value semantics ---
+   Everything an issued instruction computes, loads or stores, in one
+   function shared by [run], which calls it at issue, and [replay].
+   Lanes execute over a predicate's [lo..hi] range with the operation
+   matched once outside the lane loop; non-register operands load into
+   preallocated 32-lane columns, so executing an instruction allocates
+   nothing. Without memory only the integer effects run ([Ld_param],
+   [Ishfl]): integer registers feed shared addresses, bank conflicts and
+   [F_ireg] field selectors. *)
+let scratch_columns () = Array.init 3 (fun _ -> Array.make 32 0.0)
+
+(* The warps of every resident CTA, in issue-order index; without memory
+   they get no float register file. *)
+let make_warps (job : job) =
+  let p = job.program in
+  Array.init (job.resident_ctas * p.Isa.n_warps) (fun i ->
+      {
+        cta = i / p.Isa.n_warps;
+        wid = i mod p.Isa.n_warps;
+        index = i;
+        cur = Trace.cursor ();
+        fregs =
+          (if job.mem <> None then
+             Array.init (max 1 p.Isa.n_fregs) (fun _ -> Array.make 32 0.0)
+           else [||]);
+        iregs = Array.init (max 1 p.Isa.n_iregs) (fun _ -> Array.make 32 0);
+        freg_ready = Array.make (max 1 p.Isa.n_fregs) 0;
+        ireg_ready = Array.make (max 1 p.Isa.n_iregs) 0;
+        st = Ready;
+        stall_until = 0;
+        wait_since = 0;
+        paid_fetch = -1;
+        paid_const = -1;
+      })
+
+let point_base (job : job) w batch =
+  let p = job.program in
+  let base = job.cta_point_base.(w.cta) in
+  match p.Isa.point_map with
+  | Isa.Coop -> base + (batch * 32)
+  | Isa.Thread_per_point -> base + (batch * p.Isa.n_warps * 32) + (w.wid * 32)
+
+let saddr_eval (a : Isa.saddr) w lane =
+  a.Isa.s_base
+  + (a.Isa.s_warp_mul * w.wid)
+  + (a.Isa.s_lane_mul * lane)
+  + match a.Isa.s_ireg with
+    | Some r -> a.Isa.s_ireg_mul * w.iregs.(r).(lane)
+    | None -> 0
+
+(* The values of [src] on lanes [lo..hi] (non-empty): a register's own
+   row, or column [k] filled for those lanes only. *)
+let load_src (job : job) cols (mem : Memstate.t) w src k lo hi =
+  match src with
+  | Isa.Sreg r -> w.fregs.(r)
+  | Isa.Simm f ->
+      let col = cols.(k) in
+      for l = lo to hi do
+        col.(l) <- f
+      done;
+      col
+  | Isa.Sconst s ->
+      let col = cols.(k) and v = job.program.Isa.const_mem.(s) in
+      for l = lo to hi do
+        col.(l) <- v
+      done;
+      col
+  | Isa.Sconst_warp s ->
+      let col = cols.(k) and v = job.program.Isa.const_mem.(s + w.wid) in
+      for l = lo to hi do
+        col.(l) <- v
+      done;
+      col
+  | Isa.Sshared a ->
+      let col = cols.(k) and sh = mem.Memstate.shared.(w.cta) in
+      for l = lo to hi do
+        col.(l) <- sh.(saddr_eval a w l)
+      done;
+      col
+
+let exec_arith job cols mem w op dst (srcs : Isa.src array) lo hi =
+  let d = w.fregs.(dst) in
+  let a = load_src job cols mem w srcs.(0) 0 lo hi in
+  match op with
+  | Isa.Sqrt ->
+      for l = lo to hi do
+        d.(l) <- sqrt a.(l)
+      done
+  | Isa.Exp ->
+      for l = lo to hi do
+        d.(l) <- exp a.(l)
+      done
+  | Isa.Log ->
+      for l = lo to hi do
+        d.(l) <- log a.(l)
+      done
+  | Isa.Neg ->
+      for l = lo to hi do
+        d.(l) <- -.a.(l)
+      done
+  | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Div | Isa.Max | Isa.Min -> (
+      let b = load_src job cols mem w srcs.(1) 1 lo hi in
+      match op with
+      | Isa.Add ->
+          for l = lo to hi do
+            d.(l) <- a.(l) +. b.(l)
+          done
+      | Isa.Sub ->
+          for l = lo to hi do
+            d.(l) <- a.(l) -. b.(l)
+          done
+      | Isa.Mul ->
+          for l = lo to hi do
+            d.(l) <- a.(l) *. b.(l)
+          done
+      | Isa.Div ->
+          for l = lo to hi do
+            d.(l) <- a.(l) /. b.(l)
+          done
+      | Isa.Max ->
+          for l = lo to hi do
+            d.(l) <- Float.max a.(l) b.(l)
+          done
+      | Isa.Min ->
+          for l = lo to hi do
+            d.(l) <- Float.min a.(l) b.(l)
+          done
+      | Isa.Fma ->
+          let c = load_src job cols mem w srcs.(2) 2 lo hi in
+          for l = lo to hi do
+            d.(l) <- Float.fma a.(l) b.(l) c.(l)
+          done
+      | Isa.Sqrt | Isa.Exp | Isa.Log | Isa.Neg -> assert false)
+
+(* The value effects of warp [w] issuing [entry] in point batch [batch]. *)
+let execute (job : job) cols w (entry : Trace.entry) batch =
+  match entry.Trace.instr with
+  | None -> ()
+  | Some instr -> (
+      let p = job.program in
+      match (instr, job.mem) with
+      | Isa.Ld_param { dst_i; slot }, _ ->
+          let d = w.iregs.(dst_i) and bank = p.Isa.param_bank.(w.wid) in
+          for lane = 0 to 31 do
+            d.(lane) <- bank.(lane).(slot)
+          done
+      | Isa.Ishfl { dst_i; src_i; lane }, _ ->
+          let d = w.iregs.(dst_i) and v = w.iregs.(src_i).(lane) in
+          for l = 0 to 31 do
+            d.(l) <- v
+          done
+      | _, None -> ()
+      | Isa.Arith { op; dst; srcs; pred }, Some mem ->
+          let lo = lane_lo pred and hi = lane_hi pred in
+          if lo <= hi then exec_arith job cols mem w op dst srcs lo hi
+      | Isa.Mov { dst; src; pred }, Some mem ->
+          let lo = lane_lo pred and hi = lane_hi pred in
+          if lo <= hi then begin
+            let d = w.fregs.(dst) and v = load_src job cols mem w src 0 lo hi in
+            for l = lo to hi do
+              d.(l) <- v.(l)
+            done
+          end
+      | Isa.Ld_global { dst; group; field; pred; _ }, Some mem -> (
+          let lo = lane_lo pred and hi = lane_hi pred in
+          if lo <= hi then
+            let d = w.fregs.(dst) and g = mem.Memstate.globals.(group) in
+            let pt = point_base job w batch in
+            match field with
+            | Isa.F_static f ->
+                let col = g.(f) in
+                for l = lo to hi do
+                  d.(l) <- col.(pt + l)
+                done
+            | Isa.F_ireg r ->
+                let fr = w.iregs.(r) in
+                for l = lo to hi do
+                  d.(l) <- g.(fr.(l)).(pt + l)
+                done)
+      | Isa.St_global { src; group; field; pred }, Some mem -> (
+          let lo = lane_lo pred and hi = lane_hi pred in
+          if lo <= hi then
+            let v = load_src job cols mem w src 0 lo hi in
+            let g = mem.Memstate.globals.(group) in
+            let pt = point_base job w batch in
+            match field with
+            | Isa.F_static f ->
+                let col = g.(f) in
+                for l = lo to hi do
+                  col.(pt + l) <- v.(l)
+                done
+            | Isa.F_ireg r ->
+                let fr = w.iregs.(r) in
+                for l = lo to hi do
+                  g.(fr.(l)).(pt + l) <- v.(l)
+                done)
+      | Isa.Ld_shared { dst; addr; pred }, Some mem ->
+          let lo = lane_lo pred and hi = lane_hi pred in
+          let d = w.fregs.(dst) and sh = mem.Memstate.shared.(w.cta) in
+          for l = lo to hi do
+            d.(l) <- sh.(saddr_eval addr w l)
+          done
+      | Isa.St_shared { src; addr; pred }, Some mem -> (
+          let lo = lane_lo pred and hi = lane_hi pred in
+          if lo <= hi then
+            let sh = mem.Memstate.shared.(w.cta) in
+            match src with
+            | Isa.Sshared a ->
+                (* Shared to shared: a lane may read what a lower lane
+                   just wrote, so go lane by lane. *)
+                for l = lo to hi do
+                  sh.(saddr_eval addr w l) <- sh.(saddr_eval a w l)
+                done
+            | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _ | Isa.Sconst_warp _ ->
+                let v = load_src job cols mem w src 0 lo hi in
+                for l = lo to hi do
+                  sh.(saddr_eval addr w l) <- v.(l)
+                done)
+      | Isa.Ld_local { dst; slot }, Some mem ->
+          let d = w.fregs.(dst) and loc = mem.Memstate.local.(w.cta) in
+          for lane = 0 to 31 do
+            d.(lane) <- loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot)
+          done
+      | Isa.St_local { src; slot }, Some mem ->
+          let v = w.fregs.(src) and loc = mem.Memstate.local.(w.cta) in
+          for lane = 0 to 31 do
+            loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot) <- v.(lane)
+          done
+      | Isa.Ld_const_bank { dst; slot }, Some _ ->
+          let d = w.fregs.(dst) and bank = p.Isa.const_bank.(w.wid) in
+          for lane = 0 to 31 do
+            d.(lane) <- bank.(lane).(slot)
+          done
+      | Isa.Shfl { dst; src; lane }, Some _ ->
+          let d = w.fregs.(dst) and v = w.fregs.(src).(lane) in
+          for l = 0 to 31 do
+            d.(l) <- v
+          done
+      | (Isa.Shfl_rot { dst; src; delta } | Isa.Shfl_bfly { dst; src; xor_mask = delta }), Some _
+        -> (
+          (* Snapshot the source row first: after register allocation
+             [dst] may alias [src], and every lane reads another lane's
+             pre-shuffle value. *)
+          let prev = cols.(0) and d = w.fregs.(dst) in
+          Array.blit w.fregs.(src) 0 prev 0 32;
+          match instr with
+          | Isa.Shfl_rot _ ->
+              for l = 0 to 31 do
+                d.(l) <- prev.((l + delta) land 31)
+              done
+          | _ ->
+              for l = 0 to 31 do
+                d.(l) <- prev.(l lxor delta)
+              done)
+      | (Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta), Some _ -> ())
+
+(* One byte of issue order per issue holds the warp's index. *)
+let max_recorded_warps = 256
+
+let simulate ?max_cycles ?profile ?record (job : job) =
   let budget =
     match max_cycles with
     | None -> max_int
@@ -276,33 +535,13 @@ let run ?max_cycles ?profile (job : job) =
         if b <= 0 then invalid_arg "Sm.run: max_cycles must be positive";
         b
   in
-  let arch = job.arch and p = job.program in
-  let tr = job.trace and mem = job.mem in
+  let arch = job.arch and p = job.program and tr = job.trace in
+  let n_warps_total = job.resident_ctas * p.Isa.n_warps in
+  if record <> None && n_warps_total > max_recorded_warps then
+    invalid_arg "Sm.record: more than 256 resident warps";
   (* Without memory the run is timing-only: no float value is computed,
      loaded or stored (DESIGN §9.1). *)
-  let values = mem <> None in
-  let n_warps_total = job.resident_ctas * p.Isa.n_warps in
-  let warps =
-    Array.init n_warps_total (fun i ->
-        {
-          cta = i / p.Isa.n_warps;
-          wid = i mod p.Isa.n_warps;
-          index = i;
-          cur = Trace.cursor ();
-          fregs =
-            (if values then
-               Array.init (max 1 p.Isa.n_fregs) (fun _ -> Array.make 32 0.0)
-             else [||]);
-          iregs = Array.init (max 1 p.Isa.n_iregs) (fun _ -> Array.make 32 0);
-          freg_ready = Array.make (max 1 p.Isa.n_fregs) 0;
-          ireg_ready = Array.make (max 1 p.Isa.n_iregs) 0;
-          st = Ready;
-          stall_until = 0;
-          wait_since = 0;
-          paid_fetch = -1;
-          paid_const = -1;
-        })
-  in
+  let warps = make_warps job and cols = scratch_columns () in
   let fresh_barrier () =
     { arrived = 0; waiters = Array.make (max 1 p.Isa.n_warps) (-1); n_waiters = 0 }
   in
@@ -597,110 +836,6 @@ let run ?max_cycles ?profile (job : job) =
       !res
     end
   in
-  (* --- functional helpers ---
-     Lanes execute over a predicate's [lo..hi] range with the operation
-     matched once outside the lane loop; non-register operands load into
-     preallocated 32-lane columns, so executing an instruction allocates
-     nothing. *)
-  let point_base w batch =
-    let base = job.cta_point_base.(w.cta) in
-    match p.Isa.point_map with
-    | Isa.Coop -> base + (batch * 32)
-    | Isa.Thread_per_point -> base + (batch * p.Isa.n_warps * 32) + (w.wid * 32)
-  in
-  let saddr_eval (a : Isa.saddr) w lane =
-    a.Isa.s_base
-    + (a.Isa.s_warp_mul * w.wid)
-    + (a.Isa.s_lane_mul * lane)
-    + match a.Isa.s_ireg with
-      | Some r -> a.Isa.s_ireg_mul * w.iregs.(r).(lane)
-      | None -> 0
-  in
-  let cols = Array.init 3 (fun _ -> Array.make 32 0.0) in
-  (* The values of [src] on lanes [lo..hi] (non-empty): a register's own
-     row, or column [k] filled for those lanes only. *)
-  let load_src (mem : Memstate.t) w src k lo hi =
-    match src with
-    | Isa.Sreg r -> w.fregs.(r)
-    | Isa.Simm f ->
-        let col = cols.(k) in
-        for l = lo to hi do
-          col.(l) <- f
-        done;
-        col
-    | Isa.Sconst s ->
-        let col = cols.(k) and v = p.Isa.const_mem.(s) in
-        for l = lo to hi do
-          col.(l) <- v
-        done;
-        col
-    | Isa.Sconst_warp s ->
-        let col = cols.(k) and v = p.Isa.const_mem.(s + w.wid) in
-        for l = lo to hi do
-          col.(l) <- v
-        done;
-        col
-    | Isa.Sshared a ->
-        let col = cols.(k) and sh = mem.Memstate.shared.(w.cta) in
-        for l = lo to hi do
-          col.(l) <- sh.(saddr_eval a w l)
-        done;
-        col
-  in
-  let exec_arith mem w op dst (srcs : Isa.src array) lo hi =
-    let d = w.fregs.(dst) in
-    let a = load_src mem w srcs.(0) 0 lo hi in
-    match op with
-    | Isa.Sqrt ->
-        for l = lo to hi do
-          d.(l) <- sqrt a.(l)
-        done
-    | Isa.Exp ->
-        for l = lo to hi do
-          d.(l) <- exp a.(l)
-        done
-    | Isa.Log ->
-        for l = lo to hi do
-          d.(l) <- log a.(l)
-        done
-    | Isa.Neg ->
-        for l = lo to hi do
-          d.(l) <- -.a.(l)
-        done
-    | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Div | Isa.Max | Isa.Min -> (
-        let b = load_src mem w srcs.(1) 1 lo hi in
-        match op with
-        | Isa.Add ->
-            for l = lo to hi do
-              d.(l) <- a.(l) +. b.(l)
-            done
-        | Isa.Sub ->
-            for l = lo to hi do
-              d.(l) <- a.(l) -. b.(l)
-            done
-        | Isa.Mul ->
-            for l = lo to hi do
-              d.(l) <- a.(l) *. b.(l)
-            done
-        | Isa.Div ->
-            for l = lo to hi do
-              d.(l) <- a.(l) /. b.(l)
-            done
-        | Isa.Max ->
-            for l = lo to hi do
-              d.(l) <- Float.max a.(l) b.(l)
-            done
-        | Isa.Min ->
-            for l = lo to hi do
-              d.(l) <- Float.min a.(l) b.(l)
-            done
-        | Isa.Fma ->
-            let c = load_src mem w srcs.(2) 2 lo hi in
-            for l = lo to hi do
-              d.(l) <- Float.fma a.(l) b.(l) c.(l)
-            done
-        | Isa.Sqrt | Isa.Exp | Isa.Log | Isa.Neg -> assert false)
-  in
   (* Shared bank-conflict serialization: the largest number of distinct
      addresses that collide in one bank (a broadcast of one address is
      free). Each bank's distinct addresses sit in its row of
@@ -772,7 +907,13 @@ let run ?max_cycles ?profile (job : job) =
     let t = int_of_float (Float.ceil t) in
     if t > !now && t < !min_hint then min_hint := t
   in
-  let finish_issue w =
+  (* Every issue ends here: the instruction's value effects, then the
+     issue order, if recorded. *)
+  let finish_issue w entry =
+    execute job cols w entry w.cur.Trace.batch;
+    (match record with
+    | Some order -> Bytes.set order c.issued (Char.unsafe_chr w.index)
+    | None -> ());
     Trace.advance w.cur;
     c.issued <- c.issued + 1
   in
@@ -890,7 +1031,6 @@ let run ?max_cycles ?profile (job : job) =
     end
     else
       let entry = tr.Trace.entries.(entry_id) in
-      let batch = w.cur.Trace.batch in
       match entry.Trace.instr with
       | None ->
           (* Synthetic warp-ID branch. *)
@@ -903,7 +1043,7 @@ let run ?max_cycles ?profile (job : job) =
           else begin
             pipe_issue alu !now 1.0;
             c.branch_instrs <- c.branch_instrs + 1;
-            finish_issue w;
+            finish_issue w entry;
             true
           end
       | Some instr -> (
@@ -961,12 +1101,8 @@ let run ?max_cycles ?profile (job : job) =
                   !now + (arch.Arch.arith_latency * entry.Trace.lat_mult)
                   + !extra;
                 set_fsrc w dst Profile.arith;
-                (* Functional execution at issue. *)
-                (match mem with
-                | Some mem when lo <= hi -> exec_arith mem w op dst srcs lo hi
-                | _ -> ());
                 c.flops <- c.flops + (entry.Trace.flops * active_lanes pred);
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
           | Isa.Mov { dst; src; pred } ->
@@ -1000,17 +1136,10 @@ let run ?max_cycles ?profile (job : job) =
                   (match src with
                   | Isa.Sshared _ -> Profile.mem
                   | _ -> Profile.arith);
-                (match mem with
-                | Some mem when lo <= hi ->
-                    let d = w.fregs.(dst) and v = load_src mem w src 0 lo hi in
-                    for l = lo to hi do
-                      d.(l) <- v.(l)
-                    done
-                | _ -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Ld_global { dst; group; field; via_tex; pred } ->
+          | Isa.Ld_global { dst; via_tex; _ } ->
               if not (pipe_free lsu !now) then begin
                 block := Profile.mem;
                 park_pipe w wait_lsu;
@@ -1028,27 +1157,10 @@ let run ?max_cycles ?profile (job : job) =
                 w.freg_ready.(dst) <-
                   !now + arch.Arch.global_latency + done_in;
                 set_fsrc w dst Profile.mem;
-                let lo = lane_lo pred and hi = lane_hi pred in
-                (match mem with
-                | Some mem when lo <= hi -> (
-                    let d = w.fregs.(dst) and g = mem.Memstate.globals.(group) in
-                    let pt = point_base w batch in
-                    match field with
-                    | Isa.F_static f ->
-                        let col = g.(f) in
-                        for l = lo to hi do
-                          d.(l) <- col.(pt + l)
-                        done
-                    | Isa.F_ireg r ->
-                        let fr = w.iregs.(r) in
-                        for l = lo to hi do
-                          d.(l) <- g.(fr.(l)).(pt + l)
-                        done)
-                | _ -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.St_global { src; group; field; pred } ->
+          | Isa.St_global { pred; _ } ->
               let ready = regs_ready w entry.Trace.srcs in
               if ready > !now then begin
                 set_block_sb w entry.Trace.srcs;
@@ -1066,25 +1178,7 @@ let run ?max_cycles ?profile (job : job) =
                 let bytes = 8 * active_lanes pred in
                 c.global_bytes <- c.global_bytes + bytes;
                 ignore (path_transfer globalp !now bytes);
-                let lo = lane_lo pred and hi = lane_hi pred in
-                (match mem with
-                | Some mem when lo <= hi -> (
-                    let v = load_src mem w src 0 lo hi in
-                    let g = mem.Memstate.globals.(group) in
-                    let pt = point_base w batch in
-                    match field with
-                    | Isa.F_static f ->
-                        let col = g.(f) in
-                        for l = lo to hi do
-                          col.(pt + l) <- v.(l)
-                        done
-                    | Isa.F_ireg r ->
-                        let fr = w.iregs.(r) in
-                        for l = lo to hi do
-                          g.(fr.(l)).(pt + l) <- v.(l)
-                        done)
-                | _ -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
           | Isa.Ld_shared { dst; addr; pred } ->
@@ -1117,17 +1211,10 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue shared_pipe !now (float_of_int ways);
                 w.freg_ready.(dst) <- !now + arch.Arch.shared_latency;
                 set_fsrc w dst Profile.mem;
-                (match mem with
-                | Some mem when lo <= hi ->
-                    let d = w.fregs.(dst) and sh = mem.Memstate.shared.(w.cta) in
-                    for l = lo to hi do
-                      d.(l) <- sh.(saddr_eval addr w l)
-                    done
-                | _ -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.St_shared { src; addr; pred } ->
+          | Isa.St_shared { addr; pred; _ } ->
               let ready =
                 max
                   (regs_ready w entry.Trace.srcs)
@@ -1154,27 +1241,10 @@ let run ?max_cycles ?profile (job : job) =
                 c.shared_accesses <- c.shared_accesses + 1;
                 c.bank_conflict_slots <- c.bank_conflict_slots + ways - 1;
                 pipe_issue shared_pipe !now (float_of_int ways);
-                (match mem with
-                | Some mem when lo <= hi -> (
-                    let sh = mem.Memstate.shared.(w.cta) in
-                    match src with
-                    | Isa.Sshared a ->
-                        (* Shared to shared: a lane may read what a lower
-                           lane just wrote, so go lane by lane. *)
-                        for l = lo to hi do
-                          sh.(saddr_eval addr w l) <- sh.(saddr_eval a w l)
-                        done
-                    | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _
-                    | Isa.Sconst_warp _ ->
-                        let v = load_src mem w src 0 lo hi in
-                        for l = lo to hi do
-                          sh.(saddr_eval addr w l) <- v.(l)
-                        done)
-                | _ -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Ld_local { dst; slot } ->
+          | Isa.Ld_local { dst; _ } ->
               if not (pipe_free lsu !now) then begin
                 block := Profile.mem;
                 park_pipe w wait_lsu;
@@ -1188,18 +1258,10 @@ let run ?max_cycles ?profile (job : job) =
                 let done_in = path_transfer localp !now bytes in
                 w.freg_ready.(dst) <- !now + arch.Arch.global_latency + done_in;
                 set_fsrc w dst Profile.mem;
-                (match mem with
-                | Some mem ->
-                    let d = w.fregs.(dst) and loc = mem.Memstate.local.(w.cta) in
-                    for lane = 0 to 31 do
-                      d.(lane) <-
-                        loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot)
-                    done
-                | None -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.St_local { src; slot } ->
+          | Isa.St_local { src; _ } ->
               if w.freg_ready.(src) > !now then begin
                 if prof_on then block := freg_src.(w.index).(src);
                 park_scoreboard w w.freg_ready.(src);
@@ -1216,18 +1278,10 @@ let run ?max_cycles ?profile (job : job) =
                 let bytes = 8 * 32 in
                 c.local_bytes <- c.local_bytes + bytes;
                 ignore (path_transfer localp !now bytes);
-                (match mem with
-                | Some mem ->
-                    let v = w.fregs.(src) and loc = mem.Memstate.local.(w.cta) in
-                    for lane = 0 to 31 do
-                      loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot) <-
-                        v.(lane)
-                    done
-                | None -> ());
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Ld_const_bank { dst; slot } ->
+          | Isa.Ld_const_bank { dst; _ } ->
               if not (pipe_free lsu !now) then begin
                 block := Profile.mem;
                 park_pipe w wait_lsu;
@@ -1243,16 +1297,10 @@ let run ?max_cycles ?profile (job : job) =
                 let done_in = path_transfer path !now bytes in
                 w.freg_ready.(dst) <- !now + arch.Arch.global_latency + done_in;
                 set_fsrc w dst Profile.mem;
-                if values then begin
-                  let d = w.fregs.(dst) and bank = p.Isa.const_bank.(w.wid) in
-                  for lane = 0 to 31 do
-                    d.(lane) <- bank.(lane).(slot)
-                  done
-                end;
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Ld_param { dst_i; slot } ->
+          | Isa.Ld_param { dst_i; _ } ->
               if not (pipe_free lsu !now) then begin
                 block := Profile.mem;
                 park_pipe w wait_lsu;
@@ -1268,14 +1316,10 @@ let run ?max_cycles ?profile (job : job) =
                 let done_in = path_transfer path !now bytes in
                 w.ireg_ready.(dst_i) <- !now + arch.Arch.global_latency + done_in;
                 set_isrc w dst_i Profile.mem;
-                let d = w.iregs.(dst_i) and bank = p.Isa.param_bank.(w.wid) in
-                for lane = 0 to 31 do
-                  d.(lane) <- bank.(lane).(slot)
-                done;
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Shfl { dst; src; lane } ->
+          | Isa.Shfl { dst; src; _ } ->
               if w.freg_ready.(src) > !now then begin
                 if prof_on then block := freg_src.(w.index).(src);
                 park_scoreboard w w.freg_ready.(src);
@@ -1291,17 +1335,10 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue alu !now 2.0 (* two 32-bit shuffles per double *);
                 w.freg_ready.(dst) <- !now + arch.Arch.arith_latency;
                 set_fsrc w dst Profile.arith;
-                if values then begin
-                  let d = w.fregs.(dst) and v = w.fregs.(src).(lane) in
-                  for l = 0 to 31 do
-                    d.(l) <- v
-                  done
-                end;
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Shfl_rot { dst; src; delta } | Isa.Shfl_bfly { dst; src; xor_mask = delta }
-            ->
+          | Isa.Shfl_rot { dst; src; _ } | Isa.Shfl_bfly { dst; src; _ } ->
               if w.freg_ready.(src) > !now then begin
                 if prof_on then block := freg_src.(w.index).(src);
                 park_scoreboard w w.freg_ready.(src);
@@ -1317,25 +1354,10 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue alu !now 2.0 (* two 32-bit shuffles per double *);
                 w.freg_ready.(dst) <- !now + arch.Arch.arith_latency;
                 set_fsrc w dst Profile.arith;
-                (* Snapshot the source row first: after register
-                   allocation [dst] may alias [src], and every lane
-                   reads another lane's pre-shuffle value. *)
-                (if values then
-                   let prev = cols.(0) and d = w.fregs.(dst) in
-                   Array.blit w.fregs.(src) 0 prev 0 32;
-                   match instr with
-                   | Isa.Shfl_rot _ ->
-                       for l = 0 to 31 do
-                         d.(l) <- prev.((l + delta) land 31)
-                       done
-                   | _ ->
-                       for l = 0 to 31 do
-                         d.(l) <- prev.(l lxor delta)
-                       done);
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
-          | Isa.Ishfl { dst_i; src_i; lane } ->
+          | Isa.Ishfl { dst_i; src_i; _ } ->
               if w.ireg_ready.(src_i) > !now then begin
                 if prof_on then block := ireg_src.(w.index).(src_i);
                 park_scoreboard w w.ireg_ready.(src_i);
@@ -1351,11 +1373,7 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue alu !now 1.0;
                 w.ireg_ready.(dst_i) <- !now + arch.Arch.arith_latency;
                 set_isrc w dst_i Profile.arith;
-                let d = w.iregs.(dst_i) and v = w.iregs.(src_i).(lane) in
-                for l = 0 to 31 do
-                  d.(l) <- v
-                done;
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
           | Isa.Bar_arrive { bar; count } ->
@@ -1373,7 +1391,7 @@ let run ?max_cycles ?profile (job : job) =
                   b.arrived <- b.arrived - count;
                   release_waiters b `Named bar
                 end;
-                finish_issue w;
+                finish_issue w entry;
                 true
               end
           | Isa.Bar_sync { bar; count } ->
@@ -1387,7 +1405,7 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue alu !now 1.0;
                 let b = bars.(w.cta).(bar) in
                 b.arrived <- b.arrived + 1;
-                finish_issue w;
+                finish_issue w entry;
                 if b.arrived >= count then begin
                   b.arrived <- b.arrived - count;
                   release_waiters b `Named bar
@@ -1411,7 +1429,7 @@ let run ?max_cycles ?profile (job : job) =
                 pipe_issue alu !now 1.0;
                 let b = cta_bars.(w.cta) in
                 b.arrived <- b.arrived + 1;
-                finish_issue w;
+                finish_issue w entry;
                 if b.arrived >= p.Isa.n_warps then begin
                   b.arrived <- 0;
                   release_waiters b `Cta nbar
@@ -1618,3 +1636,41 @@ let run ?max_cycles ?profile (job : job) =
     ccache = Caches.Ccache.stats ccache;
     profile = profile_result;
   }
+
+let run ?max_cycles ?profile job = simulate ?max_cycles ?profile job
+
+type order = string
+
+(* Every trace entry of every resident warp issues exactly once, so a
+   completed run's order has exactly this many bytes. *)
+let issues (job : job) =
+  let tr = job.trace and per_cta = ref 0 in
+  for w = 0 to job.program.Isa.n_warps - 1 do
+    per_cta :=
+      !per_cta + Array.length tr.Trace.prologue.(w)
+      + (job.batches * Array.length tr.Trace.body.(w))
+  done;
+  job.resident_ctas * !per_cta
+
+let record ?max_cycles job =
+  let order = Bytes.create (issues job) in
+  let r = simulate ?max_cycles ~record:order job in
+  assert (r.counters.issued = Bytes.length order);
+  (r, Bytes.unsafe_to_string order)
+
+let order_bytes = String.length
+
+(* Every value effect of a run happens at issue, in [execute], so the
+   issue order alone determines the run's memory. *)
+let replay (job : job) (order : order) =
+  if job.mem = None then invalid_arg "Sm.replay: the job has no memory";
+  let warps = make_warps job and cols = scratch_columns () in
+  let tr = job.trace in
+  String.iter
+    (fun c ->
+      let w = warps.(Char.code c) in
+      let id = Trace.peek tr ~warp:w.wid ~batches:job.batches w.cur in
+      if id < 0 then invalid_arg "Sm.replay: the order does not fit the job";
+      execute job cols w tr.Trace.entries.(id) w.cur.Trace.batch;
+      Trace.advance w.cur)
+    order

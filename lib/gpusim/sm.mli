@@ -18,6 +18,9 @@
     prevents premature reads, so results equal a sequential execution.
     A job without memory is timing-only: it computes, loads and stores no
     float value, and its result is identical to the run with memory.
+    Since every value effect happens at issue, a run's memory is a
+    function of its issue order alone: {!record} returns that order, and
+    {!replay} recomputes the memory from it without the timing model.
 
     {b Fault containment.} The scheduler never loops forever: a barrier
     deadlock, a no-progress livelock, or an exhausted [max_cycles] budget
@@ -139,3 +142,22 @@ val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result
     export. Profiling never perturbs the simulation — cycles, counters
     and memory effects are identical with and without it. Raises
     [Invalid_argument] when [timeline_capacity] is negative. *)
+
+type order
+(** The order in which a run issued its instructions: one byte per issue,
+    holding the issuing warp's index. *)
+
+val record : ?max_cycles:int -> job -> result * order
+(** [record job] is [run job] (no profiler) together with its issue
+    order; [order_bytes] of the order equals [counters.issued]. Raises
+    [Invalid_argument] when the job has more than 256 resident warps. *)
+
+val order_bytes : order -> int
+
+val replay : job -> order -> unit
+(** [replay job order] runs only the value semantics of the instructions,
+    in [order], on [job.mem]: the same function {!run} executes at issue,
+    with no scoreboard, pipe, cache or barrier. Given a job equal to the
+    one {!record} ran, on memory filled the same way, it leaves the
+    memory bit-identical to what that run left. Raises [Invalid_argument]
+    when [job.mem] is [None] or the order does not fit the job. *)

@@ -824,11 +824,69 @@ let inputs_memo_stats () =
         grids_built = Atomic.get grids_built;
       })
 
+(* ---- launch-shape stores ----
+   Each compiled program gets one [Gpusim.Chip.store], kept in an
+   ephemeron table keyed by the program itself: the store lives exactly
+   as long as the artifact that holds the program, memoized or not, and
+   an artifact evicted from the compile memo takes its store with it.
+   The hash reads the name and three sizes only, not the code; keys
+   compare by identity. *)
+module Program_table = Ephemeron.K1.Make (struct
+  type t = Gpusim.Isa.program
+
+  let equal = ( == )
+
+  let hash (p : t) =
+    Hashtbl.hash
+      (p.Gpusim.Isa.name, p.Gpusim.Isa.n_warps, p.Gpusim.Isa.n_fregs,
+       p.Gpusim.Isa.shared_doubles)
+end)
+
+let shape_stores : Gpusim.Chip.store Program_table.t = Program_table.create 64
+let shape_stores_mutex = Mutex.create ()
+let shape_counters = Gpusim.Chip.store_counters ()
+
+let with_shape_stores f =
+  Mutex.lock shape_stores_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock shape_stores_mutex) f
+
+let shape_store (t : t) =
+  let p = t.lowered.Lower.program in
+  with_shape_stores (fun () ->
+      match Program_table.find_opt shape_stores p with
+      | Some s -> s
+      | None ->
+          let s = Gpusim.Chip.create_store shape_counters in
+          Program_table.add shape_stores p s;
+          s)
+
+type shape_store_stats = {
+  stores : int;
+  shapes_stored : int;
+  order_bytes_stored : int;
+  runs_served : int;
+}
+
+let shape_store_stats () =
+  let stores =
+    with_shape_stores (fun () ->
+        Program_table.clean shape_stores;
+        Program_table.length shape_stores)
+  in
+  let c = shape_counters in
+  {
+    stores;
+    shapes_stored = Atomic.get c.Gpusim.Chip.shapes_stored;
+    order_bytes_stored = Atomic.get c.Gpusim.Chip.order_bytes_stored;
+    runs_served = Atomic.get c.Gpusim.Chip.runs_served;
+  }
+
 let memo_clear () =
   Mutex.lock memo_mutex;
   Hashtbl.reset memo;
   Mutex.unlock memo_mutex;
-  with_inputs_memo (fun () -> inputs_memo := [])
+  with_inputs_memo (fun () -> inputs_memo := []);
+  with_shape_stores (fun () -> Program_table.reset shape_stores)
 
 (* ---- IR dumping (the CLI's --dump-ir) ---- *)
 
@@ -929,7 +987,7 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   in
   let machine =
     Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
-      ?skew t.options.arch launch
+      ?skew ~store:(shape_store t) t.options.arch launch
   in
   let outputs =
     Kernel_abi.read_outputs t.lowered.Lower.program machine.Gpusim.Chip.mem

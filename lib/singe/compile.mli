@@ -191,8 +191,8 @@ val compile_cached :
     kept for the benchmark driver alone, which names them. *)
 
 val memo_clear : unit -> unit
-(** Drop every memoized compilation and every memoized launch input (for
-    tests and long-lived servers). *)
+(** Drop every memoized compilation, every memoized launch input and
+    every launch-shape store (for tests and long-lived servers). *)
 
 type memo_stats = {
   size : int;  (** entries currently cached *)
@@ -240,6 +240,22 @@ val inputs_memo_stats : unit -> inputs_memo_stats
     seed and the temperature range) and the host references computed
     from it, per kernel. Entries leave least recently used first once
     [doubles] would pass [budget]. *)
+
+type shape_store_stats = {
+  stores : int;  (** live compiled programs that hold a store *)
+  shapes_stored : int;  (** shapes simulated and stored *)
+  order_bytes_stored : int;  (** bytes of issue order stored *)
+  runs_served : int;
+      (** main, pin and tail simulations answered from a store *)
+}
+
+val shape_store_stats : unit -> shape_store_stats
+(** The launch-shape stores {!run} keeps, one per compiled program
+    ({!Gpusim.Chip.store}). A store lives as long as its program: it is
+    dropped when the artifact is collected (an artifact evicted from the
+    compile memo and no longer held takes its store with it) and by
+    {!memo_clear}. The three counters are process-lifetime and survive
+    {!memo_clear}. *)
 
 type ir_stage = Ir_dfg | Ir_mapping | Ir_schedule | Ir_lower
 
@@ -297,7 +313,13 @@ val run :
     default) the functional outputs of all simulated points are compared
     against {!Chem.Ref_kernels}. The grid and the reference come from the
     launch-inputs memo ({!inputs_memo_stats}), so a warm run generates
-    neither; the simulation and the comparison run every time. An artifact whose [safety] verdict is an
+    neither; the comparison runs every time. The simulation runs once per
+    launch shape: a clean, unprofiled run takes the artifact's stored
+    cycles, counters and cache stats ({!shape_store_stats}) and replays
+    the stored issue order into its memory, with results bit-identical
+    to a fresh simulation's; a run with [faults] or [profile], or whose
+    [max_cycles] is below the stored cycles, simulates as without a
+    store. An artifact whose [safety] verdict is an
     [Error] is refused before anything is simulated: [run] raises that
     verdict as {!Diagnostics.Fail} (pass ["mapping-validate"] or
     ["deadlock-check"], the same diagnostic a validating {!compile}

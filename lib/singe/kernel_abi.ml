@@ -55,34 +55,36 @@ let groups mech kernel =
 let group_id program name = Gpusim.Memstate.group_index program name
 
 (* The source image of a stencil scanline, derived deterministically from
-   the point's grid temperature. Shared by [fill_inputs] and
-   [reference_outputs] so oracle comparisons start bit-identical. *)
+   the point's grid temperature by [Stencil_pipe.source_value], which
+   [fill_inputs] also calls, so oracle comparisons start bit-identical. *)
 let stencil_source grid ~points ~width =
   Array.init points (fun p ->
       let temp = Chem.Grid.point_temperature grid p in
       Array.init width (fun col -> Stencil_pipe.source_value ~temp ~col))
 
-let fill_inputs mech (grid : Chem.Grid.t) kernel program mem n =
-  assert (grid.Chem.Grid.points >= n);
-  let take arr = Array.sub arr 0 n in
-  let set name field data =
-    Gpusim.Memstate.set_field mem ~group:(group_id program name) ~field data
-  in
+let fill_inputs mech (grid : Chem.Grid.t) kernel program
+    (mem : Gpusim.Memstate.t) n =
+  assert (grid.Chem.Grid.points >= n && mem.Gpusim.Memstate.n_points = n);
+  let field name f = mem.Gpusim.Memstate.globals.(group_id program name).(f) in
+  let copy name f src = Array.blit src 0 (field name f) 0 n in
   match kernel with
   | Stencil id ->
       let w = (Stencil_pipe.get id).Stencil_pipe.width in
-      let rows = stencil_source grid ~points:n ~width:w in
-      for col = 0 to w - 1 do
-        set "image" col (Array.init n (fun p -> rows.(p).(col)))
+      let image = Array.init w (field "image") in
+      for p = 0 to n - 1 do
+        let temp = Chem.Grid.point_temperature grid p in
+        for col = 0 to w - 1 do
+          image.(col).(p) <- Stencil_pipe.source_value ~temp ~col
+        done
       done
   | Viscosity | Conductivity | Diffusion | Chemistry ->
-      set "temperature" 0 (take grid.Chem.Grid.temperature);
-      set "pressure" 0 (take grid.Chem.Grid.pressure);
+      copy "temperature" 0 grid.Chem.Grid.temperature;
+      copy "pressure" 0 grid.Chem.Grid.pressure;
       let computed = Chem.Mechanism.computed_species mech in
       Array.iteri
         (fun pos sp ->
-          set "mole_frac" pos (take grid.Chem.Grid.mole_frac.(sp));
-          set "diffusion_in" pos (take grid.Chem.Grid.diffusion_in.(sp)))
+          copy "mole_frac" pos grid.Chem.Grid.mole_frac.(sp);
+          copy "diffusion_in" pos grid.Chem.Grid.diffusion_in.(sp))
         computed
 
 let read_outputs program mem =

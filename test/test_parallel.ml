@@ -135,22 +135,23 @@ let test_sim_identical_across_jobs () =
       Alcotest.(check int) "icache stalls" ic1 ic2)
     serial parallel
 
-(* The launch-inputs memo is shared across domains: runs racing to
-   insert the same grid, at --jobs 2, check the same outputs with the
-   same oracle error as one domain does. *)
-let checked_result (kernel, seed) =
-  let mech = Lazy.force dme in
-  let options =
-    Singe.Target.options ~n_warps:4 Arch.kepler_k20c kernel
-  in
-  let c =
-    Singe.Diagnostics.ok_exn
-      (Singe.Compile.compile ~memo:true mech kernel
-         Singe.Compile.Warp_specialized options)
-  in
+(* The launch-inputs memo and the launch-shape stores are shared across
+   domains: runs racing to insert the same grid, at --jobs 2, check the
+   same outputs with the same oracle error as one domain does, and so do
+   runs of one artifact racing to store, then replay, its one launch
+   shape. *)
+let dme_compile ?(memo = true) kernel =
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo (Lazy.force dme) kernel
+       Singe.Compile.Warp_specialized
+       (Singe.Target.options ~n_warps:4 Arch.kepler_k20c kernel))
+
+let checked_run c seed =
   let r = Singe.Compile.run ~seed c ~total_points:4096 in
   ( Array.map (Array.map Int64.bits_of_float) r.Singe.Compile.outputs,
     Int64.bits_of_float r.Singe.Compile.max_rel_err )
+
+let checked_result (kernel, seed) = checked_run (dme_compile kernel) seed
 
 let test_oracle_identical_across_jobs () =
   let targets =
@@ -165,7 +166,32 @@ let test_oracle_identical_across_jobs () =
     Sutil.Domain_pool.parallel_map ~jobs checked_result targets
   in
   let serial = at 1 in
-  Alcotest.(check bool) "jobs 1 = jobs 2" true (serial = at 2)
+  Alcotest.(check bool) "jobs 1 = jobs 2" true (serial = at 2);
+  (* Every cold run on its own fresh artifact, so nothing is stored
+     before it simulates. *)
+  let seeds = [ 1L; 1L; 2L; 2L; 3L; 3L ] in
+  let cold =
+    List.map
+      (fun seed ->
+        checked_run (dme_compile ~memo:false Singe.Kernel_abi.Diffusion) seed)
+      seeds
+  in
+  let one_shape jobs =
+    let c = dme_compile Singe.Kernel_abi.Diffusion in
+    Sutil.Domain_pool.parallel_map ~jobs (checked_run c) seeds
+  in
+  Singe.Compile.memo_clear ();
+  let stats = Singe.Compile.shape_store_stats in
+  let shapes0 = (stats ()).Singe.Compile.shapes_stored in
+  let racing = one_shape 2 in
+  let served0 = (stats ()).Singe.Compile.runs_served in
+  let warm = one_shape 2 in
+  Alcotest.(check bool) "one shape: racing = serial" true (racing = cold);
+  Alcotest.(check bool) "one shape: warm = serial" true (warm = cold);
+  Alcotest.(check bool) "the shape was stored" true
+    ((stats ()).Singe.Compile.shapes_stored > shapes0);
+  Alcotest.(check bool) "warm runs replay it" true
+    ((stats ()).Singe.Compile.runs_served >= served0 + List.length seeds)
 
 let test_autotune_winner_across_jobs () =
   let mech = Lazy.force dme in

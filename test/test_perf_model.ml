@@ -1136,6 +1136,59 @@ let test_timing_only_equals_full () =
     (compiled_job kepler ("hydrogen", "viscosity", "ws", 4, 4096));
   Alcotest.(check int) "runs compared" 106 !runs
 
+(* ---- issue-order replay ---- *)
+
+(* Every value effect of [Sm.run] happens at issue, so replaying the
+   issue order [Sm.record] returns on freshly filled memory leaves that
+   memory bit-identical to the recorded run's; recording changes nothing
+   the run reports. Checked on the serve-warm targets (Kepler), three
+   Fermi ones and the contention programs on both architectures. *)
+let test_replay_equals_full_run () =
+  let open Gpusim in
+  let runs = ref 0 in
+  let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let check label fresh_job =
+    incr runs;
+    let recorded = fresh_job () in
+    let r, order = Sm.record recorded in
+    Alcotest.(check int)
+      (label ^ ": one byte per issue")
+      r.Sm.counters.Sm.issued (Sm.order_bytes order);
+    Alcotest.(check bool)
+      (label ^ ": recording changes no result")
+      true
+      (bytes r = bytes (Sm.run (fresh_job ())));
+    let replayed = fresh_job () in
+    Sm.replay replayed order;
+    Alcotest.(check bool)
+      (label ^ ": replayed memory bit-identical")
+      true
+      (bytes (Option.get recorded.Sm.mem) = bytes (Option.get replayed.Sm.mem))
+  in
+  let check_target arch ((m, k, v, w, n) as t) =
+    check
+      (Printf.sprintf "%s %s %s %s w%d %d" arch.Arch.name m k v w n)
+      (fun () -> compiled_job arch t)
+  in
+  let kepler = Arch.kepler_k20c and fermi = Arch.fermi_c2070 in
+  List.iter (check_target kepler) serve_warm_targets;
+  List.iter (check_target fermi)
+    [
+      ("hydrogen", "viscosity", "ws", 4, 4096);
+      ("dme", "diffusion", "ws", 4, 8192);
+      ("hydrogen", "chemistry", "baseline", 8, 2048);
+    ];
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun ((p, _) as prog) ->
+          check
+            (Printf.sprintf "%s contention %s" arch.Arch.name p.Isa.name)
+            (fun () -> contention_job arch prog))
+        (contention_programs ()))
+    [ kepler; fermi ];
+  Alcotest.(check int) "runs replayed" 30 !runs
+
 let tests =
   [
     Alcotest.test_case "golden model and trace bit-identity" `Quick
@@ -1169,4 +1222,6 @@ let tests =
       test_contention_bit_identity;
     Alcotest.test_case "timing-only runs equal full runs" `Quick
       test_timing_only_equals_full;
+    Alcotest.test_case "replayed issue order equals the full run" `Quick
+      test_replay_equals_full_run;
   ]

@@ -783,6 +783,172 @@ let test_inputs_memo () =
     (stats ()).Singe.Compile.entries;
   same "cold again" cold (run visc)
 
+(* ---- the launch-shape store ---- *)
+
+(* A run's whole result: the chip result (memory, main and tail
+   simulations, schedule), the outputs and the oracle error, bit for
+   bit. *)
+let run_bytes (r : Singe.Compile.run_result) =
+  Marshal.to_string
+    (r.Singe.Compile.machine, r.Singe.Compile.outputs, r.Singe.Compile.max_rel_err)
+    [ Marshal.No_sharing ]
+
+let fault_bytes f = Marshal.to_string f [ Marshal.No_sharing ]
+
+let store_stats = Singe.Compile.shape_store_stats
+let served () = (store_stats ()).Singe.Compile.runs_served
+
+(* Targets with a tail round (128 CTAs, 6 resident) and without one, and
+   one that also extrapolates from pin runs (1024 CTAs of 8 batches, 13
+   resident, a tail of 10): main, pin, tail and tail-pin simulations all
+   go through the store. The last field counts them. *)
+let store_targets =
+  Singe.Kernel_abi.
+    [
+      (Viscosity, Singe.Compile.Warp_specialized, 4096, 2);
+      (Chemistry, Singe.Compile.Baseline, 2048, 1);
+      (Conductivity, Singe.Compile.Warp_specialized, 262144, 4);
+    ]
+
+let store_compile ?(memo = true) kernel version =
+  let mech = Chem.Mech_gen.hydrogen () in
+  let n_warps = match version with Singe.Compile.Baseline -> 8 | _ -> 4 in
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo mech kernel version
+       (Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel))
+
+(* A warm run serves every simulation of its launch from the store and
+   equals the cold run that filled it and a run after [memo_clear], whole
+   result for whole result. Mutating a returned result's counters and
+   cache stats does not reach the store. *)
+let test_shape_store_warm_equals_cold () =
+  Singe.Compile.memo_clear ();
+  List.iter
+    (fun (kernel, version, total_points, sims) ->
+      let label = Singe.Kernel_abi.kernel_name kernel in
+      let run () =
+        Singe.Compile.run (store_compile kernel version) ~total_points
+      in
+      let s0 = served () in
+      let cold = run () in
+      Alcotest.(check int) (label ^ ": a cold run simulates") s0 (served ());
+      let warm = run () in
+      Alcotest.(check int)
+        (label ^ ": a warm run serves every simulation")
+        (s0 + sims) (served ());
+      Alcotest.(check bool)
+        (label ^ ": warm = cold")
+        true
+        (run_bytes cold = run_bytes warm);
+      let poison (r : Gpusim.Sm.result) =
+        r.Gpusim.Sm.counters.Gpusim.Sm.issued <- -1;
+        r.Gpusim.Sm.counters.Gpusim.Sm.flops <- -1;
+        r.Gpusim.Sm.icache.Gpusim.Caches.Icache.misses <- -1;
+        r.Gpusim.Sm.ccache.Gpusim.Caches.Ccache.hits <- -1
+      in
+      poison warm.Singe.Compile.machine.Gpusim.Chip.sim;
+      Option.iter poison warm.Singe.Compile.machine.Gpusim.Chip.tail_sim;
+      Alcotest.(check bool)
+        (label ^ ": a mutated result leaves the store intact")
+        true
+        (run_bytes cold = run_bytes (run ()));
+      Singe.Compile.memo_clear ();
+      Alcotest.(check int)
+        (label ^ ": memo_clear drops every store")
+        0 (store_stats ()).Singe.Compile.stores;
+      Alcotest.(check bool)
+        (label ^ ": after memo_clear = cold")
+        true
+        (run_bytes cold = run_bytes (run ())))
+    store_targets
+
+(* Budgets, faults and profiles: a budget below the stored cycles raises
+   the fault a fresh simulation raises (same cycle, same dumps), a budget
+   of exactly the stored cycles is served, and a run with faults or the
+   profiler simulates as without a store. *)
+let test_shape_store_bypass () =
+  Singe.Compile.memo_clear ();
+  let kernel = Singe.Kernel_abi.Conductivity
+  and version = Singe.Compile.Warp_specialized
+  and total_points = 262144 in
+  let c = store_compile kernel version in
+  let cold = Singe.Compile.run c ~total_points in
+  let cycles = cold.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.cycles in
+  let fault ?(c = c) max_cycles =
+    match Singe.Compile.run c ~total_points ~max_cycles with
+    | _ -> Alcotest.failf "a budget of %d cycles did not fault" max_cycles
+    | exception Gpusim.Sm.Simulation_fault f -> f
+  in
+  List.iter
+    (fun budget ->
+      let s0 = served () in
+      let stored = fault budget in
+      Alcotest.(check int)
+        (Printf.sprintf "budget %d simulates" budget)
+        s0 (served ());
+      let fresh = fault ~c:(store_compile ~memo:false kernel version) budget in
+      Alcotest.(check bool)
+        (Printf.sprintf "budget %d: the fresh run's fault" budget)
+        true
+        (fault_bytes stored = fault_bytes fresh))
+    [ cycles - 1; cycles / 2; 100 ];
+  let s0 = served () in
+  let exact = Singe.Compile.run c ~total_points ~max_cycles:cycles in
+  Alcotest.(check bool) "a budget of the stored cycles is served" true
+    (served () > s0);
+  Alcotest.(check bool) "and equals the cold run" true
+    (run_bytes cold = run_bytes exact);
+  let shapes0 = (store_stats ()).Singe.Compile.shapes_stored in
+  let s0 = served () in
+  let profiled =
+    Singe.Compile.run c ~total_points ~profile:Gpusim.Sm.default_profile
+  in
+  Alcotest.(check bool) "a profiled run has its profile" true
+    (profiled.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile <> None);
+  ignore
+    (Singe.Compile.run c ~total_points
+       ~faults:[ Result.get_ok (Gpusim.Fault.of_string "corrupt-shfl:warp=0,nth=0") ]);
+  let drop =
+    match
+      Singe.Compile.run c ~total_points
+        ~faults:[ Result.get_ok (Gpusim.Fault.of_string "drop-arrive:warp=1,nth=0") ]
+    with
+    | _ -> None
+    | exception Gpusim.Sm.Simulation_fault f -> Some f
+  in
+  Alcotest.(check bool) "a dropped arrive still deadlocks" true (drop <> None);
+  Alcotest.(check int) "faults and profiles serve nothing" s0 (served ());
+  Alcotest.(check int) "and store nothing" shapes0
+    (store_stats ()).Singe.Compile.shapes_stored
+
+(* The store lives as long as its program: an artifact evicted from the
+   compile memo and no longer held is collected with its store, so a
+   server cycling through targets keeps no dead programs alive. *)
+let test_shape_store_lifetime () =
+  let prev_limit = Singe.Compile.memo_limit () in
+  Fun.protect
+    ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
+    (fun () ->
+      Singe.Compile.memo_clear ();
+      Singe.Compile.set_memo_limit 1;
+      let weak = Weak.create 1 in
+      let run_and_forget kernel =
+        let c = store_compile kernel Singe.Compile.Warp_specialized in
+        ignore (Singe.Compile.run c ~total_points:4096);
+        Weak.set weak 0 (Some c.Singe.Compile.lowered.Singe.Lower.program)
+      in
+      (Sys.opaque_identity run_and_forget) Singe.Kernel_abi.Viscosity;
+      Alcotest.(check int) "one store" 1 (store_stats ()).Singe.Compile.stores;
+      Gc.full_major ();
+      Alcotest.(check bool) "a memoized program stays" true
+        (Weak.check weak 0);
+      (* Evict it. *)
+      ignore (store_compile Singe.Kernel_abi.Conductivity Singe.Compile.Warp_specialized);
+      Gc.full_major ();
+      Alcotest.(check bool) "an evicted program is collected" false
+        (Weak.check weak 0);
+      Alcotest.(check int) "with its store" 0 (store_stats ()).Singe.Compile.stores)
+
 let tests =
   [
     request_roundtrip_qcheck;
@@ -822,4 +988,10 @@ let tests =
     Alcotest.test_case "CLI and serve reject alike" `Quick
       test_cli_serve_parity;
     Alcotest.test_case "launch-inputs memo" `Quick test_inputs_memo;
+    Alcotest.test_case "shape store: warm equals cold" `Quick
+      test_shape_store_warm_equals_cold;
+    Alcotest.test_case "shape store: budgets, faults, profiles" `Quick
+      test_shape_store_bypass;
+    Alcotest.test_case "shape store: lifetime of its program" `Quick
+      test_shape_store_lifetime;
   ]
