@@ -321,13 +321,13 @@ let extrapolate ~batches ~sim_batches ~(sim : Sm.result)
 
 (* ---- launch-shape store ----
    A launch shape's simulated cycles, counters and cache stats never
-   depend on float values, and every value effect happens at issue, so
-   one simulation of a shape with its issue order recorded stands for
-   every later run of it: the results are returned again and the order
-   is replayed into the later launch's memory (DESIGN §9.1). A store
-   serves one program on one architecture, keyed by resident CTAs and
-   simulated batches. Callers get copies: a stored result's counters and
-   cache stats are mutable records. *)
+   depend on float values, and its memory is a function of its issue
+   order, so one simulation of a shape stands for every later run of it:
+   the result is returned again and the order is replayed into the later
+   launch's memory (DESIGN §9.1). A store serves one program on one
+   architecture, keyed by resident CTAs and simulated batches. Callers
+   get copies: a stored result's counters and cache stats are mutable
+   records. *)
 
 type store_counters = {
   shapes_stored : int Atomic.t;
@@ -342,14 +342,9 @@ let store_counters () =
     runs_served = Atomic.make 0;
   }
 
-type shape = {
-  sim : Sm.result;
-  order : Sm.order option;  (** recorded by a run with memory *)
-}
-
 type store = {
   mutex : Mutex.t;
-  shapes : (int * int, shape) Hashtbl.t;
+  shapes : (int * int, Sm.result * Sm.order) Hashtbl.t;
   counters : store_counters;
 }
 
@@ -370,41 +365,28 @@ let copy_result (r : Sm.result) =
   }
 
 (* [job] from the store when its shape is there and finishes within the
-   budget (a run of [cycles] cycles passes any budget >= [cycles]), with
-   the order replayed into [job.mem]; otherwise simulated, and stored if
-   it completes. *)
+   budget (a run of [cycles] cycles passes any budget >= [cycles]);
+   otherwise simulated, and stored if it completes. *)
 let stored_run s ?max_cycles (job : Sm.job) =
   let key = (job.Sm.resident_ctas, job.Sm.batches) in
-  let values = job.Sm.mem <> None in
   let within (r : Sm.result) =
     match max_cycles with None -> true | Some b -> r.Sm.cycles <= b
   in
   match locked s (fun () -> Hashtbl.find_opt s.shapes key) with
-  | Some { sim; order } when within sim && ((not values) || order <> None) ->
-      if values then Option.iter (Sm.replay job) order;
+  | Some (sim, order) when within sim ->
       Atomic.incr s.counters.runs_served;
-      copy_result sim
+      (copy_result sim, order)
   | Some _ | None ->
-      let sim, order =
-        if values then
-          let sim, order = Sm.record ?max_cycles job in
-          (sim, Some order)
-        else (Sm.run ?max_cycles job, None)
-      in
+      let ((sim, order) as fresh) = Sm.run ?max_cycles job in
       locked s (fun () ->
-          match Hashtbl.find_opt s.shapes key with
-          | Some { order = Some _; _ } -> ()
-          | Some { order = None; _ } when Option.is_none order -> ()
-          | known ->
-              Hashtbl.replace s.shapes key { sim; order };
-              if Option.is_none known then Atomic.incr s.counters.shapes_stored;
-              Option.iter
-                (fun o ->
-                  ignore
-                    (Atomic.fetch_and_add s.counters.order_bytes_stored
-                       (Sm.order_bytes o)))
-                order);
-      copy_result sim
+          if not (Hashtbl.mem s.shapes key) then begin
+            Hashtbl.add s.shapes key fresh;
+            Atomic.incr s.counters.shapes_stored;
+            ignore
+              (Atomic.fetch_and_add s.counters.order_bytes_stored
+                 (Sm.order_bytes order))
+          end);
+      (copy_result sim, order)
 
 let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     ?max_cycles ?profile ?n_sms ?skew ?store (arch : Arch.t) (l : launch) =
@@ -439,9 +421,6 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     Memstate.create l.program ~n_points:simulated_points ~resident_ctas:resident
   in
   fill_inputs mem simulated_points;
-  (* The secondary simulations (the pin runs and the tail round) are
-     timing-only: their outputs would be discarded, and simulated cycles
-     and counters never depend on float values (DESIGN §9.1). *)
   let pin_batches = sim_batches - 2 in
   let pinned = batches > sim_batches in
   let tail = if l.ctas > resident then l.ctas mod resident else 0 in
@@ -449,12 +428,11 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
       (Trace.flatten arch l.program)
   in
-  let job_of ~mem ~resident_ctas ~batches =
+  let job_of ~resident_ctas ~batches =
     {
       Sm.arch;
       program = l.program;
       trace;
-      mem;
       resident_ctas;
       batches;
       cta_point_base =
@@ -468,27 +446,23 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     | Some s -> stored_run s ?max_cycles job
     | None -> Sm.run ?max_cycles ?profile job
   in
-  (* The profiler rides only the main simulation. *)
-  let sim =
-    simulate ?profile
-      (job_of ~mem:(Some mem) ~resident_ctas:resident ~batches:sim_batches)
-  in
+  (* The profiler rides only the main simulation, and only its order is
+     replayed: the pin and tail runs' outputs would be discarded. *)
+  let main = job_of ~resident_ctas:resident ~batches:sim_batches in
+  let sim, order = simulate ?profile main in
+  Sm.replay main mem order;
   (* The full-round cycles of [resident_ctas] CTAs, extrapolated from a
-     timing-only pin run when the launch streams more batches. *)
+     pin run when the launch streams more batches. *)
   let extrapolated ~resident_ctas (s : Sm.result) =
     if not pinned then float_of_int s.Sm.cycles
     else
-      let sim_prev =
-        simulate (job_of ~mem:None ~resident_ctas ~batches:pin_batches)
-      in
+      let sim_prev, _ = simulate (job_of ~resident_ctas ~batches:pin_batches) in
       extrapolate ~batches ~sim_batches ~sim:s ~sim_prev
   in
   let cycles_full = extrapolated ~resident_ctas:resident sim in
   let tail_sim =
     if tail = 0 then None
-    else
-      Some
-        (simulate (job_of ~mem:None ~resident_ctas:tail ~batches:sim_batches))
+    else Some (fst (simulate (job_of ~resident_ctas:tail ~batches:sim_batches)))
   in
   let tail_cycles_full =
     match tail_sim with

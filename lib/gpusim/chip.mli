@@ -149,12 +149,12 @@ type result = {
 (** {1 Launch-shape store}
 
     A launch's simulated cycles, counters and cache stats depend only on
-    its program, architecture and shape, never on float values, and
-    every value effect happens at issue. A store keeps, per shape (resident
-    CTAs, simulated batches), one simulation's {!Sm.result} and, for a
-    run with memory, its recorded {!Sm.order}; a later {!run} of the same
-    shape returns copies of the results and replays the order into its
-    own memory ({!Sm.replay}) instead of simulating. *)
+    its program, architecture and shape, never on float values, and its
+    memory is a function of its issue order. A store keeps, per shape
+    (resident CTAs, simulated batches), one simulation's {!Sm.result}
+    and {!Sm.order}, whichever round first ran it (main, pin or tail); a
+    later {!run} with that shape returns a copy of the result instead of
+    simulating, and a main round replays the order into its own memory. *)
 
 type store_counters = {
   shapes_stored : int Atomic.t;  (** shapes simulated and stored *)
@@ -185,10 +185,10 @@ val run :
   launch ->
   result
 (** [fill_inputs mem n_points] populates the input field groups and is
-    called exactly once, for the main simulation, the only one that
-    computes values; every secondary run (pin runs and the tail round)
-    is timing-only ([Sm.job.mem = None]): its outputs would be discarded,
-    and simulated cycles never depend on float values.
+    called exactly once. Every simulation ({!Sm.run}) is timing only;
+    the main round's issue order is then replayed into [mem]
+    ({!Sm.replay}), and the pin and tail runs' orders are dropped: their
+    outputs would be discarded.
     Launches streaming more than [max_sim_batches] batches per CTA
     (default 6, clamped to at least 2) are extrapolated from two runs
     two batches apart: their difference is one full period of the
@@ -216,7 +216,7 @@ val run :
     absent, and a stored shape only when its cycles are [<= max_cycles];
     every other simulation runs as without a store (a budget fault is
     raised by a fresh simulation, with its own report), and one that
-    completes is stored. The main simulation, the pin runs and the tail
-    round each go through the store; the result is bit-identical to a
-    run without it, [sim] and [tail_sim] are fresh copies and [mem] is
-    this run's own. *)
+    completes is stored with its order. The main simulation, the pin runs
+    and the tail round each go through the store; the result is
+    bit-identical to a run without it, [sim] and [tail_sim] are fresh
+    copies and [mem] is this run's own. *)

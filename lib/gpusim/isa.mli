@@ -184,5 +184,4 @@ val validate : program -> (unit, string list) result
     [\[0, 32)], Switch_warp arity, bank dimensions. Per-instruction
     problems are positioned ("body[17]: shfl: lane 33 outside [0, 32)"). *)
 
-val pp_instr : Format.formatter -> instr -> unit
 val pp_block : Format.formatter -> block -> unit

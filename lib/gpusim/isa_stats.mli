@@ -19,22 +19,16 @@ type mix = {
   total : int;
 }
 
-val empty_mix : mix
-val add_mix : mix -> mix -> mix
-
 val mix_of_block : Isa.block -> mix
 (** Whole-tree static mix (every instruction once, regardless of mask). *)
 
-val shared_bytes_of_instr : Isa.instr -> int
-(** Shared-memory bytes one warp moves executing the instruction once:
-    8 bytes per active lane for lane-striped loads/stores, 8 for a uniform
-    broadcast, and the same accounting for [Sshared] operands embedded in
-    arithmetic/moves/stores (the collector-less shared-pipe traffic the
-    exchange synthesizer removes). *)
-
 val shared_bytes_of_program : Isa.program -> int
 (** Shared-traffic bytes per body pass, summed across the warps that
-    execute each instruction (mask-aware). *)
+    execute each instruction (mask-aware): 8 bytes per active lane for
+    lane-striped loads/stores, 8 for a uniform broadcast, and the same
+    accounting for [Sshared] operands embedded in arithmetic/moves/stores
+    (the collector-less shared-pipe traffic the exchange synthesizer
+    removes). *)
 
 type per_warp = {
   warp : int;

@@ -80,19 +80,6 @@ let demand_of (arch : Arch.t) (p : Isa.program) =
   go full p.Isa.body;
   d
 
-let demand_cycles (arch : Arch.t) (d : demand) =
-  let per rate units = if units <= 0.0 then 0.0 else units /. rate in
-  [
-    ("warp-instruction issue",
-     per (float_of_int arch.Arch.schedulers) d.warp_instrs);
-    ("DP pipe", per arch.Arch.dp_issue_per_cycle d.dp_slots);
-    ("shared-memory pipe", per arch.Arch.shared_issue_per_cycle d.shared_slots);
-    ("texture path", per arch.Arch.tex_bytes_per_cycle d.tex_bytes);
-    ("global-memory path", per arch.Arch.global_bytes_per_cycle d.global_bytes);
-    ("local-memory (spill) path",
-     per arch.Arch.local_bytes_per_cycle d.local_bytes);
-  ]
-
 let analyze (arch : Arch.t) (p : Isa.program) =
   let occ = Chip.occupancy arch p in
   let d = demand_of arch p in

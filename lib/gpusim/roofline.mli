@@ -20,27 +20,6 @@ type t = {
   occupancy : Chip.occupancy;
 }
 
-type demand = {
-  mutable warp_instrs : float;  (** issue slots *)
-  mutable dp_slots : float;  (** DFMA-equivalent DP issue slots *)
-  mutable shared_slots : float;  (** warp shared-access slots *)
-  mutable tex_bytes : float;
-  mutable global_bytes : float;
-  mutable local_bytes : float;
-}
-(** Per-CTA-batch demand on each machine resource, from one walk of the
-    body with warp masks. Exposed so the performance model
-    ([Singe.Perf_model]) can turn the same accounting into cycles. *)
-
-val demand_of : Arch.t -> Isa.program -> demand
-
-val demand_cycles : Arch.t -> demand -> (string * float) list
-(** [(resource, cycles)] — SM cycles one CTA-batch of demand occupies on
-    each issue pipe / bandwidth path ([demand / rate]; resources with no
-    demand report 0). The maximum entry is the throughput-side floor on
-    per-batch execution time; {!analyze}'s bounds are the same ratios
-    expressed as points/s ceilings. *)
-
 val analyze : Arch.t -> Isa.program -> t
 (** Per-SM ceilings from: warp-instruction issue, the DP pipe (counting
     multi-slot special functions and constant-operand penalties), the

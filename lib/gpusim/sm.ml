@@ -103,7 +103,6 @@ type job = {
   arch : Arch.t;
   program : Isa.program;
   trace : Trace.t;
-  mem : Memstate.t option;
   resident_ctas : int;
   batches : int;
   cta_point_base : int array;
@@ -116,7 +115,6 @@ type warp = {
   wid : int;
   index : int;  (** position in the warp array *)
   cur : Trace.cursor;
-  fregs : float array array;
   iregs : int array array;
   freg_ready : int array;
   ireg_ready : int array;
@@ -269,18 +267,17 @@ let wait_lsu_shared = 3
 let n_wait_classes = 4
 
 (* --- value semantics ---
-   Everything an issued instruction computes, loads or stores, in one
-   function shared by [run], which calls it at issue, and [replay].
+   The issue loop runs only [execute_ints] ([Ld_param], [Ishfl]): integer
+   registers feed shared addresses, bank conflicts and [F_ireg] field
+   selectors. Everything else an instruction computes, loads or stores is
+   [execute], which only [replay] calls, after [execute_ints], on its own
+   float register files ([fregs.(warp index)]) and three scratch columns.
    Lanes execute over a predicate's [lo..hi] range with the operation
-   matched once outside the lane loop; non-register operands load into
-   preallocated 32-lane columns, so executing an instruction allocates
-   nothing. Without memory only the integer effects run ([Ld_param],
-   [Ishfl]): integer registers feed shared addresses, bank conflicts and
-   [F_ireg] field selectors. *)
-let scratch_columns () = Array.init 3 (fun _ -> Array.make 32 0.0)
+   matched once outside the lane loop; non-register operands load into the
+   32-lane columns, so executing an instruction allocates nothing. *)
+type values = { mem : Memstate.t; fregs : float array array array; cols : float array array }
 
-(* The warps of every resident CTA, in issue-order index; without memory
-   they get no float register file. *)
+(* The warps of every resident CTA, in issue-order index. *)
 let make_warps (job : job) =
   let p = job.program in
   Array.init (job.resident_ctas * p.Isa.n_warps) (fun i ->
@@ -289,10 +286,6 @@ let make_warps (job : job) =
         wid = i mod p.Isa.n_warps;
         index = i;
         cur = Trace.cursor ();
-        fregs =
-          (if job.mem <> None then
-             Array.init (max 1 p.Isa.n_fregs) (fun _ -> Array.make 32 0.0)
-           else [||]);
         iregs = Array.init (max 1 p.Isa.n_iregs) (fun _ -> Array.make 32 0);
         freg_ready = Array.make (max 1 p.Isa.n_fregs) 0;
         ireg_ready = Array.make (max 1 p.Isa.n_iregs) 0;
@@ -320,37 +313,37 @@ let saddr_eval (a : Isa.saddr) w lane =
 
 (* The values of [src] on lanes [lo..hi] (non-empty): a register's own
    row, or column [k] filled for those lanes only. *)
-let load_src (job : job) cols (mem : Memstate.t) w src k lo hi =
+let load_src (job : job) v w src k lo hi =
   match src with
-  | Isa.Sreg r -> w.fregs.(r)
+  | Isa.Sreg r -> v.fregs.(w.index).(r)
   | Isa.Simm f ->
-      let col = cols.(k) in
+      let col = v.cols.(k) in
       for l = lo to hi do
         col.(l) <- f
       done;
       col
   | Isa.Sconst s ->
-      let col = cols.(k) and v = job.program.Isa.const_mem.(s) in
+      let col = v.cols.(k) and c = job.program.Isa.const_mem.(s) in
       for l = lo to hi do
-        col.(l) <- v
+        col.(l) <- c
       done;
       col
   | Isa.Sconst_warp s ->
-      let col = cols.(k) and v = job.program.Isa.const_mem.(s + w.wid) in
+      let col = v.cols.(k) and c = job.program.Isa.const_mem.(s + w.wid) in
       for l = lo to hi do
-        col.(l) <- v
+        col.(l) <- c
       done;
       col
   | Isa.Sshared a ->
-      let col = cols.(k) and sh = mem.Memstate.shared.(w.cta) in
+      let col = v.cols.(k) and sh = v.mem.Memstate.shared.(w.cta) in
       for l = lo to hi do
         col.(l) <- sh.(saddr_eval a w l)
       done;
       col
 
-let exec_arith job cols mem w op dst (srcs : Isa.src array) lo hi =
-  let d = w.fregs.(dst) in
-  let a = load_src job cols mem w srcs.(0) 0 lo hi in
+let exec_arith job v w op dst (srcs : Isa.src array) lo hi =
+  let d = v.fregs.(w.index).(dst) in
+  let a = load_src job v w srcs.(0) 0 lo hi in
   match op with
   | Isa.Sqrt ->
       for l = lo to hi do
@@ -369,7 +362,7 @@ let exec_arith job cols mem w op dst (srcs : Isa.src array) lo hi =
         d.(l) <- -.a.(l)
       done
   | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Div | Isa.Max | Isa.Min -> (
-      let b = load_src job cols mem w srcs.(1) 1 lo hi in
+      let b = load_src job v w srcs.(1) 1 lo hi in
       match op with
       | Isa.Add ->
           for l = lo to hi do
@@ -396,138 +389,149 @@ let exec_arith job cols mem w op dst (srcs : Isa.src array) lo hi =
             d.(l) <- Float.min a.(l) b.(l)
           done
       | Isa.Fma ->
-          let c = load_src job cols mem w srcs.(2) 2 lo hi in
+          let c = load_src job v w srcs.(2) 2 lo hi in
           for l = lo to hi do
             d.(l) <- Float.fma a.(l) b.(l) c.(l)
           done
       | Isa.Sqrt | Isa.Exp | Isa.Log | Isa.Neg -> assert false)
 
-(* The value effects of warp [w] issuing [entry] in point batch [batch]. *)
-let execute (job : job) cols w (entry : Trace.entry) batch =
-  match entry.Trace.instr with
-  | None -> ()
-  | Some instr -> (
-      let p = job.program in
-      match (instr, job.mem) with
-      | Isa.Ld_param { dst_i; slot }, _ ->
-          let d = w.iregs.(dst_i) and bank = p.Isa.param_bank.(w.wid) in
-          for lane = 0 to 31 do
-            d.(lane) <- bank.(lane).(slot)
-          done
-      | Isa.Ishfl { dst_i; src_i; lane }, _ ->
-          let d = w.iregs.(dst_i) and v = w.iregs.(src_i).(lane) in
-          for l = 0 to 31 do
-            d.(l) <- v
-          done
-      | _, None -> ()
-      | Isa.Arith { op; dst; srcs; pred }, Some mem ->
-          let lo = lane_lo pred and hi = lane_hi pred in
-          if lo <= hi then exec_arith job cols mem w op dst srcs lo hi
-      | Isa.Mov { dst; src; pred }, Some mem ->
-          let lo = lane_lo pred and hi = lane_hi pred in
-          if lo <= hi then begin
-            let d = w.fregs.(dst) and v = load_src job cols mem w src 0 lo hi in
+(* The float effects of warp [w] issuing [instr] in point batch [batch]. *)
+let execute (job : job) v w (instr : Isa.instr) batch =
+  let p = job.program and fr = v.fregs.(w.index) and mem = v.mem in
+  match instr with
+  | Isa.Arith { op; dst; srcs; pred } ->
+      let lo = lane_lo pred and hi = lane_hi pred in
+      if lo <= hi then exec_arith job v w op dst srcs lo hi
+  | Isa.Mov { dst; src; pred } ->
+      let lo = lane_lo pred and hi = lane_hi pred in
+      if lo <= hi then begin
+        let d = fr.(dst) and s = load_src job v w src 0 lo hi in
+        for l = lo to hi do
+          d.(l) <- s.(l)
+        done
+      end
+  | Isa.Ld_global { dst; group; field; pred; _ } -> (
+      let lo = lane_lo pred and hi = lane_hi pred in
+      if lo <= hi then
+        let d = fr.(dst) and g = mem.Memstate.globals.(group) in
+        let pt = point_base job w batch in
+        match field with
+        | Isa.F_static f ->
+            let col = g.(f) in
             for l = lo to hi do
-              d.(l) <- v.(l)
+              d.(l) <- col.(pt + l)
             done
-          end
-      | Isa.Ld_global { dst; group; field; pred; _ }, Some mem -> (
-          let lo = lane_lo pred and hi = lane_hi pred in
-          if lo <= hi then
-            let d = w.fregs.(dst) and g = mem.Memstate.globals.(group) in
-            let pt = point_base job w batch in
-            match field with
-            | Isa.F_static f ->
-                let col = g.(f) in
-                for l = lo to hi do
-                  d.(l) <- col.(pt + l)
-                done
-            | Isa.F_ireg r ->
-                let fr = w.iregs.(r) in
-                for l = lo to hi do
-                  d.(l) <- g.(fr.(l)).(pt + l)
-                done)
-      | Isa.St_global { src; group; field; pred }, Some mem -> (
-          let lo = lane_lo pred and hi = lane_hi pred in
-          if lo <= hi then
-            let v = load_src job cols mem w src 0 lo hi in
-            let g = mem.Memstate.globals.(group) in
-            let pt = point_base job w batch in
-            match field with
-            | Isa.F_static f ->
-                let col = g.(f) in
-                for l = lo to hi do
-                  col.(pt + l) <- v.(l)
-                done
-            | Isa.F_ireg r ->
-                let fr = w.iregs.(r) in
-                for l = lo to hi do
-                  g.(fr.(l)).(pt + l) <- v.(l)
-                done)
-      | Isa.Ld_shared { dst; addr; pred }, Some mem ->
-          let lo = lane_lo pred and hi = lane_hi pred in
-          let d = w.fregs.(dst) and sh = mem.Memstate.shared.(w.cta) in
-          for l = lo to hi do
-            d.(l) <- sh.(saddr_eval addr w l)
-          done
-      | Isa.St_shared { src; addr; pred }, Some mem -> (
-          let lo = lane_lo pred and hi = lane_hi pred in
-          if lo <= hi then
-            let sh = mem.Memstate.shared.(w.cta) in
-            match src with
-            | Isa.Sshared a ->
-                (* Shared to shared: a lane may read what a lower lane
-                   just wrote, so go lane by lane. *)
-                for l = lo to hi do
-                  sh.(saddr_eval addr w l) <- sh.(saddr_eval a w l)
-                done
-            | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _ | Isa.Sconst_warp _ ->
-                let v = load_src job cols mem w src 0 lo hi in
-                for l = lo to hi do
-                  sh.(saddr_eval addr w l) <- v.(l)
-                done)
-      | Isa.Ld_local { dst; slot }, Some mem ->
-          let d = w.fregs.(dst) and loc = mem.Memstate.local.(w.cta) in
-          for lane = 0 to 31 do
-            d.(lane) <- loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot)
-          done
-      | Isa.St_local { src; slot }, Some mem ->
-          let v = w.fregs.(src) and loc = mem.Memstate.local.(w.cta) in
-          for lane = 0 to 31 do
-            loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot) <- v.(lane)
-          done
-      | Isa.Ld_const_bank { dst; slot }, Some _ ->
-          let d = w.fregs.(dst) and bank = p.Isa.const_bank.(w.wid) in
-          for lane = 0 to 31 do
-            d.(lane) <- bank.(lane).(slot)
-          done
-      | Isa.Shfl { dst; src; lane }, Some _ ->
-          let d = w.fregs.(dst) and v = w.fregs.(src).(lane) in
+        | Isa.F_ireg r ->
+            let fi = w.iregs.(r) in
+            for l = lo to hi do
+              d.(l) <- g.(fi.(l)).(pt + l)
+            done)
+  | Isa.St_global { src; group; field; pred } -> (
+      let lo = lane_lo pred and hi = lane_hi pred in
+      if lo <= hi then
+        let s = load_src job v w src 0 lo hi in
+        let g = mem.Memstate.globals.(group) in
+        let pt = point_base job w batch in
+        match field with
+        | Isa.F_static f ->
+            let col = g.(f) in
+            for l = lo to hi do
+              col.(pt + l) <- s.(l)
+            done
+        | Isa.F_ireg r ->
+            let fi = w.iregs.(r) in
+            for l = lo to hi do
+              g.(fi.(l)).(pt + l) <- s.(l)
+            done)
+  | Isa.Ld_shared { dst; addr; pred } ->
+      let lo = lane_lo pred and hi = lane_hi pred in
+      let d = fr.(dst) and sh = mem.Memstate.shared.(w.cta) in
+      for l = lo to hi do
+        d.(l) <- sh.(saddr_eval addr w l)
+      done
+  | Isa.St_shared { src; addr; pred } -> (
+      let lo = lane_lo pred and hi = lane_hi pred in
+      if lo <= hi then
+        let sh = mem.Memstate.shared.(w.cta) in
+        match src with
+        | Isa.Sshared a ->
+            (* Shared to shared: a lane may read what a lower lane just
+               wrote, so go lane by lane. *)
+            for l = lo to hi do
+              sh.(saddr_eval addr w l) <- sh.(saddr_eval a w l)
+            done
+        | Isa.Sreg _ | Isa.Simm _ | Isa.Sconst _ | Isa.Sconst_warp _ ->
+            let s = load_src job v w src 0 lo hi in
+            for l = lo to hi do
+              sh.(saddr_eval addr w l) <- s.(l)
+            done)
+  | Isa.Ld_local { dst; slot } ->
+      let d = fr.(dst) and loc = mem.Memstate.local.(w.cta) in
+      for lane = 0 to 31 do
+        d.(lane) <- loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot)
+      done
+  | Isa.St_local { src; slot } ->
+      let s = fr.(src) and loc = mem.Memstate.local.(w.cta) in
+      for lane = 0 to 31 do
+        loc.((((w.wid * 32) + lane) * p.Isa.local_doubles) + slot) <- s.(lane)
+      done
+  | Isa.Ld_const_bank { dst; slot } ->
+      let d = fr.(dst) and bank = p.Isa.const_bank.(w.wid) in
+      for lane = 0 to 31 do
+        d.(lane) <- bank.(lane).(slot)
+      done
+  | Isa.Shfl { dst; src; lane } ->
+      let d = fr.(dst) and s = fr.(src).(lane) in
+      for l = 0 to 31 do
+        d.(l) <- s
+      done
+  | Isa.Shfl_rot { dst; src; delta } | Isa.Shfl_bfly { dst; src; xor_mask = delta }
+    -> (
+      (* Snapshot the source row first: after register allocation [dst]
+         may alias [src], and every lane reads another lane's
+         pre-shuffle value. *)
+      let prev = v.cols.(0) and d = fr.(dst) in
+      Array.blit fr.(src) 0 prev 0 32;
+      match instr with
+      | Isa.Shfl_rot _ ->
           for l = 0 to 31 do
-            d.(l) <- v
+            d.(l) <- prev.((l + delta) land 31)
           done
-      | (Isa.Shfl_rot { dst; src; delta } | Isa.Shfl_bfly { dst; src; xor_mask = delta }), Some _
-        -> (
-          (* Snapshot the source row first: after register allocation
-             [dst] may alias [src], and every lane reads another lane's
-             pre-shuffle value. *)
-          let prev = cols.(0) and d = w.fregs.(dst) in
-          Array.blit w.fregs.(src) 0 prev 0 32;
-          match instr with
-          | Isa.Shfl_rot _ ->
-              for l = 0 to 31 do
-                d.(l) <- prev.((l + delta) land 31)
-              done
-          | _ ->
-              for l = 0 to 31 do
-                d.(l) <- prev.(l lxor delta)
-              done)
-      | (Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta), Some _ -> ())
+      | _ ->
+          for l = 0 to 31 do
+            d.(l) <- prev.(l lxor delta)
+          done)
+  | Isa.Ld_param _ | Isa.Ishfl _ | Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta -> ()
 
-(* One byte of issue order per issue holds the warp's index. *)
-let max_recorded_warps = 256
+(* The integer effects of warp [w] issuing [entry]. *)
+let execute_ints (p : Isa.program) w (entry : Trace.entry) =
+  match entry.Trace.instr with
+  | Some (Isa.Ld_param { dst_i; slot }) ->
+      let d = w.iregs.(dst_i) and bank = p.Isa.param_bank.(w.wid) in
+      for lane = 0 to 31 do
+        d.(lane) <- bank.(lane).(slot)
+      done
+  | Some (Isa.Ishfl { dst_i; src_i; lane }) ->
+      let d = w.iregs.(dst_i) and v = w.iregs.(src_i).(lane) in
+      for l = 0 to 31 do
+        d.(l) <- v
+      done
+  | Some _ | None -> ()
 
-let simulate ?max_cycles ?profile ?record (job : job) =
+type order = string
+
+(* Every trace entry of every resident warp issues exactly once, so a
+   completed run's order has exactly this many bytes. *)
+let issues (job : job) =
+  let tr = job.trace and per_cta = ref 0 in
+  for w = 0 to job.program.Isa.n_warps - 1 do
+    per_cta :=
+      !per_cta + Array.length tr.Trace.prologue.(w)
+      + (job.batches * Array.length tr.Trace.body.(w))
+  done;
+  job.resident_ctas * !per_cta
+
+let run ?max_cycles ?profile (job : job) =
   let budget =
     match max_cycles with
     | None -> max_int
@@ -537,11 +541,10 @@ let simulate ?max_cycles ?profile ?record (job : job) =
   in
   let arch = job.arch and p = job.program and tr = job.trace in
   let n_warps_total = job.resident_ctas * p.Isa.n_warps in
-  if record <> None && n_warps_total > max_recorded_warps then
-    invalid_arg "Sm.record: more than 256 resident warps";
-  (* Without memory the run is timing-only: no float value is computed,
-     loaded or stored (DESIGN §9.1). *)
-  let warps = make_warps job and cols = scratch_columns () in
+  (* One byte of issue order per issue holds the warp's index. *)
+  if n_warps_total > 256 then invalid_arg "Sm.run: more than 256 resident warps";
+  (* No float value is computed, loaded or stored (DESIGN §9.1). *)
+  let warps = make_warps job and order = Bytes.create (issues job) in
   let fresh_barrier () =
     { arrived = 0; waiters = Array.make (max 1 p.Isa.n_warps) (-1); n_waiters = 0 }
   in
@@ -907,13 +910,11 @@ let simulate ?max_cycles ?profile ?record (job : job) =
     let t = int_of_float (Float.ceil t) in
     if t > !now && t < !min_hint then min_hint := t
   in
-  (* Every issue ends here: the instruction's value effects, then the
-     issue order, if recorded. *)
+  (* Every issue ends here: the instruction's integer effects, then the
+     issue order. *)
   let finish_issue w entry =
-    execute job cols w entry w.cur.Trace.batch;
-    (match record with
-    | Some order -> Bytes.set order c.issued (Char.unsafe_chr w.index)
-    | None -> ());
+    execute_ints p w entry;
+    Bytes.set order c.issued (Char.unsafe_chr w.index);
     Trace.advance w.cur;
     c.issued <- c.issued + 1
   in
@@ -1629,48 +1630,30 @@ let simulate ?max_cycles ?profile ?record (job : job) =
             timeline_dropped = !ring_dropped;
           }
   in
-  {
-    cycles = !now;
-    counters = c;
-    icache = Caches.Icache.stats icache;
-    ccache = Caches.Ccache.stats ccache;
-    profile = profile_result;
-  }
-
-let run ?max_cycles ?profile job = simulate ?max_cycles ?profile job
-
-type order = string
-
-(* Every trace entry of every resident warp issues exactly once, so a
-   completed run's order has exactly this many bytes. *)
-let issues (job : job) =
-  let tr = job.trace and per_cta = ref 0 in
-  for w = 0 to job.program.Isa.n_warps - 1 do
-    per_cta :=
-      !per_cta + Array.length tr.Trace.prologue.(w)
-      + (job.batches * Array.length tr.Trace.body.(w))
-  done;
-  job.resident_ctas * !per_cta
-
-let record ?max_cycles job =
-  let order = Bytes.create (issues job) in
-  let r = simulate ?max_cycles ~record:order job in
-  assert (r.counters.issued = Bytes.length order);
-  (r, Bytes.unsafe_to_string order)
+  assert (c.issued = Bytes.length order);
+  let icache = Caches.Icache.stats icache and ccache = Caches.Ccache.stats ccache in
+  ({ cycles = !now; counters = c; icache; ccache; profile = profile_result },
+   Bytes.unsafe_to_string order)
 
 let order_bytes = String.length
 
-(* Every value effect of a run happens at issue, in [execute], so the
-   issue order alone determines the run's memory. *)
-let replay (job : job) (order : order) =
-  if job.mem = None then invalid_arg "Sm.replay: the job has no memory";
-  let warps = make_warps job and cols = scratch_columns () in
-  let tr = job.trace in
+(* Every value effect happens at issue, so the issue order alone
+   determines the run's memory. *)
+let replay (job : job) mem (order : order) =
+  let p = job.program and tr = job.trace and warps = make_warps job in
+  let columns n _ = Array.init n (fun _ -> Array.make 32 0.0) in
+  let v =
+    { mem; fregs = Array.map (columns (max 1 p.Isa.n_fregs)) warps; cols = columns 3 () }
+  in
   String.iter
     (fun c ->
       let w = warps.(Char.code c) in
       let id = Trace.peek tr ~warp:w.wid ~batches:job.batches w.cur in
       if id < 0 then invalid_arg "Sm.replay: the order does not fit the job";
-      execute job cols w tr.Trace.entries.(id) w.cur.Trace.batch;
+      let entry = tr.Trace.entries.(id) in
+      execute_ints p w entry;
+      (match entry.Trace.instr with
+      | Some i -> execute job v w i w.cur.Trace.batch
+      | None -> ());
       Trace.advance w.cur)
     order

@@ -14,13 +14,14 @@
        deadlock detection (a cycle in which every live warp waits on a
        barrier raises {!Simulation_fault}).}}
 
-    Instructions are executed functionally at issue; the scoreboard
-    prevents premature reads, so results equal a sequential execution.
-    A job without memory is timing-only: it computes, loads and stores no
-    float value, and its result is identical to the run with memory.
-    Since every value effect happens at issue, a run's memory is a
-    function of its issue order alone: {!record} returns that order, and
-    {!replay} recomputes the memory from it without the timing model.
+    The simulation computes timing only: no float value reaches control
+    flow, an address, a pipe, a cache or a barrier, so {!run} computes,
+    loads and stores none. It executes only the integer effects
+    ([Ld_param], [Ishfl]), which feed shared addresses and field
+    selectors, and returns the order in which it issued. Every value
+    effect happens at issue and the scoreboard prevents premature reads,
+    so a launch's memory is a function of that order alone: {!replay}
+    recomputes it without the timing model.
 
     {b Fault containment.} The scheduler never loops forever: a barrier
     deadlock, a no-progress livelock, or an exhausted [max_cycles] budget
@@ -113,21 +114,22 @@ type job = {
   arch : Arch.t;
   program : Isa.program;
   trace : Trace.t;
-  mem : Memstate.t option;
-      (** [None] runs timing-only: integer registers (parameter loads,
-          [Ishfl]) still execute, since they feed shared addresses and
-          field selectors *)
   resident_ctas : int;
   batches : int;  (** point batches per CTA *)
   cta_point_base : int array;  (** first grid point of each resident CTA *)
 }
+(** One SM round. It carries no memory: {!run} computes timing only, and
+    {!replay} takes the memory the round's values go to. *)
 
-val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result
-(** Simulates until every warp of every resident CTA retires; [job.mem],
-    when present, is mutated with the kernel's stores. Cycles, counters,
-    cache stats, the profile and any {!Simulation_fault} are the same
-    with [job.mem = None]: no float value reaches control flow, an
-    address, a pipe, a cache or a barrier.
+type order
+(** The order in which a run issued its instructions: one byte per issue,
+    holding the issuing warp's index. *)
+
+val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result * order
+(** Simulates until every warp of every resident CTA retires, and returns
+    the result with the run's issue order; [order_bytes] of the order
+    equals [counters.issued]. Raises [Invalid_argument] when the job has
+    more than 256 resident warps.
 
     [max_cycles] is the watchdog budget: if the simulated clock reaches it
     with warps still live, the run aborts with a {!Simulation_fault} of
@@ -140,24 +142,14 @@ val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result
     exactly to [cycles] for every warp, per-barrier wait histograms, and
     (when [timeline_capacity > 0]) a span timeline for Chrome trace
     export. Profiling never perturbs the simulation — cycles, counters
-    and memory effects are identical with and without it. Raises
+    and the issue order are identical with and without it. Raises
     [Invalid_argument] when [timeline_capacity] is negative. *)
-
-type order
-(** The order in which a run issued its instructions: one byte per issue,
-    holding the issuing warp's index. *)
-
-val record : ?max_cycles:int -> job -> result * order
-(** [record job] is [run job] (no profiler) together with its issue
-    order; [order_bytes] of the order equals [counters.issued]. Raises
-    [Invalid_argument] when the job has more than 256 resident warps. *)
 
 val order_bytes : order -> int
 
-val replay : job -> order -> unit
-(** [replay job order] runs only the value semantics of the instructions,
-    in [order], on [job.mem]: the same function {!run} executes at issue,
-    with no scoreboard, pipe, cache or barrier. Given a job equal to the
-    one {!record} ran, on memory filled the same way, it leaves the
-    memory bit-identical to what that run left. Raises [Invalid_argument]
-    when [job.mem] is [None] or the order does not fit the job. *)
+val replay : job -> Memstate.t -> order -> unit
+(** [replay job mem order] executes the instructions' value semantics,
+    in [order], on [mem], with no scoreboard, pipe, cache or barrier.
+    The float register files are its own. Given the job {!run} ran, it
+    leaves [mem] holding the kernel's stores: the launch's memory. Raises
+    [Invalid_argument] when the order does not fit the job. *)

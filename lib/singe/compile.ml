@@ -976,8 +976,8 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
       ctas;
     }
   in
-  (* [Chip.run] fills only the main simulation, whose outputs are
-     checked: one call, for [simulated_points]. *)
+  (* [Chip.run] fills the memory its main round's order is replayed
+     into, whose outputs are checked: one call, for [simulated_points]. *)
   let inputs = ref None in
   let fill mem n =
     let e = launch_inputs t.mech ~seed ~t_range ~points:n in

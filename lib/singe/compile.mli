@@ -244,14 +244,17 @@ val inputs_memo_stats : unit -> inputs_memo_stats
 type shape_store_stats = {
   stores : int;  (** live compiled programs that hold a store *)
   shapes_stored : int;  (** shapes simulated and stored *)
-  order_bytes_stored : int;  (** bytes of issue order stored *)
+  order_bytes_stored : int;
+      (** bytes of issue order stored, one order per shape *)
   runs_served : int;
       (** main, pin and tail simulations answered from a store *)
 }
 
 val shape_store_stats : unit -> shape_store_stats
 (** The launch-shape stores {!run} keeps, one per compiled program
-    ({!Gpusim.Chip.store}). A store lives as long as its program: it is
+    ({!Gpusim.Chip.store}): each shape's result and issue order, whether
+    a main, pin or tail round first simulated it, so any later round of
+    that shape is served from it. A store lives as long as its program: it is
     dropped when the artifact is collected (an artifact evicted from the
     compile memo and no longer held takes its store with it) and by
     {!memo_clear}. The three counters are process-lifetime and survive

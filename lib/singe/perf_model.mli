@@ -14,8 +14,8 @@
 
     - {b throughput term}: per-CTA-batch resource demand (DP slots with
       constant-operand penalties, issue slots, LSU slots, shared-pipe
-      slots, bytes per memory path — the same accounting
-      {!Gpusim.Roofline.demand_cycles} exposes, aggregated from the
+      slots, bytes per memory path — the accounting
+      {!Gpusim.Roofline.analyze} bounds with, aggregated from the
       per-warp traces) divided by the pipe rates; with [R] resident CTAs
       sharing the pipes, a batch step costs [R * max_r demand_r / rate_r].
     - {b synchronization term}: abstract rendezvous execution of the

@@ -993,7 +993,8 @@ let contention_programs () =
     (contention_program ~name:"shared-operand" ~n_warps:32 shared_operand, 1);
   ]
 
-(* A three-batch job of one contention program, its inputs filled. *)
+(* A three-batch job of one contention program and its memory, the
+   inputs filled. *)
 let contention_job arch ((p : Gpusim.Isa.program), resident_ctas) =
   let open Gpusim in
   let batches = 3 in
@@ -1004,15 +1005,15 @@ let contention_job arch ((p : Gpusim.Isa.program), resident_ctas) =
     Memstate.set_field mem ~group:0 ~field:f
       (Array.init n_points (fun i -> float_of_int ((i * 7) + f) /. 16.0))
   done;
-  {
-    Sm.arch;
-    program = p;
-    trace = Trace.flatten arch p;
-    mem = Some mem;
-    resident_ctas;
-    batches;
-    cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
-  }
+  ( {
+      Sm.arch;
+      program = p;
+      trace = Trace.flatten arch p;
+      resident_ctas;
+      batches;
+      cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
+    },
+    mem )
 
 let contention_digest () =
   let open Gpusim in
@@ -1020,9 +1021,11 @@ let contention_digest () =
   let runs = ref 0 in
   let digest_run arch prog profile =
     incr runs;
-    let job = contention_job arch prog in
-    add_sm_result b (Sm.run ?profile job);
-    add_value b (Option.get job.Sm.mem)
+    let job, mem = contention_job arch prog in
+    let r, order = Sm.run ?profile job in
+    Sm.replay job mem order;
+    add_sm_result b r;
+    add_value b mem
   in
   List.iter
     (fun arch ->
@@ -1043,15 +1046,10 @@ let test_contention_bit_identity () =
   Alcotest.(check string) "contention digest"
     "7e5662e49cf7bae16b3750d6b98e0228" digest
 
-(* ---- timing-only simulation ---- *)
+(* ---- issue-order replay ---- *)
 
-(* A job without memory computes no float value, and everything else
-   [Sm.run] reports must equal the run with memory: cycles, counters,
-   cache stats, the profile, or the fault report of a run that aborts.
-   Checked with and without the profiler on the serve-warm targets
-   (Kepler) and three Fermi ones, at their resident CTA count and at one
-   CTA (a tail round's shape), on the contention programs, under two
-   barrier fault injections and under an exhausted cycle budget. *)
+(* A compiled serve target's job at up to three batches, its memory
+   filled with the target's inputs. *)
 let compiled_job ?(faults = []) arch ((_, _, _, _, total_points) as t) =
   let open Gpusim in
   let c = compile_target arch t in
@@ -1068,44 +1066,58 @@ let compiled_job ?(faults = []) arch ((_, _, _, _, total_points) as t) =
   Singe.Kernel_abi.fill_inputs mech
     (Chem.Grid.create mech ~points:n_points ~seed:0x5EEDL)
     kernel p mem n_points;
-  {
-    Sm.arch;
-    program = p;
-    trace =
-      Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
-        (Trace.flatten arch p);
-    mem = Some mem;
-    resident_ctas;
-    batches;
-    cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
-  }
+  ( {
+      Sm.arch;
+      program = p;
+      trace =
+        Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
+          (Trace.flatten arch p);
+      resident_ctas;
+      batches;
+      cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
+    },
+    mem )
 
-let test_timing_only_equals_full () =
+(* [Sm.run] returns its issue order, one byte per issue, and the profiler
+   perturbs neither the order nor the result apart from its [profile]
+   field, nor the report of a run that aborts; the order fits the job,
+   so replaying it on the job's memory completes. (The memory a replay
+   leaves is pinned by the simulation and contention digests.) Checked
+   on the serve-warm targets (Kepler) and three Fermi ones, at their
+   resident CTA count and at one CTA (a tail round's shape), on the
+   contention programs on both architectures, under two barrier fault
+   injections and under an exhausted cycle budget. *)
+let test_replay_equals_full_run () =
   let open Gpusim in
   let runs = ref 0 in
+  let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
   let outcome ?max_cycles ?profile job =
     match Sm.run ?max_cycles ?profile job with
-    | r -> Marshal.to_string (Ok r) [ Marshal.No_sharing ]
-    | exception Sm.Simulation_fault f ->
-        Marshal.to_string (Error f) [ Marshal.No_sharing ]
+    | r, order -> Ok ({ r with Sm.profile = None }, order)
+    | exception Sm.Simulation_fault f -> Error f
   in
-  let check ?max_cycles label job =
-    List.iter
-      (fun profile ->
-        incr runs;
-        let full = outcome ?max_cycles ?profile job in
-        let timing = outcome ?max_cycles ?profile { job with Sm.mem = None } in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s (profile %b)" label (profile <> None))
-          true (full = timing))
-      [ Some Sm.default_profile; None ]
+  let check ?max_cycles label (job, mem) =
+    incr runs;
+    let plain = outcome ?max_cycles job in
+    let profiled = outcome ?max_cycles ~profile:Sm.default_profile job in
+    Alcotest.(check bool)
+      (label ^ ": the profiler changes neither result nor order")
+      true
+      (bytes plain = bytes profiled);
+    match plain with
+    | Error _ -> ()
+    | Ok (r, order) ->
+        Alcotest.(check int)
+          (label ^ ": one byte per issue")
+          r.Sm.counters.Sm.issued (Sm.order_bytes order);
+        Sm.replay job mem order
   in
   let check_target arch ((m, k, v, w, n) as t) =
     let label = Printf.sprintf "%s %s %s %s w%d %d" arch.Arch.name m k v w n in
-    let job = compiled_job arch t in
-    check label job;
+    let job, mem = compiled_job arch t in
+    check label (job, mem);
     check (label ^ " one CTA")
-      { job with Sm.resident_ctas = 1; cta_point_base = [| 0 |] }
+      ({ job with Sm.resident_ctas = 1; cta_point_base = [| 0 |] }, mem)
   in
   let kepler = Arch.kepler_k20c and fermi = Arch.fermi_c2070 in
   List.iter (check_target kepler) serve_warm_targets;
@@ -1134,60 +1146,7 @@ let test_timing_only_equals_full () =
     [ "drop-arrive:warp=1,nth=0"; "extra-arrive:warp=1,nth=0" ];
   check ~max_cycles:3000 "cycle budget"
     (compiled_job kepler ("hydrogen", "viscosity", "ws", 4, 4096));
-  Alcotest.(check int) "runs compared" 106 !runs
-
-(* ---- issue-order replay ---- *)
-
-(* Every value effect of [Sm.run] happens at issue, so replaying the
-   issue order [Sm.record] returns on freshly filled memory leaves that
-   memory bit-identical to the recorded run's; recording changes nothing
-   the run reports. Checked on the serve-warm targets (Kepler), three
-   Fermi ones and the contention programs on both architectures. *)
-let test_replay_equals_full_run () =
-  let open Gpusim in
-  let runs = ref 0 in
-  let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
-  let check label fresh_job =
-    incr runs;
-    let recorded = fresh_job () in
-    let r, order = Sm.record recorded in
-    Alcotest.(check int)
-      (label ^ ": one byte per issue")
-      r.Sm.counters.Sm.issued (Sm.order_bytes order);
-    Alcotest.(check bool)
-      (label ^ ": recording changes no result")
-      true
-      (bytes r = bytes (Sm.run (fresh_job ())));
-    let replayed = fresh_job () in
-    Sm.replay replayed order;
-    Alcotest.(check bool)
-      (label ^ ": replayed memory bit-identical")
-      true
-      (bytes (Option.get recorded.Sm.mem) = bytes (Option.get replayed.Sm.mem))
-  in
-  let check_target arch ((m, k, v, w, n) as t) =
-    check
-      (Printf.sprintf "%s %s %s %s w%d %d" arch.Arch.name m k v w n)
-      (fun () -> compiled_job arch t)
-  in
-  let kepler = Arch.kepler_k20c and fermi = Arch.fermi_c2070 in
-  List.iter (check_target kepler) serve_warm_targets;
-  List.iter (check_target fermi)
-    [
-      ("hydrogen", "viscosity", "ws", 4, 4096);
-      ("dme", "diffusion", "ws", 4, 8192);
-      ("hydrogen", "chemistry", "baseline", 8, 2048);
-    ];
-  List.iter
-    (fun arch ->
-      List.iter
-        (fun ((p, _) as prog) ->
-          check
-            (Printf.sprintf "%s contention %s" arch.Arch.name p.Isa.name)
-            (fun () -> contention_job arch prog))
-        (contention_programs ()))
-    [ kepler; fermi ];
-  Alcotest.(check int) "runs replayed" 30 !runs
+  Alcotest.(check int) "jobs compared" 53 !runs
 
 let tests =
   [
@@ -1220,8 +1179,6 @@ let tests =
       test_chemkin_coeff_overflow;
     Alcotest.test_case "golden simulation under pipe contention" `Quick
       test_contention_bit_identity;
-    Alcotest.test_case "timing-only runs equal full runs" `Quick
-      test_timing_only_equals_full;
     Alcotest.test_case "replayed issue order equals the full run" `Quick
       test_replay_equals_full_run;
   ]

@@ -862,6 +862,39 @@ let test_shape_store_warm_equals_cold () =
         (run_bytes cold = run_bytes (run ())))
     store_targets
 
+(* Every shape is stored with its issue order, whichever round first
+   simulated it. At 262,144 points the conductivity launch is 1,024 CTAs
+   of 8 batches, 13 resident: main (13, 6), pin (13, 4), tail (10, 6) and
+   tail-pin (10, 4). At 131,072 points it has 4 batches and no pin runs,
+   so its main round (13, 4) and tail round (10, 4) are the earlier pin
+   shapes: both are served, the main one by replaying the pin run's
+   order, and the run equals a fresh artifact's. *)
+let test_shape_store_serves_pin_shapes () =
+  Singe.Compile.memo_clear ();
+  let kernel = Singe.Kernel_abi.Conductivity
+  and version = Singe.Compile.Warp_specialized in
+  let run ?memo total_points =
+    Singe.Compile.run (store_compile ?memo kernel version) ~total_points
+  in
+  let shape (r : Singe.Compile.run_result) =
+    let m = r.Singe.Compile.machine in
+    ( m.Gpusim.Chip.occ.Gpusim.Chip.resident_ctas,
+      m.Gpusim.Chip.chip.Gpusim.Chip.tail_ctas,
+      m.Gpusim.Chip.simulated_points )
+  in
+  let long = run 262144 in
+  Alcotest.(check (triple int int int))
+    "262,144 points: 13 resident, a tail of 10, 6 batches simulated"
+    (13, 10, 13 * 32 * 6) (shape long);
+  let s0 = served () in
+  let short = run 131072 in
+  Alcotest.(check (triple int int int))
+    "131,072 points: 13 resident, a tail of 10, 4 batches simulated"
+    (13, 10, 13 * 32 * 4) (shape short);
+  Alcotest.(check int) "main and tail rounds served" (s0 + 2) (served ());
+  Alcotest.(check bool) "equals a fresh artifact's run" true
+    (run_bytes short = run_bytes (run ~memo:false 131072))
+
 (* Budgets, faults and profiles: a budget below the stored cycles raises
    the fault a fresh simulation raises (same cycle, same dumps), a budget
    of exactly the stored cycles is served, and a run with faults or the
@@ -990,6 +1023,8 @@ let tests =
     Alcotest.test_case "launch-inputs memo" `Quick test_inputs_memo;
     Alcotest.test_case "shape store: warm equals cold" `Quick
       test_shape_store_warm_equals_cold;
+    Alcotest.test_case "shape store: pin shapes serve main rounds" `Quick
+      test_shape_store_serves_pin_shapes;
     Alcotest.test_case "shape store: budgets, faults, profiles" `Quick
       test_shape_store_bypass;
     Alcotest.test_case "shape store: lifetime of its program" `Quick
