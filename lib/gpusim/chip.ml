@@ -325,14 +325,16 @@ let extrapolate ~batches ~sim_batches ~(sim : Sm.result)
    order, so one simulation of a shape stands for every later run of it:
    the result is returned again and the order is replayed into the later
    launch's memory (DESIGN §9.1). A store serves one program on one
-   architecture, keyed by resident CTAs and simulated batches. Callers
-   get copies: a stored result's counters and cache stats are mutable
-   records. *)
+   architecture, keyed by resident CTAs and simulated batches, and keeps
+   the program's replay view, so a launch whose shapes are all stored
+   flattens nothing. Callers get copies: a stored result's counters and
+   cache stats are mutable records. *)
 
 type store_counters = {
   shapes_stored : int Atomic.t;
   order_bytes_stored : int Atomic.t;
   runs_served : int Atomic.t;
+  traces_flattened : int Atomic.t;
 }
 
 let store_counters () =
@@ -340,16 +342,18 @@ let store_counters () =
     shapes_stored = Atomic.make 0;
     order_bytes_stored = Atomic.make 0;
     runs_served = Atomic.make 0;
+    traces_flattened = Atomic.make 0;
   }
 
 type store = {
   mutex : Mutex.t;
   shapes : (int * int, Sm.result * Sm.order) Hashtbl.t;
+  mutable view : Trace.view option;
   counters : store_counters;
 }
 
 let create_store counters =
-  { mutex = Mutex.create (); shapes = Hashtbl.create 4; counters }
+  { mutex = Mutex.create (); shapes = Hashtbl.create 4; view = None; counters }
 
 let locked s f =
   Mutex.lock s.mutex;
@@ -366,8 +370,8 @@ let copy_result (r : Sm.result) =
 
 (* [job] from the store when its shape is there and finishes within the
    budget (a run of [cycles] cycles passes any budget >= [cycles]);
-   otherwise simulated, and stored if it completes. *)
-let stored_run s ?max_cycles (job : Sm.job) =
+   otherwise simulated on [trace], and stored if it completes. *)
+let stored_run s ?max_cycles (job : Sm.job) trace =
   let key = (job.Sm.resident_ctas, job.Sm.batches) in
   let within (r : Sm.result) =
     match max_cycles with None -> true | Some b -> r.Sm.cycles <= b
@@ -377,7 +381,7 @@ let stored_run s ?max_cycles (job : Sm.job) =
       Atomic.incr s.counters.runs_served;
       (copy_result sim, order)
   | Some _ | None ->
-      let ((sim, order) as fresh) = Sm.run ?max_cycles job in
+      let ((sim, order) as fresh) = Sm.run ?max_cycles job (Lazy.force trace) in
       locked s (fun () ->
           if not (Hashtbl.mem s.shapes key) then begin
             Hashtbl.add s.shapes key fresh;
@@ -387,6 +391,18 @@ let stored_run s ?max_cycles (job : Sm.job) =
                  (Sm.order_bytes order))
           end);
       (copy_result sim, order)
+
+(* The program's view, built from this launch's trace when it is the
+   first to replay. That trace is almost always flattened already: the
+   launch that stores a program's first shape replays right after. *)
+let stored_view s trace =
+  locked s (fun () ->
+      match s.view with
+      | Some v -> v
+      | None ->
+          let v = Trace.view (Lazy.force trace) in
+          s.view <- Some v;
+          v)
 
 let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     ?max_cycles ?profile ?n_sms ?skew ?store (arch : Arch.t) (l : launch) =
@@ -424,33 +440,45 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
   let pin_batches = sim_batches - 2 in
   let pinned = batches > sim_batches in
   let tail = if l.ctas > resident then l.ctas mod resident else 0 in
+  (* Flattened only for a simulation, or for the replay of a launch that
+     has no stored view: a launch whose shapes and view are all stored
+     never forces it. Every flatten of a launch given a store counts,
+     faulted and profiled ones too. *)
   let trace =
-    Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
-      (Trace.flatten arch l.program)
+    lazy
+      (Option.iter (fun s -> Atomic.incr s.counters.traces_flattened) store;
+       Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
+         (Trace.flatten arch l.program))
   in
   let job_of ~resident_ctas ~batches =
     {
       Sm.arch;
       program = l.program;
-      trace;
       resident_ctas;
       batches;
       cta_point_base =
         Array.init resident_ctas (fun c -> c * per_batch * batches);
     }
   in
-  (* A clean, unprofiled launch takes each shape from the store. *)
-  let store = if faults = [] && profile = None then store else None in
+  (* A clean, unprofiled launch takes each shape and the view from the
+     store. *)
+  let shapes = if faults = [] && profile = None then store else None in
   let simulate ?profile job =
-    match store with
-    | Some s -> stored_run s ?max_cycles job
-    | None -> Sm.run ?max_cycles ?profile job
+    match shapes with
+    | Some s -> stored_run s ?max_cycles job trace
+    | None -> Sm.run ?max_cycles ?profile job (Lazy.force trace)
   in
   (* The profiler rides only the main simulation, and only its order is
-     replayed: the pin and tail runs' outputs would be discarded. *)
+     replayed: the pin and tail runs' outputs would be discarded. A
+     launch without the store replays its own trace, faults included. *)
   let main = job_of ~resident_ctas:resident ~batches:sim_batches in
   let sim, order = simulate ?profile main in
-  Sm.replay main mem order;
+  let view =
+    match shapes with
+    | Some s -> stored_view s trace
+    | None -> Trace.view (Lazy.force trace)
+  in
+  Sm.replay main view mem order;
   (* The full-round cycles of [resident_ctas] CTAs, extrapolated from a
      pin run when the launch streams more batches. *)
   let extrapolated ~resident_ctas (s : Sm.result) =

@@ -154,12 +154,18 @@ type result = {
     (resident CTAs, simulated batches), one simulation's {!Sm.result}
     and {!Sm.order}, whichever round first ran it (main, pin or tail); a
     later {!run} with that shape returns a copy of the result instead of
-    simulating, and a main round replays the order into its own memory. *)
+    simulating, and a main round replays the order into its own memory.
+    A store also keeps the program's {!Trace.view}, built at its first
+    replay from that launch's trace, so a launch whose shapes are all
+    stored neither simulates nor flattens. *)
 
 type store_counters = {
   shapes_stored : int Atomic.t;  (** shapes simulated and stored *)
   order_bytes_stored : int Atomic.t;  (** bytes of issue order stored *)
   runs_served : int Atomic.t;  (** simulations answered from a store *)
+  traces_flattened : int Atomic.t;
+      (** {!Trace.flatten} calls by runs given a store, faulted and
+          profiled ones included *)
 }
 
 val store_counters : unit -> store_counters
@@ -188,7 +194,9 @@ val run :
     called exactly once. Every simulation ({!Sm.run}) is timing only;
     the main round's issue order is then replayed into [mem]
     ({!Sm.replay}), and the pin and tail runs' orders are dropped: their
-    outputs would be discarded.
+    outputs would be discarded. The program is flattened
+    ({!Trace.flatten}) at most once, and only when a round is simulated
+    or the replay has no stored view.
     Launches streaming more than [max_sim_batches] batches per CTA
     (default 6, clamped to at least 2) are extrapolated from two runs
     two batches apart: their difference is one full period of the
@@ -217,6 +225,7 @@ val run :
     every other simulation runs as without a store (a budget fault is
     raised by a fresh simulation, with its own report), and one that
     completes is stored with its order. The main simulation, the pin runs
-    and the tail round each go through the store; the result is
-    bit-identical to a run without it, [sim] and [tail_sim] are fresh
-    copies and [mem] is this run's own. *)
+    and the tail round each go through the store, and the replay reads
+    the store's view; the result is bit-identical to a run without it,
+    [sim] and [tail_sim] are fresh copies and [mem] is this run's own. A
+    faulted or profiled run replays the view of its own trace. *)

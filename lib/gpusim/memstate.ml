@@ -32,5 +32,3 @@ let group_index (p : Isa.program) name =
 let set_field t ~group ~field data =
   assert (Array.length data = t.n_points);
   Array.blit data 0 t.globals.(group).(field) 0 t.n_points
-
-let get_field t ~group ~field = Array.copy t.globals.(group).(field)

@@ -20,6 +20,3 @@ val group_index : Isa.program -> string -> int
 
 val set_field : t -> group:int -> field:int -> float array -> unit
 (** Copy input data into a global field (length must be [n_points]). *)
-
-val get_field : t -> group:int -> field:int -> float array
-(** Copy a global field out (e.g. kernel outputs). *)

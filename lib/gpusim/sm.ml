@@ -102,7 +102,6 @@ type result = {
 type job = {
   arch : Arch.t;
   program : Isa.program;
-  trace : Trace.t;
   resident_ctas : int;
   batches : int;
   cta_point_base : int array;
@@ -341,57 +340,64 @@ let load_src (job : job) v w src k lo hi =
       done;
       col
 
+(* Every register row and scratch column is 32 wide, allocated by
+   [replay], and [lane_lo]/[lane_hi] clamp to [0, 31], so the lane loops
+   below index without bounds checks. *)
 let exec_arith job v w op dst (srcs : Isa.src array) lo hi =
   let d = v.fregs.(w.index).(dst) in
   let a = load_src job v w srcs.(0) 0 lo hi in
   match op with
   | Isa.Sqrt ->
       for l = lo to hi do
-        d.(l) <- sqrt a.(l)
+        Array.unsafe_set d l (sqrt (Array.unsafe_get a l))
       done
   | Isa.Exp ->
       for l = lo to hi do
-        d.(l) <- exp a.(l)
+        Array.unsafe_set d l (exp (Array.unsafe_get a l))
       done
   | Isa.Log ->
       for l = lo to hi do
-        d.(l) <- log a.(l)
+        Array.unsafe_set d l (log (Array.unsafe_get a l))
       done
   | Isa.Neg ->
       for l = lo to hi do
-        d.(l) <- -.a.(l)
+        Array.unsafe_set d l (-.Array.unsafe_get a l)
       done
   | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Div | Isa.Max | Isa.Min -> (
       let b = load_src job v w srcs.(1) 1 lo hi in
       match op with
       | Isa.Add ->
           for l = lo to hi do
-            d.(l) <- a.(l) +. b.(l)
+            Array.unsafe_set d l (Array.unsafe_get a l +. Array.unsafe_get b l)
           done
       | Isa.Sub ->
           for l = lo to hi do
-            d.(l) <- a.(l) -. b.(l)
+            Array.unsafe_set d l (Array.unsafe_get a l -. Array.unsafe_get b l)
           done
       | Isa.Mul ->
           for l = lo to hi do
-            d.(l) <- a.(l) *. b.(l)
+            Array.unsafe_set d l (Array.unsafe_get a l *. Array.unsafe_get b l)
           done
       | Isa.Div ->
           for l = lo to hi do
-            d.(l) <- a.(l) /. b.(l)
+            Array.unsafe_set d l (Array.unsafe_get a l /. Array.unsafe_get b l)
           done
       | Isa.Max ->
           for l = lo to hi do
-            d.(l) <- Float.max a.(l) b.(l)
+            Array.unsafe_set d l
+              (Float.max (Array.unsafe_get a l) (Array.unsafe_get b l))
           done
       | Isa.Min ->
           for l = lo to hi do
-            d.(l) <- Float.min a.(l) b.(l)
+            Array.unsafe_set d l
+              (Float.min (Array.unsafe_get a l) (Array.unsafe_get b l))
           done
       | Isa.Fma ->
           let c = load_src job v w srcs.(2) 2 lo hi in
           for l = lo to hi do
-            d.(l) <- Float.fma a.(l) b.(l) c.(l)
+            Array.unsafe_set d l
+              (Float.fma (Array.unsafe_get a l) (Array.unsafe_get b l)
+                 (Array.unsafe_get c l))
           done
       | Isa.Sqrt | Isa.Exp | Isa.Log | Isa.Neg -> assert false)
 
@@ -480,11 +486,7 @@ let execute (job : job) v w (instr : Isa.instr) batch =
       for lane = 0 to 31 do
         d.(lane) <- bank.(lane).(slot)
       done
-  | Isa.Shfl { dst; src; lane } ->
-      let d = fr.(dst) and s = fr.(src).(lane) in
-      for l = 0 to 31 do
-        d.(l) <- s
-      done
+  | Isa.Shfl { dst; src; lane } -> Array.fill fr.(dst) 0 32 fr.(src).(lane)
   | Isa.Shfl_rot { dst; src; delta } | Isa.Shfl_bfly { dst; src; xor_mask = delta }
     -> (
       (* Snapshot the source row first: after register allocation [dst]
@@ -503,9 +505,9 @@ let execute (job : job) v w (instr : Isa.instr) batch =
           done)
   | Isa.Ld_param _ | Isa.Ishfl _ | Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta -> ()
 
-(* The integer effects of warp [w] issuing [entry]. *)
-let execute_ints (p : Isa.program) w (entry : Trace.entry) =
-  match entry.Trace.instr with
+(* The integer effects of warp [w] issuing [instr] ([None]: a branch). *)
+let execute_ints (p : Isa.program) w (instr : Isa.instr option) =
+  match instr with
   | Some (Isa.Ld_param { dst_i; slot }) ->
       let d = w.iregs.(dst_i) and bank = p.Isa.param_bank.(w.wid) in
       for lane = 0 to 31 do
@@ -522,8 +524,8 @@ type order = string
 
 (* Every trace entry of every resident warp issues exactly once, so a
    completed run's order has exactly this many bytes. *)
-let issues (job : job) =
-  let tr = job.trace and per_cta = ref 0 in
+let issues (job : job) (tr : Trace.t) =
+  let per_cta = ref 0 in
   for w = 0 to job.program.Isa.n_warps - 1 do
     per_cta :=
       !per_cta + Array.length tr.Trace.prologue.(w)
@@ -531,7 +533,7 @@ let issues (job : job) =
   done;
   job.resident_ctas * !per_cta
 
-let run ?max_cycles ?profile (job : job) =
+let run ?max_cycles ?profile (job : job) (tr : Trace.t) =
   let budget =
     match max_cycles with
     | None -> max_int
@@ -539,12 +541,12 @@ let run ?max_cycles ?profile (job : job) =
         if b <= 0 then invalid_arg "Sm.run: max_cycles must be positive";
         b
   in
-  let arch = job.arch and p = job.program and tr = job.trace in
+  let arch = job.arch and p = job.program in
   let n_warps_total = job.resident_ctas * p.Isa.n_warps in
   (* One byte of issue order per issue holds the warp's index. *)
   if n_warps_total > 256 then invalid_arg "Sm.run: more than 256 resident warps";
   (* No float value is computed, loaded or stored (DESIGN §9.1). *)
-  let warps = make_warps job and order = Bytes.create (issues job) in
+  let warps = make_warps job and order = Bytes.create (issues job tr) in
   let fresh_barrier () =
     { arrived = 0; waiters = Array.make (max 1 p.Isa.n_warps) (-1); n_waiters = 0 }
   in
@@ -912,8 +914,8 @@ let run ?max_cycles ?profile (job : job) =
   in
   (* Every issue ends here: the instruction's integer effects, then the
      issue order. *)
-  let finish_issue w entry =
-    execute_ints p w entry;
+  let finish_issue w (entry : Trace.entry) =
+    execute_ints p w entry.Trace.instr;
     Bytes.set order c.issued (Char.unsafe_chr w.index);
     Trace.advance w.cur;
     c.issued <- c.issued + 1
@@ -940,7 +942,7 @@ let run ?max_cycles ?profile (job : job) =
   let regs_ready w (srcs : Isa.src array) =
     let t = ref 0 in
     for i = 0 to Array.length srcs - 1 do
-      match Array.unsafe_get srcs i with
+      match srcs.(i) with
       | Isa.Sreg r -> if w.freg_ready.(r) > !t then t := w.freg_ready.(r)
       | Isa.Sshared a -> (
           match a.Isa.s_ireg with
@@ -988,7 +990,7 @@ let run ?max_cycles ?profile (job : job) =
   let sb_class ?ireg w (srcs : Isa.src array) =
     let t = ref 0 and cls = ref Profile.arith in
     for i = 0 to Array.length srcs - 1 do
-      match Array.unsafe_get srcs i with
+      match srcs.(i) with
       | Isa.Sreg r ->
           if w.freg_ready.(r) > !t then begin
             t := w.freg_ready.(r);
@@ -1639,8 +1641,8 @@ let order_bytes = String.length
 
 (* Every value effect happens at issue, so the issue order alone
    determines the run's memory. *)
-let replay (job : job) mem (order : order) =
-  let p = job.program and tr = job.trace and warps = make_warps job in
+let replay (job : job) (view : Trace.view) mem (order : order) =
+  let p = job.program and warps = make_warps job in
   let columns n _ = Array.init n (fun _ -> Array.make 32 0.0) in
   let v =
     { mem; fregs = Array.map (columns (max 1 p.Isa.n_fregs)) warps; cols = columns 3 () }
@@ -1648,11 +1650,11 @@ let replay (job : job) mem (order : order) =
   String.iter
     (fun c ->
       let w = warps.(Char.code c) in
-      let id = Trace.peek tr ~warp:w.wid ~batches:job.batches w.cur in
+      let id = Trace.peek_view view ~warp:w.wid ~batches:job.batches w.cur in
       if id < 0 then invalid_arg "Sm.replay: the order does not fit the job";
-      let entry = tr.Trace.entries.(id) in
-      execute_ints p w entry;
-      (match entry.Trace.instr with
+      let instr = view.Trace.instrs.(id) in
+      execute_ints p w instr;
+      (match instr with
       | Some i -> execute job v w i w.cur.Trace.batch
       | None -> ());
       Trace.advance w.cur)

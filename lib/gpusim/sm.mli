@@ -113,21 +113,23 @@ type result = {
 type job = {
   arch : Arch.t;
   program : Isa.program;
-  trace : Trace.t;
   resident_ctas : int;
   batches : int;  (** point batches per CTA *)
   cta_point_base : int array;  (** first grid point of each resident CTA *)
 }
-(** One SM round. It carries no memory: {!run} computes timing only, and
-    {!replay} takes the memory the round's values go to. *)
+(** One SM round. It carries neither code nor memory: {!run} takes the
+    flattened trace it simulates, and {!replay} takes the trace's
+    {!Trace.view} and the memory the round's values go to. *)
 
 type order
 (** The order in which a run issued its instructions: one byte per issue,
     holding the issuing warp's index. *)
 
-val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result * order
-(** Simulates until every warp of every resident CTA retires, and returns
-    the result with the run's issue order; [order_bytes] of the order
+val run :
+  ?max_cycles:int -> ?profile:profile_spec -> job -> Trace.t -> result * order
+(** [run job trace] simulates [trace] on the job's resident CTAs until
+    every warp of every resident CTA retires, and returns the result
+    with the run's issue order; [order_bytes] of the order
     equals [counters.issued]. Raises [Invalid_argument] when the job has
     more than 256 resident warps.
 
@@ -147,9 +149,12 @@ val run : ?max_cycles:int -> ?profile:profile_spec -> job -> result * order
 
 val order_bytes : order -> int
 
-val replay : job -> Memstate.t -> order -> unit
-(** [replay job mem order] executes the instructions' value semantics,
-    in [order], on [mem], with no scoreboard, pipe, cache or barrier.
-    The float register files are its own. Given the job {!run} ran, it
-    leaves [mem] holding the kernel's stores: the launch's memory. Raises
+val replay : job -> Trace.view -> Memstate.t -> order -> unit
+(** [replay job view mem order] executes the instructions' value
+    semantics, in [order], on [mem], with no scoreboard, pipe, cache or
+    barrier. It reads the view's id streams and instructions only, never
+    a trace entry, so a view kept from one flatten replays every later
+    launch of the program. The float register files are its own. Given
+    the job {!run} ran and the view of the trace it ran, it leaves [mem]
+    holding the kernel's stores: the launch's memory. Raises
     [Invalid_argument] when the order does not fit the job. *)

@@ -194,35 +194,56 @@ let body_footprint_bytes t ~warp =
       bytes + (next - e.addr))
     0 t.body.(warp)
 
+(* The replay reads only the id streams and each entry's instruction:
+   the streams are the trace's own arrays, and the entries' issue
+   metadata is left behind. *)
+type view = {
+  v_prologue : int array array;
+  v_body : int array array;
+  instrs : Isa.instr option array;
+}
+
+let view t =
+  {
+    v_prologue = t.prologue;
+    v_body = t.body;
+    instrs = Array.map (fun e -> e.instr) t.entries;
+  }
+
 type cursor = { mutable phase : int; mutable pos : int; mutable batch : int }
 
 let cursor () = { phase = 0; pos = 0; batch = 0 }
 
-let rec peek t ~warp ~batches c =
+let rec peek_streams prologue body ~warp ~batches c =
   match c.phase with
   | 0 ->
-      if c.pos < Array.length t.prologue.(warp) then t.prologue.(warp).(c.pos)
+      if c.pos < Array.length prologue.(warp) then prologue.(warp).(c.pos)
       else begin
         c.phase <- 1;
         c.pos <- 0;
         c.batch <- 0;
-        peek t ~warp ~batches c
+        peek_streams prologue body ~warp ~batches c
       end
   | 1 ->
       if batches = 0 then begin
         c.phase <- 2;
         -1
       end
-      else if c.pos < Array.length t.body.(warp) then t.body.(warp).(c.pos)
+      else if c.pos < Array.length body.(warp) then body.(warp).(c.pos)
       else if c.batch + 1 < batches then begin
         c.batch <- c.batch + 1;
         c.pos <- 0;
-        peek t ~warp ~batches c
+        peek_streams prologue body ~warp ~batches c
       end
       else begin
         c.phase <- 2;
         -1
       end
   | _ -> -1
+
+let peek t ~warp ~batches c = peek_streams t.prologue t.body ~warp ~batches c
+
+let peek_view v ~warp ~batches c =
+  peek_streams v.v_prologue v.v_body ~warp ~batches c
 
 let advance c = c.pos <- c.pos + 1

@@ -49,6 +49,25 @@ val body_footprint_bytes : t -> warp:int -> int
 (** Total code bytes the given warp touches in one batch (the per-warp
     instruction-stream footprint that drives Fig. 9). *)
 
+(** {1 Replay view} *)
+
+type view = {
+  v_prologue : int array array;  (** the trace's own [prologue] streams *)
+  v_body : int array array;  (** the trace's own [body] streams *)
+  instrs : Isa.instr option array;  (** per entry id: [entries.(id).instr] *)
+}
+(** What {!Sm.replay} reads of a trace: the per-warp id streams, shared
+    with the trace rather than copied, and one instruction per entry.
+    The entries' issue metadata (addresses, operand summaries, latency
+    figures) is left out, so a view kept for later launches holds little
+    beyond the streams. *)
+
+val view : t -> view
+(** [view t] shares [t]'s streams and copies out each entry's
+    instruction. *)
+
+(** {1 Cursors} *)
+
 type cursor = {
   mutable phase : int;  (** 0 = prologue, 1 = body, 2 = done *)
   mutable pos : int;
@@ -61,6 +80,10 @@ val peek : t -> warp:int -> batches:int -> cursor -> int
 (** Entry index the cursor points at, or [-1] when the warp is done.
     Moves the cursor past finished phases and batches, so a repeated
     [peek] returns the same entry. *)
+
+val peek_view : view -> warp:int -> batches:int -> cursor -> int
+(** {!peek} over a view: given the view of [t], the same entry index as
+    [peek t]. *)
 
 val advance : cursor -> unit
 (** Step past the entry the last {!peek} returned (which must not have

@@ -271,7 +271,9 @@ let safety_check pm ~validate ~name check =
 
 (* The passes proper: the dataflow graph, mapping, schedule and lowered
    program of a compile, and its safety verdict: [Mapping.validate], then,
-   only if that passes, [Deadlock_check.check] on the final schedule. *)
+   only if that passes, [Deadlock_check.check] on the final schedule,
+   then, for the warp-specialized versions, whether one CTA's shared
+   memory fits an SM. *)
 let run_passes pm ~validate mech kernel version options =
   let groups = Kernel_abi.groups mech kernel in
   match version with
@@ -373,6 +375,29 @@ let run_passes pm ~validate mech kernel version options =
           fit_shared (max 8 (buffer_slots - overshoot_slots)) (tries - 1)
       in
       let schedule, lowered = fit_shared options.buffer_slots 3 in
+      (* The loop gives up after three tries or at 8 ring slots; a program
+         still over one SM's shared memory cannot launch at all. That
+         verdict joins [safety], and a validating compile fails on it. *)
+      let shared_fit =
+        let bytes = lowered.Lower.program.Gpusim.Isa.shared_doubles * 8
+        and per_sm = options.arch.Gpusim.Arch.shared_bytes_per_sm in
+        if bytes <= per_sm then Ok ()
+        else
+          Error
+            ( "lower",
+              [
+                Printf.sprintf
+                  "%s needs %d bytes of shared memory per CTA, over the %d \
+                   bytes (shared_bytes_per_sm) of one SM on %s: not even \
+                   one CTA fits"
+                  name bytes per_sm options.arch.Gpusim.Arch.name;
+              ] )
+      in
+      if validate then
+        Result.iter_error
+          (fun (pass, problems) ->
+            raise (Diagnostics.Fail (Diagnostics.of_problems ~pass problems)))
+          shared_fit;
       (* Surface the rewrite's work as its own [--timings] row (the wall
          time is folded into the lower pass; the statistics are what
          matter here). *)
@@ -386,8 +411,10 @@ let run_passes pm ~validate mech kernel version options =
               mapping);
       let safety =
         Result.bind mapping_safe (fun () ->
-            safety_check pm ~validate ~name:"deadlock-check" (fun () ->
-                Deadlock_check.check schedule))
+            Result.bind
+              (safety_check pm ~validate ~name:"deadlock-check" (fun () ->
+                   Deadlock_check.check schedule))
+              (fun () -> shared_fit))
       in
       if validate then
         Pass.validate pm ~name:"lower-validate" (fun () ->
@@ -865,6 +892,7 @@ type shape_store_stats = {
   shapes_stored : int;
   order_bytes_stored : int;
   runs_served : int;
+  traces_flattened : int;
 }
 
 let shape_store_stats () =
@@ -879,6 +907,7 @@ let shape_store_stats () =
     shapes_stored = Atomic.get c.Gpusim.Chip.shapes_stored;
     order_bytes_stored = Atomic.get c.Gpusim.Chip.order_bytes_stored;
     runs_served = Atomic.get c.Gpusim.Chip.runs_served;
+    traces_flattened = Atomic.get c.Gpusim.Chip.traces_flattened;
   }
 
 let memo_clear () =

@@ -140,15 +140,20 @@ type t = {
           holds per-warp arrays, so a memo hit of {!compile} re-verifies
           that each is the one stored. It adds no pass record. *)
   safety : (unit, string * string list) result;
-      (** the safety verdict on [mapping] and [schedule]: [Error (check,
-          problems)] from the first of {!Mapping.validate} and
-          {!Deadlock_check.check} (["mapping-validate"] or
-          ["deadlock-check"]) that fails; the second runs only if the
-          first passes. Computed once per compile, with or without
-          validation: a validating {!compile}'s [mapping-validate] and
-          [deadlock-check] pass records time and reject this same
-          computation. {!Partition_search.gate} reads it, and {!run}
-          refuses to simulate an artifact whose verdict is an [Error]. *)
+      (** the safety verdict on [mapping], [schedule] and [lowered]:
+          [Error (check, problems)] from the first of {!Mapping.validate},
+          {!Deadlock_check.check} and, for the warp-specialized versions,
+          the shared-memory fit (["mapping-validate"], ["deadlock-check"]
+          or ["lower"]) that fails, in that order; the deadlock check
+          runs only if the mapping passes. The fit fails when one CTA's shared footprint is over the
+          architecture's [shared_bytes_per_sm] even after the buffer ring
+          has shrunk, so not one CTA could be resident; its problem names
+          the footprint and that limit. Computed once per compile, with or
+          without validation: a validating {!compile}'s [mapping-validate]
+          and [deadlock-check] pass records time and reject this same
+          computation, and it fails on the fit's diagnostic.
+          {!Partition_search.gate} reads it, and {!run} refuses to
+          simulate an artifact whose verdict is an [Error]. *)
 }
 
 val compile :
@@ -248,17 +253,22 @@ type shape_store_stats = {
       (** bytes of issue order stored, one order per shape *)
   runs_served : int;
       (** main, pin and tail simulations answered from a store *)
+  traces_flattened : int;
+      (** programs flattened by {!run}: only to simulate a round, or for
+          the first replay of a program, whose view its store then keeps;
+          faulted and profiled runs flatten every time *)
 }
 
 val shape_store_stats : unit -> shape_store_stats
 (** The launch-shape stores {!run} keeps, one per compiled program
     ({!Gpusim.Chip.store}): each shape's result and issue order, whether
     a main, pin or tail round first simulated it, so any later round of
-    that shape is served from it. A store lives as long as its program: it is
-    dropped when the artifact is collected (an artifact evicted from the
-    compile memo and no longer held takes its store with it) and by
-    {!memo_clear}. The three counters are process-lifetime and survive
-    {!memo_clear}. *)
+    that shape is served from it, and the program's replay view, so a run
+    whose shapes are all stored flattens nothing. A store lives as long
+    as its program: it is dropped when the artifact is collected (an
+    artifact evicted from the compile memo and no longer held takes its
+    store with it) and by {!memo_clear}. The four counters are
+    process-lifetime and survive {!memo_clear}. *)
 
 type ir_stage = Ir_dfg | Ir_mapping | Ir_schedule | Ir_lower
 
@@ -324,9 +334,10 @@ val run :
     [max_cycles] is below the stored cycles, simulates as without a
     store. An artifact whose [safety] verdict is an
     [Error] is refused before anything is simulated: [run] raises that
-    verdict as {!Diagnostics.Fail} (pass ["mapping-validate"] or
-    ["deadlock-check"], the same diagnostic a validating {!compile}
-    returns), as it raises a launch that {!check_launch} rejects.
+    verdict as {!Diagnostics.Fail} (pass ["mapping-validate"],
+    ["deadlock-check"] or ["lower"], the same diagnostic a validating
+    {!compile} returns), as it raises a launch that {!check_launch}
+    rejects.
     [t_range] overrides the grid's temperature
     interval (pair it with {!options.full_range_thermo} when going below
     the NASA mid temperature).

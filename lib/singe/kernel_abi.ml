@@ -87,14 +87,8 @@ let fill_inputs mech (grid : Chem.Grid.t) kernel program
           copy "diffusion_in" pos grid.Chem.Grid.diffusion_in.(sp))
         computed
 
-let read_outputs program mem =
-  let g = group_id program "out" in
-  let fields =
-    (Array.to_list program.Gpusim.Isa.groups
-    |> List.find (fun (gi : Gpusim.Isa.group_info) -> gi.Gpusim.Isa.group_name = "out"))
-      .Gpusim.Isa.fields
-  in
-  Array.init fields (fun f -> Gpusim.Memstate.get_field mem ~group:g ~field:f)
+let read_outputs program (mem : Gpusim.Memstate.t) =
+  mem.Gpusim.Memstate.globals.(group_id program "out")
 
 let reference_outputs mech grid kernel ~points =
   let computed = Chem.Mechanism.computed_species mech in

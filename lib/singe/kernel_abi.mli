@@ -52,7 +52,8 @@ val fill_inputs :
     least [n] points and the memory exactly [n]. *)
 
 val read_outputs : Gpusim.Isa.program -> Gpusim.Memstate.t -> float array array
-(** [out] group contents, one array per field. *)
+(** [out] group contents, one array per field: the memory's own
+    columns, not copies. *)
 
 val reference_outputs :
   Chem.Mechanism.t -> Chem.Grid.t -> kernel -> points:int -> float array array

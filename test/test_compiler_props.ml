@@ -170,11 +170,10 @@ let test_validation_clean_across_matrix () =
    verdict and the program (or on the failure); an artifact whose
    verdict is an [Error] is refused by [Compile.run] with that
    diagnostic; any other runs 2,048 points without a simulation fault
-   and matches the host oracle, unless the chip rejects the launch with
-   its typed occupancy error (a program whose shared footprint leaves
-   no room for one CTA, which the CLI reports with exit 2). Warps lean
-   towards 16, where the greedy mapping overloads a warp without the
-   hints. *)
+   and matches the host oracle. A program whose shared footprint leaves
+   no room for one CTA carries such a verdict, so the chip never rejects
+   a launch here. Warps lean towards 16, where the greedy mapping
+   overloads a warp without the hints. *)
 let generated_targets_run_or_refuse =
   let kernels =
     Singe.Kernel_abi.[ Viscosity; Conductivity; Diffusion ]
@@ -241,7 +240,6 @@ let generated_targets_run_or_refuse =
             | Ok () ->
                 QCheck.Test.fail_reportf "a safe artifact was refused: %s"
                   (Singe.Diagnostics.to_string d))
-        | exception Gpusim.Chip.Occupancy_rejected _ -> true
         | exception Gpusim.Sm.Simulation_fault f ->
             QCheck.Test.fail_reportf "simulation fault: %s"
               (Gpusim.Sm.fault_kind_name f.Gpusim.Sm.fault_kind))
@@ -249,6 +247,51 @@ let generated_targets_run_or_refuse =
   QCheck_alcotest.to_alcotest ~verbose:false
     (QCheck.Test.make ~count:40 ~name:"generated targets run or are refused"
        (QCheck.make ~print gen) prop)
+
+(* Without the hints, these weights pile enough stores onto the ring
+   that even an 8-slot buffer leaves no room for one CTA on Kepler. The
+   compile stores one typed verdict from lowering that names the
+   footprint and the SM's shared memory; [Compile.run] refuses with it
+   instead of the chip rejecting the launch, and a validating compile
+   fails with it. *)
+let test_shared_footprint_over_one_sm () =
+  let arch = Gpusim.Arch.kepler_k20c and kernel = Singe.Kernel_abi.Viscosity in
+  let options =
+    {
+      (Singe.Target.options ~n_warps:16 arch kernel) with
+      Singe.Compile.respect_hints = false;
+      weights = { Singe.Mapping.w_flops = 0.; w_regs = 1.; w_locality = 0.716 };
+    }
+  in
+  let compile ?validate () =
+    Singe.Compile.compile ?validate (hydrogen ()) kernel
+      Singe.Compile.Warp_specialized options
+  in
+  let c = Singe.Diagnostics.ok_exn (compile ()) in
+  let bytes =
+    c.Singe.Compile.lowered.Singe.Lower.program.Gpusim.Isa.shared_doubles * 8
+  in
+  let expect =
+    Singe.Diagnostics.error ~pass:"lower"
+      (Printf.sprintf
+         "%s needs %d bytes of shared memory per CTA, over the %d bytes \
+          (shared_bytes_per_sm) of one SM on %s: not even one CTA fits"
+         c.Singe.Compile.lowered.Singe.Lower.program.Gpusim.Isa.name bytes
+         arch.Gpusim.Arch.shared_bytes_per_sm arch.Gpusim.Arch.name)
+  in
+  Alcotest.(check bool) "over one SM" true
+    (bytes > arch.Gpusim.Arch.shared_bytes_per_sm);
+  let text = Singe.Diagnostics.to_string in
+  (match Singe.Compile.run c ~total_points:2048 with
+  | _ -> Alcotest.fail "simulated a program that cannot fit one CTA"
+  | exception Singe.Diagnostics.Fail d ->
+      Alcotest.(check string) "run refuses with the verdict" (text expect)
+        (text d));
+  match compile ~validate:true () with
+  | Ok _ -> Alcotest.fail "a validating compile accepted it"
+  | Error d ->
+      Alcotest.(check string) "a validating compile fails with it"
+        (text expect) (text d)
 
 let tests =
   [
@@ -262,5 +305,7 @@ let tests =
     Alcotest.test_case "regs within arch cap" `Quick test_regs_within_arch_cap;
     Alcotest.test_case "shared within cap" `Quick test_shared_within_cap;
     Alcotest.test_case "generated code validates" `Quick test_generated_code_always_validates;
+    Alcotest.test_case "shared footprint over one SM fails" `Quick
+      test_shared_footprint_over_one_sm;
     generated_targets_run_or_refuse;
   ]

@@ -82,7 +82,7 @@ let test_functional_fma () =
         Memstate.set_field mem ~group:0 ~field:0
           (Array.init n (fun i -> float_of_int i)))
   in
-  let out = Memstate.get_field r.Chip.mem ~group:1 ~field:0 in
+  let out = r.Chip.mem.Memstate.globals.(1).(0) in
   for i = 0 to r.Chip.simulated_points - 1 do
     Alcotest.(check (float 1e-12)) "fma" (Float.fma (float_of_int i) 3.5 1.0) out.(i)
   done
@@ -123,7 +123,7 @@ let test_barrier_producer_consumer () =
         Memstate.set_field mem ~group:0 ~field:0
           (Array.init n (fun i -> float_of_int (i + 1))))
   in
-  let out = Memstate.get_field r.Chip.mem ~group:1 ~field:0 in
+  let out = r.Chip.mem.Memstate.globals.(1).(0) in
   for i = 0 to r.Chip.simulated_points - 1 do
     Alcotest.(check (float 1e-12)) "relayed" (2.0 *. float_of_int (i + 1)) out.(i)
   done
@@ -269,7 +269,7 @@ let test_empty_and_single_lane_predicates () =
   Alcotest.(check int) "full warp flops" 32 (c full).Sm.flops;
   Alcotest.(check int) "no lane, no flops" 0 (c none).Sm.flops;
   Alcotest.(check int) "one lane, one flop" 1 (c one).Sm.flops;
-  let out (r : Chip.result) f = Memstate.get_field r.Chip.mem ~group:1 ~field:f in
+  let out (r : Chip.result) f = r.Chip.mem.Memstate.globals.(1).(f) in
   for lane = 0 to 31 do
     let l = float_of_int lane in
     Alcotest.(check (float 0.0)) "full add" (l +. 3.5) (out full 0).(lane);

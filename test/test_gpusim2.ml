@@ -52,7 +52,7 @@ let fill p mem =
   Memstate.set_field mem ~group:(Memstate.group_index p "a") ~field:0 input_a
 
 let out p mem field =
-  Memstate.get_field mem ~group:(Memstate.group_index p "out") ~field
+  mem.Memstate.globals.(Memstate.group_index p "out").(field)
 
 let test_predicated_store () =
   (* @l==3: only lane 3 of each warp writes; other points stay zero. *)

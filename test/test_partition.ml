@@ -196,14 +196,28 @@ let test_gate_rejects_every_mutant () =
 (* ---- the gate reads the compile's safety verdict ---- *)
 
 (* What the gate used to compute per call: the mapping validator, then,
-   only if it passes, the deadlock checker. *)
+   only if it passes, the deadlock checker; then whether one CTA's shared
+   memory fits an SM (the problem text is the stored one, the condition
+   is checked here). *)
 let fresh_verdict (c : Singe.Compile.t) =
   match Singe.Mapping.validate c.Singe.Compile.dfg c.Singe.Compile.mapping with
   | Error msgs -> Error ("mapping-validate", msgs)
   | Ok () -> (
       match Singe.Deadlock_check.check c.Singe.Compile.schedule with
-      | Ok () -> Ok ()
-      | Error msgs -> Error ("deadlock-check", msgs))
+      | Error msgs -> Error ("deadlock-check", msgs)
+      | Ok () ->
+          let p = c.Singe.Compile.lowered.Singe.Lower.program in
+          if
+            p.Gpusim.Isa.shared_doubles * 8
+            <= c.Singe.Compile.options.Singe.Compile.arch.Gpusim.Arch
+                 .shared_bytes_per_sm
+          then Ok ()
+          else
+            Error
+              ( "lower",
+                match c.Singe.Compile.safety with
+                | Error ("lower", msgs) -> msgs
+                | Ok () | Error _ -> [ "no shared-fit verdict stored" ] ))
 
 let gate_text c =
   match Singe.Partition_search.gate c with

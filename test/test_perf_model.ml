@@ -993,8 +993,8 @@ let contention_programs () =
     (contention_program ~name:"shared-operand" ~n_warps:32 shared_operand, 1);
   ]
 
-(* A three-batch job of one contention program and its memory, the
-   inputs filled. *)
+(* A three-batch job of one contention program, its trace and its
+   memory, the inputs filled. *)
 let contention_job arch ((p : Gpusim.Isa.program), resident_ctas) =
   let open Gpusim in
   let batches = 3 in
@@ -1008,11 +1008,11 @@ let contention_job arch ((p : Gpusim.Isa.program), resident_ctas) =
   ( {
       Sm.arch;
       program = p;
-      trace = Trace.flatten arch p;
       resident_ctas;
       batches;
       cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
     },
+    Trace.flatten arch p,
     mem )
 
 let contention_digest () =
@@ -1021,9 +1021,9 @@ let contention_digest () =
   let runs = ref 0 in
   let digest_run arch prog profile =
     incr runs;
-    let job, mem = contention_job arch prog in
-    let r, order = Sm.run ?profile job in
-    Sm.replay job mem order;
+    let job, trace, mem = contention_job arch prog in
+    let r, order = Sm.run ?profile job trace in
+    Sm.replay job (Trace.view trace) mem order;
     add_sm_result b r;
     add_value b mem
   in
@@ -1048,8 +1048,8 @@ let test_contention_bit_identity () =
 
 (* ---- issue-order replay ---- *)
 
-(* A compiled serve target's job at up to three batches, its memory
-   filled with the target's inputs. *)
+(* A compiled serve target's job at up to three batches, its trace with
+   [faults] applied, and its memory filled with the target's inputs. *)
 let compiled_job ?(faults = []) arch ((_, _, _, _, total_points) as t) =
   let open Gpusim in
   let c = compile_target arch t in
@@ -1069,13 +1069,12 @@ let compiled_job ?(faults = []) arch ((_, _, _, _, total_points) as t) =
   ( {
       Sm.arch;
       program = p;
-      trace =
-        Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
-          (Trace.flatten arch p);
       resident_ctas;
       batches;
       cta_point_base = Array.init resident_ctas (fun c -> c * per_cta);
     },
+    Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
+      (Trace.flatten arch p),
     mem )
 
 (* [Sm.run] returns its issue order, one byte per issue, and the profiler
@@ -1091,15 +1090,15 @@ let test_replay_equals_full_run () =
   let open Gpusim in
   let runs = ref 0 in
   let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
-  let outcome ?max_cycles ?profile job =
-    match Sm.run ?max_cycles ?profile job with
+  let outcome ?max_cycles ?profile job trace =
+    match Sm.run ?max_cycles ?profile job trace with
     | r, order -> Ok ({ r with Sm.profile = None }, order)
     | exception Sm.Simulation_fault f -> Error f
   in
-  let check ?max_cycles label (job, mem) =
+  let check ?max_cycles label (job, trace, mem) =
     incr runs;
-    let plain = outcome ?max_cycles job in
-    let profiled = outcome ?max_cycles ~profile:Sm.default_profile job in
+    let plain = outcome ?max_cycles job trace in
+    let profiled = outcome ?max_cycles ~profile:Sm.default_profile job trace in
     Alcotest.(check bool)
       (label ^ ": the profiler changes neither result nor order")
       true
@@ -1110,14 +1109,14 @@ let test_replay_equals_full_run () =
         Alcotest.(check int)
           (label ^ ": one byte per issue")
           r.Sm.counters.Sm.issued (Sm.order_bytes order);
-        Sm.replay job mem order
+        Sm.replay job (Trace.view trace) mem order
   in
   let check_target arch ((m, k, v, w, n) as t) =
     let label = Printf.sprintf "%s %s %s %s w%d %d" arch.Arch.name m k v w n in
-    let job, mem = compiled_job arch t in
-    check label (job, mem);
+    let job, trace, mem = compiled_job arch t in
+    check label (job, trace, mem);
     check (label ^ " one CTA")
-      ({ job with Sm.resident_ctas = 1; cta_point_base = [| 0 |] }, mem)
+      ({ job with Sm.resident_ctas = 1; cta_point_base = [| 0 |] }, trace, mem)
   in
   let kepler = Arch.kepler_k20c and fermi = Arch.fermi_c2070 in
   List.iter (check_target kepler) serve_warm_targets;

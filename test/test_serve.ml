@@ -797,6 +797,7 @@ let fault_bytes f = Marshal.to_string f [ Marshal.No_sharing ]
 
 let store_stats = Singe.Compile.shape_store_stats
 let served () = (store_stats ()).Singe.Compile.runs_served
+let flattened () = (store_stats ()).Singe.Compile.traces_flattened
 
 (* Targets with a tail round (128 CTAs, 6 resident) and without one, and
    one that also extrapolates from pin runs (1024 CTAs of 8 batches, 13
@@ -817,10 +818,11 @@ let store_compile ?(memo = true) kernel version =
     (Singe.Compile.compile ~memo mech kernel version
        (Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel))
 
-(* A warm run serves every simulation of its launch from the store and
-   equals the cold run that filled it and a run after [memo_clear], whole
-   result for whole result. Mutating a returned result's counters and
-   cache stats does not reach the store. *)
+(* A warm run serves every simulation of its launch from the store,
+   flattens nothing, and equals the cold run that filled it (which
+   flattened once) and a run after [memo_clear], whole result for whole
+   result. Mutating a returned result's counters and cache stats does
+   not reach the store. *)
 let test_shape_store_warm_equals_cold () =
   Singe.Compile.memo_clear ();
   List.iter
@@ -829,13 +831,18 @@ let test_shape_store_warm_equals_cold () =
       let run () =
         Singe.Compile.run (store_compile kernel version) ~total_points
       in
-      let s0 = served () in
+      let s0 = served () and f0 = flattened () in
       let cold = run () in
       Alcotest.(check int) (label ^ ": a cold run simulates") s0 (served ());
+      Alcotest.(check int) (label ^ ": and flattens once") (f0 + 1)
+        (flattened ());
       let warm = run () in
       Alcotest.(check int)
         (label ^ ": a warm run serves every simulation")
         (s0 + sims) (served ());
+      Alcotest.(check int)
+        (label ^ ": and flattens nothing")
+        (f0 + 1) (flattened ());
       Alcotest.(check bool)
         (label ^ ": warm = cold")
         true
@@ -886,12 +893,13 @@ let test_shape_store_serves_pin_shapes () =
   Alcotest.(check (triple int int int))
     "262,144 points: 13 resident, a tail of 10, 6 batches simulated"
     (13, 10, 13 * 32 * 6) (shape long);
-  let s0 = served () in
+  let s0 = served () and f0 = flattened () in
   let short = run 131072 in
   Alcotest.(check (triple int int int))
     "131,072 points: 13 resident, a tail of 10, 4 batches simulated"
     (13, 10, 13 * 32 * 4) (shape short);
   Alcotest.(check int) "main and tail rounds served" (s0 + 2) (served ());
+  Alcotest.(check int) "nothing flattened" f0 (flattened ());
   Alcotest.(check bool) "equals a fresh artifact's run" true
     (run_bytes short = run_bytes (run ~memo:false 131072))
 
@@ -933,14 +941,34 @@ let test_shape_store_bypass () =
     (run_bytes cold = run_bytes exact);
   let shapes0 = (store_stats ()).Singe.Compile.shapes_stored in
   let s0 = served () in
+  let mem_bytes (r : Singe.Compile.run_result) =
+    Marshal.to_string r.Singe.Compile.machine.Gpusim.Chip.mem []
+  in
+  (* Each replays the view of the trace it flattened itself, with the
+     store's view already there. *)
+  let f0 = flattened () in
   let profiled =
     Singe.Compile.run c ~total_points ~profile:Gpusim.Sm.default_profile
   in
   Alcotest.(check bool) "a profiled run has its profile" true
     (profiled.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile <> None);
-  ignore
-    (Singe.Compile.run c ~total_points
-       ~faults:[ Result.get_ok (Gpusim.Fault.of_string "corrupt-shfl:warp=0,nth=0") ]);
+  Alcotest.(check int) "a profiled run flattens its own trace" (f0 + 1)
+    (flattened ());
+  Alcotest.(check bool) "and replays the clean memory" true
+    (mem_bytes profiled = mem_bytes cold);
+  let corrupt =
+    [ Result.get_ok (Gpusim.Fault.of_string "corrupt-shfl:warp=0,nth=0") ]
+  in
+  let faulted = Singe.Compile.run c ~total_points ~faults:corrupt in
+  Alcotest.(check int) "a faulted run flattens its own trace" (f0 + 2)
+    (flattened ());
+  Alcotest.(check bool) "and replays its faults" false
+    (mem_bytes faulted = mem_bytes cold);
+  Alcotest.(check bool) "as a fresh artifact's faulted run does" true
+    (mem_bytes faulted
+    = mem_bytes
+        (Singe.Compile.run (store_compile ~memo:false kernel version)
+           ~total_points ~faults:corrupt));
   let drop =
     match
       Singe.Compile.run c ~total_points
@@ -953,6 +981,52 @@ let test_shape_store_bypass () =
   Alcotest.(check int) "faults and profiles serve nothing" s0 (served ());
   Alcotest.(check int) "and store nothing" shapes0
     (store_stats ()).Singe.Compile.shapes_stored
+
+(* The stored view replays like a fresh trace. A launch of [2r + 1] CTAs
+   of 8 batches, [r] resident, simulates four shapes: main (r, 6), pin
+   (r, 4), tail (1, 6) and tail pin (1, 4). A later launch whose only
+   round has one of those shapes is served from the store, flattens
+   nothing, replays the stored order through the stored view, and equals
+   bit for bit the run of a fresh artifact, which simulates and replays
+   its own freshly flattened trace. *)
+let test_shape_store_view_equals_fresh_trace () =
+  Singe.Compile.memo_clear ();
+  List.iter
+    (fun kernel ->
+      let label = Singe.Kernel_abi.kernel_name kernel
+      and version = Singe.Compile.Warp_specialized in
+      let launch ?memo (ctas, batches) =
+        Singe.Compile.run (store_compile ?memo kernel version) ~ctas
+          ~total_points:(ctas * 32 * batches)
+      in
+      let r =
+        (Gpusim.Chip.occupancy Gpusim.Arch.kepler_k20c
+           (store_compile kernel version).Singe.Compile.lowered
+             .Singe.Lower.program)
+          .Gpusim.Chip.resident_ctas
+      in
+      Alcotest.(check bool) (label ^ ": two or more resident") true (r >= 2);
+      let cold = launch ((2 * r) + 1, 8) in
+      Alcotest.(check int)
+        (label ^ ": a tail of one")
+        1 cold.Singe.Compile.machine.Gpusim.Chip.chip.Gpusim.Chip.tail_ctas;
+      List.iter
+        (fun (what, shape) ->
+          let s0 = served () and f0 = flattened () in
+          let warm = launch shape in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s shape: served" label what)
+            (s0 + 1) (served ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s shape: nothing flattened" label what)
+            f0 (flattened ());
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s shape: equals a fresh trace's replay" label
+               what)
+            true
+            (run_bytes warm = run_bytes (launch ~memo:false shape)))
+        [ ("main", (r, 6)); ("pin", (r, 4)); ("tail", (1, 6)); ("tail pin", (1, 4)) ])
+    Singe.Kernel_abi.[ Chemistry; Stencil Singe.Stencil_pipe.Edge3 ]
 
 (* The store lives as long as its program: an artifact evicted from the
    compile memo and no longer held is collected with its store, so a
@@ -1029,4 +1103,6 @@ let tests =
       test_shape_store_bypass;
     Alcotest.test_case "shape store: lifetime of its program" `Quick
       test_shape_store_lifetime;
+    Alcotest.test_case "shape store: stored view equals a fresh trace" `Quick
+      test_shape_store_view_equals_fresh_trace;
   ]

@@ -74,9 +74,7 @@ let run_swizzle arch prog =
         total_points = points;
         ctas = points / (p.Isa.n_warps * 32) }
   in
-  Memstate.get_field r.Chip.mem
-    ~group:(Memstate.group_index p "out")
-    ~field:0
+  r.Chip.mem.Memstate.globals.(Memstate.group_index p "out").(0)
 
 (* The functional semantics, warp by warp. *)
 let expected prog =
