@@ -24,12 +24,6 @@ val pair_constants : Mechanism.t -> float array array * float array array
     [b.(k).(j) = 1/sqrt(1 + m_k/m_j)], indexed by computed-species
     position — the per-pair constants the viscosity kernel banks. *)
 
-val log_viscosities : Mechanism.t -> temp:float -> float array
-(** Fitted log viscosity of each computed species. *)
-
-val log_conductivities : Mechanism.t -> temp:float -> float array
-(** Fitted log thermal conductivity of each computed species. *)
-
 val conductivity_point :
   Mechanism.t -> temp:float -> mole_frac:float array -> float
 (** Mixture thermal conductivity of one grid point (Mathur's

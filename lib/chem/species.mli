@@ -9,9 +9,6 @@ val element_of_string : string -> element option
 
 val element_symbol : element -> string
 
-val atomic_mass : element -> float
-(** Atomic mass in g/mol. *)
-
 type transport_params = {
   geometry : int;  (** 0 atom, 1 linear, 2 non-linear (CHEMKIN convention) *)
   well_depth : float;  (** Lennard-Jones epsilon/k_B, Kelvin *)

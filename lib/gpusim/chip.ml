@@ -142,6 +142,17 @@ type schedule = {
   skew : float;
 }
 
+(* [Float.max] and [Float.min], bit for bit. A strict comparison settles
+   distinct non-NaN operands as the stdlib does; only ties (where the
+   sign of zero decides) and NaNs reach the stdlib's out-of-line sign-bit
+   tests. Local and [@inline]: a dev build compiles with [-opaque], so a
+   helper in another module is called boxed, not inlined. *)
+let[@inline] float_max (x : float) (y : float) =
+  if x > y then x else if y > x then y else Float.max x y
+
+let[@inline] float_min (x : float) (y : float) =
+  if x < y then x else if y < x then y else Float.min x y
+
 let clock_factor ~n_sms ~skew i =
   if n_sms <= 1 then 1.0
   else 1.0 +. (skew *. ((float_of_int i /. float_of_int (n_sms - 1)) -. 0.5))
@@ -174,7 +185,7 @@ let schedule ~n_sms ~skew ~resident ~ctas ~round_cycles ~round_dram_bytes
       incr rounds_total;
       let c = round_cycles k in
       let b = round_dram_bytes k in
-      rem_cycles.(sm) <- Float.max c 1e-9;
+      rem_cycles.(sm) <- float_max c 1e-9;
       rate_bytes.(sm) <- (if c > 0.0 then b /. c else 0.0);
       total_bytes := !total_bytes +. b
     end
@@ -204,16 +215,16 @@ let schedule ~n_sms ~skew ~resident ~ctas ~round_cycles ~round_dram_bytes
     if not !any then running := false
     else begin
       let throttle =
-        if dram_peak_bpc > 0.0 then Float.max 1.0 (!demand /. dram_peak_bpc)
+        if dram_peak_bpc > 0.0 then float_max 1.0 (!demand /. dram_peak_bpc)
         else 1.0
       in
-      throttle_max := Float.max !throttle_max throttle;
-      demand_peak := Float.max !demand_peak !demand;
+      throttle_max := float_max !throttle_max throttle;
+      demand_peak := float_max !demand_peak !demand;
       let dt = ref infinity in
       for i = 0 to n_sms - 1 do
         if rem_cycles.(i) > 0.0 then begin
           let rate = factor.(i) /. throttle in
-          dt := Float.min !dt (rem_cycles.(i) /. rate)
+          dt := float_min !dt (rem_cycles.(i) /. rate)
         end
       done;
       let dt = !dt in

@@ -340,6 +340,17 @@ let load_src (job : job) v w src k lo hi =
       done;
       col
 
+(* [Float.max] and [Float.min], bit for bit. A strict comparison settles
+   distinct non-NaN operands as the stdlib does; only ties (where the
+   sign of zero decides) and NaNs reach the stdlib's out-of-line sign-bit
+   tests. Local and [@inline]: a dev build compiles with [-opaque], so a
+   helper in another module is called boxed, not inlined. *)
+let[@inline] float_max (x : float) (y : float) =
+  if x > y then x else if y > x then y else Float.max x y
+
+let[@inline] float_min (x : float) (y : float) =
+  if x < y then x else if y < x then y else Float.min x y
+
 (* Every register row and scratch column is 32 wide, allocated by
    [replay], and [lane_lo]/[lane_hi] clamp to [0, 31], so the lane loops
    below index without bounds checks. *)
@@ -385,12 +396,12 @@ let exec_arith job v w op dst (srcs : Isa.src array) lo hi =
       | Isa.Max ->
           for l = lo to hi do
             Array.unsafe_set d l
-              (Float.max (Array.unsafe_get a l) (Array.unsafe_get b l))
+              (float_max (Array.unsafe_get a l) (Array.unsafe_get b l))
           done
       | Isa.Min ->
           for l = lo to hi do
             Array.unsafe_set d l
-              (Float.min (Array.unsafe_get a l) (Array.unsafe_get b l))
+              (float_min (Array.unsafe_get a l) (Array.unsafe_get b l))
           done
       | Isa.Fma ->
           let c = load_src job v w srcs.(2) 2 lo hi in

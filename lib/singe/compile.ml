@@ -518,6 +518,76 @@ let compile_fresh ?report ~validate mech kernel version options =
   | exception (Failure msg | Invalid_argument msg) ->
       Error (Diagnostics.error ~pass:"pipeline" msg)
 
+(* ---- per-artifact launch state ----
+   What an artifact has learnt about its launches: one
+   [Gpusim.Chip.store] of simulated launch shapes (DESIGN §9.1) and the
+   model's answer per resolved launch (DESIGN §12.6). The states sit in
+   an ephemeron table keyed by the artifact record itself, so a state
+   lives no longer than its artifact, an artifact evicted from the
+   compile memo loses its state at once ([memo_remove]), and a
+   [{ c with ... }] copy is another key, never answered from the
+   original's state. The compile
+   memo creates an artifact's state when it inserts the artifact, and
+   [run] when it first simulates one; a prediction only looks the state
+   up, so a one-shot artifact that is only predicted stores nothing.
+   The hash reads the options' partition and ring depth (what tells the
+   partition search's candidates apart) and the program's name and
+   sizes, not the code; keys compare by identity. *)
+module Artifact_table = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+
+  let hash (t : t) =
+    let p = t.lowered.Lower.program in
+    Hashtbl.hash
+      ( t.options.partition,
+        t.options.buffer_slots,
+        p.Gpusim.Isa.name,
+        p.Gpusim.Isa.n_warps,
+        p.Gpusim.Isa.n_fregs,
+        p.Gpusim.Isa.shared_doubles )
+end)
+
+(* A launch as the model resolves it. The skew is kept as its bits:
+   [Chip.schedule] echoes it, and structural equality would take [-0.0]
+   for [0.0]. *)
+type launch_key = {
+  k_ctas : int;
+  k_points : int;
+  k_sms : int;
+  k_skew : int64;
+}
+
+type launch_state = {
+  shapes : Gpusim.Chip.store;
+  predictions : (launch_key, Model_facts.prediction) Hashtbl.t;
+}
+
+let launch_states : launch_state Artifact_table.t = Artifact_table.create 64
+let launch_states_mutex = Mutex.create ()
+let shape_counters = Gpusim.Chip.store_counters ()
+let predictions_stored = Atomic.make 0
+let predictions_served = Atomic.make 0
+
+let with_launch_states f =
+  Mutex.lock launch_states_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock launch_states_mutex) f
+
+let launch_state (t : t) =
+  with_launch_states (fun () ->
+      match Artifact_table.find_opt launch_states t with
+      | Some s -> s
+      | None ->
+          let s =
+            {
+              shapes = Gpusim.Chip.create_store shape_counters;
+              predictions = Hashtbl.create 4;
+            }
+          in
+          Artifact_table.add launch_states t s;
+          s)
+
 (* ---- compile memoization -------------------------------------------
 
    A sweep (autotuner, figures, bench) revisits the same configuration
@@ -599,6 +669,15 @@ let intact snapshot =
     (fun (Slots (live, copy)) -> Array.for_all2 ( == ) live copy)
     snapshot
 
+(* Drop an artifact leaving the memo, and its launch state with it.
+   Waiting for the collector is not enough: until its binding is
+   cleaned, every lookup of a successor with the same hash (the same
+   target compiled again) reads the dead artifact as an ephemeron key,
+   which marks it live for another cycle. Callers hold [memo_mutex]. *)
+let memo_remove key e =
+  Hashtbl.remove memo key;
+  with_launch_states (fun () -> Artifact_table.remove launch_states e.value)
+
 (* Callers hold [memo_mutex]. *)
 let evict_down_to limit =
   while Hashtbl.length memo > limit do
@@ -606,13 +685,13 @@ let evict_down_to limit =
     Hashtbl.iter
       (fun key e ->
         match !oldest with
-        | Some (_, lru) when lru <= e.last_use -> ()
-        | _ -> oldest := Some (key, e.last_use))
+        | Some (_, o) when o.last_use <= e.last_use -> ()
+        | _ -> oldest := Some (key, e))
       memo;
     match !oldest with
     | None -> ()
-    | Some (key, _) ->
-        Hashtbl.remove memo key;
+    | Some (key, e) ->
+        memo_remove key e;
         incr memo_evictions
   done
 
@@ -680,10 +759,10 @@ let memo_find_or_compile ?report key mech kernel version options =
           incr memo_tick;
           e.last_use <- !memo_tick;
           Some e.value
-      | Some _ ->
+      | Some e ->
           (* Re-verification failed: the artifact no longer matches what
              was inserted. Drop it and recompile below. *)
-          Hashtbl.remove memo key;
+          memo_remove key e;
           incr memo_corruptions;
           incr memo_misses;
           None
@@ -705,6 +784,7 @@ let memo_find_or_compile ?report key mech kernel version options =
             incr memo_tick;
             Hashtbl.add memo key
               { value = t; snapshot = snapshot t; last_use = !memo_tick };
+            ignore (launch_state t);
             evict_down_to !memo_max
           end;
           Mutex.unlock memo_mutex)
@@ -851,41 +931,45 @@ let inputs_memo_stats () =
         grids_built = Atomic.get grids_built;
       })
 
-(* ---- launch-shape stores ----
-   Each compiled program gets one [Gpusim.Chip.store], kept in an
-   ephemeron table keyed by the program itself: the store lives exactly
-   as long as the artifact that holds the program, memoized or not, and
-   an artifact evicted from the compile memo takes its store with it.
-   The hash reads the name and three sizes only, not the code; keys
-   compare by identity. *)
-module Program_table = Ephemeron.K1.Make (struct
-  type t = Gpusim.Isa.program
+(* A prediction's one mutable part is its [chip.sms] array. *)
+let copy_prediction (p : Model_facts.prediction) =
+  let chip = p.Model_facts.chip in
+  {
+    p with
+    Model_facts.chip =
+      { chip with Gpusim.Chip.sms = Array.copy chip.Gpusim.Chip.sms };
+  }
 
-  let equal = ( == )
-
-  let hash (p : t) =
-    Hashtbl.hash
-      (p.Gpusim.Isa.name, p.Gpusim.Isa.n_warps, p.Gpusim.Isa.n_fregs,
-       p.Gpusim.Isa.shared_doubles)
-end)
-
-let shape_stores : Gpusim.Chip.store Program_table.t = Program_table.create 64
-let shape_stores_mutex = Mutex.create ()
-let shape_counters = Gpusim.Chip.store_counters ()
-
-let with_shape_stores f =
-  Mutex.lock shape_stores_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock shape_stores_mutex) f
-
-let shape_store (t : t) =
-  let p = t.lowered.Lower.program in
-  with_shape_stores (fun () ->
-      match Program_table.find_opt shape_stores p with
-      | Some s -> s
-      | None ->
-          let s = Gpusim.Chip.create_store shape_counters in
-          Program_table.add shape_stores p s;
-          s)
+(* The model's answer for [t] at a resolved launch: a copy of the one
+   its launch state holds, else [predict ()], stored when [t] has a
+   launch state. *)
+let launch_prediction t ~ctas ~total_points ~n_sms ~skew predict =
+  let key =
+    {
+      k_ctas = ctas;
+      k_points = total_points;
+      k_sms = n_sms;
+      k_skew = Int64.bits_of_float skew;
+    }
+  in
+  match
+    with_launch_states (fun () ->
+        Option.map
+          (fun s -> (s, Hashtbl.find_opt s.predictions key))
+          (Artifact_table.find_opt launch_states t))
+  with
+  | None -> predict ()
+  | Some (_, Some p) ->
+      Atomic.incr predictions_served;
+      copy_prediction p
+  | Some (s, None) ->
+      let p = predict () in
+      with_launch_states (fun () ->
+          if not (Hashtbl.mem s.predictions key) then begin
+            Hashtbl.add s.predictions key p;
+            Atomic.incr predictions_stored
+          end);
+      copy_prediction p
 
 type shape_store_stats = {
   stores : int;
@@ -893,13 +977,15 @@ type shape_store_stats = {
   order_bytes_stored : int;
   runs_served : int;
   traces_flattened : int;
+  predictions_stored : int;
+  predictions_served : int;
 }
 
 let shape_store_stats () =
   let stores =
-    with_shape_stores (fun () ->
-        Program_table.clean shape_stores;
-        Program_table.length shape_stores)
+    with_launch_states (fun () ->
+        Artifact_table.clean launch_states;
+        Artifact_table.length launch_states)
   in
   let c = shape_counters in
   {
@@ -908,6 +994,8 @@ let shape_store_stats () =
     order_bytes_stored = Atomic.get c.Gpusim.Chip.order_bytes_stored;
     runs_served = Atomic.get c.Gpusim.Chip.runs_served;
     traces_flattened = Atomic.get c.Gpusim.Chip.traces_flattened;
+    predictions_stored = Atomic.get predictions_stored;
+    predictions_served = Atomic.get predictions_served;
   }
 
 let memo_clear () =
@@ -915,7 +1003,7 @@ let memo_clear () =
   Hashtbl.reset memo;
   Mutex.unlock memo_mutex;
   with_inputs_memo (fun () -> inputs_memo := []);
-  with_shape_stores (fun () -> Program_table.reset shape_stores)
+  with_launch_states (fun () -> Artifact_table.reset launch_states)
 
 (* ---- IR dumping (the CLI's --dump-ir) ---- *)
 
@@ -1016,7 +1104,7 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   in
   let machine =
     Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
-      ?skew ~store:(shape_store t) t.options.arch launch
+      ?skew ~store:(launch_state t).shapes t.options.arch launch
   in
   let outputs =
     Kernel_abi.read_outputs t.lowered.Lower.program machine.Gpusim.Chip.mem

@@ -247,7 +247,9 @@ val inputs_memo_stats : unit -> inputs_memo_stats
     [doubles] would pass [budget]. *)
 
 type shape_store_stats = {
-  stores : int;  (** live compiled programs that hold a store *)
+  stores : int;
+      (** live artifacts that hold a launch state: every artifact in the
+          compile memo, and every other one {!run} has simulated *)
   shapes_stored : int;  (** shapes simulated and stored *)
   order_bytes_stored : int;
       (** bytes of issue order stored, one order per shape *)
@@ -257,18 +259,48 @@ type shape_store_stats = {
       (** programs flattened by {!run}: only to simulate a round, or for
           the first replay of a program, whose view its store then keeps;
           faulted and profiled runs flatten every time *)
+  predictions_stored : int;
+      (** launches {!Perf_model.predict} computed and stored *)
+  predictions_served : int;
+      (** predictions answered from a launch state *)
 }
 
 val shape_store_stats : unit -> shape_store_stats
-(** The launch-shape stores {!run} keeps, one per compiled program
-    ({!Gpusim.Chip.store}): each shape's result and issue order, whether
-    a main, pin or tail round first simulated it, so any later round of
-    that shape is served from it, and the program's replay view, so a run
-    whose shapes are all stored flattens nothing. A store lives as long
-    as its program: it is dropped when the artifact is collected (an
-    artifact evicted from the compile memo and no longer held takes its
-    store with it) and by {!memo_clear}. The four counters are
+(** The per-artifact launch states. Each holds the launch-shape store
+    {!run} keeps ({!Gpusim.Chip.store}): each shape's result and issue
+    order, whether a main, pin or tail round first simulated it, so any
+    later round of that shape is served from it, and the program's replay
+    view, so a run whose shapes are all stored flattens nothing. And it
+    holds {!Perf_model.predict}'s answer per launch, keyed by the
+    resolved CTAs, points, SM count and the bits of the clock skew, so a
+    repeated prediction is a lookup and a copy, bit-identical to a fresh
+    one.
+
+    A state is keyed by the artifact record itself, by identity: a
+    [{ c with ... }] copy of an artifact has a state of its own, or none,
+    and is never answered from [c]'s. The compile memo creates an
+    artifact's state when it inserts the artifact, {!run} when it first
+    simulates one; a prediction only looks the state up, so an artifact
+    outside the memo that is only predicted stores nothing. A state lives
+    no longer than its artifact: it is dropped when the artifact is
+    collected, when the compile memo evicts the artifact (at once, even
+    while a caller still holds it: that artifact's next run or prediction
+    starts afresh) and by {!memo_clear}. The six counters are
     process-lifetime and survive {!memo_clear}. *)
+
+val launch_prediction :
+  t ->
+  ctas:int ->
+  total_points:int ->
+  n_sms:int ->
+  skew:float ->
+  (unit -> Model_facts.prediction) ->
+  Model_facts.prediction
+(** [launch_prediction t ~ctas ~total_points ~n_sms ~skew predict] is
+    the answer [t]'s launch state holds for that resolved launch, copied;
+    else [predict ()], stored when [t] has a launch state and returned as
+    a copy. Only {!Perf_model.predict} calls it. An exception from
+    [predict] propagates and stores nothing. *)
 
 type ir_stage = Ir_dfg | Ir_mapping | Ir_schedule | Ir_lower
 

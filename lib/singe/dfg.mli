@@ -90,8 +90,6 @@ val topo_order : t -> int array
     produced at or after themselves: every cycle, and any graph listed
     out of dependence order (rejected, not reordered). *)
 
-val pp_stats : Format.formatter -> t -> unit
-
 val pp_dump : Format.formatter -> t -> unit
 (** Full IR listing, one line per operation with its expression
     ({!Sexpr.pp}), inputs, defined value and partitioning hints — the

@@ -56,7 +56,7 @@ let chem_load (dfg : Dfg.t) inputs ~group ~field =
   | other ->
       Diagnostics.failf ~pass:"dfg-interp" ~loc:dfg.Dfg.graph_name
         "graph %s loads group %S, not one of the chemistry input groups \
-         (use eval_env with a matching load environment)"
+         (a stencil graph takes eval_stencil)"
         dfg.Dfg.graph_name other
 
 let eval dfg inputs = eval_env dfg ~load:(chem_load dfg inputs)

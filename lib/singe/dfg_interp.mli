@@ -4,7 +4,7 @@
     {!Chem.Ref_kernels} (combustion) or {!Stencil_pipe.reference}
     (stencil), separating partitioning bugs from code-generation bugs.
 
-    The interpreter core ({!eval_env}) is input-layout agnostic; layout
+    One interpreter core, input-layout agnostic, serves both; layout
     knowledge lives in the load environments. Unknown groups raise
     positioned {!Diagnostics.Fail} (pass ["dfg-interp"]) naming the
     graph, never bare [Invalid_argument]. *)
@@ -18,18 +18,13 @@ type inputs = {
 
 val point_inputs : Chem.Mechanism.t -> Chem.Grid.t -> int -> inputs
 
-val eval_env :
-  Dfg.t -> load:(group:string -> field:int -> float) ->
-  (int, float) Hashtbl.t
-(** Evaluates every operation in topological order, reading loads through
-    [load]; the result maps the [out] group's field index to the stored
-    value. *)
-
 val eval : Dfg.t -> inputs -> (int, float) Hashtbl.t
-(** {!eval_env} with the chemistry input groups. *)
+(** Evaluates every operation in topological order, reading the
+    chemistry input groups; the result maps the [out] group's field index
+    to the stored value. *)
 
 val eval_stencil : Dfg.t -> source:float array -> (int, float) Hashtbl.t
-(** {!eval_env} with the stencil ["image"] group read from one source
+(** Like {!eval}, with the stencil ["image"] group read from one source
     scanline (indexed by column). *)
 
 val eval_field : Dfg.t -> inputs -> int -> float

@@ -33,8 +33,6 @@ val kernel_of_string : string -> kernel option
 val all_kernels : kernel list
 (** Every kernel the driver can compile, chemistry first. *)
 
-val out_fields : Chem.Mechanism.t -> kernel -> int
-
 val groups : Chem.Mechanism.t -> kernel -> Gpusim.Isa.group_info array
 
 val stencil_source :

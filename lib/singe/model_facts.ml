@@ -530,3 +530,24 @@ let of_layout (arch : A.t) (p : I.program) =
   match (Gpusim.Chip.occupancy arch p).Gpusim.Chip.resident_ctas with
   | resident -> { f with own_walk = Some (walk arch p f ~resident) }
   | exception Gpusim.Chip.Occupancy_rejected _ -> f
+
+(* A launch's prediction. Defined here, below [Compile], so an
+   artifact's launch state can keep the answers; [Perf_model] computes
+   them and re-exports the type. *)
+type prediction = {
+  occ : Gpusim.Chip.occupancy;
+  resident : int;
+  batches : int;
+  sim_batches : int;
+  prologue_cycles : float;
+  batch_cycles : float;
+  throughput_cycles : float;
+  sync_cycles : float;
+  icache_cycles : float;
+  binding : string;
+  cycles : float;
+  floor_cycles : float;
+  chip : Gpusim.Chip.schedule;
+  time_s : float;
+  points_per_sec : float;
+}

@@ -7,7 +7,11 @@
     reads that field and keeps only the launch-dependent work. Nothing
     writes the value after {!of_layout} returns. Its walk holds arrays,
     so a memo hit of {!Compile.compile} checks, by identity, that each
-    warp's item streams are still the ones stored. *)
+    warp's item streams are still the ones stored.
+
+    The module also defines {!prediction}, the model's answer for one
+    launch, so that {!Compile}'s per-artifact launch state can keep the
+    answers {!Perf_model.predict} computes. *)
 
 (** The memory paths (texture, global, local spill), as indexes into the
     model's per-path arrays. *)
@@ -83,3 +87,27 @@ val walk : Gpusim.Arch.t -> Gpusim.Isa.program -> t -> resident:int -> walk
     streams. {!of_layout} calls it at the program's occupancy; only
     {!Perf_model.predict} calls it otherwise, for a launch with fewer
     CTAs than that. *)
+
+type prediction = {
+  occ : Gpusim.Chip.occupancy;
+  resident : int;
+  batches : int;
+  sim_batches : int;
+  prologue_cycles : float;
+  batch_cycles : float;
+  throughput_cycles : float;
+  sync_cycles : float;
+  icache_cycles : float;
+  binding : string;
+  cycles : float;
+  floor_cycles : float;
+  chip : Gpusim.Chip.schedule;
+  time_s : float;
+  points_per_sec : float;
+}
+(** One launch's prediction, {!Perf_model.prediction} (which documents
+    the fields and re-exports this type unchanged). It is defined here,
+    below {!Compile}, so that an artifact's launch state can keep the
+    answers {!Perf_model.predict} computed for it: numbers and gpusim
+    records only. Its one mutable part is [chip.sms], an array, so every
+    answer served from a launch state is a copy of that array. *)

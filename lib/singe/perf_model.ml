@@ -33,7 +33,7 @@ let sync_overlap = 0.3
    (fills overlap with other warps' execution). *)
 let icache_exposure = 0.5
 
-type prediction = {
+type prediction = F.prediction = {
   occ : C.occupancy;
   resident : int;
   batches : int;
@@ -50,6 +50,14 @@ type prediction = {
   time_s : float;
   points_per_sec : float;
 }
+
+(* [Float.max], bit for bit. A strict comparison settles distinct
+   non-NaN operands as the stdlib does; only ties (where the sign of zero
+   decides) and NaNs reach the stdlib's out-of-line sign-bit tests. Local
+   and [@inline]: a dev build compiles with [-opaque], so a helper in
+   another module is called boxed, not inlined. *)
+let[@inline] float_max (x : float) (y : float) =
+  if x > y then x else if y > x then y else Float.max x y
 
 (* Abstract rendezvous execution over [reps] back-to-back repetitions of
    every warp's stream: every warp accumulates its segment costs; named
@@ -72,7 +80,7 @@ let rendezvous ?(reps = 1) n_warps (streams : F.item array array) =
   let release waiters tm =
     List.iter
       (fun ww ->
-        t.(ww) <- Float.max t.(ww) tm;
+        t.(ww) <- float_max t.(ww) tm;
         blocked.(ww) <- false)
       waiters
   in
@@ -87,7 +95,7 @@ let rendezvous ?(reps = 1) n_warps (streams : F.item array array) =
         (match stream.(pos.(w) mod len) with
         | F.Cost c -> t.(w) <- t.(w) +. c
         | F.Arrive (b, count) ->
-            bar_time.(b) <- Float.max bar_time.(b) t.(w);
+            bar_time.(b) <- float_max bar_time.(b) t.(w);
             bar_arrived.(b) <- bar_arrived.(b) + 1;
             if bar_arrived.(b) >= count then begin
               bar_arrived.(b) <- bar_arrived.(b) - count;
@@ -96,11 +104,11 @@ let rendezvous ?(reps = 1) n_warps (streams : F.item array array) =
               bar_time.(b) <- 0.0
             end
         | F.Syncb (b, count) ->
-            bar_time.(b) <- Float.max bar_time.(b) t.(w);
+            bar_time.(b) <- float_max bar_time.(b) t.(w);
             bar_arrived.(b) <- bar_arrived.(b) + 1;
             if bar_arrived.(b) >= count then begin
               bar_arrived.(b) <- bar_arrived.(b) - count;
-              t.(w) <- Float.max t.(w) bar_time.(b);
+              t.(w) <- float_max t.(w) bar_time.(b);
               release bar_waiters.(b) bar_time.(b);
               bar_waiters.(b) <- [];
               bar_time.(b) <- 0.0
@@ -110,11 +118,11 @@ let rendezvous ?(reps = 1) n_warps (streams : F.item array array) =
               bar_waiters.(b) <- w :: bar_waiters.(b)
             end
         | F.Cta ->
-            cta_time := Float.max !cta_time t.(w);
+            cta_time := float_max !cta_time t.(w);
             incr cta_arrived;
             if !cta_arrived >= n_warps then begin
               cta_arrived := 0;
-              t.(w) <- Float.max t.(w) !cta_time;
+              t.(w) <- float_max t.(w) !cta_time;
               release !cta_waiters !cta_time;
               cta_waiters := [];
               cta_time := 0.0
@@ -127,7 +135,7 @@ let rendezvous ?(reps = 1) n_warps (streams : F.item array array) =
       done
     done
   done;
-  Array.fold_left Float.max 0.0 t
+  Array.fold_left float_max 0.0 t
 
 (* Per-CTA-batch demand over the shared pipes and paths, as SM cycles;
    the largest entry is the throughput floor on a batch. *)
@@ -148,12 +156,10 @@ let max_term terms =
     (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv))
     ("none", 0.0) terms
 
-let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
+(* The model at one resolved launch. *)
+let predict_launch (t : Compile.t) ~ctas ~total_points ~n_sms ~skew =
   let p = t.Compile.lowered.Lower.program in
   let arch = t.Compile.options.Compile.arch in
-  let ctas =
-    match ctas with Some c -> c | None -> Compile.default_ctas t ~total_points
-  in
   let launch = { C.program = p; total_points; ctas } in
   let occ = C.occupancy arch p in
   let resident = min occ.C.resident_ctas ctas in
@@ -268,8 +274,6 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
     prologue_cycles +. b_sim
     +. (float_of_int (batches - sim_batches) *. (b_steady +. icache_cycles))
   in
-  let n_sms = match n_sms with Some n -> n | None -> arch.A.n_sms in
-  let skew = match skew with Some s -> s | None -> arch.A.sm_clock_skew in
   let spill_working_set =
     n_sms * resident * n_warps * 32 * p.I.local_doubles * 8
   in
@@ -311,6 +315,18 @@ let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
     time_s;
     points_per_sec;
   }
+
+(* A repeated launch of an artifact is answered from its launch state
+   (DESIGN §12.6), keyed by the launch resolved here. *)
+let predict ?ctas ?n_sms ?skew (t : Compile.t) ~total_points =
+  let arch = t.Compile.options.Compile.arch in
+  let ctas =
+    match ctas with Some c -> c | None -> Compile.default_ctas t ~total_points
+  in
+  let n_sms = match n_sms with Some n -> n | None -> arch.A.n_sms in
+  let skew = match skew with Some s -> s | None -> arch.A.sm_clock_skew in
+  Compile.launch_prediction t ~ctas ~total_points ~n_sms ~skew (fun () ->
+      predict_launch t ~ctas ~total_points ~n_sms ~skew)
 
 let rel_err ~predicted ~measured =
   if measured = 0.0 then infinity

@@ -42,9 +42,10 @@
     reads both and does only the launch-dependent work: the rendezvous
     walks, the demand terms and {!Gpusim.Chip.schedule}. A launch with
     fewer CTAs than the occupancy walks the program at its own resident
-    count. *)
+    count. And that work is done once per memoized artifact and launch:
+    {!predict} answers a repeat from the artifact's launch state. *)
 
-type prediction = {
+type prediction = Model_facts.prediction = {
   occ : Gpusim.Chip.occupancy;
   resident : int;  (** CTAs actually resident: [min occ ctas] *)
   batches : int;  (** full batches per CTA at this launch *)
@@ -83,7 +84,18 @@ val predict :
     end-to-end terms feed the same deterministic {!Gpusim.Chip.schedule}
     the simulator uses, with analytically derived round costs and DRAM
     traffic. Pure static analysis of the compiled artifact; safe to call
-    from several domains at once. *)
+    from several domains at once.
+
+    The answer for an artifact at one launch, resolved to its CTAs,
+    points, SM count and the bits of its skew, is computed once and kept
+    in the artifact's launch state ({!Compile.launch_prediction}); a
+    repeat is a lookup and a copy of [chip.sms], bit-identical to a fresh
+    prediction. Only an artifact with a launch state keeps answers: one
+    in the compile memo, or one {!Compile.run} has simulated. Any other
+    (a one-shot compile, a [{ c with ... }] copy) is predicted afresh
+    every time and stores nothing. Raises what the model raises (a
+    launch {!Compile.default_ctas} rejects, a program no CTA of which
+    fits); a failed prediction stores nothing. *)
 
 val rel_err : predicted:float -> measured:float -> float
 (** [|predicted - measured| / measured] — the accuracy figure `singe

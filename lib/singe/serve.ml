@@ -304,7 +304,6 @@ let create ?(config = default_config) () =
     tune_cache = Hashtbl.create 16;
   }
 
-let queue_depth st = Queue.length st.queue
 let requests_total st = st.c.total
 
 (* ---- response construction ---- *)

@@ -136,7 +136,6 @@ val busy_line : state -> string -> string
     admission (the line is parsed best-effort for its ["id"]). Counts
     the rejection. *)
 
-val queue_depth : state -> int
 val requests_total : state -> int
 
 (** {1 The loop} *)

@@ -28,12 +28,9 @@ type step =
 type prog = step list
 (** Applied left to right: the value vector flows through each step. *)
 
-val source_lane : prog -> int -> int
-(** [source_lane p l] is the lane of the {e original} vector whose value
-    lane [l] holds after running [p] — the symbolic lane evaluator. *)
-
 val signature : prog -> int array
-(** All 32 source lanes: [signature p = Array.init 32 (source_lane p)]. *)
+(** The symbolic lane evaluator: element [l] is the lane of the
+    {e original} vector whose value lane [l] holds after running [p]. *)
 
 val apply : prog -> 'a array -> 'a array
 (** Run the program on a concrete 32-lane value vector (the functional

@@ -15,7 +15,4 @@
 val species_warp : n:int -> n_warps:int -> int -> int
 (** Owning warp of a species: contiguous ranges. *)
 
-val tile_size : int
-(** Cross-species values staged through registers at a time (8). *)
-
 val build : Chem.Mechanism.t -> n_warps:int -> Dfg.t

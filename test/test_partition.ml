@@ -367,6 +367,43 @@ let test_search_deterministic_across_jobs () =
   in
   Alcotest.(check string) "--jobs 1 vs --jobs 4" (run 1) (run 4)
 
+(* A warm search reads every candidate's prediction from its artifact's
+   launch state: on a memo the first search filled, the two-domain
+   search stores nothing, is served the same answers as the serial one,
+   and returns the cold search's outcome, field for field. *)
+let test_warm_search_across_jobs () =
+  let mech = Lazy.force hydrogen in
+  let kernel = Singe.Kernel_abi.Viscosity in
+  let search jobs =
+    match
+      Singe.Partition_search.search ~jobs ~simulate:false mech kernel
+        Singe.Compile.Warp_specialized ~base:(base_options kernel) ()
+    with
+    | Ok o -> Marshal.to_string o [ Marshal.No_sharing ]
+    | Error d ->
+        Alcotest.failf "search failed: %s" (Singe.Diagnostics.to_string d)
+  in
+  let stats = Singe.Compile.shape_store_stats in
+  let counts () =
+    let s = stats () in
+    (s.Singe.Compile.predictions_stored, s.Singe.Compile.predictions_served)
+  in
+  Singe.Compile.memo_clear ();
+  let cold = search 1 in
+  let stored, served0 = counts () in
+  let warm2 = search 2 in
+  let stored2, served2 = counts () in
+  let warm1 = search 1 in
+  let stored1, served1 = counts () in
+  Alcotest.(check bool) "warm --jobs 2 = cold" true (warm2 = cold);
+  Alcotest.(check bool) "warm --jobs 1 = cold" true (warm1 = cold);
+  Alcotest.(check (pair int int)) "warm searches store nothing" (stored, stored)
+    (stored2, stored1);
+  Alcotest.(check bool) "the two-domain search is served" true
+    (served2 > served0);
+  Alcotest.(check int) "as much as the serial one" (served2 - served0)
+    (served1 - served2)
+
 (* The simulation-confirmed search is as deterministic as the model-only
    one, and the hand cycles it reports are the hand mapping's own run at
    the search size. *)
@@ -546,6 +583,8 @@ let tests =
       test_bad_weights_rejected;
     Alcotest.test_case "search deterministic across jobs" `Quick
       test_search_deterministic_across_jobs;
+    Alcotest.test_case "warm search equal across jobs" `Quick
+      test_warm_search_across_jobs;
     Alcotest.test_case "confirmed search deterministic across jobs" `Quick
       test_confirmed_search_deterministic_across_jobs;
     Alcotest.test_case "search never loses to hand" `Quick

@@ -1147,6 +1147,238 @@ let test_replay_equals_full_run () =
     (compiled_job kepler ("hydrogen", "viscosity", "ws", 4, 4096));
   Alcotest.(check int) "jobs compared" 53 !runs
 
+(* ---- predictions served from an artifact's launch state ---- *)
+
+let prediction_bytes (p : Singe.Perf_model.prediction) =
+  Marshal.to_string p [ Marshal.No_sharing ]
+
+(* One launch's prediction, as bytes. *)
+let predicted ?ctas ?n_sms ?skew c total_points =
+  prediction_bytes (Singe.Perf_model.predict ?ctas ?n_sms ?skew c ~total_points)
+
+let predictions () = Singe.Compile.shape_store_stats ()
+let stored () = (predictions ()).Singe.Compile.predictions_stored
+let served () = (predictions ()).Singe.Compile.predictions_served
+let ws kernel = compile (hydrogen ()) kernel Singe.Compile.Warp_specialized
+
+(* An artifact record copy is another key of the launch-state table: it
+   has no state, so every prediction on it is computed afresh. *)
+let fresh_copy (c : Singe.Compile.t) =
+  { c with Singe.Compile.safety = c.Singe.Compile.safety }
+
+(* Every golden-set program at the golden digest's three launch sizes and
+   at the below-occupancy launches: the second prediction on the
+   memoized artifact is served, and marshals to the bytes of a fresh
+   prediction on a copy, which stores nothing. A launch the model
+   rejects raises the same exception every time. *)
+let test_served_equals_fresh () =
+  let launches = ref 0 in
+  iter_golden_set ~on_fail:ignore (fun arch c ->
+      let p = c.Singe.Compile.lowered.Singe.Lower.program in
+      let below =
+        match Gpusim.Chip.occupancy arch p with
+        | exception Gpusim.Chip.Occupancy_rejected _ -> []
+        | occ ->
+            let occupancy = occ.Gpusim.Chip.resident_ctas in
+            List.concat_map
+              (fun ctas -> [ (Some ctas, ctas * 64); (Some ctas, ctas * 256) ])
+              (if occupancy > 2 then [ 1; occupancy - 1 ] else [ 1 ])
+      in
+      List.iter
+        (fun (ctas, total_points) ->
+          incr launches;
+          let predict c =
+            match predicted ?ctas c total_points with
+            | bytes -> Ok bytes
+            | exception e -> Error (Printexc.to_string e)
+          in
+          let first = predict c in
+          let stored0 = stored () and served0 = served () in
+          let fresh = predict (fresh_copy c) in
+          let again = predict c in
+          let name =
+            Printf.sprintf "%s, %d points" (facts_name c) total_points
+          in
+          if stored () <> stored0 then
+            Alcotest.failf "%s: a copy's prediction was stored" name;
+          if Result.is_ok fresh && served () <> served0 + 1 then
+            Alcotest.failf "%s: the repeated prediction was not served" name;
+          if first <> fresh || again <> fresh then
+            Alcotest.failf "%s: a served prediction differs from a fresh one"
+              name)
+        ([ (None, 2048); (None, 32768); (None, 262144) ] @ below));
+  Alcotest.(check int) "launches compared" 1325 !launches
+
+(* Launches that differ in one resolved field (points, CTAs, SMs, skew,
+   and the sign of a zero skew) each miss and store their own answer,
+   equal to a fresh one; repeating them serves each its own. The key is
+   the resolved launch: one that leaves every field to its default is
+   served the answer of the same launch spelled out. *)
+let test_launch_keys_apart () =
+  Singe.Compile.memo_clear ();
+  let c = ws Singe.Kernel_abi.Viscosity in
+  let launches =
+    [
+      ("skew 0.0", None, 32768, None, Some 0.0);
+      ("points", None, 65536, None, None);
+      ("ctas", Some 512, 32768, None, None);
+      ("sms", None, 32768, Some 4, None);
+      ("skew", None, 32768, None, Some 0.25);
+      ("skew -0.0", None, 32768, None, Some (-0.0));
+    ]
+  in
+  let n = List.length launches in
+  let predict c (_, ctas, total_points, n_sms, skew) =
+    predicted ?ctas ?n_sms ?skew c total_points
+  in
+  let fresh = List.map (predict (fresh_copy c)) launches in
+  Alcotest.(check int) "distinct answers" n
+    (List.length (List.sort_uniq compare fresh));
+  let check_all how =
+    List.iter2
+      (fun ((what, _, _, _, _) as l) f ->
+        Alcotest.(check bool) (what ^ how) true (predict c l = f))
+      launches fresh
+  in
+  let stored0 = stored () and served0 = served () in
+  check_all ": computed equals fresh";
+  Alcotest.(check int) "each launch stored its own answer" (stored0 + n)
+    (stored ());
+  Alcotest.(check int) "none served another's" served0 (served ());
+  check_all ": served equals fresh";
+  Alcotest.(check int) "repeats are served" (served0 + n) (served ());
+  let defaults = predicted c 32768 in
+  Alcotest.(check int) "the defaulted launch is served" (served0 + n + 1)
+    (served ());
+  Alcotest.(check bool) "the spelled-out launch's answer" true
+    (defaults = List.hd fresh)
+
+(* A [{ c with schedule; safety }] copy of a memoized artifact, as the
+   partition tests build to poison a verdict, is another key: it is not
+   served [c]'s answers and stores none of its own. *)
+let test_copy_predicts_afresh () =
+  Singe.Compile.memo_clear ();
+  let c = ws Singe.Kernel_abi.Diffusion in
+  let original = predicted c 32768 in
+  let copy =
+    {
+      c with
+      Singe.Compile.schedule = c.Singe.Compile.schedule;
+      safety = Error ("deadlock-check", [ "poisoned for the test" ]);
+    }
+  in
+  let stored0 = stored () and served0 = served () in
+  let copied = predicted copy 32768 in
+  ignore (predicted copy 32768);
+  Alcotest.(check int) "the copy is not served" served0 (served ());
+  Alcotest.(check int) "and stores nothing" stored0 (stored ());
+  Alcotest.(check bool) "its answer equals the original's" true
+    (copied = original)
+
+(* A served answer is a copy: writing into its [chip.sms] (or into the
+   answer computed when it was stored) leaves the next answer as fresh. *)
+let test_served_answers_are_copies () =
+  Singe.Compile.memo_clear ();
+  let c = ws Singe.Kernel_abi.Conductivity in
+  let fresh = predicted (fresh_copy c) 32768 in
+  let poison (p : Singe.Perf_model.prediction) =
+    let sms = p.Singe.Perf_model.chip.Gpusim.Chip.sms in
+    Array.iteri
+      (fun i s ->
+        sms.(i) <- { s with Gpusim.Chip.sm_ctas = -1; sm_finish = nan })
+      sms
+  in
+  poison (Singe.Perf_model.predict c ~total_points:32768);
+  let served0 = served () in
+  let p = Singe.Perf_model.predict c ~total_points:32768 in
+  Alcotest.(check int) "served" (served0 + 1) (served ());
+  Alcotest.(check bool) "after the stored answer was poisoned" true
+    (prediction_bytes p = fresh);
+  poison p;
+  Alcotest.(check bool) "after a served answer was poisoned" true
+    (predicted c 32768 = fresh)
+
+(* An artifact evicted from the compile memo and no longer held is
+   collected with its launch state, answers included: the occupancy
+   record an answer shares with the stored one goes with it. *)
+let test_answers_die_with_artifact () =
+  let prev_limit = Singe.Compile.memo_limit () in
+  Fun.protect
+    ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
+    (fun () ->
+      Singe.Compile.memo_clear ();
+      Singe.Compile.set_memo_limit 1;
+      let artifact = Weak.create 1 and answer = Weak.create 1 in
+      let predict_and_forget kernel =
+        let c = ws kernel in
+        let stored0 = stored () in
+        let p = Singe.Perf_model.predict c ~total_points:32768 in
+        Alcotest.(check int) "stored" (stored0 + 1) (stored ());
+        Weak.set artifact 0 (Some c);
+        Weak.set answer 0 (Some p.Singe.Perf_model.occ)
+      in
+      (Sys.opaque_identity predict_and_forget) Singe.Kernel_abi.Viscosity;
+      Gc.full_major ();
+      Alcotest.(check bool) "a memoized artifact stays" true
+        (Weak.check artifact 0);
+      Alcotest.(check bool) "with its answer" true (Weak.check answer 0);
+      (* Evict it. *)
+      let resident = ws Singe.Kernel_abi.Diffusion in
+      Gc.full_major ();
+      Alcotest.(check bool) "an evicted artifact is collected" false
+        (Weak.check artifact 0);
+      Alcotest.(check bool) "with its answer" false (Weak.check answer 0);
+      Alcotest.(check int) "one launch state left" 1
+        (predictions ()).Singe.Compile.stores;
+      ignore (Sys.opaque_identity resident))
+
+(* Eviction drops an artifact's launch state at once, even while a caller
+   still holds the artifact: its next prediction is computed afresh and
+   stored nowhere. Left to the collector, the dead binding would stay in
+   the table, and every lookup of a successor with the same hash (the
+   same target compiled again) would read the dead key and mark it live
+   for another cycle. *)
+let test_eviction_drops_state () =
+  let prev_limit = Singe.Compile.memo_limit () in
+  Fun.protect
+    ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
+    (fun () ->
+      Singe.Compile.memo_clear ();
+      Singe.Compile.set_memo_limit 1;
+      let c = ws Singe.Kernel_abi.Viscosity in
+      let fresh = predicted c 32768 in
+      let resident = ws Singe.Kernel_abi.Diffusion in
+      Alcotest.(check int) "only the resident artifact has a state" 1
+        (predictions ()).Singe.Compile.stores;
+      let stored0 = stored () and served0 = served () in
+      Alcotest.(check bool) "the evicted artifact predicts afresh" true
+        (predicted c 32768 = fresh);
+      Alcotest.(check int) "not served" served0 (served ());
+      Alcotest.(check int) "and stores nothing" stored0 (stored ());
+      ignore (Sys.opaque_identity resident))
+
+(* An artifact compiled outside the memo has no launch state until a run
+   creates one: predicting it stores and serves nothing, and keeps no
+   state alive. *)
+let test_one_shot_stores_nothing () =
+  Singe.Compile.memo_clear ();
+  let c =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile (hydrogen ()) Singe.Kernel_abi.Viscosity
+         Singe.Compile.Warp_specialized
+         (Singe.Target.options arch Singe.Kernel_abi.Viscosity))
+  in
+  let s0 = predictions () in
+  let a = predicted c 32768 in
+  let b = predicted c 32768 in
+  let s1 = predictions () in
+  Alcotest.(check bool) "equal answers" true (a = b);
+  Alcotest.(check int) "nothing stored" s0.Singe.Compile.predictions_stored
+    s1.Singe.Compile.predictions_stored;
+  Alcotest.(check int) "nothing served" s0.Singe.Compile.predictions_served
+    s1.Singe.Compile.predictions_served;
+  Alcotest.(check int) "no launch state" 0 s1.Singe.Compile.stores
+
 let tests =
   [
     Alcotest.test_case "golden model and trace bit-identity" `Quick
@@ -1180,4 +1412,18 @@ let tests =
       test_contention_bit_identity;
     Alcotest.test_case "replayed issue order equals the full run" `Quick
       test_replay_equals_full_run;
+    Alcotest.test_case "served predictions equal fresh ones" `Quick
+      test_served_equals_fresh;
+    Alcotest.test_case "launch keys keep launches apart" `Quick
+      test_launch_keys_apart;
+    Alcotest.test_case "an artifact copy predicts afresh" `Quick
+      test_copy_predicts_afresh;
+    Alcotest.test_case "served predictions are copies" `Quick
+      test_served_answers_are_copies;
+    Alcotest.test_case "answers die with their artifact" `Quick
+      test_answers_die_with_artifact;
+    Alcotest.test_case "eviction drops the launch state" `Quick
+      test_eviction_drops_state;
+    Alcotest.test_case "one-shot artifacts store no predictions" `Quick
+      test_one_shot_stores_nothing;
   ]
