@@ -286,6 +286,9 @@ let reaction_of_candidate rng ~species_index_of ~lt_budget c =
   in
   Reaction.make ~reverse ?third_body ~reactants:c.lhs ~products:c.rhs rate
 
+(* [species] holds (name, formula) pairs. Raises [Failure] if the
+   templates cannot produce [n_reactions] distinct balanced reactions
+   covering every species. *)
 let generate ~name ~species:species_table ~qssa ~stiff ~n_reactions ~seed =
   let rng = Sutil.Prng.create seed in
   let species =
@@ -477,15 +480,19 @@ let methane_stiff =
   [ "H"; "O"; "OH"; "HO2"; "H2O2"; "HCO"; "CH3"; "CH2O"; "NO2"; "HNO";
     "N2O"; "CH2CHO" ]
 
+(* One value per generator, whichever domains ask first: the build holds
+   the lock, so two callers never get two physical copies (the compiler's
+   caches match a mechanism by identity). *)
 let memo f =
-  let cache = ref None in
+  let cache = ref None and lock = Mutex.create () in
   fun () ->
-    match !cache with
-    | Some v -> v
-    | None ->
-        let v = f () in
-        cache := Some v;
-        v
+    Mutex.protect lock (fun () ->
+        match !cache with
+        | Some v -> v
+        | None ->
+            let v = f () in
+            cache := Some v;
+            v)
 
 let dme =
   memo (fun () ->

@@ -39,16 +39,5 @@ val hydrogen : unit -> Mechanism.t
 val bundled : (string * (unit -> Mechanism.t)) list
 (** The shipped mechanisms under the names the CLI and serve accept:
     dme, heptane, methane and hydrogen. Each generator is memoized, so a
-    repeat lookup returns the mechanism without regenerating it. *)
-
-val generate :
-  name:string ->
-  species:(string * string) array ->
-  qssa:string list ->
-  stiff:string list ->
-  n_reactions:int ->
-  seed:int64 ->
-  Mechanism.t
-(** General entry point: [species] is an array of (name, formula) pairs.
-    Raises [Failure] if the templates cannot produce [n_reactions] distinct
-    balanced reactions covering every species. *)
+    repeat lookup returns the mechanism without regenerating it, and
+    domains that call it at once all get the same physical value. *)

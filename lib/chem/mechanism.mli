@@ -1,5 +1,9 @@
 (** A chemical mechanism: the complete input to the Singe compiler
-    (CHEMKIN + THERMO + TRANSPORT (+ QSSA/stiff) files, Fig. 3). *)
+    (CHEMKIN + THERMO + TRANSPORT (+ QSSA/stiff) files, Fig. 3).
+
+    A mechanism is never mutated after {!make}: nothing writes its arrays
+    or tables. Caches that match a mechanism by physical identity rely on
+    this (the compiler's mechanism digests and its launch-inputs memo). *)
 
 type t = {
   name : string;

@@ -118,7 +118,7 @@ val rank :
   scored list * (int * Compile.options * Diagnostics.t) list
 (** [rank ~points ~key ~pass compile candidates] compiles every candidate
     with [compile] — an already-bound [Compile.compile ~memo:true mech
-    kernel version], so a search digests the mechanism once — and
+    kernel version], so a search looks the mechanism's digest up once — and
     predicts it at [points] with {!Perf_model.predict} ([n_sms]/[skew]
     forwarded), on up to [jobs] domains. Returns the compilable
     candidates sorted ascending by [key] of their prediction, ties to the

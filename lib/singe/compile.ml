@@ -594,11 +594,12 @@ let launch_state (t : t) =
    many times; the pipeline is deterministic in (mechanism, kernel,
    version, options), so identical configurations compile once per
    process. The key digests the whole mechanism, not just its name, so
-   synthetic test mechanisms sharing a name cannot alias. Compiled
-   artifacts are immutable after the pipeline returns (simulation state
-   lives in [Memstate.t] / trace cursors), making a shared [t] safe to
-   hand to concurrent sweep workers. Only successful compiles are
-   cached; a failure is compiled, and returned, every time.
+   synthetic test mechanisms sharing a name cannot alias; each mechanism
+   is digested once ([mech_digest]). Compiled artifacts are immutable
+   after the pipeline returns (simulation state lives in [Memstate.t] /
+   trace cursors), making a shared [t] safe to hand to concurrent sweep
+   workers. Only successful compiles are cached; a failure is compiled,
+   and returned, every time.
 
    The table is bounded: a long-lived server streaming distinct
    configurations would otherwise grow it without limit (each entry
@@ -734,7 +735,7 @@ let memo_stats_to_json s =
 (* Digest of a value's marshalled bytes, marshalled into a per-domain
    buffer that is reused (and grown on overflow): a mechanism marshals to
    tens of kilobytes, which as a fresh string would go straight to the
-   major heap on every lookup. *)
+   major heap. *)
 let marshal_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
 let rec digest_of v =
@@ -791,16 +792,47 @@ let memo_find_or_compile ?report key mech kernel version options =
         r;
       r
 
-(* The memo key is the digest of everything a compile reads: the target
-   (mechanism, kernel, version), digested once per partial application
-   so a sweep over one target marshals its mechanism once, then the
-   options. *)
+(* ---- mechanism digests ----
+   A mechanism marshals to tens of kilobytes (heptane: 121 KB), so its
+   content digest is taken once per physical mechanism and kept in a
+   short most-recent-first list matched by identity, as the launch-inputs
+   memo matches mechanisms: a mechanism is never mutated after
+   [Mechanism.make]. A miss digests outside the lock. *)
+let mech_digests_max = 16
+let mech_digests : (Chem.Mechanism.t * Digest.t) list ref = ref []
+let mech_digests_mutex = Mutex.create ()
+
+let mech_digest mech =
+  (* Put [mech]'s entry first and cut the table to the bound. *)
+  let front d =
+    mech_digests :=
+      (mech, d)
+      :: List.filteri
+           (fun i _ -> i < mech_digests_max - 1)
+           (List.remove_assq mech !mech_digests)
+  in
+  let locked f = Mutex.protect mech_digests_mutex f in
+  match
+    locked (fun () ->
+        let hit = List.assq_opt mech !mech_digests in
+        Option.iter front hit;
+        hit)
+  with
+  | Some d -> d
+  | None ->
+      let d = digest_of mech in
+      locked (fun () -> front d);
+      d
+
+(* The memo key is the digest of everything a compile reads: the
+   mechanism's digest, kernel, version and options. *)
 let compile ?(memo = false) ?(validate = false) ?report mech kernel version =
   if memo && not validate then
-    let target = digest_of (mech, kernel, version) in
+    let mech_key = mech_digest mech in
     fun options ->
-      memo_find_or_compile ?report (digest_of (target, options)) mech kernel
-        version options
+      memo_find_or_compile ?report
+        (digest_of (mech_key, kernel, version, options))
+        mech kernel version options
   else compile_fresh ?report ~validate mech kernel version
 
 (* Kept only for the benchmark driver, which names them. *)
@@ -1002,6 +1034,7 @@ let memo_clear () =
   Mutex.lock memo_mutex;
   Hashtbl.reset memo;
   Mutex.unlock memo_mutex;
+  Mutex.protect mech_digests_mutex (fun () -> mech_digests := []);
   with_inputs_memo (fun () -> inputs_memo := []);
   with_launch_states (fun () -> Artifact_table.reset launch_states)
 

@@ -174,15 +174,21 @@ val compile :
     memo hit reports nothing.
 
     [memo] (default [false]) serves the compile from a process-wide,
-    thread-safe, LRU-bounded table keyed by the digest of the whole
-    (mechanism, kernel, version, options) configuration, everything a
-    compile reads; only successes are cached. A hit re-verifies the
+    thread-safe, LRU-bounded table keyed by the digest of the
+    mechanism's content digest, the kernel, the version and the options,
+    everything a compile reads; only successes are cached. The
+    mechanism's digest (the MD5 of its marshalled bytes, name included)
+    is taken once per physical mechanism and kept for the 16 most
+    recently keyed ones, matched by identity (a mechanism is never
+    mutated after {!Chem.Mechanism.make}); equal contents give equal
+    keys whichever physical value carries them. A hit re-verifies the
     artifact in O(warps): each [Switch_warp] arm array of its code and
-    each per-warp stream of its stored walk must still hold, by identity,
-    what it held at insertion, or the entry is dropped, counted as a
-    corruption and recompiled. Partial application digests the target
-    once: a sweep binds [let compile = compile ~memo:true mech kernel
-    version] and each lookup then marshals only the options. *)
+    each per-warp stream of its stored walk must still hold, by
+    identity, what it held at insertion, or the entry is dropped,
+    counted as a corruption and recompiled. Partial application looks
+    the mechanism's digest up once: a sweep binds [let compile = compile
+    ~memo:true mech kernel version] and each lookup then marshals only
+    the digest, kernel, version and options. *)
 
 val compile_checked :
   ?validate:bool ->
@@ -196,8 +202,9 @@ val compile_cached :
     kept for the benchmark driver alone, which names them. *)
 
 val memo_clear : unit -> unit
-(** Drop every memoized compilation, every memoized launch input and
-    every launch-shape store (for tests and long-lived servers). *)
+(** Drop every memoized compilation, every kept mechanism digest, every
+    memoized launch input and every launch-shape store (for tests and
+    long-lived servers). *)
 
 type memo_stats = {
   size : int;  (** entries currently cached *)

@@ -35,18 +35,13 @@ val all_kernels : kernel list
 
 val groups : Chem.Mechanism.t -> kernel -> Gpusim.Isa.group_info array
 
-val stencil_source :
-  Chem.Grid.t -> points:int -> width:int -> float array array
-(** Per-point source rows ([rows.(p).(col)]) derived from the grid
-    temperature — the image {!reference_outputs} starts from and
-    {!fill_inputs} writes. *)
-
 val fill_inputs :
   Chem.Mechanism.t -> Chem.Grid.t -> kernel -> Gpusim.Isa.program ->
   Gpusim.Memstate.t -> int -> unit
 (** Copies the first [n] points of the grid straight into the input
     groups (for stencil kernels: writes the ["image"] columns in place
-    with the values of {!stencil_source}). Requires the grid to hold at
+    with per-point source rows derived from the grid temperature, the
+    image {!reference_outputs} starts from). Requires the grid to hold at
     least [n] points and the memory exactly [n]. *)
 
 val read_outputs : Gpusim.Isa.program -> Gpusim.Memstate.t -> float array array

@@ -2,6 +2,8 @@ module A = Gpusim.Arch
 module I = Gpusim.Isa
 module T = Gpusim.Trace
 
+(* The memory paths (texture, global, local spill): indexes of the walk's
+   per-path state and bits of a phase's path mask. *)
 let tex = 0
 let glob = 1
 let loc = 2

@@ -13,13 +13,6 @@
     launch, so that {!Compile}'s per-artifact launch state can keep the
     answers {!Perf_model.predict} computes. *)
 
-(** The memory paths (texture, global, local spill), as indexes into the
-    model's per-path arrays. *)
-
-val tex : int
-val glob : int
-val loc : int
-
 type path_users = { on_tex : int; on_glob : int; on_loc : int }
 (** One CTA's warps using each memory path in one phase. *)
 

@@ -125,8 +125,8 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k) ?max_cycles
     ?(simulate = true) ?n_sms ?skew mech kernel version ~base () =
   let base = { base with Compile.partition = Compile.Partition_hand } in
   match
-    (* One mechanism digest for the whole search: every lookup below keys
-       on it plus the candidate's options. *)
+    (* One mechanism-digest lookup for the whole search: every lookup
+       below keys on that digest plus the candidate's options. *)
     let compile = Compile.compile ~memo:true mech kernel version in
     let hand =
       let s_compiled = Diagnostics.ok_exn (compile base) in

@@ -6,6 +6,26 @@ let hydrogen = Chem.Mech_gen.hydrogen
 let dme = Chem.Mech_gen.dme
 let heptane = Chem.Mech_gen.heptane
 
+(* Two domains that first call a bundled generator at once get one
+   physical mechanism: the compiler's caches match mechanisms by
+   identity. Run as the first suite (see [first_tests]), so the
+   generators are still unbuilt. *)
+let test_bundled_once_across_domains () =
+  List.iter
+    (fun (name, gen) ->
+      let go = Atomic.make false in
+      let call () =
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        gen ()
+      in
+      let d1 = Domain.spawn call and d2 = Domain.spawn call in
+      Atomic.set go true;
+      let a = Domain.join d1 and b = Domain.join d2 in
+      Alcotest.(check bool) (name ^ ": one value") true (a == b && gen () == a))
+    Chem.Mech_gen.bundled
+
 let test_formula_parse () =
   match Chem.Species.parse_formula "C2H5O2" with
   | Ok comp ->
@@ -319,4 +339,12 @@ let tests =
     Alcotest.test_case "reference kernels sane" `Quick test_ref_kernels_sane;
     Alcotest.test_case "grid fields" `Quick test_grid_normalized;
     QCheck_alcotest.to_alcotest qcheck_troe_positive;
+  ]
+
+(* Runs before every other suite, while no test has built a bundled
+   mechanism yet. *)
+let first_tests =
+  [
+    Alcotest.test_case "bundled generators build once across domains" `Quick
+      test_bundled_once_across_domains;
   ]

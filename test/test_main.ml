@@ -1,6 +1,7 @@
 let () =
   Alcotest.run "singe"
     [
+      ("mech-gen", Test_chem.first_tests);
       ("util", Test_util.tests);
       ("chem", Test_chem.tests);
       ("mech-load", Test_mech_load.tests);

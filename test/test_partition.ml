@@ -404,6 +404,117 @@ let test_warm_search_across_jobs () =
   Alcotest.(check int) "as much as the serial one" (served2 - served0)
     (served1 - served2)
 
+(* ---- the compile memo keys on the mechanism's content ----
+   [Compile] digests each physical mechanism once and keeps the digest in
+   a short identity-matched table; the memo key must still be a function
+   of the mechanism's content alone. *)
+
+let memo_counts () =
+  let s = Singe.Compile.memo_stats () in
+  (s.Singe.Compile.hits, s.Singe.Compile.misses)
+
+(* [m] re-made from copies of its fields: a new physical value, equal in
+   content unless [species] or [reactions] edits its copied array. *)
+let remake ?(species = Fun.id) ?(reactions = Fun.id) (m : Chem.Mechanism.t) =
+  Chem.Mechanism.make ~name:m.Chem.Mechanism.name
+    ~species:(Array.map Fun.id m.Chem.Mechanism.species |> species)
+    ~reactions:(Array.map Fun.id m.Chem.Mechanism.reactions |> reactions)
+    ~thermo:m.Chem.Mechanism.thermo ~qssa:m.Chem.Mechanism.qssa
+    ~stiff:m.Chem.Mechanism.stiff ()
+
+(* Species 0's transport diameter scaled by [f]. *)
+let scale_diameter f (sp : Chem.Species.t array) =
+  let s = sp.(0) in
+  sp.(0) <-
+    {
+      s with
+      Chem.Species.transport =
+        {
+          s.Chem.Species.transport with
+          Chem.Species.diameter =
+            s.Chem.Species.transport.Chem.Species.diameter *. f;
+        };
+    };
+  sp
+
+let search_bytes mech =
+  let kernel = Singe.Kernel_abi.Viscosity in
+  match
+    Singe.Partition_search.search ~simulate:false mech kernel
+      Singe.Compile.Warp_specialized ~base:(base_options kernel) ()
+  with
+  | Ok o -> (o, Marshal.to_string o [ Marshal.No_sharing ])
+  | Error d -> Alcotest.failf "search failed: %s" (Singe.Diagnostics.to_string d)
+
+let test_remade_mechanism_hits () =
+  let mech = Lazy.force hydrogen in
+  let _, warm = search_bytes mech in
+  let copy = remake mech in
+  Alcotest.(check bool) "a distinct physical value" true (copy != mech);
+  let _, misses = memo_counts () in
+  let _, again = search_bytes copy in
+  Alcotest.(check int) "no misses" misses (snd (memo_counts ()));
+  Alcotest.(check bool) "the same outcome" true (again = warm)
+
+let test_changed_mechanism_misses () =
+  let mech = Lazy.force hydrogen in
+  let original = compiled Singe.Kernel_abi.Viscosity in
+  let own what variant =
+    let compile m =
+      Singe.Diagnostics.ok_exn
+        (Singe.Compile.compile ~memo:true m Singe.Kernel_abi.Viscosity
+           Singe.Compile.Warp_specialized
+           (base_options Singe.Kernel_abi.Viscosity))
+    in
+    let _, misses = memo_counts () in
+    let c = compile variant in
+    Alcotest.(check int) (what ^ ": misses") (misses + 1) (snd (memo_counts ()));
+    Alcotest.(check bool) (what ^ ": its own artifact") true (c != original);
+    Alcotest.(check bool) (what ^ ": kept") true (compile variant == c);
+    Alcotest.(check bool) (what ^ ": the original kept") true
+      (compile mech == original)
+  in
+  own "transport diameter" (remake ~species:(scale_diameter 1.01) mech);
+  own "reaction rate"
+    (remake mech ~reactions:(fun rs ->
+         rs.(0) <-
+           {
+             (rs.(0)) with
+             Chem.Reaction.rate =
+               Chem.Reaction.Simple
+                 { pre_exp = 1.5e13; temp_exp = 0.25; activation = 1234.5 };
+           };
+         rs))
+
+let test_digest_table_bound () =
+  let mech = Lazy.force hydrogen in
+  let original = compiled Singe.Kernel_abi.Viscosity in
+  (* More distinct mechanisms than the table holds, each keyed. *)
+  for i = 1 to 20 do
+    let m =
+      remake ~species:(scale_diameter (1.0 +. (0.001 *. float_of_int i))) mech
+    in
+    ignore
+      (Singe.Compile.compile ~memo:true m Singe.Kernel_abi.Viscosity
+         Singe.Compile.Warp_specialized
+         (base_options Singe.Kernel_abi.Viscosity))
+  done;
+  let hits, misses = memo_counts () in
+  Alcotest.(check bool) "the first still hits" true
+    (compiled Singe.Kernel_abi.Viscosity == original);
+  Alcotest.(check (pair int int)) "one hit" (hits + 1, misses) (memo_counts ())
+
+let test_memo_clear_misses_every_candidate () =
+  let _, warm = search_bytes (Lazy.force hydrogen) in
+  Singe.Compile.memo_clear ();
+  let hits, misses = memo_counts () in
+  let o, cold = search_bytes (Lazy.force hydrogen) in
+  Alcotest.(check (pair int int))
+    "the hand mapping and every candidate miss"
+    (hits, misses + 1 + o.Singe.Partition_search.searched)
+    (memo_counts ());
+  Alcotest.(check bool) "the same outcome" true (cold = warm)
+
 (* The simulation-confirmed search is as deterministic as the model-only
    one, and the hand cycles it reports are the hand mapping's own run at
    the search size. *)
@@ -585,6 +696,14 @@ let tests =
       test_search_deterministic_across_jobs;
     Alcotest.test_case "warm search equal across jobs" `Quick
       test_warm_search_across_jobs;
+    Alcotest.test_case "re-made mechanism hits the memo" `Quick
+      test_remade_mechanism_hits;
+    Alcotest.test_case "changed mechanism misses the memo" `Quick
+      test_changed_mechanism_misses;
+    Alcotest.test_case "digest table bound keeps keys" `Quick
+      test_digest_table_bound;
+    Alcotest.test_case "memo_clear misses every candidate" `Quick
+      test_memo_clear_misses_every_candidate;
     Alcotest.test_case "confirmed search deterministic across jobs" `Quick
       test_confirmed_search_deterministic_across_jobs;
     Alcotest.test_case "search never loses to hand" `Quick
