@@ -510,20 +510,15 @@ let () =
            perf_max_cycles := Some n)
   in
   (match args with
-  | [] | [ "all" ] -> Experiments.Figures.all ()
   | [ "microbench" ] -> microbenchmarks ()
   | [ "perf" ] -> perf ~out:None ?max_cycles:!perf_max_cycles ()
   | [ "perf"; "--out"; file ] ->
       perf ~out:(Some file) ?max_cycles:!perf_max_cycles ()
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name Experiments.Figures.registry with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf "unknown figure %S; available: %s\n" name
-                (String.concat ", "
-                   (List.map fst Experiments.Figures.registry));
-              exit 1)
-        names);
+  | names -> (
+      let names = if names = [] then [ "all" ] else names in
+      match Experiments.Figures.run names with
+      | Ok () -> ()
+      | Error msg ->
+          prerr_endline msg;
+          exit 1));
   if args = [] || args = [ "all" ] then microbenchmarks ()

@@ -1001,11 +1001,7 @@ let figures_cmd =
     Arg.(value & pos_all name_conv [ "all" ] & info [] ~docv:"FIGURE")
   in
   let run names () =
-    List.iter
-      (function
-        | "all" -> Experiments.Figures.all ()
-        | n -> List.assoc n Experiments.Figures.registry ())
-      names
+    Result.iter_error invalid_arg (Experiments.Figures.run names)
   in
   Cmd.v (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
     Term.(const run $ names $ jobs_term)

@@ -1,3 +1,5 @@
+(* True when the [SINGE_FAST] environment variable is set: smaller
+   sweeps for CI-style runs. *)
 let fast () = Sys.getenv_opt "SINGE_FAST" <> None
 
 let archs () = [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ]
@@ -42,13 +44,7 @@ let tune mech kernel version arch =
       (Singe.Compile.version_name version)
       arch.Gpusim.Arch.name
   in
-  let cached =
-    Mutex.lock tuned_mutex;
-    let v = Hashtbl.find_opt tuned key in
-    Mutex.unlock tuned_mutex;
-    v
-  in
-  match cached with
+  match Mutex.protect tuned_mutex (fun () -> Hashtbl.find_opt tuned key) with
   | Some c -> c
   | None ->
       let warp_candidates =
@@ -62,9 +58,8 @@ let tune mech kernel version arch =
       let outcome =
         Singe.Autotune.tune ?warp_candidates mech kernel version arch
       in
-      Mutex.lock tuned_mutex;
-      Hashtbl.replace tuned key outcome.Singe.Autotune.best;
-      Mutex.unlock tuned_mutex;
+      Mutex.protect tuned_mutex (fun () ->
+          Hashtbl.replace tuned key outcome.Singe.Autotune.best);
       outcome.Singe.Autotune.best
 
 let fig9 () =
@@ -695,28 +690,100 @@ let stencil_overlap () =
     Singe.Stencil_pipe.all_ids;
   print_newline ()
 
+(* Every table, figure and ablation under its command-line name, in
+   order, with what it prints. *)
 let registry =
   [
+    (* Mechanism characteristics table (reactions / species / QSSA /
+       stiff). *)
     ("fig3", fig3);
+    (* Naive vs overlaid warp-specialized code generation: DME viscosity
+       on Kepler over a range of warps per CTA (the instruction-cache
+       cliff). *)
     ("fig9", fig9);
+    (* Constant registers per thread on Kepler, per mechanism and
+       kernel. *)
     ("fig10", fig10);
+    (* Figures 11-16 ([perf_figure]): throughput of the autotuned
+       baseline and warp-specialized kernels on both architectures at
+       32^3 / 64^3 / 128^3, with the sustained GFLOPS (§6.1/6.2) and
+       spill bytes (§6.3) the paper quotes in the text. DME viscosity,
+       heptane viscosity, DME diffusion, heptane diffusion, DME
+       chemistry, heptane chemistry. *)
     ("fig11", fig11);
     ("fig12", fig12);
     ("fig13", fig13);
     ("fig14", fig14);
     ("fig15", fig15);
     ("fig16", fig16);
+    (* Fig.-11-style cycle-attribution table: the profiler's per-bucket
+       shares (issue / arith / memory / barriers / caches / idle) for DME
+       viscosity on Kepler, baseline vs warp-specialized. *)
     ("stall-breakdown", stall_breakdown);
+    (* §6.2: cost of named-barrier synchronization in the diffusion
+       kernel — grouped sync points vs one barrier per edge, and the
+       CTA-barrier epochs' share of runtime. *)
     ("ablation-barriers", ablation_barriers);
+    (* §6.1: the constant-cache-fed DFMA ceiling — viscosity with the
+       exponential's polynomial constants read from the constant cache vs
+       held in registers (the paper's deliberately-incorrect probe, here
+       implemented losslessly). *)
     ("ablation-exp-constants", ablation_exp_constants);
+    (* Chemistry communication-policy ablation: species vectors staged
+       through shared memory vs redundantly recomputed per consumer warp
+       vs the mixed policy — throughput, shared footprint and spill
+       bytes. *)
     ("ablation-chem-comm", ablation_chem_comm);
+    (* Mapping-weight sweep: how the FLOP / register / locality weights
+       of the greedy warp assignment trade balance for locality. *)
     ("ablation-weights", ablation_weights);
+    (* §6.2: constant-load amortization — throughput versus grid size as
+       the per-CTA constant-loading prologue is amortized over more
+       streaming batches. *)
     ("ablation-batches", ablation_batches);
+    (* Shuffle-exchange superoptimizer ablation ([Singe.Shuffle_synth]):
+       per-kernel simulated cycles with the exchange rewrite off vs on,
+       the rewrite counts (sites, round trips removed, shuffle steps) and
+       the shared-memory footprint freed — DME warp-specialized on
+       Kepler. *)
     ("ablation-exchange", ablation_exchange);
+    (* Predicted-vs-simulated SM cycles for [Singe.Perf_model] on every
+       kernel x version (both mechanisms on Kepler), with the per-row
+       relative error and the worst case — the accuracy table DESIGN §12
+       quotes. *)
     ("model-accuracy", model_accuracy);
+    (* Throughput vs SM count for DME viscosity on Kepler at a fixed
+       grid: the [Gpusim.Chip] dispatcher/arbiter's wave, tail and
+       DRAM-contention behavior as the chip grows — speedup over one SM,
+       aggregate DRAM utilization, peak arbiter throttle and dispatch
+       imbalance per row. *)
     ("chip-scaling", chip_scaling);
+    (* Automatic partition search vs the hand mapping
+       ([Singe.Partition_search], DESIGN §16): hand vs searched cycles,
+       the search/gate/reject funnel and the winning spec for every
+       warp-specialized kernel of both mechanisms on Kepler. Winners are
+       confirmed by simulation (model-only under [SINGE_FAST]). *)
     ("partition-search", partition_search);
+    (* Warp-overlapped vs non-overlapped stencil tiling
+       ([Singe.Stencil_dfg], DESIGN §17): simulated SM cycles for every
+       stencil pipeline on Kepler under both tiling modes, each with the
+       hand band mapping and the searched partition ([--partition auto],
+       model-resolved). *)
     ("stencil-overlap", stencil_overlap);
   ]
 
-let all () = List.iter (fun (_, f) -> f ()) registry
+let run names =
+  match
+    List.find_opt (fun n -> n <> "all" && not (List.mem_assoc n registry)) names
+  with
+  | Some n ->
+      Error
+        (Printf.sprintf "unknown figure %S; available: %s" n
+           (String.concat ", " (List.map fst registry)))
+  | None ->
+      List.iter
+        (function
+          | "all" -> List.iter (fun (_, f) -> f ()) registry
+          | n -> List.assoc n registry ())
+        names;
+      Ok ()

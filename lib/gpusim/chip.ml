@@ -366,9 +366,7 @@ type store = {
 let create_store counters =
   { mutex = Mutex.create (); shapes = Hashtbl.create 4; view = None; counters }
 
-let locked s f =
-  Mutex.lock s.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
+let locked s f = Mutex.protect s.mutex f
 
 let copy_result (r : Sm.result) =
   let i = r.Sm.icache and c = r.Sm.ccache in

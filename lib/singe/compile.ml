@@ -570,9 +570,7 @@ let shape_counters = Gpusim.Chip.store_counters ()
 let predictions_stored = Atomic.make 0
 let predictions_served = Atomic.make 0
 
-let with_launch_states f =
-  Mutex.lock launch_states_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock launch_states_mutex) f
+let with_launch_states f = Mutex.protect launch_states_mutex f
 
 let launch_state (t : t) =
   with_launch_states (fun () ->
@@ -593,9 +591,10 @@ let launch_state (t : t) =
    A sweep (autotuner, figures, bench) revisits the same configuration
    many times; the pipeline is deterministic in (mechanism, kernel,
    version, options), so identical configurations compile once per
-   process. The key digests the whole mechanism, not just its name, so
-   synthetic test mechanisms sharing a name cannot alias; each mechanism
-   is digested once ([mech_digest]). Compiled artifacts are immutable
+   process. The key ([Memo_key]) holds the mechanism's content digest,
+   not just its name, so synthetic test mechanisms sharing a name cannot
+   alias; each mechanism is digested once ([mech_digest]). Compiled
+   artifacts are immutable
    after the pipeline returns (simulation state lives in [Memstate.t] /
    trace cursors), making a shared [t] safe to hand to concurrent sweep
    workers. Only successful compiles are cached; a failure is compiled,
@@ -631,7 +630,130 @@ type memo_entry = {
   mutable last_use : int;
 }
 
-let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 64
+(* The memo key: the mechanism's digest, the kernel, the version and
+   the options as they are, so a lookup marshals nothing. The hash reads
+   the target and the fields that tell a search's candidates apart (warp
+   count, ring depth, weights, the partition spec): [Hashtbl.hash] stops
+   after ten meaningful words, before the spec. Equality is the relation
+   the marshalled digest drew, every float compared by its bits ([=]
+   takes [-0.0] for [0.0]), and names every field of each record it
+   reads, so a new field does not compile until it is given a
+   comparison here. *)
+module Memo_key = struct
+  type t = {
+    mech : Digest.t;
+    kernel : Kernel_abi.kernel;
+    version : version;
+    options : options;
+  }
+
+  let same_float a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let same_arch (a : Gpusim.Arch.t) (b : Gpusim.Arch.t) =
+    a == b
+    ||
+    let {
+      Gpusim.Arch.name; n_sms; clock_mhz; regfile_per_sm;
+      max_regs_per_thread; shared_bytes_per_sm; max_warps_per_sm;
+      max_ctas_per_sm; named_barriers_per_sm; schedulers;
+      dp_issue_per_cycle; const_operand_penalty; alu_issue_per_cycle;
+      arith_latency; shared_latency; global_latency; icache_miss_latency;
+      tex_bytes_per_cycle; global_bytes_per_cycle; local_bytes_per_cycle;
+      shared_banks; shared_issue_per_cycle; const_cache_bytes;
+      const_line_bytes; icache_bytes; icache_line_instrs; icache_assoc;
+      instr_bytes; broadcast; has_ldg; shared_operand_collector; l2_bytes;
+      dram_gbs_peak; sm_clock_skew;
+    } =
+      a
+    in
+    String.equal name b.name && n_sms = b.n_sms
+    && same_float clock_mhz b.clock_mhz
+    && regfile_per_sm = b.regfile_per_sm
+    && max_regs_per_thread = b.max_regs_per_thread
+    && shared_bytes_per_sm = b.shared_bytes_per_sm
+    && max_warps_per_sm = b.max_warps_per_sm
+    && max_ctas_per_sm = b.max_ctas_per_sm
+    && named_barriers_per_sm = b.named_barriers_per_sm
+    && schedulers = b.schedulers
+    && same_float dp_issue_per_cycle b.dp_issue_per_cycle
+    && same_float const_operand_penalty b.const_operand_penalty
+    && same_float alu_issue_per_cycle b.alu_issue_per_cycle
+    && arith_latency = b.arith_latency
+    && shared_latency = b.shared_latency
+    && global_latency = b.global_latency
+    && icache_miss_latency = b.icache_miss_latency
+    && same_float tex_bytes_per_cycle b.tex_bytes_per_cycle
+    && same_float global_bytes_per_cycle b.global_bytes_per_cycle
+    && same_float local_bytes_per_cycle b.local_bytes_per_cycle
+    && shared_banks = b.shared_banks
+    && same_float shared_issue_per_cycle b.shared_issue_per_cycle
+    && const_cache_bytes = b.const_cache_bytes
+    && const_line_bytes = b.const_line_bytes
+    && icache_bytes = b.icache_bytes
+    && icache_line_instrs = b.icache_line_instrs
+    && icache_assoc = b.icache_assoc && instr_bytes = b.instr_bytes
+    && broadcast = b.broadcast && Bool.equal has_ldg b.has_ldg
+    && Bool.equal shared_operand_collector b.shared_operand_collector
+    && l2_bytes = b.l2_bytes
+    && same_float dram_gbs_peak b.dram_gbs_peak
+    && same_float sm_clock_skew b.sm_clock_skew
+
+  let same_weights { Mapping.w_flops; w_regs; w_locality } (b : Mapping.weights)
+      =
+    same_float w_flops b.w_flops && same_float w_regs b.w_regs
+    && same_float w_locality b.w_locality
+
+  let same_partition a b =
+    match (a, b) with
+    | Partition_hand, Partition_hand -> true
+    | ( Partition_auto
+          {
+            Mapping.producer_warps; hub_threshold; chain_weight; auto_strategy;
+          },
+        Partition_auto s ) ->
+        producer_warps = s.producer_warps
+        && hub_threshold = s.hub_threshold
+        && same_float chain_weight s.chain_weight
+        && auto_strategy = s.auto_strategy
+    | (Partition_hand | Partition_auto _), _ -> false
+
+  let same_options
+      {
+        arch; n_warps; weights; respect_hints; group_syncs; buffer_slots;
+        exp_consts_in_registers; freg_budget; list_schedule; max_barriers;
+        ctas_per_sm_target; chem_comm; full_range_thermo; synth_exchange;
+        stencil_overlap; partition;
+      } o =
+    n_warps = o.n_warps
+    && buffer_slots = o.buffer_slots
+    && same_partition partition o.partition
+    && same_weights weights o.weights
+    && Bool.equal respect_hints o.respect_hints
+    && Bool.equal group_syncs o.group_syncs
+    && Bool.equal exp_consts_in_registers o.exp_consts_in_registers
+    && Option.equal Int.equal freg_budget o.freg_budget
+    && Bool.equal list_schedule o.list_schedule
+    && max_barriers = o.max_barriers
+    && ctas_per_sm_target = o.ctas_per_sm_target
+    && chem_comm = o.chem_comm
+    && Bool.equal full_range_thermo o.full_range_thermo
+    && Option.equal Bool.equal synth_exchange o.synth_exchange
+    && Bool.equal stencil_overlap o.stencil_overlap
+    && same_arch arch o.arch
+
+  let equal { mech; kernel; version; options } b =
+    same_options options b.options
+    && String.equal mech b.mech && kernel = b.kernel && version = b.version
+
+  let hash { mech; kernel; version; options = o } =
+    Hashtbl.hash_param 16 32
+      (mech, kernel, version, o.n_warps, o.buffer_slots, o.weights, o.partition)
+end
+
+module Memo_table = Hashtbl.Make (Memo_key)
+
+let memo : memo_entry Memo_table.t = Memo_table.create 64
 let memo_mutex = Mutex.create ()
 let memo_tick = ref 0
 let memo_max = ref 512
@@ -676,14 +798,14 @@ let intact snapshot =
    target compiled again) reads the dead artifact as an ephemeron key,
    which marks it live for another cycle. Callers hold [memo_mutex]. *)
 let memo_remove key e =
-  Hashtbl.remove memo key;
+  Memo_table.remove memo key;
   with_launch_states (fun () -> Artifact_table.remove launch_states e.value)
 
 (* Callers hold [memo_mutex]. *)
 let evict_down_to limit =
-  while Hashtbl.length memo > limit do
+  while Memo_table.length memo > limit do
     let oldest = ref None in
-    Hashtbl.iter
+    Memo_table.iter
       (fun key e ->
         match !oldest with
         | Some (_, o) when o.last_use <= e.last_use -> ()
@@ -698,27 +820,24 @@ let evict_down_to limit =
 
 let memo_limit () = !memo_max
 
+let with_memo f = Mutex.protect memo_mutex f
+
 let set_memo_limit n =
   let n = max 1 n in
-  Mutex.lock memo_mutex;
-  memo_max := n;
-  evict_down_to n;
-  Mutex.unlock memo_mutex
+  with_memo (fun () ->
+      memo_max := n;
+      evict_down_to n)
 
 let memo_stats () =
-  Mutex.lock memo_mutex;
-  let s =
-    {
-      size = Hashtbl.length memo;
-      limit = !memo_max;
-      hits = !memo_hits;
-      misses = !memo_misses;
-      evictions = !memo_evictions;
-      corruptions = !memo_corruptions;
-    }
-  in
-  Mutex.unlock memo_mutex;
-  s
+  with_memo (fun () ->
+      {
+        size = Memo_table.length memo;
+        limit = !memo_max;
+        hits = !memo_hits;
+        misses = !memo_misses;
+        evictions = !memo_evictions;
+        corruptions = !memo_corruptions;
+      })
 
 let memo_stats_to_json s =
   let open Sutil.Json in
@@ -732,44 +851,27 @@ let memo_stats_to_json s =
       ("corruptions", of_int s.corruptions);
     ]
 
-(* Digest of a value's marshalled bytes, marshalled into a per-domain
-   buffer that is reused (and grown on overflow): a mechanism marshals to
-   tens of kilobytes, which as a fresh string would go straight to the
-   major heap. *)
-let marshal_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
-
-let rec digest_of v =
-  let buf = Domain.DLS.get marshal_buffer in
-  match Marshal.to_buffer buf 0 (Bytes.length buf) v [] with
-  | len -> Digest.subbytes buf 0 len
-  | exception Failure _ ->
-      Domain.DLS.set marshal_buffer (Bytes.create (2 * Bytes.length buf));
-      digest_of v
-
 (* Serve [key] from the memo, or compile and insert it. *)
-let memo_find_or_compile ?report key mech kernel version options =
+let memo_find_or_compile ?report key mech =
+  let { Memo_key.kernel; version; options; _ } = key in
   let cached =
-    Mutex.lock memo_mutex;
-    let v =
-      match Hashtbl.find_opt memo key with
-      | None ->
-          incr memo_misses;
-          None
-      | Some e when intact e.snapshot ->
-          incr memo_hits;
-          incr memo_tick;
-          e.last_use <- !memo_tick;
-          Some e.value
-      | Some e ->
-          (* Re-verification failed: the artifact no longer matches what
-             was inserted. Drop it and recompile below. *)
-          memo_remove key e;
-          incr memo_corruptions;
-          incr memo_misses;
-          None
-    in
-    Mutex.unlock memo_mutex;
-    v
+    with_memo (fun () ->
+        match Memo_table.find_opt memo key with
+        | None ->
+            incr memo_misses;
+            None
+        | Some e when intact e.snapshot ->
+            incr memo_hits;
+            incr memo_tick;
+            e.last_use <- !memo_tick;
+            Some e.value
+        | Some e ->
+            (* Re-verification failed: the artifact no longer matches what
+               was inserted. Drop it and recompile below. *)
+            memo_remove key e;
+            incr memo_corruptions;
+            incr memo_misses;
+            None)
   in
   match cached with
   | Some t -> Ok t
@@ -780,24 +882,36 @@ let memo_find_or_compile ?report key mech kernel version options =
       let r = compile_fresh ?report ~validate:false mech kernel version options in
       Result.iter
         (fun t ->
-          Mutex.lock memo_mutex;
-          if not (Hashtbl.mem memo key) then begin
-            incr memo_tick;
-            Hashtbl.add memo key
-              { value = t; snapshot = snapshot t; last_use = !memo_tick };
-            ignore (launch_state t);
-            evict_down_to !memo_max
-          end;
-          Mutex.unlock memo_mutex)
+          with_memo (fun () ->
+              if not (Memo_table.mem memo key) then begin
+                incr memo_tick;
+                Memo_table.add memo key
+                  { value = t; snapshot = snapshot t; last_use = !memo_tick };
+                ignore (launch_state t);
+                evict_down_to !memo_max
+              end))
         r;
       r
 
 (* ---- mechanism digests ----
-   A mechanism marshals to tens of kilobytes (heptane: 121 KB), so its
-   content digest is taken once per physical mechanism and kept in a
-   short most-recent-first list matched by identity, as the launch-inputs
-   memo matches mechanisms: a mechanism is never mutated after
-   [Mechanism.make]. A miss digests outside the lock. *)
+   A mechanism's content digest is the MD5 of its marshalled bytes, tens
+   of kilobytes (heptane: 121 KB), so it is taken once per physical
+   mechanism and kept in a short most-recent-first list matched by
+   identity, as the launch-inputs memo matches mechanisms: a mechanism
+   is never mutated after [Mechanism.make]. A miss digests outside the
+   lock. The bytes go to a per-domain buffer that is reused (and grown
+   on overflow): as a fresh string they would go straight to the major
+   heap, which moves the collector's pacing for a whole process. *)
+let marshal_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+let rec digest_of (mech : Chem.Mechanism.t) =
+  let buf = Domain.DLS.get marshal_buffer in
+  match Marshal.to_buffer buf 0 (Bytes.length buf) mech [] with
+  | len -> Digest.subbytes buf 0 len
+  | exception Failure _ ->
+      Domain.DLS.set marshal_buffer (Bytes.create (2 * Bytes.length buf));
+      digest_of mech
+
 let mech_digests_max = 16
 let mech_digests : (Chem.Mechanism.t * Digest.t) list ref = ref []
 let mech_digests_mutex = Mutex.create ()
@@ -824,15 +938,15 @@ let mech_digest mech =
       locked (fun () -> front d);
       d
 
-(* The memo key is the digest of everything a compile reads: the
-   mechanism's digest, kernel, version and options. *)
+(* The memo key is everything a compile reads: the mechanism's digest,
+   kernel, version and options. *)
 let compile ?(memo = false) ?(validate = false) ?report mech kernel version =
   if memo && not validate then
     let mech_key = mech_digest mech in
     fun options ->
       memo_find_or_compile ?report
-        (digest_of (mech_key, kernel, version, options))
-        mech kernel version options
+        { Memo_key.mech = mech_key; kernel; version; options }
+        mech
   else compile_fresh ?report ~validate mech kernel version
 
 (* Kept only for the benchmark driver, which names them. *)
@@ -840,13 +954,12 @@ let compile_checked ?(validate = true) m k v o = let r = ref None in Result.map 
 let compile_cached m k v = let c = compile ~memo:true m k v in fun o -> Diagnostics.ok_exn (c o)
 
 let memo_poison_for_test () =
-  Mutex.lock memo_mutex;
-  let victim = Hashtbl.fold (fun _ e _ -> Some e) memo None in
-  (match victim with
-  | Some e -> e.snapshot <- Slots ([| 0 |], [| 1 |]) :: e.snapshot
-  | None -> ());
-  Mutex.unlock memo_mutex;
-  victim <> None
+  with_memo (fun () ->
+      match Memo_table.fold (fun _ e _ -> Some e) memo None with
+      | Some e ->
+          e.snapshot <- Slots ([| 0 |], [| 1 |]) :: e.snapshot;
+          true
+      | None -> false)
 
 (* ---- launch-inputs memo ----
    A launch's input grid is a pure function of the mechanism, the point
@@ -885,9 +998,7 @@ let inputs_evict () =
         !used <= inputs_memo_budget)
       (List.sort (fun a b -> compare b.i_last_use a.i_last_use) !inputs_memo)
 
-let with_inputs_memo f =
-  Mutex.lock inputs_memo_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock inputs_memo_mutex) f
+let with_inputs_memo f = Mutex.protect inputs_memo_mutex f
 
 let launch_inputs mech ~seed ~t_range ~points =
   let key = (points, seed, t_range) in
@@ -1031,9 +1142,7 @@ let shape_store_stats () =
   }
 
 let memo_clear () =
-  Mutex.lock memo_mutex;
-  Hashtbl.reset memo;
-  Mutex.unlock memo_mutex;
+  with_memo (fun () -> Memo_table.reset memo);
   Mutex.protect mech_digests_mutex (fun () -> mech_digests := []);
   with_inputs_memo (fun () -> inputs_memo := []);
   with_launch_states (fun () -> Artifact_table.reset launch_states)

@@ -515,6 +515,196 @@ let test_memo_clear_misses_every_candidate () =
     (memo_counts ());
   Alcotest.(check bool) "the same outcome" true (cold = warm)
 
+(* ---- the compile memo keys on the options' structure ----
+   The key holds the options themselves, compared field by field with
+   floats by their bits (the relation a digest of the marshalled options
+   drew), not by identity and not by [=]. *)
+
+let memo_compile options =
+  Singe.Diagnostics.ok_exn (compile ~memo:true options)
+
+(* [o] rebuilt field by field: equal to it, sharing none of its records. *)
+let rebuilt (o : Singe.Compile.options) =
+  let w = o.Singe.Compile.weights in
+  {
+    o with
+    Singe.Compile.arch =
+      { o.arch with Gpusim.Arch.name = o.arch.Gpusim.Arch.name };
+    weights = { w with Singe.Mapping.w_flops = w.Singe.Mapping.w_flops };
+    partition =
+      (match o.partition with
+      | Singe.Compile.Partition_auto s ->
+          let hub_threshold = s.Singe.Mapping.hub_threshold in
+          Singe.Compile.Partition_auto { s with hub_threshold }
+      | Singe.Compile.Partition_hand -> Singe.Compile.Partition_hand);
+  }
+
+let test_equal_options_hit () =
+  let kernel = Singe.Kernel_abi.Viscosity in
+  let o =
+    List.hd
+      (Singe.Partition_search.candidate_options (base_options kernel)
+         (compiled kernel).Singe.Compile.dfg)
+  in
+  let c = memo_compile o in
+  let copy = rebuilt o in
+  Alcotest.(check bool) "physically distinct" true
+    (copy != o
+    && copy.Singe.Compile.arch != o.Singe.Compile.arch
+    && copy.weights != o.weights
+    && copy.partition != o.partition);
+  let hits, misses = memo_counts () in
+  Alcotest.(check bool) "the same artifact" true (memo_compile copy == c);
+  Alcotest.(check (pair int int)) "one hit" (hits + 1, misses) (memo_counts ())
+
+(* [a] and [b] differ only in a zero's sign: two entries, each kept. *)
+let keyed_apart what a b =
+  let c = memo_compile a in
+  let _, misses = memo_counts () in
+  let d = memo_compile b in
+  Alcotest.(check int) (what ^ ": misses") (misses + 1) (snd (memo_counts ()));
+  Alcotest.(check bool) (what ^ ": its own artifact") true (d != c);
+  Alcotest.(check bool) (what ^ ": both kept") true
+    (memo_compile a == c && memo_compile b == d)
+
+let test_signed_zeros_key_apart () =
+  let base = base_options Singe.Kernel_abi.Viscosity in
+  let regs w =
+    let weights = base.Singe.Compile.weights in
+    { base with weights = { weights with Singe.Mapping.w_regs = w } }
+  in
+  keyed_apart "weight" (regs 0.0) (regs (-0.0));
+  let skew s =
+    { base with arch = { arch with Gpusim.Arch.sm_clock_skew = s } }
+  in
+  keyed_apart "clock skew" (skew 0.0) (skew (-0.0))
+
+(* Generated hydrogen targets, each with one options field redrawn
+   (sometimes to an equal value in a fresh record): the memoized compile
+   of the mutant either misses or returns an artifact that marshals to
+   the bytes of a fresh compile of the mutant. A key blind to a field
+   would serve the original's artifact, which carries the original's
+   options. The pattern in [mutations] names every options field, so a
+   new field does not compile until it is given a mutation here. *)
+let memo_key_covers_every_field =
+  let open QCheck.Gen in
+  let mutations
+      ({
+         Singe.Compile.arch;
+         n_warps;
+         weights = _;
+         respect_hints = _;
+         group_syncs = _;
+         buffer_slots = _;
+         exp_consts_in_registers = _;
+         freg_budget = _;
+         list_schedule = _;
+         max_barriers = _;
+         ctas_per_sm_target = _;
+         chem_comm = _;
+         full_range_thermo = _;
+         synth_exchange = _;
+         stencil_overlap = _;
+         partition = _;
+       } as o) =
+    let set name g f = map (fun v -> (name, f v)) g in
+    let weight = oneofl [ 0.0; -0.0; 0.25; 1.0 ] in
+    let spec =
+      map4
+        (fun producer_warps hub_threshold chain_weight auto_strategy ->
+          {
+            Singe.Mapping.producer_warps;
+            hub_threshold;
+            chain_weight;
+            auto_strategy;
+          })
+        (int_range 1 (n_warps - 1))
+        (int_range 2 4)
+        (oneofl [ 0.5; 1.0; 2.0 ])
+        (oneofl Singe.Mapping.[ Store; Buffer; Mixed ])
+    in
+    Singe.Compile.
+      [
+        set "arch"
+          (oneofl
+             Gpusim.Arch.
+               [
+                 fermi_c2070;
+                 { arch with name = arch.name };
+                 { arch with n_sms = 1 };
+                 { arch with sm_clock_skew = -0.0 };
+               ])
+          (fun arch -> { o with arch });
+        set "n_warps" (int_range 2 12) (fun n_warps -> { o with n_warps });
+        set "weights" (triple weight weight weight)
+          (fun (w_flops, w_regs, w_locality) ->
+            { o with weights = { Singe.Mapping.w_flops; w_regs; w_locality } });
+        set "respect_hints" bool (fun respect_hints ->
+            { o with respect_hints });
+        set "group_syncs" bool (fun group_syncs -> { o with group_syncs });
+        set "buffer_slots" (int_range 1 64) (fun buffer_slots ->
+            { o with buffer_slots });
+        set "exp_consts_in_registers" bool (fun exp_consts_in_registers ->
+            { o with exp_consts_in_registers });
+        set "freg_budget" (opt (int_range 6 64)) (fun freg_budget ->
+            { o with freg_budget });
+        set "list_schedule" bool (fun list_schedule ->
+            { o with list_schedule });
+        set "max_barriers" (int_range 1 16) (fun max_barriers ->
+            { o with max_barriers });
+        set "ctas_per_sm_target" (int_range 1 3) (fun ctas_per_sm_target ->
+            { o with ctas_per_sm_target });
+        set "chem_comm"
+          (opt (oneofl [ Chem_staged; Chem_recompute; Chem_mixed ]))
+          (fun chem_comm -> { o with chem_comm });
+        set "full_range_thermo" bool (fun full_range_thermo ->
+            { o with full_range_thermo });
+        set "synth_exchange" (opt bool) (fun synth_exchange ->
+            { o with synth_exchange });
+        set "stencil_overlap" bool (fun stencil_overlap ->
+            { o with stencil_overlap });
+        set "partition"
+          (oneof
+             [ return Partition_hand; map (fun s -> Partition_auto s) spec ])
+          (fun partition -> { o with partition });
+      ]
+  in
+  let gen =
+    let* kernel =
+      oneofl Singe.Kernel_abi.[ Viscosity; Conductivity; Diffusion ]
+    in
+    let* n_warps = int_range 2 12 and* respect_hints = bool in
+    let base =
+      { (base_options kernel) with Singe.Compile.n_warps; respect_hints }
+    in
+    let* name, mutant = oneof (mutations base) in
+    return (kernel, base, name, mutant)
+  in
+  let print (kernel, _, name, _) =
+    Printf.sprintf "%s, %s redrawn" (Singe.Kernel_abi.kernel_name kernel) name
+  in
+  let prop (kernel, base, _, mutant) =
+    let compile ?memo o = compile ?memo ~kernel o in
+    ignore (compile ~memo:true base);
+    let _, misses = memo_counts () in
+    match compile ~memo:true mutant with
+    | _ when snd (memo_counts ()) > misses -> true
+    | Error d ->
+        QCheck.Test.fail_reportf "a hit failed: %s"
+          (Singe.Diagnostics.to_string d)
+    | Ok served -> (
+        match compile mutant with
+        | Ok fresh ->
+            Marshal.to_string served [] = Marshal.to_string fresh []
+            || QCheck.Test.fail_report "the hit differs from a fresh compile"
+        | Error d ->
+            QCheck.Test.fail_reportf "a hit where a fresh compile fails: %s"
+              (Singe.Diagnostics.to_string d))
+  in
+  QCheck_alcotest.to_alcotest ~verbose:false
+    (QCheck.Test.make ~count:60 ~name:"memo key covers every options field"
+       (QCheck.make ~print gen) prop)
+
 (* The simulation-confirmed search is as deterministic as the model-only
    one, and the hand cycles it reports are the hand mapping's own run at
    the search size. *)
@@ -714,4 +904,9 @@ let tests =
       test_striped_param_temps_accounted;
     Alcotest.test_case "rejection labels distinct" `Quick
       test_rejection_labels_distinct;
+    Alcotest.test_case "equal options hit the memo" `Quick
+      test_equal_options_hit;
+    Alcotest.test_case "signed zeros key apart" `Quick
+      test_signed_zeros_key_apart;
+    memo_key_covers_every_field;
   ]
