@@ -69,6 +69,9 @@ let default_options arch =
     partition = Partition_hand;
   }
 
+(* The hand mapping's placement: chemistry's reaction rates stay in
+   registers and exchange through the buffer ring, and only its staged
+   species vectors (Listing 4's [scratch]) live in shared memory (§4.1). *)
 let default_strategy = function
   | Kernel_abi.Viscosity | Kernel_abi.Conductivity -> Mapping.Store
   | Kernel_abi.Diffusion -> Mapping.Mixed
@@ -77,6 +80,14 @@ let default_strategy = function
      offsets: the store region (plus the scheduler's named-barrier
      handshakes) carries them; the transport ring adds nothing. *)
   | Kernel_abi.Stencil _ -> Mapping.Store
+
+type backend_output = {
+  mapping : Mapping.t;
+  schedule : Schedule.t;
+  lowered : Lower.output;
+  facts : Model_facts.t;
+  verdict : (unit, string * string list) result;
+}
 
 type t = {
   mech : Chem.Mechanism.t;
@@ -88,7 +99,7 @@ type t = {
   schedule : Schedule.t;
   lowered : Lower.output;
   facts : Model_facts.t;
-  safety : (unit, string * string list) result;
+  verdict : (unit, string * string list) result;
 }
 
 (* ---- typed option checking (the [options] pseudo-pass) ---- *)
@@ -153,62 +164,105 @@ let synth_exchange_enabled o =
   | Some b -> b
   | None -> o.arch.Gpusim.Arch.broadcast = Gpusim.Arch.Shuffle
 
-let check_options mech kernel version o =
-  match check_options_exn mech kernel version o with
-  | () -> Ok ()
+(* Every failure a diagnostic: a validation pass raises [Diagnostics.Fail];
+   a stage that cannot fit the configuration raises [Failure] or
+   [Invalid_argument]. *)
+let diagnose f =
+  match f () with
+  | v -> Ok v
   | exception Diagnostics.Fail d -> Error d
+  | exception (Failure msg | Invalid_argument msg) ->
+      Error (Diagnostics.error ~pass:"pipeline" msg)
 
-(* ---- transform passes ---- *)
+let check_options mech kernel version o =
+  diagnose (fun () -> check_options_exn mech kernel version o)
 
-let build_dfg ?(chem_comm = Chem_staged) ?(full_range_thermo = false)
-    ?(stencil_overlap = true) mech kernel ~n_warps =
+(* ---- the settings a version makes of the options ----
+   The data-parallel baseline (§6) is the warp-specialized pipeline run
+   with these fixed: the graph mapped onto one logical warp, one thread
+   per point, constants through the constant cache, no refits. They
+   follow from the version, never from an option: a baseline honouring
+   hints, a searched partition or a ring refit would no longer be §6's. *)
+type settings = {
+  mapped_warps : int;
+  partition : partition;
+  strategy : Mapping.strategy;  (** the hand mapping's *)
+  respect_hints : bool;
+  group_syncs : bool;
+  chem_comm : chem_comm;
+  overlay : bool;
+  const_policy : Lower.const_policy;
+  point_map : Gpusim.Isa.point_map;
+  refits : int;  (** retries of each fit loop *)
+}
+
+let settings ~strategy version o =
+  match version with
+  | Baseline ->
+      {
+        mapped_warps = 1;
+        partition = Partition_hand;
+        strategy = Mapping.Buffer;
+        respect_hints = false;
+        group_syncs = true;
+        chem_comm = Chem_staged;
+        overlay = true;
+        const_policy = Lower.Const_mem;
+        point_map = Gpusim.Isa.Thread_per_point;
+        refits = 0;
+      }
+  | Warp_specialized | Naive_warp_specialized ->
+      {
+        mapped_warps = o.n_warps;
+        partition = o.partition;
+        strategy;
+        respect_hints = o.respect_hints;
+        group_syncs = o.group_syncs;
+        (* Staging measured fastest end to end; recomputation trades the
+           staged vectors for registers and FLOPs (GFLOPS over points/s). *)
+        chem_comm = Option.value o.chem_comm ~default:Chem_staged;
+        overlay = version = Warp_specialized;
+        const_policy =
+          (if version = Warp_specialized then Lower.Bank else Lower.Immediate);
+        point_map = Gpusim.Isa.Coop;
+        refits = 3;
+      }
+
+(* ---- the frontend: a mechanism or stencil pipeline to its graph ---- *)
+
+let build_dfg s mech kernel o =
+  let n_warps = s.mapped_warps in
   match kernel with
   | Kernel_abi.Viscosity -> Viscosity_dfg.build mech ~n_warps
   | Kernel_abi.Conductivity -> Conductivity_dfg.build mech ~n_warps
   | Kernel_abi.Diffusion -> Diffusion_dfg.build mech ~n_warps
   | Kernel_abi.Chemistry ->
       let recompute_conc, recompute_gibbs =
-        match chem_comm with
+        match s.chem_comm with
         | Chem_staged -> (false, false)
         | Chem_recompute -> (true, true)
         | Chem_mixed -> (false, true)
       in
-      Chemistry_dfg.build ~recompute_conc ~recompute_gibbs ~full_range_thermo
-        mech ~n_warps
+      Chemistry_dfg.build ~recompute_conc ~recompute_gibbs
+        ~full_range_thermo:o.full_range_thermo mech ~n_warps
   | Kernel_abi.Stencil id ->
       Stencil_dfg.build (Stencil_pipe.get id) ~n_warps
-        ~overlap:stencil_overlap
+        ~overlap:o.stencil_overlap
 
-let freg_budget options =
-  match options.freg_budget with
-  | Some b -> b
-  | None ->
-      (* Per-thread 32-bit budget so the target CTAs per SM stay resident:
-         the register file divided over the resident threads, capped by the
-         per-thread architectural maximum, minus headroom for integer
-         parameter registers and addressing overhead. *)
-      let threads =
-        options.ctas_per_sm_target * options.n_warps * 32
-      in
-      let budget32 =
-        min options.arch.Gpusim.Arch.max_regs_per_thread
-          (options.arch.Gpusim.Arch.regfile_per_sm / threads)
-      in
-      max 8 ((budget32 - 16) / 2)
+let frontend mech kernel version o =
+  build_dfg (settings ~strategy:(default_strategy kernel) version o) mech kernel o
 
-(* The lowering configuration of a compile: [options] decide everything
-   but the version's code shape ([overlay], [const_policy]). *)
-let lower_config options ~overlay ~const_policy =
-  {
-    Lower.arch = options.arch;
-    overlay;
-    const_policy;
-    exp_consts_in_registers = options.exp_consts_in_registers;
-    param_stripe_threshold = 8;
-    freg_budget = freg_budget options;
-    synth_exchange = synth_exchange_enabled options;
-    list_schedule = options.list_schedule;
-  }
+(* The 32-bit registers per thread that keep the target CTAs per SM
+   resident: the register file over the resident threads, capped by the
+   per-thread maximum. *)
+let regs32_cap o =
+  min o.arch.Gpusim.Arch.max_regs_per_thread
+    (o.arch.Gpusim.Arch.regfile_per_sm / (o.ctas_per_sm_target * o.n_warps * 32))
+
+(* The default double budget leaves headroom under that cap for integer
+   parameter registers and addressing. *)
+let freg_budget o =
+  match o.freg_budget with Some b -> b | None -> max 8 ((regs32_cap o - 16) / 2)
 
 (* ---- artifact statistics attached to each pass record ---- *)
 
@@ -251,272 +305,198 @@ let lower_stats (l : Lower.output) =
     ("params", float_of_int l.Lower.n_params);
   ]
 
-(* ---- the pipeline ---- *)
+(* ---- the backend: a graph to its mapping, schedule and program ---- *)
 
-(* One half of a compile's safety verdict ([t.safety]): [check] runs once,
+(* One part of a compile's verdict ([t.verdict]): [check] runs once,
    whatever [validate] says. Under [validate] it runs inside its pass
    record, which times it and raises its failure. *)
-let safety_check pm ~validate ~name check =
-  let verdict =
-    if validate then begin
-      let v = ref (Ok ()) in
-      Pass.validate pm ~name (fun () ->
-          v := check ();
-          !v);
-      !v
-    end
-    else check ()
-  in
-  Result.map_error (fun msgs -> (name, msgs)) verdict
+let verdict_check pm ~validate ~name check =
+  let v = ref (Ok ()) in
+  let run () = v := check (); !v in
+  if validate then Pass.validate pm ~name run else ignore (run ());
+  Result.map_error (fun msgs -> (name, msgs)) !v
 
-(* The passes proper: the dataflow graph, mapping, schedule and lowered
-   program of a compile, and its safety verdict: [Mapping.validate], then,
-   only if that passes, [Deadlock_check.check] on the final schedule,
-   then, for the warp-specialized versions, whether one CTA's shared
-   memory fits an SM. *)
-let run_passes pm ~validate mech kernel version options =
-  let groups = Kernel_abi.groups mech kernel in
-  match version with
-  | Warp_specialized | Naive_warp_specialized ->
-      (* Staging through shared memory wins on end-to-end throughput in
-         most measured configurations; redundant recomputation trades the
-         staged vectors for registers and FLOPs, raising achieved GFLOPS
-         more than points per second. The explicit knob remains for the
-         ablation benchmark and for shared-memory-starved configurations. *)
-      let chem_comm = Option.value options.chem_comm ~default:Chem_staged in
-      let dfg =
-        Pass.run pm ~name:"dfg-build" ~stats:dfg_stats (fun () ->
-            build_dfg ~chem_comm ~full_range_thermo:options.full_range_thermo
-              ~stencil_overlap:options.stencil_overlap mech kernel
-              ~n_warps:options.n_warps)
+(* The passes after the frontend, one sequence for every version: the
+   mapping, schedule and lowered program of [dfg], the model's facts, and
+   the verdict: [Mapping.validate], then, only if that passes,
+   [Deadlock_check.check] on the final schedule, then whether one CTA's
+   shared memory fits an SM. *)
+let run_backend pm ~validate s ~name ~groups o dfg =
+  if validate then
+    Pass.validate pm ~name:"dfg-validate" (fun () ->
+        Dfg.validate ~n_warps:s.mapped_warps dfg);
+  let mapping =
+    Pass.run pm ~name:"mapping" ~stats:(mapping_stats dfg) (fun () ->
+        match s.partition with
+        | Partition_hand ->
+            Mapping.map dfg ~n_warps:s.mapped_warps ~weights:o.weights
+              ~strategy:s.strategy ~respect_hints:s.respect_hints
+        | Partition_auto spec ->
+            Mapping.map_auto dfg ~n_warps:s.mapped_warps ~weights:o.weights
+              ~spec)
+  in
+  let mapping_ok =
+    verdict_check pm ~validate ~name:"mapping-validate" (fun () ->
+        Mapping.validate dfg mapping)
+  in
+  let cfg =
+    {
+      Lower.arch = o.arch;
+      overlay = s.overlay;
+      const_policy = s.const_policy;
+      exp_consts_in_registers = o.exp_consts_in_registers;
+      param_stripe_threshold = 8;
+      freg_budget = freg_budget o;
+      synth_exchange = synth_exchange_enabled o;
+      list_schedule = o.list_schedule;
+    }
+  in
+  (* The integer-parameter register demand is only known after
+     lowering; shrink the floating budget and retry if the 32-bit
+     total overshoots the architectural cap. *)
+  let cap32 = regs32_cap o in
+  let rec fit schedule cfg tries =
+    let lowered =
+      Pass.run pm ~name:"lower" ~stats:lower_stats (fun () ->
+          Lower.lower cfg ~point_map:s.point_map ~name ~out_warps:o.n_warps
+            ~groups dfg mapping schedule)
+    in
+    let used = Gpusim.Isa.regs32_per_thread lowered.Lower.program in
+    if used <= cap32 || tries = 0 then lowered
+    else
+      let budget = cfg.Lower.freg_budget - (((used - cap32) + 1) / 2) - 1 in
+      let cfg' = { cfg with Lower.freg_budget = budget } in
+      let floor =
+        Lower.freg_floor cfg' ~n_logical_consts:lowered.Lower.n_logical_consts
       in
-      if validate then
-        Pass.validate pm ~name:"dfg-validate" (fun () ->
-            Dfg.validate ~n_warps:options.n_warps dfg);
-      let mapping =
-        Pass.run pm ~name:"mapping" ~stats:(mapping_stats dfg) (fun () ->
-            match options.partition with
-            | Partition_hand ->
-                Mapping.map dfg ~n_warps:options.n_warps
-                  ~weights:options.weights ~strategy:(default_strategy kernel)
-                  ~respect_hints:options.respect_hints
-            | Partition_auto spec ->
-                Mapping.map_auto dfg ~n_warps:options.n_warps
-                  ~weights:options.weights ~spec)
-      in
-      let mapping_safe =
-        safety_check pm ~validate ~name:"mapping-validate" (fun () ->
-            Mapping.validate dfg mapping)
-      in
-      let cfg =
-        lower_config options ~overlay:(version = Warp_specialized)
-          ~const_policy:
-            (if version = Warp_specialized then Lower.Bank else Lower.Immediate)
-      in
-      let name =
-        Printf.sprintf "%s-%s-ws%d" mech.Chem.Mechanism.name
-          (Kernel_abi.kernel_name kernel) options.n_warps
-      in
-      (* The integer-parameter register demand is only known after
-         lowering; shrink the floating budget and retry if the 32-bit
-         total overshoots the architectural cap. *)
-      let cap32 =
-        min options.arch.Gpusim.Arch.max_regs_per_thread
-          (options.arch.Gpusim.Arch.regfile_per_sm
-          / (options.ctas_per_sm_target * options.n_warps * 32))
-      in
-      let rec fit schedule cfg tries =
-        let lowered =
-          Pass.run pm ~name:"lower" ~stats:lower_stats (fun () ->
-              Lower.lower cfg ~point_map:Gpusim.Isa.Coop ~name
-                ~out_warps:options.n_warps ~groups dfg mapping schedule)
-        in
-        let used = Gpusim.Isa.regs32_per_thread lowered.Lower.program in
-        if used <= cap32 || tries = 0 then lowered
-        else
-          let budget = cfg.Lower.freg_budget - (((used - cap32) + 1) / 2) - 1 in
-          let cfg' = { cfg with Lower.freg_budget = budget } in
-          let floor =
-            Lower.freg_floor cfg'
-              ~n_logical_consts:lowered.Lower.n_logical_consts
+      if budget < floor then
+        Diagnostics.failf ~pass:"lower"
+          "%s needs %d 32-bit registers per thread at %d double registers, \
+           over the per-thread cap of %d at %d warps x %d CTA(s) per SM on \
+           %s, and shrinking the budget to %d would fall below the register \
+           allocator's floor of %d (constant-bank registers + %d)"
+          name used cfg.Lower.freg_budget cap32 o.n_warps o.ctas_per_sm_target
+          o.arch.Gpusim.Arch.name budget floor Lower.min_fregs
+      else fit schedule cfg' (tries - 1)
+  in
+  (* Shared memory must leave room for the target CTAs per SM. If the
+     store slots plus the buffer ring overshoot, rebuild the schedule
+     with a smaller ring (more ring reuse costs barrier waits, not
+     correctness) before giving up. A retry whose request is no smaller
+     than the ring the last schedule used would rebuild that schedule
+     and program as they are, so it keeps them instead. *)
+  let shared_cap =
+    o.arch.Gpusim.Arch.shared_bytes_per_sm / max 1 o.ctas_per_sm_target
+  in
+  let rec fit_shared buffer_slots tries last =
+    let schedule, lowered =
+      match last with
+      | Some ((sched, _) as kept) when sched.Schedule.buffer_slots <= buffer_slots
+        ->
+          kept
+      | Some _ | None ->
+          let schedule =
+            Pass.run pm ~name:"schedule" ~stats:schedule_stats (fun () ->
+                Schedule.build ~buffer_slots ~group_syncs:s.group_syncs
+                  ~max_barriers:o.max_barriers dfg mapping)
           in
-          if budget < floor then
-            Diagnostics.failf ~pass:"lower"
-              "%s needs %d 32-bit registers per thread at %d double \
-               registers, over the per-thread cap of %d at %d warps x %d \
-               CTA(s) per SM on %s, and shrinking the budget to %d would \
-               fall below the register allocator's floor of %d \
-               (constant-bank registers + %d)"
-              name used cfg.Lower.freg_budget cap32 options.n_warps
-              options.ctas_per_sm_target options.arch.Gpusim.Arch.name budget
-              floor Lower.min_fregs
-          else fit schedule cfg' (tries - 1)
-      in
-      (* Shared memory must leave room for the target CTAs per SM. If the
-         store slots plus the buffer ring overshoot, rebuild the schedule
-         with a smaller ring (more ring reuse costs barrier waits, not
-         correctness) before giving up. *)
-      let shared_cap =
-        options.arch.Gpusim.Arch.shared_bytes_per_sm
-        / max 1 options.ctas_per_sm_target
-      in
-      let rec fit_shared buffer_slots tries =
-        let schedule =
-          Pass.run pm ~name:"schedule" ~stats:schedule_stats (fun () ->
-              Schedule.build ~buffer_slots ~group_syncs:options.group_syncs
-                ~max_barriers:options.max_barriers dfg mapping)
-        in
-        let lowered = fit schedule cfg 3 in
-        let bytes = lowered.Lower.program.Gpusim.Isa.shared_doubles * 8 in
-        if bytes <= shared_cap || tries = 0 || buffer_slots <= 8 then
-          (schedule, lowered)
-        else
-          let overshoot_slots = ((bytes - shared_cap) + 255) / 256 in
-          fit_shared (max 8 (buffer_slots - overshoot_slots)) (tries - 1)
-      in
-      let schedule, lowered = fit_shared options.buffer_slots 3 in
-      (* The loop gives up after three tries or at 8 ring slots; a program
-         still over one SM's shared memory cannot launch at all. That
-         verdict joins [safety], and a validating compile fails on it. *)
-      let shared_fit =
-        let bytes = lowered.Lower.program.Gpusim.Isa.shared_doubles * 8
-        and per_sm = options.arch.Gpusim.Arch.shared_bytes_per_sm in
-        if bytes <= per_sm then Ok ()
-        else
-          Error
-            ( "lower",
-              [
-                Printf.sprintf
-                  "%s needs %d bytes of shared memory per CTA, over the %d \
-                   bytes (shared_bytes_per_sm) of one SM on %s: not even \
-                   one CTA fits"
-                  name bytes per_sm options.arch.Gpusim.Arch.name;
-              ] )
-      in
-      if validate then
-        Result.iter_error
-          (fun (pass, problems) ->
-            raise (Diagnostics.Fail (Diagnostics.of_problems ~pass problems)))
-          shared_fit;
-      (* Surface the rewrite's work as its own [--timings] row (the wall
-         time is folded into the lower pass; the statistics are what
-         matter here). *)
-      if cfg.Lower.synth_exchange then
-        ignore
-          (Pass.run pm ~name:"synth-exchange" ~stats:Shuffle_synth.report_stats
-             (fun () -> lowered.Lower.exchange));
-      if validate then
-        Pass.validate pm ~name:"schedule-validate" (fun () ->
-            Schedule.validate ~max_barriers:options.max_barriers schedule dfg
-              mapping);
-      let safety =
-        Result.bind mapping_safe (fun () ->
-            Result.bind
-              (safety_check pm ~validate ~name:"deadlock-check" (fun () ->
-                   Deadlock_check.check schedule))
-              (fun () -> shared_fit))
-      in
-      if validate then
-        Pass.validate pm ~name:"lower-validate" (fun () ->
-            Lower.validate_output ~arch:options.arch
-              ~max_barriers:options.max_barriers lowered);
-      (dfg, mapping, schedule, lowered, safety)
-  | Baseline ->
-      (* One thread per point: every thread runs the whole dataflow graph,
-         so map onto a single logical warp and emit warp-independent code. *)
-      let dfg =
-        Pass.run pm ~name:"dfg-build" ~stats:dfg_stats (fun () ->
-            build_dfg ~full_range_thermo:options.full_range_thermo
-              ~stencil_overlap:options.stencil_overlap mech kernel ~n_warps:1)
-      in
-      if validate then
-        Pass.validate pm ~name:"dfg-validate" (fun () ->
-            Dfg.validate ~n_warps:1 dfg);
-      let mapping =
-        Pass.run pm ~name:"mapping" ~stats:(mapping_stats dfg) (fun () ->
-            Mapping.map dfg ~n_warps:1 ~weights:options.weights
-              ~strategy:Mapping.Buffer ~respect_hints:false)
-      in
-      let mapping_safe =
-        safety_check pm ~validate ~name:"mapping-validate" (fun () ->
-            Mapping.validate dfg mapping)
-      in
-      let schedule =
-        Pass.run pm ~name:"schedule" ~stats:schedule_stats (fun () ->
-            Schedule.build ~buffer_slots:options.buffer_slots ~group_syncs:true
-              dfg mapping)
-      in
-      if validate then
-        Pass.validate pm ~name:"schedule-validate" (fun () ->
-            Schedule.validate ~max_barriers:options.max_barriers schedule dfg
-              mapping);
-      let safety =
-        Result.bind mapping_safe (fun () ->
-            safety_check pm ~validate ~name:"deadlock-check" (fun () ->
-                Deadlock_check.check schedule))
-      in
-      let cfg =
-        lower_config options ~overlay:true ~const_policy:Lower.Const_mem
-      in
-      let lowered =
-        Pass.run pm ~name:"lower" ~stats:lower_stats (fun () ->
-            Lower.lower cfg
-              ~name:
-                (Printf.sprintf "%s-%s-baseline" mech.Chem.Mechanism.name
-                   (Kernel_abi.kernel_name kernel))
-              ~point_map:Gpusim.Isa.Thread_per_point ~out_warps:options.n_warps
-              ~groups dfg mapping schedule)
-      in
-      if validate then
-        Pass.validate pm ~name:"lower-validate" (fun () ->
-            Lower.validate_output ~arch:options.arch
-              ~max_barriers:options.max_barriers lowered);
-      (dfg, mapping, schedule, lowered, safety)
-
-(* The model's program-only facts, and its scoreboard walk at the
-   program's occupancy, are a compile output like the lowered program
-   they describe: computed once here, eagerly (a [Lazy.t] forced by two
-   sweep workers at once raises), with no pass record of their own, so
-   the pass report is unchanged. *)
-let run_pipeline pm ~validate mech kernel version options =
-  let dfg, mapping, schedule, lowered, safety =
-    run_passes pm ~validate mech kernel version options
+          (schedule, fit schedule cfg s.refits)
+    in
+    let bytes = lowered.Lower.program.Gpusim.Isa.shared_doubles * 8 in
+    if bytes <= shared_cap || tries = 0 || buffer_slots <= 8 then
+      (schedule, lowered)
+    else
+      let overshoot_slots = ((bytes - shared_cap) + 255) / 256 in
+      fit_shared
+        (max 8 (buffer_slots - overshoot_slots))
+        (tries - 1)
+        (Some (schedule, lowered))
   in
-  let facts = Model_facts.of_layout options.arch lowered.Lower.program in
-  {
-    mech;
-    kernel;
-    version;
-    options;
-    dfg;
-    mapping;
-    schedule;
-    lowered;
-    facts;
-    safety;
-  }
+  let schedule, lowered = fit_shared o.buffer_slots s.refits None in
+  (* The loop gives up after its retries or once the ring cannot shrink;
+     a program still over one SM's shared memory cannot launch at all.
+     That verdict joins [verdict], and a validating compile fails on it. *)
+  let bytes = lowered.Lower.program.Gpusim.Isa.shared_doubles * 8
+  and per_sm = o.arch.Gpusim.Arch.shared_bytes_per_sm in
+  let shared_fit =
+    if bytes <= per_sm then Ok ()
+    else
+      Error
+        ( "lower",
+          [ Printf.sprintf "%s needs %d bytes of shared memory per CTA, over \
+               the %d bytes (shared_bytes_per_sm) of one SM on %s: not even \
+               one CTA fits" name bytes per_sm o.arch.Gpusim.Arch.name ] )
+  in
+  if validate then
+    Result.iter_error
+      (fun (pass, problems) ->
+        raise (Diagnostics.Fail (Diagnostics.of_problems ~pass problems)))
+      shared_fit;
+  (* Surface the rewrite's work as its own [--timings] row (the wall time
+     is folded into the lower pass; the statistics are what matter here).
+     [Lower] runs it only where the emitted warps are the mapped ones. *)
+  if cfg.Lower.synth_exchange && o.n_warps = s.mapped_warps then
+    ignore
+      (Pass.run pm ~name:"synth-exchange" ~stats:Shuffle_synth.report_stats
+         (fun () -> lowered.Lower.exchange));
+  if validate then
+    Pass.validate pm ~name:"schedule-validate" (fun () ->
+        Schedule.validate ~max_barriers:o.max_barriers schedule dfg mapping);
+  let verdict =
+    Result.bind mapping_ok (fun () ->
+        Result.bind
+          (verdict_check pm ~validate ~name:"deadlock-check" (fun () ->
+               Deadlock_check.check schedule))
+          (fun () -> shared_fit))
+  in
+  if validate then
+    Pass.validate pm ~name:"lower-validate" (fun () ->
+        Lower.validate_output ~arch:o.arch ~max_barriers:o.max_barriers
+          lowered);
+  (* The model's program-only facts, and its scoreboard walk at the
+     program's occupancy, are an output like the lowered program they
+     describe: computed once here, eagerly (a [Lazy.t] forced by two
+     sweep workers at once raises), with no pass record of their own. *)
+  let facts = Model_facts.of_layout o.arch lowered.Lower.program in
+  ({ mapping; schedule; lowered; facts; verdict } : backend_output)
+
+let backend ?(validate = false) ~name ~groups ~strategy version o dfg =
+  diagnose (fun () ->
+      run_backend (Pass.create name) ~validate
+        (settings ~strategy version o)
+        ~name ~groups o dfg)
 
 let pipeline_name mech kernel version options =
   Printf.sprintf "%s/%s/%s/%s/ws%d" mech.Chem.Mechanism.name
     (Kernel_abi.kernel_name kernel)
     (version_name version) options.arch.Gpusim.Arch.name options.n_warps
 
-(* A fresh compile, every failure a diagnostic: invalid options and
-   validation passes raise [Diagnostics.Fail]; a stage that cannot fit the
-   configuration raises [Failure] or [Invalid_argument]. *)
+let program_name mech kernel version o =
+  let target = mech.Chem.Mechanism.name ^ "-" ^ Kernel_abi.kernel_name kernel in
+  match version with
+  | Baseline -> target ^ "-baseline"
+  | Warp_specialized | Naive_warp_specialized ->
+      Printf.sprintf "%s-ws%d" target o.n_warps
+
+(* A fresh compile: the options checked, the frontend, then the backend,
+   under one pass manager. *)
 let compile_fresh ?report ~validate mech kernel version options =
-  match
-    check_options_exn mech kernel version options;
-    let pm = Pass.create (pipeline_name mech kernel version options) in
-    let t = run_pipeline pm ~validate mech kernel version options in
-    (t, Pass.report pm)
-  with
-  | t, r ->
-      Option.iter (fun f -> f r) report;
-      Ok t
-  | exception Diagnostics.Fail d -> Error d
-  | exception (Failure msg | Invalid_argument msg) ->
-      Error (Diagnostics.error ~pass:"pipeline" msg)
+  diagnose (fun () ->
+      check_options_exn mech kernel version options;
+      let pm = Pass.create (pipeline_name mech kernel version options) in
+      let s = settings ~strategy:(default_strategy kernel) version options in
+      let dfg =
+        Pass.run pm ~name:"dfg-build" ~stats:dfg_stats (fun () ->
+            build_dfg s mech kernel options)
+      in
+      let ({ mapping; schedule; lowered; facts; verdict } : backend_output) =
+        run_backend pm ~validate s
+          ~name:(program_name mech kernel version options)
+          ~groups:(Kernel_abi.groups mech kernel) options dfg
+      in
+      Option.iter (fun f -> f (Pass.report pm)) report;
+      { mech; kernel; version; options; dfg; mapping; schedule; lowered;
+        facts; verdict })
 
 (* ---- per-artifact launch state ----
    What an artifact has learnt about its launches: one
@@ -1224,7 +1204,7 @@ type run_result = {
 let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
     ?max_cycles ?profile ?n_sms ?skew t ~total_points =
   Diagnostics.ok_exn
-    (Result.map_error (fun (pass, p) -> Diagnostics.of_problems ~pass p) t.safety);
+    (Result.map_error (fun (pass, p) -> Diagnostics.of_problems ~pass p) t.verdict);
   let ctas =
     match ctas with Some c -> c | None -> default_ctas t ~total_points
   in

@@ -3,24 +3,26 @@
     verification helpers.
 
     The driver is structured as an explicit pass pipeline run through
-    {!Pass}: [dfg-build], [mapping], [schedule] and [lower] transform
-    passes (the latter two may run several times inside the register- and
-    shared-memory fitting loops), interleaved with validation passes
-    ([dfg-validate], [mapping-validate], [schedule-validate],
-    [deadlock-check], [lower-validate]) that re-check each stage's
-    invariants on the artifact actually handed to the next stage
-    ([deadlock-check] is {!Deadlock_check.check}, the executable form of
-    the §4.4 deadlock-freedom theorem). {!compile} is the one entry
-    point, and returns every failure as a typed diagnostic.
+    {!Pass}, in two stages. The {!frontend} ([dfg-build]) builds the
+    dataflow graph; the one {!backend} runs [mapping], [schedule] and
+    [lower] (the latter two may run several times inside the register-
+    and shared-memory fitting loops) for every version, interleaved with
+    validation passes ([dfg-validate], [mapping-validate],
+    [schedule-validate], [deadlock-check], [lower-validate]) that
+    re-check each stage's invariants on the artifact actually handed to
+    the next stage ([deadlock-check] is {!Deadlock_check.check}, the
+    executable form of the §4.4 deadlock-freedom theorem). {!compile} is
+    the one entry point, and returns every failure as a typed diagnostic.
 
     Three code-generation versions reproduce the paper's comparisons:
     {ul
     {- [Warp_specialized]: the full Singe pipeline — domain partitioning,
        greedy mapping, named-barrier scheduling, overlaid code with
        constant banks;}
-    {- [Baseline]: the optimized data-parallel version of §6 — one thread
-       per point, constants through the constant cache, LDG texture loads
-       on Kepler, spilling to local memory;}
+    {- [Baseline]: the optimized data-parallel version of §6 — the same
+       backend with fixed settings: the graph mapped onto one warp, one
+       thread per point, constants through the constant cache, LDG
+       texture loads on Kepler, spilling to local memory, no refits;}
     {- [Naive_warp_specialized]: warp specialization without overlaying
        (top-level warp switch, inline constants) — Fig. 9's strawman.}} *)
 
@@ -108,18 +110,29 @@ val check_options :
     mapping [weights] that are negative, non-finite or all zero, or a
     register budget below {!Lower.min_fregs}. *)
 
-val default_strategy : Kernel_abi.kernel -> Mapping.strategy
-(** Store for viscosity, Mixed for diffusion, Buffer for chemistry: its
-    reaction rates stay in registers and exchange through the shared
-    buffer; only the explicitly staged species vectors (Listing 4's
-    [scratch]) live in shared memory (§4.1). Stencil kernels use Store:
-    tile handoffs are static single-writer values read at known offsets. *)
+val frontend :
+  Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options -> Dfg.t
+(** The [dfg-build] pass: the kernel's partitioner at the mapped warp
+    count (one for [Baseline], which also ignores [chem_comm]). It reads
+    only [chem_comm], [full_range_thermo], [stencil_overlap] and
+    [n_warps]. *)
 
-val build_dfg :
-  ?chem_comm:chem_comm -> ?full_range_thermo:bool -> ?stencil_overlap:bool ->
-  Chem.Mechanism.t -> Kernel_abi.kernel -> n_warps:int -> Dfg.t
-(** The [dfg-build] pass, the kernel's partitioner. Defaults: [Chem_staged],
-    no full-range thermodynamics, overlapped stencil tiles. *)
+type backend_output = {
+  mapping : Mapping.t;
+  schedule : Schedule.t;
+  lowered : Lower.output;
+  facts : Model_facts.t;
+  verdict : (unit, string * string list) result;  (** as in {!t} *)
+}
+
+val backend :
+  ?validate:bool -> name:string -> groups:Gpusim.Isa.group_info array ->
+  strategy:Mapping.strategy -> version -> options -> Dfg.t ->
+  (backend_output, Diagnostics.t) result
+(** {!compile}'s passes after the frontend, on any graph: [name] names the
+    program, [groups] its field groups and [strategy] the hand mapping's
+    placement (the baseline's fixed settings choose their own). The
+    options are not checked ({!check_options}). *)
 
 type t = {
   mech : Chem.Mechanism.t;
@@ -139,21 +152,21 @@ type t = {
           no eviction, it lives and dies with the artifact. Its walk
           holds per-warp arrays, so a memo hit of {!compile} re-verifies
           that each is the one stored. It adds no pass record. *)
-  safety : (unit, string * string list) result;
-      (** the safety verdict on [mapping], [schedule] and [lowered]:
+  verdict : (unit, string * string list) result;
+      (** the verdict on [mapping], [schedule] and [lowered]:
           [Error (check, problems)] from the first of {!Mapping.validate},
-          {!Deadlock_check.check} and, for the warp-specialized versions,
-          the shared-memory fit (["mapping-validate"], ["deadlock-check"]
-          or ["lower"]) that fails, in that order; the deadlock check
-          runs only if the mapping passes. The fit fails when one CTA's shared footprint is over the
-          architecture's [shared_bytes_per_sm] even after the buffer ring
-          has shrunk, so not one CTA could be resident; its problem names
-          the footprint and that limit. Computed once per compile, with or
-          without validation: a validating {!compile}'s [mapping-validate]
-          and [deadlock-check] pass records time and reject this same
-          computation, and it fails on the fit's diagnostic.
-          {!Partition_search.gate} reads it, and {!run} refuses to
-          simulate an artifact whose verdict is an [Error]. *)
+          {!Deadlock_check.check} and the shared-memory fit
+          (["mapping-validate"], ["deadlock-check"] or ["lower"]) that
+          fails, in that order; the deadlock check runs only if the
+          mapping passes. The fit fails when one CTA's shared footprint is
+          over the architecture's [shared_bytes_per_sm] even after the
+          buffer ring has shrunk, so not one CTA could be resident; its
+          problem names the footprint and that limit. Computed once per
+          compile, with or without validation: a validating {!compile}'s
+          [mapping-validate] and [deadlock-check] pass records time and
+          reject this same computation, and it fails on the fit's
+          diagnostic. {!Partition_search.gate} reads it, and {!run}
+          refuses to simulate an artifact whose verdict is an [Error]. *)
 }
 
 val compile :
@@ -375,7 +388,7 @@ val run :
     the stored issue order into its memory, with results bit-identical
     to a fresh simulation's; a run with [faults] or [profile], or whose
     [max_cycles] is below the stored cycles, simulates as without a
-    store. An artifact whose [safety] verdict is an
+    store. An artifact whose [verdict] is an
     [Error] is refused before anything is simulated: [run] raises that
     verdict as {!Diagnostics.Fail} (pass ["mapping-validate"],
     ["deadlock-check"] or ["lower"], the same diagnostic a validating

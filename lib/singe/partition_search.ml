@@ -9,7 +9,7 @@
    cycles with [Autotune.rank] (compile + static model, no simulation),
    the top candidates pass through the safety gate (the verdict of the
    mapping validator and the deadlock checker that every compile
-   computes once and stores in [Compile.t.safety]; the memoized compile
+   computes once and stores in [Compile.t.verdict]; the memoized compile
    runs with validation off, so the gate is where an unsound searched
    partition becomes a rejection the search can count, before
    [Compile.run] would refuse it), and [Autotune.confirm] simulates the
@@ -112,7 +112,7 @@ let gate (c : Compile.t) =
     (fun (what, msgs) ->
       Diagnostics.errorf ~pass:"partition-search" "partition-rejected: %s: %s"
         what (String.concat "; " msgs))
-    c.Compile.safety
+    c.Compile.verdict
 
 (* ---- the search ---- *)
 

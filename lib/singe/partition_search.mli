@@ -11,7 +11,7 @@
        shared memo and orders it by {!Perf_model.predict}'s cycles —
        static, cheap, no simulation;}
     {- {b gate}: the model's top picks must carry a passing safety
-       verdict ({!Compile.t}'s [safety]: {!Mapping.validate} then
+       verdict ({!Compile.t}'s [verdict]: {!Mapping.validate} then
        {!Deadlock_check.check}, computed once per compile). The memoized
        compile runs with validation off, so this gate is where an unsound
        searched partition is counted and reported, as a
@@ -64,7 +64,7 @@ val candidate_options : Compile.options -> Dfg.t -> Compile.options list
 
 val gate : Compile.t -> (unit, Diagnostics.t) result
 (** The phase-2 safety gate on a compiled candidate: its stored
-    [safety] verdict ({!Mapping.validate} then {!Deadlock_check.check},
+    [verdict] ({!Mapping.validate} then {!Deadlock_check.check},
     run once by the compile), as a [partition-rejected] diagnostic. O(1):
     it re-runs neither check. *)
 

@@ -220,20 +220,20 @@ let generated_targets_run_or_refuse =
         let program (c : Singe.Compile.t) =
           c.Singe.Compile.lowered.Singe.Lower.program
         in
-        if cached.Singe.Compile.safety <> fresh.Singe.Compile.safety then
+        if cached.Singe.Compile.verdict <> fresh.Singe.Compile.verdict then
           QCheck.Test.fail_report "memo and fresh verdicts differ";
         if program cached <> program fresh then
           QCheck.Test.fail_report "memo and fresh programs differ";
-        let safety = cached.Singe.Compile.safety in
+        let verdict = cached.Singe.Compile.verdict in
         match Singe.Compile.run cached ~total_points:2048 with
-        | _ when Result.is_error safety ->
+        | _ when Result.is_error verdict ->
             QCheck.Test.fail_report "an unsafe artifact was simulated"
         | r ->
             r.Singe.Compile.max_rel_err <= 1e-6
             || QCheck.Test.fail_reportf "oracle error %g"
                  r.Singe.Compile.max_rel_err
         | exception Singe.Diagnostics.Fail d -> (
-            match safety with
+            match verdict with
             | Error (pass, problems) ->
                 d = Singe.Diagnostics.of_problems ~pass problems
                 || QCheck.Test.fail_report "refused with another diagnostic"

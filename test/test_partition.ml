@@ -178,7 +178,7 @@ let test_gate_rejects_every_mutant () =
                 {
                   c with
                   Singe.Compile.schedule = m.Singe.Deadlock_check.schedule;
-                  safety = Error ("deadlock-check", problems);
+                  verdict = Error ("deadlock-check", problems);
                 }
               in
               match Singe.Compile.run mutant ~total_points:2048 with
@@ -215,7 +215,7 @@ let fresh_verdict (c : Singe.Compile.t) =
           else
             Error
               ( "lower",
-                match c.Singe.Compile.safety with
+                match c.Singe.Compile.verdict with
                 | Error ("lower", msgs) -> msgs
                 | Ok () | Error _ -> [ "no shared-fit verdict stored" ] ))
 
@@ -236,10 +236,10 @@ let fresh_gate_text c =
    uncached compile's, and the gate turns it into the diagnostic a fresh
    check gives. *)
 let check_verdict what kernel options (cached : Singe.Compile.t) =
-  if cached.Singe.Compile.safety <> fresh_verdict cached then
+  if cached.Singe.Compile.verdict <> fresh_verdict cached then
     Alcotest.failf "%s: stored verdict differs from a fresh check" what;
   let uncached = Singe.Diagnostics.ok_exn (compile ~kernel options) in
-  if uncached.Singe.Compile.safety <> cached.Singe.Compile.safety then
+  if uncached.Singe.Compile.verdict <> cached.Singe.Compile.verdict then
     Alcotest.failf "%s: cached verdict differs from uncached" what;
   Alcotest.(check string) (what ^ ": gate text") (fresh_gate_text cached)
     (gate_text cached)
@@ -274,7 +274,7 @@ let test_gate_reads_stored_verdict () =
     }
   in
   let c = Singe.Diagnostics.ok_exn (compile ~memo:true ~kernel options) in
-  (match c.Singe.Compile.safety with
+  (match c.Singe.Compile.verdict with
   | Error ("mapping-validate", _ :: _) -> ()
   | Ok () | Error _ -> Alcotest.fail "overloaded mapping not rejected");
   check_verdict "overloaded mapping" kernel options c;
@@ -866,6 +866,58 @@ let test_rejection_labels_distinct () =
       Alcotest.(check int) "distinct labels" 24
         (List.length (List.sort_uniq compare labels))
 
+(* ---- the frontend reads only its own options ---- *)
+
+(* The frontend reads [chem_comm], [full_range_thermo], [stencil_overlap]
+   and the mapped warp count, nothing a partition search varies: every
+   candidate's graph equals the hand mapping's (what a search that builds
+   the graph once relies on). The baseline stages chemistry's species
+   vectors whatever [chem_comm] says; the warp-specialized graph follows
+   it. *)
+let test_frontend_reads_only_its_options () =
+  let dme = Chem.Mech_gen.dme () in
+  List.iter
+    (fun (mech, kernel) ->
+      let name = Singe.Kernel_abi.kernel_name kernel in
+      let frontend = Singe.Compile.frontend mech kernel in
+      let base = base_options kernel in
+      let hand = frontend Singe.Compile.Warp_specialized base in
+      let candidates = Singe.Partition_search.candidate_options base hand in
+      Alcotest.(check bool) (name ^ ": candidates proposed") true
+        (candidates <> []);
+      List.iteri
+        (fun i o ->
+          if frontend Singe.Compile.Warp_specialized o <> hand then
+            Alcotest.failf "%s %s: candidate %d builds another graph"
+              mech.Chem.Mechanism.name name i)
+        candidates;
+      let baseline = frontend Singe.Compile.Baseline base in
+      List.iter
+        (fun chem_comm ->
+          if
+            frontend Singe.Compile.Baseline
+              { base with Singe.Compile.chem_comm = Some chem_comm }
+            <> baseline
+          then
+            Alcotest.failf "%s %s: the baseline's graph read chem_comm"
+              mech.Chem.Mechanism.name name)
+        Singe.Compile.[ Chem_staged; Chem_recompute; Chem_mixed ])
+    [
+      (Lazy.force hydrogen, Singe.Kernel_abi.Viscosity);
+      (dme, Singe.Kernel_abi.Diffusion);
+      (Lazy.force hydrogen, Singe.Kernel_abi.Chemistry);
+    ];
+  let ws chem_comm =
+    Singe.Compile.frontend (Lazy.force hydrogen) Singe.Kernel_abi.Chemistry
+      Singe.Compile.Warp_specialized
+      {
+        (base_options Singe.Kernel_abi.Chemistry) with
+        Singe.Compile.chem_comm = Some chem_comm;
+      }
+  in
+  Alcotest.(check bool) "the warp-specialized graph follows chem_comm" true
+    (ws Singe.Compile.Chem_staged <> ws Singe.Compile.Chem_recompute)
+
 let tests =
   [
     Alcotest.test_case "degenerate warp count diagnosed" `Quick
@@ -909,4 +961,6 @@ let tests =
     Alcotest.test_case "signed zeros key apart" `Quick
       test_signed_zeros_key_apart;
     memo_key_covers_every_field;
+    Alcotest.test_case "frontend reads only its options" `Quick
+      test_frontend_reads_only_its_options;
   ]

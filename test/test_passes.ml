@@ -209,7 +209,12 @@ let test_dfg_dependence_order () =
     | Error es -> Alcotest.failf "%s: %s" name (String.concat "; " es)
   in
   let build ?chem_comm mech kernel n_warps =
-    Singe.Compile.build_dfg ?chem_comm mech kernel ~n_warps
+    Singe.Compile.frontend mech kernel Singe.Compile.Warp_specialized
+      {
+        (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
+        Singe.Compile.n_warps;
+        chem_comm;
+      }
   in
   List.iter
     (fun n_warps ->
@@ -427,10 +432,11 @@ let test_raising_pass_is_failed () =
   in
   Alcotest.(check bool) "report shows FAILED on the pass line" true failed_line
 
-(* A validating compile's report is unchanged by the safety verdict
-   moving into the compile: [mapping-validate] and [deadlock-check] keep
-   their place, runs and [ok] flags. The digest of the JSON reports of
-   three targets in all three versions was computed before the move. *)
+(* A validating compile's report: every version runs the one backend, so
+   the baseline's [schedule-validate] and [deadlock-check] follow [lower]
+   as in the warp-specialized versions. The digest of the JSON reports of
+   three targets in all three versions pins each record's name, kind,
+   runs, [ok] flag and statistics, and their order. *)
 let test_validating_reports_pinned () =
   let b = Buffer.create 4096 in
   List.iter
@@ -447,7 +453,7 @@ let test_validating_reports_pinned () =
       (hydrogen (), Singe.Kernel_abi.Chemistry);
       (Chem.Mech_gen.dme (), Singe.Kernel_abi.Diffusion);
     ];
-  Alcotest.(check string) "report digest" "f21e41f5b3c672e0a2adc6653615d1d9"
+  Alcotest.(check string) "report digest" "c1def70ab5c716e24b6d734ab5588191"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* The register-fit loop shrinks the double-register budget until the

@@ -520,7 +520,7 @@ let test_facts_match_program () =
   Alcotest.(check int) "programs walked" 249 !walked
 
 (* A cached compile equals an uncached one, facts, stored walk and
-   safety verdict included, and every one of these targets fits, so
+   verdict included, and every one of these targets fits, so
    stores a walk. *)
 let test_facts_cached_equal_uncached () =
   let arch = Gpusim.Arch.kepler_k20c in
@@ -542,8 +542,8 @@ let test_facts_cached_equal_uncached () =
               if c.Singe.Compile.facts <> cached.Singe.Compile.facts then
                 Alcotest.failf "%s: cached facts differ from uncached"
                   (facts_name c);
-              if c.Singe.Compile.safety <> cached.Singe.Compile.safety then
-                Alcotest.failf "%s: cached safety verdict differs from uncached"
+              if c.Singe.Compile.verdict <> cached.Singe.Compile.verdict then
+                Alcotest.failf "%s: cached verdict differs from uncached"
                   (facts_name c);
               if cached.Singe.Compile.facts.Singe.Model_facts.own_walk = None
               then Alcotest.failf "%s: no stored walk" (facts_name c))
@@ -1164,7 +1164,7 @@ let ws kernel = compile (hydrogen ()) kernel Singe.Compile.Warp_specialized
 (* An artifact record copy is another key of the launch-state table: it
    has no state, so every prediction on it is computed afresh. *)
 let fresh_copy (c : Singe.Compile.t) =
-  { c with Singe.Compile.safety = c.Singe.Compile.safety }
+  { c with Singe.Compile.verdict = c.Singe.Compile.verdict }
 
 (* Every golden-set program at the golden digest's three launch sizes and
    at the below-occupancy launches: the second prediction on the
@@ -1253,7 +1253,7 @@ let test_launch_keys_apart () =
   Alcotest.(check bool) "the spelled-out launch's answer" true
     (defaults = List.hd fresh)
 
-(* A [{ c with schedule; safety }] copy of a memoized artifact, as the
+(* A [{ c with schedule; verdict }] copy of a memoized artifact, as the
    partition tests build to poison a verdict, is another key: it is not
    served [c]'s answers and stores none of its own. *)
 let test_copy_predicts_afresh () =
@@ -1264,7 +1264,7 @@ let test_copy_predicts_afresh () =
     {
       c with
       Singe.Compile.schedule = c.Singe.Compile.schedule;
-      safety = Error ("deadlock-check", [ "poisoned for the test" ]);
+      verdict = Error ("deadlock-check", [ "poisoned for the test" ]);
     }
   in
   let stored0 = stored () and served0 = served () in

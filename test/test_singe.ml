@@ -147,24 +147,20 @@ let test_placement_strategies () =
 
 let test_schedule_well_formed () =
   List.iter
-    (fun (kernel, warps) ->
-      let mech = hydrogen () in
-      let dfg =
-        match kernel with
-        | Singe.Kernel_abi.Viscosity -> Singe.Viscosity_dfg.build mech ~n_warps:warps
-        | Singe.Kernel_abi.Conductivity -> Singe.Conductivity_dfg.build mech ~n_warps:warps
-        | Singe.Kernel_abi.Diffusion -> Singe.Diffusion_dfg.build mech ~n_warps:warps
-        | Singe.Kernel_abi.Chemistry -> Singe.Chemistry_dfg.build mech ~n_warps:warps
-        | Singe.Kernel_abi.Stencil id ->
-            Singe.Stencil_dfg.build (Singe.Stencil_pipe.get id) ~n_warps:warps
-              ~overlap:true
+    (fun (kernel, n_warps) ->
+      let c =
+        Singe.Diagnostics.ok_exn
+          (Singe.Compile.compile (hydrogen ()) kernel
+             Singe.Compile.Warp_specialized
+             {
+               (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
+               Singe.Compile.n_warps;
+             })
       in
-      let m =
-        Singe.Mapping.map dfg ~n_warps:warps ~weights:Singe.Mapping.default_weights
-          ~strategy:(Singe.Compile.default_strategy kernel) ~respect_hints:true
-      in
-      let sched = Singe.Schedule.build dfg m in
-      match Singe.Schedule.well_formed sched dfg m with
+      match
+        Singe.Schedule.well_formed c.Singe.Compile.schedule c.Singe.Compile.dfg
+          c.Singe.Compile.mapping
+      with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
     [
@@ -188,9 +184,11 @@ let test_barrier_budget_respected () =
         (sched.Singe.Schedule.barriers_used <= budget))
     [ 2; 4; 8; 16 ]
 
-(* Random DFGs: schedule + compile + simulate must terminate without
-   deadlock and reproduce the interpreter exactly — Theorem 1 plus the
-   epoch-based barrier allocation, end to end. *)
+(* Random DFGs: the compile's backend (mapping, schedule and lowering with
+   their fit loops, the verdict, the model's facts) on either
+   architecture at 2-8 warps; every program its verdict accepts must run
+   without a watchdog fault and reproduce the interpreter exactly —
+   Theorem 1 plus the epoch-based barrier allocation, end to end. *)
 let gen_dfg_with warps =
   QCheck.Gen.(
     let* n_warps = warps in
@@ -201,8 +199,6 @@ let gen_dfg_with warps =
     let* hints = list_repeat n_computes (int_range 0 (n_warps - 1)) in
     let* n_stores = int_range 1 3 in
     return (n_warps, n_loads, exprs, input_picks, hints, n_stores))
-
-let gen_dfg = gen_dfg_with (QCheck.Gen.int_range 2 5)
 
 let build_random_dfg (n_warps, n_loads, exprs, input_picks, hints, n_stores) =
   let b = Singe.Dfg.Builder.create "random" in
@@ -229,35 +225,30 @@ let build_random_dfg (n_warps, n_loads, exprs, input_picks, hints, n_stores) =
   done;
   (Singe.Dfg.Builder.finish b, n_warps, n_loads, n_stores)
 
-(* Map, schedule and lower a random DFG; returns the program with an
-   input filler and the interpreter's input vector. *)
-let lower_random_dfg ~strategy (dfg, n_warps, n_loads, n_stores) =
+(* Lower a random DFG through the compile's backend at its warp count on
+   [arch] (a shallow ring and barrier budget, otherwise the default
+   options); returns the architecture, the backend's output, an input
+   filler and the interpreter's input vector. *)
+let lower_random_dfg ?(arch = Gpusim.Arch.kepler_k20c) ~strategy
+    (dfg, n_warps, n_loads, n_stores) =
   let groups =
     [|
       { Gpusim.Isa.group_name = "mole_frac"; fields = max 4 n_loads };
       { Gpusim.Isa.group_name = "out"; fields = n_stores };
     |]
   in
-  let m =
-    Singe.Mapping.map dfg ~n_warps ~weights:Singe.Mapping.default_weights
-      ~strategy ~respect_hints:true
-  in
-  let sched = Singe.Schedule.build ~max_barriers:4 ~buffer_slots:8 dfg m in
-  let cfg =
+  let options =
     {
-      Singe.Lower.arch = Gpusim.Arch.kepler_k20c;
-      overlay = true;
-      const_policy = Singe.Lower.Bank;
-      exp_consts_in_registers = false;
-      param_stripe_threshold = 4;
-      freg_budget = 24;
-      synth_exchange = false;
-      list_schedule = true;
+      (Singe.Compile.default_options arch) with
+      Singe.Compile.n_warps;
+      max_barriers = 4;
+      buffer_slots = 8;
     }
   in
-  let low =
-    Singe.Lower.lower cfg ~name:"random" ~point_map:Gpusim.Isa.Coop
-      ~out_warps:n_warps ~groups dfg m sched
+  let out =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.backend ~name:"random" ~groups ~strategy
+         Singe.Compile.Warp_specialized options dfg)
   in
   let inputs = Array.init (max 4 n_loads) (fun i -> 0.5 +. (0.25 *. float_of_int i)) in
   let fill mem n =
@@ -265,27 +256,60 @@ let lower_random_dfg ~strategy (dfg, n_warps, n_loads, n_stores) =
       (fun f v -> Gpusim.Memstate.set_field mem ~group:0 ~field:f (Array.make n v))
       inputs
   in
-  (low.Singe.Lower.program, fill, inputs)
+  (arch, out, fill, inputs)
 
-let run_random_program ?profile (program, fill, _) =
-  Gpusim.Chip.run ?profile ~fill_inputs:fill Gpusim.Arch.kepler_k20c
-    { Gpusim.Chip.program; total_points = 64; ctas = 2 }
+let run_random_program ?profile ?max_cycles
+    (arch, (out : Singe.Compile.backend_output), fill, _) =
+  Gpusim.Chip.run ?profile ?max_cycles ~fill_inputs:fill arch
+    {
+      Gpusim.Chip.program = out.Singe.Compile.lowered.Singe.Lower.program;
+      total_points = 64;
+      ctas = 2;
+    }
 
 let random_dfg_strategies =
   [ Singe.Mapping.Store; Singe.Mapping.Buffer; Singe.Mapping.Mixed ]
 
+(* Cases drawn and cases the backend's verdict refused. *)
+let random_dfg_drawn = ref 0
+let random_dfg_refused = ref 0
+
 let qcheck_random_dfg_end_to_end =
+  let gen =
+    QCheck.Gen.(
+      let* arch = oneofl [ Gpusim.Arch.kepler_k20c; Gpusim.Arch.fermi_c2070 ] in
+      let* strategy = oneofl random_dfg_strategies in
+      let* spec = gen_dfg_with (int_range 2 8) in
+      return (arch, strategy, spec))
+  in
+  let print (arch, strategy, (n_warps, _, _, _, _, _)) =
+    Printf.sprintf "%s, %s, %d warps" arch.Gpusim.Arch.name
+      (Singe.Mapping.strategy_name strategy) n_warps
+  in
   QCheck.Test.make ~count:60 ~name:"random DFG: schedule+codegen+simulate = interpreter"
-    (QCheck.make gen_dfg)
-    (fun spec ->
+    (QCheck.make ~print gen)
+    (fun (arch, strategy, spec) ->
       let ((dfg, _, _, _) as built) = build_random_dfg spec in
-      List.for_all
-        (fun strategy ->
-          let ((program, _, inputs) as lowered) = lower_random_dfg ~strategy built in
-          (match Gpusim.Isa.validate program with
+      let ((_, out, _, inputs) as lowered) = lower_random_dfg ~arch ~strategy built in
+      incr random_dfg_drawn;
+      let verdict = out.Singe.Compile.verdict in
+      if Result.is_error verdict then incr random_dfg_refused;
+      if !random_dfg_drawn = 60 then
+        Printf.printf "random DFG: %d of 60 cases refused by their verdict\n"
+          !random_dfg_refused;
+      match verdict with
+      | Error _ -> true
+      | Ok () ->
+          (match Gpusim.Isa.validate out.Singe.Compile.lowered.Singe.Lower.program with
           | Ok () -> ()
           | Error l -> QCheck.Test.fail_report (String.concat "; " l));
-          let r = run_random_program lowered in
+          let r =
+            match run_random_program ~max_cycles:50_000_000 lowered with
+            | r -> r
+            | exception Gpusim.Sm.Simulation_fault f ->
+                QCheck.Test.fail_reportf "watchdog: %s under an Ok verdict"
+                  (Gpusim.Sm.fault_kind_name f.Gpusim.Sm.fault_kind)
+          in
           let interp =
             Singe.Dfg_interp.eval dfg
               { Singe.Dfg_interp.temp = 0.0; pressure = 0.0;
@@ -305,7 +329,6 @@ let qcheck_random_dfg_end_to_end =
                      else Float.is_finite got = false)
                    (Array.sub out 0 r.Gpusim.Chip.simulated_points))
             interp true)
-        random_dfg_strategies)
 
 (* ---------- end-to-end kernels ---------- *)
 
