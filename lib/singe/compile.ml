@@ -478,11 +478,10 @@ let program_name mech kernel version o =
   | Warp_specialized | Naive_warp_specialized ->
       Printf.sprintf "%s-ws%d" target o.n_warps
 
-(* A fresh compile: the options checked, the frontend, then the backend,
-   under one pass manager. *)
-let compile_fresh ?report ~validate mech kernel version options =
+(* The frontend, then the backend, under one pass manager, for options
+   [check_options] accepted. *)
+let compile_accepted ?report ~validate mech kernel version options =
   diagnose (fun () ->
-      check_options_exn mech kernel version options;
       let pm = Pass.create (pipeline_name mech kernel version options) in
       let s = settings ~strategy:(default_strategy kernel) version options in
       let dfg =
@@ -497,6 +496,11 @@ let compile_fresh ?report ~validate mech kernel version options =
       Option.iter (fun f -> f (Pass.report pm)) report;
       { mech; kernel; version; options; dfg; mapping; schedule; lowered;
         facts; verdict })
+
+(* A fresh compile: the options checked, then compiled. *)
+let compile_fresh ?report ~validate mech kernel version options =
+  Result.bind (check_options mech kernel version options) (fun () ->
+      compile_accepted ?report ~validate mech kernel version options)
 
 (* ---- per-artifact launch state ----
    What an artifact has learnt about its launches: one
@@ -577,8 +581,11 @@ let launch_state (t : t) =
    artifacts are immutable
    after the pipeline returns (simulation state lives in [Memstate.t] /
    trace cursors), making a shared [t] safe to hand to concurrent sweep
-   workers. Only successful compiles are cached; a failure is compiled,
-   and returned, every time.
+   workers. A compile that fails after its options are accepted is
+   cached too, as its typed diagnostic: a search proposes the same
+   failing candidates every time it runs, and a hit returns the same
+   [Error]. Options [check_options] rejects are not cached; they cost
+   nothing to reject again.
 
    The table is bounded: a long-lived server streaming distinct
    configurations would otherwise grow it without limit (each entry
@@ -603,7 +610,7 @@ type memo_stats = {
 type slots = Slots : 'a array * 'a array -> slots
 
 type memo_entry = {
-  value : t;
+  value : (t, Diagnostics.t) result;
   mutable snapshot : slots list;
       (* mutable only so tests can poison an entry to exercise the
          corruption path; the cache itself never writes it after insert *)
@@ -750,7 +757,7 @@ let memo_corruptions = ref 0
    replacing an arm or a warp's stream is caught, whatever its size.
    The artifact's other arrays (constant banks, graph, mapping and
    schedule tables) are not covered. *)
-let snapshot (t : t) =
+let snapshot_artifact (t : t) =
   let p = t.lowered.Lower.program in
   let rec arms acc = function
     | Gpusim.Isa.Instrs _ -> acc
@@ -767,6 +774,8 @@ let snapshot (t : t) =
       :: Slots (w.Model_facts.body, Array.copy w.Model_facts.body)
       :: program
 
+let snapshot = function Ok t -> snapshot_artifact t | Error _ -> []
+
 let intact snapshot =
   List.for_all
     (fun (Slots (live, copy)) -> Array.for_all2 ( == ) live copy)
@@ -779,7 +788,10 @@ let intact snapshot =
    which marks it live for another cycle. Callers hold [memo_mutex]. *)
 let memo_remove key e =
   Memo_table.remove memo key;
-  with_launch_states (fun () -> Artifact_table.remove launch_states e.value)
+  Result.iter
+    (fun t ->
+      with_launch_states (fun () -> Artifact_table.remove launch_states t))
+    e.value
 
 (* Callers hold [memo_mutex]. *)
 let evict_down_to limit =
@@ -831,7 +843,8 @@ let memo_stats_to_json s =
       ("corruptions", of_int s.corruptions);
     ]
 
-(* Serve [key] from the memo, or compile and insert it. *)
+(* Serve [key] from the memo, or compile and insert it: an artifact, or
+   the diagnostic of a compile whose options were accepted. *)
 let memo_find_or_compile ?report key mech =
   let { Memo_key.kernel; version; options; _ } = key in
   let cached =
@@ -854,24 +867,27 @@ let memo_find_or_compile ?report key mech =
             None)
   in
   match cached with
-  | Some t -> Ok t
-  | None ->
-      (* Compile outside the lock: concurrent workers may duplicate the
-         work for the same key (deterministic, so either result is the
-         same), but never serialize on each other. *)
-      let r = compile_fresh ?report ~validate:false mech kernel version options in
-      Result.iter
-        (fun t ->
+  | Some r -> r
+  | None -> (
+      match check_options mech kernel version options with
+      | Error _ as rejected -> rejected
+      | Ok () ->
+          (* Compile outside the lock: concurrent workers may duplicate
+             the work for the same key (deterministic, so either result
+             is the same), but never serialize on each other. *)
+          let r =
+            compile_accepted ?report ~validate:false mech kernel version
+              options
+          in
           with_memo (fun () ->
               if not (Memo_table.mem memo key) then begin
                 incr memo_tick;
                 Memo_table.add memo key
-                  { value = t; snapshot = snapshot t; last_use = !memo_tick };
-                ignore (launch_state t);
+                  { value = r; snapshot = snapshot r; last_use = !memo_tick };
+                Result.iter (fun t -> ignore (launch_state t)) r;
                 evict_down_to !memo_max
-              end))
-        r;
-      r
+              end);
+          r)
 
 (* ---- mechanism digests ----
    A mechanism's content digest is the MD5 of its marshalled bytes, tens

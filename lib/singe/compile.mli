@@ -189,7 +189,10 @@ val compile :
     [memo] (default [false]) serves the compile from a process-wide,
     thread-safe, LRU-bounded table keyed by everything a compile reads:
     the mechanism's content digest, the kernel, the version and the
-    options, held as they are; only successes are cached. Keys compare
+    options, held as they are. Failures are cached too, as their
+    diagnostic, and a hit returns the same [Error]; only options
+    {!check_options} rejects are checked afresh each time, uncached (a
+    miss, with nothing inserted). Keys compare
     field by field, every float by its bits: options equal field by
     field hit whichever physical records carry them, and a [-0.0]
     weight or clock skew is another key than [0.0]. The mechanism's

@@ -92,9 +92,16 @@ module Builder = struct
       { id; name; kind = Store { group; field }; inputs = [| input |];
         output = None; hint; shared_hint = false; align }
 
+  (* Static placeholders for the arrays [finish] fills (see
+     {!Sutil.Filled}). *)
+  let no_op =
+    { id = -1; name = ""; kind = Fence; inputs = [||]; output = None;
+      hint = None; shared_hint = false; align = None }
+
+  let no_value = { vid = -1; vname = ""; producer = -1; consumers = [] }
+
   let finish b =
-    let ops = Array.of_list (List.rev b.ops_rev) in
-    let vals = Array.of_list (List.rev b.vals_rev) in
+    let ops = Sutil.Filled.of_rev_list no_op b.ops_rev in
     (* Walking the ops backwards leaves each consumer list ascending; an
        op reading one value twice meets it adjacently. *)
     let consumers = Array.make b.n_vals [] in
@@ -106,12 +113,12 @@ module Builder = struct
           | l -> consumers.(v) <- i :: l)
         ops.(i).inputs
     done;
-    let values =
-      Array.mapi
-        (fun vid (vname, producer) ->
-          { vid; vname; producer; consumers = consumers.(vid) })
-        vals
-    in
+    let values = Array.make b.n_vals no_value in
+    List.iteri
+      (fun i (vname, producer) ->
+        let vid = b.n_vals - 1 - i in
+        values.(vid) <- { vid; vname; producer; consumers = consumers.(vid) })
+      b.vals_rev;
     { graph_name = b.bname; ops; values }
 end
 
@@ -119,6 +126,8 @@ let op_flops op =
   match op.kind with
   | Compute e -> Sexpr.flops e
   | Load _ | Store _ | Fence -> 0
+
+let is_fence op = match op.kind with Fence -> true | _ -> false
 
 let total_flops t = Array.fold_left (fun acc op -> acc + op_flops op) 0 t.ops
 

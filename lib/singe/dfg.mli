@@ -73,6 +73,9 @@ end
 
 val op_flops : op -> int
 
+val is_fence : op -> bool
+(** [op.kind = Fence], without a polymorphic comparison. *)
+
 val total_flops : t -> int
 
 val op_constants : op -> float list

@@ -57,6 +57,10 @@ type vinstr =
   | VBarW of { bar : int; count : int }
   | VBarCta
 
+(* A static stream entry, to start stream-sized arrays with (see
+   {!Sutil.Filled}). *)
+let no_instr = (0, VBarCta)
+
 (* ---- growable tables for logical constants and parameters ---- *)
 
 type tables = {
@@ -258,13 +262,16 @@ let static_key ctx ~shape_id (a : Schedule.action) =
             | Mapping.P_reg -> "R")
       in
       let tag = match op.Dfg.align with Some a -> a ^ "|" | None -> "" in
+      (* Concatenated rather than formatted: this runs once per op. *)
       match op.Dfg.kind with
       | Dfg.Fence -> "fence"
       | Dfg.Load { group; via_tex; _ } ->
-          Printf.sprintf "%sld:%s:%b:%s" tag group via_tex out_place
-      | Dfg.Store { group; _ } -> Printf.sprintf "%sst:%s" tag group
+          String.concat ""
+            [ tag; "ld:"; group; ":"; string_of_bool via_tex; ":"; out_place ]
+      | Dfg.Store { group; _ } -> String.concat "" [ tag; "st:"; group ]
       | Dfg.Compute e ->
-          Printf.sprintf "%sc:%d:%s" tag (shape_id e) out_place)
+          String.concat ""
+            [ tag; "c:"; string_of_int (shape_id e); ":"; out_place ])
   | Schedule.A_send _ -> "snd"
   | Schedule.A_recv _ -> "rcv"
   | Schedule.A_arrive { bar; count } -> Printf.sprintf "ba:%d:%d" bar count
@@ -580,9 +587,11 @@ let is_sync_action = function
 let run_overlay ctx (sched : Schedule.t) =
   let n = ctx.mapping.Mapping.n_warps in
   let per_warp = sched.Schedule.per_warp in
-  (* Static keys are interned once per op and once per distinct sync
-     action, so each step compares ints. Expressions get dense shape ids
-     from a table local to this call (sweeps lower on several domains). *)
+  (* Static keys are interned once per op, once per distinct barrier
+     action and once for all sends, receives and CTA barriers (one
+     constant key each), so each step compares ints. Expressions get
+     dense shape ids from a table local to this call (sweeps lower on
+     several domains). *)
   let shapes = Sexpr.Shape_tbl.create 64 in
   let shape_id e =
     match Sexpr.Shape_tbl.find_opt shapes e with
@@ -603,13 +612,19 @@ let run_overlay ctx (sched : Schedule.t) =
   in
   let op_sid = Array.make (Array.length ctx.dfg.Dfg.ops) (-1) in
   let sync_sid = Hashtbl.create 64 in
+  (* Sends, receives and CTA barriers, in that order. *)
+  let fixed_sid = Array.make 3 (-1) in
   let sid_of (a : Schedule.action) =
+    let once cache k =
+      if cache.(k) < 0 then cache.(k) <- intern (static_key ctx ~shape_id a);
+      cache.(k)
+    in
     match a with
-    | Schedule.A_op o ->
-        if op_sid.(o) < 0 then
-          op_sid.(o) <- intern (static_key ctx ~shape_id a);
-        op_sid.(o)
-    | _ -> (
+    | Schedule.A_op o -> once op_sid o
+    | Schedule.A_send _ -> once fixed_sid 0
+    | Schedule.A_recv _ -> once fixed_sid 1
+    | Schedule.A_cta_barrier -> once fixed_sid 2
+    | Schedule.A_arrive _ | Schedule.A_wait _ -> (
         match Hashtbl.find_opt sync_sid a with
         | Some id -> id
         | None ->
@@ -618,7 +633,7 @@ let run_overlay ctx (sched : Schedule.t) =
             id)
   in
   let sids = Array.map (Array.map sid_of) per_warp in
-  let cvals = Array.map (Array.map (class_values ctx)) per_warp in
+  let cvals = Array.map (Sutil.Filled.map [||] (class_values ctx)) per_warp in
   let ptr = Array.make n 0 in
   let remaining w = ptr.(w) < Array.length per_warp.(w) in
   let next w = per_warp.(w).(ptr.(w)) in
@@ -629,7 +644,10 @@ let run_overlay ctx (sched : Schedule.t) =
        named-barrier traffic is drained eagerly, and CTA barriers are
        rendezvous points — a warp parked on one waits until every live
        warp reaches its own, producing a single unmasked bar.cta. *)
-    let at_cta w = remaining w && next w = Schedule.A_cta_barrier in
+    let at_cta w =
+      remaining w
+      && match next w with Schedule.A_cta_barrier -> true | _ -> false
+    in
     let live w = remaining w && not (at_cta w) in
     let best = ref (-1) in
     for w = 0 to n - 1 do
@@ -679,8 +697,14 @@ let run_overlay ctx (sched : Schedule.t) =
            done;
            !ok
       in
-      let ws = List.filter joins (List.init n Fun.id) in
-      let mask = List.fold_left (fun m w -> m lor (1 lsl w)) 0 ws in
+      let ws = ref [] and mask = ref 0 in
+      for w = 0 to n - 1 do
+        if joins w then begin
+          ws := w :: !ws;
+          mask := !mask lor (1 lsl w)
+        end
+      done;
+      let ws = List.rev !ws and mask = !mask in
       let actions = Array.of_list (List.map next ws) in
       lower_action_group ctx ~mask ~ws ~actions;
       List.iter (fun w -> ptr.(w) <- ptr.(w) + 1) ws
@@ -709,9 +733,16 @@ let iter_src_vregs f = function
 
 (* The largest vreg an instruction names, [-1] when none. *)
 let max_vreg ins =
-  let m = ref (instr_dst ins) in
-  iter_src_vregs (fun v -> if v > !m then m := v) ins;
-  !m
+  match ins with
+  | VArith { dst; srcs; _ } ->
+      Array.fold_left
+        (fun m s -> match s with Vreg v when v > m -> v | _ -> m)
+        dst srcs
+  | VStG { src = Vreg v; _ } | VStS { src = Vreg v; _ } -> v
+  | VSwz { dst; src; _ } -> max dst src
+  | VStG _ | VStS _ | VLdG _ | VLdS _ | VBcast _ | VBarA _ | VBarW _ | VBarCta
+    ->
+      instr_dst ins
 
 (* ---- shuffle-exchange synthesis (the [--synth-exchange] rewrite) ----
 
@@ -733,13 +764,6 @@ let max_vreg ins =
    and are deleted, and store-region slots left untouched are compacted
    out (regions above shift down), shrinking the CTA's shared
    footprint. *)
-
-type swriter = {
-  sw_pos : int;  (** position of the store in the stream *)
-  sw_warp : int;
-  sw_src : vsrc;
-  sw_lane : int;  (** source lane resident at this address, [-1] unknown *)
-}
 
 (* How far (in stream positions) a forward may extend a live range before
    the pressure gate refuses it. Derived from the register file instead of
@@ -766,77 +790,132 @@ let derived_live_slack ~freg_budget (dfg : Dfg.t) (mapping : Mapping.t) =
     1
     + Array.fold_left
         (fun acc (op : Dfg.op) ->
-          if op.Dfg.kind = Dfg.Fence then acc + 1 else acc)
+          if Dfg.is_fence op then acc + 1 else acc)
         0 dfg.Dfg.ops
   in
   let steady = (peak + segments - 1) / segments in
   (12 * freg_budget) + (8 * max 0 (freg_budget - steady))
 
+(* Applies [f a mask] to each shared address [ins] reads under [mask]. *)
+let iter_shared_reads f mask ins =
+  match ins with
+  | VLdS { addr; _ } -> f addr mask
+  | VStS { src = Vshared a; _ } | VStG { src = Vshared a; _ } -> f a mask
+  | VArith { srcs; _ } ->
+      for i = 0 to Array.length srcs - 1 do
+        match srcs.(i) with Vshared a -> f a mask | _ -> ()
+      done
+  | VStS _ | VStG _ | VLdG _ | VBcast _ | VSwz _ | VBarA _ | VBarW _
+  | VBarCta ->
+      ()
+
+(* The same, then the address a shared store writes. *)
+let iter_shared_addrs f mask ins =
+  iter_shared_reads f mask ins;
+  match ins with VStS { addr; _ } -> f addr mask | _ -> ()
+
+(* The doubles a shared store writes for one warp whose address resolves
+   to [b]: the [store_count] addresses from [b + store_off], holding
+   lanes [store_lane0], [store_lane0 + 1], ...; a warp-uniform address
+   is one double, whose lane is [-1] when every lane stores there. *)
+let store_off (addr : vshaddr) pred =
+  if addr.vs_lane then match pred with Some (Isa.Lane_eq k) -> k | _ -> 0
+  else 0
+
+let store_count (addr : vshaddr) pred =
+  if addr.vs_lane then
+    match pred with
+    | None -> 32
+    | Some (Isa.Lane_eq _) -> 1
+    | Some (Isa.Lane_lt n) -> n
+  else 1
+
+let store_lane0 (addr : vshaddr) pred =
+  match pred with
+  | Some (Isa.Lane_eq k) -> k
+  | Some (Isa.Lane_lt _) | None -> if addr.vs_lane then 0 else -1
+
+(* The exchange pass's per-address and per-vreg tables, kept per domain
+   and reused from call to call. Made afresh they are several blocks of
+   thousands of words per compile, each allocated in the major heap, and
+   the major-collection work they bring costs more than the pass itself.
+   [exchange_table k n fill] is table [k], at least [n] long, its first
+   [n] slots set to [fill]; slots from [n] on are stale and must not be
+   read. *)
+let exchange_tables = Domain.DLS.new_key (fun () -> Array.make 6 [||])
+
+let exchange_table k n fill =
+  let tables = Domain.DLS.get exchange_tables in
+  if Array.length tables.(k) < n then
+    tables.(k) <- Array.make (max n (2 * Array.length tables.(k))) fill
+  else Array.fill tables.(k) 0 n fill;
+  tables.(k)
+
 let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
     ~live_slack tables (code : (int * vinstr) array) =
   (* Snapshot before compaction allocates fresh parameters below. *)
-  let params_arr = Array.of_list (List.rev tables.params) in
+  let params_arr = Sutil.Filled.of_rev_list [||] tables.params in
   let resolve_base (a : vshaddr) w =
     a.vs_base
     + (if a.vs_warp then w else 0)
     + (match a.vs_param with Some id -> params_arr.(id).(w) | None -> 0)
   in
+  (* Each mask's warps, ascending, computed once per mask. *)
+  let mask_warps = Hashtbl.create 16 in
+  let warps mask =
+    match Hashtbl.find mask_warps mask with
+    | ws -> ws
+    | exception Not_found ->
+        let ws = Array.of_list (warps_of_mask ~n_warps mask) in
+        Hashtbl.add mask_warps mask ws;
+        ws
+  in
   (* Every shared address the body touches lies in [lo, hi]: the tables
      over addresses below are arrays indexed from [lo]. *)
   let lo = ref max_int and hi = ref min_int in
   let span (a : vshaddr) mask =
-    List.iter
-      (fun w ->
-        let b = resolve_base a w in
-        lo := min !lo b;
-        hi := max !hi (if a.vs_lane then b + 31 else b))
-      (warps_of_mask ~n_warps mask)
+    let ws = warps mask in
+    for k = 0 to Array.length ws - 1 do
+      let b = resolve_base a ws.(k) in
+      lo := min !lo b;
+      hi := max !hi (if a.vs_lane then b + 31 else b)
+    done
   in
-  Array.iter
-    (fun (mask, ins) ->
-      match ins with
-      | VLdS { addr; _ } -> span addr mask
-      | VStS { addr; src; _ } -> (
-          span addr mask;
-          match src with Vshared a -> span a mask | _ -> ())
-      | VArith { srcs; _ } ->
-          Array.iter (function Vshared a -> span a mask | _ -> ()) srcs
-      | VStG { src = Vshared a; _ } -> span a mask
-      | _ -> ())
-    code;
+  Array.iter (fun (mask, ins) -> iter_shared_addrs span mask ins) code;
   let lo = !lo and n_addrs = max 0 (!hi - !lo + 1) in
-  (* 1. Writer catalog: absolute shared double address -> static writers,
-     over the whole body. Forwarding demands a unique writer, which makes
-     it immune to slot recycling and to the body re-executing per pass. *)
-  let writers : swriter list array = Array.make n_addrs [] in
+  (* 1. Writer catalog over the whole body, per absolute shared double
+     address: [w_pos] is the position of its one static writer, [-1]
+     when none writes it and [-2] when several do; the other tables
+     describe that one writer (its warp, its source register or [-1],
+     the source lane resident at the address or [-1]). Forwarding
+     demands a unique writer, which makes it immune to slot recycling
+     and to the body re-executing per pass. *)
+  let w_pos = exchange_table 0 n_addrs (-1) in
+  let w_warp = exchange_table 1 n_addrs 0 in
+  let w_reg = exchange_table 2 n_addrs (-1) in
+  let w_lane = exchange_table 3 n_addrs (-1) in
   Array.iteri
     (fun pos (mask, ins) ->
       match ins with
       | VStS { src; addr; pred } ->
-          List.iter
-            (fun w ->
-              let b = resolve_base addr w in
-              let add a lane =
-                writers.(a - lo) <-
-                  { sw_pos = pos; sw_warp = w; sw_src = src; sw_lane = lane }
-                  :: writers.(a - lo)
-              in
-              if addr.vs_lane then
-                match pred with
-                | None ->
-                    for l = 0 to 31 do
-                      add (b + l) l
-                    done
-                | Some (Isa.Lane_eq k) -> add (b + k) k
-                | Some (Isa.Lane_lt n) ->
-                    for l = 0 to n - 1 do
-                      add (b + l) l
-                    done
-              else
-                match pred with
-                | Some (Isa.Lane_eq k) -> add b k
-                | Some (Isa.Lane_lt _) | None -> add b (-1))
-            (warps_of_mask ~n_warps mask)
+          let reg = match src with Vreg r -> r | _ -> -1 in
+          let off = store_off addr pred and n = store_count addr pred in
+          let lane0 = store_lane0 addr pred in
+          let ws = warps mask in
+          for k = 0 to Array.length ws - 1 do
+            let w = ws.(k) in
+            let first = resolve_base addr w + off - lo in
+            for j = 0 to n - 1 do
+              let i = first + j in
+              if w_pos.(i) = -1 then begin
+                w_pos.(i) <- pos;
+                w_warp.(i) <- w;
+                w_reg.(i) <- reg;
+                w_lane.(i) <- (if lane0 < 0 then -1 else lane0 + j)
+              end
+              else w_pos.(i) <- -2
+            done
+          done
       | _ -> ())
     code;
   let next_vreg =
@@ -845,79 +924,97 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
   let n_orig = !next_vreg in
   (* Destinations of identity-forwarded loads alias the stored register
      ([subst.(v)], [-1] when [v] is no such destination). *)
-  let subst = Array.make n_orig (-1) in
+  let subst = exchange_table 4 n_orig (-1) in
   let rec canon v = if v < n_orig && subst.(v) >= 0 then canon subst.(v) else v in
   let fresh () =
     let v = !next_vreg in
     next_vreg := v + 1;
     v
   in
-  let report = ref Shuffle_synth.empty_report in
-  let bump f = report := f !report in
-  let identity = Array.init 32 Fun.id in
+  let sites_seen = ref 0 and sites_rewritten = ref 0 in
+  let round_trips_removed = ref 0 and stores_removed = ref 0 in
+  let shuffle_steps = ref 0 in
   (* Forwarding keeps the stored register alive up to the read, which
      costs register pressure (and, in spill-bound kernels, spills) when
      the store was the register's last use. Only forward reads that do
      not extend the source's live range beyond a small slack past its
      original last use. *)
-  let last_use = Array.make n_orig (-1) in
+  let last_use = exchange_table 5 n_orig (-1) in
+  let at = ref 0 in
+  let use v = last_use.(v) <- !at in
   Array.iteri
-    (fun pos (_, ins) -> iter_src_vregs (fun v -> last_use.(v) <- pos) ins)
+    (fun pos (_, ins) ->
+      at := pos;
+      iter_src_vregs use ins)
     code;
   let pressure_ok r pos =
     r < n_orig && last_use.(r) >= 0 && pos - last_use.(r) <= live_slack
   in
+  (* The lane pattern of the read being decided, reused across reads. *)
+  let pattern = Array.make 32 0 in
   (* Can the read of [addr] at stream position [pos] under [mask] be
      served from a register every reading warp holds? Returns the source
-     vreg and the swizzle program mapping its lanes to the read lanes. *)
+     vreg and the swizzle program mapping its lanes to the read lanes.
+     The first reading warp fills [pattern]; every other must match it
+     lane for lane. Addresses one store wrote share its position and
+     register, so those are checked once per run of lanes from it. *)
   let decide pos mask (addr : vshaddr) =
-    bump (fun r ->
-        { r with Shuffle_synth.sites_seen = r.Shuffle_synth.sites_seen + 1 });
+    incr sites_seen;
     let exception No in
     try
+      let ws = warps mask in
+      if Array.length ws = 0 then raise No;
       let src = ref (-1) in
-      let pattern = ref None in
-      List.iter
-        (fun w ->
-          let b = resolve_base addr w in
-          let cell l = if addr.vs_lane then b + l else b in
-          let pat =
-            Array.init 32 (fun l ->
-                match writers.(cell l - lo) with
-                | [ wr ]
-                  when wr.sw_warp = w && wr.sw_pos < pos && wr.sw_lane >= 0
-                  -> (
-                    match wr.sw_src with
-                    | Vreg r ->
-                        let r = canon r in
-                        if not (pressure_ok r pos) then raise No;
-                        if !src < 0 then src := r
-                        else if !src <> r then raise No;
-                        wr.sw_lane
-                    | _ -> raise No)
-                | _ -> raise No)
-          in
-          match !pattern with
-          | None -> pattern := Some pat
-          | Some p0 -> if p0 <> pat then raise No)
-        (warps_of_mask ~n_warps mask);
-      match !pattern with
-      | Some pat when !src >= 0 ->
-          if pat = identity then Some (!src, [])
-          else if arch.Gpusim.Arch.broadcast <> Gpusim.Arch.Shuffle then None
-          else (
-            match Shuffle_synth.synthesize pat with
-            | Some prog
-              when Shuffle_synth.cost arch prog
-                   <= Shuffle_synth.shared_read_cost arch ->
-                Some (!src, prog)
-            | Some _ | None -> None)
-      | _ -> None
+      for k = 0 to Array.length ws - 1 do
+        let w = ws.(k) in
+        let b = resolve_base addr w in
+        let checked = ref (-1) in
+        for l = 0 to 31 do
+          let i = (if addr.vs_lane then b + l else b) - lo in
+          let p = w_pos.(i) in
+          if p < 0 || w_warp.(i) <> w then raise No;
+          if p <> !checked then begin
+            if p >= pos || w_reg.(i) < 0 then raise No;
+            let r = canon w_reg.(i) in
+            if not (pressure_ok r pos) then raise No;
+            if !src < 0 then src := r else if !src <> r then raise No;
+            checked := p
+          end;
+          let lane = w_lane.(i) in
+          if lane < 0 then raise No;
+          if k = 0 then pattern.(l) <- lane
+          else if pattern.(l) <> lane then raise No
+        done
+      done;
+      let identity = ref true in
+      for l = 0 to 31 do
+        if pattern.(l) <> l then identity := false
+      done;
+      if !identity then Some (!src, [])
+      else if arch.Gpusim.Arch.broadcast <> Gpusim.Arch.Shuffle then None
+      else
+        match Shuffle_synth.synthesize pattern with
+        | Some prog
+          when Shuffle_synth.cost arch prog <= Shuffle_synth.shared_read_cost arch
+          ->
+            Some (!src, prog)
+        | Some _ | None -> None
     with No -> None
   in
-  (* 2. The rewrite walk. *)
-  let out = ref [] in
-  let emit mask i = out := (mask, i) :: !out in
+  (* 2. The rewrite walk, into a buffer that grows as swizzle chains
+     lengthen the stream. *)
+  let out = ref (Array.make (Array.length code + 64) no_instr) in
+  let n_out = ref 0 in
+  let emit_entry e =
+    if !n_out = Array.length !out then begin
+      let grown = Array.make (2 * !n_out) no_instr in
+      Array.blit !out 0 grown 0 !n_out;
+      out := grown
+    end;
+    !out.(!n_out) <- e;
+    incr n_out
+  in
+  let emit mask i = emit_entry (mask, i) in
   let emit_chain mask r prog ~dst =
     let rec go src = function
       | [] -> assert false
@@ -930,40 +1027,54 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
     go r prog
   in
   let fwd_stats mask prog =
-    let nw = List.length (warps_of_mask ~n_warps mask) in
-    bump (fun r ->
-        {
-          r with
-          Shuffle_synth.sites_rewritten = r.Shuffle_synth.sites_rewritten + 1;
-          round_trips_removed = r.Shuffle_synth.round_trips_removed + nw;
-          shuffle_steps = r.Shuffle_synth.shuffle_steps + List.length prog;
-        })
+    incr sites_rewritten;
+    round_trips_removed := !round_trips_removed + Array.length (warps mask);
+    shuffle_steps := !shuffle_steps + List.length prog
+  in
+  (* An operand with its register renamed and its shared read forwarded;
+     the operand itself when neither applies, so an unchanged
+     instruction is emitted as it came. *)
+  let rewrite_operand pos mask s =
+    match s with
+    | Vreg v ->
+        let c = canon v in
+        if c = v then s else Vreg c
+    | Vshared a -> (
+        match decide pos mask a with
+        | Some (r, []) ->
+            fwd_stats mask [];
+            Vreg r
+        | Some (r, prog) ->
+            let d = fresh () in
+            emit_chain mask r prog ~dst:d;
+            fwd_stats mask prog;
+            Vreg d
+        | None -> s)
+    | Vimm _ | Vconst_mem _ | Vconst_warp _ | Vbank _ -> s
   in
   Array.iteri
-    (fun pos (mask, ins) ->
-      let sub_src = function Vreg v -> Vreg (canon v) | s -> s in
-      let fwd_operand s =
-        match s with
-        | Vshared a -> (
-            match decide pos mask a with
-            | Some (r, []) ->
-                fwd_stats mask [];
-                Vreg r
-            | Some (r, prog) ->
-                let d = fresh () in
-                emit_chain mask r prog ~dst:d;
-                fwd_stats mask prog;
-                Vreg d
-            | None -> s)
-        | s -> s
-      in
+    (fun pos ((mask, ins) as entry) ->
       match ins with
       | VArith r ->
-          emit mask
-            (VArith
-               { r with srcs = Array.map (fun s -> fwd_operand (sub_src s)) r.srcs })
-      | VStG r -> emit mask (VStG { r with src = fwd_operand (sub_src r.src) })
-      | VStS r -> emit mask (VStS { r with src = fwd_operand (sub_src r.src) })
+          let srcs = ref r.srcs in
+          for k = 0 to Array.length r.srcs - 1 do
+            let s = r.srcs.(k) in
+            let s' = rewrite_operand pos mask s in
+            if s' != s then begin
+              if !srcs == r.srcs then srcs := Array.copy r.srcs;
+              !srcs.(k) <- s'
+            end
+          done;
+          if !srcs == r.srcs then emit_entry entry
+          else emit mask (VArith { r with srcs = !srcs })
+      | VStG r ->
+          let src = rewrite_operand pos mask r.src in
+          if src == r.src then emit_entry entry
+          else emit mask (VStG { r with src })
+      | VStS r ->
+          let src = rewrite_operand pos mask r.src in
+          if src == r.src then emit_entry entry
+          else emit mask (VStS { r with src })
       | VLdS { dst; addr } -> (
           match decide pos mask addr with
           | Some (r, []) ->
@@ -972,92 +1083,75 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
           | Some (r, prog) ->
               emit_chain mask r prog ~dst;
               fwd_stats mask prog
-          | None -> emit mask (VLdS { dst; addr }))
-      | VSwz r -> emit mask (VSwz { r with src = canon r.src })
-      | (VLdG _ | VBcast _ | VBarA _ | VBarW _ | VBarCta) as i -> emit mask i)
+          | None -> emit_entry entry)
+      | VSwz r ->
+          let src = canon r.src in
+          if src = r.src then emit_entry entry
+          else emit mask (VSwz { r with src })
+      | VLdG _ | VBcast _ | VBarA _ | VBarW _ | VBarCta -> emit_entry entry)
     code;
-  let code = Array.of_list (List.rev !out) in
+  let code = !out in
   (* 3. Dead-store elimination: a store none of whose written addresses
      is read anywhere in the rewritten body (any warp) is unobservable in
      every iteration — loop-safe because the read set covers the whole
      stream. *)
   let read_addrs = Bytes.make n_addrs '\000' in
   let note_read (a : vshaddr) mask =
-    List.iter
-      (fun w ->
-        let b = resolve_base a w - lo in
-        Bytes.fill read_addrs b (if a.vs_lane then 32 else 1) '\001')
-      (warps_of_mask ~n_warps mask)
+    let ws = warps mask in
+    for k = 0 to Array.length ws - 1 do
+      Bytes.fill read_addrs
+        (resolve_base a ws.(k) - lo)
+        (if a.vs_lane then 32 else 1)
+        '\001'
+    done
   in
-  Array.iter
-    (fun (mask, ins) ->
-      match ins with
-      | VLdS { addr; _ } -> note_read addr mask
-      | VArith { srcs; _ } ->
-          Array.iter (function Vshared a -> note_read a mask | _ -> ()) srcs
-      | VStG { src = Vshared a; _ } | VStS { src = Vshared a; _ } ->
-          note_read a mask
-      | _ -> ())
-    code;
+  for i = 0 to !n_out - 1 do
+    let mask, ins = code.(i) in
+    iter_shared_reads note_read mask ins
+  done;
   let store_live mask (addr : vshaddr) pred =
-    List.exists
-      (fun w ->
-        let b = resolve_base addr w in
-        let cells =
-          if addr.vs_lane then
-            match pred with
-            | None -> List.init 32 (fun l -> b + l)
-            | Some (Isa.Lane_eq k) -> [ b + k ]
-            | Some (Isa.Lane_lt n) -> List.init n (fun l -> b + l)
-          else [ b ]
-        in
-        List.exists (fun a -> Bytes.get read_addrs (a - lo) = '\001') cells)
-      (warps_of_mask ~n_warps mask)
+    let ws = warps mask in
+    let off = store_off addr pred and n = store_count addr pred in
+    let live = ref false in
+    for k = 0 to Array.length ws - 1 do
+      let first = resolve_base addr ws.(k) + off - lo in
+      for i = first to first + n - 1 do
+        if Bytes.get read_addrs i = '\001' then live := true
+      done
+    done;
+    !live
   in
-  let code =
-    Array.to_list code
-    |> List.filter (fun (mask, ins) ->
-           match ins with
-           | VStS { addr; pred; _ } when not (store_live mask addr pred) ->
-               bump (fun r ->
-                   {
-                     r with
-                     Shuffle_synth.stores_removed =
-                       r.Shuffle_synth.stores_removed + 1;
-                   });
-               false
-           | _ -> true)
-  in
+  (* Live entries move down over the deleted stores, in place. *)
+  let n_code = ref 0 in
+  for i = 0 to !n_out - 1 do
+    match code.(i) with
+    | mask, VStS { addr; pred; _ } when not (store_live mask addr pred) ->
+        incr stores_removed
+    | entry ->
+        code.(!n_code) <- entry;
+        incr n_code
+  done;
+  let code = Array.sub code 0 !n_code in
   (* 4. Store-region compaction: slots no remaining access touches are
      packed out and the buffer/mirror regions above shift down wholesale;
      per-warp bases that stop agreeing after the remap get fresh
      parameters. *)
   let total_slots = store_limit / 32 in
   let touched = Array.make (max 1 total_slots) false in
-  let note a = if a >= 0 && a < store_limit then touched.(a / 32) <- true in
   let note_addr (a : vshaddr) mask =
-    List.iter
-      (fun w ->
-        let b = resolve_base a w in
-        if a.vs_lane then
-          for l = 0 to 31 do
-            note (b + l)
-          done
-        else note b)
-      (warps_of_mask ~n_warps mask)
+    let ws = warps mask in
+    for k = 0 to Array.length ws - 1 do
+      (* The slots of the addresses below [store_limit] it covers. *)
+      let b = resolve_base a ws.(k) in
+      let first = max b 0
+      and last = min (if a.vs_lane then b + 31 else b) (store_limit - 1) in
+      if first <= last then
+        for s = first / 32 to last / 32 do
+          touched.(s) <- true
+        done
+    done
   in
-  List.iter
-    (fun (mask, ins) ->
-      match ins with
-      | VLdS { addr; _ } -> note_addr addr mask
-      | VStS { addr; src; _ } -> (
-          note_addr addr mask;
-          match src with Vshared a -> note_addr a mask | _ -> ())
-      | VArith { srcs; _ } ->
-          Array.iter (function Vshared a -> note_addr a mask | _ -> ()) srcs
-      | VStG { src = Vshared a; _ } -> note_addr a mask
-      | _ -> ())
-    code;
+  Array.iter (fun (mask, ins) -> iter_shared_addrs note_addr mask ins) code;
   let slot_map = Array.make (max 1 total_slots) (-1) in
   let next_slot = ref 0 in
   for s = 0 to total_slots - 1 do
@@ -1068,48 +1162,61 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
   done;
   let n_dead = total_slots - !next_slot in
   let freed = n_dead * 32 in
-  let code =
-    if n_dead = 0 then code
-    else begin
-      let remap_base b =
-        if b >= store_limit then b - freed
-        else begin
-          assert (b mod 32 = 0 && slot_map.(b / 32) >= 0);
-          slot_map.(b / 32) * 32
-        end
-      in
-      let rewrite_addr mask (a : vshaddr) =
-        let ws = warps_of_mask ~n_warps mask in
-        let res = Array.make n_warps 0 in
-        List.iter
-          (fun w ->
-            res.(w) <-
-              remap_base (resolve_base a w) - (if a.vs_warp then w else 0))
-          ws;
-        let w0 = List.hd ws in
-        if List.for_all (fun w -> res.(w) = res.(w0)) ws then
-          { a with vs_base = res.(w0); vs_param = None }
-        else begin
-          let id, off = alloc_param tables ~mask res in
-          { a with vs_base = off; vs_param = Some id }
-        end
-      in
-      List.map
-        (fun (mask, ins) ->
-          let ra = rewrite_addr mask in
-          let rs = function Vshared a -> Vshared (ra a) | s -> s in
-          ( mask,
-            match ins with
-            | VLdS r -> VLdS { r with addr = ra r.addr }
-            | VStS r -> VStS { src = rs r.src; addr = ra r.addr; pred = r.pred }
-            | VArith r -> VArith { r with srcs = Array.map rs r.srcs }
-            | VStG r -> VStG { r with src = rs r.src }
-            | other -> other ))
-        code
-    end
+  if n_dead > 0 then begin
+    let remap_base b =
+      if b >= store_limit then b - freed
+      else begin
+        assert (b mod 32 = 0 && slot_map.(b / 32) >= 0);
+        slot_map.(b / 32) * 32
+      end
+    in
+    let res = Array.make n_warps 0 in
+    let rewrite_addr mask (a : vshaddr) =
+      let ws = warps mask in
+      (* [alloc_param] keeps a copy of all of [res], unmasked warps too. *)
+      Array.fill res 0 n_warps 0;
+      Array.iter
+        (fun w ->
+          res.(w) <- remap_base (resolve_base a w) - (if a.vs_warp then w else 0))
+        ws;
+      let r0 = res.(ws.(0)) in
+      if Array.for_all (fun w -> res.(w) = r0) ws then
+        { a with vs_base = r0; vs_param = None }
+      else begin
+        let id, off = alloc_param tables ~mask res in
+        { a with vs_base = off; vs_param = Some id }
+      end
+    in
+    let is_shared = function Vshared _ -> true | _ -> false in
+    Array.iteri
+      (fun i (mask, ins) ->
+        let ra = rewrite_addr mask in
+        let rs = function Vshared a -> Vshared (ra a) | s -> s in
+        match ins with
+        | VLdS r -> code.(i) <- (mask, VLdS { r with addr = ra r.addr })
+        | VStS r ->
+            code.(i) <-
+              (mask, VStS { src = rs r.src; addr = ra r.addr; pred = r.pred })
+        | VArith r when Array.exists is_shared r.srcs ->
+            code.(i) <- (mask, VArith { r with srcs = Array.map rs r.srcs })
+        | VStG ({ src = Vshared _; _ } as r) ->
+            code.(i) <- (mask, VStG { r with src = rs r.src })
+        | VArith _ | VStG _ | VLdG _ | VBcast _ | VSwz _ | VBarA _ | VBarW _
+        | VBarCta ->
+            ())
+      code
+  end;
+  let report =
+    {
+      Shuffle_synth.sites_seen = !sites_seen;
+      sites_rewritten = !sites_rewritten;
+      round_trips_removed = !round_trips_removed;
+      stores_removed = !stores_removed;
+      shuffle_steps = !shuffle_steps;
+      shared_bytes_freed = freed * 8;
+    }
   in
-  bump (fun r -> { r with Shuffle_synth.shared_bytes_freed = freed * 8 });
-  (Array.of_list code, !report, freed)
+  (code, report, freed)
 
 (* ---- static instruction scheduling (the ptxas role of §4) ----
 
@@ -1728,7 +1835,7 @@ let assemble_blocks ~full_mask (code : (int * Isa.instr) list) =
 (* ---- bank materialization ---- *)
 
 let build_const_bank tables ~n_warps ~bank_cap =
-  let consts = Array.of_list (List.rev tables.consts) in
+  let consts = Sutil.Filled.of_rev_list [||] tables.consts in
   let n = Array.length consts in
   let n_banked = min n bank_cap in
   let n_regs = (n_banked + 31) / 32 in
@@ -1746,10 +1853,10 @@ let build_const_bank tables ~n_warps ~bank_cap =
     Array.init (n_overflow * n_warps) (fun i ->
         consts.(bank_cap + (i / n_warps)).(i mod n_warps))
   in
-  (bank, n_regs, n_overflow, overflow_mem)
+  (bank, n_regs, overflow_mem)
 
 let build_param_bank tables ~n_warps ~striped =
-  let params = Array.of_list (List.rev tables.params) in
+  let params = Sutil.Filled.of_rev_list [||] tables.params in
   let n = Array.length params in
   if striped then begin
     let n_regs = (n + 31) / 32 in
@@ -1817,15 +1924,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
             lower_action_group ctx ~mask:(1 lsl w) ~ws:[ w ]
               ~actions:[| a |])
           sched.Schedule.per_warp.(w));
-    (* [out_rev] reversed into program order. The array starts filled
-       with a static placeholder: [Array.of_list] would start it with the
-       (young) head, and a large array made from a young value costs a
-       minor collection. *)
-    let code = Array.make (List.length ctx.out_rev) (0, VBarCta) in
-    List.iteri
-      (fun i x -> code.(Array.length code - 1 - i) <- x)
-      ctx.out_rev;
-    code
+    Sutil.Filled.of_rev_list no_instr ctx.out_rev
   in
   let spill_stats = ref { high_water = 0; spill_slots = 0 } in
   let max_stats a b =
@@ -1838,7 +1937,14 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
   let param_temps = ref 0 in
   let exch_report = ref Shuffle_synth.empty_report in
   let freed_doubles = ref 0 in
-  let body, n_param_regs =
+  (* The banks, built once the tables are final; naive code has none. *)
+  let empty_bank () =
+    Array.init n_mapped (fun _ -> Array.init 32 (fun _ -> [||]))
+  in
+  let const_bank = ref (empty_bank ()) and n_bank_regs = ref 0 in
+  let overflow_mem = ref [||] in
+  let param_bank = ref (empty_bank ()) and n_param_regs = ref 0 in
+  let body =
     if cfg.overlay then begin
       let stream = lower_stream ~policy:cfg.const_policy ~masks_full:None in
       let stream =
@@ -1860,20 +1966,27 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         else stream
       in
       let vcode = list_schedule ~enabled:cfg.list_schedule stream in
-      let _, n_bank_regs, _, _ = build_const_bank tables ~n_warps:n_mapped ~bank_cap in
+      let bank, n_regs, overflow =
+        build_const_bank tables ~n_warps:n_mapped ~bank_cap
+      in
+      const_bank := bank;
+      n_bank_regs := n_regs;
+      overflow_mem := overflow;
       let code, stats =
-        regalloc ~first_phys:n_bank_regs ~budget:cfg.freg_budget
+        regalloc ~first_phys:n_regs ~budget:cfg.freg_budget
           ~spill_mask:full_mask vcode
       in
       spill_stats := stats;
       striped := tables.n_params > cfg.param_stripe_threshold;
-      let _, n_param_regs =
+      let bank, n_regs =
         build_param_bank tables ~n_warps:n_mapped ~striped:!striped
       in
-      let env = { f_striped = !striped; f_param_regs = n_param_regs } in
+      param_bank := bank;
+      n_param_regs := n_regs;
+      let env = { f_striped = !striped; f_param_regs = n_regs } in
       let finalized, max_temps = finalize_stream env code in
       param_temps := max_temps;
-      (assemble_blocks ~full_mask finalized, n_param_regs)
+      assemble_blocks ~full_mask finalized
     end
     else begin
       (* Naive §5.1 code generation: a top-level switch on the warp id with
@@ -1893,18 +2006,10 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
             let instrs = List.map snd (fst (finalize_stream env code)) in
             Isa.Instrs instrs)
       in
-      (Isa.Switch_warp per_warp, 0)
+      Isa.Switch_warp per_warp
     end
   in
-  let const_bank, n_bank_regs, n_overflow, overflow_mem =
-    if cfg.overlay then build_const_bank tables ~n_warps:n_mapped ~bank_cap
-    else (Array.init n_mapped (fun _ -> Array.init 32 (fun _ -> [||])), 0, 0, [||])
-  in
-  let param_bank, _ =
-    if cfg.overlay then build_param_bank tables ~n_warps:n_mapped ~striped:!striped
-    else (Array.init n_mapped (fun _ -> Array.init 32 (fun _ -> [||])), 0)
-  in
-  ignore n_overflow;
+  let n_bank_regs = !n_bank_regs and n_param_regs = !n_param_regs in
   let prologue_instrs =
     List.init n_bank_regs (fun k -> Isa.Ld_const_bank { dst = k; slot = k })
     @ List.init n_param_regs (fun k -> Isa.Ld_param { dst_i = k; slot = k })
@@ -1921,7 +2026,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
     - !freed_doubles
   in
   let const_mem =
-    if cfg.overlay && Array.length overflow_mem > 0 then overflow_mem
+    if Array.length !overflow_mem > 0 then !overflow_mem
     else Array.of_list (List.rev tables.const_mem_rev)
   in
   (* The emitted code is identical for every warp in the baseline case
@@ -1942,8 +2047,8 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
       point_map;
       prologue = Isa.Instrs prologue_instrs;
       body;
-      const_bank = replicate const_bank;
-      param_bank = replicate param_bank;
+      const_bank = replicate !const_bank;
+      param_bank = replicate !param_bank;
       const_mem;
       groups;
       exp_consts_in_registers = cfg.exp_consts_in_registers;

@@ -44,13 +44,15 @@ let map_core (dfg : Dfg.t) ~n_warps ~weights ~strategy ~hint_of =
   let op_warp = Array.make n_ops (-1) in
   let flops = Array.make n_warps 0.0 in
   let regs = Array.make n_warps 0.0 in
+  (* Each op's FLOPs, counted once: the sort below compares them. *)
+  let op_flops = Array.map Dfg.op_flops dfg.Dfg.ops in
   (* Pinned operations first. *)
   Array.iter
     (fun (op : Dfg.op) ->
       match hint_of op with
       | Some w when w >= 0 && w < n_warps ->
           op_warp.(op.Dfg.id) <- w;
-          flops.(w) <- flops.(w) +. float_of_int (Dfg.op_flops op);
+          flops.(w) <- flops.(w) +. float_of_int op_flops.(op.Dfg.id);
           regs.(w) <- regs.(w) +. float_of_int (op_reg_need op)
       | Some _ | None -> ())
     dfg.Dfg.ops;
@@ -59,7 +61,8 @@ let map_core (dfg : Dfg.t) ~n_warps ~weights ~strategy ~hint_of =
   let remaining =
     Array.to_list dfg.Dfg.ops
     |> List.filter (fun (op : Dfg.op) -> op_warp.(op.Dfg.id) < 0)
-    |> List.sort (fun a b -> compare (Dfg.op_flops b) (Dfg.op_flops a))
+    |> List.sort (fun (a : Dfg.op) (b : Dfg.op) ->
+           Int.compare op_flops.(b.Dfg.id) op_flops.(a.Dfg.id))
   in
   let neighbors (op : Dfg.op) =
     (* Warps already holding a producer of an input or a consumer of the
@@ -78,16 +81,19 @@ let map_core (dfg : Dfg.t) ~n_warps ~weights ~strategy ~hint_of =
     | None -> ());
     !acc
   in
+  (* [near_on.(w)]: how many of an op's neighbors sit on warp [w]. *)
+  let near_on = Array.make n_warps 0 in
   List.iter
     (fun (op : Dfg.op) ->
       let near = neighbors op in
-      let op_f = float_of_int (Dfg.op_flops op) in
+      let n_near = List.length near in
+      List.iter (fun x -> near_on.(x) <- near_on.(x) + 1) near;
+      let op_f = float_of_int op_flops.(op.Dfg.id) in
       let op_r = float_of_int (op_reg_need op) in
       let best = ref 0 and best_cost = ref infinity in
       for w = 0 to n_warps - 1 do
-        let locality_penalty =
-          float_of_int (List.length (List.filter (fun x -> x <> w) near))
-        in
+        (* The neighbors on other warps. *)
+        let locality_penalty = float_of_int (n_near - near_on.(w)) in
         let cost =
           (weights.w_flops *. (flops.(w) +. op_f))
           +. (weights.w_regs *. (regs.(w) +. op_r))
@@ -98,6 +104,7 @@ let map_core (dfg : Dfg.t) ~n_warps ~weights ~strategy ~hint_of =
           best := w
         end
       done;
+      List.iter (fun x -> near_on.(x) <- 0) near;
       op_warp.(op.Dfg.id) <- !best;
       flops.(!best) <- flops.(!best) +. op_f;
       regs.(!best) <- regs.(!best) +. op_r)
@@ -115,7 +122,7 @@ let map_core (dfg : Dfg.t) ~n_warps ~weights ~strategy ~hint_of =
     let current = ref 0 in
     Array.iteri
       (fun i (op : Dfg.op) ->
-        if op.Dfg.kind = Dfg.Fence then incr current;
+        if Dfg.is_fence op then incr current;
         seg.(i) <- !current)
       dfg.Dfg.ops;
     fun op_id -> seg.(op_id)
@@ -216,7 +223,7 @@ let map_auto (dfg : Dfg.t) ~n_warps ~weights ~spec =
   let fanout v = List.length dfg.Dfg.values.(v).Dfg.consumers in
   let next = ref 0 in
   let hints =
-    Array.map
+    Sutil.Filled.map None
       (fun (op : Dfg.op) ->
         let is_producer =
           match op.Dfg.kind with
@@ -322,7 +329,7 @@ let segments (dfg : Dfg.t) =
   let current = ref 0 in
   Array.iteri
     (fun i (op : Dfg.op) ->
-      if op.Dfg.kind = Dfg.Fence then incr current;
+      if Dfg.is_fence op then incr current;
       seg.(i) <- !current)
     dfg.Dfg.ops;
   seg

@@ -362,7 +362,7 @@ let finish (streams : stream array) =
       (fun st ->
         flush st;
         List.iter (seg_add_into ~dst:agg) (List.rev st.closed);
-        Array.of_list (List.rev st.items))
+        Sutil.Filled.of_rev_list Cta st.items)
       streams
   in
   (items, agg)
@@ -455,8 +455,9 @@ let path_bit (arch : A.t) (e : T.entry) =
   | _ -> 0
 
 (* Walk every warp's prologue and body streams at once, in layout order:
-   each warp sees its own entries in program order. *)
-let walk (arch : A.t) (p : I.program) (f : t) ~resident =
+   each warp sees its own entries in program order. [iter] yields the
+   layout as {!T.iter} does. *)
+let walk_layout (arch : A.t) (p : I.program) (f : t) ~resident iter =
   let n_warps = p.I.n_warps in
   let pro_rates =
     walk_rates arch ~users:f.prologue_users ~resident ~ccache_thrash:false
@@ -471,14 +472,61 @@ let walk (arch : A.t) (p : I.program) (f : t) ~resident =
       if warps land (1 lsl w) <> 0 then step arch p r streams.(w) e
     done
   in
-  ignore
-    (T.iter arch p (fun phase warps e ->
-         match phase with
-         | T.Prologue -> step_warps pro pro_rates warps e
-         | T.Body -> step_warps body body_rates warps e));
+  iter (fun phase warps e ->
+      match phase with
+      | T.Prologue -> step_warps pro pro_rates warps e
+      | T.Body -> step_warps body body_rates warps e);
   let prologue, prologue_demand = finish pro in
   let body, body_demand = finish body in
   { resident; prologue; body; prologue_demand; body_demand }
+
+let walk arch p f ~resident =
+  walk_layout arch p f ~resident (fun k -> ignore (T.iter arch p k))
+
+(* A program's layout as {!T.iter} yields it, kept so that [of_layout]
+   flattens the program once for its own sets and for its walk. The
+   prologue's entries come first. *)
+type layout = {
+  entries : T.entry array;
+  warp_sets : int array;
+  mutable len : int;
+  mutable n_prologue : int;
+}
+
+(* The entries {!T.iter} yields for a block: one per instruction and
+   one per warp-id branch. *)
+let rec entry_count (b : I.block) =
+  match b with
+  | I.Instrs l -> List.length l
+  | I.Seq bs -> List.fold_left (fun n b -> n + entry_count b) 0 bs
+  | I.If_warps { body; _ } -> 1 + entry_count body
+  | I.Switch_warp arms ->
+      Array.fold_left (fun n b -> n + entry_count b) 1 arms
+
+(* A static entry to start [entries] with (see {!Sutil.Filled}). *)
+let no_entry =
+  {
+    T.instr = None;
+    addr = 0;
+    srcs = [||];
+    shared_srcs = [||];
+    has_const = false;
+    lat_mult = 1;
+    dp_slots = 0.0;
+    flops = 0;
+  }
+
+let layout_add l phase warps e =
+  l.entries.(l.len) <- e;
+  l.warp_sets.(l.len) <- warps;
+  l.len <- l.len + 1;
+  if phase = T.Prologue then l.n_prologue <- l.len
+
+let layout_iter l k =
+  for i = 0 to l.len - 1 do
+    k (if i < l.n_prologue then T.Prologue else T.Body) l.warp_sets.(i)
+      l.entries.(i)
+  done
 
 let of_layout (arch : A.t) (p : I.program) =
   let n_warps = p.I.n_warps in
@@ -488,8 +536,18 @@ let of_layout (arch : A.t) (p : I.program) =
   let own_consts = Array.init n_warps (fun _ -> dense_set ()) in
   let body_lines = dense_set () and body_consts = dense_set () in
   let paths = Array.make_matrix 2 n_warps 0 in
+  let layout =
+    let n = entry_count p.I.prologue + entry_count p.I.body in
+    {
+      entries = Array.make n no_entry;
+      warp_sets = Array.make n 0;
+      len = 0;
+      n_prologue = 0;
+    }
+  in
   ignore
     (T.iter arch p (fun phase warps e ->
+         layout_add layout phase warps e;
          let line = e.T.addr / line_bytes in
          let ph = match phase with T.Prologue -> 0 | T.Body -> 1 in
          let bit = path_bit arch e in
@@ -530,7 +588,11 @@ let of_layout (arch : A.t) (p : I.program) =
      resident, so one walk there serves every such prediction. A program
      that fits no CTA gets no walk: [predict] rejects it before walking. *)
   match (Gpusim.Chip.occupancy arch p).Gpusim.Chip.resident_ctas with
-  | resident -> { f with own_walk = Some (walk arch p f ~resident) }
+  | resident ->
+      {
+        f with
+        own_walk = Some (walk_layout arch p f ~resident (layout_iter layout));
+      }
   | exception Gpusim.Chip.Occupancy_rejected _ -> f
 
 (* A launch's prediction. Defined here, below [Compile], so an

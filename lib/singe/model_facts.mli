@@ -70,16 +70,18 @@ type t = {
 val of_layout : Gpusim.Arch.t -> Gpusim.Isa.program -> t
 (** The facts of a program on an architecture, from one
     {!Gpusim.Trace.iter} pass over its layout plus one walk of the body's
-    block tree, and its walk at its own occupancy. Never raises
+    block tree, and its walk at its own occupancy, which replays the
+    entries of that same pass instead of flattening the program again.
+    Never raises
     {!Gpusim.Chip.Occupancy_rejected}. Only the pipeline (and the tests)
     call it. *)
 
 val walk : Gpusim.Arch.t -> Gpusim.Isa.program -> t -> resident:int -> walk
 (** The scoreboard walk of a program whose facts are given at [resident]
     co-resident CTAs: one {!Gpusim.Trace.iter} pass stepping every warp's
-    streams. {!of_layout} calls it at the program's occupancy; only
-    {!Perf_model.predict} calls it otherwise, for a launch with fewer
-    CTAs than that. *)
+    streams. {!of_layout} makes the same walk at the program's occupancy;
+    only {!Perf_model.predict} calls this, for a launch with fewer CTAs
+    than that. *)
 
 type prediction = {
   occ : Gpusim.Chip.occupancy;

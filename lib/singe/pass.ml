@@ -7,6 +7,8 @@ type record = {
   kind : kind;
   runs : int;
   wall_ns : float;
+  minor_words : float;
+  minor_collections : int;
   stats : stat list;
   ok : bool;
 }
@@ -28,18 +30,44 @@ let now_ns = Sutil.Clock.now_ns
 let create pipeline =
   { pipeline; started_ns = now_ns (); records_rev = [] }
 
+(* What one execution cost the host: wall time, and the minor heap's
+   words and collections. [Gc.minor_words] counts the words exactly;
+   [Gc.quick_stat]'s own figure only moves at a collection. *)
+type cost = { wall_ns : float; minor_words : float; minor_collections : int }
+
+let start () =
+  {
+    wall_ns = now_ns ();
+    minor_words = Gc.minor_words ();
+    minor_collections = (Gc.quick_stat ()).Gc.minor_collections;
+  }
+
+let since c0 =
+  let c1 = start () in
+  {
+    wall_ns = c1.wall_ns -. c0.wall_ns;
+    minor_words = c1.minor_words -. c0.minor_words;
+    minor_collections = c1.minor_collections - c0.minor_collections;
+  }
+
 (* Merge a finished execution into the existing record of the same name, if
    any: the fitting loops rerun schedule/lower several times and should
    show up as one line with a run count, not one line per retry. *)
-let record t ~name ~kind ~wall_ns ~stats ~ok =
+let record t ~name ~kind ~(cost : cost) ~stats ~ok =
   let rec merge acc = function
     | [] ->
-        let r = { pass_name = name; kind; runs = 1; wall_ns; stats; ok } in
+        let r =
+          { pass_name = name; kind; runs = 1; wall_ns = cost.wall_ns;
+            minor_words = cost.minor_words;
+            minor_collections = cost.minor_collections; stats; ok }
+        in
         r :: List.rev acc
     | r :: rest when r.pass_name = name ->
         let r =
-          { r with runs = r.runs + 1; wall_ns = r.wall_ns +. wall_ns; stats;
-            ok = r.ok && ok }
+          { r with runs = r.runs + 1; wall_ns = r.wall_ns +. cost.wall_ns;
+            minor_words = r.minor_words +. cost.minor_words;
+            minor_collections = r.minor_collections + cost.minor_collections;
+            stats; ok = r.ok && ok }
         in
         List.rev_append acc (r :: rest)
     | r :: rest -> merge (r :: acc) rest
@@ -47,25 +75,24 @@ let record t ~name ~kind ~wall_ns ~stats ~ok =
   t.records_rev <- merge [] t.records_rev
 
 let run t ~name ?(stats = fun _ -> []) f =
-  let t0 = now_ns () in
+  let c0 = start () in
   match f () with
   | v ->
-      record t ~name ~kind:Transform ~wall_ns:(now_ns () -. t0)
-        ~stats:(stats v) ~ok:true;
+      record t ~name ~kind:Transform ~cost:(since c0) ~stats:(stats v)
+        ~ok:true;
       v
   | exception e ->
-      record t ~name ~kind:Transform ~wall_ns:(now_ns () -. t0) ~stats:[]
-        ~ok:false;
+      record t ~name ~kind:Transform ~cost:(since c0) ~stats:[] ~ok:false;
       raise e
 
 let validate t ~name f =
-  let t0 = now_ns () in
+  let c0 = start () in
   let result = f () in
-  let wall_ns = now_ns () -. t0 in
+  let cost = since c0 in
   match result with
-  | Ok () -> record t ~name ~kind:Validate ~wall_ns ~stats:[] ~ok:true
+  | Ok () -> record t ~name ~kind:Validate ~cost ~stats:[] ~ok:true
   | Error problems ->
-      record t ~name ~kind:Validate ~wall_ns ~stats:[] ~ok:false;
+      record t ~name ~kind:Validate ~cost ~stats:[] ~ok:false;
       raise (Diagnostics.Fail (Diagnostics.of_problems ~pass:name problems))
 
 let report t =
@@ -81,8 +108,9 @@ let pp_report ppf (r : report) =
   List.iter
     (fun rec_ ->
       let kind = match rec_.kind with Transform -> "pass" | Validate -> "check" in
-      Format.fprintf ppf "  %-5s %-18s %8.3f ms" kind rec_.pass_name
-        (rec_.wall_ns /. 1e6);
+      Format.fprintf ppf "  %-5s %-18s %8.3f ms %9.0f kw %3d minor" kind
+        rec_.pass_name (rec_.wall_ns /. 1e6) (rec_.minor_words /. 1e3)
+        rec_.minor_collections;
       if rec_.runs > 1 then Format.fprintf ppf "  (%d runs)" rec_.runs;
       if not rec_.ok then Format.fprintf ppf "  FAILED";
       (match rec_.stats with

@@ -23,6 +23,11 @@ type record = {
   kind : kind;
   runs : int;  (** executions merged into this record *)
   wall_ns : float;  (** cumulative wall-clock time over all runs *)
+  minor_words : float;  (** words allocated in the minor heap, all runs *)
+  minor_collections : int;
+      (** minor collections over all runs, of every domain: a count well
+          above [minor_words] over the minor heap's size means forced
+          collections *)
   stats : stat list;  (** artifact statistics of the last run *)
   ok : bool;
       (** false when a run of the pass failed: a validation pass that found
@@ -54,10 +59,11 @@ val validate : t -> name:string -> (unit -> (unit, string list) result) -> unit
 val report : t -> report
 
 val pp_report : Format.formatter -> report -> unit
-(** Human-readable per-pass table (the CLI's [--timings] output). *)
+(** Human-readable per-pass table (the CLI's [--timings] output): wall
+    time, minor-heap kilowords and minor collections per pass. *)
 
 val report_to_json : report -> Sutil.Json.t
 (** The deterministic part of a report, a JSON object:
     [{"pipeline": ..., "passes": [{"name", "kind", "runs", "ok", "stats"},
-      ...]}]. Wall times are left out: two compiles of the same target
-    render identically. *)
+      ...]}]. Wall times and minor-heap figures are left out: two
+    compiles of the same target render identically. *)

@@ -98,12 +98,8 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
     last_wrap := step;
     syncs_since_boundary := 0;
     Array.fill slot_value 0 buffer_slots (-1);
-    Hashtbl.iter
-      (fun key st ->
-        match st with
-        | Some _ -> Hashtbl.replace copies key None
-        | None -> ())
-      (Hashtbl.copy copies);
+    (* Every transport is received by now: keys stay, slots are gone. *)
+    Hashtbl.filter_map_inplace (fun _ _ -> Some None) copies;
     next_slot := 0;
     for p = 0 to w - 1 do
       if last_op.(p) >= 0 then
@@ -121,7 +117,7 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
     (fun step op_id ->
       let op = dfg.Dfg.ops.(op_id) in
       let c = warp_of op_id in
-      if op.Dfg.kind = Dfg.Fence then force_epoch step
+      if Dfg.is_fence op then force_epoch step
       else begin
       (* Pre-scan: how many transport slots will this op need? If the ring
          cannot supply them within the current epoch, wrap first so all of
@@ -352,7 +348,7 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
           done;
           boundaries := rest
       | _ :: _ | [] -> ());
-      if dfg.Dfg.ops.(op_id).Dfg.kind <> Dfg.Fence then begin
+      if not (Dfg.is_fence dfg.Dfg.ops.(op_id)) then begin
         let warp = warp_of op_id in
         List.iter (emit_e warp) (List.rev attach_before.(op_id));
         emit warp (A_op op_id);
@@ -368,7 +364,7 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
       emit warp A_cta_barrier
     done;
   {
-    per_warp = Array.map (fun l -> Array.of_list (List.rev l)) lists;
+    per_warp = Array.map (Sutil.Filled.of_rev_list A_cta_barrier) lists;
     stamps = Array.map (fun l -> Array.of_list (List.rev l)) stamp_lists;
     barriers_used;
     buffer_slots = !used_slots;
@@ -418,7 +414,7 @@ let well_formed t (dfg : Dfg.t) (m : Mapping.t) =
     t.per_warp;
   Array.iteri
     (fun op_id s ->
-      if (not s) && dfg.Dfg.ops.(op_id).Dfg.kind <> Dfg.Fence then
+      if (not s) && not (Dfg.is_fence dfg.Dfg.ops.(op_id)) then
         err "op %s never emitted" dfg.Dfg.ops.(op_id).Dfg.name)
     seen;
   match !problems with

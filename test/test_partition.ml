@@ -456,6 +456,37 @@ let test_remade_mechanism_hits () =
   Alcotest.(check int) "no misses" misses (snd (memo_counts ()));
   Alcotest.(check bool) "the same outcome" true (again = warm)
 
+(* A compile that fails after its options are accepted is memoized as its
+   diagnostic. DME diffusion at 8 warps proposes 16-slot rings its graph
+   cannot use, and those candidates fail in the schedule pass: a warm
+   search compiles none of them again and rejects them alike. *)
+let test_failures_hit_the_memo () =
+  let kernel = Singe.Kernel_abi.Diffusion in
+  let search () =
+    match
+      Singe.Partition_search.search ~jobs:1 ~simulate:false
+        (Chem.Mech_gen.dme ()) kernel Singe.Compile.Warp_specialized
+        ~base:(base_options kernel) ()
+    with
+    | Ok o -> o
+    | Error d ->
+        Alcotest.failf "search failed: %s" (Singe.Diagnostics.to_string d)
+  in
+  let cold = search () in
+  let failed =
+    List.filter
+      (fun (r : Singe.Partition_search.rejection) ->
+        r.rej_diag.Singe.Diagnostics.pass = Some "schedule")
+      cold.Singe.Partition_search.rejections
+  in
+  Alcotest.(check bool) "some candidates fail to compile" true (failed <> []);
+  let _, misses = memo_counts () in
+  let warm = search () in
+  Alcotest.(check int) "no misses" misses (snd (memo_counts ()));
+  Alcotest.(check bool) "identical rejections" true
+    (warm.Singe.Partition_search.rejections
+    = cold.Singe.Partition_search.rejections)
+
 let test_changed_mechanism_misses () =
   let mech = Lazy.force hydrogen in
   let original = compiled Singe.Kernel_abi.Viscosity in
@@ -942,6 +973,8 @@ let tests =
       test_remade_mechanism_hits;
     Alcotest.test_case "changed mechanism misses the memo" `Quick
       test_changed_mechanism_misses;
+    Alcotest.test_case "failed candidates hit the memo" `Quick
+      test_failures_hit_the_memo;
     Alcotest.test_case "digest table bound keeps keys" `Quick
       test_digest_table_bound;
     Alcotest.test_case "memo_clear misses every candidate" `Quick

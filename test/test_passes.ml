@@ -507,6 +507,74 @@ let test_register_fit_names_cap () =
         "floor: named" true
         (contains d.Singe.Diagnostics.message "allocator's floor of")
 
+(* ---- no forced minor collections ----
+   OCaml 5 runs a minor collection whenever it makes an array of more
+   than 256 words from a value still in the minor heap. A compile builds
+   its stream-sized arrays from static placeholders instead, so it takes
+   no more minor collections than its allocation explains,
+   ceil(minor words / minor heap size), plus two. Each target is
+   compiled once before it is measured, so one-time tables are built. *)
+
+let minor_cost f =
+  let w0 = Gc.minor_words () in
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  ( Gc.minor_words () -. w0,
+    (Gc.quick_stat ()).Gc.minor_collections - c0 )
+
+let check_minor_collections what ~compiles ~words ~collections =
+  let heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let bound = int_of_float (Float.ceil (words /. heap)) + (2 * compiles) in
+  if collections > bound then
+    Alcotest.failf
+      "%s: %d minor collections over %d compile(s) of %.0f words, at most \
+       %d expected"
+      what collections compiles words bound
+
+let test_no_forced_minor_collections () =
+  let dme = Chem.Mech_gen.dme () in
+  List.iter
+    (fun (what, mech, version, kernel, nw) ->
+      let once () = ignore (compile ~mech ~version ~nw kernel) in
+      once ();
+      let words, collections = minor_cost once in
+      check_minor_collections what ~compiles:1 ~words ~collections)
+    [
+      ( "dme chemistry naive (epoch-heavy schedule)",
+        dme,
+        Singe.Compile.Naive_warp_specialized,
+        Singe.Kernel_abi.Chemistry,
+        4 );
+      ( "dme diffusion ws",
+        dme,
+        Singe.Compile.Warp_specialized,
+        Singe.Kernel_abi.Diffusion,
+        8 );
+      ( "hydrogen diffusion ws",
+        hydrogen (),
+        Singe.Compile.Warp_specialized,
+        Singe.Kernel_abi.Diffusion,
+        8 );
+    ];
+  (* A cold model-only partition search: every candidate compiled. *)
+  let kernel = Singe.Kernel_abi.Viscosity in
+  let mech = hydrogen () in
+  let search () =
+    Singe.Compile.memo_clear ();
+    match
+      Singe.Partition_search.search ~jobs:1 ~simulate:false mech kernel
+        Singe.Compile.Warp_specialized ~base:(options ~nw:8 kernel) ()
+    with
+    | Ok _ -> ()
+    | Error d -> Alcotest.fail (Singe.Diagnostics.to_string d)
+  in
+  search ();
+  let misses () = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
+  let m0 = misses () in
+  let words, collections = minor_cost search in
+  check_minor_collections "hydrogen viscosity cold search"
+    ~compiles:(misses () - m0) ~words ~collections
+
 let tests =
   [
     Alcotest.test_case "report covers the pipeline" `Quick
@@ -539,4 +607,6 @@ let tests =
       test_validator_failure_has_provenance;
     Alcotest.test_case "raising pass reports FAILED" `Quick
       test_raising_pass_is_failed;
+    Alcotest.test_case "no forced minor collections" `Quick
+      test_no_forced_minor_collections;
   ]
