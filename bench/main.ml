@@ -450,20 +450,23 @@ let perf ~out ?max_cycles () =
   let json =
     J.emit
       (J.Obj
-         [
-           ("schema", J.Str "singe-perf-v12");
-           ("jobs", J.of_int (Sutil.Domain_pool.default_jobs ()));
-           ("max_cycles", J.of_int max_cycles);
-           ( "faults_detected",
-             J.of_int (count (function P_fault _ -> true | _ -> false)) );
-           ( "candidates_skipped",
-             J.of_int (count (function P_entry _ -> false | _ -> true)) );
-           ( "compile_cache",
-             Singe.Compile.memo_stats_to_json (Singe.Compile.memo_stats ()) );
-           ("tune", J.List tune_sweeps);
-           ("chip_scaling", J.List chip_scaling_rows);
-           ("results", J.List entries);
-         ])
+         ([
+            ("schema", J.Str "singe-perf-v12");
+            ("jobs", J.of_int (Sutil.Domain_pool.default_jobs ()));
+            ("max_cycles", J.of_int max_cycles);
+            ( "faults_detected",
+              J.of_int (count (function P_fault _ -> true | _ -> false)) );
+            ( "candidates_skipped",
+              J.of_int (count (function P_entry _ -> false | _ -> true)) );
+          ]
+         @ List.map
+             (fun (name, s) -> (name, Sutil.Cache.stats_to_json s))
+             (Singe.Compile.cache_stats ())
+         @ [
+             ("tune", J.List tune_sweeps);
+             ("chip_scaling", J.List chip_scaling_rows);
+             ("results", J.List entries);
+           ]))
     ^ "\n"
   in
   match out with

@@ -508,15 +508,14 @@ let compile_fresh ?report ~validate mech kernel version options =
    model's answer per resolved launch (DESIGN §12.6). The states sit in
    an ephemeron table keyed by the artifact record itself, so a state
    lives no longer than its artifact, an artifact evicted from the
-   compile memo loses its state at once ([memo_remove]), and a
-   [{ c with ... }] copy is another key, never answered from the
-   original's state. The compile
-   memo creates an artifact's state when it inserts the artifact, and
-   [run] when it first simulates one; a prediction only looks the state
-   up, so a one-shot artifact that is only predicted stores nothing.
-   The hash reads the options' partition and ring depth (what tells the
-   partition search's candidates apart) and the program's name and
-   sizes, not the code; keys compare by identity. *)
+   compile memo loses its state at once, and a [{ c with ... }] copy is
+   another key, never answered from the original's state. Only the
+   compile memo creates a state, when it inserts the artifact; a run or
+   a prediction only looks the state up, so a one-shot artifact, which
+   launches once, stores nothing. The hash reads the options' partition
+   and ring depth (what tells the partition search's candidates apart)
+   and the program's name and sizes, not the code; keys compare by
+   identity. *)
 module Artifact_table = Ephemeron.K1.Make (struct
   type nonrec t = t
 
@@ -556,19 +555,21 @@ let predictions_served = Atomic.make 0
 
 let with_launch_states f = Mutex.protect launch_states_mutex f
 
-let launch_state (t : t) =
-  with_launch_states (fun () ->
-      match Artifact_table.find_opt launch_states t with
-      | Some s -> s
-      | None ->
-          let s =
-            {
-              shapes = Gpusim.Chip.create_store shape_counters;
-              predictions = Hashtbl.create 4;
-            }
-          in
-          Artifact_table.add launch_states t s;
-          s)
+let add_launch_state (t : t) =
+  let s =
+    {
+      shapes = Gpusim.Chip.create_store shape_counters;
+      predictions = Hashtbl.create 4;
+    }
+  in
+  with_launch_states (fun () -> Artifact_table.replace launch_states t s)
+
+(* Waiting for the collector is not enough: until its binding is
+   cleaned, every lookup of a successor with the same hash (the same
+   target compiled again) reads the dead artifact as an ephemeron key,
+   which marks it live for another cycle. *)
+let drop_launch_state t =
+  with_launch_states (fun () -> Artifact_table.remove launch_states t)
 
 (* ---- compile memoization -------------------------------------------
 
@@ -587,35 +588,17 @@ let launch_state (t : t) =
    [Error]. Options [check_options] rejects are not cached; they cost
    nothing to reject again.
 
-   The table is bounded: a long-lived server streaming distinct
-   configurations would otherwise grow it without limit (each entry
-   holds a whole lowered program). Eviction is LRU on a logical clock
-   bumped at every hit, and every hit re-verifies the stored artifact
-   against the snapshot taken at insertion — a mismatch (a bug
-   mutating an "immutable" artifact) drops the entry, recompiles, and is
-   counted rather than silently served. *)
-
-type memo_stats = {
-  size : int;
-  limit : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  corruptions : int;
-}
+   The table is a bounded [Sutil.Cache]: each entry holds a whole
+   lowered program. Every hit re-verifies the stored artifact against
+   the snapshot taken at insertion, so a bug mutating an "immutable"
+   artifact is counted as a corruption and recompiled, not served. *)
 
 (* A mutable array of a stored artifact, with the shallow copy taken at
    insertion. Only arrays of boxed values (blocks, item streams), whose
    slots [==] compares by identity. *)
 type slots = Slots : 'a array * 'a array -> slots
 
-type memo_entry = {
-  value : (t, Diagnostics.t) result;
-  mutable snapshot : slots list;
-      (* mutable only so tests can poison an entry to exercise the
-         corruption path; the cache itself never writes it after insert *)
-  mutable last_use : int;
-}
+type memo_entry = { value : (t, Diagnostics.t) result; snapshot : slots list }
 
 (* The memo key: the mechanism's digest, the kernel, the version and
    the options as they are, so a lookup marshals nothing. The hash reads
@@ -738,17 +721,6 @@ module Memo_key = struct
       (mech, kernel, version, o.n_warps, o.buffer_slots, o.weights, o.partition)
 end
 
-module Memo_table = Hashtbl.Make (Memo_key)
-
-let memo : memo_entry Memo_table.t = Memo_table.create 64
-let memo_mutex = Mutex.create ()
-let memo_tick = ref 0
-let memo_max = ref 512
-let memo_hits = ref 0
-let memo_misses = ref 0
-let memo_evictions = ref 0
-let memo_corruptions = ref 0
-
 (* What a hit re-verifies: each [Switch_warp] arm array of the lowered
    program (naive programs have one; [Instrs], [Seq] and [If_warps] are
    immutable, so these arrays are the only place its code can be
@@ -781,121 +753,46 @@ let intact snapshot =
     (fun (Slots (live, copy)) -> Array.for_all2 ( == ) live copy)
     snapshot
 
-(* Drop an artifact leaving the memo, and its launch state with it.
-   Waiting for the collector is not enough: until its binding is
-   cleaned, every lookup of a successor with the same hash (the same
-   target compiled again) reads the dead artifact as an ephemeron key,
-   which marks it live for another cycle. Callers hold [memo_mutex]. *)
-let memo_remove key e =
-  Memo_table.remove memo key;
-  Result.iter
-    (fun t ->
-      with_launch_states (fun () -> Artifact_table.remove launch_states t))
-    e.value
+module Memo = Sutil.Cache.Make (Memo_key)
 
-(* Callers hold [memo_mutex]. *)
-let evict_down_to limit =
-  while Memo_table.length memo > limit do
-    let oldest = ref None in
-    Memo_table.iter
-      (fun key e ->
-        match !oldest with
-        | Some (_, o) when o.last_use <= e.last_use -> ()
-        | _ -> oldest := Some (key, e))
-      memo;
-    match !oldest with
-    | None -> ()
-    | Some (key, e) ->
-        memo_remove key e;
-        incr memo_evictions
-  done
+let memo : memo_entry Memo.t =
+  Memo.create
+    ~verify:(fun e -> intact e.snapshot)
+    ~on_evict:(fun _ e -> Result.iter drop_launch_state e.value)
+    512
 
-let memo_limit () = !memo_max
-
-let with_memo f = Mutex.protect memo_mutex f
-
-let set_memo_limit n =
-  let n = max 1 n in
-  with_memo (fun () ->
-      memo_max := n;
-      evict_down_to n)
-
-let memo_stats () =
-  with_memo (fun () ->
-      {
-        size = Memo_table.length memo;
-        limit = !memo_max;
-        hits = !memo_hits;
-        misses = !memo_misses;
-        evictions = !memo_evictions;
-        corruptions = !memo_corruptions;
-      })
-
-let memo_stats_to_json s =
-  let open Sutil.Json in
-  Obj
-    [
-      ("size", of_int s.size);
-      ("limit", of_int s.limit);
-      ("hits", of_int s.hits);
-      ("misses", of_int s.misses);
-      ("evictions", of_int s.evictions);
-      ("corruptions", of_int s.corruptions);
-    ]
+let set_memo_limit n = Memo.set_capacity memo (max 1 n)
+let memo_stats () = Memo.stats memo
 
 (* Serve [key] from the memo, or compile and insert it: an artifact, or
    the diagnostic of a compile whose options were accepted. *)
 let memo_find_or_compile ?report key mech =
   let { Memo_key.kernel; version; options; _ } = key in
-  let cached =
-    with_memo (fun () ->
-        match Memo_table.find_opt memo key with
-        | None ->
-            incr memo_misses;
-            None
-        | Some e when intact e.snapshot ->
-            incr memo_hits;
-            incr memo_tick;
-            e.last_use <- !memo_tick;
-            Some e.value
-        | Some e ->
-            (* Re-verification failed: the artifact no longer matches what
-               was inserted. Drop it and recompile below. *)
-            memo_remove key e;
-            incr memo_corruptions;
-            incr memo_misses;
-            None)
-  in
-  match cached with
-  | Some r -> r
+  match Memo.find memo key with
+  | Some e -> e.value
   | None -> (
       match check_options mech kernel version options with
       | Error _ as rejected -> rejected
       | Ok () ->
           (* Compile outside the lock: concurrent workers may duplicate
              the work for the same key (deterministic, so either result
-             is the same), but never serialize on each other. *)
+             is the same), but never serialize on each other. The state
+             is made before the insertion, so an eviction finds it. *)
           let r =
             compile_accepted ?report ~validate:false mech kernel version
               options
           in
-          with_memo (fun () ->
-              if not (Memo_table.mem memo key) then begin
-                incr memo_tick;
-                Memo_table.add memo key
-                  { value = r; snapshot = snapshot r; last_use = !memo_tick };
-                Result.iter (fun t -> ignore (launch_state t)) r;
-                evict_down_to !memo_max
-              end);
-          r)
+          Result.iter add_launch_state r;
+          let kept = Memo.add memo key { value = r; snapshot = snapshot r } in
+          if kept.value != r then Result.iter drop_launch_state r;
+          kept.value)
 
 (* ---- mechanism digests ----
    A mechanism's content digest is the MD5 of its marshalled bytes, tens
    of kilobytes (heptane: 121 KB), so it is taken once per physical
-   mechanism and kept in a short most-recent-first list matched by
-   identity, as the launch-inputs memo matches mechanisms: a mechanism
-   is never mutated after [Mechanism.make]. A miss digests outside the
-   lock. The bytes go to a per-domain buffer that is reused (and grown
+   mechanism and kept for 16 mechanisms matched by identity, as the
+   launch-inputs memo matches them: a mechanism is never mutated after
+   [Mechanism.make]. A miss digests outside the lock. The bytes go to a per-domain buffer that is reused (and grown
    on overflow): as a fresh string they would go straight to the major
    heap, which moves the collector's pacing for a whole process. *)
 let marshal_buffer = Domain.DLS.new_key (fun () -> Bytes.create 65536)
@@ -908,31 +805,19 @@ let rec digest_of (mech : Chem.Mechanism.t) =
       Domain.DLS.set marshal_buffer (Bytes.create (2 * Bytes.length buf));
       digest_of mech
 
-let mech_digests_max = 16
-let mech_digests : (Chem.Mechanism.t * Digest.t) list ref = ref []
-let mech_digests_mutex = Mutex.create ()
+module Mech_digests = Sutil.Cache.Make (struct
+  type t = Chem.Mechanism.t
+
+  let equal = ( == )
+  let hash (m : t) = Hashtbl.hash m.Chem.Mechanism.name
+end)
+
+let mech_digests : Digest.t Mech_digests.t = Mech_digests.create 16
 
 let mech_digest mech =
-  (* Put [mech]'s entry first and cut the table to the bound. *)
-  let front d =
-    mech_digests :=
-      (mech, d)
-      :: List.filteri
-           (fun i _ -> i < mech_digests_max - 1)
-           (List.remove_assq mech !mech_digests)
-  in
-  let locked f = Mutex.protect mech_digests_mutex f in
-  match
-    locked (fun () ->
-        let hit = List.assq_opt mech !mech_digests in
-        Option.iter front hit;
-        hit)
-  with
+  match Mech_digests.find mech_digests mech with
   | Some d -> d
-  | None ->
-      let d = digest_of mech in
-      locked (fun () -> front d);
-      d
+  | None -> Mech_digests.add mech_digests mech (digest_of mech)
 
 (* The memo key is everything a compile reads: the mechanism's digest,
    kernel, version and options. *)
@@ -949,126 +834,74 @@ let compile ?(memo = false) ?(validate = false) ?report mech kernel version =
 let compile_checked ?(validate = true) m k v o = let r = ref None in Result.map (fun t -> (t, Option.get !r)) (compile ~validate ~report:(fun p -> r := Some p) m k v o)
 let compile_cached m k v = let c = compile ~memo:true m k v in fun o -> Diagnostics.ok_exn (c o)
 
-let memo_poison_for_test () =
-  with_memo (fun () ->
-      match Memo_table.fold (fun _ e _ -> Some e) memo None with
-      | Some e ->
-          e.snapshot <- Slots ([| 0 |], [| 1 |]) :: e.snapshot;
-          true
-      | None -> false)
-
 (* ---- launch-inputs memo ----
    A launch's input grid is a pure function of the mechanism, the point
    count, the seed and the temperature range, and the oracle's reference
    outputs are a pure function of that grid and the kernel; a server
    re-runs the same targets again and again. An entry holds one grid and
-   the references computed from it. Entries match the mechanism by
-   physical identity (a memoized compile keeps its own), hold at most
-   [inputs_memo_budget] doubles in all (grids and references), and leave
-   least recently used first. Both are read-only: every run copies the
-   grid into its own memory, simulates, and compares with the reference. *)
+   the references computed from it, matches the mechanism by identity
+   (a memoized compile keeps its own) and costs its doubles. Both are
+   read-only: every run copies the grid into its own memory, simulates,
+   and compares with the reference. *)
+module Inputs = Sutil.Cache.Make (struct
+  type t = Chem.Mechanism.t * int * int64 * (float * float) option
+
+  let equal (m, points, seed, t_range) (m', points', seed', t_range') =
+    m == m' && points = points' && Int64.equal seed seed' && t_range = t_range'
+
+  let hash (_, points, seed, t_range) = Hashtbl.hash (points, seed, t_range)
+end)
+
 type inputs_entry = {
-  i_mech : Chem.Mechanism.t;
-  i_key : int * int64 * (float * float) option;
+  i_key : Inputs.key;
   i_grid : Chem.Grid.t;
-  mutable i_refs : (Kernel_abi.kernel * float array array) list;
+  i_refs : (Kernel_abi.kernel * float array array) list Atomic.t;
   mutable i_doubles : int;
-  mutable i_last_use : int;
 }
 
 let inputs_memo_budget = 1 lsl 18
-let inputs_memo : inputs_entry list ref = ref []
-let inputs_memo_mutex = Mutex.create ()
-let inputs_memo_tick = ref 0
-let grids_built = Atomic.make 0
+
+let inputs_memo : inputs_entry Inputs.t =
+  Inputs.create ~cost:(fun e -> e.i_doubles) inputs_memo_budget
+
 let n_doubles rows = Array.fold_left (fun n r -> n + Array.length r) 0 rows
 
-(* Keep the most recently used entries that fit the budget. Callers hold
-   [inputs_memo_mutex]. *)
-let inputs_evict () =
-  let used = ref 0 in
-  inputs_memo :=
-    List.filter
-      (fun e ->
-        used := !used + e.i_doubles;
-        !used <= inputs_memo_budget)
-      (List.sort (fun a b -> compare b.i_last_use a.i_last_use) !inputs_memo)
-
-let with_inputs_memo f = Mutex.protect inputs_memo_mutex f
-
 let launch_inputs mech ~seed ~t_range ~points =
-  let key = (points, seed, t_range) in
-  let same e = e.i_mech == mech && e.i_key = key in
-  let hit =
-    with_inputs_memo (fun () ->
-        incr inputs_memo_tick;
-        let hit = List.find_opt same !inputs_memo in
-        Option.iter (fun e -> e.i_last_use <- !inputs_memo_tick) hit;
-        hit)
-  in
-  match hit with
+  let key = (mech, points, seed, t_range) in
+  match Inputs.find inputs_memo key with
   | Some e -> e
   | None ->
       let g = Chem.Grid.create ?t_range mech ~points ~seed in
-      Atomic.incr grids_built;
-      let e =
+      Inputs.add inputs_memo key
         {
-          i_mech = mech;
           i_key = key;
           i_grid = g;
-          i_refs = [];
+          i_refs = Atomic.make [];
           i_doubles =
             points * 2 + n_doubles g.Chem.Grid.mole_frac
             + n_doubles g.Chem.Grid.diffusion_in;
-          i_last_use = 0;
         }
-      in
-      if e.i_doubles > inputs_memo_budget then e
-      else
-        with_inputs_memo (fun () ->
-            match List.find_opt same !inputs_memo with
-            | Some winner -> winner
-            | None ->
-                incr inputs_memo_tick;
-                e.i_last_use <- !inputs_memo_tick;
-                inputs_memo := e :: !inputs_memo;
-                inputs_evict ();
-                e)
 
+(* A reference joins its grid's entry, growing its cost, when the two
+   fit the budget together. *)
 let reference_outputs e kernel =
-  match with_inputs_memo (fun () -> List.assoc_opt kernel e.i_refs) with
+  match List.assoc_opt kernel (Atomic.get e.i_refs) with
   | Some r -> r
   | None ->
-      let g = e.i_grid in
+      let mech, _, _, _ = e.i_key and g = e.i_grid in
       let r =
-        Kernel_abi.reference_outputs e.i_mech g kernel ~points:g.Chem.Grid.points
+        Kernel_abi.reference_outputs mech g kernel ~points:g.Chem.Grid.points
       in
-      with_inputs_memo (fun () ->
+      Inputs.update inputs_memo e.i_key (fun e ->
+          let refs = Atomic.get e.i_refs in
           if
-            (not (List.mem_assoc kernel e.i_refs))
+            (not (List.mem_assoc kernel refs))
             && e.i_doubles + n_doubles r <= inputs_memo_budget
           then begin
-            e.i_refs <- (kernel, r) :: e.i_refs;
-            e.i_doubles <- e.i_doubles + n_doubles r;
-            inputs_evict ()
+            Atomic.set e.i_refs ((kernel, r) :: refs);
+            e.i_doubles <- e.i_doubles + n_doubles r
           end);
       r
-
-type inputs_memo_stats = {
-  entries : int;
-  doubles : int;
-  budget : int;
-  grids_built : int;
-}
-
-let inputs_memo_stats () =
-  with_inputs_memo (fun () ->
-      {
-        entries = List.length !inputs_memo;
-        doubles = List.fold_left (fun n e -> n + e.i_doubles) 0 !inputs_memo;
-        budget = inputs_memo_budget;
-        grids_built = Atomic.get grids_built;
-      })
 
 (* A prediction's one mutable part is its [chip.sms] array. *)
 let copy_prediction (p : Model_facts.prediction) =
@@ -1138,10 +971,17 @@ let shape_store_stats () =
   }
 
 let memo_clear () =
-  with_memo (fun () -> Memo_table.reset memo);
-  Mutex.protect mech_digests_mutex (fun () -> mech_digests := []);
-  with_inputs_memo (fun () -> inputs_memo := []);
+  Memo.clear memo;
+  Mech_digests.clear mech_digests;
+  Inputs.clear inputs_memo;
   with_launch_states (fun () -> Artifact_table.reset launch_states)
+
+let cache_stats () =
+  [
+    ("compile_cache", Memo.stats memo);
+    ("mech_digests", Mech_digests.stats mech_digests);
+    ("launch_inputs", Inputs.stats inputs_memo);
+  ]
 
 (* ---- IR dumping (the CLI's --dump-ir) ---- *)
 
@@ -1242,7 +1082,13 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   in
   let machine =
     Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
-      ?skew ~store:(launch_state t).shapes t.options.arch launch
+      ?skew
+      ?store:
+        (with_launch_states (fun () ->
+             Option.map
+               (fun s -> s.shapes)
+               (Artifact_table.find_opt launch_states t)))
+      t.options.arch launch
   in
   let outputs =
     Kernel_abi.read_outputs t.lowered.Lower.program machine.Gpusim.Chip.mem

@@ -226,28 +226,17 @@ val memo_clear : unit -> unit
     launch shapes and predictions), for tests and long-lived servers.
     The next lookup of any target misses and compiles afresh. *)
 
-type memo_stats = {
-  size : int;  (** entries currently cached *)
-  limit : int;  (** the bound {!set_memo_limit} installed (default 512) *)
-  hits : int;  (** lookups served from the cache (re-verified) *)
-  misses : int;  (** lookups that had to compile *)
-  evictions : int;  (** entries dropped by the LRU bound *)
-  corruptions : int;
-      (** hits whose stored artifact failed re-verification against its
-          insertion snapshot and were dropped + recompiled instead of
-          served *)
-}
+val memo_stats : unit -> Sutil.Cache.stats
+(** The compile memo's stats, as in {!cache_stats}; kept because
+    [perfbench/perfbench.ml] reads its [hits], [misses] and
+    [evictions]. *)
 
-val memo_stats : unit -> memo_stats
-(** Counter snapshot for perf JSON and the serve [stats] endpoint.
-    Counters are process-lifetime and survive {!memo_clear} (only the
-    entries are dropped). *)
-
-val memo_stats_to_json : memo_stats -> Sutil.Json.t
-(** The six counters as one JSON object, keyed by field name: bench
-    perf's and serve's ["compile_cache"]. *)
-
-val memo_limit : unit -> int
+val cache_stats : unit -> (string * Sutil.Cache.stats) list
+(** Every process-wide cache, by name: ["compile_cache"], the compile
+    memo; ["mech_digests"], the 16 most recently keyed mechanisms'
+    digests; ["launch_inputs"], {!run}'s input grids (one per mechanism,
+    point count, seed and temperature range) with their references,
+    costed in doubles: its misses count the grids built. *)
 
 val set_memo_limit : int -> unit
 (** Install a new entry bound (clamped to at least 1), evicting LRU
@@ -255,28 +244,9 @@ val set_memo_limit : int -> unit
     would otherwise leak one lowered program per distinct configuration
     it ever saw. *)
 
-val memo_poison_for_test : unit -> bool
-(** Corrupt the stored snapshot of one cached entry (test hook for the
-    re-verification path); [false] when the cache is empty. *)
-
-type inputs_memo_stats = {
-  entries : int;  (** launch grids currently memoized *)
-  doubles : int;  (** their doubles, grids and references together *)
-  budget : int;  (** the bound on [doubles] *)
-  grids_built : int;  (** grids generated since the process started *)
-}
-
-val inputs_memo_stats : unit -> inputs_memo_stats
-(** The launch-inputs memo {!run} reads: each entry holds one input grid
-    (keyed by the mechanism's identity, the simulated point count, the
-    seed and the temperature range) and the host references computed
-    from it, per kernel. Entries leave least recently used first once
-    [doubles] would pass [budget]. *)
-
 type shape_store_stats = {
   stores : int;
-      (** live artifacts that hold a launch state: every artifact in the
-          compile memo, and every other one {!run} has simulated *)
+      (** artifacts that hold a launch state: those in the compile memo *)
   shapes_stored : int;  (** shapes simulated and stored *)
   order_bytes_stored : int;
       (** bytes of issue order stored, one order per shape *)
@@ -305,14 +275,14 @@ val shape_store_stats : unit -> shape_store_stats
 
     A state is keyed by the artifact record itself, by identity: a
     [{ c with ... }] copy of an artifact has a state of its own, or none,
-    and is never answered from [c]'s. The compile memo creates an
-    artifact's state when it inserts the artifact, {!run} when it first
-    simulates one; a prediction only looks the state up, so an artifact
-    outside the memo that is only predicted stores nothing. A state lives
-    no longer than its artifact: it is dropped when the artifact is
-    collected, when the compile memo evicts the artifact (at once, even
-    while a caller still holds it: that artifact's next run or prediction
-    starts afresh) and by {!memo_clear}. The six counters are
+    and is never answered from [c]'s. Only the compile memo creates a
+    state, when it inserts the artifact; {!run} and a prediction only
+    look it up, so an artifact compiled outside the memo, which a caller
+    launches once, stores nothing. A state lives no longer than its
+    artifact: it is dropped when the artifact is collected, when the
+    compile memo evicts the artifact (at once, even while a caller still
+    holds it: that artifact's later runs and predictions are computed
+    afresh and store nothing) and by {!memo_clear}. The six counters are
     process-lifetime and survive {!memo_clear}. *)
 
 val launch_prediction :
@@ -384,7 +354,7 @@ val run :
 (** Simulates the kernel on a reproducible random grid; when [check] (the
     default) the functional outputs of all simulated points are compared
     against {!Chem.Ref_kernels}. The grid and the reference come from the
-    launch-inputs memo ({!inputs_memo_stats}), so a warm run generates
+    launch-inputs memo (in {!cache_stats}), so a warm run generates
     neither; the comparison runs every time. The simulation runs once per
     launch shape: a clean, unprofiled run takes the artifact's stored
     cycles, counters and cache stats ({!shape_store_stats}) and replays

@@ -233,25 +233,18 @@ type counters = {
   mutable e_fault : int;
   mutable e_internal : int;
   mutable e_busy : int;
-  (* caches and self-checks *)
-  mutable id_cache_hits : int;
-  mutable tune_cache_hits : int;
+  (* self-checks *)
   mutable json_check_failures : int;
 }
 
-type id_entry = {
-  ie_digest : string;
-  ie_response : string;
-  mutable ie_last_use : int;
-}
+module Str_cache = Sutil.Cache.Make (String)
 
 type state = {
   cfg : config;
   c : counters;
   queue : string Queue.t;
-  id_cache : (string, id_entry) Hashtbl.t;
-  mutable id_tick : int;
-  tune_cache : (string, (string * J.t) list) Hashtbl.t;
+  id_cache : (string * string) Str_cache.t;  (** request digest, response *)
+  tune_cache : (string * J.t) list Str_cache.t;
 }
 
 (* A config hole found the hard way: [deadline_ms <= 0] used to slip
@@ -294,14 +287,12 @@ let create ?(config = default_config) () =
         e_fault = 0;
         e_internal = 0;
         e_busy = 0;
-        id_cache_hits = 0;
-        tune_cache_hits = 0;
         json_check_failures = 0;
       };
     queue = Queue.create ();
-    id_cache = Hashtbl.create 64;
-    id_tick = 0;
-    tune_cache = Hashtbl.create 16;
+    id_cache = Str_cache.create config.id_cache_entries;
+    (* Bounded like everything else long-lived. *)
+    tune_cache = Str_cache.create 64;
   }
 
 let requests_total st = st.c.total
@@ -588,10 +579,8 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
         req = Tune_req { target = t; top_k };
       }
   in
-  match Hashtbl.find_opt st.tune_cache key with
-  | Some fields ->
-      st.c.tune_cache_hits <- st.c.tune_cache_hits + 1;
-      ok_response st id "tune" fields
+  match Str_cache.find st.tune_cache key with
+  | Some fields -> ok_response st id "tune" fields
   | None ->
       let budget = budget_cycles st.cfg deadline_ms in
       let fields =
@@ -704,15 +693,19 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                       ("caveat", J.Str (degraded_caveat budget));
                     ]))
       in
-      (* Bound the tuned-config cache like everything else long-lived. *)
-      if Hashtbl.length st.tune_cache >= 64 then Hashtbl.reset st.tune_cache;
-      Hashtbl.replace st.tune_cache key fields;
+      ignore (Str_cache.add st.tune_cache key fields);
       ok_response st id "tune" fields
+
+(* Every process-wide cache, then [own]. *)
+let caches_json own =
+  List.map
+    (fun (name, s) -> (name, Sutil.Cache.stats_to_json s))
+    (Compile.cache_stats () @ own)
 
 let handle_health st id =
   st.c.n_health <- st.c.n_health + 1;
   ok_response st id "health"
-    [
+    ([
       ("live", J.Bool true);
       ("requests_total", numi st.c.total);
       ("requests_ok", numi st.c.ok);
@@ -721,13 +714,13 @@ let handle_health st id =
       ("queue_depth", numi (Queue.length st.queue));
       ("queue_bound", numi st.cfg.max_queue);
       ("live_domains", numi (Sutil.Domain_pool.live_domains ()));
-      ("compile_cache", Compile.memo_stats_to_json (Compile.memo_stats ()));
     ]
+    @ caches_json [])
 
 let handle_stats st id =
   st.c.n_stats <- st.c.n_stats + 1;
   ok_response st id "stats"
-    [
+    ([
       ("requests_total", numi st.c.total);
       ("requests_ok", numi st.c.ok);
       ("requests_error", numi st.c.errors);
@@ -755,20 +748,13 @@ let handle_stats st id =
           ] );
       ("queue_depth", numi (Queue.length st.queue));
       ("queue_bound", numi st.cfg.max_queue);
-      ("compile_cache", Compile.memo_stats_to_json (Compile.memo_stats ()));
-      ( "id_cache",
-        J.Obj
-          [
-            ("size", numi (Hashtbl.length st.id_cache));
-            ("limit", numi st.cfg.id_cache_entries);
-            ("hits", numi st.c.id_cache_hits);
-          ] );
-      ( "tune_cache",
-        J.Obj
-          [
-            ("size", numi (Hashtbl.length st.tune_cache));
-            ("hits", numi st.c.tune_cache_hits);
-          ] );
+    ]
+    @ caches_json
+        [
+          ("id_cache", Str_cache.stats st.id_cache);
+          ("tune_cache", Str_cache.stats st.tune_cache);
+        ]
+    @ [
       ( "domain_pool",
         J.Obj
           [
@@ -777,7 +763,7 @@ let handle_stats st id =
               numi (Sutil.Domain_pool.nested_serial_calls ()) );
           ] );
       ("json_check_failures", numi st.c.json_check_failures);
-    ]
+    ])
 
 (* ---- the request boundary ---- *)
 
@@ -823,21 +809,6 @@ let contained st id deadline_ms req =
   | exception e ->
       error_response st id Internal ("unexpected: " ^ Printexc.to_string e) []
 
-let id_cache_insert st key entry =
-  Hashtbl.replace st.id_cache key entry;
-  if Hashtbl.length st.id_cache > st.cfg.id_cache_entries then begin
-    let oldest = ref None in
-    Hashtbl.iter
-      (fun k e ->
-        match !oldest with
-        | Some (_, lru) when lru <= e.ie_last_use -> ()
-        | _ -> oldest := Some (k, e.ie_last_use))
-      st.id_cache;
-    match !oldest with
-    | Some (k, _) -> Hashtbl.remove st.id_cache k
-    | None -> ()
-  end
-
 let handle_line st line =
   st.c.total <- st.c.total + 1;
   let started = Sutil.Clock.now_ns () in
@@ -864,16 +835,16 @@ let handle_line st line =
             Digest.to_hex
               (Digest.string (request_to_json { req with req_id = None }))
           in
+          let replays (d, _) = d = digest in
           match
             Option.bind req.req_id (fun id ->
-                Option.map (fun e -> (id, e)) (Hashtbl.find_opt st.id_cache id))
+                Option.map
+                  (fun e -> (id, e))
+                  (Str_cache.find ~accept:replays st.id_cache id))
           with
-          | Some (_, entry) when entry.ie_digest = digest ->
+          | Some (_, ((_, response) as entry)) when replays entry ->
               (* Idempotent retry: replay the stored bytes verbatim. *)
-              st.c.id_cache_hits <- st.c.id_cache_hits + 1;
-              st.id_tick <- st.id_tick + 1;
-              entry.ie_last_use <- st.id_tick;
-              (entry.ie_response, false)
+              (response, false)
           | Some (id, _) ->
               let resp =
                 error_response st req.req_id Bad_request
@@ -903,13 +874,7 @@ let handle_line st line =
               let rendered = render st req.req_id resp in
               (match req.req_id with
               | Some id when not stop ->
-                  st.id_tick <- st.id_tick + 1;
-                  id_cache_insert st id
-                    {
-                      ie_digest = digest;
-                      ie_response = rendered;
-                      ie_last_use = st.id_tick;
-                    }
+                  ignore (Str_cache.add st.id_cache id (digest, rendered))
               | Some _ | None -> ());
               (rendered, stop)))
 

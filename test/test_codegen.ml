@@ -28,7 +28,7 @@ let test_memo_keys_list_schedule () =
     Singe.Diagnostics.ok_exn (Singe.Compile.compile ?memo mech kernel version options)
   in
   let scheduled = compile ~memo:true options in
-  let misses () = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
+  let misses () = (Singe.Compile.memo_stats ()).Sutil.Cache.misses in
   let misses0 = misses () in
   let off = { options with Singe.Compile.list_schedule = false } in
   let cached = compile ~memo:true off in

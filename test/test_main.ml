@@ -3,6 +3,7 @@ let () =
     [
       ("mech-gen", Test_chem.first_tests);
       ("util", Test_util.tests);
+      ("cache", Test_cache.tests);
       ("chem", Test_chem.tests);
       ("mech-load", Test_mech_load.tests);
       ("gpusim", Test_gpusim.tests);

@@ -411,7 +411,7 @@ let test_warm_search_across_jobs () =
 
 let memo_counts () =
   let s = Singe.Compile.memo_stats () in
-  (s.Singe.Compile.hits, s.Singe.Compile.misses)
+  (s.Sutil.Cache.hits, s.Sutil.Cache.misses)
 
 (* [m] re-made from copies of its fields: a new physical value, equal in
    content unless [species] or [reactions] edits its copied array. *)

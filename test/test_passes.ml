@@ -569,7 +569,7 @@ let test_no_forced_minor_collections () =
     | Error d -> Alcotest.fail (Singe.Diagnostics.to_string d)
   in
   search ();
-  let misses () = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
+  let misses () = (Singe.Compile.memo_stats ()).Sutil.Cache.misses in
   let m0 = misses () in
   let words, collections = minor_cost search in
   check_minor_collections "hydrogen viscosity cold search"

@@ -1302,7 +1302,7 @@ let test_served_answers_are_copies () =
    collected with its launch state, answers included: the occupancy
    record an answer shares with the stored one goes with it. *)
 let test_answers_die_with_artifact () =
-  let prev_limit = Singe.Compile.memo_limit () in
+  let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
     (fun () ->
@@ -1339,7 +1339,7 @@ let test_answers_die_with_artifact () =
    same target compiled again) would read the dead key and mark it live
    for another cycle. *)
 let test_eviction_drops_state () =
-  let prev_limit = Singe.Compile.memo_limit () in
+  let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
     (fun () ->
@@ -1357,9 +1357,8 @@ let test_eviction_drops_state () =
       Alcotest.(check int) "and stores nothing" stored0 (stored ());
       ignore (Sys.opaque_identity resident))
 
-(* An artifact compiled outside the memo has no launch state until a run
-   creates one: predicting it stores and serves nothing, and keeps no
-   state alive. *)
+(* An artifact compiled outside the memo has no launch state: predicting
+   or running it stores and serves nothing, and keeps no state alive. *)
 let test_one_shot_stores_nothing () =
   Singe.Compile.memo_clear ();
   let c =
@@ -1377,7 +1376,15 @@ let test_one_shot_stores_nothing () =
     s1.Singe.Compile.predictions_stored;
   Alcotest.(check int) "nothing served" s0.Singe.Compile.predictions_served
     s1.Singe.Compile.predictions_served;
-  Alcotest.(check int) "no launch state" 0 s1.Singe.Compile.stores
+  Alcotest.(check int) "no launch state" 0 s1.Singe.Compile.stores;
+  ignore (Singe.Compile.run c ~total_points:4096);
+  ignore (Singe.Compile.run c ~total_points:4096);
+  let s2 = predictions () in
+  Alcotest.(check int) "no shape stored" s1.Singe.Compile.shapes_stored
+    s2.Singe.Compile.shapes_stored;
+  Alcotest.(check int) "no run served" s1.Singe.Compile.runs_served
+    s2.Singe.Compile.runs_served;
+  Alcotest.(check int) "still no launch state" 0 s2.Singe.Compile.stores
 
 let tests =
   [

@@ -464,7 +464,7 @@ let test_shutdown_and_health () =
 (* ---- the bounded compile memo ---- *)
 
 let test_memo_lru_bound () =
-  let prev_limit = Singe.Compile.memo_limit () in
+  let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
     (fun () ->
@@ -489,24 +489,24 @@ let test_memo_lru_bound () =
       let after = Singe.Compile.memo_stats () in
       Alcotest.(check bool)
         "size bounded" true
-        (after.Singe.Compile.size <= 2);
+        (after.Sutil.Cache.size <= 2);
       Alcotest.(check bool)
         "eviction counted" true
-        (after.Singe.Compile.evictions > before.Singe.Compile.evictions);
+        (after.Sutil.Cache.evictions > before.Sutil.Cache.evictions);
       (* LRU: warps=2 was evicted, warps=4 is still cached *)
-      let h0 = after.Singe.Compile.hits in
+      let h0 = after.Sutil.Cache.hits in
       compile 4;
       Alcotest.(check int)
         "recent entry still hits" (h0 + 1)
-        ((Singe.Compile.memo_stats ()).Singe.Compile.hits);
-      let m0 = (Singe.Compile.memo_stats ()).Singe.Compile.misses in
+        ((Singe.Compile.memo_stats ()).Sutil.Cache.hits);
+      let m0 = (Singe.Compile.memo_stats ()).Sutil.Cache.misses in
       compile 2;
       Alcotest.(check int)
         "oldest entry was evicted" (m0 + 1)
-        ((Singe.Compile.memo_stats ()).Singe.Compile.misses))
+        ((Singe.Compile.memo_stats ()).Sutil.Cache.misses))
 
 let test_memo_reverification () =
-  let prev_limit = Singe.Compile.memo_limit () in
+  let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
     (fun () ->
@@ -519,16 +519,17 @@ let test_memo_reverification () =
              Singe.Compile.Warp_specialized
              (Singe.Compile.default_options arch))
       in
-      ignore (compile ());
-      Alcotest.(check bool)
-        "poison found an entry" true
-        (Singe.Compile.memo_poison_for_test ());
+      (* a warp's prologue stream swapped in place in the memoized
+         artifact: the next hit must see it *)
+      (match (compile ()).Singe.Compile.facts.Singe.Model_facts.own_walk with
+      | None -> Alcotest.fail "no stored walk"
+      | Some w -> w.Singe.Model_facts.prologue.(0) <- [||]);
       let before = Singe.Compile.memo_stats () in
       let c = compile () in
       let after = Singe.Compile.memo_stats () in
       Alcotest.(check int)
-        "corruption detected" (before.Singe.Compile.corruptions + 1)
-        after.Singe.Compile.corruptions;
+        "corruption detected" (before.Sutil.Cache.corruptions + 1)
+        after.Sutil.Cache.corruptions;
       (* the recompiled artifact is sound: it simulates correctly *)
       let r = Singe.Compile.run c ~total_points:2048 ~max_cycles:50_000_000 in
       Alcotest.(check bool)
@@ -543,8 +544,8 @@ let test_memo_reverification () =
       let c' = compile () in
       let after = Singe.Compile.memo_stats () in
       Alcotest.(check int)
-        "walk corruption detected" (before.Singe.Compile.corruptions + 1)
-        after.Singe.Compile.corruptions;
+        "walk corruption detected" (before.Sutil.Cache.corruptions + 1)
+        after.Sutil.Cache.corruptions;
       Alcotest.(check bool) "recompiled, not served" true (c' != c))
 
 (* A naive program switches on the warp id at top level: its
@@ -586,8 +587,8 @@ let test_memo_catches_arm_swaps () =
     let after = Singe.Compile.memo_stats () in
     Alcotest.(check int)
       (what ^ ": corruption detected")
-      (before.Singe.Compile.corruptions + 1)
-      after.Singe.Compile.corruptions;
+      (before.Sutil.Cache.corruptions + 1)
+      after.Sutil.Cache.corruptions;
     Alcotest.(check bool) (what ^ ": recompiled, not served") true (c' != c)
   in
   ignore (compile ());
@@ -740,8 +741,9 @@ let test_inputs_memo () =
       (Singe.Compile.compile ~memo:true mech kernel version
          (Singe.Target.options ~n_warps:4 arch kernel))
   in
-  let stats = Singe.Compile.inputs_memo_stats in
-  let built () = (stats ()).Singe.Compile.grids_built in
+  let stats () = List.assoc "launch_inputs" (Singe.Compile.cache_stats ()) in
+  (* Each miss builds a grid. *)
+  let built () = (stats ()).Sutil.Cache.misses in
   let visc =
     compile Singe.Kernel_abi.Viscosity Singe.Compile.Warp_specialized
   in
@@ -771,16 +773,16 @@ let test_inputs_memo () =
     let s = stats () in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: %d doubles within the budget of %d" seed
-         s.Singe.Compile.doubles s.Singe.Compile.budget)
+         s.Sutil.Cache.cost s.Sutil.Cache.limit)
       true
-      (s.Singe.Compile.doubles <= s.Singe.Compile.budget)
+      (s.Sutil.Cache.cost <= s.Sutil.Cache.limit)
   done;
   Alcotest.(check bool)
     "the budget evicted grids" true
-    ((stats ()).Singe.Compile.entries < 17);
+    ((stats ()).Sutil.Cache.size < 17);
   Singe.Compile.memo_clear ();
   Alcotest.(check int) "memo_clear drops every grid" 0
-    (stats ()).Singe.Compile.entries;
+    (stats ()).Sutil.Cache.size;
   same "cold again" cold (run visc)
 
 (* ---- the launch-shape store ---- *)
@@ -1034,7 +1036,7 @@ let test_shape_store_view_equals_fresh_trace () =
    memo creates a state for each artifact it inserts, so the artifact
    that evicts the first one holds the only state left. *)
 let test_shape_store_lifetime () =
-  let prev_limit = Singe.Compile.memo_limit () in
+  let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
     (fun () ->
