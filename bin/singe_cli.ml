@@ -364,6 +364,29 @@ let dump_ir c = function
   | None -> ()
   | Some stage -> Singe.Compile.dump_ir Format.std_formatter c stage
 
+(* A "FILE or '-'" flag's output: [text ()] to stdout for [-], else to
+   FILE, followed by the [written FILE] line. *)
+let write_output dest ~written text =
+  match dest with
+  | None -> ()
+  | Some "-" -> print_string (text ())
+  | Some file ->
+      Out_channel.with_open_text file (fun oc -> output_string oc (text ()));
+      written file
+
+(* [--check]: [f check] prints one line per [check name ok detail], and
+   any failed check exits 1 once all are printed. *)
+let run_checks f =
+  let failed = ref false in
+  f (fun name ok detail ->
+      if ok then Printf.printf "check %-28s ok\n" name
+      else begin
+        failed := true;
+        Printf.printf "check %-28s FAILED%s\n" name
+          (if detail = "" then "" else ": " ^ detail)
+      end);
+  if !failed then exit 1
+
 let info_cmd =
   let run target =
     let mech = (resolve target).mech in
@@ -413,22 +436,12 @@ let compile_cmd =
     if dump then Format.printf "@.== prologue ==@.%a== body ==@.%a@."
         Gpusim.Isa.pp_block p.Gpusim.Isa.prologue
         Gpusim.Isa.pp_block p.Gpusim.Isa.body;
-    (match asm with
-    | Some "-" -> print_string (Gpusim.Isa_text.emit p)
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Gpusim.Isa_text.emit p);
-        close_out oc;
-        Printf.printf "assembly written to %s\n" file
-    | None -> ());
-    match cuda with
-    | Some "-" -> print_string (Singe.Cuda_emit.emit ~arch p)
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Singe.Cuda_emit.emit ~arch p);
-        close_out oc;
-        Printf.printf "CUDA source written to %s\n" file
-    | None -> ()
+    write_output asm
+      ~written:(Printf.printf "assembly written to %s\n")
+      (fun () -> Gpusim.Isa_text.emit p);
+    write_output cuda
+      ~written:(Printf.printf "CUDA source written to %s\n")
+      (fun () -> Singe.Cuda_emit.emit ~arch p)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a kernel and report its resources.")
     Term.(const run
@@ -537,29 +550,16 @@ let profile_cmd =
         (Gpusim.Profile.top_stalls ~n:top prof)
     end;
     let trace_json = Gpusim.Profile.to_chrome_trace prof in
-    (match chrome with
-    | Some "-" -> print_string trace_json
-    | Some file ->
-        let oc = open_out file in
-        output_string oc trace_json;
-        close_out oc;
-        Printf.printf "Chrome trace (%d spans%s) written to %s\n"
-          (Array.length prof.Gpusim.Profile.timeline)
-          (if prof.Gpusim.Profile.timeline_dropped > 0 then
-             Printf.sprintf ", %d dropped" prof.Gpusim.Profile.timeline_dropped
-           else "")
-          file
-    | None -> ());
-    if check_it then begin
-      let failed = ref false in
-      let check name ok detail =
-        if ok then Printf.printf "check %-28s ok\n" name
-        else begin
-          failed := true;
-          Printf.printf "check %-28s FAILED%s\n" name
-            (if detail = "" then "" else ": " ^ detail)
-        end
-      in
+    write_output chrome
+      ~written:
+        (Printf.printf "Chrome trace (%d spans%s) written to %s\n"
+           (Array.length prof.Gpusim.Profile.timeline)
+           (if prof.Gpusim.Profile.timeline_dropped > 0 then
+              Printf.sprintf ", %d dropped" prof.Gpusim.Profile.timeline_dropped
+            else ""))
+      (fun () -> trace_json);
+    if check_it then
+      run_checks @@ fun check ->
       check "bucket conservation"
         (Gpusim.Profile.conservation_ok prof)
         (Printf.sprintf "residual %d warp-cycles"
@@ -567,12 +567,6 @@ let profile_cmd =
       (match Sutil.Json_check.validate trace_json with
       | Ok () -> check "chrome-trace json" true ""
       | Error m -> check "chrome-trace json" false m);
-      let monotone = ref true and last = ref min_int in
-      Array.iter
-        (fun (s : Gpusim.Profile.span) ->
-          if s.Gpusim.Profile.sp_start < !last then monotone := false;
-          last := s.Gpusim.Profile.sp_start)
-        prof.Gpusim.Profile.timeline;
       (* The exported timeline is end-ordered; the trace emitter re-sorts
          by start. Verify on the emitter's own ordering. *)
       let spans = Array.copy prof.Gpusim.Profile.timeline in
@@ -588,9 +582,7 @@ let profile_cmd =
           if s.Gpusim.Profile.sp_stop < s.Gpusim.Profile.sp_start then
             sorted_ok := false)
         spans;
-      check "trace timestamps monotone" !sorted_ok "";
-      if !failed then exit 1
-    end
+      check "trace timestamps monotone" !sorted_ok ""
   in
   Cmd.v
     (Cmd.info "profile"
@@ -735,24 +727,11 @@ let predict_cmd =
            ])
       ^ "\n"
     in
-    (match json with
-    | Some "-" -> print_string payload
-    | Some file ->
-        let oc = open_out file in
-        output_string oc payload;
-        close_out oc;
-        Printf.printf "prediction rows written to %s\n" file
-    | None -> ());
-    if check_it then begin
-      let failed = ref false in
-      let check name ok detail =
-        if ok then Printf.printf "check %-28s ok\n" name
-        else begin
-          failed := true;
-          Printf.printf "check %-28s FAILED%s\n" name
-            (if detail = "" then "" else ": " ^ detail)
-        end
-      in
+    write_output json
+      ~written:(Printf.printf "prediction rows written to %s\n")
+      (fun () -> payload);
+    if check_it then
+      run_checks @@ fun check ->
       (match Sutil.Json_check.validate payload with
       | Ok () -> check "predict json" true ""
       | Error m -> check "predict json" false m);
@@ -768,9 +747,7 @@ let predict_cmd =
             (measured >= pred.Singe.Perf_model.floor_cycles /. 1.02)
             (Printf.sprintf "simulated %.0f beats floor %.0f" measured
                pred.Singe.Perf_model.floor_cycles))
-        rows;
-      if !failed then exit 1
-    end
+        rows
   in
   Cmd.v
     (Cmd.info "predict"

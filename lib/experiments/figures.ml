@@ -30,12 +30,14 @@ let fig3 () =
     [ Chem.Mech_gen.dme (); Chem.Mech_gen.heptane () ];
   print_newline ()
 
-(* Tuned-configuration cache: figures share autotuning work. Guarded by
-   a mutex so figure code running inside a [Domain_pool.parallel_map]
-   worker can consult it safely; the tune itself runs outside the lock
-   (it fans out its own candidate evaluations). *)
-let tuned : (string, Singe.Autotune.candidate) Hashtbl.t = Hashtbl.create 32
-let tuned_mutex = Mutex.create ()
+(* Tuned-configuration cache: figures share autotuning work, also from
+   inside a [Domain_pool.parallel_map] worker; the tune itself runs
+   outside the cache's lock (it fans out its own candidate evaluations).
+   The figures tune about two dozen configurations, so nothing is
+   evicted. *)
+module Tuned = Sutil.Cache.Make (String)
+
+let tuned : Singe.Autotune.candidate Tuned.t = Tuned.create 64
 
 let tune mech kernel version arch =
   let key =
@@ -44,7 +46,7 @@ let tune mech kernel version arch =
       (Singe.Compile.version_name version)
       arch.Gpusim.Arch.name
   in
-  match Mutex.protect tuned_mutex (fun () -> Hashtbl.find_opt tuned key) with
+  match Tuned.find tuned key with
   | Some c -> c
   | None ->
       let warp_candidates =
@@ -55,12 +57,9 @@ let tune mech kernel version arch =
             | _ -> [ 4; 8 ])
         else None
       in
-      let outcome =
-        Singe.Autotune.tune ?warp_candidates mech kernel version arch
-      in
-      Mutex.protect tuned_mutex (fun () ->
-          Hashtbl.replace tuned key outcome.Singe.Autotune.best);
-      outcome.Singe.Autotune.best
+      Tuned.add tuned key
+        (Singe.Autotune.tune ?warp_candidates mech kernel version arch)
+          .Singe.Autotune.best
 
 let fig9 () =
   header

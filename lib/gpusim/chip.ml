@@ -341,32 +341,35 @@ let extrapolate ~batches ~sim_batches ~(sim : Sm.result)
    flattens nothing. Callers get copies: a stored result's counters and
    cache stats are mutable records. *)
 
-type store_counters = {
-  shapes_stored : int Atomic.t;
-  order_bytes_stored : int Atomic.t;
-  runs_served : int Atomic.t;
-  traces_flattened : int Atomic.t;
+(* Process-wide totals over every store. *)
+let shapes_stored = Atomic.make 0
+let order_bytes_stored = Atomic.make 0
+let runs_served = Atomic.make 0
+let traces_flattened = Atomic.make 0
+
+type store_counts = {
+  shapes_stored : int;
+  order_bytes_stored : int;
+  runs_served : int;
+  traces_flattened : int;
 }
 
-let store_counters () =
+let store_counts () =
   {
-    shapes_stored = Atomic.make 0;
-    order_bytes_stored = Atomic.make 0;
-    runs_served = Atomic.make 0;
-    traces_flattened = Atomic.make 0;
+    shapes_stored = Atomic.get shapes_stored;
+    order_bytes_stored = Atomic.get order_bytes_stored;
+    runs_served = Atomic.get runs_served;
+    traces_flattened = Atomic.get traces_flattened;
   }
 
+(* No lock: a store is reached from a compiled artifact, which must
+   marshal. Each part only grows, by [compare_and_set]. *)
 type store = {
-  mutex : Mutex.t;
-  shapes : (int * int, Sm.result * Sm.order) Hashtbl.t;
-  mutable view : Trace.view option;
-  counters : store_counters;
+  shapes : (int * int, Sm.result * Sm.order) Sutil.Atomic_assoc.t;
+  view : Trace.view option Atomic.t;
 }
 
-let create_store counters =
-  { mutex = Mutex.create (); shapes = Hashtbl.create 4; view = None; counters }
-
-let locked s f = Mutex.protect s.mutex f
+let create_store () = { shapes = Atomic.make []; view = Atomic.make None }
 
 let copy_result (r : Sm.result) =
   let i = r.Sm.icache and c = r.Sm.ccache in
@@ -385,33 +388,29 @@ let stored_run s ?max_cycles (job : Sm.job) trace =
   let within (r : Sm.result) =
     match max_cycles with None -> true | Some b -> r.Sm.cycles <= b
   in
-  match locked s (fun () -> Hashtbl.find_opt s.shapes key) with
+  match Sutil.Atomic_assoc.find s.shapes key with
   | Some (sim, order) when within sim ->
-      Atomic.incr s.counters.runs_served;
+      Atomic.incr runs_served;
       (copy_result sim, order)
   | Some _ | None ->
       let ((sim, order) as fresh) = Sm.run ?max_cycles job (Lazy.force trace) in
-      locked s (fun () ->
-          if not (Hashtbl.mem s.shapes key) then begin
-            Hashtbl.add s.shapes key fresh;
-            Atomic.incr s.counters.shapes_stored;
-            ignore
-              (Atomic.fetch_and_add s.counters.order_bytes_stored
-                 (Sm.order_bytes order))
-          end);
+      if snd (Sutil.Atomic_assoc.add s.shapes key fresh) then begin
+        Atomic.incr shapes_stored;
+        ignore (Atomic.fetch_and_add order_bytes_stored (Sm.order_bytes order))
+      end;
       (copy_result sim, order)
 
 (* The program's view, built from this launch's trace when it is the
    first to replay. That trace is almost always flattened already: the
-   launch that stores a program's first shape replays right after. *)
+   launch that stores a program's first shape replays right after. Of
+   two launches that race to build it, both replay the first one set. *)
 let stored_view s trace =
-  locked s (fun () ->
-      match s.view with
-      | Some v -> v
-      | None ->
-          let v = Trace.view (Lazy.force trace) in
-          s.view <- Some v;
-          v)
+  match Atomic.get s.view with
+  | Some v -> v
+  | None ->
+      let v = Some (Trace.view (Lazy.force trace)) in
+      ignore (Atomic.compare_and_set s.view None v);
+      Option.get (Atomic.get s.view)
 
 let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     ?max_cycles ?profile ?n_sms ?skew ?store (arch : Arch.t) (l : launch) =
@@ -455,7 +454,7 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
      faulted and profiled ones too. *)
   let trace =
     lazy
-      (Option.iter (fun s -> Atomic.incr s.counters.traces_flattened) store;
+      (if Option.is_some store then Atomic.incr traces_flattened;
        Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
          (Trace.flatten arch l.program))
   in

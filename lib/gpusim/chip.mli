@@ -159,24 +159,27 @@ type result = {
     replay from that launch's trace, so a launch whose shapes are all
     stored neither simulates nor flattens. *)
 
-type store_counters = {
-  shapes_stored : int Atomic.t;  (** shapes simulated and stored *)
-  order_bytes_stored : int Atomic.t;  (** bytes of issue order stored *)
-  runs_served : int Atomic.t;  (** simulations answered from a store *)
-  traces_flattened : int Atomic.t;
+type store_counts = {
+  shapes_stored : int;  (** shapes simulated and stored *)
+  order_bytes_stored : int;  (** bytes of issue order stored *)
+  runs_served : int;  (** simulations answered from a store *)
+  traces_flattened : int;
       (** {!Trace.flatten} calls by runs given a store, faulted and
           profiled ones included *)
 }
 
-val store_counters : unit -> store_counters
-(** Fresh counters, all zero; any number of stores may share them. *)
+val store_counts : unit -> store_counts
+(** Totals over every store since the process started. *)
 
 type store
 (** The shapes of one program on one architecture; safe to share between
-    domains. *)
+    domains. It holds no lock, so a value that holds it still marshals:
+    a shape or view is added only while none is there, and a launch
+    that loses the race to add one uses its own (a shape, equal) or the
+    winner's (the view). *)
 
-val create_store : store_counters -> store
-(** An empty store that counts into the given counters. *)
+val create_store : unit -> store
+(** An empty store. *)
 
 val run :
   ?fill_inputs:(Memstate.t -> int -> unit) ->

@@ -89,6 +89,25 @@ type backend_output = {
   verdict : (unit, string * string list) result;
 }
 
+(* A launch as the model resolves it. The skew is kept as its bits:
+   [Chip.schedule] echoes it, and structural equality would take [-0.0]
+   for [0.0]. *)
+type launch_key = {
+  k_ctas : int;
+  k_points : int;
+  k_sms : int;
+  k_skew : int64;
+}
+
+(* What a memoized artifact has learnt about its launches: one
+   [Gpusim.Chip.store] of simulated launch shapes (DESIGN §9.1) and the
+   model's answer per resolved launch (DESIGN §12.6). It holds no lock,
+   so the artifact still marshals. *)
+type launch = {
+  shapes : Gpusim.Chip.store;
+  predictions : (launch_key, Model_facts.prediction) Sutil.Atomic_assoc.t;
+}
+
 type t = {
   mech : Chem.Mechanism.t;
   kernel : Kernel_abi.kernel;
@@ -100,6 +119,7 @@ type t = {
   lowered : Lower.output;
   facts : Model_facts.t;
   verdict : (unit, string * string list) result;
+  launch : launch option;
 }
 
 (* ---- typed option checking (the [options] pseudo-pass) ---- *)
@@ -495,81 +515,12 @@ let compile_accepted ?report ~validate mech kernel version options =
       in
       Option.iter (fun f -> f (Pass.report pm)) report;
       { mech; kernel; version; options; dfg; mapping; schedule; lowered;
-        facts; verdict })
+        facts; verdict; launch = None })
 
 (* A fresh compile: the options checked, then compiled. *)
 let compile_fresh ?report ~validate mech kernel version options =
   Result.bind (check_options mech kernel version options) (fun () ->
       compile_accepted ?report ~validate mech kernel version options)
-
-(* ---- per-artifact launch state ----
-   What an artifact has learnt about its launches: one
-   [Gpusim.Chip.store] of simulated launch shapes (DESIGN §9.1) and the
-   model's answer per resolved launch (DESIGN §12.6). The states sit in
-   an ephemeron table keyed by the artifact record itself, so a state
-   lives no longer than its artifact, an artifact evicted from the
-   compile memo loses its state at once, and a [{ c with ... }] copy is
-   another key, never answered from the original's state. Only the
-   compile memo creates a state, when it inserts the artifact; a run or
-   a prediction only looks the state up, so a one-shot artifact, which
-   launches once, stores nothing. The hash reads the options' partition
-   and ring depth (what tells the partition search's candidates apart)
-   and the program's name and sizes, not the code; keys compare by
-   identity. *)
-module Artifact_table = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-
-  let hash (t : t) =
-    let p = t.lowered.Lower.program in
-    Hashtbl.hash
-      ( t.options.partition,
-        t.options.buffer_slots,
-        p.Gpusim.Isa.name,
-        p.Gpusim.Isa.n_warps,
-        p.Gpusim.Isa.n_fregs,
-        p.Gpusim.Isa.shared_doubles )
-end)
-
-(* A launch as the model resolves it. The skew is kept as its bits:
-   [Chip.schedule] echoes it, and structural equality would take [-0.0]
-   for [0.0]. *)
-type launch_key = {
-  k_ctas : int;
-  k_points : int;
-  k_sms : int;
-  k_skew : int64;
-}
-
-type launch_state = {
-  shapes : Gpusim.Chip.store;
-  predictions : (launch_key, Model_facts.prediction) Hashtbl.t;
-}
-
-let launch_states : launch_state Artifact_table.t = Artifact_table.create 64
-let launch_states_mutex = Mutex.create ()
-let shape_counters = Gpusim.Chip.store_counters ()
-let predictions_stored = Atomic.make 0
-let predictions_served = Atomic.make 0
-
-let with_launch_states f = Mutex.protect launch_states_mutex f
-
-let add_launch_state (t : t) =
-  let s =
-    {
-      shapes = Gpusim.Chip.create_store shape_counters;
-      predictions = Hashtbl.create 4;
-    }
-  in
-  with_launch_states (fun () -> Artifact_table.replace launch_states t s)
-
-(* Waiting for the collector is not enough: until its binding is
-   cleaned, every lookup of a successor with the same hash (the same
-   target compiled again) reads the dead artifact as an ephemeron key,
-   which marks it live for another cycle. *)
-let drop_launch_state t =
-  with_launch_states (fun () -> Artifact_table.remove launch_states t)
 
 (* ---- compile memoization -------------------------------------------
 
@@ -591,7 +542,11 @@ let drop_launch_state t =
    The table is a bounded [Sutil.Cache]: each entry holds a whole
    lowered program. Every hit re-verifies the stored artifact against
    the snapshot taken at insertion, so a bug mutating an "immutable"
-   artifact is counted as a corruption and recompiled, not served. *)
+   artifact is counted as a corruption and recompiled, not served.
+   Only the memo gives an artifact a launch state, when it inserts it: a
+   one-shot artifact, which a caller launches once, stores nothing. The
+   state is the artifact's, so it lives and dies with it, after an
+   eviction too. *)
 
 (* A mutable array of a stored artifact, with the shallow copy taken at
    insertion. Only arrays of boxed values (blocks, item streams), whose
@@ -756,10 +711,7 @@ let intact snapshot =
 module Memo = Sutil.Cache.Make (Memo_key)
 
 let memo : memo_entry Memo.t =
-  Memo.create
-    ~verify:(fun e -> intact e.snapshot)
-    ~on_evict:(fun _ e -> Result.iter drop_launch_state e.value)
-    512
+  Memo.create ~verify:(fun e -> intact e.snapshot) 512
 
 let set_memo_limit n = Memo.set_capacity memo (max 1 n)
 let memo_stats () = Memo.stats memo
@@ -776,16 +728,19 @@ let memo_find_or_compile ?report key mech =
       | Ok () ->
           (* Compile outside the lock: concurrent workers may duplicate
              the work for the same key (deterministic, so either result
-             is the same), but never serialize on each other. The state
-             is made before the insertion, so an eviction finds it. *)
+             is the same), but never serialize on each other. *)
           let r =
-            compile_accepted ?report ~validate:false mech kernel version
-              options
+            Result.map
+              (fun t ->
+                let launch =
+                  { shapes = Gpusim.Chip.create_store ();
+                    predictions = Atomic.make [] }
+                in
+                { t with launch = Some launch })
+              (compile_accepted ?report ~validate:false mech kernel version
+                 options)
           in
-          Result.iter add_launch_state r;
-          let kept = Memo.add memo key { value = r; snapshot = snapshot r } in
-          if kept.value != r then Result.iter drop_launch_state r;
-          kept.value)
+          (Memo.add memo key { value = r; snapshot = snapshot r }).value)
 
 (* ---- mechanism digests ----
    A mechanism's content digest is the MD5 of its marshalled bytes, tens
@@ -912,39 +867,35 @@ let copy_prediction (p : Model_facts.prediction) =
       { chip with Gpusim.Chip.sms = Array.copy chip.Gpusim.Chip.sms };
   }
 
+let predictions_stored = Atomic.make 0
+let predictions_served = Atomic.make 0
+
 (* The model's answer for [t] at a resolved launch: a copy of the one
    its launch state holds, else [predict ()], stored when [t] has a
    launch state. *)
 let launch_prediction t ~ctas ~total_points ~n_sms ~skew predict =
-  let key =
-    {
-      k_ctas = ctas;
-      k_points = total_points;
-      k_sms = n_sms;
-      k_skew = Int64.bits_of_float skew;
-    }
-  in
-  match
-    with_launch_states (fun () ->
-        Option.map
-          (fun s -> (s, Hashtbl.find_opt s.predictions key))
-          (Artifact_table.find_opt launch_states t))
-  with
+  match t.launch with
   | None -> predict ()
-  | Some (_, Some p) ->
-      Atomic.incr predictions_served;
-      copy_prediction p
-  | Some (s, None) ->
-      let p = predict () in
-      with_launch_states (fun () ->
-          if not (Hashtbl.mem s.predictions key) then begin
-            Hashtbl.add s.predictions key p;
-            Atomic.incr predictions_stored
-          end);
-      copy_prediction p
+  | Some s -> (
+      let key =
+        {
+          k_ctas = ctas;
+          k_points = total_points;
+          k_sms = n_sms;
+          k_skew = Int64.bits_of_float skew;
+        }
+      in
+      match Sutil.Atomic_assoc.find s.predictions key with
+      | Some p ->
+          Atomic.incr predictions_served;
+          copy_prediction p
+      | None ->
+          let p = predict () in
+          if snd (Sutil.Atomic_assoc.add s.predictions key p) then
+            Atomic.incr predictions_stored;
+          copy_prediction p)
 
 type shape_store_stats = {
-  stores : int;
   shapes_stored : int;
   order_bytes_stored : int;
   runs_served : int;
@@ -954,18 +905,12 @@ type shape_store_stats = {
 }
 
 let shape_store_stats () =
-  let stores =
-    with_launch_states (fun () ->
-        Artifact_table.clean launch_states;
-        Artifact_table.length launch_states)
-  in
-  let c = shape_counters in
+  let c = Gpusim.Chip.store_counts () in
   {
-    stores;
-    shapes_stored = Atomic.get c.Gpusim.Chip.shapes_stored;
-    order_bytes_stored = Atomic.get c.Gpusim.Chip.order_bytes_stored;
-    runs_served = Atomic.get c.Gpusim.Chip.runs_served;
-    traces_flattened = Atomic.get c.Gpusim.Chip.traces_flattened;
+    shapes_stored = c.Gpusim.Chip.shapes_stored;
+    order_bytes_stored = c.Gpusim.Chip.order_bytes_stored;
+    runs_served = c.Gpusim.Chip.runs_served;
+    traces_flattened = c.Gpusim.Chip.traces_flattened;
     predictions_stored = Atomic.get predictions_stored;
     predictions_served = Atomic.get predictions_served;
   }
@@ -973,8 +918,7 @@ let shape_store_stats () =
 let memo_clear () =
   Memo.clear memo;
   Mech_digests.clear mech_digests;
-  Inputs.clear inputs_memo;
-  with_launch_states (fun () -> Artifact_table.reset launch_states)
+  Inputs.clear inputs_memo
 
 let cache_stats () =
   [
@@ -1083,11 +1027,7 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   let machine =
     Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
       ?skew
-      ?store:
-        (with_launch_states (fun () ->
-             Option.map
-               (fun s -> s.shapes)
-               (Artifact_table.find_opt launch_states t)))
+      ?store:(Option.map (fun s -> s.shapes) t.launch)
       t.options.arch launch
   in
   let outputs =

@@ -134,6 +134,11 @@ val backend :
     placement (the baseline's fixed settings choose their own). The
     options are not checked ({!check_options}). *)
 
+type launch
+(** What a memoized artifact has learnt about its launches: the shapes
+    {!run} simulated and the answers {!Perf_model.predict} computed
+    ({!shape_store_stats}). It holds no lock, so an artifact marshals. *)
+
 type t = {
   mech : Chem.Mechanism.t;
   kernel : Kernel_abi.kernel;
@@ -167,6 +172,14 @@ type t = {
           reject this same computation, and it fails on the fit's
           diagnostic. {!Partition_search.gate} reads it, and {!run}
           refuses to simulate an artifact whose verdict is an [Error]. *)
+  launch : launch option;
+      (** [None] from every fresh compile; the compile memo inserts an
+          artifact with a fresh state, [Some], and {!run} and
+          {!Perf_model.predict} read and fill it. The state is the
+          artifact's: it lives as long as the artifact, after the memo
+          evicts it too, and a [{ c with ... }] copy shares [c]'s. So
+          build a copy only with [c]'s program and options, or set
+          [launch = None]. *)
 }
 
 val compile :
@@ -222,9 +235,10 @@ val compile_cached :
 
 val memo_clear : unit -> unit
 (** Drop every memoized compilation with its key, every kept mechanism
-    digest, every memoized launch input and every launch state (stored
-    launch shapes and predictions), for tests and long-lived servers.
-    The next lookup of any target misses and compiles afresh. *)
+    digest and every memoized launch input, for tests and long-lived
+    servers. The next lookup of any target misses and compiles afresh,
+    with a fresh launch state; an artifact a caller still holds keeps
+    its own. *)
 
 val memo_stats : unit -> Sutil.Cache.stats
 (** The compile memo's stats, as in {!cache_stats}; kept because
@@ -245,8 +259,6 @@ val set_memo_limit : int -> unit
     it ever saw. *)
 
 type shape_store_stats = {
-  stores : int;
-      (** artifacts that hold a launch state: those in the compile memo *)
   shapes_stored : int;  (** shapes simulated and stored *)
   order_bytes_stored : int;
       (** bytes of issue order stored, one order per shape *)
@@ -263,27 +275,18 @@ type shape_store_stats = {
 }
 
 val shape_store_stats : unit -> shape_store_stats
-(** The per-artifact launch states. Each holds the launch-shape store
-    {!run} keeps ({!Gpusim.Chip.store}): each shape's result and issue
-    order, whether a main, pin or tail round first simulated it, so any
-    later round of that shape is served from it, and the program's replay
-    view, so a run whose shapes are all stored flattens nothing. And it
-    holds {!Perf_model.predict}'s answer per launch, keyed by the
-    resolved CTAs, points, SM count and the bits of the clock skew, so a
-    repeated prediction is a lookup and a copy, bit-identical to a fresh
-    one.
-
-    A state is keyed by the artifact record itself, by identity: a
-    [{ c with ... }] copy of an artifact has a state of its own, or none,
-    and is never answered from [c]'s. Only the compile memo creates a
-    state, when it inserts the artifact; {!run} and a prediction only
-    look it up, so an artifact compiled outside the memo, which a caller
-    launches once, stores nothing. A state lives no longer than its
-    artifact: it is dropped when the artifact is collected, when the
-    compile memo evicts the artifact (at once, even while a caller still
-    holds it: that artifact's later runs and predictions are computed
-    afresh and store nothing) and by {!memo_clear}. The six counters are
-    process-lifetime and survive {!memo_clear}. *)
+(** The counters of every artifact's launch state ([t.launch]). A state
+    holds the launch-shape store {!run} keeps ({!Gpusim.Chip.store}):
+    each shape's result and issue order, whether a main, pin or tail
+    round first simulated it, so any later round of that shape is served
+    from it, and the program's replay view, so a run whose shapes are all
+    stored flattens nothing. And it holds {!Perf_model.predict}'s answer
+    per launch, keyed by the resolved CTAs, points, SM count and the bits
+    of the clock skew, so a repeated prediction is a lookup and a copy,
+    bit-identical to a fresh one. Each shape and answer is stored once,
+    also when domains race to store it. An artifact compiled outside the
+    memo has no state: a caller launches it once, and it stores nothing.
+    The six counters are process-lifetime and survive {!memo_clear}. *)
 
 val launch_prediction :
   t ->

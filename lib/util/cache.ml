@@ -27,7 +27,6 @@ module Make (K : Hashtbl.HashedType) = struct
     mutex : Mutex.t;
     cost : 'v -> int;
     verify : 'v -> bool;
-    on_evict : key -> 'v -> unit;
     mutable capacity : int;
     mutable total : int;
     mutable clock : int;
@@ -37,10 +36,9 @@ module Make (K : Hashtbl.HashedType) = struct
     mutable corruptions : int;
   }
 
-  let create ?(cost = fun _ -> 1) ?(verify = fun _ -> true)
-      ?(on_evict = fun _ _ -> ()) capacity =
-    { table = H.create 64; mutex = Mutex.create (); cost; verify; on_evict;
-      capacity; total = 0; clock = 0; hits = 0; misses = 0; evictions = 0;
+  let create ?(cost = fun _ -> 1) ?(verify = fun _ -> true) capacity =
+    { table = H.create 64; mutex = Mutex.create (); cost; verify; capacity;
+      total = 0; clock = 0; hits = 0; misses = 0; evictions = 0;
       corruptions = 0 }
 
   let locked c f = Mutex.protect c.mutex f
@@ -65,7 +63,6 @@ module Make (K : Hashtbl.HashedType) = struct
         (fun (key, e) ->
           drop c key e;
           c.evictions <- c.evictions + 1;
-          c.on_evict key e.value;
           evict_down c)
         (H.fold older c.table None)
 
@@ -79,7 +76,6 @@ module Make (K : Hashtbl.HashedType) = struct
             drop c key e;
             c.corruptions <- c.corruptions + 1;
             c.misses <- c.misses + 1;
-            c.on_evict key e.value;
             None
         | Some e ->
             if accept e.value then begin

@@ -23,14 +23,10 @@ module Make (K : Hashtbl.HashedType) : sig
   type key = K.t
   type 'v t
 
-  val create :
-    ?cost:('v -> int) -> ?verify:('v -> bool) ->
-    ?on_evict:(key -> 'v -> unit) -> int -> 'v t
+  val create : ?cost:('v -> int) -> ?verify:('v -> bool) -> int -> 'v t
   (** [create capacity]. A value's [cost] may change only inside
       {!update}. [verify] is checked on every hit: a value it fails is
-      dropped and counted as a corruption and a miss. [on_evict] is
-      called, under the mutex, for each entry the cache drops on its
-      own: an eviction or a failed verification. *)
+      dropped and counted as a corruption and a miss. *)
 
   val find : ?accept:('v -> bool) -> 'v t -> key -> 'v option
   (** A found value is counted as a hit and made the most recently used,

@@ -193,6 +193,76 @@ let test_oracle_identical_across_jobs () =
   Alcotest.(check bool) "warm runs replay it" true
     ((stats ()).Singe.Compile.runs_served >= served0 + List.length seeds)
 
+(* Two domains run and predict one memoized artifact at the same
+   launches, at once: its launch state, shared without a lock, stores
+   each shape and each answer once, as one domain does, and every result
+   marshals to the bytes of the serial run's. The launches share shapes
+   (131,072 points runs the pin shapes of 262,144), and so does the
+   artifact, which still marshals with its state filled. *)
+let test_launch_state_race () =
+  let kernel = Singe.Kernel_abi.Conductivity in
+  let compile () =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true (Chem.Mech_gen.hydrogen ()) kernel
+         Singe.Compile.Warp_specialized
+         (Singe.Target.options ~n_warps:4 Arch.kepler_k20c kernel))
+  in
+  let launches =
+    [ (4096, None); (262144, None); (131072, None); (131072, Some 4) ]
+  in
+  let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let launch c (total_points, n_sms) =
+    let r = Singe.Compile.run c ?n_sms ~total_points in
+    ( bytes
+        ( r.Singe.Compile.machine,
+          r.Singe.Compile.outputs,
+          r.Singe.Compile.max_rel_err ),
+      bytes (Singe.Perf_model.predict c ?n_sms ~total_points) )
+  in
+  let stored () =
+    let s = Singe.Compile.shape_store_stats () in
+    (s.Singe.Compile.shapes_stored, s.Singe.Compile.predictions_stored)
+  in
+  let stored_by f =
+    Singe.Compile.memo_clear ();
+    let c = compile () in
+    let shapes0, answers0 = stored () in
+    let results = f c in
+    let shapes, answers = stored () in
+    (c, results, (shapes - shapes0, answers - answers0))
+  in
+  let _, serial, serial_stored =
+    stored_by (fun c -> List.map (launch c) launches)
+  in
+  let c, racing, racing_stored =
+    stored_by (fun c ->
+        (* Both start together, so both miss the first shapes. *)
+        let ready = Atomic.make 0 in
+        let worker () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Domain.cpu_relax ()
+          done;
+          List.map (launch c) launches
+        in
+        let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+        let r1 = Domain.join d1 in
+        let r2 = Domain.join d2 in
+        [ r1; r2 ])
+  in
+  Alcotest.(check (pair int int)) "each shape and answer stored once"
+    serial_stored racing_stored;
+  Alcotest.(check bool) "some of each stored" true
+    (fst serial_stored > 0 && snd serial_stored > 0);
+  List.iteri
+    (fun d r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d: every result equals the serial run's" d)
+        true (r = serial))
+    racing;
+  Alcotest.(check bool) "the artifact marshals with its state" true
+    (String.length (Marshal.to_string c []) > 0)
+
 let test_autotune_winner_across_jobs () =
   let mech = Lazy.force dme in
   let tune jobs =
@@ -323,4 +393,6 @@ let tests =
     Alcotest.test_case "deadlock still fires" `Quick test_deadlock_still_fires;
     Alcotest.test_case "oracle identical across jobs" `Quick
       test_oracle_identical_across_jobs;
+    Alcotest.test_case "launch state shared by racing domains" `Quick
+      test_launch_state_race;
   ]

@@ -726,7 +726,9 @@ let memo_key_covers_every_field =
     | Ok served -> (
         match compile mutant with
         | Ok fresh ->
-            Marshal.to_string served [] = Marshal.to_string fresh []
+            (* A memoized state may hold answers already. *)
+            Marshal.to_string { served with Singe.Compile.launch = None } []
+            = Marshal.to_string fresh []
             || QCheck.Test.fail_report "the hit differs from a fresh compile"
         | Error d ->
             QCheck.Test.fail_reportf "a hit where a fresh compile fails: %s"

@@ -1161,20 +1161,23 @@ let stored () = (predictions ()).Singe.Compile.predictions_stored
 let served () = (predictions ()).Singe.Compile.predictions_served
 let ws kernel = compile (hydrogen ()) kernel Singe.Compile.Warp_specialized
 
-(* An artifact record copy is another key of the launch-state table: it
-   has no state, so every prediction on it is computed afresh. *)
-let fresh_copy (c : Singe.Compile.t) =
-  { c with Singe.Compile.verdict = c.Singe.Compile.verdict }
+(* The same target compiled outside the memo: an artifact with no launch
+   state, so every prediction on it is computed afresh. *)
+let one_shot (c : Singe.Compile.t) =
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile c.Singe.Compile.mech c.Singe.Compile.kernel
+       c.Singe.Compile.version c.Singe.Compile.options)
 
 (* Every golden-set program at the golden digest's three launch sizes and
    at the below-occupancy launches: the second prediction on the
    memoized artifact is served, and marshals to the bytes of a fresh
-   prediction on a copy, which stores nothing. A launch the model
-   rejects raises the same exception every time. *)
+   prediction on a one-shot compile, which stores nothing. A launch the
+   model rejects raises the same exception every time. *)
 let test_served_equals_fresh () =
   let launches = ref 0 in
   iter_golden_set ~on_fail:ignore (fun arch c ->
       let p = c.Singe.Compile.lowered.Singe.Lower.program in
+      let c1 = one_shot c in
       let below =
         match Gpusim.Chip.occupancy arch p with
         | exception Gpusim.Chip.Occupancy_rejected _ -> []
@@ -1194,13 +1197,13 @@ let test_served_equals_fresh () =
           in
           let first = predict c in
           let stored0 = stored () and served0 = served () in
-          let fresh = predict (fresh_copy c) in
+          let fresh = predict c1 in
           let again = predict c in
           let name =
             Printf.sprintf "%s, %d points" (facts_name c) total_points
           in
           if stored () <> stored0 then
-            Alcotest.failf "%s: a copy's prediction was stored" name;
+            Alcotest.failf "%s: a one-shot prediction was stored" name;
           if Result.is_ok fresh && served () <> served0 + 1 then
             Alcotest.failf "%s: the repeated prediction was not served" name;
           if first <> fresh || again <> fresh then
@@ -1231,7 +1234,7 @@ let test_launch_keys_apart () =
   let predict c (_, ctas, total_points, n_sms, skew) =
     predicted ?ctas ?n_sms ?skew c total_points
   in
-  let fresh = List.map (predict (fresh_copy c)) launches in
+  let fresh = List.map (predict (one_shot c)) launches in
   Alcotest.(check int) "distinct answers" n
     (List.length (List.sort_uniq compare fresh));
   let check_all how =
@@ -1254,11 +1257,14 @@ let test_launch_keys_apart () =
     (defaults = List.hd fresh)
 
 (* A [{ c with schedule; verdict }] copy of a memoized artifact, as the
-   partition tests build to poison a verdict, is another key: it is not
-   served [c]'s answers and stores none of its own. *)
-let test_copy_predicts_afresh () =
+   partition tests build to poison a verdict, shares [c]'s launch state:
+   it is served [c]'s answers, and [c] is served what it stores. Every
+   answer equals a one-shot compile's. *)
+let test_copy_shares_state () =
   Singe.Compile.memo_clear ();
   let c = ws Singe.Kernel_abi.Diffusion in
+  let c1 = one_shot c in
+  let fresh = predicted c1 32768 and fresh' = predicted c1 65536 in
   let original = predicted c 32768 in
   let copy =
     {
@@ -1269,18 +1275,23 @@ let test_copy_predicts_afresh () =
   in
   let stored0 = stored () and served0 = served () in
   let copied = predicted copy 32768 in
-  ignore (predicted copy 32768);
-  Alcotest.(check int) "the copy is not served" served0 (served ());
-  Alcotest.(check int) "and stores nothing" stored0 (stored ());
-  Alcotest.(check bool) "its answer equals the original's" true
-    (copied = original)
+  Alcotest.(check int) "the copy is served c's answer" (served0 + 1)
+    (served ());
+  let copied' = predicted copy 65536 in
+  Alcotest.(check int) "a new launch of the copy is stored" (stored0 + 1)
+    (stored ());
+  let original' = predicted c 65536 in
+  Alcotest.(check int) "and served to c" (served0 + 2) (served ());
+  Alcotest.(check bool) "all equal a one-shot compile's" true
+    (original = fresh && copied = fresh && copied' = fresh'
+    && original' = fresh')
 
 (* A served answer is a copy: writing into its [chip.sms] (or into the
    answer computed when it was stored) leaves the next answer as fresh. *)
 let test_served_answers_are_copies () =
   Singe.Compile.memo_clear ();
   let c = ws Singe.Kernel_abi.Conductivity in
-  let fresh = predicted (fresh_copy c) 32768 in
+  let fresh = predicted (one_shot c) 32768 in
   let poison (p : Singe.Perf_model.prediction) =
     let sms = p.Singe.Perf_model.chip.Gpusim.Chip.sms in
     Array.iteri
@@ -1328,17 +1339,13 @@ let test_answers_die_with_artifact () =
       Alcotest.(check bool) "an evicted artifact is collected" false
         (Weak.check artifact 0);
       Alcotest.(check bool) "with its answer" false (Weak.check answer 0);
-      Alcotest.(check int) "one launch state left" 1
-        (predictions ()).Singe.Compile.stores;
       ignore (Sys.opaque_identity resident))
 
-(* Eviction drops an artifact's launch state at once, even while a caller
-   still holds the artifact: its next prediction is computed afresh and
-   stored nowhere. Left to the collector, the dead binding would stay in
-   the table, and every lookup of a successor with the same hash (the
-   same target compiled again) would read the dead key and mark it live
-   for another cycle. *)
-let test_eviction_drops_state () =
+(* An artifact the memo evicted, while a caller still holds it, keeps
+   its launch state: it is served the answers it stored and stores new
+   ones. The target compiled again is a new artifact with a fresh state,
+   which computes its answers afresh. *)
+let test_evicted_artifact_keeps_state () =
   let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
@@ -1346,15 +1353,27 @@ let test_eviction_drops_state () =
       Singe.Compile.memo_clear ();
       Singe.Compile.set_memo_limit 1;
       let c = ws Singe.Kernel_abi.Viscosity in
-      let fresh = predicted c 32768 in
+      let c1 = one_shot c in
+      let fresh = predicted c1 32768 and fresh' = predicted c1 65536 in
+      ignore (predicted c 32768);
+      let evictions () = (Singe.Compile.memo_stats ()).Sutil.Cache.evictions in
+      let evictions0 = evictions () in
       let resident = ws Singe.Kernel_abi.Diffusion in
-      Alcotest.(check int) "only the resident artifact has a state" 1
-        (predictions ()).Singe.Compile.stores;
+      Alcotest.(check int) "evicted" (evictions0 + 1) (evictions ());
       let stored0 = stored () and served0 = served () in
-      Alcotest.(check bool) "the evicted artifact predicts afresh" true
+      Alcotest.(check bool) "the evicted artifact is served its answer" true
         (predicted c 32768 = fresh);
-      Alcotest.(check int) "not served" served0 (served ());
-      Alcotest.(check int) "and stores nothing" stored0 (stored ());
+      Alcotest.(check int) "served" (served0 + 1) (served ());
+      Alcotest.(check bool) "and predicts a new launch" true
+        (predicted c 65536 = fresh');
+      Alcotest.(check int) "which it stores" (stored0 + 1) (stored ());
+      let again = ws Singe.Kernel_abi.Viscosity in
+      Alcotest.(check bool) "compiled again, a new artifact" true
+        (again != c);
+      Alcotest.(check bool) "whose answer is computed afresh" true
+        (predicted again 32768 = fresh);
+      Alcotest.(check int) "and stored" (stored0 + 2) (stored ());
+      Alcotest.(check int) "not served" (served0 + 1) (served ());
       ignore (Sys.opaque_identity resident))
 
 (* An artifact compiled outside the memo has no launch state: predicting
@@ -1376,15 +1395,13 @@ let test_one_shot_stores_nothing () =
     s1.Singe.Compile.predictions_stored;
   Alcotest.(check int) "nothing served" s0.Singe.Compile.predictions_served
     s1.Singe.Compile.predictions_served;
-  Alcotest.(check int) "no launch state" 0 s1.Singe.Compile.stores;
   ignore (Singe.Compile.run c ~total_points:4096);
   ignore (Singe.Compile.run c ~total_points:4096);
   let s2 = predictions () in
   Alcotest.(check int) "no shape stored" s1.Singe.Compile.shapes_stored
     s2.Singe.Compile.shapes_stored;
   Alcotest.(check int) "no run served" s1.Singe.Compile.runs_served
-    s2.Singe.Compile.runs_served;
-  Alcotest.(check int) "still no launch state" 0 s2.Singe.Compile.stores
+    s2.Singe.Compile.runs_served
 
 let tests =
   [
@@ -1423,14 +1440,14 @@ let tests =
       test_served_equals_fresh;
     Alcotest.test_case "launch keys keep launches apart" `Quick
       test_launch_keys_apart;
-    Alcotest.test_case "an artifact copy predicts afresh" `Quick
-      test_copy_predicts_afresh;
+    Alcotest.test_case "an artifact copy shares its state" `Quick
+      test_copy_shares_state;
     Alcotest.test_case "served predictions are copies" `Quick
       test_served_answers_are_copies;
     Alcotest.test_case "answers die with their artifact" `Quick
       test_answers_die_with_artifact;
-    Alcotest.test_case "eviction drops the launch state" `Quick
-      test_eviction_drops_state;
+    Alcotest.test_case "an evicted artifact keeps its state" `Quick
+      test_evicted_artifact_keeps_state;
     Alcotest.test_case "one-shot artifacts store no predictions" `Quick
       test_one_shot_stores_nothing;
   ]
