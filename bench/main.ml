@@ -85,12 +85,6 @@ let microbenchmarks () =
                      Singe.Compile.Warp_specialized opts) in
         let p = c.Singe.Compile.lowered.Singe.Lower.program in
         Staged.stage (fun () -> ignore (Singe.Cuda_emit.emit ~arch p)));
-      Test.make ~name:"roofline-analysis" (
-        let c = Singe.Diagnostics.ok_exn
-                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Chemistry
-                     Singe.Compile.Warp_specialized chem_opts) in
-        let p = c.Singe.Compile.lowered.Singe.Lower.program in
-        Staged.stage (fun () -> ignore (Gpusim.Roofline.analyze arch p)));
     ]
   in
   let benchmark test =

@@ -864,11 +864,18 @@ let stats_cmd =
     let r, c, _ = compile_or_die ~launch:false ~validate:false target in
     let arch = r.arch in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
-    Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
+    let occ = Gpusim.Chip.occupancy arch p in
+    Format.printf "%s on %s@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
       Gpusim.Isa_stats.pp
-      (Gpusim.Isa_stats.of_program arch p)
-      Gpusim.Roofline.pp
-      (Gpusim.Roofline.analyze arch p)
+      (Gpusim.Isa_stats.of_program arch p);
+    print_endline "roofline (tightest first):";
+    List.iteri
+      (fun i (resource, ceiling) ->
+        Printf.printf "  %-28s %.3e points/s%s\n" resource ceiling
+          (if i = 0 then "   <- binding" else ""))
+      (Singe.Perf_model.bounds c);
+    Printf.printf "occupancy: %d CTAs/SM (limited by %s)\n"
+      occ.Gpusim.Chip.resident_ctas occ.Gpusim.Chip.limited_by
   in
   Cmd.v
     (Cmd.info "stats"

@@ -104,11 +104,7 @@ let points_per_cta (l : launch) =
   l.total_points / l.ctas
 
 let batches_per_cta (l : launch) =
-  let per_batch =
-    match l.program.Isa.point_map with
-    | Isa.Coop -> 32
-    | Isa.Thread_per_point -> l.program.Isa.n_warps * 32
-  in
+  let per_batch = Isa.points_per_batch l.program in
   let ppc = points_per_cta l in
   assert (ppc mod per_batch = 0);
   ppc / per_batch
@@ -420,11 +416,7 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
   if n_sms < 1 then invalid_arg "Chip.run: n_sms must be >= 1";
   let resident = min occ.resident_ctas l.ctas in
   let batches = batches_per_cta l in
-  let per_batch =
-    match l.program.Isa.point_map with
-    | Isa.Coop -> 32
-    | Isa.Thread_per_point -> l.program.Isa.n_warps * 32
-  in
+  let per_batch = Isa.points_per_batch l.program in
   (* The steady-state pin pair needs two batch counts, so extrapolated
      launches always simulate at least two batches; when extrapolating,
      the pin run covers [sim_batches - 2] batches (one full period of a

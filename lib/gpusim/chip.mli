@@ -68,7 +68,7 @@ val occupancy : Arch.t -> Isa.program -> occupancy
 val points_per_cta : launch -> int
 
 val batches_per_cta : launch -> int
-(** [Coop] kernels: 32 points per batch; [Thread_per_point]: n_warps*32. *)
+(** A CTA's points over {!Isa.points_per_batch}. *)
 
 (** {1 Chip-level scheduler} *)
 

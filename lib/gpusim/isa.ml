@@ -109,6 +109,9 @@ type program = {
   exp_consts_in_registers : bool;
 }
 
+let points_per_batch p =
+  match p.point_map with Coop -> 32 | Thread_per_point -> p.n_warps * 32
+
 let rec iter_instrs block f =
   match block with
   | Instrs l -> List.iter f l

@@ -165,6 +165,10 @@ type program = {
           the constant cache *)
 }
 
+val points_per_batch : program -> int
+(** Grid points one CTA covers per body pass: 32 for [Coop],
+    [n_warps * 32] for [Thread_per_point]. *)
+
 val iter_instrs : block -> (instr -> unit) -> unit
 
 val static_instr_count : block -> int

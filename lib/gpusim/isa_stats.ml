@@ -92,41 +92,17 @@ let shared_bytes_of_instr (i : Isa.instr) =
   | Isa.St_global { src; pred; _ } -> src_bytes pred src
   | _ -> 0
 
-let shared_bytes_of_program (p : Isa.program) =
-  let pop mask =
-    let n = ref 0 in
-    let m = ref mask in
-    while !m <> 0 do
-      n := !n + (!m land 1);
-      m := !m lsr 1
-    done;
-    !n
-  in
-  let total = ref 0 in
-  let rec go exec = function
-    | Isa.Instrs l ->
-        List.iter
-          (fun i -> total := !total + (pop exec * shared_bytes_of_instr i))
-          l
-    | Isa.Seq bs -> List.iter (go exec) bs
-    | Isa.If_warps { mask; body } -> go (exec land mask) body
-    | Isa.Switch_warp arms ->
-        Array.iteri
-          (fun w arm ->
-            let m = exec land (1 lsl w) in
-            if m <> 0 then go m arm)
-          arms
-  in
-  go ((1 lsl p.Isa.n_warps) - 1) p.Isa.body;
-  !total
-
 type per_warp = { warp : int; instrs : int; flops : int; code_bytes : int }
 
-let per_warp_of_program (arch : Arch.t) (p : Isa.program) =
+(* One walk of the body with warp masks: each warp's executed
+   instructions, FLOPs and fetched code bytes, and the shared-traffic
+   bytes of every warp executing each instruction. *)
+let walk_body (arch : Arch.t) (p : Isa.program) =
   let n = p.Isa.n_warps in
   let instrs = Array.make n 0 in
   let flops = Array.make n 0 in
   let bytes = Array.make n 0 in
+  let shared = ref 0 in
   let each_warp mask f =
     for w = 0 to n - 1 do
       if mask land (1 lsl w) <> 0 then f w
@@ -141,9 +117,11 @@ let per_warp_of_program (arch : Arch.t) (p : Isa.program) =
         List.iter
           (fun i ->
             let b = Isa.static_bytes arch i in
+            let sb = shared_bytes_of_instr i in
             each_warp fetch_mask (fun w -> bytes.(w) <- bytes.(w) + b);
             each_warp exec_mask (fun w ->
                 instrs.(w) <- instrs.(w) + 1;
+                shared := !shared + sb;
                 match i with
                 | Isa.Arith { op; _ } -> flops.(w) <- flops.(w) + Isa.fop_flops op
                 | _ -> ()))
@@ -160,8 +138,11 @@ let per_warp_of_program (arch : Arch.t) (p : Isa.program) =
           arms
   in
   go full full p.Isa.body;
-  Array.init n (fun w ->
-      { warp = w; instrs = instrs.(w); flops = flops.(w); code_bytes = bytes.(w) })
+  let warps =
+    Array.init n (fun w ->
+        { warp = w; instrs = instrs.(w); flops = flops.(w); code_bytes = bytes.(w) })
+  in
+  (warps, !shared)
 
 type t = {
   mix : mix;
@@ -179,14 +160,9 @@ let block_bytes arch block =
   !acc
 
 let of_program arch (p : Isa.program) =
-  let warps = per_warp_of_program arch p in
+  let warps, shared_bytes = walk_body arch p in
   let total_flops =
     Array.fold_left (fun a w -> a + w.flops) 0 warps * 32
-  in
-  let points_per_batch =
-    match p.Isa.point_map with
-    | Isa.Coop -> 32
-    | Isa.Thread_per_point -> p.Isa.n_warps * 32
   in
   let mx = Array.fold_left (fun a w -> max a w.instrs) 0 warps in
   let mn = Array.fold_left (fun a w -> min a w.instrs) max_int warps in
@@ -194,8 +170,9 @@ let of_program arch (p : Isa.program) =
     mix = mix_of_block p.Isa.body;
     body_bytes = block_bytes arch p.Isa.body;
     prologue_bytes = block_bytes arch p.Isa.prologue;
-    flops_per_point = float_of_int total_flops /. float_of_int points_per_batch;
-    shared_bytes = shared_bytes_of_program p;
+    flops_per_point =
+      float_of_int total_flops /. float_of_int (Isa.points_per_batch p);
+    shared_bytes;
     warps;
     imbalance = float_of_int mx /. float_of_int (max 1 mn);
   }

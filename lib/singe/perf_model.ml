@@ -156,6 +156,24 @@ let max_term terms =
     (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv))
     ("none", 0.0) terms
 
+(* A program's per-resource throughput ceilings, points/s, from one
+   batch of its stored demand: the terms behind [floor_cycles] and a
+   throughput-bound [binding]. Sorting the terms largest first keeps ties
+   in [demand_terms]' order, so the head is [max_term]'s pick. *)
+let bounds (t : Compile.t) =
+  match t.Compile.facts.F.own_walk with
+  | None -> []
+  | Some w ->
+      let p = t.Compile.lowered.Lower.program in
+      let arch = t.Compile.options.Compile.arch in
+      let points = float_of_int (I.points_per_batch p) in
+      let clock = arch.A.clock_mhz *. 1e6 in
+      let sms = float_of_int arch.A.n_sms in
+      demand_terms arch w.F.body_demand
+      |> List.filter (fun (_, term) -> term > 0.0)
+      |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
+      |> List.map (fun (r, term) -> (r, points /. term *. clock *. sms))
+
 (* The model at one resolved launch. *)
 let predict_launch (t : Compile.t) ~ctas ~total_points ~n_sms ~skew =
   let p = t.Compile.lowered.Lower.program in

@@ -1,6 +1,6 @@
 (** Warp-specialization-aware analytic cycle predictor.
 
-    Extends {!Gpusim.Roofline}'s static per-resource ceilings with the two
+    Extends the static per-resource ceilings ({!bounds}) with the two
     effects a roofline cannot see but warp specialization lives or dies by:
     named-barrier synchronization (a per-warp critical path over the
     schedule's produce/consume epochs, walked on the lowered per-warp
@@ -13,11 +13,12 @@
     The model (DESIGN §12 derives it):
 
     - {b throughput term}: per-CTA-batch resource demand (DP slots with
-      constant-operand penalties, issue slots, LSU slots, shared-pipe
-      slots, bytes per memory path — the accounting
-      {!Gpusim.Roofline.analyze} bounds with, aggregated from the
+      constant-operand penalties, issue slots, integer/branch and LSU
+      slots, shared-pipe slots, bytes per memory path, charged as the
+      simulator's issue path charges them and aggregated from the
       per-warp traces) divided by the pipe rates; with [R] resident CTAs
       sharing the pipes, a batch step costs [R * max_r demand_r / rate_r].
+      The same terms give {!bounds}.
     - {b synchronization term}: abstract rendezvous execution of the
       per-warp streams — each warp accumulates segment costs
       ([max(1-IPC issue floor, pipe-serial time, exposed dependence
@@ -90,12 +91,25 @@ val predict :
     points, SM count and the bits of its skew, is computed once and kept
     in the artifact's launch state ({!Compile.launch_prediction}); a
     repeat is a lookup and a copy of [chip.sms], bit-identical to a fresh
-    prediction. Only an artifact with a launch state keeps answers: one
-    in the compile memo, or one {!Compile.run} has simulated. Any other
-    (a one-shot compile, a [{ c with ... }] copy) is predicted afresh
-    every time and stores nothing. Raises what the model raises (a
-    launch {!Compile.default_ctas} rejects, a program no CTA of which
-    fits); a failed prediction stores nothing. *)
+    prediction. Only the compile memo gives an artifact a launch state,
+    when it inserts it; a [{ c with ... }] copy shares [c]'s. A one-shot
+    compile has none: it is predicted afresh every time and stores
+    nothing. Raises what the model raises (a launch
+    {!Compile.default_ctas} rejects, a program no CTA of which fits); a
+    failed prediction stores nothing. *)
+
+val bounds : Compile.t -> (string * float) list
+(** The program's static throughput ceilings, points/s, tightest first:
+    for each resource with nonzero demand,
+    [points_per_batch / term * clock * SMs], where [term] is the SM
+    cycles one batch of every warp of one CTA needs on that resource
+    alone, read from the demand the compile stored
+    ([facts.own_walk.body_demand]). These are the terms that set
+    [floor_cycles] and a throughput-bound [binding], so when
+    {!predict}'s batch is throughput-bound its [binding] names the head.
+    Resident CTAs share the pipes, so the ceilings do not depend on
+    occupancy. Empty for a program no CTA of which fits (its facts hold
+    no walk). *)
 
 val rel_err : predicted:float -> measured:float -> float
 (** [|predicted - measured| / measured] — the accuracy figure `singe

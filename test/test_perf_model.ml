@@ -27,11 +27,11 @@ let config_name mech kernel version =
     (Singe.Kernel_abi.kernel_name kernel)
     (version_name version)
 
-(* Property: on every mechanism x kernel x version the simulator never
-   beats either static bound — the Roofline binding ceiling (throughput)
-   or Perf_model's provable floor (cycles). *)
+(* Property: on every mechanism x kernel x version, the two stencil
+   pipelines, and both architectures, the simulator never beats either
+   static bound — the tightest Perf_model.bounds ceiling (throughput) or
+   the model's provable floor (cycles). *)
 let test_floor_and_roofline () =
-  let mechs = [ hydrogen (); dme () ] in
   let kernels =
     [
       Singe.Kernel_abi.Viscosity;
@@ -39,15 +39,29 @@ let test_floor_and_roofline () =
       Singe.Kernel_abi.Chemistry;
     ]
   in
+  let stencils =
+    List.map (fun id -> Singe.Kernel_abi.Stencil id) Singe.Stencil_pipe.all_ids
+  in
+  let targets =
+    List.concat_map (fun mech -> List.map (fun k -> (mech, k)) kernels)
+      [ hydrogen (); dme () ]
+    @ List.map (fun k -> (hydrogen (), k)) stencils
+  in
   let versions = [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ] in
   List.iter
-    (fun mech ->
+    (fun (arch : Gpusim.Arch.t) ->
       List.iter
-        (fun kernel ->
+        (fun (mech, kernel) ->
           List.iter
             (fun version ->
-              let name = config_name mech kernel version in
-              let c = compile mech kernel version in
+              let name =
+                config_name mech kernel version ^ " on " ^ arch.Gpusim.Arch.name
+              in
+              let c =
+                Singe.Diagnostics.ok_exn
+                  (Singe.Compile.compile ~memo:true mech kernel version
+                     (Singe.Target.options arch kernel))
+              in
               let points = 2048 in
               let pred = Singe.Perf_model.predict c ~total_points:points in
               let r = Singe.Compile.run c ~total_points:points in
@@ -59,22 +73,18 @@ let test_floor_and_roofline () =
                    measured pred.Singe.Perf_model.floor_cycles)
                 true
                 (measured >= pred.Singe.Perf_model.floor_cycles /. 1.02);
-              let p = c.Singe.Compile.lowered.Singe.Lower.program in
-              let roof = Gpusim.Roofline.analyze arch p in
               let achieved =
                 r.Singe.Compile.machine.Gpusim.Chip.points_per_sec
               in
-              let ceiling =
-                roof.Gpusim.Roofline.binding.Gpusim.Roofline.points_per_sec
-              in
+              let ceiling = snd (List.hd (Singe.Perf_model.bounds c)) in
               Alcotest.(check bool)
                 (Printf.sprintf "%s: achieved %.3e <= roofline %.3e" name
                    achieved ceiling)
                 true
                 (achieved <= ceiling *. 1.02))
             versions)
-        kernels)
-    mechs
+        targets)
+    [ Gpusim.Arch.kepler_k20c; Gpusim.Arch.fermi_c2070 ]
 
 (* Regression guard on the model's headline accuracy claim: predicted SM
    cycles stay within 35% of the simulator on representative configs at

@@ -1,5 +1,6 @@
-(* Static analysis (Isa_stats) and roofline bounds: internal consistency,
-   and the simulator must never beat a static ceiling. *)
+(* Static analysis (Isa_stats) and the model's throughput bounds
+   (Perf_model.bounds): internal consistency, and the simulator must
+   never beat a static ceiling. *)
 
 let hydrogen = Chem.Mech_gen.hydrogen
 let dme = Chem.Mech_gen.dme
@@ -9,7 +10,8 @@ let compile mech kernel version arch nw =
     { (Singe.Target.options ~n_warps:nw arch kernel) with
       Singe.Compile.ctas_per_sm_target = 1 }
   in
-  Singe.Diagnostics.ok_exn (Singe.Compile.compile mech kernel version opts)
+  Singe.Diagnostics.ok_exn
+    (Singe.Compile.compile ~memo:true mech kernel version opts)
 
 let test_mix_totals () =
   let c =
@@ -17,7 +19,9 @@ let test_mix_totals () =
       Singe.Compile.Warp_specialized Gpusim.Arch.kepler_k20c 4
   in
   let p = c.Singe.Compile.lowered.Singe.Lower.program in
-  let m = Gpusim.Isa_stats.mix_of_block p.Gpusim.Isa.body in
+  let m =
+    (Gpusim.Isa_stats.of_program Gpusim.Arch.kepler_k20c p).Gpusim.Isa_stats.mix
+  in
   Alcotest.(check int) "mix total = static count"
     (Gpusim.Isa.static_instr_count p.Gpusim.Isa.body)
     m.Gpusim.Isa_stats.total;
@@ -67,57 +71,143 @@ let test_baseline_has_no_named_barriers () =
       | Gpusim.Isa.Bar_arrive _ | Gpusim.Isa.Bar_sync _ -> incr named
       | _ -> ());
   Alcotest.(check int) "no named barriers" 0 !named;
-  let m = Gpusim.Isa_stats.mix_of_block p.Gpusim.Isa.body in
+  let m =
+    (Gpusim.Isa_stats.of_program Gpusim.Arch.kepler_k20c p).Gpusim.Isa_stats.mix
+  in
   Alcotest.(check bool) "at most the batch-end CTA barrier" true
     (m.Gpusim.Isa_stats.barriers <= 1);
   Alcotest.(check int) "no shuffles" 0 m.Gpusim.Isa_stats.shuffles
 
-let test_roofline_bounds_simulation () =
-  (* The binding static ceiling must dominate the simulated throughput. *)
-  List.iter
-    (fun (kernel, version, arch) ->
-      let c = compile (hydrogen ()) kernel version arch 4 in
-      let p = c.Singe.Compile.lowered.Singe.Lower.program in
-      let roof = Gpusim.Roofline.analyze arch p in
-      let r = Singe.Compile.run c ~total_points:(32 * 32) in
-      let achieved = r.Singe.Compile.machine.Gpusim.Chip.points_per_sec in
-      let ceiling = roof.Gpusim.Roofline.binding.Gpusim.Roofline.points_per_sec in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s on %s: %.3e <= %.3e (%s)"
-           (Singe.Kernel_abi.kernel_name kernel)
-           (match version with
-           | Singe.Compile.Baseline -> "base"
-           | _ -> "ws")
-           arch.Gpusim.Arch.name achieved ceiling
-           roof.Gpusim.Roofline.binding.Gpusim.Roofline.resource)
-        true
-        (achieved <= ceiling *. 1.02))
+(* The evaluation matrix of examples/roofline_report.ml: DME, the three
+   paper kernels and the two stencil pipelines, base (4 warps) and ws
+   (8 warps), on Fermi and Kepler. *)
+let matrix () =
+  let mech = dme () in
+  List.concat_map
+    (fun kernel ->
+      List.concat_map
+        (fun (version, vname) ->
+          List.map
+            (fun (arch : Gpusim.Arch.t) ->
+              let nw = if version = Singe.Compile.Baseline then 4 else 8 in
+              ( Printf.sprintf "%s %s on %s"
+                  (Singe.Kernel_abi.kernel_name kernel)
+                  vname arch.Gpusim.Arch.name,
+                compile mech kernel version arch nw ))
+            [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ])
+        [ (Singe.Compile.Baseline, "base"); (Singe.Compile.Warp_specialized, "ws") ])
+    ([ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
+       Singe.Kernel_abi.Chemistry ]
+    @ List.map (fun id -> Singe.Kernel_abi.Stencil id) Singe.Stencil_pipe.all_ids)
+
+(* Each resource's ceiling restated from the demand the compile stored:
+   points per batch over the resource's SM cycles per batch, at the
+   chip's clock and SM count. *)
+let stored_ceilings (c : Singe.Compile.t) =
+  let module A = Gpusim.Arch in
+  let module F = Singe.Model_facts in
+  let arch = c.Singe.Compile.options.Singe.Compile.arch in
+  let p = c.Singe.Compile.lowered.Singe.Lower.program in
+  let d = (Option.get c.Singe.Compile.facts.F.own_walk).F.body_demand in
+  let points = float_of_int (Gpusim.Isa.points_per_batch p) in
+  let clock = arch.A.clock_mhz *. 1e6 in
+  let ceiling term = points /. term *. clock *. float_of_int arch.A.n_sms in
+  List.filter_map
+    (fun (resource, term) ->
+      if term > 0.0 then Some (resource, ceiling term) else None)
     [
-      (Singe.Kernel_abi.Viscosity, Singe.Compile.Warp_specialized, Gpusim.Arch.kepler_k20c);
-      (Singe.Kernel_abi.Viscosity, Singe.Compile.Baseline, Gpusim.Arch.kepler_k20c);
-      (Singe.Kernel_abi.Diffusion, Singe.Compile.Warp_specialized, Gpusim.Arch.fermi_c2070);
-      (Singe.Kernel_abi.Chemistry, Singe.Compile.Warp_specialized, Gpusim.Arch.kepler_k20c);
-      (Singe.Kernel_abi.Chemistry, Singe.Compile.Baseline, Gpusim.Arch.fermi_c2070);
+      ("warp-instruction issue", d.F.instrs /. float_of_int arch.A.schedulers);
+      ("DP pipe", d.F.dp /. arch.A.dp_issue_per_cycle);
+      ("integer/branch pipe", d.F.alu /. arch.A.alu_issue_per_cycle);
+      ("LSU issue", d.F.lsu);
+      ("shared-memory pipe", d.F.shared /. arch.A.shared_issue_per_cycle);
+      ("texture path", d.F.tex_b /. arch.A.tex_bytes_per_cycle);
+      ("global-memory path", d.F.glob_b /. arch.A.global_bytes_per_cycle);
+      ("local-memory (spill) path", d.F.loc_b /. arch.A.local_bytes_per_cycle);
     ]
 
+let test_roofline_bounds_simulation () =
+  (* Every bound is its stored demand term's ceiling, and the tightest
+     one dominates the simulated throughput. *)
+  List.iter
+    (fun (name, c) ->
+      let bounds = Singe.Perf_model.bounds c in
+      let stored = stored_ceilings c in
+      Alcotest.(check int)
+        (name ^ ": one bound per loaded resource")
+        (List.length stored) (List.length bounds);
+      List.iter
+        (fun (resource, ceiling) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s: %s ceiling" name resource)
+            (List.assoc resource stored) ceiling)
+        bounds;
+      let resource, ceiling = List.hd bounds in
+      let r = Singe.Compile.run c ~total_points:32768 in
+      let achieved = r.Singe.Compile.machine.Gpusim.Chip.points_per_sec in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3e <= %.3e (%s)" name achieved ceiling
+           resource)
+        true
+        (achieved <= ceiling *. 1.02))
+    (matrix ())
+
 let test_roofline_bounds_all_sane () =
-  let c =
-    compile (hydrogen ()) Singe.Kernel_abi.Diffusion
-      Singe.Compile.Warp_specialized Gpusim.Arch.kepler_k20c 4
+  List.iter
+    (fun (name, c) ->
+      let ceilings = List.map snd (Singe.Perf_model.bounds c) in
+      Alcotest.(check bool)
+        (name ^ ": at least issue+dp bounds")
+        true
+        (List.length ceilings >= 2);
+      Alcotest.(check bool)
+        (name ^ ": finite and positive")
+        true
+        (List.for_all (fun x -> Float.is_finite x && x > 0.0) ceilings);
+      Alcotest.(check bool)
+        (name ^ ": sorted tightest-first")
+        true
+        (List.sort Float.compare ceilings = ceilings))
+    (matrix ())
+
+let test_bounds_match_model () =
+  (* The tightest static bound is the model's floor as a throughput, and
+     when the model's batch is throughput-bound it names the binding
+     resource: all three read the same demand terms. *)
+  let throughput_bound =
+    List.fold_left
+      (fun n (name, c) ->
+        let arch = c.Singe.Compile.options.Singe.Compile.arch in
+        let p = c.Singe.Compile.lowered.Singe.Lower.program in
+        let pred = Singe.Perf_model.predict c ~total_points:32768 in
+        let resource, ceiling = List.hd (Singe.Perf_model.bounds c) in
+        let floor_points =
+          float_of_int
+            (Gpusim.Isa.points_per_batch p * pred.Singe.Perf_model.sim_batches
+           * pred.Singe.Perf_model.resident)
+        in
+        let floor_ceiling =
+          floor_points /. pred.Singe.Perf_model.floor_cycles
+          *. arch.Gpusim.Arch.clock_mhz *. 1e6
+          *. float_of_int arch.Gpusim.Arch.n_sms
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: tightest bound %.4e is the floor's %.4e" name
+             ceiling floor_ceiling)
+          true
+          (Float.abs (ceiling -. floor_ceiling) <= 1e-9 *. floor_ceiling);
+        let binding = pred.Singe.Perf_model.binding in
+        if binding = "synchronization" then n
+        else begin
+          Alcotest.(check string)
+            (name ^ ": tightest bound names the model's binding")
+            binding resource;
+          n + 1
+        end)
+      0 (matrix ())
   in
-  let p = c.Singe.Compile.lowered.Singe.Lower.program in
-  let roof = Gpusim.Roofline.analyze Gpusim.Arch.kepler_k20c p in
-  Alcotest.(check bool) "at least issue+dp bounds" true
-    (List.length roof.Gpusim.Roofline.bounds >= 2);
-  let sorted =
-    List.for_all2
-      (fun a b ->
-        a.Gpusim.Roofline.points_per_sec <= b.Gpusim.Roofline.points_per_sec)
-      (List.filteri (fun i _ -> i < List.length roof.Gpusim.Roofline.bounds - 1)
-         roof.Gpusim.Roofline.bounds)
-      (List.tl roof.Gpusim.Roofline.bounds)
-  in
-  Alcotest.(check bool) "sorted tightest-first" true sorted
+  Alcotest.(check bool) "some rows are throughput-bound" true
+    (throughput_bound > 0)
 
 let test_ws_cuts_local_traffic () =
   (* §6.3's claim, statically: warp specialization reduces spill
@@ -127,9 +217,9 @@ let test_ws_cuts_local_traffic () =
       compile (dme ()) Singe.Kernel_abi.Chemistry version
         Gpusim.Arch.kepler_k20c 8
     in
-    (Gpusim.Isa_stats.mix_of_block
-       c.Singe.Compile.lowered.Singe.Lower.program.Gpusim.Isa.body)
-      .Gpusim.Isa_stats.local_mem
+    (Gpusim.Isa_stats.of_program Gpusim.Arch.kepler_k20c
+       c.Singe.Compile.lowered.Singe.Lower.program)
+      .Gpusim.Isa_stats.mix.Gpusim.Isa_stats.local_mem
   in
   let base = local Singe.Compile.Baseline in
   let ws = local Singe.Compile.Warp_specialized in
@@ -144,5 +234,7 @@ let tests =
     Alcotest.test_case "baseline barrier-free" `Quick test_baseline_has_no_named_barriers;
     Alcotest.test_case "roofline dominates simulation" `Quick test_roofline_bounds_simulation;
     Alcotest.test_case "roofline bounds sorted" `Quick test_roofline_bounds_all_sane;
+    Alcotest.test_case "tightest bound is the model's floor" `Quick
+      test_bounds_match_model;
     Alcotest.test_case "ws cuts spill instructions" `Quick test_ws_cuts_local_traffic;
   ]

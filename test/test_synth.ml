@@ -320,8 +320,9 @@ let test_diffusion_cycle_reduction () =
 let test_shared_traffic_shrinks () =
   let c_on, c_off = compile_pair Arch.kepler_k20c Singe.Kernel_abi.Diffusion in
   let sb (c : Singe.Compile.t) =
-    Isa_stats.shared_bytes_of_program
-      c.Singe.Compile.lowered.Singe.Lower.program
+    (Isa_stats.of_program Arch.kepler_k20c
+       c.Singe.Compile.lowered.Singe.Lower.program)
+      .Isa_stats.shared_bytes
   in
   let on = sb c_on and off = sb c_off in
   Alcotest.(check bool)
