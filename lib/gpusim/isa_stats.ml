@@ -11,58 +11,23 @@ type mix = {
   total : int;
 }
 
-let empty_mix =
-  {
-    dp_arith = 0;
-    dp_special = 0;
-    global_mem = 0;
-    shared_mem = 0;
-    local_mem = 0;
-    const_loads = 0;
-    shuffles = 0;
-    barriers = 0;
-    moves = 0;
-    total = 0;
-  }
-
-let add_mix a b =
-  {
-    dp_arith = a.dp_arith + b.dp_arith;
-    dp_special = a.dp_special + b.dp_special;
-    global_mem = a.global_mem + b.global_mem;
-    shared_mem = a.shared_mem + b.shared_mem;
-    local_mem = a.local_mem + b.local_mem;
-    const_loads = a.const_loads + b.const_loads;
-    shuffles = a.shuffles + b.shuffles;
-    barriers = a.barriers + b.barriers;
-    moves = a.moves + b.moves;
-    total = a.total + b.total;
-  }
-
-let mix_of_instr (i : Isa.instr) =
-  let one field = { empty_mix with total = 1 } |> field in
+(* The mix categories, as indexes of the fold's counter array, in the
+   order of [mix]'s fields. *)
+let category (i : Isa.instr) =
   match i with
   | Isa.Arith { op; _ } -> (
       match op with
-      | Isa.Div | Isa.Sqrt | Isa.Exp | Isa.Log ->
-          one (fun m -> { m with dp_special = 1 })
-      | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Max | Isa.Min | Isa.Neg ->
-          one (fun m -> { m with dp_arith = 1 }))
-  | Isa.Mov _ -> one (fun m -> { m with moves = 1 })
-  | Isa.Ld_global _ | Isa.St_global _ -> one (fun m -> { m with global_mem = 1 })
-  | Isa.Ld_shared _ | Isa.St_shared _ -> one (fun m -> { m with shared_mem = 1 })
-  | Isa.Ld_local _ | Isa.St_local _ -> one (fun m -> { m with local_mem = 1 })
-  | Isa.Ld_const_bank _ | Isa.Ld_param _ ->
-      one (fun m -> { m with const_loads = 1 })
-  | Isa.Shfl _ | Isa.Ishfl _ | Isa.Shfl_rot _ | Isa.Shfl_bfly _ ->
-      one (fun m -> { m with shuffles = 1 })
-  | Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta ->
-      one (fun m -> { m with barriers = 1 })
+      | Isa.Add | Isa.Sub | Isa.Mul | Isa.Fma | Isa.Max | Isa.Min | Isa.Neg -> 0
+      | Isa.Div | Isa.Sqrt | Isa.Exp | Isa.Log -> 1)
+  | Isa.Ld_global _ | Isa.St_global _ -> 2
+  | Isa.Ld_shared _ | Isa.St_shared _ -> 3
+  | Isa.Ld_local _ | Isa.St_local _ -> 4
+  | Isa.Ld_const_bank _ | Isa.Ld_param _ -> 5
+  | Isa.Shfl _ | Isa.Ishfl _ | Isa.Shfl_rot _ | Isa.Shfl_bfly _ -> 6
+  | Isa.Bar_arrive _ | Isa.Bar_sync _ | Isa.Bar_cta -> 7
+  | Isa.Mov _ -> 8
 
-let mix_of_block block =
-  let acc = ref empty_mix in
-  Isa.iter_instrs block (fun i -> acc := add_mix !acc (mix_of_instr i));
-  !acc
+let n_categories = 9
 
 (* Shared-memory bytes one warp moves executing the instruction once:
    lane-striped accesses touch one double per active lane, uniform
@@ -92,57 +57,7 @@ let shared_bytes_of_instr (i : Isa.instr) =
   | Isa.St_global { src; pred; _ } -> src_bytes pred src
   | _ -> 0
 
-type per_warp = { warp : int; instrs : int; flops : int; code_bytes : int }
-
-(* One walk of the body with warp masks: each warp's executed
-   instructions, FLOPs and fetched code bytes, and the shared-traffic
-   bytes of every warp executing each instruction. *)
-let walk_body (arch : Arch.t) (p : Isa.program) =
-  let n = p.Isa.n_warps in
-  let instrs = Array.make n 0 in
-  let flops = Array.make n 0 in
-  let bytes = Array.make n 0 in
-  let shared = ref 0 in
-  let each_warp mask f =
-    for w = 0 to n - 1 do
-      if mask land (1 lsl w) <> 0 then f w
-    done
-  in
-  let full = (1 lsl n) - 1 in
-  (* exec_mask: warps that execute; fetch_mask: warps that stream the code
-     through their fetch path (an If_warps body is fetched even by warps
-     whose bit is clear — they fall through it). *)
-  let rec go exec_mask fetch_mask = function
-    | Isa.Instrs l ->
-        List.iter
-          (fun i ->
-            let b = Isa.static_bytes arch i in
-            let sb = shared_bytes_of_instr i in
-            each_warp fetch_mask (fun w -> bytes.(w) <- bytes.(w) + b);
-            each_warp exec_mask (fun w ->
-                instrs.(w) <- instrs.(w) + 1;
-                shared := !shared + sb;
-                match i with
-                | Isa.Arith { op; _ } -> flops.(w) <- flops.(w) + Isa.fop_flops op
-                | _ -> ()))
-          l
-    | Isa.Seq bs -> List.iter (go exec_mask fetch_mask) bs
-    | Isa.If_warps { mask; body } ->
-        go (exec_mask land mask) fetch_mask body
-    | Isa.Switch_warp arms ->
-        Array.iteri
-          (fun w arm ->
-            let m = exec_mask land (1 lsl w) in
-            (* an indirect branch: each warp fetches only its own arm *)
-            if m <> 0 then go m m arm)
-          arms
-  in
-  go full full p.Isa.body;
-  let warps =
-    Array.init n (fun w ->
-        { warp = w; instrs = instrs.(w); flops = flops.(w); code_bytes = bytes.(w) })
-  in
-  (warps, !shared)
+type per_warp = { warp : int; instrs : int; flops : int; code_lines : int }
 
 type t = {
   mix : mix;
@@ -152,29 +67,90 @@ type t = {
   shared_bytes : int;
   warps : per_warp array;
   imbalance : float;
+  line_bytes : int;
 }
 
-let block_bytes arch block =
-  let acc = ref 0 in
-  Isa.iter_instrs block (fun i -> acc := !acc + Isa.static_bytes arch i);
-  !acc
-
+(* One pass over the program's layout ([Trace.iter]): the body's mix and
+   bytes count every instruction once, the code of absent warps' arms
+   included; a warp's instructions, FLOPs and shared traffic count the
+   body instructions it executes; and its code lines are the i-cache
+   lines of every entry it executes, prologue and branches included —
+   the line set the model's cold-fetch term ([Model_facts]' per-warp
+   lines) reads. Entries come in address order, so a line a warp has
+   seen before is the last one it saw. *)
 let of_program arch (p : Isa.program) =
-  let warps, shared_bytes = walk_body arch p in
-  let total_flops =
-    Array.fold_left (fun a w -> a + w.flops) 0 warps * 32
+  let n = p.Isa.n_warps in
+  let line_bytes = Arch.icache_line_bytes arch in
+  let counts = Array.make n_categories 0 in
+  let instrs = Array.make n 0 and flops = Array.make n 0 in
+  let lines = Array.make n 0 and last_line = Array.make n (-1) in
+  let body_bytes = ref 0 and prologue_bytes = ref 0 and shared = ref 0 in
+  let see_line w line =
+    if last_line.(w) <> line then begin
+      lines.(w) <- lines.(w) + 1;
+      last_line.(w) <- line
+    end
   in
-  let mx = Array.fold_left (fun a w -> max a w.instrs) 0 warps in
-  let mn = Array.fold_left (fun a w -> min a w.instrs) max_int warps in
+  ignore
+    (Trace.iter arch p (fun phase warps e ->
+         let line = e.Trace.addr / line_bytes in
+         match (phase, e.Trace.instr) with
+         | Trace.Body, Some i ->
+             body_bytes := !body_bytes + Isa.static_bytes arch i;
+             let k = category i in
+             counts.(k) <- counts.(k) + 1;
+             let sb = shared_bytes_of_instr i in
+             for w = 0 to n - 1 do
+               if warps land (1 lsl w) <> 0 then begin
+                 see_line w line;
+                 instrs.(w) <- instrs.(w) + 1;
+                 flops.(w) <- flops.(w) + e.Trace.flops;
+                 shared := !shared + sb
+               end
+             done
+         | _, instr ->
+             (* a prologue instruction or a synthetic branch *)
+             (match instr with
+             | Some i ->
+                 prologue_bytes := !prologue_bytes + Isa.static_bytes arch i
+             | None -> ());
+             for w = 0 to n - 1 do
+               if warps land (1 lsl w) <> 0 then see_line w line
+             done));
+  let warps =
+    Array.init n (fun w ->
+        {
+          warp = w;
+          instrs = instrs.(w);
+          flops = flops.(w);
+          code_lines = lines.(w);
+        })
+  in
+  let total_flops = Array.fold_left ( + ) 0 flops * 32 in
+  let mx = Array.fold_left max 0 instrs in
+  let mn = Array.fold_left min max_int instrs in
   {
-    mix = mix_of_block p.Isa.body;
-    body_bytes = block_bytes arch p.Isa.body;
-    prologue_bytes = block_bytes arch p.Isa.prologue;
+    mix =
+      {
+        dp_arith = counts.(0);
+        dp_special = counts.(1);
+        global_mem = counts.(2);
+        shared_mem = counts.(3);
+        local_mem = counts.(4);
+        const_loads = counts.(5);
+        shuffles = counts.(6);
+        barriers = counts.(7);
+        moves = counts.(8);
+        total = Array.fold_left ( + ) 0 counts;
+      };
+    body_bytes = !body_bytes;
+    prologue_bytes = !prologue_bytes;
     flops_per_point =
       float_of_int total_flops /. float_of_int (Isa.points_per_batch p);
-    shared_bytes;
+    shared_bytes = !shared;
     warps;
     imbalance = float_of_int mx /. float_of_int (max 1 mn);
+    line_bytes;
   }
 
 let pp ppf t =
@@ -201,7 +177,8 @@ let pp ppf t =
     t.shared_bytes;
   Array.iter
     (fun w ->
-      Format.fprintf ppf "  warp %2d: %5d instrs, %6d flops, %5d code B@," w.warp
-        w.instrs w.flops w.code_bytes)
+      Format.fprintf ppf
+        "  warp %2d: %5d instrs, %6d flops, %4d code lines (%5d B)@," w.warp
+        w.instrs w.flops w.code_lines (w.code_lines * t.line_bytes))
     t.warps;
   Format.fprintf ppf "@]"

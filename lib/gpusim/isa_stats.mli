@@ -1,10 +1,12 @@
-(** Static program analysis: instruction mix, code footprint, and per-warp
+(** Static program analysis: instruction mix, code size and per-warp
     breakdowns of a lowered {!Isa.program}.
 
-    Everything here is static (no simulation): counts are per executed-path
-    occurrence in the block tree, with [Switch_warp] and [If_warps] arms
-    attributed to the warps that execute them. Used by [singe stats],
-    perfbench's code-size metric ([mix.total]) and the tests. *)
+    Everything here is static (no simulation) and read off one pass over
+    the program's layout, {!Trace.iter}: a warp's counts are over the
+    entries whose warp set holds it, so [If_warps] bodies and
+    [Switch_warp] arms count for the warps that execute them. Used by
+    [singe stats], perfbench's code-size metric ([mix.total]) and the
+    tests. *)
 
 type mix = {
   dp_arith : int;  (** Add/Sub/Mul/Fma/Neg/Max/Min *)
@@ -23,10 +25,10 @@ type per_warp = {
   warp : int;
   instrs : int;  (** instructions this warp executes per body pass *)
   flops : int;  (** per-lane FLOPs this warp contributes *)
-  code_bytes : int;
-      (** static footprint of the blocks it fetches: every block it
-          reaches, including [If_warps] bodies it skips (the branch
-          itself), but only its own [Switch_warp] arm *)
+  code_lines : int;
+      (** i-cache lines of the code it executes, prologue and synthetic
+          branches included: the per-warp line set whose maximum is the
+          model's cold-fetch line count ([Model_facts.ic_cold_lines]) *)
 }
 
 type t = {
@@ -43,6 +45,7 @@ type t = {
           removes) *)
   warps : per_warp array;
   imbalance : float;  (** max/min executed instructions across warps *)
+  line_bytes : int;  (** the architecture's i-cache line size *)
 }
 
 val of_program : Arch.t -> Isa.program -> t

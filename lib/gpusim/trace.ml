@@ -181,19 +181,6 @@ let flatten (arch : Arch.t) (p : Isa.program) =
   in
   { entries; prologue; body; code_bytes }
 
-(* A warp's stream holds each entry at most once, and addresses increase
-   with entry ids, so every body entry adds its own span of bytes. *)
-let body_footprint_bytes t ~warp =
-  Array.fold_left
-    (fun bytes id ->
-      let e = t.entries.(id) in
-      let next =
-        if id + 1 < Array.length t.entries then t.entries.(id + 1).addr
-        else e.addr + 8
-      in
-      bytes + (next - e.addr))
-    0 t.body.(warp)
-
 (* The replay reads only the id streams and each entry's instruction:
    the streams are the trace's own arrays, and the entries' issue
    metadata is left behind. *)

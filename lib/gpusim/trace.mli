@@ -45,10 +45,6 @@ val iter : Arch.t -> Isa.program -> (phase -> int -> entry -> unit) -> int
     Returns the code size in bytes. Programs of more than 62 warps are
     rejected with [Invalid_argument], as by {!flatten}. *)
 
-val body_footprint_bytes : t -> warp:int -> int
-(** Total code bytes the given warp touches in one batch (the per-warp
-    instruction-stream footprint that drives Fig. 9). *)
-
 (** {1 Replay view} *)
 
 type view = {

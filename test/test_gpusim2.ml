@@ -248,7 +248,9 @@ let test_trace_cursor () =
     true
     (count 0 > count 1);
   Alcotest.(check bool) "footprints positive" true
-    (Trace.body_footprint_bytes t ~warp:0 > 0)
+    (Array.for_all
+       (fun w -> w.Isa_stats.code_lines > 0)
+       (Isa_stats.of_program Arch.kepler_k20c p).Isa_stats.warps)
 
 (* ---- Trace.flatten against a list-based reference ---- *)
 

@@ -34,29 +34,6 @@ let test_mix_totals () =
   in
   Alcotest.(check int) "categories partition the total" m.Gpusim.Isa_stats.total parts
 
-let test_per_warp_sane () =
-  let c =
-    compile (dme ()) Singe.Kernel_abi.Chemistry Singe.Compile.Warp_specialized
-      Gpusim.Arch.kepler_k20c 4
-  in
-  let p = c.Singe.Compile.lowered.Singe.Lower.program in
-  let s = Gpusim.Isa_stats.of_program Gpusim.Arch.kepler_k20c p in
-  Alcotest.(check int) "one row per warp" 4 (Array.length s.Gpusim.Isa_stats.warps);
-  Array.iter
-    (fun w ->
-      Alcotest.(check bool) "warp executes instructions" true
-        (w.Gpusim.Isa_stats.instrs > 0);
-      Alcotest.(check bool) "warp contributes flops" true
-        (w.Gpusim.Isa_stats.flops > 0))
-    s.Gpusim.Isa_stats.warps;
-  Alcotest.(check bool) "imbalance >= 1" true (s.Gpusim.Isa_stats.imbalance >= 1.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "mapping keeps warps balanced (%.2f)" s.Gpusim.Isa_stats.imbalance)
-    true
-    (s.Gpusim.Isa_stats.imbalance < 2.0);
-  Alcotest.(check bool) "flops/point positive" true
-    (s.Gpusim.Isa_stats.flops_per_point > 0.0)
-
 let test_baseline_has_no_named_barriers () =
   (* The data-parallel baseline never synchronizes producer-consumer style;
      only the batch-end CTA barrier may appear. *)
@@ -78,27 +55,108 @@ let test_baseline_has_no_named_barriers () =
     (m.Gpusim.Isa_stats.barriers <= 1);
   Alcotest.(check int) "no shuffles" 0 m.Gpusim.Isa_stats.shuffles
 
-(* The evaluation matrix of examples/roofline_report.ml: DME, the three
-   paper kernels and the two stencil pipelines, base (4 warps) and ws
-   (8 warps), on Fermi and Kepler. *)
-let matrix () =
-  let mech = dme () in
+(* Every mechanism and kernel given, base (4 warps) and ws (8 warps), on
+   Fermi and Kepler. *)
+let matrix mechs kernels =
   List.concat_map
-    (fun kernel ->
+    (fun mech ->
       List.concat_map
-        (fun (version, vname) ->
-          List.map
-            (fun (arch : Gpusim.Arch.t) ->
-              let nw = if version = Singe.Compile.Baseline then 4 else 8 in
-              ( Printf.sprintf "%s %s on %s"
-                  (Singe.Kernel_abi.kernel_name kernel)
-                  vname arch.Gpusim.Arch.name,
-                compile mech kernel version arch nw ))
-            [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ])
-        [ (Singe.Compile.Baseline, "base"); (Singe.Compile.Warp_specialized, "ws") ])
+        (fun kernel ->
+          List.concat_map
+            (fun (version, vname) ->
+              List.map
+                (fun (arch : Gpusim.Arch.t) ->
+                  let nw = if version = Singe.Compile.Baseline then 4 else 8 in
+                  ( Printf.sprintf "%s %s %s on %s" mech.Chem.Mechanism.name
+                      (Singe.Kernel_abi.kernel_name kernel)
+                      vname arch.Gpusim.Arch.name,
+                    compile mech kernel version arch nw ))
+                [ Gpusim.Arch.fermi_c2070; Gpusim.Arch.kepler_k20c ])
+            [ (Singe.Compile.Baseline, "base");
+              (Singe.Compile.Warp_specialized, "ws") ])
+        kernels)
+    mechs
+
+(* The evaluation matrix of examples/roofline_report.ml: DME, the three
+   paper kernels and the two stencil pipelines. *)
+let roofline_matrix () =
+  matrix [ dme () ]
     ([ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
        Singe.Kernel_abi.Chemistry ]
     @ List.map (fun id -> Singe.Kernel_abi.Stencil id) Singe.Stencil_pipe.all_ids)
+
+let test_per_warp_sane () =
+  let c =
+    compile (dme ()) Singe.Kernel_abi.Chemistry Singe.Compile.Warp_specialized
+      Gpusim.Arch.kepler_k20c 4
+  in
+  let p = c.Singe.Compile.lowered.Singe.Lower.program in
+  let s = Gpusim.Isa_stats.of_program Gpusim.Arch.kepler_k20c p in
+  Alcotest.(check int) "one row per warp" 4 (Array.length s.Gpusim.Isa_stats.warps);
+  Array.iter
+    (fun w ->
+      Alcotest.(check bool) "warp executes instructions" true
+        (w.Gpusim.Isa_stats.instrs > 0);
+      Alcotest.(check bool) "warp contributes flops" true
+        (w.Gpusim.Isa_stats.flops > 0))
+    s.Gpusim.Isa_stats.warps;
+  Alcotest.(check bool) "imbalance >= 1" true (s.Gpusim.Isa_stats.imbalance >= 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "mapping keeps warps balanced (%.2f)" s.Gpusim.Isa_stats.imbalance)
+    true
+    (s.Gpusim.Isa_stats.imbalance < 2.0);
+  Alcotest.(check bool) "flops/point positive" true
+    (s.Gpusim.Isa_stats.flops_per_point > 0.0);
+  (* The per-warp rows restated from the program's flattened trace, and
+     the footprint from the model's stored facts. *)
+  List.iter
+    (fun (name, c) ->
+      let arch = c.Singe.Compile.options.Singe.Compile.arch in
+      let p = c.Singe.Compile.lowered.Singe.Lower.program in
+      let s = Gpusim.Isa_stats.of_program arch p in
+      let t = Gpusim.Trace.flatten arch p in
+      let entries = t.Gpusim.Trace.entries in
+      Array.iter
+        (fun (w : Gpusim.Isa_stats.per_warp) ->
+          let instrs = ref 0 and flops = ref 0 in
+          Array.iter
+            (fun id ->
+              let e = entries.(id) in
+              if e.Gpusim.Trace.instr <> None then begin
+                incr instrs;
+                flops := !flops + e.Gpusim.Trace.flops
+              end)
+            t.Gpusim.Trace.body.(w.Gpusim.Isa_stats.warp);
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: warp %d instrs, flops" name
+               w.Gpusim.Isa_stats.warp)
+            (!instrs, !flops)
+            (w.Gpusim.Isa_stats.instrs, w.Gpusim.Isa_stats.flops))
+        s.Gpusim.Isa_stats.warps;
+      Alcotest.(check int)
+        (name ^ ": widest footprint is the model's cold lines")
+        c.Singe.Compile.facts.Singe.Model_facts.ic_cold_lines
+        (Array.fold_left
+           (fun m w -> max m w.Gpusim.Isa_stats.code_lines)
+           0 s.Gpusim.Isa_stats.warps);
+      let code_bytes = t.Gpusim.Trace.code_bytes in
+      let branch_bytes = ref 0 in
+      Array.iteri
+        (fun id e ->
+          if e.Gpusim.Trace.instr = None then
+            let next =
+              if id + 1 < Array.length entries then
+                entries.(id + 1).Gpusim.Trace.addr
+              else code_bytes
+            in
+            branch_bytes := !branch_bytes + next - e.Gpusim.Trace.addr)
+        entries;
+      Alcotest.(check int)
+        (name ^ ": prologue + body + branches = code size")
+        code_bytes
+        (s.Gpusim.Isa_stats.prologue_bytes + s.Gpusim.Isa_stats.body_bytes
+       + !branch_bytes))
+    (matrix [ hydrogen (); dme () ] Singe.Kernel_abi.all_kernels)
 
 (* Each resource's ceiling restated from the demand the compile stored:
    points per batch over the resource's SM cycles per batch, at the
@@ -150,7 +208,7 @@ let test_roofline_bounds_simulation () =
            resource)
         true
         (achieved <= ceiling *. 1.02))
-    (matrix ())
+    (roofline_matrix ())
 
 let test_roofline_bounds_all_sane () =
   List.iter
@@ -168,7 +226,7 @@ let test_roofline_bounds_all_sane () =
         (name ^ ": sorted tightest-first")
         true
         (List.sort Float.compare ceilings = ceilings))
-    (matrix ())
+    (roofline_matrix ())
 
 let test_bounds_match_model () =
   (* The tightest static bound is the model's floor as a throughput, and
@@ -204,7 +262,7 @@ let test_bounds_match_model () =
             binding resource;
           n + 1
         end)
-      0 (matrix ())
+      0 (roofline_matrix ())
   in
   Alcotest.(check bool) "some rows are throughput-bound" true
     (throughput_bound > 0)
