@@ -70,15 +70,6 @@ let microbenchmarks () =
                      Singe.Compile.Warp_specialized chem_opts) in
         Staged.stage (fun () ->
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
-      Test.make ~name:"isa-text-roundtrip" (
-        let c = Singe.Diagnostics.ok_exn
-                  (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
-                     Singe.Compile.Warp_specialized opts) in
-        let p = c.Singe.Compile.lowered.Singe.Lower.program in
-        Staged.stage (fun () ->
-            match Gpusim.Isa_text.parse (Gpusim.Isa_text.emit p) with
-            | Ok _ -> ()
-            | Error e -> failwith e));
       Test.make ~name:"cuda-emit-viscosity" (
         let c = Singe.Diagnostics.ok_exn
                   (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity

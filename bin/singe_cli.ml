@@ -1,7 +1,7 @@
 (* The Singe command-line driver.
 
    singe info      --mech dme
-   singe compile   --mech heptane --kernel chemistry --arch kepler --warps 16 [--dump]
+   singe compile   --mech heptane --kernel chemistry --arch kepler --warps 16 [--dump-ir lower]
    singe run       --mech dme --kernel viscosity --arch kepler --points 32768
    singe profile   --mech dme --kernel viscosity --chrome-trace trace.json
    singe tune      --mech dme --kernel diffusion --arch fermi
@@ -405,12 +405,11 @@ let info_cmd =
     Term.(const run $ target_term [])
 
 let compile_cmd =
-  let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Print the generated code.") in
   let asm = Arg.(value & opt (some string) None & info [ "emit-asm" ] ~docv:"FILE"
                  ~doc:"Write the program's textual assembly to FILE ('-' for stdout).") in
   let cuda = Arg.(value & opt (some string) None & info [ "emit-cuda" ] ~docv:"FILE"
                   ~doc:"Write the kernel as CUDA C source to FILE ('-' for stdout).") in
-  let run target dump asm cuda timings validate dump_ir_stage =
+  let run target asm cuda timings validate dump_ir_stage =
     catch_failures @@ fun () ->
     let r, c, report = compile_or_die ~launch:false ~validate target in
     let arch = r.arch in
@@ -433,9 +432,6 @@ let compile_cmd =
       occ.Gpusim.Chip.resident_ctas occ.Gpusim.Chip.limited_by;
     if timings then print_report report;
     dump_ir c dump_ir_stage;
-    if dump then Format.printf "@.== prologue ==@.%a== body ==@.%a@."
-        Gpusim.Isa.pp_block p.Gpusim.Isa.prologue
-        Gpusim.Isa.pp_block p.Gpusim.Isa.body;
     write_output asm
       ~written:(Printf.printf "assembly written to %s\n")
       (fun () -> Gpusim.Isa_text.emit p);
@@ -448,7 +444,7 @@ let compile_cmd =
           $ target_term
               [ kernel_flag; arch_flag; warps_flag; version_flag; synth_flag;
                 overlap_flag; partition_flag ]
-          $ dump $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
+          $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
 
 let run_cmd =
   let run ((_, t) as target) timings validate faults max_cycles =

@@ -315,91 +315,3 @@ let validate p =
   if Array.length p.const_bank <> p.n_warps then err "const_bank warp dim";
   if Array.length p.param_bank <> p.n_warps then err "param_bank warp dim";
   match !problems with [] -> Ok () | l -> Error (List.rev l)
-
-let pp_src ppf = function
-  | Sreg r -> Format.fprintf ppf "r%d" r
-  | Simm f -> Format.fprintf ppf "%g" f
-  | Sconst c -> Format.fprintf ppf "c[%d]" c
-  | Sconst_warp c -> Format.fprintf ppf "c[%d+warp]" c
-  | Sshared a ->
-      Format.fprintf ppf "sh[%d+%dw+%dl%s]" a.s_base a.s_warp_mul a.s_lane_mul
-        (match a.s_ireg with
-        | Some r -> Printf.sprintf "+%d*i%d" a.s_ireg_mul r
-        | None -> "")
-
-let pp_pred ppf = function
-  | Some (Lane_eq l) -> Format.fprintf ppf " @lane==%d" l
-  | Some (Lane_lt l) -> Format.fprintf ppf " @lane<%d" l
-  | None -> ()
-
-let fop_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Mul -> "mul"
-  | Fma -> "fma"
-  | Div -> "div"
-  | Sqrt -> "sqrt"
-  | Exp -> "exp"
-  | Log -> "log"
-  | Max -> "max"
-  | Min -> "min"
-  | Neg -> "neg"
-
-let pp_field ppf = function
-  | F_static f -> Format.fprintf ppf "%d" f
-  | F_ireg r -> Format.fprintf ppf "i%d" r
-
-let pp_instr ppf = function
-  | Arith { op; dst; srcs; pred } ->
-      Format.fprintf ppf "%s r%d <-" (fop_name op) dst;
-      Array.iter (fun s -> Format.fprintf ppf " %a" pp_src s) srcs;
-      pp_pred ppf pred
-  | Mov { dst; src; pred } ->
-      Format.fprintf ppf "mov r%d <- %a%a" dst pp_src src pp_pred pred
-  | Ld_global { dst; group; field; via_tex; pred } ->
-      Format.fprintf ppf "ld.global%s r%d <- g%d[%a]%a"
-        (if via_tex then ".tex" else "")
-        dst group pp_field field pp_pred pred
-  | St_global { src; group; field; pred } ->
-      Format.fprintf ppf "st.global g%d[%a] <- %a%a" group pp_field field
-        pp_src src pp_pred pred
-  | Ld_shared { dst; addr; pred } ->
-      Format.fprintf ppf "ld.shared r%d <- %a%a" dst pp_src (Sshared addr)
-        pp_pred pred
-  | St_shared { src; addr; pred } ->
-      Format.fprintf ppf "st.shared %a <- %a%a" pp_src (Sshared addr) pp_src
-        src pp_pred pred
-  | Ld_local { dst; slot } -> Format.fprintf ppf "ld.local r%d <- l[%d]" dst slot
-  | St_local { src; slot } -> Format.fprintf ppf "st.local l[%d] <- r%d" slot src
-  | Ld_const_bank { dst; slot } ->
-      Format.fprintf ppf "ld.bank r%d <- bank[%d]" dst slot
-  | Ld_param { dst_i; slot } ->
-      Format.fprintf ppf "ld.param i%d <- params[%d]" dst_i slot
-  | Shfl { dst; src; lane } ->
-      Format.fprintf ppf "shfl r%d <- r%d @%d" dst src lane
-  | Ishfl { dst_i; src_i; lane } ->
-      Format.fprintf ppf "ishfl i%d <- i%d @%d" dst_i src_i lane
-  | Shfl_rot { dst; src; delta } ->
-      Format.fprintf ppf "shfl.rot r%d <- r%d +%d" dst src delta
-  | Shfl_bfly { dst; src; xor_mask } ->
-      Format.fprintf ppf "shfl.bfly r%d <- r%d ^%d" dst src xor_mask
-  | Bar_arrive { bar; count } -> Format.fprintf ppf "bar.arrive %d, %d" bar count
-  | Bar_sync { bar; count } -> Format.fprintf ppf "bar.sync %d, %d" bar count
-  | Bar_cta -> Format.fprintf ppf "bar.cta"
-
-let rec pp_block ppf = function
-  | Instrs l ->
-      List.iter (fun i -> Format.fprintf ppf "  %a@." pp_instr i) l
-  | Seq bs -> List.iter (pp_block ppf) bs
-  | If_warps { mask; body } ->
-      Format.fprintf ppf "if warps & 0x%X {@." mask;
-      pp_block ppf body;
-      Format.fprintf ppf "}@."
-  | Switch_warp bodies ->
-      Format.fprintf ppf "switch (warp_id) {@.";
-      Array.iteri
-        (fun w b ->
-          Format.fprintf ppf "case %d:@." w;
-          pp_block ppf b)
-        bodies;
-      Format.fprintf ppf "}@."

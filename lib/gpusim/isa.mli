@@ -37,8 +37,6 @@ type fop =
   | Min
   | Neg
 
-val fop_arity : fop -> int
-
 val fop_flops : fop -> int
 (** FLOPs counted per lane (Exp/Log count their polynomial-expansion DFMAs,
     matching how SASS-level FLOP counting sees them: 24). *)
@@ -187,5 +185,3 @@ val validate : program -> (unit, string list) result
     and shuffle lanes (and rotation deltas / butterfly masks) within
     [\[0, 32)], Switch_warp arity, bank dimensions. Per-instruction
     problems are positioned ("body[17]: shfl: lane 33 outside [0, 32)"). *)
-
-val pp_block : Format.formatter -> block -> unit

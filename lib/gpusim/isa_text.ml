@@ -1,12 +1,7 @@
-(* Emission and parsing of the textual assembly. Floats travel as 64-bit
-   hex patterns (exact); everything is line-oriented with {} blocks. *)
+(* The textual assembly. Floats travel as 64-bit hex patterns (exact);
+   everything is line-oriented with {} blocks. *)
 
 let bits f = Printf.sprintf "0x%016Lx" (Int64.bits_of_float f)
-
-let float_of_bits_str s =
-  Int64.float_of_bits (Int64.of_string s)
-
-(* ---------- emission ---------- *)
 
 let fop_name (op : Isa.fop) =
   match op with
@@ -21,20 +16,6 @@ let fop_name (op : Isa.fop) =
   | Isa.Max -> "max"
   | Isa.Min -> "min"
   | Isa.Neg -> "neg"
-
-let fop_of_name = function
-  | "add" -> Some Isa.Add
-  | "sub" -> Some Isa.Sub
-  | "mul" -> Some Isa.Mul
-  | "fma" -> Some Isa.Fma
-  | "div" -> Some Isa.Div
-  | "sqrt" -> Some Isa.Sqrt
-  | "exp" -> Some Isa.Exp
-  | "log" -> Some Isa.Log
-  | "max" -> Some Isa.Max
-  | "min" -> Some Isa.Min
-  | "neg" -> Some Isa.Neg
-  | _ -> None
 
 let saddr_text (a : Isa.saddr) =
   let buf = Buffer.create 16 in
@@ -174,372 +155,3 @@ let emit (p : Isa.program) =
   emit_block_into buf p.Isa.body;
   pr "}\n";
   Buffer.contents buf
-
-(* ---------- parsing ---------- *)
-
-exception Err of int * string
-
-let fail line fmt = Printf.ksprintf (fun s -> raise (Err (line, s))) fmt
-
-let int_of line s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail line "expected integer, got %S" s
-
-let float_bits_of line s =
-  match Int64.of_string_opt s with
-  | Some _ -> float_of_bits_str s
-  | None -> fail line "expected hex float bits, got %S" s
-
-(* "12+8w+1l+4i2" -> saddr *)
-let parse_saddr line text =
-  let a =
-    ref { Isa.s_base = 0; s_warp_mul = 0; s_lane_mul = 0; s_ireg = None; s_ireg_mul = 0 }
-  in
-  (* split into signed terms *)
-  let terms = ref [] in
-  let cur = Buffer.create 8 in
-  String.iter
-    (fun c ->
-      if c = '+' && Buffer.length cur > 0 then begin
-        terms := Buffer.contents cur :: !terms;
-        Buffer.clear cur
-      end
-      else if c <> '+' then Buffer.add_char cur c)
-    text;
-  if Buffer.length cur > 0 then terms := Buffer.contents cur :: !terms;
-  List.iter
-    (fun t ->
-      let n = String.length t in
-      if n = 0 then fail line "empty shared-address term"
-      else if t.[n - 1] = 'w' then
-        a := { !a with Isa.s_warp_mul = int_of line (String.sub t 0 (n - 1)) }
-      else if t.[n - 1] = 'l' then
-        a := { !a with Isa.s_lane_mul = int_of line (String.sub t 0 (n - 1)) }
-      else if String.contains t 'i' then begin
-        let i = String.index t 'i' in
-        a :=
-          { !a with
-            Isa.s_ireg_mul = int_of line (String.sub t 0 i);
-            s_ireg = Some (int_of line (String.sub t (i + 1) (n - i - 1))) }
-      end
-      else a := { !a with Isa.s_base = int_of line t })
-    (List.rev !terms);
-  !a
-
-let parse_src line s =
-  let s = String.trim s in
-  if String.length s = 0 then fail line "empty operand"
-  else if s.[0] = 'f' then
-    Isa.Sreg (int_of line (String.sub s 1 (String.length s - 1)))
-  else if String.length s > 4 && String.sub s 0 4 = "imm(" then
-    Isa.Simm (float_bits_of line (String.sub s 4 (String.length s - 5)))
-  else if String.length s > 3 && String.sub s 0 3 = "cw[" then
-    Isa.Sconst_warp (int_of line (String.sub s 3 (String.length s - 4)))
-  else if String.length s > 2 && String.sub s 0 2 = "c[" then
-    Isa.Sconst (int_of line (String.sub s 2 (String.length s - 3)))
-  else if s.[0] = '[' then
-    Isa.Sshared (parse_saddr line (String.sub s 1 (String.length s - 2)))
-  else fail line "bad operand %S" s
-
-let parse_pred line s =
-  (* s like "l==3" or "l<4" *)
-  if String.length s > 3 && String.sub s 0 3 = "l==" then
-    Isa.Lane_eq (int_of line (String.sub s 3 (String.length s - 3)))
-  else if String.length s > 2 && String.sub s 0 2 = "l<" then
-    Isa.Lane_lt (int_of line (String.sub s 2 (String.length s - 2)))
-  else fail line "bad predicate %S" s
-
-let parse_field line s =
-  if String.length s > 2 && String.sub s 0 2 = "i[" then
-    Isa.F_ireg (int_of line (String.sub s 2 (String.length s - 3)))
-  else if String.length s > 1 && s.[0] = 'f' then
-    Isa.F_static (int_of line (String.sub s 1 (String.length s - 1)))
-  else fail line "bad field selector %S" s
-
-let split_operands s =
-  (* comma split that respects [...] and (...) *)
-  let parts = ref [] and cur = Buffer.create 16 and depth = ref 0 in
-  String.iter
-    (fun c ->
-      match c with
-      | '[' | '(' ->
-          incr depth;
-          Buffer.add_char cur c
-      | ']' | ')' ->
-          decr depth;
-          Buffer.add_char cur c
-      | ',' when !depth = 0 ->
-          parts := Buffer.contents cur :: !parts;
-          Buffer.clear cur
-      | c -> Buffer.add_char cur c)
-    s;
-  if Buffer.length cur > 0 || !parts <> [] then
-    parts := Buffer.contents cur :: !parts;
-  List.rev_map String.trim !parts
-
-let parse_instr line text =
-  (* strip predicate *)
-  let text, pred =
-    match String.index_opt text '@' with
-    | Some i ->
-        ( String.trim (String.sub text 0 i),
-          Some
-            (parse_pred line
-               (String.trim (String.sub text (i + 1) (String.length text - i - 1))))
-        )
-    | None -> (String.trim text, None)
-  in
-  let mnemonic, rest =
-    match String.index_opt text ' ' with
-    | Some i ->
-        ( String.sub text 0 i,
-          String.trim (String.sub text (i + 1) (String.length text - i - 1)) )
-    | None -> (text, "")
-  in
-  let ops = if rest = "" then [] else split_operands rest in
-  let reg line s =
-    match parse_src line s with
-    | Isa.Sreg r -> r
-    | _ -> fail line "expected register, got %S" s
-  in
-  let ireg line s =
-    if String.length s > 1 && s.[0] = 'i' then
-      int_of line (String.sub s 1 (String.length s - 1))
-    else fail line "expected integer register, got %S" s
-  in
-  match (mnemonic, ops) with
-  | "mov", [ d; s ] -> Isa.Mov { dst = reg line d; src = parse_src line s; pred }
-  | "ld.g", d :: gf :: rest ->
-      let via_tex = rest = [ "tex" ] in
-      let g, f =
-        match String.index_opt gf '.' with
-        | Some i ->
-            ( int_of line (String.sub gf 1 (i - 1)),
-              parse_field line (String.sub gf (i + 1) (String.length gf - i - 1)) )
-        | None -> fail line "bad global ref %S" gf
-      in
-      Isa.Ld_global { dst = reg line d; group = g; field = f; via_tex; pred }
-  | "st.g", [ s; gf ] ->
-      let g, f =
-        match String.index_opt gf '.' with
-        | Some i ->
-            ( int_of line (String.sub gf 1 (i - 1)),
-              parse_field line (String.sub gf (i + 1) (String.length gf - i - 1)) )
-        | None -> fail line "bad global ref %S" gf
-      in
-      Isa.St_global { src = parse_src line s; group = g; field = f; pred }
-  | "ld.s", [ d; a ] -> (
-      match parse_src line a with
-      | Isa.Sshared addr -> Isa.Ld_shared { dst = reg line d; addr; pred }
-      | _ -> fail line "ld.s needs a shared address")
-  | "st.s", [ s; a ] -> (
-      match parse_src line a with
-      | Isa.Sshared addr -> Isa.St_shared { src = parse_src line s; addr; pred }
-      | _ -> fail line "st.s needs a shared address")
-  | "ld.l", [ d; n ] -> Isa.Ld_local { dst = reg line d; slot = int_of line n }
-  | "st.l", [ s; n ] -> Isa.St_local { src = reg line s; slot = int_of line n }
-  | "ld.cb", [ d; n ] -> Isa.Ld_const_bank { dst = reg line d; slot = int_of line n }
-  | "ld.p", [ d; n ] -> Isa.Ld_param { dst_i = ireg line d; slot = int_of line n }
-  | "shfl", [ d; s; l ] ->
-      Isa.Shfl { dst = reg line d; src = reg line s; lane = int_of line l }
-  | "ishfl", [ d; s; l ] ->
-      Isa.Ishfl { dst_i = ireg line d; src_i = ireg line s; lane = int_of line l }
-  | "shfl.rot", [ d; s; n ] ->
-      Isa.Shfl_rot { dst = reg line d; src = reg line s; delta = int_of line n }
-  | "shfl.bfly", [ d; s; n ] ->
-      Isa.Shfl_bfly
-        { dst = reg line d; src = reg line s; xor_mask = int_of line n }
-  | "bar.arr", [ b; c ] ->
-      Isa.Bar_arrive { bar = int_of line b; count = int_of line c }
-  | "bar.sync", [ b; c ] ->
-      Isa.Bar_sync { bar = int_of line b; count = int_of line c }
-  | "bar.cta", [] -> Isa.Bar_cta
-  | op, ops -> (
-      match fop_of_name op with
-      | Some fop -> (
-          match ops with
-          | d :: srcs when List.length srcs = Isa.fop_arity fop ->
-              Isa.Arith
-                {
-                  op = fop;
-                  dst = reg line d;
-                  srcs = Array.of_list (List.map (parse_src line) srcs);
-                  pred;
-                }
-          | _ -> fail line "%s: wrong operand count" op)
-      | None -> fail line "unknown mnemonic %S" op)
-
-type ptok = { line : int; text : string }
-
-(* Parse a block body until the matching '}'. *)
-let rec parse_block toks =
-  let instrs = ref [] and blocks = ref [] in
-  let flush () =
-    if !instrs <> [] then begin
-      blocks := Isa.Instrs (List.rev !instrs) :: !blocks;
-      instrs := []
-    end
-  in
-  let rec go toks =
-    match toks with
-    | [] -> fail 0 "unexpected end of input (missing '}')"
-    | { text = "}"; _ } :: rest ->
-        flush ();
-        (Isa.Seq (List.rev !blocks), rest)
-    | { line; text } :: rest when String.length text > 3 && String.sub text 0 3 = "if " ->
-        flush ();
-        let mask_text =
-          String.trim (String.sub text 3 (String.length text - 3))
-        in
-        let mask_text =
-          match String.index_opt mask_text '{' with
-          | Some i -> String.trim (String.sub mask_text 0 i)
-          | None -> fail line "if: expected '{'"
-        in
-        let mask = int_of line mask_text in
-        let body, rest = parse_block rest in
-        blocks := Isa.If_warps { mask; body } :: !blocks;
-        go rest
-    | { text; _ } :: rest when text = "switch {" ->
-        flush ();
-        let arms = ref [] in
-        let rec arms_loop toks =
-          match toks with
-          | { text = "}"; _ } :: rest -> rest
-          | { line; text } :: rest
-            when String.length text > 5 && String.sub text 0 5 = "warp " ->
-              let body, rest = parse_block rest in
-              ignore (int_of line (String.trim (String.sub text 5 (String.length text - 6))));
-              arms := body :: !arms;
-              arms_loop rest
-          | { line; text } :: _ -> fail line "switch: unexpected %S" text
-          | [] -> fail 0 "unterminated switch"
-        in
-        let rest = arms_loop rest in
-        blocks := Isa.Switch_warp (Array.of_list (List.rev !arms)) :: !blocks;
-        go rest
-    | { line; text } :: rest ->
-        instrs := parse_instr line text :: !instrs;
-        go rest
-  in
-  go toks
-
-let parse text =
-  try
-    let lines =
-      String.split_on_char '\n' text
-      |> List.mapi (fun i l -> { line = i + 1; text = String.trim l })
-      |> List.filter (fun t -> t.text <> "" && t.text.[0] <> '#')
-    in
-    let name = ref "anonymous" in
-    let n_warps = ref 0
-    and n_fregs = ref 0
-    and n_iregs = ref 0
-    and shared = ref 0
-    and local = ref 0
-    and barriers = ref 0 in
-    let point_map = ref Isa.Coop in
-    let exp_consts = ref false in
-    let groups = ref [] in
-    let banks = ref [] and params = ref [] in
-    let const_mem = ref [||] in
-    let prologue = ref (Isa.Seq []) and body = ref (Isa.Seq []) in
-    let rec header toks =
-      match toks with
-      | [] -> ()
-      | { line; text } :: rest -> (
-          let words =
-            String.split_on_char ' ' text |> List.filter (fun s -> s <> "")
-          in
-          match words with
-          | ".program" :: n -> name := String.concat " " n; header rest
-          | ".warps" :: w :: ".fregs" :: f :: ".iregs" :: i :: ".shared" :: s
-            :: ".local" :: l :: ".barriers" :: b :: [] ->
-              n_warps := int_of line w;
-              n_fregs := int_of line f;
-              n_iregs := int_of line i;
-              shared := int_of line s;
-              local := int_of line l;
-              barriers := int_of line b;
-              header rest
-          | [ ".pointmap"; "coop" ] -> point_map := Isa.Coop; header rest
-          | [ ".pointmap"; "thread" ] ->
-              point_map := Isa.Thread_per_point;
-              header rest
-          | [ ".expconsts"; b ] ->
-              exp_consts := bool_of_string b;
-              header rest
-          | [ ".group"; g; f ] ->
-              groups := { Isa.group_name = g; fields = int_of line f } :: !groups;
-              header rest
-          | ".bank" :: w :: l :: "=" :: vals ->
-              let w = int_of line (String.sub w 1 (String.length w - 1)) in
-              let l = int_of line (String.sub l 1 (String.length l - 1)) in
-              banks :=
-                (w, l, Array.of_list (List.map (float_bits_of line) vals))
-                :: !banks;
-              header rest
-          | ".param" :: w :: l :: "=" :: vals ->
-              let w = int_of line (String.sub w 1 (String.length w - 1)) in
-              let l = int_of line (String.sub l 1 (String.length l - 1)) in
-              params := (w, l, Array.of_list (List.map (int_of line) vals)) :: !params;
-              header rest
-          | ".constmem" :: "=" :: vals ->
-              const_mem := Array.of_list (List.map (float_bits_of line) vals);
-              header rest
-          | [ ".prologue"; "{" ] ->
-              let b, rest = parse_block rest in
-              prologue := b;
-              header rest
-          | [ ".body"; "{" ] ->
-              let b, rest = parse_block rest in
-              body := b;
-              header rest
-          | _ -> fail line "unrecognized directive %S" text)
-    in
-    header lines;
-    let bank_of entries default_len =
-      let slots =
-        List.fold_left (fun a (_, _, v) -> max a (Array.length v)) default_len
-          entries
-      in
-      let t =
-        Array.init !n_warps (fun _ -> Array.init 32 (fun _ -> Array.make slots 0.0))
-      in
-      List.iter (fun (w, l, v) -> Array.blit v 0 t.(w).(l) 0 (Array.length v)) entries;
-      if slots = 0 then
-        Array.init !n_warps (fun _ -> Array.init 32 (fun _ -> [||]))
-      else t
-    in
-    let param_of entries =
-      let slots = List.fold_left (fun a (_, _, v) -> max a (Array.length v)) 0 entries in
-      let t =
-        Array.init !n_warps (fun _ -> Array.init 32 (fun _ -> Array.make slots 0))
-      in
-      List.iter (fun (w, l, v) -> Array.blit v 0 t.(w).(l) 0 (Array.length v)) entries;
-      if slots = 0 then Array.init !n_warps (fun _ -> Array.init 32 (fun _ -> [||]))
-      else t
-    in
-    Ok
-      {
-        Isa.name = !name;
-        n_warps = !n_warps;
-        n_fregs = !n_fregs;
-        n_iregs = !n_iregs;
-        shared_doubles = !shared;
-        local_doubles = !local;
-        barriers_used = !barriers;
-        point_map = !point_map;
-        prologue = !prologue;
-        body = !body;
-        const_bank = bank_of !banks 0;
-        param_bank = param_of !params;
-        const_mem = !const_mem;
-        groups = Array.of_list (List.rev !groups);
-        exp_consts_in_registers = !exp_consts;
-      }
-  with
-  | Err (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-  | Failure msg -> Error msg
-  | Invalid_argument msg -> Error msg

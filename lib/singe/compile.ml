@@ -946,18 +946,13 @@ let ir_stage_name = function
   | Ir_lower -> "lower"
 
 let dump_ir ppf t stage =
-  Format.pp_open_vbox ppf 0;
-  (match stage with
-  | Ir_dfg -> Dfg.pp_dump ppf t.dfg
-  | Ir_mapping -> Mapping.pp_dump t.dfg ppf t.mapping
-  | Ir_schedule -> Schedule.pp_dump t.dfg ppf t.schedule
+  let boxed pp x = Format.fprintf ppf "@[<v>%a@]@." pp x in
+  match stage with
+  | Ir_dfg -> boxed Dfg.pp_dump t.dfg
+  | Ir_mapping -> boxed (Mapping.pp_dump t.dfg) t.mapping
+  | Ir_schedule -> boxed (Schedule.pp_dump t.dfg) t.schedule
   | Ir_lower ->
-      let p = t.lowered.Lower.program in
-      Format.fprintf ppf "== prologue ==@,%a== body ==@,%a"
-        Gpusim.Isa.pp_block p.Gpusim.Isa.prologue
-        Gpusim.Isa.pp_block p.Gpusim.Isa.body);
-  Format.pp_close_box ppf ();
-  Format.pp_print_newline ppf ()
+      Format.fprintf ppf "%s%!" (Gpusim.Isa_text.emit t.lowered.Lower.program)
 
 (* The default grid: the baseline launches one thread per point; the
    warp-specialized versions use a fixed grid of up to 1024 CTAs, each

@@ -312,7 +312,8 @@ val ir_stage_name : ir_stage -> string
 val dump_ir : Format.formatter -> t -> ir_stage -> unit
 (** Print the intermediate artifact a pass produced ([--dump-ir]): the
     dataflow graph with its expressions, the warp mapping, the per-warp
-    action schedule, or the lowered program. *)
+    action schedule, or the lowered program as {!Gpusim.Isa_text.emit}
+    prints it. *)
 
 val check_launch :
   Kernel_abi.kernel -> version -> n_warps:int -> total_points:int ->

@@ -64,8 +64,6 @@ let constants e =
   go e;
   List.rev !acc
 
-let n_constants e = List.length (constants e)
-
 let canonical_bits v =
   if Float.is_nan v then if Float.sign_bit v then -1L else Int64.max_int
   else Int64.bits_of_float v

@@ -53,8 +53,6 @@ val constants : t -> float list
     order in which code generation assigns constant-array slots, identical
     for two expressions of equal shape. *)
 
-val n_constants : t -> int
-
 val canonical_bits : float -> int64
 (** The bits an immediate compares by: exact, but all NaNs of one sign
     agree; [-0.0] stays apart from [0.0]. *)

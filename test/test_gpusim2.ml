@@ -405,8 +405,9 @@ let test_flatten_matches_reference =
     (QCheck.Test.make ~count:300 ~name:"flatten matches the list-based reference"
        (QCheck.make
           ~print:(fun p ->
-            Format.asprintf "warps %d@.prologue:@.%a@.body:@.%a" p.Isa.n_warps
-              Isa.pp_block p.Isa.prologue Isa.pp_block p.Isa.body)
+            Printf.sprintf "warps %d\nprologue:\n%sbody:\n%s" p.Isa.n_warps
+              (Isa_text.emit_block p.Isa.prologue)
+              (Isa_text.emit_block p.Isa.body))
           gen_flatten_case)
        (fun p ->
          List.for_all

@@ -289,10 +289,6 @@ let test_same_shape_mutants =
       shape_agrees e a && shape_agrees e b && shape_agrees a b
       && shape_agrees a c)
 
-let test_constants_count =
-  qtest "sexpr: n_constants = length (constants)" gen_expr (fun e ->
-      Singe.Sexpr.n_constants e = List.length (Singe.Sexpr.constants e))
-
 let test_eval_matches_naive =
   qtest "sexpr: eval equals a naive interpreter" gen_expr (fun e ->
       let input i = float_of_int (i + 1) *. 0.37 in
@@ -534,7 +530,6 @@ let tests =
     test_shape_blind_to_constants;
     test_same_shape_random_pairs;
     test_same_shape_mutants;
-    test_constants_count;
     test_eval_matches_naive;
     test_flops_positive_on_ops;
     test_gibbs_is_h_minus_s;
