@@ -305,6 +305,7 @@ type result = {
   local_gbs : float;
   sim : Sm.result;
   tail_sim : Sm.result option;
+  max_round_cycles : int;
   mem : Memstate.t;
   simulated_points : int;
   chip : schedule;
@@ -463,10 +464,15 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
   (* A clean, unprofiled launch takes each shape and the view from the
      store. *)
   let shapes = if faults = [] && profile = None then store else None in
+  let max_round_cycles = ref 0 in
   let simulate ?profile job =
-    match shapes with
-    | Some s -> stored_run s ?max_cycles job trace
-    | None -> Sm.run ?max_cycles ?profile job (Lazy.force trace)
+    let ((r, _) as run) =
+      match shapes with
+      | Some s -> stored_run s ?max_cycles job trace
+      | None -> Sm.run ?max_cycles ?profile job (Lazy.force trace)
+    in
+    max_round_cycles := max !max_round_cycles r.Sm.cycles;
+    run
   in
   (* The profiler rides only the main simulation, and only its order is
      replayed: the pin and tail runs' outputs would be discarded. A
@@ -559,7 +565,17 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     local_gbs;
     sim;
     tail_sim;
+    max_round_cycles = !max_round_cycles;
     mem;
     simulated_points;
     chip = sched;
+  }
+
+let copy r =
+  {
+    r with
+    sim = copy_result r.sim;
+    tail_sim = Option.map copy_result r.tail_sim;
+    mem = Memstate.copy r.mem;
+    chip = { r.chip with sms = Array.copy r.chip.sms };
   }

@@ -141,10 +141,19 @@ type result = {
   local_gbs : float;  (** spill traffic alone *)
   sim : Sm.result;  (** the full-round simulation *)
   tail_sim : Sm.result option;  (** the tail-round simulation, if any *)
+  max_round_cycles : int;
+      (** the most cycles any round took, main, pin or tail (a tail
+          round can outlast the main one): the launch completes under
+          every [max_cycles] at least this *)
   mem : Memstate.t;  (** post-run memory (outputs of the simulated CTAs) *)
   simulated_points : int;  (** grid points with valid outputs in [mem] *)
   chip : schedule;  (** dispatcher/arbiter outcome *)
 }
+
+val copy : result -> result
+(** A copy of a result sharing none of its mutable parts: the memory, the
+    simulations' counters and cache stats, and [chip.sms]. A profile is
+    shared. *)
 
 (** {1 Launch-shape store}
 

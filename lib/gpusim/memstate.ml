@@ -21,6 +21,18 @@ let create (p : Isa.program) ~n_points ~resident_ctas =
   in
   { globals; shared; local; n_points }
 
+let copy t =
+  {
+    t with
+    globals = Array.map (Array.map Array.copy) t.globals;
+    shared = Array.map Array.copy t.shared;
+    local = Array.map Array.copy t.local;
+  }
+
+let doubles t =
+  let sum = Array.fold_left (fun n a -> n + Array.length a) 0 in
+  Array.fold_left (fun n g -> n + sum g) (sum t.shared + sum t.local) t.globals
+
 let group_index (p : Isa.program) name =
   let found = ref None in
   Array.iteri

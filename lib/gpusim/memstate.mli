@@ -15,6 +15,12 @@ val create :
   Isa.program -> n_points:int -> resident_ctas:int -> t
 (** Global arrays are zero-initialized; the harness fills input groups. *)
 
+val copy : t -> t
+(** A copy sharing no array with [t]. *)
+
+val doubles : t -> int
+(** The doubles its arrays hold, globals, shared and local together. *)
+
 val group_index : Isa.program -> string -> int
 (** Index of a named field group. Raises [Not_found]. *)
 

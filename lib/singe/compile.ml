@@ -99,12 +99,30 @@ type launch_key = {
   k_skew : int64;
 }
 
+let launch_key ~ctas ~total_points ~n_sms ~skew =
+  {
+    k_ctas = ctas;
+    k_points = total_points;
+    k_sms = n_sms;
+    k_skew = Int64.bits_of_float skew;
+  }
+
+(* A run as its result depends on it: the resolved launch and the input
+   grid's seed and temperature range, by their bits. *)
+type run_key = {
+  r_launch : launch_key;
+  r_seed : int64;
+  r_t_range : (int64 * int64) option;
+}
+
 (* What a memoized artifact has learnt about its launches: one
-   [Gpusim.Chip.store] of simulated launch shapes (DESIGN §9.1) and the
-   model's answer per resolved launch (DESIGN §12.6). It holds no lock,
-   so the artifact still marshals. *)
+   [Gpusim.Chip.store] of simulated launch shapes (DESIGN §9.1), the
+   result of its first clean run (DESIGN §9.1) and the model's answer
+   per resolved launch (DESIGN §12.6). It holds no lock, so the artifact
+   still marshals. *)
 type launch = {
   shapes : Gpusim.Chip.store;
+  run : (run_key * Gpusim.Chip.result) option Atomic.t;
   predictions : (launch_key, Model_facts.prediction) Sutil.Atomic_assoc.t;
 }
 
@@ -733,8 +751,11 @@ let memo_find_or_compile ?report key mech =
             Result.map
               (fun t ->
                 let launch =
-                  { shapes = Gpusim.Chip.create_store ();
-                    predictions = Atomic.make [] }
+                  {
+                    shapes = Gpusim.Chip.create_store ();
+                    run = Atomic.make None;
+                    predictions = Atomic.make [];
+                  }
                 in
                 { t with launch = Some launch })
               (compile_accepted ?report ~validate:false mech kernel version
@@ -877,14 +898,7 @@ let launch_prediction t ~ctas ~total_points ~n_sms ~skew predict =
   match t.launch with
   | None -> predict ()
   | Some s -> (
-      let key =
-        {
-          k_ctas = ctas;
-          k_points = total_points;
-          k_sms = n_sms;
-          k_skew = Int64.bits_of_float skew;
-        }
-      in
+      let key = launch_key ~ctas ~total_points ~n_sms ~skew in
       match Sutil.Atomic_assoc.find s.predictions key with
       | Some p ->
           Atomic.incr predictions_served;
@@ -895,11 +909,16 @@ let launch_prediction t ~ctas ~total_points ~n_sms ~skew predict =
             Atomic.incr predictions_stored;
           copy_prediction p)
 
+let launches_stored = Atomic.make 0
+let launches_served = Atomic.make 0
+
 type shape_store_stats = {
   shapes_stored : int;
   order_bytes_stored : int;
   runs_served : int;
   traces_flattened : int;
+  launches_stored : int;
+  launches_served : int;
   predictions_stored : int;
   predictions_served : int;
 }
@@ -911,6 +930,8 @@ let shape_store_stats () =
     order_bytes_stored = c.Gpusim.Chip.order_bytes_stored;
     runs_served = c.Gpusim.Chip.runs_served;
     traces_flattened = c.Gpusim.Chip.traces_flattened;
+    launches_stored = Atomic.get launches_stored;
+    launches_served = Atomic.get launches_served;
     predictions_stored = Atomic.get predictions_stored;
     predictions_served = Atomic.get predictions_served;
   }
@@ -1003,27 +1024,79 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
   let ctas =
     match ctas with Some c -> c | None -> default_ctas t ~total_points
   in
-  let launch =
-    {
-      Gpusim.Chip.program = t.lowered.Lower.program;
-      total_points;
-      ctas;
-    }
+  let arch = t.options.arch in
+  let n_sms = match n_sms with Some n -> n | None -> arch.Gpusim.Arch.n_sms in
+  let skew =
+    match skew with Some s -> s | None -> arch.Gpusim.Arch.sm_clock_skew
   in
-  (* [Chip.run] fills the memory its main round's order is replayed
-     into, whose outputs are checked: one call, for [simulated_points]. *)
+  (* The first clean, unprofiled run of a memoized artifact keeps its
+     result in the launch state, and a later run of the same launch gets
+     a copy of it when it finishes within the budget: the result is a
+     pure function of the key (DESIGN §9.1). *)
+  let stored =
+    match t.launch with
+    | Some s when faults = [] && profile = None ->
+        let key =
+          {
+            r_launch = launch_key ~ctas ~total_points ~n_sms ~skew;
+            r_seed = seed;
+            r_t_range =
+              Option.map
+                (fun (lo, hi) -> (Int64.bits_of_float lo, Int64.bits_of_float hi))
+                t_range;
+          }
+        in
+        Some (s, key)
+    | Some _ | None -> None
+  in
+  let within (m : Gpusim.Chip.result) =
+    match max_cycles with None -> true | Some b -> m.max_round_cycles <= b
+  in
+  let hit =
+    match stored with
+    | None -> None
+    | Some (s, key) -> (
+        match Atomic.get s.run with
+        | Some (k, m) when k = key && within m -> Some m
+        | Some _ | None -> None)
+  in
+  (* The launch-inputs entry is looked up once per run, served or not: a
+     simulation fills the memory its main round's order is replayed
+     into, for [simulated_points]. *)
   let inputs = ref None in
-  let fill mem n =
+  let lookup_inputs n =
     let e = launch_inputs t.mech ~seed ~t_range ~points:n in
     inputs := Some e;
-    Kernel_abi.fill_inputs t.mech e.i_grid t.kernel t.lowered.Lower.program
-      mem n
+    e
   in
   let machine =
-    Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile ?n_sms
-      ?skew
-      ?store:(Option.map (fun s -> s.shapes) t.launch)
-      t.options.arch launch
+    match hit with
+    | Some m ->
+        Atomic.incr launches_served;
+        ignore (lookup_inputs m.simulated_points);
+        Gpusim.Chip.copy m
+    | None -> (
+        let fill mem n =
+          Kernel_abi.fill_inputs t.mech (lookup_inputs n).i_grid t.kernel
+            t.lowered.Lower.program mem n
+        in
+        let m =
+          Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile
+            ~n_sms ~skew
+            ?store:(Option.map (fun s -> s.shapes) t.launch)
+            arch
+            { Gpusim.Chip.program = t.lowered.Lower.program; total_points; ctas }
+        in
+        (* A result larger than the whole launch-inputs memo (a heptane
+           baseline's spill arrays) is not kept: each memo entry holds
+           at most that many doubles of stored run. *)
+        match stored with
+        | Some (s, key)
+          when Gpusim.Memstate.doubles m.mem <= inputs_memo_budget
+               && Atomic.compare_and_set s.run None (Some (key, m)) ->
+            Atomic.incr launches_stored;
+            Gpusim.Chip.copy m
+        | Some _ | None -> m)
   in
   let outputs =
     Kernel_abi.read_outputs t.lowered.Lower.program machine.Gpusim.Chip.mem

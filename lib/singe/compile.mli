@@ -136,8 +136,9 @@ val backend :
 
 type launch
 (** What a memoized artifact has learnt about its launches: the shapes
-    {!run} simulated and the answers {!Perf_model.predict} computed
-    ({!shape_store_stats}). It holds no lock, so an artifact marshals. *)
+    {!run} simulated, the results of its clean runs and the answers
+    {!Perf_model.predict} computed ({!shape_store_stats}). It holds no
+    lock, so an artifact marshals. *)
 
 type t = {
   mech : Chem.Mechanism.t;
@@ -268,6 +269,10 @@ type shape_store_stats = {
       (** programs flattened by {!run}: only to simulate a round, or for
           the first replay of a program, whose view its store then keeps;
           faulted and profiled runs flatten every time *)
+  launches_stored : int;  (** clean runs whose whole result {!run} stored *)
+  launches_served : int;
+      (** runs answered with a copy of a stored result, neither simulated
+          nor replayed *)
   predictions_stored : int;
       (** launches {!Perf_model.predict} computed and stored *)
   predictions_served : int;
@@ -283,10 +288,15 @@ val shape_store_stats : unit -> shape_store_stats
     stored flattens nothing. And it holds {!Perf_model.predict}'s answer
     per launch, keyed by the resolved CTAs, points, SM count and the bits
     of the clock skew, so a repeated prediction is a lookup and a copy,
-    bit-identical to a fresh one. Each shape and answer is stored once,
-    also when domains race to store it. An artifact compiled outside the
-    memo has no state: a caller launches it once, and it stores nothing.
-    The six counters are process-lifetime and survive {!memo_clear}. *)
+    bit-identical to a fresh one. And it holds the whole result of the
+    artifact's first clean, unprofiled run whose memory is at most 2^18
+    doubles, keyed by that launch plus the grid's seed and the bits of
+    its temperature range, so a repeat of that run within its budget is
+    a copy plus the oracle check; other launches are not stored. Each
+    shape, result and answer is stored once, also when domains race to
+    store it. An artifact compiled outside the memo has no state: a
+    caller launches it once, and it stores nothing. The eight counters
+    are process-lifetime and survive {!memo_clear}. *)
 
 val launch_prediction :
   t ->
@@ -359,11 +369,16 @@ val run :
     default) the functional outputs of all simulated points are compared
     against {!Chem.Ref_kernels}. The grid and the reference come from the
     launch-inputs memo (in {!cache_stats}), so a warm run generates
-    neither; the comparison runs every time. The simulation runs once per
-    launch shape: a clean, unprofiled run takes the artifact's stored
-    cycles, counters and cache stats ({!shape_store_stats}) and replays
-    the stored issue order into its memory, with results bit-identical
-    to a fresh simulation's; a run with [faults] or [profile], or whose
+    neither; the comparison runs every time. The first clean,
+    unprofiled run of a memoized artifact is stored whole (unless its
+    memory exceeds 2^18 doubles), and a later run of the same launch
+    (CTAs, points, resolved SM count and skew, seed, temperature range)
+    whose [max_cycles] admits every round it simulated gets a copy of
+    it ({!shape_store_stats}). Otherwise the simulation runs once
+    per launch shape: a clean, unprofiled run takes the artifact's stored
+    cycles, counters and cache stats and replays the stored issue order
+    into its memory. Either way the result is bit-identical to a fresh
+    simulation's; a run with [faults] or [profile], or whose
     [max_cycles] is below the stored cycles, simulates as without a
     store. An artifact whose [verdict] is an
     [Error] is refused before anything is simulated: [run] raises that

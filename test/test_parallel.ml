@@ -139,15 +139,16 @@ let test_sim_identical_across_jobs () =
    domains: runs racing to insert the same grid, at --jobs 2, check the
    same outputs with the same oracle error as one domain does, and so do
    runs of one artifact racing to store, then replay, its one launch
-   shape. *)
+   shape. The replaying runs launch on one SM, so they share the shape
+   but not the stored launch. *)
 let dme_compile ?(memo = true) kernel =
   Singe.Diagnostics.ok_exn
     (Singe.Compile.compile ~memo (Lazy.force dme) kernel
        Singe.Compile.Warp_specialized
        (Singe.Target.options ~n_warps:4 Arch.kepler_k20c kernel))
 
-let checked_run c seed =
-  let r = Singe.Compile.run ~seed c ~total_points:4096 in
+let checked_run ?n_sms c seed =
+  let r = Singe.Compile.run ~seed ?n_sms c ~total_points:4096 in
   ( Array.map (Array.map Int64.bits_of_float) r.Singe.Compile.outputs,
     Int64.bits_of_float r.Singe.Compile.max_rel_err )
 
@@ -176,16 +177,16 @@ let test_oracle_identical_across_jobs () =
         checked_run (dme_compile ~memo:false Singe.Kernel_abi.Diffusion) seed)
       seeds
   in
-  let one_shape jobs =
+  let one_shape ?n_sms jobs =
     let c = dme_compile Singe.Kernel_abi.Diffusion in
-    Sutil.Domain_pool.parallel_map ~jobs (checked_run c) seeds
+    Sutil.Domain_pool.parallel_map ~jobs (checked_run ?n_sms c) seeds
   in
   Singe.Compile.memo_clear ();
   let stats = Singe.Compile.shape_store_stats in
   let shapes0 = (stats ()).Singe.Compile.shapes_stored in
   let racing = one_shape 2 in
   let served0 = (stats ()).Singe.Compile.runs_served in
-  let warm = one_shape 2 in
+  let warm = one_shape ~n_sms:1 2 in
   Alcotest.(check bool) "one shape: racing = serial" true (racing = cold);
   Alcotest.(check bool) "one shape: warm = serial" true (warm = cold);
   Alcotest.(check bool) "the shape was stored" true
@@ -195,10 +196,11 @@ let test_oracle_identical_across_jobs () =
 
 (* Two domains run and predict one memoized artifact at the same
    launches, at once: its launch state, shared without a lock, stores
-   each shape and each answer once, as one domain does, and every result
-   marshals to the bytes of the serial run's. The launches share shapes
-   (131,072 points runs the pin shapes of 262,144), and so does the
-   artifact, which still marshals with its state filled. *)
+   each shape, each answer and the first launch's run once, as one
+   domain does, and every result marshals to the bytes of the serial
+   run's. The launches share shapes (131,072 points runs the pin shapes
+   of 262,144), the last repeats the first, whose stored run it is
+   served, and the artifact still marshals with its state filled. *)
 let test_launch_state_race () =
   let kernel = Singe.Kernel_abi.Conductivity in
   let compile () =
@@ -208,7 +210,10 @@ let test_launch_state_race () =
          (Singe.Target.options ~n_warps:4 Arch.kepler_k20c kernel))
   in
   let launches =
-    [ (4096, None); (262144, None); (131072, None); (131072, Some 4) ]
+    [
+      (4096, None); (262144, None); (131072, None); (131072, Some 4);
+      (4096, None);
+    ]
   in
   let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
   let launch c (total_points, n_sms) =
@@ -221,15 +226,17 @@ let test_launch_state_race () =
   in
   let stored () =
     let s = Singe.Compile.shape_store_stats () in
-    (s.Singe.Compile.shapes_stored, s.Singe.Compile.predictions_stored)
+    ( s.Singe.Compile.shapes_stored,
+      s.Singe.Compile.launches_stored,
+      s.Singe.Compile.predictions_stored )
   in
   let stored_by f =
     Singe.Compile.memo_clear ();
     let c = compile () in
-    let shapes0, answers0 = stored () in
+    let shapes0, runs0, answers0 = stored () in
     let results = f c in
-    let shapes, answers = stored () in
-    (c, results, (shapes - shapes0, answers - answers0))
+    let shapes, runs, answers = stored () in
+    (c, results, (shapes - shapes0, runs - runs0, answers - answers0))
   in
   let _, serial, serial_stored =
     stored_by (fun c -> List.map (launch c) launches)
@@ -250,10 +257,12 @@ let test_launch_state_race () =
         let r2 = Domain.join d2 in
         [ r1; r2 ])
   in
-  Alcotest.(check (pair int int)) "each shape and answer stored once"
-    serial_stored racing_stored;
+  Alcotest.(check (triple int int int))
+    "each shape, run and answer stored once" serial_stored racing_stored;
+  let shapes, runs, answers = serial_stored in
   Alcotest.(check bool) "some of each stored" true
-    (fst serial_stored > 0 && snd serial_stored > 0);
+    (shapes > 0 && answers > 0);
+  Alcotest.(check int) "the first launch's run stored, once" 1 runs;
   List.iteri
     (fun d r ->
       Alcotest.(check bool)

@@ -821,24 +821,27 @@ let store_compile ?(memo = true) kernel version =
        (Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel))
 
 (* A warm run serves every simulation of its launch from the store,
-   flattens nothing, and equals the cold run that filled it (which
-   flattened once) and a run after [memo_clear], whole result for whole
-   result. Mutating a returned result's counters and cache stats does
+   flattens nothing, and equals the cold run of its launch, whole result
+   for whole result; the cold run that filled the store flattened once,
+   and a run after [memo_clear] equals it. The warm runs launch on fewer
+   SMs than the cold one: they share its shapes but not its stored
+   launch. Mutating a returned result's counters and cache stats does
    not reach the store. *)
 let test_shape_store_warm_equals_cold () =
   Singe.Compile.memo_clear ();
   List.iter
     (fun (kernel, version, total_points, sims) ->
       let label = Singe.Kernel_abi.kernel_name kernel in
-      let run () =
-        Singe.Compile.run (store_compile kernel version) ~total_points
+      let run ?memo ?n_sms () =
+        Singe.Compile.run (store_compile ?memo kernel version) ?n_sms
+          ~total_points
       in
       let s0 = served () and f0 = flattened () in
       let cold = run () in
       Alcotest.(check int) (label ^ ": a cold run simulates") s0 (served ());
       Alcotest.(check int) (label ^ ": and flattens once") (f0 + 1)
         (flattened ());
-      let warm = run () in
+      let warm = run ~n_sms:1 () in
       Alcotest.(check int)
         (label ^ ": a warm run serves every simulation")
         (s0 + sims) (served ());
@@ -848,7 +851,7 @@ let test_shape_store_warm_equals_cold () =
       Alcotest.(check bool)
         (label ^ ": warm = cold")
         true
-        (run_bytes cold = run_bytes warm);
+        (run_bytes warm = run_bytes (run ~memo:false ~n_sms:1 ()));
       let poison (r : Gpusim.Sm.result) =
         r.Gpusim.Sm.counters.Gpusim.Sm.issued <- -1;
         r.Gpusim.Sm.counters.Gpusim.Sm.flops <- -1;
@@ -860,7 +863,7 @@ let test_shape_store_warm_equals_cold () =
       Alcotest.(check bool)
         (label ^ ": a mutated result leaves the store intact")
         true
-        (run_bytes cold = run_bytes (run ()));
+        (run_bytes (run ~memo:false ~n_sms:2 ()) = run_bytes (run ~n_sms:2 ()));
       Singe.Compile.memo_clear ();
       let s1 = served () in
       Alcotest.(check bool)
@@ -936,12 +939,17 @@ let test_shape_store_bypass () =
         true
         (fault_bytes stored = fault_bytes fresh))
     [ cycles - 1; cycles / 2; 100 ];
+  (* On one SM: the launch shares the cold run's shapes, not its stored
+     launch. *)
   let s0 = served () in
-  let exact = Singe.Compile.run c ~total_points ~max_cycles:cycles in
+  let exact = Singe.Compile.run c ~total_points ~max_cycles:cycles ~n_sms:1 in
   Alcotest.(check bool) "a budget of the stored cycles is served" true
     (served () > s0);
   Alcotest.(check bool) "and equals the cold run" true
-    (run_bytes cold = run_bytes exact);
+    (run_bytes exact
+    = run_bytes
+        (Singe.Compile.run (store_compile ~memo:false kernel version)
+           ~total_points ~n_sms:1));
   let shapes0 = (store_stats ()).Singe.Compile.shapes_stored in
   let s0 = served () in
   let mem_bytes (r : Singe.Compile.run_result) =
@@ -1061,6 +1069,279 @@ let test_shape_store_lifetime () =
         (Weak.check weak 0);
       ignore (Sys.opaque_identity resident))
 
+(* ---- stored launches ---- *)
+
+let launches_served () = (store_stats ()).Singe.Compile.launches_served
+let launches_stored () = (store_stats ()).Singe.Compile.launches_stored
+
+(* Every mutable part of a returned result: the simulations' counters and
+   cache stats, the memory and the chip's per-SM stats. *)
+let poison_result (r : Singe.Compile.run_result) =
+  let m = r.Singe.Compile.machine in
+  let poison (s : Gpusim.Sm.result) =
+    s.Gpusim.Sm.counters.Gpusim.Sm.issued <- -1;
+    s.Gpusim.Sm.icache.Gpusim.Caches.Icache.misses <- -1;
+    s.Gpusim.Sm.ccache.Gpusim.Caches.Ccache.hits <- -1
+  in
+  poison m.Gpusim.Chip.sim;
+  Option.iter poison m.Gpusim.Chip.tail_sim;
+  let mem = m.Gpusim.Chip.mem in
+  Array.iter (Array.iter (fun f -> Array.fill f 0 (Array.length f) nan))
+    mem.Gpusim.Memstate.globals;
+  Array.iter (fun a -> a.(0) <- nan) mem.Gpusim.Memstate.shared;
+  Array.iter (fun a -> a.(0) <- nan) mem.Gpusim.Memstate.local;
+  let sms = m.Gpusim.Chip.chip.Gpusim.Chip.sms in
+  sms.(0) <- { (sms.(0)) with Gpusim.Chip.sm_ctas = -1 }
+
+(* A repeated clean run is answered from the artifact's stored launch: it
+   neither simulates nor replays nor flattens, and its whole result
+   equals a fresh artifact's run. Poisoning a returned result leaves the
+   next one intact. *)
+let test_stored_launch_served () =
+  Singe.Compile.memo_clear ();
+  List.iter
+    (fun (kernel, version, total_points, _) ->
+      let label = Singe.Kernel_abi.kernel_name kernel in
+      let run ?memo () =
+        Singe.Compile.run (store_compile ?memo kernel version) ~total_points
+      in
+      let stored0 = launches_stored () in
+      let cold = run () in
+      Alcotest.(check int) (label ^ ": a cold run is stored") (stored0 + 1)
+        (launches_stored ());
+      let l0 = launches_served () and s0 = served () and f0 = flattened () in
+      let warm = run () in
+      Alcotest.(check int) (label ^ ": a repeated run is served") (l0 + 1)
+        (launches_served ());
+      Alcotest.(check int) (label ^ ": and serves no shape") s0 (served ());
+      Alcotest.(check int) (label ^ ": and flattens nothing") f0 (flattened ());
+      let fresh = run_bytes (run ~memo:false ()) in
+      Alcotest.(check bool) (label ^ ": cold = fresh") true
+        (run_bytes cold = fresh);
+      Alcotest.(check bool) (label ^ ": served = fresh") true
+        (run_bytes warm = fresh);
+      poison_result warm;
+      poison_result cold;
+      Alcotest.(check bool)
+        (label ^ ": poisoned results leave the stored launch intact")
+        true
+        (run_bytes (run ()) = fresh);
+      Alcotest.(check int) (label ^ ": stored once") (stored0 + 1)
+        (launches_stored ()))
+    store_targets
+
+(* The key is everything a run's result depends on: changing any one of
+   the CTAs, points, SM count, skew (by its bits), seed or temperature
+   range misses, and so does its repeat, since an artifact keeps only
+   its first launch's run; each equals a fresh artifact's run, and the
+   first launch is still served. *)
+let test_stored_launch_key () =
+  Singe.Compile.memo_clear ();
+  let kernel = Singe.Kernel_abi.Viscosity
+  and version = Singe.Compile.Warp_specialized in
+  let run ?(memo = true) ?ctas ?(total_points = 4096) ?n_sms ?skew ?seed
+      ?t_range () =
+    Singe.Compile.run (store_compile ~memo kernel version) ?ctas ?n_sms ?skew
+      ?seed ?t_range ~total_points
+  in
+  let stored0 = launches_stored () in
+  let first = run_bytes (run ()) in
+  Alcotest.(check int) "the first launch is stored" (stored0 + 1)
+    (launches_stored ());
+  let variants =
+    [
+      ("ctas", fun memo -> run ~memo ~ctas:64 ());
+      ("points", fun memo -> run ~memo ~total_points:8192 ());
+      ("n_sms", fun memo -> run ~memo ~n_sms:1 ());
+      ("skew", fun memo -> run ~memo ~skew:0.5 ());
+      ("skew -0.0", fun memo -> run ~memo ~skew:(-0.0) ());
+      ("seed", fun memo -> run ~memo ~seed:7L ());
+      ("t_range", fun memo -> run ~memo ~t_range:(1000.0, 2400.0) ());
+    ]
+  in
+  List.iter
+    (fun (what, launch) ->
+      let stored0 = launches_stored () and l0 = launches_served () in
+      let once = launch true in
+      let again = launch true in
+      Alcotest.(check int) (what ^ ": misses, repeated too") l0
+        (launches_served ());
+      Alcotest.(check int) (what ^ ": is not stored") stored0
+        (launches_stored ());
+      let fresh = run_bytes (launch false) in
+      Alcotest.(check bool) (what ^ ": equals a fresh run") true
+        (run_bytes once = fresh && run_bytes again = fresh))
+    variants;
+  let l0 = launches_served () in
+  Alcotest.(check bool) "the first launch is served" true
+    (run_bytes (run ()) = first && launches_served () = l0 + 1)
+
+(* A budget below the largest round the stored launch simulated (main,
+   pin or tail) raises the fault a fresh run raises, byte for byte, and
+   serves nothing; a budget of exactly that round is served. Runs with
+   faults or a profile, one-shot artifacts and results over 2^18
+   doubles serve and store nothing. *)
+let test_stored_launch_bypass () =
+  Singe.Compile.memo_clear ();
+  let kernel = Singe.Kernel_abi.Conductivity
+  and version = Singe.Compile.Warp_specialized
+  and total_points = 262144 in
+  let c = store_compile kernel version in
+  let cold = Singe.Compile.run c ~total_points in
+  let m = cold.Singe.Compile.machine in
+  let cycles = m.Gpusim.Chip.max_round_cycles in
+  Alcotest.(check bool) "the largest round bounds the main round" true
+    (cycles >= m.Gpusim.Chip.sim.Gpusim.Sm.cycles);
+  let fault ?(c = c) max_cycles =
+    match Singe.Compile.run c ~total_points ~max_cycles with
+    | _ -> Alcotest.failf "a budget of %d cycles did not fault" max_cycles
+    | exception Gpusim.Sm.Simulation_fault f -> f
+  in
+  List.iter
+    (fun budget ->
+      let l0 = launches_served () in
+      let stored = fault budget in
+      Alcotest.(check int)
+        (Printf.sprintf "budget %d serves nothing" budget)
+        l0 (launches_served ());
+      let fresh = fault ~c:(store_compile ~memo:false kernel version) budget in
+      Alcotest.(check bool)
+        (Printf.sprintf "budget %d: the fresh run's fault" budget)
+        true
+        (fault_bytes stored = fault_bytes fresh))
+    [ cycles - 1; cycles / 2; 100 ];
+  let l0 = launches_served () in
+  let exact = Singe.Compile.run c ~total_points ~max_cycles:cycles in
+  Alcotest.(check int) "a budget of the largest round is served" (l0 + 1)
+    (launches_served ());
+  Alcotest.(check bool) "and equals the cold run" true
+    (run_bytes cold = run_bytes exact);
+  let l0 = launches_served () and stored0 = launches_stored () in
+  ignore (Singe.Compile.run c ~total_points ~profile:Gpusim.Sm.default_profile);
+  ignore
+    (Singe.Compile.run c ~total_points
+       ~faults:
+         [ Result.get_ok (Gpusim.Fault.of_string "corrupt-shfl:warp=0,nth=0") ]);
+  let one_shot = store_compile ~memo:false kernel version in
+  ignore (Singe.Compile.run one_shot ~total_points:4096);
+  ignore (Singe.Compile.run one_shot ~total_points:4096);
+  (* A heptane baseline's spill arrays put its memory over 2^18 doubles. *)
+  let heptane =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo:true (Chem.Mech_gen.heptane ())
+         Singe.Kernel_abi.Viscosity Singe.Compile.Baseline
+         (Singe.Target.options ~n_warps:8 Gpusim.Arch.kepler_k20c
+            Singe.Kernel_abi.Viscosity))
+  in
+  let large = Singe.Compile.run heptane ~total_points:32768 in
+  Alcotest.(check bool) "a heptane baseline holds over 2^18 doubles" true
+    (Gpusim.Memstate.doubles large.Singe.Compile.machine.Gpusim.Chip.mem
+    > 1 lsl 18);
+  Alcotest.(check bool) "and its repeat equals it" true
+    (run_bytes (Singe.Compile.run heptane ~total_points:32768)
+    = run_bytes large);
+  Alcotest.(check int)
+    "faults, profiles, one-shots and large results serve nothing" l0
+    (launches_served ());
+  Alcotest.(check int) "and store nothing" stored0 (launches_stored ())
+
+(* A launch whose tail round outlasts its main round: hydrogen edge3,
+   naive warp-specialized, 6 warps on Fermi, 3 CTAs of one batch on one
+   SM (2 resident, a tail of 1). A budget of the main round's cycles
+   finishes the main round and stops the tail, so the stored launch is
+   not served and the run raises a fresh run's fault; a budget of the
+   tail round's cycles is served. *)
+let test_stored_launch_tail_budget () =
+  Singe.Compile.memo_clear ();
+  let kernel = Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Edge3 in
+  let compile memo =
+    Singe.Diagnostics.ok_exn
+      (Singe.Compile.compile ~memo (Chem.Mech_gen.hydrogen ()) kernel
+         Singe.Compile.Naive_warp_specialized
+         (Singe.Target.options ~n_warps:6 Gpusim.Arch.fermi_c2070 kernel))
+  in
+  let c = compile true in
+  let total_points =
+    3 * Gpusim.Isa.points_per_batch c.Singe.Compile.lowered.Singe.Lower.program
+  in
+  let run ?max_cycles c =
+    Singe.Compile.run c ~ctas:3 ~n_sms:1 ~total_points ?max_cycles
+  in
+  let cold = run c in
+  let m = cold.Singe.Compile.machine in
+  let main = m.Gpusim.Chip.sim.Gpusim.Sm.cycles in
+  Alcotest.(check int) "a tail of one" 1
+    m.Gpusim.Chip.chip.Gpusim.Chip.tail_ctas;
+  let tail = (Option.get m.Gpusim.Chip.tail_sim).Gpusim.Sm.cycles in
+  Alcotest.(check bool) "the tail round outlasts the main round" true
+    (tail > main);
+  let fault c =
+    match run ~max_cycles:main c with
+    | _ -> Alcotest.failf "a budget of %d cycles did not fault" main
+    | exception Gpusim.Sm.Simulation_fault f -> f
+  in
+  let l0 = launches_served () in
+  let stored = fault c in
+  Alcotest.(check int) "a budget of the main round serves nothing" l0
+    (launches_served ());
+  Alcotest.(check bool) "and raises the fresh run's fault" true
+    (fault_bytes stored = fault_bytes (fault (compile false)));
+  let exact = run ~max_cycles:tail c in
+  Alcotest.(check int) "a budget of the tail round is served" (l0 + 1)
+    (launches_served ());
+  Alcotest.(check bool) "and equals the cold run" true
+    (run_bytes exact = run_bytes cold)
+
+(* Generated launches of generated hydrogen targets: a memoized
+   artifact's second run equals its first, and both equal the run of an
+   artifact compiled outside the memo (a cached result equals an
+   uncached one). *)
+let stored_launch_qcheck =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let+ kernel =
+      oneofl
+        Singe.Kernel_abi.
+          [
+            Viscosity; Conductivity; Diffusion; Chemistry;
+            Stencil Singe.Stencil_pipe.Edge3; Stencil Singe.Stencil_pipe.Unsharp2;
+          ]
+    and+ version =
+      oneofl
+        Singe.Compile.[ Warp_specialized; Naive_warp_specialized; Baseline ]
+    and+ n_warps = int_range 2 8
+    and+ batches = int_range 1 4
+    and+ n_sms = int_range 1 16
+    and+ skew = oneof [ return 0.0; float_bound_exclusive 1.0 ]
+    and+ seed = map Int64.of_int (int_bound 1_000_000) in
+    (kernel, version, n_warps, n_warps * 32 * batches, n_sms, skew, seed)
+  in
+  let print (kernel, version, n_warps, points, n_sms, skew, seed) =
+    Printf.sprintf "%s %s, %d warps, %d points, %d SMs, skew %h, seed %Ld"
+      (Singe.Kernel_abi.kernel_name kernel)
+      (Singe.Compile.version_name version)
+      n_warps points n_sms skew seed
+  in
+  let mech = Chem.Mech_gen.hydrogen () in
+  let prop (kernel, version, n_warps, total_points, n_sms, skew, seed) =
+    let options = Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel in
+    let run memo =
+      match Singe.Compile.compile ~memo mech kernel version options with
+      | Error _ -> None
+      | Ok c -> (
+          match Singe.Compile.run c ~n_sms ~skew ~seed ~total_points with
+          | r -> Some (run_bytes r)
+          | exception Singe.Diagnostics.Fail _ -> None)
+    in
+    let first = run true in
+    let second = run true and uncached = run false in
+    first = second && first = uncached
+  in
+  QCheck_alcotest.to_alcotest ~verbose:false
+    (Test.make ~count:40 ~name:"stored launch equals an uncached run"
+       (make ~print gen) prop)
+
 let tests =
   [
     request_roundtrip_qcheck;
@@ -1110,4 +1391,13 @@ let tests =
       test_shape_store_lifetime;
     Alcotest.test_case "shape store: stored view equals a fresh trace" `Quick
       test_shape_store_view_equals_fresh_trace;
+    Alcotest.test_case "stored launch: a repeated run is served" `Quick
+      test_stored_launch_served;
+    Alcotest.test_case "stored launch: every key field misses" `Quick
+      test_stored_launch_key;
+    Alcotest.test_case "stored launch: budgets, faults, profiles" `Quick
+      test_stored_launch_bypass;
+    Alcotest.test_case "stored launch: a tail round longer than the main"
+      `Quick test_stored_launch_tail_budget;
+    stored_launch_qcheck;
   ]
