@@ -202,16 +202,23 @@ let stall_breakdown () =
   let rows =
     Sutil.Domain_pool.parallel_map
       (fun (label, (cand : Singe.Autotune.candidate)) ->
-        (* The baseline maps one thread per point, so its point count
-           must be a whole number of CTAs; round up to the tuned
-           candidate's CTA footprint (shares are insensitive to the
+        (* Only the baseline maps one thread per point, so only its
+           point count must be a whole number of CTAs; round it up to the
+           tuned candidate's CTA footprint (shares are insensitive to the
            handful of extra points). *)
-        let per_cta =
-          32 * cand.Singe.Autotune.options.Singe.Compile.n_warps
+        let compiled = cand.Singe.Autotune.compiled in
+        let total_points =
+          match compiled.Singe.Compile.version with
+          | Singe.Compile.Baseline ->
+              let per_cta =
+                32 * cand.Singe.Autotune.options.Singe.Compile.n_warps
+              in
+              (points + per_cta - 1) / per_cta * per_cta
+          | Singe.Compile.Warp_specialized
+          | Singe.Compile.Naive_warp_specialized -> points
         in
-        let total_points = (points + per_cta - 1) / per_cta * per_cta in
         let r =
-          Singe.Compile.run cand.Singe.Autotune.compiled ~total_points
+          Singe.Compile.run compiled ~total_points
             ~profile:{ Gpusim.Sm.timeline_capacity = 0 }
         in
         let prof =
@@ -386,6 +393,10 @@ let ablation_weights () =
           Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
             Singe.Compile.Warp_specialized options
         with
+        | Ok { Singe.Compile.verdict = Error (pass, problems); _ } ->
+            Printf.sprintf "  %-28s does not fit (%s)\n" label
+              (Singe.Diagnostics.of_problems ~pass problems)
+                .Singe.Diagnostics.message
         | Ok c ->
             let r = Singe.Compile.run c ~total_points:32768 in
             let imb =
