@@ -59,7 +59,9 @@ let microbenchmarks () =
          store nothing, so every iteration simulates and replays. The
          stored one launches a memoized artifact: after its first run
          each iteration copies the stored result and checks it against
-         the oracle. *)
+         the oracle. It clears the memo first, so that an artifact the
+         figures launched at another size does not hold the one stored
+         run. *)
       Test.make ~name:"simulate-dme-viscosity-1batch" (
         let c = Singe.Diagnostics.ok_exn
                   (Singe.Compile.compile mech Singe.Kernel_abi.Viscosity
@@ -73,6 +75,7 @@ let microbenchmarks () =
         Staged.stage (fun () ->
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"simulate-dme-viscosity-stored" (
+        Singe.Compile.memo_clear ();
         let c = Singe.Diagnostics.ok_exn
                   (Singe.Compile.compile ~memo:true mech Singe.Kernel_abi.Viscosity
                      Singe.Compile.Warp_specialized opts) in

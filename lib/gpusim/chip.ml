@@ -327,90 +327,8 @@ let extrapolate ~batches ~sim_batches ~(sim : Sm.result)
   float_of_int sim.Sm.cycles
   +. (body2 *. float_of_int ((batches - sim_batches) / 2))
 
-(* ---- launch-shape store ----
-   A launch shape's simulated cycles, counters and cache stats never
-   depend on float values, and its memory is a function of its issue
-   order, so one simulation of a shape stands for every later run of it:
-   the result is returned again and the order is replayed into the later
-   launch's memory (DESIGN §9.1). A store serves one program on one
-   architecture, keyed by resident CTAs and simulated batches, and keeps
-   the program's replay view, so a launch whose shapes are all stored
-   flattens nothing. Callers get copies: a stored result's counters and
-   cache stats are mutable records. *)
-
-(* Process-wide totals over every store. *)
-let shapes_stored = Atomic.make 0
-let order_bytes_stored = Atomic.make 0
-let runs_served = Atomic.make 0
-let traces_flattened = Atomic.make 0
-
-type store_counts = {
-  shapes_stored : int;
-  order_bytes_stored : int;
-  runs_served : int;
-  traces_flattened : int;
-}
-
-let store_counts () =
-  {
-    shapes_stored = Atomic.get shapes_stored;
-    order_bytes_stored = Atomic.get order_bytes_stored;
-    runs_served = Atomic.get runs_served;
-    traces_flattened = Atomic.get traces_flattened;
-  }
-
-(* No lock: a store is reached from a compiled artifact, which must
-   marshal. Each part only grows, by [compare_and_set]. *)
-type store = {
-  shapes : (int * int, Sm.result * Sm.order) Sutil.Atomic_assoc.t;
-  view : Trace.view option Atomic.t;
-}
-
-let create_store () = { shapes = Atomic.make []; view = Atomic.make None }
-
-let copy_result (r : Sm.result) =
-  let i = r.Sm.icache and c = r.Sm.ccache in
-  {
-    r with
-    Sm.counters = { r.Sm.counters with Sm.issued = r.Sm.counters.Sm.issued };
-    icache = { i with Caches.Icache.hits = i.Caches.Icache.hits };
-    ccache = { c with Caches.Ccache.hits = c.Caches.Ccache.hits };
-  }
-
-(* [job] from the store when its shape is there and finishes within the
-   budget (a run of [cycles] cycles passes any budget >= [cycles]);
-   otherwise simulated on [trace], and stored if it completes. *)
-let stored_run s ?max_cycles (job : Sm.job) trace =
-  let key = (job.Sm.resident_ctas, job.Sm.batches) in
-  let within (r : Sm.result) =
-    match max_cycles with None -> true | Some b -> r.Sm.cycles <= b
-  in
-  match Sutil.Atomic_assoc.find s.shapes key with
-  | Some (sim, order) when within sim ->
-      Atomic.incr runs_served;
-      (copy_result sim, order)
-  | Some _ | None ->
-      let ((sim, order) as fresh) = Sm.run ?max_cycles job (Lazy.force trace) in
-      if snd (Sutil.Atomic_assoc.add s.shapes key fresh) then begin
-        Atomic.incr shapes_stored;
-        ignore (Atomic.fetch_and_add order_bytes_stored (Sm.order_bytes order))
-      end;
-      (copy_result sim, order)
-
-(* The program's view, built from this launch's trace when it is the
-   first to replay. That trace is almost always flattened already: the
-   launch that stores a program's first shape replays right after. Of
-   two launches that race to build it, both replay the first one set. *)
-let stored_view s trace =
-  match Atomic.get s.view with
-  | Some v -> v
-  | None ->
-      let v = Some (Trace.view (Lazy.force trace)) in
-      ignore (Atomic.compare_and_set s.view None v);
-      Option.get (Atomic.get s.view)
-
 let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
-    ?max_cycles ?profile ?n_sms ?skew ?store (arch : Arch.t) (l : launch) =
+    ?max_cycles ?profile ?n_sms ?skew (arch : Arch.t) (l : launch) =
   let occ = occupancy arch l.program in
   let n_sms = match n_sms with Some n -> n | None -> arch.Arch.n_sms in
   let skew = match skew with Some s -> s | None -> arch.Arch.sm_clock_skew in
@@ -441,15 +359,9 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
   let pin_batches = sim_batches - 2 in
   let pinned = batches > sim_batches in
   let tail = if l.ctas > resident then l.ctas mod resident else 0 in
-  (* Flattened only for a simulation, or for the replay of a launch that
-     has no stored view: a launch whose shapes and view are all stored
-     never forces it. Every flatten of a launch given a store counts,
-     faulted and profiled ones too. *)
   let trace =
-    lazy
-      (if Option.is_some store then Atomic.incr traces_flattened;
-       Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
-         (Trace.flatten arch l.program))
+    Fault.apply ~named_barriers:arch.Arch.named_barriers_per_sm faults
+      (Trace.flatten arch l.program)
   in
   let job_of ~resident_ctas ~batches =
     {
@@ -461,30 +373,17 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
         Array.init resident_ctas (fun c -> c * per_batch * batches);
     }
   in
-  (* A clean, unprofiled launch takes each shape and the view from the
-     store. *)
-  let shapes = if faults = [] && profile = None then store else None in
   let max_round_cycles = ref 0 in
   let simulate ?profile job =
-    let ((r, _) as run) =
-      match shapes with
-      | Some s -> stored_run s ?max_cycles job trace
-      | None -> Sm.run ?max_cycles ?profile job (Lazy.force trace)
-    in
+    let ((r, _) as run) = Sm.run ?max_cycles ?profile job trace in
     max_round_cycles := max !max_round_cycles r.Sm.cycles;
     run
   in
   (* The profiler rides only the main simulation, and only its order is
-     replayed: the pin and tail runs' outputs would be discarded. A
-     launch without the store replays its own trace, faults included. *)
+     replayed: the pin and tail runs' outputs would be discarded. *)
   let main = job_of ~resident_ctas:resident ~batches:sim_batches in
   let sim, order = simulate ?profile main in
-  let view =
-    match shapes with
-    | Some s -> stored_view s trace
-    | None -> Trace.view (Lazy.force trace)
-  in
-  Sm.replay main view mem order;
+  Sm.replay main trace mem order;
   (* The full-round cycles of [resident_ctas] CTAs, extrapolated from a
      pin run when the launch streams more batches. *)
   let extrapolated ~resident_ctas (s : Sm.result) =
@@ -569,6 +468,16 @@ let run ?(fill_inputs = fun _ _ -> ()) ?(max_sim_batches = 6) ?(faults = [])
     mem;
     simulated_points;
     chip = sched;
+  }
+
+(* An [Sm.result]'s counters and cache stats are mutable records. *)
+let copy_result (r : Sm.result) =
+  let i = r.Sm.icache and c = r.Sm.ccache in
+  {
+    r with
+    Sm.counters = { r.Sm.counters with Sm.issued = r.Sm.counters.Sm.issued };
+    icache = { i with Caches.Icache.hits = i.Caches.Icache.hits };
+    ccache = { c with Caches.Ccache.hits = c.Caches.Ccache.hits };
   }
 
 let copy r =

@@ -24,8 +24,9 @@
     cycle-accurately — a full round of [resident] CTAs and, when the
     grid does not divide evenly, one genuine tail round of
     [ctas mod resident] CTAs — and the scheduler replays those shapes
-    across SMs. The profiler rides the main round simulation, so its
-    exact cycle conservation per simulated SM is preserved. *)
+    across SMs. Each {!run} simulates its own shapes and keeps nothing
+    for a later one. The profiler rides the main round simulation, so
+    its exact cycle conservation per simulated SM is preserved. *)
 
 type launch = {
   program : Isa.program;
@@ -155,41 +156,6 @@ val copy : result -> result
     simulations' counters and cache stats, and [chip.sms]. A profile is
     shared. *)
 
-(** {1 Launch-shape store}
-
-    A launch's simulated cycles, counters and cache stats depend only on
-    its program, architecture and shape, never on float values, and its
-    memory is a function of its issue order. A store keeps, per shape
-    (resident CTAs, simulated batches), one simulation's {!Sm.result}
-    and {!Sm.order}, whichever round first ran it (main, pin or tail); a
-    later {!run} with that shape returns a copy of the result instead of
-    simulating, and a main round replays the order into its own memory.
-    A store also keeps the program's {!Trace.view}, built at its first
-    replay from that launch's trace, so a launch whose shapes are all
-    stored neither simulates nor flattens. *)
-
-type store_counts = {
-  shapes_stored : int;  (** shapes simulated and stored *)
-  order_bytes_stored : int;  (** bytes of issue order stored *)
-  runs_served : int;  (** simulations answered from a store *)
-  traces_flattened : int;
-      (** {!Trace.flatten} calls by runs given a store, faulted and
-          profiled ones included *)
-}
-
-val store_counts : unit -> store_counts
-(** Totals over every store since the process started. *)
-
-type store
-(** The shapes of one program on one architecture; safe to share between
-    domains. It holds no lock, so a value that holds it still marshals:
-    a shape or view is added only while none is there, and a launch
-    that loses the race to add one uses its own (a shape, equal) or the
-    winner's (the view). *)
-
-val create_store : unit -> store
-(** An empty store. *)
-
 val run :
   ?fill_inputs:(Memstate.t -> int -> unit) ->
   ?max_sim_batches:int ->
@@ -198,17 +164,15 @@ val run :
   ?profile:Sm.profile_spec ->
   ?n_sms:int ->
   ?skew:float ->
-  ?store:store ->
   Arch.t ->
   launch ->
   result
 (** [fill_inputs mem n_points] populates the input field groups and is
-    called exactly once. Every simulation ({!Sm.run}) is timing only;
-    the main round's issue order is then replayed into [mem]
-    ({!Sm.replay}), and the pin and tail runs' orders are dropped: their
-    outputs would be discarded. The program is flattened
-    ({!Trace.flatten}) at most once, and only when a round is simulated
-    or the replay has no stored view.
+    called exactly once. The program is flattened ({!Trace.flatten})
+    once per call. Every simulation ({!Sm.run}) is timing only; the main
+    round's issue order is then replayed into [mem] ({!Sm.replay}), and
+    the pin and tail runs' orders are dropped: their outputs would be
+    discarded.
     Launches streaming more than [max_sim_batches] batches per CTA
     (default 6, clamped to at least 2) are extrapolated from two runs
     two batches apart: their difference is one full period of the
@@ -229,15 +193,4 @@ val run :
     {!Sm.run} as the per-simulation watchdog budget. Both default to the
     clean, unlimited run. [profile] is forwarded to {!Sm.run} for the
     main simulation only; the ledger is [result.sim.profile]. May raise
-    {!Occupancy_rejected} or {!Sm.Simulation_fault}.
-
-    [store] must only ever be given runs of one program on one
-    architecture. It is used only when [faults = []] and [profile] is
-    absent, and a stored shape only when its cycles are [<= max_cycles];
-    every other simulation runs as without a store (a budget fault is
-    raised by a fresh simulation, with its own report), and one that
-    completes is stored with its order. The main simulation, the pin runs
-    and the tail round each go through the store, and the replay reads
-    the store's view; the result is bit-identical to a run without it,
-    [sim] and [tail_sim] are fresh copies and [mem] is this run's own. A
-    faulted or profiled run replays the view of its own trace. *)
+    {!Occupancy_rejected} or {!Sm.Simulation_fault}. *)

@@ -1648,11 +1648,9 @@ let run ?max_cycles ?profile (job : job) (tr : Trace.t) =
   ({ cycles = !now; counters = c; icache; ccache; profile = profile_result },
    Bytes.unsafe_to_string order)
 
-let order_bytes = String.length
-
 (* Every value effect happens at issue, so the issue order alone
    determines the run's memory. *)
-let replay (job : job) (view : Trace.view) mem (order : order) =
+let replay (job : job) (tr : Trace.t) mem (order : order) =
   let p = job.program and warps = make_warps job in
   let columns n _ = Array.init n (fun _ -> Array.make 32 0.0) in
   let v =
@@ -1661,9 +1659,9 @@ let replay (job : job) (view : Trace.view) mem (order : order) =
   String.iter
     (fun c ->
       let w = warps.(Char.code c) in
-      let id = Trace.peek_view view ~warp:w.wid ~batches:job.batches w.cur in
+      let id = Trace.peek tr ~warp:w.wid ~batches:job.batches w.cur in
       if id < 0 then invalid_arg "Sm.replay: the order does not fit the job";
-      let instr = view.Trace.instrs.(id) in
+      let instr = tr.Trace.entries.(id).Trace.instr in
       execute_ints p w instr;
       (match instr with
       | Some i -> execute job v w i w.cur.Trace.batch

@@ -118,8 +118,8 @@ type job = {
   cta_point_base : int array;  (** first grid point of each resident CTA *)
 }
 (** One SM round. It carries neither code nor memory: {!run} takes the
-    flattened trace it simulates, and {!replay} takes the trace's
-    {!Trace.view} and the memory the round's values go to. *)
+    flattened trace it simulates, and {!replay} takes that trace and the
+    memory the round's values go to. *)
 
 type order
 (** The order in which a run issued its instructions: one byte per issue,
@@ -129,8 +129,7 @@ val run :
   ?max_cycles:int -> ?profile:profile_spec -> job -> Trace.t -> result * order
 (** [run job trace] simulates [trace] on the job's resident CTAs until
     every warp of every resident CTA retires, and returns the result
-    with the run's issue order; [order_bytes] of the order
-    equals [counters.issued]. Raises [Invalid_argument] when the job has
+    with the run's issue order, one byte per [counters.issued]. Raises [Invalid_argument] when the job has
     more than 256 resident warps.
 
     [max_cycles] is the watchdog budget: if the simulated clock reaches it
@@ -147,14 +146,11 @@ val run :
     and the issue order are identical with and without it. Raises
     [Invalid_argument] when [timeline_capacity] is negative. *)
 
-val order_bytes : order -> int
-
-val replay : job -> Trace.view -> Memstate.t -> order -> unit
-(** [replay job view mem order] executes the instructions' value
+val replay : job -> Trace.t -> Memstate.t -> order -> unit
+(** [replay job trace mem order] executes the instructions' value
     semantics, in [order], on [mem], with no scoreboard, pipe, cache or
-    barrier. It reads the view's id streams and instructions only, never
-    a trace entry, so a view kept from one flatten replays every later
-    launch of the program. The float register files are its own. Given
-    the job {!run} ran and the view of the trace it ran, it leaves [mem]
-    holding the kernel's stores: the launch's memory. Raises
-    [Invalid_argument] when the order does not fit the job. *)
+    barrier. It reads the trace's id streams and each entry's
+    instruction only. The float register files are its own. Given the
+    job {!run} ran and the trace it ran, it leaves [mem] holding the
+    kernel's stores: the launch's memory. Raises [Invalid_argument] when
+    the order does not fit the job. *)

@@ -115,13 +115,11 @@ type run_key = {
   r_t_range : (int64 * int64) option;
 }
 
-(* What a memoized artifact has learnt about its launches: one
-   [Gpusim.Chip.store] of simulated launch shapes (DESIGN §9.1), the
-   result of its first clean run (DESIGN §9.1) and the model's answer
-   per resolved launch (DESIGN §12.6). It holds no lock, so the artifact
+(* What a memoized artifact has learnt about its launches: the result
+   of its first clean run (DESIGN §9.1) and the model's answer per
+   resolved launch (DESIGN §12.6). It holds no lock, so the artifact
    still marshals. *)
 type launch = {
-  shapes : Gpusim.Chip.store;
   run : (run_key * Gpusim.Chip.result) option Atomic.t;
   predictions : (launch_key, Model_facts.prediction) Sutil.Atomic_assoc.t;
 }
@@ -752,7 +750,6 @@ let memo_find_or_compile ?report key mech =
               (fun t ->
                 let launch =
                   {
-                    shapes = Gpusim.Chip.create_store ();
                     run = Atomic.make None;
                     predictions = Atomic.make [];
                   }
@@ -912,24 +909,15 @@ let launch_prediction t ~ctas ~total_points ~n_sms ~skew predict =
 let launches_stored = Atomic.make 0
 let launches_served = Atomic.make 0
 
-type shape_store_stats = {
-  shapes_stored : int;
-  order_bytes_stored : int;
-  runs_served : int;
-  traces_flattened : int;
+type launch_state_stats = {
   launches_stored : int;
   launches_served : int;
   predictions_stored : int;
   predictions_served : int;
 }
 
-let shape_store_stats () =
-  let c = Gpusim.Chip.store_counts () in
+let launch_state_stats () =
   {
-    shapes_stored = c.Gpusim.Chip.shapes_stored;
-    order_bytes_stored = c.Gpusim.Chip.order_bytes_stored;
-    runs_served = c.Gpusim.Chip.runs_served;
-    traces_flattened = c.Gpusim.Chip.traces_flattened;
     launches_stored = Atomic.get launches_stored;
     launches_served = Atomic.get launches_served;
     predictions_stored = Atomic.get predictions_stored;
@@ -1082,9 +1070,7 @@ let run ?ctas ?(check = true) ?(seed = 0x5EEDL) ?t_range ?(faults = [])
         in
         let m =
           Gpusim.Chip.run ~fill_inputs:fill ~faults ?max_cycles ?profile
-            ~n_sms ~skew
-            ?store:(Option.map (fun s -> s.shapes) t.launch)
-            arch
+            ~n_sms ~skew arch
             { Gpusim.Chip.program = t.lowered.Lower.program; total_points; ctas }
         in
         (* A result larger than the whole launch-inputs memo (a heptane

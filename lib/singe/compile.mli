@@ -135,10 +135,10 @@ val backend :
     options are not checked ({!check_options}). *)
 
 type launch
-(** What a memoized artifact has learnt about its launches: the shapes
-    {!run} simulated, the results of its clean runs and the answers
-    {!Perf_model.predict} computed ({!shape_store_stats}). It holds no
-    lock, so an artifact marshals. *)
+(** What a memoized artifact has learnt about its launches: the result
+    of its first clean run and the answers {!Perf_model.predict}
+    computed ({!launch_state_stats}). It holds no lock, so an artifact
+    marshals. *)
 
 type t = {
   mech : Chem.Mechanism.t;
@@ -259,16 +259,7 @@ val set_memo_limit : int -> unit
     would otherwise leak one lowered program per distinct configuration
     it ever saw. *)
 
-type shape_store_stats = {
-  shapes_stored : int;  (** shapes simulated and stored *)
-  order_bytes_stored : int;
-      (** bytes of issue order stored, one order per shape *)
-  runs_served : int;
-      (** main, pin and tail simulations answered from a store *)
-  traces_flattened : int;
-      (** programs flattened by {!run}: only to simulate a round, or for
-          the first replay of a program, whose view its store then keeps;
-          faulted and profiled runs flatten every time *)
+type launch_state_stats = {
   launches_stored : int;  (** clean runs whose whole result {!run} stored *)
   launches_served : int;
       (** runs answered with a copy of a stored result, neither simulated
@@ -279,24 +270,20 @@ type shape_store_stats = {
       (** predictions answered from a launch state *)
 }
 
-val shape_store_stats : unit -> shape_store_stats
+val launch_state_stats : unit -> launch_state_stats
 (** The counters of every artifact's launch state ([t.launch]). A state
-    holds the launch-shape store {!run} keeps ({!Gpusim.Chip.store}):
-    each shape's result and issue order, whether a main, pin or tail
-    round first simulated it, so any later round of that shape is served
-    from it, and the program's replay view, so a run whose shapes are all
-    stored flattens nothing. And it holds {!Perf_model.predict}'s answer
-    per launch, keyed by the resolved CTAs, points, SM count and the bits
-    of the clock skew, so a repeated prediction is a lookup and a copy,
-    bit-identical to a fresh one. And it holds the whole result of the
-    artifact's first clean, unprofiled run whose memory is at most 2^18
-    doubles, keyed by that launch plus the grid's seed and the bits of
-    its temperature range, so a repeat of that run within its budget is
-    a copy plus the oracle check; other launches are not stored. Each
-    shape, result and answer is stored once, also when domains race to
-    store it. An artifact compiled outside the memo has no state: a
-    caller launches it once, and it stores nothing. The eight counters
-    are process-lifetime and survive {!memo_clear}. *)
+    holds {!Perf_model.predict}'s answer per launch, keyed by the
+    resolved CTAs, points, SM count and the bits of the clock skew, so a
+    repeated prediction is a lookup and a copy, bit-identical to a fresh
+    one. And it holds the whole result of the artifact's first clean,
+    unprofiled run whose memory is at most 2^18 doubles, keyed by that
+    launch plus the grid's seed and the bits of its temperature range,
+    so a repeat of that run within its budget is a copy plus the oracle
+    check; other launches are not stored. Each result and answer is
+    stored once, also when domains race to store it. An artifact
+    compiled outside the memo has no state: a caller launches it once,
+    and it stores nothing. The four counters are process-lifetime and
+    survive {!memo_clear}. *)
 
 val launch_prediction :
   t ->
@@ -374,13 +361,11 @@ val run :
     memory exceeds 2^18 doubles), and a later run of the same launch
     (CTAs, points, resolved SM count and skew, seed, temperature range)
     whose [max_cycles] admits every round it simulated gets a copy of
-    it ({!shape_store_stats}). Otherwise the simulation runs once
-    per launch shape: a clean, unprofiled run takes the artifact's stored
-    cycles, counters and cache stats and replays the stored issue order
-    into its memory. Either way the result is bit-identical to a fresh
-    simulation's; a run with [faults] or [profile], or whose
-    [max_cycles] is below the stored cycles, simulates as without a
-    store. An artifact whose [verdict] is an
+    it ({!launch_state_stats}), bit-identical to a fresh simulation's.
+    Every other run simulates and replays: a run with [faults] or
+    [profile], one whose [max_cycles] is below the stored run's rounds,
+    a launch with another key, and every run of a one-shot artifact.
+    An artifact whose [verdict] is an
     [Error] is refused before anything is simulated: [run] raises that
     verdict as {!Diagnostics.Fail} (pass ["mapping-validate"],
     ["deadlock-check"] or ["lower"], the same diagnostic a validating

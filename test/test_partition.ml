@@ -383,7 +383,7 @@ let test_warm_search_across_jobs () =
     | Error d ->
         Alcotest.failf "search failed: %s" (Singe.Diagnostics.to_string d)
   in
-  let stats = Singe.Compile.shape_store_stats in
+  let stats = Singe.Compile.launch_state_stats in
   let counts () =
     let s = stats () in
     (s.Singe.Compile.predictions_stored, s.Singe.Compile.predictions_served)

@@ -785,7 +785,7 @@ let test_inputs_memo () =
     (stats ()).Sutil.Cache.size;
   same "cold again" cold (run visc)
 
-(* ---- the launch-shape store ---- *)
+(* ---- launch state ---- *)
 
 (* A run's whole result: the chip result (memory, main and tail
    simulations, schedule), the outputs and the oracle error, bit for
@@ -797,20 +797,18 @@ let run_bytes (r : Singe.Compile.run_result) =
 
 let fault_bytes f = Marshal.to_string f [ Marshal.No_sharing ]
 
-let store_stats = Singe.Compile.shape_store_stats
-let served () = (store_stats ()).Singe.Compile.runs_served
-let flattened () = (store_stats ()).Singe.Compile.traces_flattened
+let state_stats = Singe.Compile.launch_state_stats
 
 (* Targets with a tail round (128 CTAs, 6 resident) and without one, and
    one that also extrapolates from pin runs (1024 CTAs of 8 batches, 13
-   resident, a tail of 10): main, pin, tail and tail-pin simulations all
-   go through the store. The last field counts them. *)
+   resident, a tail of 10): a stored launch holds main, pin and tail
+   rounds. *)
 let store_targets =
   Singe.Kernel_abi.
     [
-      (Viscosity, Singe.Compile.Warp_specialized, 4096, 2);
-      (Chemistry, Singe.Compile.Baseline, 2048, 1);
-      (Conductivity, Singe.Compile.Warp_specialized, 262144, 4);
+      (Viscosity, Singe.Compile.Warp_specialized, 4096);
+      (Chemistry, Singe.Compile.Baseline, 2048);
+      (Conductivity, Singe.Compile.Warp_specialized, 262144);
     ]
 
 let store_compile ?(memo = true) kernel version =
@@ -820,229 +818,11 @@ let store_compile ?(memo = true) kernel version =
     (Singe.Compile.compile ~memo mech kernel version
        (Singe.Target.options ~n_warps Gpusim.Arch.kepler_k20c kernel))
 
-(* A warm run serves every simulation of its launch from the store,
-   flattens nothing, and equals the cold run of its launch, whole result
-   for whole result; the cold run that filled the store flattened once,
-   and a run after [memo_clear] equals it. The warm runs launch on fewer
-   SMs than the cold one: they share its shapes but not its stored
-   launch. Mutating a returned result's counters and cache stats does
-   not reach the store. *)
-let test_shape_store_warm_equals_cold () =
-  Singe.Compile.memo_clear ();
-  List.iter
-    (fun (kernel, version, total_points, sims) ->
-      let label = Singe.Kernel_abi.kernel_name kernel in
-      let run ?memo ?n_sms () =
-        Singe.Compile.run (store_compile ?memo kernel version) ?n_sms
-          ~total_points
-      in
-      let s0 = served () and f0 = flattened () in
-      let cold = run () in
-      Alcotest.(check int) (label ^ ": a cold run simulates") s0 (served ());
-      Alcotest.(check int) (label ^ ": and flattens once") (f0 + 1)
-        (flattened ());
-      let warm = run ~n_sms:1 () in
-      Alcotest.(check int)
-        (label ^ ": a warm run serves every simulation")
-        (s0 + sims) (served ());
-      Alcotest.(check int)
-        (label ^ ": and flattens nothing")
-        (f0 + 1) (flattened ());
-      Alcotest.(check bool)
-        (label ^ ": warm = cold")
-        true
-        (run_bytes warm = run_bytes (run ~memo:false ~n_sms:1 ()));
-      let poison (r : Gpusim.Sm.result) =
-        r.Gpusim.Sm.counters.Gpusim.Sm.issued <- -1;
-        r.Gpusim.Sm.counters.Gpusim.Sm.flops <- -1;
-        r.Gpusim.Sm.icache.Gpusim.Caches.Icache.misses <- -1;
-        r.Gpusim.Sm.ccache.Gpusim.Caches.Ccache.hits <- -1
-      in
-      poison warm.Singe.Compile.machine.Gpusim.Chip.sim;
-      Option.iter poison warm.Singe.Compile.machine.Gpusim.Chip.tail_sim;
-      Alcotest.(check bool)
-        (label ^ ": a mutated result leaves the store intact")
-        true
-        (run_bytes (run ~memo:false ~n_sms:2 ()) = run_bytes (run ~n_sms:2 ()));
-      Singe.Compile.memo_clear ();
-      let s1 = served () in
-      Alcotest.(check bool)
-        (label ^ ": after memo_clear = cold")
-        true
-        (run_bytes cold = run_bytes (run ()));
-      Alcotest.(check int)
-        (label ^ ": the new artifact's store starts empty")
-        s1 (served ()))
-    store_targets
-
-(* Every shape is stored with its issue order, whichever round first
-   simulated it. At 262,144 points the conductivity launch is 1,024 CTAs
-   of 8 batches, 13 resident: main (13, 6), pin (13, 4), tail (10, 6) and
-   tail-pin (10, 4). At 131,072 points it has 4 batches and no pin runs,
-   so its main round (13, 4) and tail round (10, 4) are the earlier pin
-   shapes: both are served, the main one by replaying the pin run's
-   order, and the run equals a fresh artifact's. *)
-let test_shape_store_serves_pin_shapes () =
-  Singe.Compile.memo_clear ();
-  let kernel = Singe.Kernel_abi.Conductivity
-  and version = Singe.Compile.Warp_specialized in
-  let run ?memo total_points =
-    Singe.Compile.run (store_compile ?memo kernel version) ~total_points
-  in
-  let shape (r : Singe.Compile.run_result) =
-    let m = r.Singe.Compile.machine in
-    ( m.Gpusim.Chip.occ.Gpusim.Chip.resident_ctas,
-      m.Gpusim.Chip.chip.Gpusim.Chip.tail_ctas,
-      m.Gpusim.Chip.simulated_points )
-  in
-  let long = run 262144 in
-  Alcotest.(check (triple int int int))
-    "262,144 points: 13 resident, a tail of 10, 6 batches simulated"
-    (13, 10, 13 * 32 * 6) (shape long);
-  let s0 = served () and f0 = flattened () in
-  let short = run 131072 in
-  Alcotest.(check (triple int int int))
-    "131,072 points: 13 resident, a tail of 10, 4 batches simulated"
-    (13, 10, 13 * 32 * 4) (shape short);
-  Alcotest.(check int) "main and tail rounds served" (s0 + 2) (served ());
-  Alcotest.(check int) "nothing flattened" f0 (flattened ());
-  Alcotest.(check bool) "equals a fresh artifact's run" true
-    (run_bytes short = run_bytes (run ~memo:false 131072))
-
-(* Budgets, faults and profiles: a budget below the stored cycles raises
-   the fault a fresh simulation raises (same cycle, same dumps), a budget
-   of exactly the stored cycles is served, and a run with faults or the
-   profiler simulates as without a store. *)
-let test_shape_store_bypass () =
-  Singe.Compile.memo_clear ();
-  let kernel = Singe.Kernel_abi.Conductivity
-  and version = Singe.Compile.Warp_specialized
-  and total_points = 262144 in
-  let c = store_compile kernel version in
-  let cold = Singe.Compile.run c ~total_points in
-  let cycles = cold.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.cycles in
-  let fault ?(c = c) max_cycles =
-    match Singe.Compile.run c ~total_points ~max_cycles with
-    | _ -> Alcotest.failf "a budget of %d cycles did not fault" max_cycles
-    | exception Gpusim.Sm.Simulation_fault f -> f
-  in
-  List.iter
-    (fun budget ->
-      let s0 = served () in
-      let stored = fault budget in
-      Alcotest.(check int)
-        (Printf.sprintf "budget %d simulates" budget)
-        s0 (served ());
-      let fresh = fault ~c:(store_compile ~memo:false kernel version) budget in
-      Alcotest.(check bool)
-        (Printf.sprintf "budget %d: the fresh run's fault" budget)
-        true
-        (fault_bytes stored = fault_bytes fresh))
-    [ cycles - 1; cycles / 2; 100 ];
-  (* On one SM: the launch shares the cold run's shapes, not its stored
-     launch. *)
-  let s0 = served () in
-  let exact = Singe.Compile.run c ~total_points ~max_cycles:cycles ~n_sms:1 in
-  Alcotest.(check bool) "a budget of the stored cycles is served" true
-    (served () > s0);
-  Alcotest.(check bool) "and equals the cold run" true
-    (run_bytes exact
-    = run_bytes
-        (Singe.Compile.run (store_compile ~memo:false kernel version)
-           ~total_points ~n_sms:1));
-  let shapes0 = (store_stats ()).Singe.Compile.shapes_stored in
-  let s0 = served () in
-  let mem_bytes (r : Singe.Compile.run_result) =
-    Marshal.to_string r.Singe.Compile.machine.Gpusim.Chip.mem []
-  in
-  (* Each replays the view of the trace it flattened itself, with the
-     store's view already there. *)
-  let f0 = flattened () in
-  let profiled =
-    Singe.Compile.run c ~total_points ~profile:Gpusim.Sm.default_profile
-  in
-  Alcotest.(check bool) "a profiled run has its profile" true
-    (profiled.Singe.Compile.machine.Gpusim.Chip.sim.Gpusim.Sm.profile <> None);
-  Alcotest.(check int) "a profiled run flattens its own trace" (f0 + 1)
-    (flattened ());
-  Alcotest.(check bool) "and replays the clean memory" true
-    (mem_bytes profiled = mem_bytes cold);
-  let corrupt =
-    [ Result.get_ok (Gpusim.Fault.of_string "corrupt-shfl:warp=0,nth=0") ]
-  in
-  let faulted = Singe.Compile.run c ~total_points ~faults:corrupt in
-  Alcotest.(check int) "a faulted run flattens its own trace" (f0 + 2)
-    (flattened ());
-  Alcotest.(check bool) "and replays its faults" false
-    (mem_bytes faulted = mem_bytes cold);
-  Alcotest.(check bool) "as a fresh artifact's faulted run does" true
-    (mem_bytes faulted
-    = mem_bytes
-        (Singe.Compile.run (store_compile ~memo:false kernel version)
-           ~total_points ~faults:corrupt));
-  let drop =
-    match
-      Singe.Compile.run c ~total_points
-        ~faults:[ Result.get_ok (Gpusim.Fault.of_string "drop-arrive:warp=1,nth=0") ]
-    with
-    | _ -> None
-    | exception Gpusim.Sm.Simulation_fault f -> Some f
-  in
-  Alcotest.(check bool) "a dropped arrive still deadlocks" true (drop <> None);
-  Alcotest.(check int) "faults and profiles serve nothing" s0 (served ());
-  Alcotest.(check int) "and store nothing" shapes0
-    (store_stats ()).Singe.Compile.shapes_stored
-
-(* The stored view replays like a fresh trace. A launch of [2r + 1] CTAs
-   of 8 batches, [r] resident, simulates four shapes: main (r, 6), pin
-   (r, 4), tail (1, 6) and tail pin (1, 4). A later launch whose only
-   round has one of those shapes is served from the store, flattens
-   nothing, replays the stored order through the stored view, and equals
-   bit for bit the run of a fresh artifact, which simulates and replays
-   its own freshly flattened trace. *)
-let test_shape_store_view_equals_fresh_trace () =
-  Singe.Compile.memo_clear ();
-  List.iter
-    (fun kernel ->
-      let label = Singe.Kernel_abi.kernel_name kernel
-      and version = Singe.Compile.Warp_specialized in
-      let launch ?memo (ctas, batches) =
-        Singe.Compile.run (store_compile ?memo kernel version) ~ctas
-          ~total_points:(ctas * 32 * batches)
-      in
-      let r =
-        (Gpusim.Chip.occupancy Gpusim.Arch.kepler_k20c
-           (store_compile kernel version).Singe.Compile.lowered
-             .Singe.Lower.program)
-          .Gpusim.Chip.resident_ctas
-      in
-      Alcotest.(check bool) (label ^ ": two or more resident") true (r >= 2);
-      let cold = launch ((2 * r) + 1, 8) in
-      Alcotest.(check int)
-        (label ^ ": a tail of one")
-        1 cold.Singe.Compile.machine.Gpusim.Chip.chip.Gpusim.Chip.tail_ctas;
-      List.iter
-        (fun (what, shape) ->
-          let s0 = served () and f0 = flattened () in
-          let warm = launch shape in
-          Alcotest.(check int)
-            (Printf.sprintf "%s %s shape: served" label what)
-            (s0 + 1) (served ());
-          Alcotest.(check int)
-            (Printf.sprintf "%s %s shape: nothing flattened" label what)
-            f0 (flattened ());
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %s shape: equals a fresh trace's replay" label
-               what)
-            true
-            (run_bytes warm = run_bytes (launch ~memo:false shape)))
-        [ ("main", (r, 6)); ("pin", (r, 4)); ("tail", (1, 6)); ("tail pin", (1, 4)) ])
-    Singe.Kernel_abi.[ Chemistry; Stencil Singe.Stencil_pipe.Edge3 ]
-
-(* The store lives as long as its artifact: an artifact evicted from the
-   compile memo and no longer held is collected with its launch state,
-   so a server cycling through targets keeps no dead programs alive. *)
-let test_shape_store_lifetime () =
+(* The launch state lives as long as its artifact: an artifact evicted
+   from the compile memo and no longer held is collected with its launch
+   state, so a server cycling through targets keeps no dead programs
+   alive. *)
+let test_launch_state_lifetime () =
   let prev_limit = (Singe.Compile.memo_stats ()).Sutil.Cache.limit in
   Fun.protect
     ~finally:(fun () -> Singe.Compile.set_memo_limit prev_limit)
@@ -1071,8 +851,8 @@ let test_shape_store_lifetime () =
 
 (* ---- stored launches ---- *)
 
-let launches_served () = (store_stats ()).Singe.Compile.launches_served
-let launches_stored () = (store_stats ()).Singe.Compile.launches_stored
+let launches_served () = (state_stats ()).Singe.Compile.launches_served
+let launches_stored () = (state_stats ()).Singe.Compile.launches_stored
 
 (* Every mutable part of a returned result: the simulations' counters and
    cache stats, the memory and the chip's per-SM stats. *)
@@ -1093,14 +873,13 @@ let poison_result (r : Singe.Compile.run_result) =
   let sms = m.Gpusim.Chip.chip.Gpusim.Chip.sms in
   sms.(0) <- { (sms.(0)) with Gpusim.Chip.sm_ctas = -1 }
 
-(* A repeated clean run is answered from the artifact's stored launch: it
-   neither simulates nor replays nor flattens, and its whole result
-   equals a fresh artifact's run. Poisoning a returned result leaves the
-   next one intact. *)
+(* A repeated clean run is answered from the artifact's stored launch,
+   and its whole result equals a fresh artifact's run. Poisoning a
+   returned result leaves the next one intact. *)
 let test_stored_launch_served () =
   Singe.Compile.memo_clear ();
   List.iter
-    (fun (kernel, version, total_points, _) ->
+    (fun (kernel, version, total_points) ->
       let label = Singe.Kernel_abi.kernel_name kernel in
       let run ?memo () =
         Singe.Compile.run (store_compile ?memo kernel version) ~total_points
@@ -1109,12 +888,10 @@ let test_stored_launch_served () =
       let cold = run () in
       Alcotest.(check int) (label ^ ": a cold run is stored") (stored0 + 1)
         (launches_stored ());
-      let l0 = launches_served () and s0 = served () and f0 = flattened () in
+      let l0 = launches_served () in
       let warm = run () in
       Alcotest.(check int) (label ^ ": a repeated run is served") (l0 + 1)
         (launches_served ());
-      Alcotest.(check int) (label ^ ": and serves no shape") s0 (served ());
-      Alcotest.(check int) (label ^ ": and flattens nothing") f0 (flattened ());
       let fresh = run_bytes (run ~memo:false ()) in
       Alcotest.(check bool) (label ^ ": cold = fresh") true
         (run_bytes cold = fresh);
@@ -1381,16 +1158,8 @@ let tests =
     Alcotest.test_case "CLI and serve reject alike" `Quick
       test_cli_serve_parity;
     Alcotest.test_case "launch-inputs memo" `Quick test_inputs_memo;
-    Alcotest.test_case "shape store: warm equals cold" `Quick
-      test_shape_store_warm_equals_cold;
-    Alcotest.test_case "shape store: pin shapes serve main rounds" `Quick
-      test_shape_store_serves_pin_shapes;
-    Alcotest.test_case "shape store: budgets, faults, profiles" `Quick
-      test_shape_store_bypass;
-    Alcotest.test_case "shape store: lifetime of its program" `Quick
-      test_shape_store_lifetime;
-    Alcotest.test_case "shape store: stored view equals a fresh trace" `Quick
-      test_shape_store_view_equals_fresh_trace;
+    Alcotest.test_case "launch state: lifetime of its artifact" `Quick
+      test_launch_state_lifetime;
     Alcotest.test_case "stored launch: a repeated run is served" `Quick
       test_stored_launch_served;
     Alcotest.test_case "stored launch: every key field misses" `Quick
